@@ -230,7 +230,9 @@ func openState(path string, id int32) (*store.Store, error) {
 	return st, nil
 }
 
-// saveState writes the snapshot atomically (temp file + rename).
+// saveState writes the snapshot atomically and durably (temp file + fsync +
+// rename): after a crash the state file is the old snapshot or the new one,
+// never a truncated mix.
 func saveState(path string, st *store.Store) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -238,6 +240,10 @@ func saveState(path string, st *store.Store) error {
 		return err
 	}
 	if err := st.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -139,5 +143,45 @@ func TestBuildMatrixSpecRejectsExplicitNonsense(t *testing.T) {
 	// user-degree 0 (modal) stays legal.
 	if _, err := buildMatrixSpec("small", "facebook", "sporadic", "conrep", "", 10, 0, 1, 1); err != nil {
 		t.Errorf("user-degree 0 rejected: %v", err)
+	}
+}
+
+// TestWriteSinkIsCrashSafe: a sink whose writer fails midway leaves the
+// previous file byte-intact and no temp file behind; a successful write
+// replaces the file whole.
+func TestWriteSinkIsCrashSafe(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "manifest.json")
+	write := func(body string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, body); return err }
+	}
+	if err := writeSink(path, write("previous run")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("encoder failed")
+	err := writeSink(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half a manif"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("writeSink error = %v, want the writer's failure", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous run" {
+		t.Errorf("after failed write file = %q, %v; want previous contents intact", got, err)
+	}
+	if err := writeSink(path, write("next run")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "next run" {
+		t.Errorf("after successful write file = %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "manifest.json" {
+		t.Errorf("directory holds %v, want only manifest.json (no temp left behind)", entries)
 	}
 }

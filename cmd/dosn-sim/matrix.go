@@ -43,7 +43,7 @@ func runMatrix(args []string) error {
 		events     = fs.String("events", "", "stream execution lifecycle events as JSONL to this file")
 		progress   = fs.Bool("progress", false, "live single-line progress on stderr (cells done, current phase, ETA, heap); replaces per-cell lines")
 		debugAddr  = fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
-		noPrefetch = fs.Bool("no-prefetch", false, "disable cell prefetching and repetition pipelining (serial reference execution); never affects results")
+		noPrefetch = fs.Bool("no-prefetch", false, "disable cell prefetching (serial reference execution); never affects results")
 		checkpoint = fs.String("checkpoint", "", "append each completed cell to a crash-safe JSONL journal at this path (fsync per cell)")
 		resume     = fs.Bool("resume", false, "restore completed cells from the -checkpoint journal; the resumed manifest is byte-identical to an uninterrupted run")
 		maxRetries = fs.Int("max-retries", 0, "rerun a failed cell (error, panic, or timeout) up to this many times; never affects results")
@@ -303,21 +303,45 @@ func splitList(s string) []string {
 	return out
 }
 
-// writeSink writes via fn to path, with "-" meaning stdout.
-func writeSink(path string, fn func(io.Writer) error) error {
+// writeSink writes via fn to path, with "-" meaning stdout. A regular file is
+// replaced atomically — path.tmp beside it, fsync, rename — so a failed or
+// interrupted write leaves the previous file intact and no temp file behind.
+func writeSink(path string, fn func(io.Writer) error) (err error) {
 	if path == "-" {
 		return fn(os.Stdout)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
+	if fi, statErr := os.Stat(path); statErr == nil && !fi.Mode().IsRegular() {
+		// A device or pipe (/dev/stdout, /dev/null) is written through:
+		// renaming over it would replace the node itself.
+		f, openErr := os.OpenFile(path, os.O_WRONLY, 0)
+		if openErr != nil {
+			return fmt.Errorf("open %s: %w", path, openErr)
+		}
+		defer f.Close()
+		return fn(f)
 	}
-	if err := fn(f); err != nil {
-		f.Close()
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", tmp, err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // no-op after a successful Close
+			os.Remove(tmp)
+		}
+	}()
+	if err = fn(f); err != nil {
 		return fmt.Errorf("write %s: %w", path, err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
+	if err = f.Sync(); err != nil {
+		return fmt.Errorf("sync %s: %w", tmp, err)
+	}
+	if err = f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", tmp, err)
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("rename %s: %w", path, err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil

@@ -65,14 +65,19 @@ type (
 	Activity = trace.Activity
 	// SynthConfig parameterizes synthetic dataset generation.
 	SynthConfig = trace.SynthConfig
-	// OnlineModel approximates per-user online times from activity.
+	// OnlineModel approximates per-user online times from activity. Its one
+	// build method is BuildTable: schedules exist only as ScheduleTable rows
+	// (row.Set() is the interval view of a row).
 	OnlineModel = onlinetime.Model
 	// ScheduleTable is the arena-backed dense schedule store: one day-bitmap
 	// row per user in a single flat allocation. SweepConfig.Schedules takes
 	// one table per repetition, so callers sharing schedules across sweeps
 	// densify each (dataset, model, repetition) exactly once.
 	ScheduleTable = onlinetime.Table
-	// Policy places profile replicas on friends.
+	// Policy places profile replicas on friends. Its input is dense-only:
+	// schedules arrive as ScheduleTable rows (Input.Bitmaps), interaction
+	// counts positionally (Input.CandidateCounts), and the activity-demand
+	// universe as a bitmap (Input.Demand).
 	Policy = replica.Policy
 	// Mode selects connected (ConRep) or unconnected (UnconRep) placement.
 	Mode = replica.Mode

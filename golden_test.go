@@ -133,6 +133,7 @@ func goldenEntries() []goldenEntry {
 		goldenEntry{id: "ablation-history", tol: tolFraction, gen: historyFigure},
 		goldenEntry{id: "ablation-churn", tol: tolFraction, gen: churnFigure},
 		goldenEntry{id: "experiment-loadbalance", tol: tolLoad, gen: loadBalanceFigure},
+		goldenEntry{id: "experiment-protocol", tol: tolHours, gen: protocolFigure},
 		goldenEntry{id: "matrix-facebook-sporadic-conrep", tol: tolFraction, gen: matrixCellFigure("facebook", "Sporadic", "ConRep", "availability")},
 		goldenEntry{id: "matrix-facebook-fixed2-unconrep", tol: tolFraction, gen: matrixCellFigure("facebook", "FixedLength(2h)", "UnconRep", "availability")},
 		goldenEntry{id: "matrix-twitter-sporadic-conrep-delay", tol: tolHours, gen: matrixCellFigure("twitter", "Sporadic", "ConRep", "delay_hours")},
@@ -221,6 +222,49 @@ func loadBalanceFigure(t *testing.T) dosn.Figure {
 			X:     []float64{0, 1, 2},
 			Y:     []float64{r.MeanLoad, r.MaxLoad, r.CV},
 		})
+	}
+	return fig
+}
+
+// protocolFigure snapshots X1/X2 — every field of the analytic-vs-runtime
+// comparison — for the default configuration and for a lossy randomized one
+// (MostActive draws placement randomness, FixedLength wraps midnight, loss
+// consumes the runtime RNG), so the schedule, placement, read-draw and loss
+// streams are all pinned.
+func protocolFigure(t *testing.T) dosn.Figure {
+	s := goldenSuite(t)
+	fig := dosn.Figure{
+		ID:     "experiment-protocol",
+		Title:  "X1/X2: protocol-level validation",
+		XLabel: "ProtocolResult field index",
+		YLabel: "value",
+	}
+	for _, c := range []struct {
+		label string
+		cfg   dosn.ProtocolConfig
+	}{
+		{"MaxAv/ConRep/Sporadic", dosn.ProtocolConfig{Dataset: s.Facebook, MaxWalls: 12, Days: 4, Seed: 42}},
+		{"MostActive/UnconRep/FixedLength(8h)/loss", dosn.ProtocolConfig{
+			Dataset: s.Twitter, Model: dosn.NewFixedLength(8), Policy: dosn.MostActive, Mode: dosn.UnconRep,
+			Budget: 4, MaxWalls: 8, Days: 3, LossRate: 0.2, Seed: 42,
+		}},
+	} {
+		res, err := dosn.RunProtocolValidation(c.cfg)
+		if err != nil {
+			t.Fatalf("protocol validation %s: %v", c.label, err)
+		}
+		ys := []float64{
+			float64(res.Walls), float64(res.Posts),
+			res.AnalyticWorstHours, res.MeasuredMaxHours, res.MeasuredPairHours, res.ObservedPairHours,
+			res.ImmediateFraction, res.AnalyticAoDActivity, res.MeasuredAoDTime, res.AnalyticAoDTime,
+			res.DeliveredFraction,
+			float64(res.Exchanges), float64(res.PostsTransferred), float64(res.LostContacts),
+		}
+		xs := make([]float64, len(ys))
+		for i := range xs {
+			xs[i] = float64(i)
+		}
+		fig.Series = append(fig.Series, dosn.Series{Label: c.label, X: xs, Y: ys})
 	}
 	return fig
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"dosn/internal/interval"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -13,39 +12,6 @@ import (
 	"dosn/internal/stats"
 	"dosn/internal/trace"
 )
-
-// ActivityMinutes returns the set of minutes-of-day at which the given
-// activities occurred — the set-cover universe of MaxAv's
-// on-demand-activity objective (§III-A). Past the density cutover the
-// minutes are accumulated in a bitmap and converted once, replacing the
-// O(n log n) sort-and-merge with O(n) bit sets; both paths produce the same
-// normalized set.
-func ActivityMinutes(acts []trace.Activity) interval.Set {
-	minutes := make([]int, len(acts))
-	for i, a := range acts {
-		minutes[i] = a.MinuteOfDay()
-	}
-	return MinuteSet(minutes)
-}
-
-// MinuteSet is ActivityMinutes over pre-extracted minutes-of-day — the
-// columnar sweep path, which pulls minutes straight off the timestamp column
-// into a per-worker scratch slice and never materializes activity rows. Both
-// construction paths yield the same normalized set.
-func MinuteSet(minutes []int) interval.Set {
-	if interval.PreferBitmap(len(minutes)) {
-		var b interval.Bitmap
-		for _, m := range minutes {
-			b.AddInterval(interval.Interval{Start: m, End: m + 1})
-		}
-		return b.Set()
-	}
-	ivs := make([]interval.Interval, 0, len(minutes))
-	for _, m := range minutes {
-		ivs = append(ivs, interval.Interval{Start: m, End: m + 1})
-	}
-	return interval.NewSet(ivs...)
-}
 
 // ObjectiveAblation compares MaxAv's two set-cover objectives (availability
 // vs on-demand-activity) head to head; the activity-targeted variant should
@@ -108,7 +74,7 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 	}
 	split := from.Add(time.Duration(float64(to.Sub(from)) * trainFraction))
 
-	schedules := model.ScheduleAll(ds, rand.New(rand.NewSource(mix(seed, 21))))
+	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 21))), 1).Bitmaps()
 	degree, ok := ds.Graph.ModalDegree(5)
 	if !ok {
 		return nil, ErrNoUsers
@@ -124,20 +90,23 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 		if len(evalActs) == 0 {
 			continue
 		}
-		base := replica.Input{
-			Owner:      u,
-			Candidates: ds.Graph.Neighbors(u),
-			Schedules:  schedules,
-			Mode:       replica.ConRep,
-			Budget:     budget,
+		evalMinutes := make([]int, len(evalActs))
+		for j, a := range evalActs {
+			evalMinutes[j] = a.MinuteOfDay()
 		}
-		evaluate := func(counts map[socialgraph.UserID]int, p replica.Policy, w *stats.Welford, salt int64) {
-			in := base
-			in.InteractionCounts = counts
+		evaluate := func(counts []int, p replica.Policy, w *stats.Welford, salt int64) {
+			in := replica.Input{
+				Owner:           u,
+				Candidates:      ds.Graph.Neighbors(u),
+				Bitmaps:         schedules,
+				CandidateCounts: counts,
+				Mode:            replica.ConRep,
+				Budget:          budget,
+			}
 			rng := rand.New(rand.NewSource(mix(seed, salt, int64(i))))
 			replicas := p.Select(in, rng)
 			avail := metrics.AvailabilitySet(u, replicas, schedules)
-			if v, ok := metrics.AvailabilityOnDemandActivity(avail, evalActs); ok {
+			if v, ok := metrics.AvailabilityOnDemandMinutes(&avail, evalMinutes); ok {
 				w.Add(v)
 			}
 		}
@@ -179,7 +148,7 @@ func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed 
 	if repeats <= 0 {
 		repeats = 3
 	}
-	schedules := model.ScheduleAll(ds, rand.New(rand.NewSource(mix(seed, 31))))
+	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 31))), 1).Bitmaps()
 	degree, ok := ds.Graph.ModalDegree(5)
 	if !ok {
 		return nil, ErrNoUsers
@@ -197,7 +166,7 @@ func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed 
 			in := replica.Input{
 				Owner:           u,
 				Candidates:      ds.Graph.Neighbors(u),
-				Schedules:       schedules,
+				Bitmaps:         schedules,
 				CandidateCounts: ds.CandidateInteractionCounts(u, ds.Graph.Neighbors(u), &countScratch),
 				Mode:            replica.ConRep,
 				Budget:          budget,

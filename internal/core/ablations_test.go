@@ -2,29 +2,74 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
-	"time"
 
 	"dosn/internal/interval"
 	"dosn/internal/onlinetime"
-	"dosn/internal/trace"
+	"dosn/internal/replica"
+	"dosn/internal/socialgraph"
 )
 
+// demandProbe records the demand universe the sweep hands a policy.
+type demandProbe struct {
+	usesDemand bool
+	mu         *sync.Mutex
+	got        map[socialgraph.UserID]*interval.Bitmap
+}
+
+func (p demandProbe) Name() string           { return "demandProbe" }
+func (p demandProbe) Traits() replica.Traits { return replica.Traits{UsesDemand: p.usesDemand} }
+func (p demandProbe) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.got[in.Owner] = nil
+	if in.Demand != nil {
+		cp := *in.Demand // the engine's view is only valid during Select
+		p.got[in.Owner] = &cp
+	}
+	return nil
+}
+
+// TestActivityMinutes pins the set-cover universe of MaxAv's
+// on-demand-activity objective (§III-A) as the sweep supplies it: exactly
+// the distinct minutes-of-day of the activity received on the owner's
+// profile, and only for policies whose traits ask for it.
 func TestActivityMinutes(t *testing.T) {
-	mk := func(min int) trace.Activity {
-		return trace.Activity{At: trace.Epoch.Add(time.Duration(min) * time.Minute)}
+	ds := testDataset(t)
+	run := func(usesDemand bool) map[socialgraph.UserID]*interval.Bitmap {
+		t.Helper()
+		p := demandProbe{usesDemand: usesDemand, mu: new(sync.Mutex), got: map[socialgraph.UserID]*interval.Bitmap{}}
+		if _, err := Run(Config{Dataset: ds, MaxDegree: 2, UserDegree: 10, Seed: 1, Policies: []replica.Policy{p}}); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if len(p.got) == 0 {
+			t.Fatal("probe saw no users")
+		}
+		return p.got
 	}
-	s := ActivityMinutes([]trace.Activity{mk(10), mk(10), mk(100)})
-	if s.Len() != 2 {
-		t.Errorf("ActivityMinutes Len = %d, want 2 distinct minutes", s.Len())
+	for u, demand := range run(true) {
+		if demand == nil {
+			t.Fatalf("user %d: policy declaring UsesDemand got no demand universe", u)
+		}
+		distinct := map[int]bool{}
+		for _, k := range ds.ReceivedIdx(u) {
+			m := ds.MinuteOfDayAt(int(k))
+			distinct[m] = true
+			if !demand.Contains(m) {
+				t.Errorf("user %d: activity minute %d missing from demand %s", u, m, demand)
+			}
+		}
+		if demand.Minutes() != len(distinct) {
+			t.Errorf("user %d: demand has %d minutes, want %d distinct activity minutes", u, demand.Minutes(), len(distinct))
+		}
 	}
-	if !s.Contains(10) || !s.Contains(100) || s.Contains(50) {
-		t.Errorf("ActivityMinutes = %s", s)
+	for u, demand := range run(false) {
+		if demand != nil {
+			t.Errorf("user %d: policy not declaring UsesDemand was handed a demand universe", u)
+		}
 	}
-	if !ActivityMinutes(nil).IsEmpty() {
-		t.Error("no activities should give the empty set")
-	}
-	_ = interval.Empty // keep import for clarity of intent
 }
 
 func TestObjectiveAblation(t *testing.T) {

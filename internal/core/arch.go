@@ -170,25 +170,19 @@ func sweepUsers(cfg ArchConfig, ds *trace.Dataset) []socialgraph.UserID {
 
 // archHostLoad places every profile in the dataset with the policy at the
 // full budget (first repetition's schedule table) and summarizes per-host
-// load. The table's arena rows are consumed directly; the sorted-interval
-// form is materialized only for policies whose traits ask for it.
+// load.
 func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (mean, max, cv, gini float64) {
 	ds := cfg.Dataset
 	bitmaps := table.Bitmaps()
 	traits := replica.TraitsOf(p)
-	var schedules []interval.Set
-	if traits.UsesSchedules {
-		schedules = table.Sets()
-	}
 	assignments := make(map[socialgraph.UserID][]socialgraph.UserID, ds.NumUsers())
 	var countScratch trace.CountScratch
-	var actMinutes []int
+	var demand interval.Bitmap
 	for u := 0; u < ds.NumUsers(); u++ {
 		uid := socialgraph.UserID(u)
 		in := replica.Input{
 			Owner:      uid,
 			Candidates: ds.Graph.Neighbors(uid),
-			Schedules:  schedules,
 			Bitmaps:    bitmaps,
 			Mode:       cfg.Mode,
 			Budget:     cfg.MaxDegree,
@@ -197,11 +191,12 @@ func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (me
 			in.CandidateCounts = ds.CandidateInteractionCounts(uid, in.Candidates, &countScratch)
 		}
 		if traits.UsesDemand {
-			actMinutes = actMinutes[:0]
+			demand.Clear()
 			for _, k := range ds.ReceivedIdx(uid) {
-				actMinutes = append(actMinutes, ds.MinuteOfDayAt(int(k)))
+				m := ds.MinuteOfDayAt(int(k))
+				demand.AddInterval(interval.Interval{Start: m, End: m + 1})
 			}
-			in.Demand = MinuteSet(actMinutes)
+			in.Demand = &demand
 		}
 		var rng *rand.Rand
 		if traits.UsesRNG {

@@ -411,9 +411,7 @@ const sweepChunkSize = 16
 //
 // The repetition's schedule table is shared read-only: its arena rows are
 // the bitmap slice every worker reads, with no densification step on this
-// path (the table was dense from construction). The sorted-interval form is
-// materialized only when some policy's traits declare it reads
-// Input.Schedules — no built-in policy does. Every worker owns one
+// path (the table was dense from construction). Every worker owns one
 // sweepScratch, so the per-user metric accumulation allocates nothing
 // beyond the policy selections.
 //
@@ -424,13 +422,6 @@ const sweepChunkSize = 16
 //dosn:hotpath
 func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 	bitmaps := table.Bitmaps()
-	var sets []interval.Set
-	for _, p := range cfg.Policies {
-		if replica.TraitsOf(p).UsesSchedules {
-			sets = table.Sets()
-			break
-		}
-	}
 	nChunks := (len(cfg.Users) + sweepChunkSize - 1) / sweepChunkSize
 	batchChunks := nChunks
 	if cfg.ShardUsers > 0 {
@@ -446,7 +437,6 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 		}
 		b := sweepBatch{
 			cfg:     cfg,
-			sets:    sets,
 			bitmaps: bitmaps,
 			rep:     rep,
 			cs:      cs,
@@ -495,7 +485,6 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 // heap-allocate its environment each time (and hide which state is shared).
 type sweepBatch struct {
 	cfg     Config
-	sets    []interval.Set
 	bitmaps []interval.Bitmap
 	rep     int
 	cs, ce  int
@@ -582,7 +571,7 @@ func (b *sweepBatch) work() {
 		hi := min(lo+sweepChunkSize, len(b.cfg.Users))
 		g := newGrid(len(b.cfg.Policies), b.cfg.MaxDegree+1)
 		for _, u := range b.cfg.Users[lo:hi] {
-			sweepUser(b.cfg, b.sets, b.bitmaps, b.rep, u, g, &scratch)
+			sweepUser(b.cfg, b.bitmaps, b.rep, u, g, &scratch)
 		}
 		b.batch[ci-b.cs] = g
 		obsChunksSwept.Inc()
@@ -607,13 +596,10 @@ type sweepScratch struct {
 
 // sweepUser evaluates every policy and every replication degree for one
 // user, accumulating into grid. All interval arithmetic runs on the dense
-// bitmap representation; results are bit-identical to the sorted-interval
-// path it replaced (same integer measures, same float divisions). Inputs a
-// policy declares it will ignore (replica.Traits) are not prepared: only
-// MostActive pays for the interaction counts, only randomized policies pay
-// for RNG seeding, only MaxAv(activity) pays for the demand set, and sets —
-// the vestigial sorted-interval schedules — is nil unless some policy's
-// traits declare it reads Input.Schedules.
+// bitmap rows. Inputs a policy declares it will ignore (replica.Traits) are
+// not prepared: only MostActive pays for the interaction counts, only
+// randomized policies pay for RNG seeding, and only MaxAv(activity) is
+// handed the demand universe.
 //
 // The degree loop is a one-pass incremental kernel: each step grows the
 // availability bitmap and reads back its measure and its demand overlap from
@@ -626,7 +612,7 @@ type sweepScratch struct {
 // bit-identical to the three-pass loop this replaces.
 //
 //dosn:hotpath
-func sweepUser(cfg Config, sets []interval.Set, bitmaps []interval.Bitmap, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
+func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
 	ds := cfg.Dataset
 	friends := ds.Graph.Neighbors(u)
 
@@ -657,7 +643,6 @@ func sweepUser(cfg Config, sets []interval.Set, bitmaps []interval.Bitmap, rep i
 	in := replica.Input{
 		Owner:      u,
 		Candidates: friends,
-		Schedules:  sets,
 		Bitmaps:    bitmaps,
 		Mode:       cfg.Mode,
 		Budget:     cfg.MaxDegree,
@@ -665,10 +650,14 @@ func sweepUser(cfg Config, sets []interval.Set, bitmaps []interval.Bitmap, rep i
 	if needCounts {
 		in.CandidateCounts = ds.CandidateInteractionCounts(u, friends, &scratch.counts)
 	}
-	if needDemand {
-		in.Demand = MinuteSet(scratch.actMinutes)
-	}
 	scratch.aod.InitUser(scratch.actMinutes)
+	if needDemand {
+		// A copy, not the tracker's own bitmap: Input crosses the Policy
+		// interface, so a pointer into scratch would move every worker's
+		// whole scratch to the heap for a field only MaxAv(activity) reads.
+		demand := *scratch.aod.Activity()
+		in.Demand = &demand
+	}
 	for pi, p := range cfg.Policies {
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {

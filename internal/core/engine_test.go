@@ -4,10 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"dosn/internal/interval"
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -307,78 +305,10 @@ func TestRunRejectsMisshapenSchedules(t *testing.T) {
 	cfg := Config{
 		Dataset: ds, Model: onlinetime.Sporadic{}, MaxDegree: 2, UserDegree: 10,
 		Repeats: 1, Seed: 1,
-		Schedules: []*onlinetime.Table{onlinetime.TableFromSets(make([]interval.Set, ds.NumUsers()-1))},
+		Schedules: []*onlinetime.Table{onlinetime.NewTable(ds.NumUsers() - 1)},
 	}
 	if _, err := Run(cfg); err == nil {
 		t.Error("undersized schedule slice accepted; would panic in a worker")
-	}
-}
-
-// schedProbe is a stub policy recording whether the engine materialized the
-// sorted-interval schedules for it.
-type schedProbe struct {
-	usesSchedules bool
-	sawSets       *atomic.Bool
-	sawBitmaps    *atomic.Bool
-}
-
-func (p schedProbe) Name() string { return "schedProbe" }
-func (p schedProbe) Traits() replica.Traits {
-	return replica.Traits{UsesSchedules: p.usesSchedules}
-}
-func (p schedProbe) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID {
-	if in.Schedules != nil {
-		p.sawSets.Store(true)
-	}
-	if in.Bitmaps != nil {
-		p.sawBitmaps.Store(true)
-	}
-	return nil
-}
-
-// legacyProbe declares no traits at all: the engine must conservatively
-// assume it reads everything, including the interval-form schedules.
-type legacyProbe struct{ sawSets *atomic.Bool }
-
-func (p legacyProbe) Name() string { return "legacyProbe" }
-func (p legacyProbe) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID {
-	if in.Schedules != nil {
-		p.sawSets.Store(true)
-	}
-	return nil
-}
-
-// TestSweepMaterializesSetsOnlyForDeclaredPolicies pins the Set-free hot
-// path: with only bitmap-sufficient policies the sweep hands out nil
-// Input.Schedules (and always the dense arena rows); a policy whose traits —
-// declared or conservatively assumed — ask for interval form gets them.
-func TestSweepMaterializesSetsOnlyForDeclaredPolicies(t *testing.T) {
-	ds := testDataset(t)
-	run := func(p replica.Policy) {
-		t.Helper()
-		if _, err := Run(Config{Dataset: ds, MaxDegree: 2, UserDegree: 10, Seed: 1, Policies: []replica.Policy{p}}); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	}
-	var sawSets, sawBitmaps atomic.Bool
-	run(schedProbe{usesSchedules: false, sawSets: &sawSets, sawBitmaps: &sawBitmaps})
-	if sawSets.Load() {
-		t.Error("policy without UsesSchedules got materialized interval sets on the hot path")
-	}
-	if !sawBitmaps.Load() {
-		t.Error("policy never saw the dense arena rows")
-	}
-
-	sawSets.Store(false)
-	run(schedProbe{usesSchedules: true, sawSets: &sawSets, sawBitmaps: &sawBitmaps})
-	if !sawSets.Load() {
-		t.Error("policy declaring UsesSchedules did not receive interval sets")
-	}
-
-	sawSets.Store(false)
-	run(legacyProbe{sawSets: &sawSets})
-	if !sawSets.Load() {
-		t.Error("trait-less policy must conservatively receive interval sets")
 	}
 }
 

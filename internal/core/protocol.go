@@ -113,7 +113,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 		return nil, err
 	}
 	ds := cfg.Dataset
-	schedules := cfg.Model.ScheduleAll(ds, rand.New(rand.NewSource(mix(cfg.Seed, 1))))
+	schedules := cfg.Model.BuildTable(ds, rand.New(rand.NewSource(mix(cfg.Seed, 1))), 1).Bitmaps()
 
 	owners := ds.Graph.UsersWithDegree(cfg.UserDegree)
 	if len(owners) == 0 {
@@ -140,7 +140,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 		in := replica.Input{
 			Owner:           u,
 			Candidates:      ds.Graph.Neighbors(u),
-			Schedules:       schedules,
+			Bitmaps:         schedules,
 			CandidateCounts: ds.CandidateInteractionCounts(u, ds.Graph.Neighbors(u), &countScratch),
 			Mode:            cfg.Mode,
 			Budget:          cfg.Budget,
@@ -156,7 +156,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 		for _, k := range received {
 			actMinutes = append(actMinutes, ds.MinuteOfDayAt(int(k)))
 		}
-		if v, ok := metrics.AvailabilityOnDemandActivityMinutes(avail, actMinutes); ok {
+		if v, ok := metrics.AvailabilityOnDemandMinutes(&avail, actMinutes); ok {
 			analyticAoDSum += v
 			analyticAoDCount++
 		}
@@ -181,7 +181,8 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 			analyticAoDTimeCount++
 		}
 		for _, f := range friends {
-			ot := schedules[f]
+			// The friend's run list: the draw picks the k-th online minute.
+			ot := schedules[f].Set()
 			if ot.IsEmpty() {
 				continue
 			}
@@ -264,7 +265,7 @@ func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.
 	if budget <= 0 {
 		budget = 3
 	}
-	schedules := model.ScheduleAll(ds, rand.New(rand.NewSource(mix(seed, 11))))
+	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 11))), 1).Bitmaps()
 	rows := make([]LoadBalanceRow, 0, 3)
 	var countScratch trace.CountScratch
 	for pi, p := range replica.DefaultPolicies() {
@@ -274,7 +275,7 @@ func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.
 			in := replica.Input{
 				Owner:           uid,
 				Candidates:      ds.Graph.Neighbors(uid),
-				Schedules:       schedules,
+				Bitmaps:         schedules,
 				CandidateCounts: ds.CandidateInteractionCounts(uid, ds.Graph.Neighbors(uid), &countScratch),
 				Mode:            mode,
 				Budget:          budget,

@@ -207,7 +207,6 @@ func testInput(t *testing.T, n int, owner socialgraph.UserID, mode replica.Mode,
 	return replica.Input{
 		Owner:      owner,
 		Candidates: g.Neighbors(owner),
-		Schedules:  schedules,
 		Bitmaps:    interval.BitmapsFromSets(schedules),
 		Mode:       mode,
 		Budget:     budget,
@@ -321,11 +320,10 @@ func TestSocialDHTPrefersFriends(t *testing.T) {
 	b.AddEdge(owner, friend)
 	g := b.Build()
 	in := replica.Input{
-		Owner:     owner,
-		Schedules: schedules,
-		Bitmaps:   interval.BitmapsFromSets(schedules),
-		Mode:      replica.UnconRep,
-		Budget:    3,
+		Owner:   owner,
+		Bitmaps: interval.BitmapsFromSets(schedules),
+		Mode:    replica.UnconRep,
+		Budget:  3,
 	}
 	got := (&Placement{Ring: r, Social: true, Graph: g}).Select(in, nil)
 	if len(got) == 0 || got[0] != friend {

@@ -165,15 +165,11 @@ func jaccard(a, b []socialgraph.UserID) float64 {
 	return float64(common) / float64(union)
 }
 
-// scheduleOverlap returns |OT_a ∩ OT_b| / DayMinutes, using the dense
-// bitmaps when the sweep engine supplied them and falling back to the
-// sorted-interval sets otherwise. Both paths agree bit for bit.
+// scheduleOverlap returns |OT_a ∩ OT_b| / DayMinutes over the dense
+// schedules; an ID outside Input.Bitmaps is never online.
 func scheduleOverlap(in replica.Input, a, b socialgraph.UserID) float64 {
-	if in.Bitmaps != nil && validID(a, len(in.Bitmaps)) && validID(b, len(in.Bitmaps)) {
+	if validID(a, len(in.Bitmaps)) && validID(b, len(in.Bitmaps)) {
 		return float64(in.Bitmaps[a].OverlapMinutes(&in.Bitmaps[b])) / interval.DayMinutes
-	}
-	if validID(a, len(in.Schedules)) && validID(b, len(in.Schedules)) {
-		return float64(in.Schedules[a].OverlapLen(in.Schedules[b])) / interval.DayMinutes
 	}
 	return 0
 }

@@ -60,8 +60,9 @@ type RunOptions struct {
 	// spec keys and lands in the same shared lazy caches the workers read,
 	// so manifests — including the ScheduleCacheHits count, which only ever
 	// counts cell-to-cell reuse — are byte-identical with the prefetcher on
-	// or off. It also disables core.Run's repetition pipeline for the
-	// cells, giving a fully serial A/B reference execution.
+	// or off. core.Run's repetition pipeline never runs under the harness —
+	// every cell is handed a cached table for each repetition — so this is
+	// the only overlap switch a matrix run has.
 	NoPrefetch bool
 	// Progress, when set, is called after each finished cell.
 	Progress func(done, total int, cell CellSpec, elapsed time.Duration)
@@ -110,11 +111,10 @@ func (o RunOptions) fill(cells int) RunOptions {
 		// the division is uneven is goroutine-cheap; idle cores are not.
 		o.CoreWorkers = (runtime.NumCPU() + o.Workers - 1) / o.Workers
 	}
-	// Overlap needs a spare core: on a single-CPU machine the prefetcher and
-	// the repetition pipeline only steal cycles from the sweep and hold an
-	// extra dataset + table live, so both stay off. Execution-only, like
-	// Workers — results are byte-identical either way (pinned by
-	// TestRunByteIdenticalWithPrefetch).
+	// Overlap needs a spare core: on a single-CPU machine the prefetcher
+	// only steals cycles from the sweep and holds an extra dataset + table
+	// live, so it stays off. Execution-only, like Workers — results are
+	// byte-identical either way (pinned by TestRunByteIdenticalWithPrefetch).
 	if runtime.NumCPU() == 1 {
 		o.NoPrefetch = true
 	}
@@ -598,7 +598,6 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 		Workers:    opts.CoreWorkers,
 		ShardUsers: opts.ShardSize,
 		Schedules:  schedules,
-		NoPipeline: opts.NoPrefetch,
 		Obs:        co,
 	})
 	phaseDone()

@@ -2,36 +2,8 @@ package interval
 
 import "math/bits"
 
-// This file implements the dense minute-set representation. The package
-// carries two interchangeable representations of the same abstraction — a
-// subset of the 1440 circular day minutes:
-//
-//   - Set: sorted disjoint intervals. Compact for sparse schedules (a
-//     FixedLength window is one interval), and the canonical, human-readable
-//     form every public API speaks.
-//   - Bitmap: one bit per minute in 23 uint64 words. Union, intersection,
-//     overlap measure and membership are O(BitmapWords) word operations with
-//     no allocation, independent of fragmentation.
-//
-// Decision rule: Set operations cost O(intervals) with allocation and
-// branching per interval; Bitmap operations cost a constant 23 words. The
-// crossover sits at roughly DenseCutover intervals per operand — below it
-// (single-window models, pairwise checks on compact sets) Set wins; above it
-// (Sporadic schedules with one window per activity, repeated unions in the
-// greedy set cover, per-degree metric accumulation) Bitmap wins. Hot loops
-// that evaluate many operations against the same operands should convert
-// once and stay dense; PreferBitmap encodes the per-operation heuristic.
-//
-// Conversions are lossless: s.Bitmap().Set() always equals s, and for any
-// bitmap b, b.Set().Bitmap() equals b, so callers can move a computation to
-// whichever representation wins without changing results.
-
 // BitmapWords is the number of 64-bit words that cover the day.
 const BitmapWords = (DayMinutes + 63) / 64
-
-// DenseCutover is the approximate interval count at which Bitmap operations
-// become cheaper than Set operations (see the representation notes above).
-const DenseCutover = 8
 
 // lastWordBits is the number of day minutes mapped into the final word;
 // lastWordMask keeps Bitmap operations from straying past minute 1439.
@@ -40,39 +12,25 @@ const (
 	lastWordMask = uint64(1)<<lastWordBits - 1
 )
 
-// PreferBitmap reports whether an operation whose operands hold a combined
-// nIntervals intervals should run on the Bitmap representation. It is a
-// heuristic, not a contract: both representations produce identical results.
-func PreferBitmap(nIntervals int) bool { return nIntervals >= DenseCutover }
-
 // Bitmap is a dense, mutable minute set on the circular day: bit m%64 of
 // word m/64 is set exactly when minute m is in the set. The zero value is
-// the empty set. Unlike Set, a Bitmap is a fixed-size value (no heap
-// pointers), so hot paths can keep scratch bitmaps and reuse them across
-// iterations without allocating.
+// the empty set. A Bitmap is a fixed-size value (no heap pointers), so hot
+// paths keep scratch bitmaps and reuse them across iterations without
+// allocating.
 type Bitmap struct {
 	w [BitmapWords]uint64
 }
 
-// BitmapFromSet converts a Set losslessly. The inverse is Bitmap.Set.
-func BitmapFromSet(s Set) Bitmap {
-	var b Bitmap
-	b.SetFrom(s)
-	return b
-}
-
-// Bitmap converts the set to its dense representation (see BitmapFromSet).
-func (s Set) Bitmap() Bitmap { return BitmapFromSet(s) }
-
-// BitmapsFromSets converts a schedule slice in one pass; index i of the
-// result is the dense form of sets[i]. The matrix sweep no longer needs it —
-// schedules are born dense in an onlinetime.Table and shared as arena views —
-// so it remains as the densification entry for callers that start from
-// sorted-interval schedules (tests, hand-built scenarios).
+// BitmapsFromSets densifies a schedule slice; index i of the result is the
+// dense form of sets[i]. It is the one Set→Bitmap injection point, for
+// hand-built sorted-interval test scenarios: production schedules are born
+// dense.
 func BitmapsFromSets(sets []Set) []Bitmap {
 	out := make([]Bitmap, len(sets))
 	for i, s := range sets {
-		out[i].SetFrom(s)
+		for _, iv := range s.ivs {
+			out[i].setRange(iv.Start, iv.End)
+		}
 	}
 	return out
 }
@@ -86,17 +44,6 @@ func (b *Bitmap) Clear() { b.w = [BitmapWords]uint64{} }
 //
 //dosn:hotpath
 func (b *Bitmap) CopyFrom(o *Bitmap) { b.w = o.w }
-
-// SetFrom replaces b's contents with the dense form of s, reusing b's
-// storage (no allocation).
-//
-//dosn:hotpath
-func (b *Bitmap) SetFrom(s Set) {
-	b.Clear()
-	for _, iv := range s.ivs {
-		b.setRange(iv.Start, iv.End)
-	}
-}
 
 // AddInterval sets the minutes of a (possibly wrapping, possibly
 // out-of-range) interval, canonicalized exactly like NewSet.
@@ -142,10 +89,10 @@ func (b *Bitmap) setRange(start, end int) {
 	b.w[we] |= ^uint64(0) >> (64 - hi)
 }
 
-// Set converts the bitmap back to the canonical interval representation.
-// The result is a normalized Set: runs of consecutive set minutes become
-// sorted, disjoint, non-adjacent intervals (a set touching both midnight
-// sides stays split, exactly as Set's normalize keeps it).
+// Set returns the bitmap's run-length view: runs of consecutive set minutes
+// become the sorted, disjoint, non-adjacent intervals of a normalized Set (a
+// set touching both midnight sides stays split, exactly as NewSet keeps it).
+// The conversion is lossless.
 func (b *Bitmap) Set() Set {
 	var ivs []Interval
 	start := -1 // start of the run of set minutes currently open, -1 if none

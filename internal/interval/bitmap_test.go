@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// Bitmap densifies one set for the oracle checks below (test-only shorthand
+// for the BitmapsFromSets injection helper).
+func (s Set) Bitmap() Bitmap { return BitmapsFromSets([]Set{s})[0] }
+
 // --- unit tests -----------------------------------------------------------
 
 func TestBitmapZeroValueIsEmpty(t *testing.T) {
@@ -111,15 +115,15 @@ func TestBitmapOnesInRange(t *testing.T) {
 func TestBitmapScratchReuse(t *testing.T) {
 	a := NewSet(Interval{Start: 10, End: 500}).Bitmap()
 	c := NewSet(Interval{Start: 400, End: 900}).Bitmap()
-	var scratch Bitmap
-	scratch.SetFrom(FullDay()) // stale contents must not leak
+	scratch := FullDay().Bitmap() // stale contents must not leak
 	scratch.IntersectInto(&a, &c)
 	if got, want := scratch.Minutes(), 100; got != want {
 		t.Fatalf("IntersectInto = %d minutes, want %d", got, want)
 	}
-	scratch.SetFrom(NewSet(Interval{Start: 0, End: 7}))
+	scratch.Clear()
+	scratch.AddInterval(Interval{Start: 0, End: 7})
 	if got := scratch.Minutes(); got != 7 {
-		t.Fatalf("SetFrom after reuse = %d minutes, want 7", got)
+		t.Fatalf("AddInterval after Clear = %d minutes, want 7", got)
 	}
 }
 
@@ -218,8 +222,7 @@ func TestQuickBitmapPhantomBitsZero(t *testing.T) {
 	}
 	f := func(a, b Set, start, length int) bool {
 		ab, bb := a.Bitmap(), b.Bitmap()
-		var scratch Bitmap
-		scratch.SetFrom(a)
+		scratch := a.Bitmap()
 		scratch.AddInterval(Interval{Start: start, End: start + length%(3*DayMinutes)})
 		scratch.OrWith(&bb)
 		scratch.OrWithCount(&ab)

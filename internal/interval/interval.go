@@ -6,15 +6,19 @@
 //
 // All sets are subsets of the half-open minute range [0, DayMinutes). The day
 // is circular: an interval may wrap past midnight, and gap computations are
-// cyclic. Sets are immutable after construction; all operations return new
-// sets. The zero value of Set is the empty set and is ready to use.
+// cyclic.
 //
-// The package carries two interchangeable representations: Set, the sparse
-// sorted-interval form every public API speaks, and Bitmap, a dense 23-word
-// bit-per-minute form whose union/intersection/overlap/max-gap operations run
-// in O(BitmapWords) with no allocation. Conversions are lossless in both
-// directions and both representations produce bit-identical measures; see the
-// representation notes in bitmap.go and PreferBitmap for when each wins.
+// Bitmap (bitmap.go) is the production form: a dense 23-word bit-per-minute
+// value whose union/intersection/overlap/max-gap operations run in
+// O(BitmapWords) with no allocation. Schedules are born as Bitmap rows of an
+// onlinetime.Table and every policy, metric and protocol runtime computes on
+// them directly.
+//
+// Set, the sorted-interval form, is the reference and the view: every Bitmap
+// operation is quick.Checked against the Set arithmetic in this file, and
+// Bitmap.Set renders a bitmap as its run list (Intervals, String) for the
+// consumers that walk sessions rather than minutes. Nothing converts a Set
+// into a Bitmap outside test scenarios (BitmapsFromSets).
 package interval
 
 import (
@@ -48,7 +52,7 @@ func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Start, iv.
 
 // Set is an immutable set of minutes on the circular day, stored as sorted,
 // disjoint, non-adjacent, non-wrapping intervals within [0, DayMinutes).
-// The zero value is the empty set.
+// All operations return new sets. The zero value is the empty set.
 type Set struct {
 	ivs []Interval // normalized: sorted by Start, disjoint, merged, no wrap
 }

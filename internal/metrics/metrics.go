@@ -11,92 +11,61 @@ import (
 
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
-	"dosn/internal/trace"
 )
 
-// scheduleOf returns the schedule for u, tolerating out-of-range IDs.
-func scheduleOf(schedules []interval.Set, u socialgraph.UserID) interval.Set {
-	if u < 0 || int(u) >= len(schedules) {
-		return interval.Empty
+// orSchedule unions user u's schedule into dst; an ID outside bitmaps is a
+// user who is never online.
+func orSchedule(dst *interval.Bitmap, bitmaps []interval.Bitmap, u socialgraph.UserID) {
+	if u >= 0 && int(u) < len(bitmaps) {
+		dst.OrWith(&bitmaps[u])
 	}
-	return schedules[u]
 }
 
 // AvailabilitySet returns the set of minutes during which the profile of
 // owner is reachable: the union of the owner's own online time (the owner
 // always stores his profile — replication degree 0 in the paper means "only
 // the user stores his profile") and the online times of all replicas.
-func AvailabilitySet(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Set) interval.Set {
-	sets := make([]interval.Set, 0, len(replicas)+1)
-	sets = append(sets, scheduleOf(schedules, owner))
+// bitmaps holds every user's dense schedule, indexed by UserID.
+func AvailabilitySet(owner socialgraph.UserID, replicas []socialgraph.UserID, bitmaps []interval.Bitmap) interval.Bitmap {
+	var avail interval.Bitmap
+	orSchedule(&avail, bitmaps, owner)
 	for _, r := range replicas {
-		sets = append(sets, scheduleOf(schedules, r))
+		orSchedule(&avail, bitmaps, r)
 	}
-	return interval.UnionAll(sets...)
+	return avail
 }
 
 // Availability returns the fraction of the day the profile is reachable
-// (§II-C1).
-func Availability(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Set) float64 {
-	return AvailabilitySet(owner, replicas, schedules).Fraction()
+// (§II-C1). With every friend as a replica it is the best availability any
+// placement can reach for the owner (§III-A notes this bound).
+func Availability(owner socialgraph.UserID, replicas []socialgraph.UserID, bitmaps []interval.Bitmap) float64 {
+	avail := AvailabilitySet(owner, replicas, bitmaps)
+	return avail.Fraction()
 }
 
 // AvailabilityOnDemandTime returns the fraction of the union of the friends'
 // online times during which the profile is reachable (§II-C2). ok is false
 // when the friends are never online (the metric is undefined).
-func AvailabilityOnDemandTime(owner socialgraph.UserID, replicas, friends []socialgraph.UserID, schedules []interval.Set) (v float64, ok bool) {
-	sets := make([]interval.Set, 0, len(friends))
+func AvailabilityOnDemandTime(owner socialgraph.UserID, replicas, friends []socialgraph.UserID, bitmaps []interval.Bitmap) (v float64, ok bool) {
+	var demand interval.Bitmap
 	for _, f := range friends {
-		sets = append(sets, scheduleOf(schedules, f))
+		orSchedule(&demand, bitmaps, f)
 	}
-	demand := interval.UnionAll(sets...)
 	if demand.IsEmpty() {
 		return 0, false
 	}
-	avail := AvailabilitySet(owner, replicas, schedules)
-	return float64(avail.OverlapLen(demand)) / float64(demand.Len()), true
+	avail := AvailabilitySet(owner, replicas, bitmaps)
+	return float64(avail.OverlapMinutes(&demand)) / float64(demand.Minutes()), true
 }
 
-// AvailabilityOnDemandActivity returns the fraction of activities on the
-// owner's profile whose time-of-day falls within the availability set
-// (§II-C2, second variant). Both "expected" activity (inside the inferred
-// online times) and "unexpected" activity count, per §IV-B. ok is false when
-// the profile received no activity.
-func AvailabilityOnDemandActivity(avail interval.Set, received []trace.Activity) (v float64, ok bool) {
-	if len(received) == 0 {
-		return 0, false
-	}
-	hit := 0
-	for _, a := range received {
-		if avail.Contains(a.MinuteOfDay()) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(received)), true
-}
-
-// AvailabilityOnDemandActivityMinutes is AvailabilityOnDemandActivity over
-// pre-extracted minutes-of-day (e.g. straight off a columnar dataset's
-// timestamp column), avoiding the activity-row materialization. The two
-// agree exactly for the same activities.
-func AvailabilityOnDemandActivityMinutes(avail interval.Set, minutes []int) (v float64, ok bool) {
-	if len(minutes) == 0 {
-		return 0, false
-	}
-	hit := 0
-	for _, m := range minutes {
-		if avail.Contains(m) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(minutes)), true
-}
-
-// AvailabilityOnDemandMinutes is AvailabilityOnDemandActivity over the dense
-// availability representation and pre-extracted activity minutes-of-day:
-// each membership test is one bit probe instead of a binary search, and the
-// time-of-day arithmetic is paid once per user rather than once per degree.
-// The sweep engine calls it once per (policy, degree).
+// AvailabilityOnDemandMinutes returns the fraction of activities on the
+// owner's profile whose minute-of-day falls within the availability set
+// (§II-C2, second variant), given the activities' pre-extracted
+// minutes-of-day (e.g. straight off a columnar dataset's timestamp column).
+// Both "expected" activity (inside the inferred online times) and
+// "unexpected" activity count, per §IV-B. ok is false when the profile
+// received no activity. It is the one-shot form; the sweep's degree loop
+// maintains the same value incrementally with an AoDTracker.
 func AvailabilityOnDemandMinutes(avail *interval.Bitmap, minutes []int) (v float64, ok bool) {
 	if len(minutes) == 0 {
 		return 0, false
@@ -157,6 +126,11 @@ func (t *AoDTracker) InitUser(minutes []int) {
 	}
 }
 
+// Activity returns the distinct activity minutes digested by the last
+// InitUser — the set-cover universe of MaxAv's on-demand-activity objective
+// (replica.Input.Demand). The view is valid until the next InitUser.
+func (t *AoDTracker) Activity() *interval.Bitmap { return &t.act }
+
 // Reset starts a new selection from the base availability set (the owner's
 // own schedule at degree 0), once per policy.
 //
@@ -216,16 +190,12 @@ type DelayResult struct {
 // between their common online minutes; updates follow shortest paths; and
 // the metric is the largest shortest-path weight over all node pairs.
 //
-// It is a convenience wrapper over DelayCalc with one-shot scratch; sweep
-// loops that evaluate many prefixes of one selection should hold a DelayCalc
-// and call Init once and Prefix per degree.
-func UpdatePropagationDelay(owner socialgraph.UserID, replicas []socialgraph.UserID, schedules []interval.Set) DelayResult {
+// It is the one-shot form over DelayCalc; sweep loops that evaluate many
+// prefixes of one selection should hold a DelayCalc and call Init once and
+// Prefix per degree.
+func UpdatePropagationDelay(owner socialgraph.UserID, replicas []socialgraph.UserID, bitmaps []interval.Bitmap) DelayResult {
 	var dc DelayCalc
-	dc.initSize(len(replicas) + 1)
-	dc.nodes[0].SetFrom(scheduleOf(schedules, owner))
-	for i, r := range replicas {
-		dc.nodes[i+1].SetFrom(scheduleOf(schedules, r))
-	}
+	dc.Init(owner, replicas, bitmaps)
 	return dc.Prefix(len(replicas))
 }
 
@@ -270,7 +240,7 @@ func (dc *DelayCalc) initSize(n int) {
 
 // Init prepares the calculator for the selection {owner} ∪ seq, reading
 // dense schedules from bitmaps (indexed by UserID; out-of-range IDs are
-// treated as never online, matching scheduleOf).
+// treated as never online).
 func (dc *DelayCalc) Init(owner socialgraph.UserID, seq []socialgraph.UserID, bitmaps []interval.Bitmap) {
 	dc.initSize(len(seq) + 1)
 	at := func(i int, u socialgraph.UserID) {
@@ -362,18 +332,6 @@ func (dc *DelayCalc) Prefix(k int) DelayResult {
 	}
 	res.Hours = float64(worst) / 60
 	return res
-}
-
-// MaxAchievableAvailability returns the best availability any placement can
-// reach for the owner: the union of the owner's and all friends' online
-// times (§III-A notes this bound).
-func MaxAchievableAvailability(owner socialgraph.UserID, friends []socialgraph.UserID, schedules []interval.Set) float64 {
-	sets := make([]interval.Set, 0, len(friends)+1)
-	sets = append(sets, scheduleOf(schedules, owner))
-	for _, f := range friends {
-		sets = append(sets, scheduleOf(schedules, f))
-	}
-	return interval.UnionAll(sets...).Fraction()
 }
 
 // HostLoad counts, for every user, how many foreign profiles the user hosts

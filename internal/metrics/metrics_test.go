@@ -5,20 +5,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
-	"dosn/internal/trace"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestAvailabilityIncludesOwner(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 144), // owner: 10% of the day
 		1: interval.Window(720, 144),
-	}
+	})
 	if got := Availability(0, nil, schedules); !almost(got, 0.1) {
 		t.Errorf("degree-0 availability = %v, want 0.1 (owner's own time)", got)
 	}
@@ -28,22 +26,22 @@ func TestAvailabilityIncludesOwner(t *testing.T) {
 }
 
 func TestAvailabilityOverlapNotDoubleCounted(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 144),
 		1: interval.Window(72, 144), // half overlaps the owner
-	}
+	})
 	if got := Availability(0, []socialgraph.UserID{1}, schedules); !almost(got, 216.0/1440) {
 		t.Errorf("availability = %v, want %v", got, 216.0/1440)
 	}
 }
 
 func TestAvailabilityOnDemandTime(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),    // owner
 		1: interval.Window(100, 100),  // replica
 		2: interval.Window(0, 240),    // friend (demand)
 		3: interval.Window(1000, 100), // friend never covered
-	}
+	})
 	friends := []socialgraph.UserID{2, 3}
 	// Demand = [0,240) ∪ [1000,1100) → 340 min. Avail = [0,200).
 	// Covered demand = [0,200) → 200.
@@ -54,7 +52,7 @@ func TestAvailabilityOnDemandTime(t *testing.T) {
 }
 
 func TestAvailabilityOnDemandTimeUndefined(t *testing.T) {
-	schedules := []interval.Set{0: interval.Window(0, 60), 1: interval.Empty}
+	schedules := interval.BitmapsFromSets([]interval.Set{0: interval.Window(0, 60), 1: interval.Empty})
 	if _, ok := AvailabilityOnDemandTime(0, nil, []socialgraph.UserID{1}, schedules); ok {
 		t.Error("AoD-time with never-online friends must report !ok")
 	}
@@ -63,17 +61,36 @@ func TestAvailabilityOnDemandTimeUndefined(t *testing.T) {
 	}
 }
 
-func TestAvailabilityOnDemandActivity(t *testing.T) {
-	avail := interval.Window(600, 120) // [600,720)
-	mk := func(min int) trace.Activity {
-		return trace.Activity{At: trace.Epoch.Add(time.Duration(min) * time.Minute)}
+// TestAvailabilityOutOfRangeIDsNeverOnline: owner, replica and friend IDs
+// outside the schedule slice count as never-online users in the one-shot
+// metrics, exactly as DelayCalc.Init treats them.
+func TestAvailabilityOutOfRangeIDsNeverOnline(t *testing.T) {
+	schedules := interval.BitmapsFromSets([]interval.Set{
+		0: interval.Window(0, 144),
+		1: interval.Window(720, 144),
+	})
+	if got := Availability(0, []socialgraph.UserID{1, 99, -3}, schedules); !almost(got, 0.2) {
+		t.Errorf("availability with stray replica IDs = %v, want 0.2", got)
 	}
-	acts := []trace.Activity{mk(610), mk(700), mk(100), mk(719)}
-	v, ok := AvailabilityOnDemandActivity(avail, acts)
+	if got := Availability(7, nil, schedules); got != 0 {
+		t.Errorf("out-of-range owner availability = %v, want 0", got)
+	}
+	v, ok := AvailabilityOnDemandTime(0, []socialgraph.UserID{-1}, []socialgraph.UserID{1, 42}, schedules)
+	if !ok || v != 0 {
+		t.Errorf("AoD-time = (%v,%v), want (0,true): demand is friend 1 alone, owner never overlaps it", v, ok)
+	}
+	if _, ok := AvailabilityOnDemandTime(0, nil, []socialgraph.UserID{42, -1}, schedules); ok {
+		t.Error("AoD-time over only out-of-range friends must report !ok")
+	}
+}
+
+func TestAvailabilityOnDemandActivity(t *testing.T) {
+	avail := interval.BitmapsFromSets([]interval.Set{interval.Window(600, 120)})[0] // [600,720)
+	v, ok := AvailabilityOnDemandMinutes(&avail, []int{610, 700, 100, 719})
 	if !ok || !almost(v, 0.75) {
 		t.Errorf("AoD-activity = (%v,%v), want 0.75", v, ok)
 	}
-	if _, ok := AvailabilityOnDemandActivity(avail, nil); ok {
+	if _, ok := AvailabilityOnDemandMinutes(&avail, nil); ok {
 		t.Error("no activity must report !ok")
 	}
 }
@@ -82,10 +99,10 @@ func TestDelaySingleOverlapMatchesPaperFormula(t *testing.T) {
 	// Two nodes sharing a single overlap window of d minutes → delay
 	// (1440−d)/60 hours, the paper's 24−d expression.
 	d := 90
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 200),
 		1: interval.Window(200-d, 300),
-	}
+	})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1}, schedules)
 	want := float64(1440-d) / 60
 	if !almost(res.Hours, want) || !res.Connected {
@@ -95,11 +112,11 @@ func TestDelaySingleOverlapMatchesPaperFormula(t *testing.T) {
 
 func TestDelayChainAddsHops(t *testing.T) {
 	// owner↔1 overlap 60min, 1↔2 overlap 30min; owner and 2 disjoint.
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 120),   // overlap with 0: [60,120)
 		2: interval.Window(150, 1000), // overlap with 1: [150,180); none with 0
-	}
+	})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1, 2}, schedules)
 	if !res.Connected {
 		t.Fatal("chain should be connected")
@@ -114,15 +131,15 @@ func TestDelayChainAddsHops(t *testing.T) {
 func TestDelaySporadicIntermittentContactIsLower(t *testing.T) {
 	// Same total overlap, but spread across 4 windows → much smaller worst
 	// wait. This is the paper's explanation for Sporadic's lower delay.
-	single := []interval.Set{
+	single := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 600), // one 60-min overlap
-	}
-	spread := []interval.Set{
+	})
+	spread := interval.BitmapsFromSets([]interval.Set{
 		0: interval.UnionAll(interval.Window(0, 15), interval.Window(360, 15),
 			interval.Window(720, 15), interval.Window(1080, 15)),
 		1: interval.FullDay(), // overlap = owner's 4 spread sessions
-	}
+	})
 	d1 := UpdatePropagationDelay(0, []socialgraph.UserID{1}, single)
 	d2 := UpdatePropagationDelay(0, []socialgraph.UserID{1}, spread)
 	if d2.Hours >= d1.Hours {
@@ -131,11 +148,11 @@ func TestDelaySporadicIntermittentContactIsLower(t *testing.T) {
 }
 
 func TestDelayDisconnectedPairs(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 60),
 		1: interval.Window(300, 60),
 		2: interval.Window(0, 120), // connected to owner only
-	}
+	})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1, 2}, schedules)
 	if res.Connected {
 		t.Error("replica 1 has no overlap with anyone: must be disconnected")
@@ -147,7 +164,7 @@ func TestDelayDisconnectedPairs(t *testing.T) {
 }
 
 func TestDelayDegenerateCases(t *testing.T) {
-	schedules := []interval.Set{0: interval.Window(0, 60)}
+	schedules := interval.BitmapsFromSets([]interval.Set{0: interval.Window(0, 60)})
 	res := UpdatePropagationDelay(0, nil, schedules)
 	if res.Hours != 0 || !res.Connected || res.Nodes != 1 {
 		t.Errorf("degree-0 delay = %+v, want zero", res)
@@ -159,7 +176,7 @@ func TestDelayFullOverlapIsGapOfCommonSet(t *testing.T) {
 	// an update posted while both are offline still waits for the next
 	// session.
 	s := interval.Window(600, 120)
-	schedules := []interval.Set{0: s, 1: s}
+	schedules := interval.BitmapsFromSets([]interval.Set{0: s, 1: s})
 	res := UpdatePropagationDelay(0, []socialgraph.UserID{1}, schedules)
 	want := float64(1440-120) / 60
 	if !almost(res.Hours, want) {
@@ -168,12 +185,13 @@ func TestDelayFullOverlapIsGapOfCommonSet(t *testing.T) {
 }
 
 func TestMaxAchievableAvailability(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 144),
 		1: interval.Window(144, 144),
 		2: interval.Window(288, 144),
-	}
-	got := MaxAchievableAvailability(0, []socialgraph.UserID{1, 2}, schedules)
+	})
+	// The bound any placement can reach: every friend hosts a replica.
+	got := Availability(0, []socialgraph.UserID{1, 2}, schedules)
 	if !almost(got, 432.0/1440) {
 		t.Errorf("max achievable = %v, want %v", got, 432.0/1440)
 	}
@@ -208,16 +226,18 @@ func TestHostLoadAndImbalance(t *testing.T) {
 	}
 }
 
-// Property: availability is monotone in the replica set and bounded by the
-// max achievable availability.
+// Property: availability is monotone in the replica set and, with every
+// friend a replica, reaches the max achievable availability — the Set-oracle
+// union of all schedules.
 func TestQuickAvailabilityMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8
-		schedules := make([]interval.Set, n)
-		for i := range schedules {
-			schedules[i] = interval.Window(rng.Intn(1440), rng.Intn(500))
+		sets := make([]interval.Set, n)
+		for i := range sets {
+			sets[i] = interval.Window(rng.Intn(1440), rng.Intn(500))
 		}
+		schedules := interval.BitmapsFromSets(sets)
 		friends := make([]socialgraph.UserID, 0, n-1)
 		for i := 1; i < n; i++ {
 			friends = append(friends, socialgraph.UserID(i))
@@ -230,7 +250,8 @@ func TestQuickAvailabilityMonotone(t *testing.T) {
 			}
 			prev = v
 		}
-		return prev <= MaxAchievableAvailability(0, friends, schedules)+1e-12
+		// Bounded by the oracle union of every schedule involved.
+		return almost(prev, interval.UnionAll(sets...).Fraction())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -244,10 +265,11 @@ func TestQuickAoDTimeBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6
-		schedules := make([]interval.Set, n)
-		for i := range schedules {
-			schedules[i] = interval.Window(rng.Intn(1440), rng.Intn(400))
+		sets := make([]interval.Set, n)
+		for i := range sets {
+			sets[i] = interval.Window(rng.Intn(1440), rng.Intn(400))
 		}
+		schedules := interval.BitmapsFromSets(sets)
 		friends := []socialgraph.UserID{1, 2, 3, 4, 5}
 		v, ok := AvailabilityOnDemandTime(0, friends, friends, schedules)
 		if !ok {
@@ -266,10 +288,11 @@ func TestQuickDelayOrderInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6
-		schedules := make([]interval.Set, n)
-		for i := range schedules {
-			schedules[i] = interval.Window(rng.Intn(1440), 30+rng.Intn(400))
+		sets := make([]interval.Set, n)
+		for i := range sets {
+			sets[i] = interval.Window(rng.Intn(1440), 30+rng.Intn(400))
 		}
+		schedules := interval.BitmapsFromSets(sets)
 		rs := []socialgraph.UserID{1, 2, 3, 4, 5}
 		a := UpdatePropagationDelay(0, rs, schedules)
 		rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
@@ -288,8 +311,8 @@ func TestDelayCalcMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(12)
-		schedules := make([]interval.Set, n)
-		for u := range schedules {
+		sets := make([]interval.Set, n)
+		for u := range sets {
 			if rng.Intn(5) == 0 {
 				continue // empty: disconnected node
 			}
@@ -300,16 +323,16 @@ func TestDelayCalcMatchesOneShot(t *testing.T) {
 				length := 1 + rng.Intn(interval.DayMinutes/4)
 				ivs = append(ivs, interval.Interval{Start: start, End: start + length})
 			}
-			schedules[u] = interval.NewSet(ivs...)
+			sets[u] = interval.NewSet(ivs...)
 		}
 		owner := socialgraph.UserID(0)
 		seq := make([]socialgraph.UserID, 0, n-1)
 		for u := 1; u < n; u++ {
 			seq = append(seq, socialgraph.UserID(u))
 		}
-		bitmaps := interval.BitmapsFromSets(schedules)
+		schedules := interval.BitmapsFromSets(sets)
 		var dc DelayCalc
-		dc.Init(owner, seq, bitmaps)
+		dc.Init(owner, seq, schedules)
 		for k := 0; k <= len(seq); k++ {
 			want := UpdatePropagationDelay(owner, seq[:k], schedules)
 			got := dc.Prefix(k)
@@ -330,18 +353,17 @@ func TestDelayCalcMatchesOneShot(t *testing.T) {
 // TestDelayCalcScratchReuse reuses one DelayCalc across selections of
 // different sizes, as the sweep workers do.
 func TestDelayCalcScratchReuse(t *testing.T) {
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 120),
 		2: interval.Window(600, 60),
 		3: interval.Window(100, 300),
-	}
-	bitmaps := interval.BitmapsFromSets(schedules)
+	})
 	var dc DelayCalc
 	for _, seq := range [][]socialgraph.UserID{
 		{1, 2, 3}, {3}, {2, 1}, {}, {1, 2},
 	} {
-		dc.Init(0, seq, bitmaps)
+		dc.Init(0, seq, schedules)
 		for k := 0; k <= len(seq); k++ {
 			want := UpdatePropagationDelay(0, seq[:k], schedules)
 			if got := dc.Prefix(k); got != want {
@@ -352,12 +374,11 @@ func TestDelayCalcScratchReuse(t *testing.T) {
 }
 
 // TestDelayCalcOutOfRangeIDs: IDs outside the bitmap slice behave like
-// never-online nodes, matching scheduleOf's tolerance.
+// never-online nodes.
 func TestDelayCalcOutOfRangeIDs(t *testing.T) {
-	schedules := []interval.Set{0: interval.FullDay(), 1: interval.Window(0, 60)}
-	bitmaps := interval.BitmapsFromSets(schedules)
+	schedules := interval.BitmapsFromSets([]interval.Set{0: interval.FullDay(), 1: interval.Window(0, 60)})
 	var dc DelayCalc
-	dc.Init(0, []socialgraph.UserID{1, 99, -3}, bitmaps)
+	dc.Init(0, []socialgraph.UserID{1, 99, -3}, schedules)
 	for k := 0; k <= 3; k++ {
 		want := UpdatePropagationDelay(0, []socialgraph.UserID{1, 99, -3}[:k], schedules)
 		if got := dc.Prefix(k); got != want {
@@ -366,24 +387,21 @@ func TestDelayCalcOutOfRangeIDs(t *testing.T) {
 	}
 }
 
-// TestAvailabilityOnDemandMinutesAgrees checks the dense variant against the
-// Set-based metric.
+// TestAvailabilityOnDemandMinutesAgrees checks the metric against the Set
+// oracle's membership count on a midnight-wrapping availability set.
 func TestAvailabilityOnDemandMinutesAgrees(t *testing.T) {
 	avail := interval.NewSet(interval.Interval{Start: 100, End: 200}, interval.Interval{Start: 1400, End: 1460})
-	bm := avail.Bitmap()
-	acts := []trace.Activity{
-		{At: trace.Epoch.Add(150 * time.Minute)},
-		{At: trace.Epoch.Add(500 * time.Minute)},
-		{At: trace.Epoch.Add(10 * time.Minute)},
+	bm := interval.BitmapsFromSets([]interval.Set{avail})[0]
+	minutes := []int{150, 500, 10}
+	hit := 0
+	for _, m := range minutes {
+		if avail.Contains(m) {
+			hit++
+		}
 	}
-	minutes := make([]int, len(acts))
-	for i, a := range acts {
-		minutes[i] = a.MinuteOfDay()
-	}
-	want, wantOK := AvailabilityOnDemandActivity(avail, acts)
-	got, gotOK := AvailabilityOnDemandMinutes(&bm, minutes)
-	if want != got || wantOK != gotOK {
-		t.Fatalf("dense %v,%v vs sparse %v,%v", got, gotOK, want, wantOK)
+	got, ok := AvailabilityOnDemandMinutes(&bm, minutes)
+	if want := float64(hit) / float64(len(minutes)); !ok || got != want {
+		t.Fatalf("dense %v,%v vs oracle %v", got, ok, want)
 	}
 	if _, ok := AvailabilityOnDemandMinutes(&bm, nil); ok {
 		t.Error("no activities should report ok=false")
@@ -461,12 +479,16 @@ func TestAoDTrackerMatchesRescan(t *testing.T) {
 			norm[i] = ((m % interval.DayMinutes) + interval.DayMinutes) % interval.DayMinutes
 		}
 		tr.InitUser(raw)
+		// The demand universe handed to MaxAv(activity): distinct minutes.
+		if got, want := tr.Activity().Set(), minuteSet(norm); !got.Equal(want) {
+			t.Fatalf("trial %d: Activity() = %s, want %s", trial, got, want)
+		}
 		for reset := 0; reset < 2; reset++ {
-			avail := randSet(rng).Bitmap()
+			avail := interval.BitmapsFromSets([]interval.Set{randSet(rng)})[0]
 			tr.Reset(&avail)
 			for step := 0; step < 6; step++ {
 				if step > 0 {
-					grow := randSet(rng).Bitmap()
+					grow := interval.BitmapsFromSets([]interval.Set{randSet(rng)})[0]
 					avail.OrWith(&grow)
 					tr.Advance(&avail)
 				}
@@ -479,6 +501,15 @@ func TestAoDTrackerMatchesRescan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// minuteSet is the Set oracle of a distinct-minute universe.
+func minuteSet(minutes []int) interval.Set {
+	ivs := make([]interval.Interval, len(minutes))
+	for i, m := range minutes {
+		ivs[i] = interval.Interval{Start: m, End: m + 1}
+	}
+	return interval.NewSet(ivs...)
 }
 
 // randSet builds a small random interval set for the tracker trials.

@@ -27,10 +27,9 @@
 //  2. the per-user bitmaps are built from those values over a worker pool
 //     writing disjoint arena rows (deterministic for any worker count).
 //
-// ScheduleAll, the sorted-interval form, is the lossless conversion of the
-// same table; APIs that still speak []interval.Set (osn, plotting, the
-// protocol experiments) get results identical to the pre-arena sequential
-// build.
+// The table is the only form a schedule takes: policies, metrics and the
+// protocol runtime all read its rows; a row's run list (Bitmap.Set) is a
+// view derived on demand by the few consumers that walk sessions.
 package onlinetime
 
 import (
@@ -74,10 +73,6 @@ type Model interface {
 	// (phase 2), which never affects the result. workers <= 1 builds
 	// inline.
 	BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table
-	// ScheduleAll returns one online-time set per user ID — the
-	// sorted-interval conversion of BuildTable's arena, consuming rng
-	// identically.
-	ScheduleAll(d *trace.Dataset, rng *rand.Rand) []interval.Set
 }
 
 // Compile-time interface checks.
@@ -193,11 +188,6 @@ func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Tab
 	return t
 }
 
-// ScheduleAll implements Model.
-func (s Sporadic) ScheduleAll(d *trace.Dataset, rng *rand.Rand) []interval.Set {
-	return s.BuildTable(d, rng, 1).Sets()
-}
-
 // FixedLength models one continuous daily online window of fixed length,
 // centered on the circular mean of the user's activity minutes.
 type FixedLength struct {
@@ -235,11 +225,6 @@ func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *
 	})
 	recordBuild(sp, n)
 	return t
-}
-
-// ScheduleAll implements Model.
-func (f FixedLength) ScheduleAll(d *trace.Dataset, rng *rand.Rand) []interval.Set {
-	return f.BuildTable(d, rng, 1).Sets()
 }
 
 // RandomLength is FixedLength with a per-user window length drawn uniformly
@@ -294,11 +279,6 @@ func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) 
 	})
 	recordBuild(sp, n)
 	return t
-}
-
-// ScheduleAll implements Model.
-func (r RandomLength) ScheduleAll(d *trace.Dataset, rng *rand.Rand) []interval.Set {
-	return r.BuildTable(d, rng, 1).Sets()
 }
 
 // drawCenter performs user u's phase-1 center draw: a uniformly random
@@ -364,15 +344,8 @@ func activityCenter(d *trace.Dataset, u socialgraph.UserID) (center int, ok bool
 	return m % interval.DayMinutes, true
 }
 
-// Compute runs the model over the dataset with a deterministic seed and
-// returns one schedule per user.
-func Compute(m Model, d *trace.Dataset, seed int64) []interval.Set {
-	return m.ScheduleAll(d, rand.New(rand.NewSource(seed)))
-}
-
-// ComputeTable is Compute in the dense arena form: it builds the model's
-// schedule table with a deterministic seed and the given phase-2 worker
-// budget (which never affects the result).
+// ComputeTable builds the model's schedule table with a deterministic seed
+// and the given phase-2 worker budget (which never affects the result).
 func ComputeTable(m Model, d *trace.Dataset, seed int64, workers int) *Table {
 	return m.BuildTable(d, rand.New(rand.NewSource(seed)), workers)
 }

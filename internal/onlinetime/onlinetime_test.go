@@ -28,19 +28,19 @@ func datasetWithMinutes(t *testing.T, minutes ...int) *trace.Dataset {
 func TestSporadicSessionContainsActivity(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 700, 1300)
 	for seed := int64(0); seed < 20; seed++ {
-		scheds := Compute(Sporadic{}, d, seed)
-		ot := scheds[0]
+		scheds := ComputeTable(Sporadic{}, d, seed, 1).Bitmaps()
+		ot := &scheds[0]
 		for _, m := range []int{100, 700, 1300} {
 			if !ot.Contains(m) {
 				t.Fatalf("seed %d: activity minute %d not inside any session (%s)", seed, m, ot)
 			}
 		}
 		// Total online time is bounded by sessions × length.
-		if ot.Len() > 3*20 {
-			t.Fatalf("seed %d: online time %d min exceeds 3 sessions of 20 min", seed, ot.Len())
+		if ot.Minutes() > 3*20 {
+			t.Fatalf("seed %d: online time %d min exceeds 3 sessions of 20 min", seed, ot.Minutes())
 		}
-		if ot.Len() < 20 {
-			t.Fatalf("seed %d: online time %d min below one session", seed, ot.Len())
+		if ot.Minutes() < 20 {
+			t.Fatalf("seed %d: online time %d min below one session", seed, ot.Minutes())
 		}
 	}
 }
@@ -68,18 +68,18 @@ func TestSporadicSessionLengths(t *testing.T) {
 
 func TestSporadicNoActivitiesMeansOffline(t *testing.T) {
 	d := datasetWithMinutes(t, 100) // user 1 creates nothing
-	scheds := Compute(Sporadic{}, d, 1)
+	scheds := ComputeTable(Sporadic{}, d, 1, 1).Bitmaps()
 	if !scheds[1].IsEmpty() {
-		t.Errorf("user without activity should have empty schedule, got %s", scheds[1])
+		t.Errorf("user without activity should have empty schedule, got %s", &scheds[1])
 	}
 }
 
 func TestFixedLengthCenteredOnActivity(t *testing.T) {
 	d := datasetWithMinutes(t, 600, 610, 620) // activities around 10:10
-	scheds := Compute(FixedLength{Hours: 2}, d, 1)
-	ot := scheds[0]
-	if ot.Len() != 120 {
-		t.Fatalf("window length = %d, want 120", ot.Len())
+	scheds := ComputeTable(FixedLength{Hours: 2}, d, 1, 1).Bitmaps()
+	ot := &scheds[0]
+	if ot.Minutes() != 120 {
+		t.Fatalf("window length = %d, want 120", ot.Minutes())
 	}
 	if !ot.Contains(610) {
 		t.Errorf("window %s should contain the activity center 610", ot)
@@ -95,8 +95,8 @@ func TestFixedLengthCenteredOnActivity(t *testing.T) {
 func TestFixedLengthCircularCenter(t *testing.T) {
 	// Activities at 23:50 and 00:10 → circular mean midnight, not noon.
 	d := datasetWithMinutes(t, 1430, 10)
-	scheds := Compute(FixedLength{Hours: 2}, d, 1)
-	ot := scheds[0]
+	scheds := ComputeTable(FixedLength{Hours: 2}, d, 1, 1).Bitmaps()
+	ot := &scheds[0]
 	if !ot.Contains(0) {
 		t.Errorf("window %s should straddle midnight", ot)
 	}
@@ -108,8 +108,8 @@ func TestFixedLengthCircularCenter(t *testing.T) {
 func TestFixedLengthHoursVariants(t *testing.T) {
 	d := datasetWithMinutes(t, 700)
 	for _, h := range []int{2, 4, 6, 8} {
-		scheds := Compute(FixedLength{Hours: h}, d, 1)
-		if got := scheds[0].Len(); got != h*60 {
+		scheds := ComputeTable(FixedLength{Hours: h}, d, 1, 1).Bitmaps()
+		if got := scheds[0].Minutes(); got != h*60 {
 			t.Errorf("FixedLength(%dh) length = %d, want %d", h, got, h*60)
 		}
 	}
@@ -118,8 +118,8 @@ func TestFixedLengthHoursVariants(t *testing.T) {
 func TestRandomLengthBounds(t *testing.T) {
 	d := datasetWithMinutes(t, 700)
 	for seed := int64(0); seed < 50; seed++ {
-		scheds := Compute(RandomLength{}, d, seed)
-		l := scheds[0].Len()
+		scheds := ComputeTable(RandomLength{}, d, seed, 1).Bitmaps()
+		l := scheds[0].Minutes()
 		if l < 2*60 || l > 8*60 {
 			t.Fatalf("seed %d: window length %d outside [120,480]", seed, l)
 		}
@@ -129,8 +129,8 @@ func TestRandomLengthBounds(t *testing.T) {
 func TestRandomLengthCustomBounds(t *testing.T) {
 	d := datasetWithMinutes(t, 700)
 	m := RandomLength{MinHours: 3, MaxHours: 3}
-	scheds := Compute(m, d, 9)
-	if got := scheds[0].Len(); got != 180 {
+	scheds := ComputeTable(m, d, 9, 1).Bitmaps()
+	if got := scheds[0].Minutes(); got != 180 {
 		t.Errorf("degenerate bounds should force 3h, got %d", got)
 	}
 	inverted := RandomLength{MinHours: 5, MaxHours: 1}
@@ -142,9 +142,9 @@ func TestRandomLengthCustomBounds(t *testing.T) {
 
 func TestNoActivityUsersGetRandomWindow(t *testing.T) {
 	d := datasetWithMinutes(t, 100) // user 1 has no created activity
-	scheds := Compute(FixedLength{Hours: 4}, d, 3)
-	if scheds[1].Len() != 240 {
-		t.Errorf("no-activity user should still get a window, got %s", scheds[1])
+	scheds := ComputeTable(FixedLength{Hours: 4}, d, 3, 1).Bitmaps()
+	if scheds[1].Minutes() != 240 {
+		t.Errorf("no-activity user should still get a window, got %s", &scheds[1])
 	}
 }
 
@@ -152,10 +152,10 @@ func TestComputeDeterministic(t *testing.T) {
 	cfg := trace.DefaultFacebookConfig(80)
 	d := trace.MustSynthesize(cfg)
 	for _, m := range DefaultModels() {
-		a := Compute(m, d, 42)
-		b := Compute(m, d, 42)
+		a := ComputeTable(m, d, 42, 1).Bitmaps()
+		b := ComputeTable(m, d, 42, 1).Bitmaps()
 		for u := range a {
-			if !a[u].Equal(b[u]) {
+			if !a[u].Equal(&b[u]) {
 				t.Fatalf("%s: schedule for user %d not deterministic", m.Name(), u)
 			}
 		}
@@ -193,8 +193,8 @@ func TestActivityCenterBalanced(t *testing.T) {
 
 func TestSporadicSessionsCapAtFullDay(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 200, 300)
-	scheds := Compute(Sporadic{SessionLength: 48 * time.Hour}, d, 1)
-	if got := scheds[0].Len(); got != interval.DayMinutes {
+	scheds := ComputeTable(Sporadic{SessionLength: 48 * time.Hour}, d, 1, 1).Bitmaps()
+	if got := scheds[0].Minutes(); got != interval.DayMinutes {
 		t.Errorf("giant sessions should cover the day, got %d", got)
 	}
 }
@@ -203,10 +203,10 @@ func TestScheduleAllUsesSharedRNGDeterministically(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 900)
 	rng1 := rand.New(rand.NewSource(5))
 	rng2 := rand.New(rand.NewSource(5))
-	a := Sporadic{}.ScheduleAll(d, rng1)
-	b := Sporadic{}.ScheduleAll(d, rng2)
+	a := Sporadic{}.BuildTable(d, rng1, 1).Bitmaps()
+	b := Sporadic{}.BuildTable(d, rng2, 1).Bitmaps()
 	for u := range a {
-		if !a[u].Equal(b[u]) {
+		if !a[u].Equal(&b[u]) {
 			t.Fatalf("user %d schedules differ", u)
 		}
 	}

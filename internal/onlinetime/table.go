@@ -11,25 +11,14 @@ import (
 // Table is the arena-backed dense schedule store: one day-bitmap row per
 // user, all rows living in a single contiguous allocation
 // (interval.BitmapWords words — 184 bytes — per user, ~18 MB flat at 100k
-// users). It is the canonical schedule representation on the sweep hot path:
-// engines keep one table per (dataset, model, repetition) and hand policies
-// O(1) row views instead of materializing a per-user []interval.Set and
-// re-densifying it once per cell×repetition.
+// users). It is the schedule representation: engines keep one table per
+// (dataset, model, repetition) and hand policies, metrics and the protocol
+// runtime O(1) row views.
 //
-// Rows are mutable through Bitmap; the sweep engines treat a built table as
-// read-only and share it across workers. Sets converts losslessly back to
-// the sorted-interval form for the APIs that still speak it (osn, plotting,
-// tests): for every row, Bitmap(u).Set() equals the Set the legacy
-// Model.ScheduleAll emitted, bit for bit.
+// Rows are mutable through Bitmap; the engines treat a built table as
+// read-only and share it across workers.
 type Table struct {
 	rows []interval.Bitmap
-
-	// setsOnce/sets memoize the lossless Sets() conversion, so a table
-	// shared across cells hands every consumer (including trait-less
-	// third-party policies that conservatively ask for interval form) one
-	// conversion instead of one per cell×repetition.
-	setsOnce sync.Once
-	sets     []interval.Set
 }
 
 // NewTable returns an empty-schedule table for the given number of users,
@@ -39,17 +28,6 @@ func NewTable(users int) *Table {
 		users = 0
 	}
 	return &Table{rows: make([]interval.Bitmap, users)}
-}
-
-// TableFromSets densifies a schedule slice into a fresh table; row i is the
-// dense form of sets[i]. It is the injection point for callers that hold
-// sorted-interval schedules (tests, hand-built scenarios).
-func TableFromSets(sets []interval.Set) *Table {
-	t := NewTable(len(sets))
-	for i, s := range sets {
-		t.rows[i].SetFrom(s)
-	}
-	return t
 }
 
 // NumUsers returns the number of rows.
@@ -71,23 +49,6 @@ func (t *Table) Bitmap(u socialgraph.UserID) *interval.Bitmap {
 // replica.Input.Bitmaps and the metric kernels consume. No copying: the
 // slice is the table's backing storage.
 func (t *Table) Bitmaps() []interval.Bitmap { return t.rows }
-
-// Sets converts every row back to the canonical sorted-interval form. The
-// conversion is lossless and normalized (interval.Bitmap.Set), so the result
-// is exactly what the sequential Set-emitting schedule build produced. It is
-// computed once per table and the same slice is returned to every caller
-// (concurrency-safe); treat it — like the arena rows — as read-only, and do
-// not call Sets concurrently with row mutation (built tables are immutable
-// by convention).
-func (t *Table) Sets() []interval.Set {
-	t.setsOnce.Do(func() {
-		t.sets = make([]interval.Set, len(t.rows))
-		for i := range t.rows {
-			t.sets[i] = t.rows[i].Set()
-		}
-	})
-	return t.sets
-}
 
 // MemoryBytes returns the size of the arena in bytes.
 func (t *Table) MemoryBytes() int {

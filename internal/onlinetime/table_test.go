@@ -132,31 +132,25 @@ func quickModels() []Model {
 }
 
 // TestQuickTableMatchesLegacySets: for every model, the arena-table build —
-// Sets conversion, bitmap rows, and the derived ScheduleAll — agrees exactly
-// with the legacy per-user interval.Set path on the same RNG seed.
+// each row and its run-list view — agrees exactly with the legacy per-user
+// interval.Set path on the same RNG seed.
 func TestQuickTableMatchesLegacySets(t *testing.T) {
 	for _, m := range quickModels() {
 		m := m
 		prop := func(rt randomTrace, seed int64) bool {
 			want := legacyScheduleAll(m, rt.d, rand.New(rand.NewSource(seed)))
 			table := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 4)
-			got := table.Sets()
-			if len(got) != len(want) {
+			if table.NumUsers() != len(want) {
 				return false
 			}
+			wantRows := interval.BitmapsFromSets(want)
 			for u := range want {
-				if !got[u].Equal(want[u]) {
-					t.Logf("user %d: table %s, legacy %s", u, got[u], want[u])
+				row := table.Bitmap(socialgraph.UserID(u))
+				if got := row.Set(); !got.Equal(want[u]) {
+					t.Logf("user %d: table %s, legacy %s", u, got, want[u])
 					return false
 				}
-				wantRow := want[u].Bitmap()
-				if !table.Bitmap(socialgraph.UserID(u)).Equal(&wantRow) {
-					return false
-				}
-			}
-			sets := m.ScheduleAll(rt.d, rand.New(rand.NewSource(seed)))
-			for u := range want {
-				if !sets[u].Equal(want[u]) {
+				if !row.Equal(&wantRows[u]) {
 					return false
 				}
 			}
@@ -230,10 +224,10 @@ func TestDegenerateHourKnobs(t *testing.T) {
 	// The clamp is visible end to end: every schedule of a degenerate model
 	// is a window of the clamped length.
 	d := datasetWithMinutes(t, 700)
-	if got := Compute(FixedLength{Hours: 0}, d, 3)[0].Len(); got != 60 {
+	if got := ComputeTable(FixedLength{Hours: 0}, d, 3, 1).Bitmap(0).Minutes(); got != 60 {
 		t.Errorf("FixedLength{0} schedule length = %d, want 60", got)
 	}
-	if got := Compute(FixedLength{Hours: 48}, d, 3)[0].Len(); got != interval.DayMinutes {
+	if got := ComputeTable(FixedLength{Hours: 48}, d, 3, 1).Bitmap(0).Minutes(); got != interval.DayMinutes {
 		t.Errorf("FixedLength{48} schedule length = %d, want full day", got)
 	}
 
@@ -253,7 +247,7 @@ func TestDegenerateHourKnobs(t *testing.T) {
 				tt.min, tt.max, lo, hi, tt.wantLo, tt.wantHi)
 		}
 	}
-	if got := Compute(RandomLength{MinHours: 30}, d, 5)[0].Len(); got != interval.DayMinutes {
+	if got := ComputeTable(RandomLength{MinHours: 30}, d, 5, 1).Bitmap(0).Minutes(); got != interval.DayMinutes {
 		t.Errorf("RandomLength{MinHours:30} schedule length = %d, want full day", got)
 	}
 }
@@ -267,13 +261,14 @@ func TestTableFromSetsRoundTrip(t *testing.T) {
 		interval.Window(1400, 100), // wraps midnight
 		interval.NewSet(interval.Interval{Start: 10, End: 20}, interval.Interval{Start: 40, End: 60}),
 	}
-	table := TableFromSets(sets)
+	table := NewTable(len(sets))
+	copy(table.Bitmaps(), interval.BitmapsFromSets(sets))
 	if table.NumUsers() != len(sets) {
 		t.Fatalf("NumUsers = %d, want %d", table.NumUsers(), len(sets))
 	}
-	for u, s := range table.Sets() {
-		if !s.Equal(sets[u]) {
-			t.Errorf("row %d round-trips to %s, want %s", u, s, sets[u])
+	for u, want := range sets {
+		if s := table.Bitmap(socialgraph.UserID(u)).Set(); !s.Equal(want) {
+			t.Errorf("row %d round-trips to %s, want %s", u, s, want)
 		}
 	}
 	if got, want := table.MemoryBytes(), len(sets)*interval.BitmapWords*8; got != want {
@@ -293,18 +288,5 @@ func TestTableBitmapOutOfRange(t *testing.T) {
 	table.Bitmap(1).AddInterval(interval.Interval{Start: 5, End: 7})
 	if got := table.Bitmaps()[1].Minutes(); got != 2 {
 		t.Errorf("arena row minutes = %d, want 2 (view must alias)", got)
-	}
-}
-
-func TestComputeTableMatchesCompute(t *testing.T) {
-	d := trace.MustSynthesize(trace.DefaultFacebookConfig(60))
-	for _, m := range DefaultModels() {
-		sets := Compute(m, d, 11)
-		table := ComputeTable(m, d, 11, 3)
-		for u, s := range table.Sets() {
-			if !s.Equal(sets[u]) {
-				t.Fatalf("%s: user %d: ComputeTable %s != Compute %s", m.Name(), u, s, sets[u])
-			}
-		}
 	}
 }

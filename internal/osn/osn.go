@@ -66,8 +66,9 @@ type ReadEvent struct {
 
 // Config describes a protocol-runtime experiment.
 type Config struct {
-	// Schedules is the per-user daily online time, indexed by NodeID.
-	Schedules []interval.Set
+	// Schedules is the per-user dense daily online time, indexed by NodeID
+	// (the arena rows of an onlinetime.Table).
+	Schedules []interval.Bitmap
 	// Assignments maps each profile owner to its replica hosts.
 	Assignments map[NodeID][]NodeID
 	// Days is the simulation horizon.
@@ -120,6 +121,9 @@ type node struct {
 	reach interval.Bitmap
 	// schedLen caches sched.Minutes() for the per-day overlap accounting.
 	schedLen int
+	// sessions is sched's run list: one daily session per interval. Only
+	// the nodes a run simulates ever derive it.
+	sessions []interval.Interval
 	peers    []NodeID // co-online-capable nodes sharing a wall group, sorted
 	// outbox holds authored posts waiting for contact with a group member
 	// of the target wall.
@@ -307,16 +311,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 	sort.Slice(n.nodeOrder, func(i, j int) bool { return n.nodeOrder[i] < n.nodeOrder[j] })
 	for _, id := range n.nodeOrder {
 		nd := n.nodes[id]
-		sched := n.schedule(id)
-		nd.sched.SetFrom(sched)
+		nd.sched = cfg.Schedules[id] // every node ID was range-checked above
 		nd.schedLen = nd.sched.Minutes()
+		nd.sessions = nd.sched.Set().Intervals()
 		// Dilate each session one minute past its half-open end: a node's
 		// online flag is still true at its end instant until the offline
 		// event fires, and equal-time events run in insertion order, so a
 		// peer whose session *starts* exactly at this node's session end can
 		// observe it online and exchange. The closure keeps such abutting
 		// pairs meetable.
-		for _, iv := range sched.Intervals() {
+		for _, iv := range nd.sessions {
 			nd.reach.AddInterval(interval.Interval{Start: iv.Start, End: iv.End + 1})
 		}
 	}
@@ -403,10 +407,9 @@ func (n *Network) Run() *Result {
 	// Session events for every node and day.
 	for _, id := range n.nodeOrder {
 		nd := n.nodes[id]
-		sched := n.schedule(id)
 		for day := 0; day < n.cfg.Days; day++ {
 			base := desim.Time(day) * interval.DayMinutes
-			for _, iv := range sched.Intervals() {
+			for _, iv := range nd.sessions {
 				iv := iv
 				nd := nd
 				_ = n.sim.At(base+desim.Time(iv.Start), func() { n.setOnline(nd, true) })
@@ -441,13 +444,6 @@ func (n *Network) Run() *Result {
 	n.sim.Run(horizon)
 	n.finalize()
 	return &n.res
-}
-
-func (n *Network) schedule(id NodeID) interval.Set {
-	if id < 0 || int(id) >= len(n.cfg.Schedules) {
-		return interval.Empty
-	}
-	return n.cfg.Schedules[id]
 }
 
 // setOnline flips a node's session state. Coming online triggers outbox

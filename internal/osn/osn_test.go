@@ -8,6 +8,7 @@ import (
 	"dosn/internal/dht"
 	"dosn/internal/interval"
 	"dosn/internal/metrics"
+	"dosn/internal/onlinetime"
 	"dosn/internal/socialgraph"
 )
 
@@ -15,12 +16,12 @@ import (
 // replica 2 online [150,270). Creator 3 online [30,90).
 func threeNodeConfig(posts []PostEvent) Config {
 	return Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 120),
 			1: interval.Window(60, 120),
 			2: interval.Window(150, 120),
 			3: interval.Window(30, 60),
-		},
+		}),
 		Assignments: map[NodeID][]NodeID{0: {1, 2}},
 		Days:        3,
 		Posts:       posts,
@@ -31,11 +32,11 @@ func TestValidation(t *testing.T) {
 	if _, err := NewNetwork(Config{Days: 1}); !errors.Is(err, ErrNoSchedules) {
 		t.Errorf("err = %v, want ErrNoSchedules", err)
 	}
-	if _, err := NewNetwork(Config{Schedules: []interval.Set{interval.FullDay()}}); !errors.Is(err, ErrBadHorizon) {
+	if _, err := NewNetwork(Config{Schedules: interval.BitmapsFromSets([]interval.Set{interval.FullDay()})}); !errors.Is(err, ErrBadHorizon) {
 		t.Errorf("err = %v, want ErrBadHorizon", err)
 	}
 	_, err := NewNetwork(Config{
-		Schedules:   []interval.Set{interval.FullDay()},
+		Schedules:   interval.BitmapsFromSets([]interval.Set{interval.FullDay()}),
 		Assignments: map[NodeID][]NodeID{5: nil},
 		Days:        1,
 	})
@@ -43,7 +44,7 @@ func TestValidation(t *testing.T) {
 		t.Errorf("err = %v, want ErrBadID", err)
 	}
 	_, err = NewNetwork(Config{
-		Schedules: []interval.Set{interval.FullDay()},
+		Schedules: interval.BitmapsFromSets([]interval.Set{interval.FullDay()}),
 		Days:      1,
 		Posts:     []PostEvent{{Creator: 9, Wall: 0}},
 	})
@@ -115,10 +116,10 @@ func TestImmediateFractionReflectsGroupPresence(t *testing.T) {
 
 func TestOwnerOnlyWallDegreeZero(t *testing.T) {
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 60),
 			1: interval.Window(30, 60),
-		},
+		}),
 		Days:  2,
 		Posts: []PostEvent{{At: 40, Creator: 1, Wall: 0, Body: "solo"}},
 	}
@@ -152,12 +153,12 @@ func TestMeasuredDelayBoundedByAnalytic(t *testing.T) {
 	// The analytic update-propagation delay is a worst-case bound; the
 	// measured per-post maximum must stay below it (plus the 1-minute
 	// propagation-round latency per hop).
-	schedules := []interval.Set{
+	schedules := interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(0, 120),
 		1: interval.Window(60, 120),
 		2: interval.Window(150, 120),
 		3: interval.Window(30, 60),
-	}
+	})
 	replicas := []socialgraph.UserID{1, 2}
 	analytic := metrics.UpdatePropagationDelay(0, replicas, schedules)
 
@@ -306,10 +307,10 @@ func TestReadValidation(t *testing.T) {
 
 func TestReadOnUnassignedWallDefaultsToOwnerOnly(t *testing.T) {
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 60),
 			1: interval.Window(30, 60),
-		},
+		}),
 		Days:  1,
 		Reads: []ReadEvent{{At: 40, Reader: 1, Wall: 0}, {At: 70, Reader: 1, Wall: 0}},
 	}
@@ -440,11 +441,11 @@ func TestPeerPruningKeepsMeasurements(t *testing.T) {
 	// Nodes 0 and 2 share wall 0's group but are never online together;
 	// node 1 overlaps both.
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(0, 120),
 			1: interval.Window(60, 120),
 			2: interval.Window(150, 60),
-		},
+		}),
 		Assignments: map[NodeID][]NodeID{0: {1, 2}},
 		Days:        2,
 		Posts:       []PostEvent{{At: 10, Creator: 0, Wall: 0, Body: "x"}},
@@ -472,10 +473,10 @@ func TestPeerPruningKeepsMeasurements(t *testing.T) {
 // one-minute-dilated schedules and keep abutting pairs.
 func TestPeerPruningKeepsAbuttingSessions(t *testing.T) {
 	cfg := Config{
-		Schedules: []interval.Set{
+		Schedules: interval.BitmapsFromSets([]interval.Set{
 			0: interval.Window(60, 120), // online event at 60 fires first (lower ID)
 			1: interval.Window(0, 60),   // offline event at 60 fires second
-		},
+		}),
 		Assignments: map[NodeID][]NodeID{0: {1}},
 		Days:        2,
 		Posts:       []PostEvent{{At: 70, Creator: 0, Wall: 0, Body: "x"}},
@@ -493,10 +494,10 @@ func TestPeerPruningKeepsAbuttingSessions(t *testing.T) {
 	}
 
 	// A pair separated by a real gap (≥1 minute on both sides) stays pruned.
-	cfg.Schedules = []interval.Set{
+	cfg.Schedules = interval.BitmapsFromSets([]interval.Set{
 		0: interval.Window(62, 120),
 		1: interval.Window(0, 60),
-	}
+	})
 	net, err = NewNetwork(cfg)
 	if err != nil {
 		t.Fatalf("NewNetwork(gapped): %v", err)
@@ -593,5 +594,47 @@ func TestRoutedDeliveryMeasuresHops(t *testing.T) {
 	}
 	if res2 := net2.Run(); !reflect.DeepEqual(res2, res) {
 		t.Errorf("routed run not deterministic:\n%+v\n%+v", res2, res)
+	}
+}
+
+// TestMidnightWrappingRowSessions: a schedule row built the way the
+// online-time models build it — one wrapping AddInterval — yields exactly the
+// session events of the equivalent sorted-interval Set (split at midnight),
+// and the runtime serves reads on both sides of midnight.
+func TestMidnightWrappingRowSessions(t *testing.T) {
+	want := interval.Window(1400, 100) // [0,60) ∪ [1400,1440)
+	table := onlinetime.NewTable(2)
+	table.Bitmap(0).AddInterval(interval.Interval{Start: 1400, End: 1500})
+	table.Bitmap(1).AddInterval(interval.Interval{Start: 600, End: 660})
+	build := func(schedules []interval.Bitmap) *Network {
+		n, err := NewNetwork(Config{
+			Schedules:   schedules,
+			Assignments: map[NodeID][]NodeID{0: nil},
+			Days:        2,
+			Reads: []ReadEvent{
+				{At: 1430, Reader: 1, Wall: 0},
+				{At: interval.DayMinutes + 30, Reader: 1, Wall: 0},
+				{At: 700, Reader: 1, Wall: 0},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	fromRow := build(table.Bitmaps())
+	fromSet := build(interval.BitmapsFromSets([]interval.Set{want, interval.Window(600, 60)}))
+	if got := fromRow.nodes[0].sessions; !reflect.DeepEqual(got, want.Intervals()) {
+		t.Fatalf("sessions from wrapping row = %v, want %v", got, want.Intervals())
+	}
+	if !reflect.DeepEqual(fromRow.nodes[0].sessions, fromSet.nodes[0].sessions) {
+		t.Fatalf("row sessions %v differ from set sessions %v", fromRow.nodes[0].sessions, fromSet.nodes[0].sessions)
+	}
+	a, b := fromRow.Run(), fromSet.Run()
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("runs differ: %+v vs %+v", a, b)
+	}
+	if a.ReadsTotal != 3 || a.ReadsServed != 2 {
+		t.Errorf("reads served %d/%d, want 2/3 (both sides of midnight, not noon)", a.ReadsServed, a.ReadsTotal)
 	}
 }

@@ -7,6 +7,11 @@
 // with an already-chosen replica, so that updates can propagate through the
 // friend set without third-party storage — the configuration the paper argues
 // a privacy-conscious decentralized OSN must use.
+//
+// Policies compute on dense schedules only: Input.Bitmaps is the arena of an
+// onlinetime.Table (one day-bitmap row per user), interaction counts arrive
+// positionally aligned with the candidate list, and the activity-demand
+// universe is a bitmap. Every overlap question is a word-wise operation.
 package replica
 
 import (
@@ -47,81 +52,52 @@ type Input struct {
 	// Candidates are the owner's friends (Facebook) or followers (Twitter):
 	// the trusted nodes eligible to host a replica.
 	Candidates []socialgraph.UserID
-	// Schedules holds the online-time set of every user, indexed by UserID.
-	// Sweep engines that populate Bitmaps may leave it nil for policies
-	// whose Traits report UsesSchedules false (all built-in policies): the
-	// dense rows carry the same information and every overlap computation
-	// answers identically on either representation.
-	Schedules []interval.Set
-	// Bitmaps optionally holds the dense form of the schedules (same
-	// indexing, e.g. the arena rows of an onlinetime.Table). When set,
-	// policies run their overlap arithmetic on O(words) bitmap operations
-	// instead of interval merges; results are bit-identical either way.
-	// Sweep engines populate it once per (dataset, model, repetition) and
-	// share it read-only across workers.
+	// Bitmaps holds the dense online-time schedule of every user, indexed by
+	// UserID (the arena rows of an onlinetime.Table). Sweep engines build it
+	// once per (dataset, model, repetition) and share it read-only across
+	// workers. An ID outside the slice is a user who is never online.
 	Bitmaps []interval.Bitmap
-	// InteractionCounts gives, per candidate, the number of activities the
-	// candidate created on the owner's profile. Only MostActive reads it.
-	InteractionCounts map[socialgraph.UserID]int
-	// CandidateCounts is the allocation-free form of InteractionCounts:
-	// CandidateCounts[i] is the interaction count of Candidates[i] (e.g.
-	// from trace.Dataset.CandidateInteractionCounts with a per-worker
-	// scratch). When set — it must then have len(Candidates) entries — it
-	// takes precedence over InteractionCounts; selections are identical
-	// either way.
+	// CandidateCounts gives, per candidate position, the number of
+	// activities Candidates[i] created on the owner's profile (e.g. from
+	// trace.Dataset.CandidateInteractionCounts with a per-worker scratch).
+	// Only MostActive reads it; it must then have len(Candidates) entries.
 	CandidateCounts []int
 	// Demand is the set of minutes during which activity was observed on
 	// the owner's profile in the past. Only MaxAv with
 	// ObjectiveOnDemandActivity reads it (§III-A: the set-cover universe is
 	// "the union of the activity times of all friends observed during a
-	// pre-defined time in the past").
-	Demand interval.Set
+	// pre-defined time in the past"); nil means no observed activity.
+	Demand *interval.Bitmap
 	// Mode selects ConRep or UnconRep placement.
 	Mode Mode
 	// Budget is the maximum replication degree (number of replicas).
 	Budget int
 }
 
-func (in *Input) schedule(u socialgraph.UserID) interval.Set {
-	if u < 0 || int(u) >= len(in.Schedules) {
-		return interval.Empty
-	}
-	return in.Schedules[u]
-}
+// offline is the schedule of an ID outside Input.Bitmaps: never online.
+var offline interval.Bitmap
 
-// bitmap returns the precomputed dense schedule of u, or nil when the caller
-// did not supply Bitmaps (or u is out of range).
+// bitmap returns the dense schedule of u (the empty schedule when u is out
+// of range).
 func (in *Input) bitmap(u socialgraph.UserID) *interval.Bitmap {
-	if in.Bitmaps == nil || u < 0 || int(u) >= len(in.Bitmaps) {
-		return nil
+	if u < 0 || int(u) >= len(in.Bitmaps) {
+		return &offline
 	}
 	return &in.Bitmaps[u]
 }
 
 // Connected reports whether candidate c is time-connected to the owner or to
-// any already chosen replica. With precomputed bitmaps the pairwise checks
-// are word-wise AND scans; without them the sorted-interval sweep is used.
-// Both answer identically. Exported so policy implementations outside this
-// package (the DHT placements in internal/dht) can honor ConRep mode with
-// the identical rule.
+// any already chosen replica: pairwise word-wise AND scans over the dense
+// schedules. Exported so policy implementations outside this package (the
+// DHT placements in internal/dht) can honor ConRep mode with the identical
+// rule.
 func (in *Input) Connected(c socialgraph.UserID, chosen []socialgraph.UserID) bool {
-	if cb := in.bitmap(c); cb != nil {
-		if ob := in.bitmap(in.Owner); ob != nil && cb.Intersects(ob) {
-			return true
-		}
-		for _, r := range chosen {
-			if rb := in.bitmap(r); rb != nil && cb.Intersects(rb) {
-				return true
-			}
-		}
-		return false
-	}
-	ot := in.schedule(c)
-	if ot.Overlaps(in.schedule(in.Owner)) {
+	cb := in.bitmap(c)
+	if cb.Intersects(in.bitmap(in.Owner)) {
 		return true
 	}
 	for _, r := range chosen {
-		if ot.Overlaps(in.schedule(r)) {
+		if cb.Intersects(in.bitmap(r)) {
 			return true
 		}
 	}
@@ -162,19 +138,10 @@ type Traits struct {
 	// UsesRNG is false for fully deterministic policies; Select may then
 	// receive a nil rng.
 	UsesRNG bool
-	// UsesInteractions reports whether Input.InteractionCounts is read.
+	// UsesInteractions reports whether Input.CandidateCounts is read.
 	UsesInteractions bool
 	// UsesDemand reports whether Input.Demand is read.
 	UsesDemand bool
-	// UsesSchedules reports whether Select reads Input.Schedules even when
-	// Input.Bitmaps is populated — i.e. the policy needs the sorted-interval
-	// form itself, not just the minute-set information. Engines that supply
-	// Bitmaps skip materializing the per-user []interval.Set for policies
-	// that leave this false; engines that do not supply Bitmaps must always
-	// provide Schedules regardless of this trait. Every built-in policy
-	// (and the DHT placements) answers all overlap questions on the dense
-	// rows, so none declares it.
-	UsesSchedules bool
 }
 
 // TraitedPolicy is optionally implemented by policies that can declare their
@@ -190,7 +157,7 @@ func TraitsOf(p Policy) Traits {
 	if tp, ok := p.(TraitedPolicy); ok {
 		return tp.Traits()
 	}
-	return Traits{UsesRNG: true, UsesInteractions: true, UsesDemand: true, UsesSchedules: true}
+	return Traits{UsesRNG: true, UsesInteractions: true, UsesDemand: true}
 }
 
 // Compile-time interface checks.
@@ -250,9 +217,7 @@ func (m MaxAv) Traits() Traits {
 // bitmap representation: the covered set is one scratch bitmap, marginal
 // gains are fused popcounts (|OT_c \ covered|, restricted to the demand
 // universe for the activity objective), and each round's union is an
-// in-place word-wise OR. When Input.Bitmaps is absent the candidate
-// schedules are converted once up front; either way the chosen sequence is
-// bit-identical to the sorted-interval arithmetic this replaces.
+// in-place word-wise OR.
 func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
 	// taken is indexed by candidate position, not ID. A duplicate candidate
@@ -262,35 +227,21 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	taken := make([]bool, len(in.Candidates))
 	restricted := m.Objective == ObjectiveOnDemandActivity
 
-	// Dense candidate schedules: pointers into the shared precomputed slice
-	// when available, one local conversion per candidate otherwise. Sizes are
+	// Candidate schedules are pointers into the shared arena. Sizes are
 	// cached so each greedy probe needs a single overlap popcount
 	// (gain = size − overlap).
 	cand := make([]*interval.Bitmap, len(in.Candidates))
 	size := make([]int, len(in.Candidates))
-	var local []interval.Bitmap
-	if in.Bitmaps == nil {
-		local = make([]interval.Bitmap, len(in.Candidates))
-	}
 	for i, c := range in.Candidates {
-		bm := in.bitmap(c)
-		if bm == nil {
-			local[i].SetFrom(in.schedule(c))
-			bm = &local[i]
-		}
-		cand[i] = bm
-		size[i] = bm.Minutes()
+		cand[i] = in.bitmap(c)
+		size[i] = cand[i].Minutes()
 	}
 
 	var covered interval.Bitmap // the owner always hosts his profile
-	if ob := in.bitmap(in.Owner); ob != nil {
-		covered.CopyFrom(ob)
-	} else {
-		covered.SetFrom(in.schedule(in.Owner))
-	}
-	var demand interval.Bitmap
-	if restricted {
-		demand.SetFrom(in.Demand)
+	covered.CopyFrom(in.bitmap(in.Owner))
+	demand := &offline
+	if restricted && in.Demand != nil {
+		demand = in.Demand
 	}
 
 	// ConRep connectivity, maintained incrementally: conn[i] starts as
@@ -336,7 +287,7 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 			var gain int
 			if restricted {
 				// Contribution inside the demand universe only.
-				gain = cand[i].MinutesInNotIn(&demand, &covered)
+				gain = cand[i].MinutesInNotIn(demand, &covered)
 			} else {
 				gain = size[i] - overlap // |OT_c \ covered|
 			}
@@ -376,26 +327,16 @@ func (MostActive) Name() string { return "MostActive" }
 // Traits implements TraitedPolicy.
 func (MostActive) Traits() Traits { return Traits{UsesRNG: true, UsesInteractions: true} }
 
-// countAt returns the interaction count of candidate position i, preferring
-// the positional CandidateCounts column over the map.
-func (in *Input) countAt(i int) int {
-	if in.CandidateCounts != nil {
-		return in.CandidateCounts[i]
-	}
-	return in.InteractionCounts[in.Candidates[i]]
-}
-
-// Select implements Policy. Ranking runs over candidate positions so the
-// positional CandidateCounts column needs no ID lookups; with the map input
-// the comparisons — and therefore the selection — are exactly the same.
+// Select implements Policy. Ranking runs over candidate positions, so the
+// positional CandidateCounts column needs no ID lookups.
 func (MostActive) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
 	ranked := make([]int, len(in.Candidates))
 	for i := range ranked {
 		ranked[i] = i
 	}
 	sort.SliceStable(ranked, func(a, b int) bool {
-		ci := in.countAt(ranked[a])
-		cj := in.countAt(ranked[b])
+		ci := in.CandidateCounts[ranked[a]]
+		cj := in.CandidateCounts[ranked[b]]
 		if ci != cj {
 			return ci > cj
 		}
@@ -409,7 +350,7 @@ func (MostActive) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
 		best := socialgraph.UserID(-1)
 		for _, i := range ranked {
 			c := in.Candidates[i]
-			if taken[c] || in.countAt(i) == 0 {
+			if taken[c] || in.CandidateCounts[i] == 0 {
 				continue
 			}
 			if in.Mode == ConRep && !in.Connected(c, chosen) {

@@ -110,6 +110,18 @@ func sameActivities(a, b []Activity) bool {
 	return true
 }
 
+// countsByID keys positional per-neighbor counts by neighbor ID, dropping
+// zeros — the shape the row-era reference reports.
+func countsByID(neighbors []socialgraph.UserID, counts []int) map[socialgraph.UserID]int {
+	m := make(map[socialgraph.UserID]int)
+	for i, c := range counts {
+		if c > 0 {
+			m[neighbors[i]] = c
+		}
+	}
+	return m
+}
+
 func sameCounts(a, b map[socialgraph.UserID]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -195,28 +207,35 @@ func TestReceivedByBetweenSemantics(t *testing.T) {
 }
 
 // TestInteractionCountsBetweenSemantics pins the same half-open contract for
-// the count variant, plus the neighbor restriction and the non-nil empty map
-// for out-of-range users.
+// the count variant, plus the neighbor restriction, the alignment with the
+// neighbor list and the empty result for out-of-range users.
 func TestInteractionCountsBetweenSemantics(t *testing.T) {
 	d := betweenDataset(t)
 	at := func(min int) time.Time { return Epoch.Add(time.Duration(min) * time.Minute) }
+	between := func(from, to time.Time) map[socialgraph.UserID]int {
+		positional := d.InteractionCountsBetween(0, from, to)
+		if len(positional) != len(d.Graph.Neighbors(0)) {
+			t.Fatalf("counts %v not aligned with neighbors %v", positional, d.Graph.Neighbors(0))
+		}
+		return countsByID(d.Graph.Neighbors(0), positional)
+	}
 
-	counts := d.InteractionCountsBetween(0, at(10), at(30))
+	counts := between(at(10), at(30))
 	if counts[1] != 3 || counts[2] != 1 {
 		t.Errorf("counts [10m,30m) = %v, want {1:3, 2:1} (the 30m post excluded)", counts)
 	}
 	if _, ok := counts[3]; ok {
 		t.Error("non-neighbor creators must not be counted")
 	}
-	counts = d.InteractionCountsBetween(0, at(20), at(30))
+	counts = between(at(20), at(30))
 	if counts[1] != 2 || counts[2] != 1 {
 		t.Errorf("counts [20m,30m) = %v, want {1:2, 2:1} (30m excluded)", counts)
 	}
-	if got := d.InteractionCountsBetween(0, at(20), at(20)); got == nil || len(got) != 0 {
-		t.Errorf("from == to must be an empty non-nil map, got %v", got)
+	if got := between(at(20), at(20)); len(got) != 0 {
+		t.Errorf("from == to must count nothing, got %v", got)
 	}
-	if got := d.InteractionCountsBetween(99, at(0), at(100)); got == nil || len(got) != 0 {
-		t.Errorf("out-of-range user must be an empty non-nil map, got %v", got)
+	if got := d.InteractionCountsBetween(99, at(0), at(100)); len(got) != 0 {
+		t.Errorf("out-of-range user must have no counts, got %v", got)
 	}
 }
 
@@ -298,20 +317,17 @@ func TestQuickColumnarMatchesRowAccessors(t *testing.T) {
 				t.Logf("seed %d: CreatedCount(%d) differs", seed, u)
 				return false
 			}
-			if !sameCounts(d.InteractionCounts(uid), ref.interactionCounts(uid)) {
-				t.Logf("seed %d: InteractionCounts(%d) differs", seed, u)
-				return false
-			}
 			if !sameActivities(d.ReceivedByBetween(uid, from, to), ref.receivedByBetween(uid, from, to)) {
 				t.Logf("seed %d: ReceivedByBetween(%d) differs", seed, u)
 				return false
 			}
-			if !sameCounts(d.InteractionCountsBetween(uid, from, to), ref.interactionCountsBetween(uid, from, to)) {
+			neighbors := g.Neighbors(uid)
+			if !sameCounts(countsByID(neighbors, d.InteractionCountsBetween(uid, from, to)), ref.interactionCountsBetween(uid, from, to)) {
 				t.Logf("seed %d: InteractionCountsBetween(%d) differs", seed, u)
 				return false
 			}
-			// The scratch-based positional counts must agree with the map.
-			neighbors := g.Neighbors(uid)
+			// The scratch-based positional counts must agree with the
+			// reference map (zeros included).
 			positional := d.CandidateInteractionCounts(uid, neighbors, &s)
 			refCounts := ref.interactionCounts(uid)
 			for i, f := range neighbors {

@@ -436,23 +436,6 @@ func (d *Dataset) CandidateInteractionCounts(u socialgraph.UserID, candidates []
 	return s.counts
 }
 
-// InteractionCounts returns, for each friend/follower f of u, the number of
-// activities f created on u's profile — the ranking signal for the
-// MostActive replica-selection policy (paper §III-B). Only friends with a
-// non-zero count appear. It allocates a map per call; sweep loops should use
-// CandidateInteractionCounts with a reusable scratch instead.
-func (d *Dataset) InteractionCounts(u socialgraph.UserID) map[socialgraph.UserID]int {
-	counts := make(map[socialgraph.UserID]int)
-	neighbors := d.Graph.Neighbors(u)
-	var s CountScratch
-	for i, c := range d.CandidateInteractionCounts(u, neighbors, &s) {
-		if c > 0 {
-			counts[neighbors[i]] = c
-		}
-	}
-	return counts
-}
-
 // secondsCeil returns the smallest whole-second Unix timestamp not before t,
 // so that for any whole-second activity instant a: a >= t ⟺ aUnix >=
 // secondsCeil(t). This keeps the half-open interval accessors exact even for
@@ -492,20 +475,17 @@ func (d *Dataset) ReceivedByBetween(u socialgraph.UserID, from, to time.Time) []
 	return d.gather(d.receivedRange(u, from, to))
 }
 
-// InteractionCountsBetween is InteractionCounts restricted to activities
-// with timestamps in [from, to) — the "pre-defined time frame in the past"
-// the MostActive policy ranks on (§III-B). Like ReceivedByBetween it is
-// half-open; it always returns a non-nil map.
-func (d *Dataset) InteractionCountsBetween(u socialgraph.UserID, from, to time.Time) map[socialgraph.UserID]int {
-	counts := make(map[socialgraph.UserID]int)
+// InteractionCountsBetween is CandidateInteractionCounts over u's neighbors
+// restricted to activities with timestamps in [from, to) — the "pre-defined
+// time frame in the past" the MostActive policy ranks on (§III-B). Like
+// ReceivedByBetween it is half-open. The result is a fresh slice aligned
+// with Graph.Neighbors(u).
+func (d *Dataset) InteractionCountsBetween(u socialgraph.UserID, from, to time.Time) []int {
 	neighbors := d.Graph.Neighbors(u)
-	if len(neighbors) == 0 {
-		return counts
-	}
+	counts := make([]int, len(neighbors))
 	for _, k := range d.receivedRange(u, from, to) {
-		c := d.creator[k]
-		if _, ok := slices.BinarySearch(neighbors, c); ok {
-			counts[c]++
+		if i, ok := slices.BinarySearch(neighbors, d.creator[k]); ok {
+			counts[i]++
 		}
 	}
 	return counts

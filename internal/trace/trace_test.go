@@ -63,9 +63,11 @@ func TestCreatedByReceivedBy(t *testing.T) {
 
 func TestInteractionCounts(t *testing.T) {
 	d := tinyDataset(t)
-	counts := d.InteractionCounts(0)
+	var s CountScratch
+	neighbors := d.Graph.Neighbors(0)
+	counts := countsByID(neighbors, d.CandidateInteractionCounts(0, neighbors, &s))
 	if counts[1] != 2 || counts[2] != 1 {
-		t.Errorf("InteractionCounts(0) = %v, want {1:2, 2:1}", counts)
+		t.Errorf("interaction counts of 0 = %v, want {1:2, 2:1}", counts)
 	}
 	if _, ok := counts[3]; ok {
 		t.Error("non-neighbor must not appear in interaction counts")
