@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -62,21 +63,58 @@ func run() error {
 	}
 	graphPath := *out + "-graph.csv"
 	actPath := *out + "-activities.csv"
-	gf, err := os.Create(graphPath)
+	err = writePair(graphPath, actPath, func(graphW, actW io.Writer) error {
+		return dosn.WriteDataset(ds, graphW, actW)
+	})
 	if err != nil {
-		return err
-	}
-	defer gf.Close()
-	af, err := os.Create(actPath)
-	if err != nil {
-		return err
-	}
-	defer af.Close()
-	if err := dosn.WriteDataset(ds, gf, af); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s and %s\n", graphPath, actPath)
 	fmt.Printf("stats: %s\n", ds.Stats())
+	return nil
+}
+
+// writePair writes the two files of a dataset so that a failed or interrupted
+// run never leaves a truncated file or half a pair under the final names: each
+// goes to path.tmp beside its target, is fsynced and closed with both errors
+// checked, and only when both are complete are they renamed into place. On
+// any error the temp files are removed and whatever the final names held
+// before is untouched.
+func writePair(graphPath, actPath string, write func(graphW, actW io.Writer) error) (err error) {
+	paths := [2]string{graphPath, actPath}
+	var files [2]*os.File
+	defer func() {
+		if err == nil {
+			return
+		}
+		for i, f := range files {
+			if f != nil {
+				f.Close() // no-op after a successful Close
+				os.Remove(paths[i] + ".tmp")
+			}
+		}
+	}()
+	for i, path := range paths {
+		if files[i], err = os.Create(path + ".tmp"); err != nil {
+			return fmt.Errorf("create %s.tmp: %w", path, err)
+		}
+	}
+	if err = write(files[0], files[1]); err != nil {
+		return fmt.Errorf("write %s and %s: %w", graphPath, actPath, err)
+	}
+	for i, f := range files {
+		if err = f.Sync(); err != nil {
+			return fmt.Errorf("sync %s.tmp: %w", paths[i], err)
+		}
+		if err = f.Close(); err != nil {
+			return fmt.Errorf("close %s.tmp: %w", paths[i], err)
+		}
+	}
+	for _, path := range paths {
+		if err = os.Rename(path+".tmp", path); err != nil {
+			return fmt.Errorf("rename %s: %w", path, err)
+		}
+	}
 	return nil
 }
 

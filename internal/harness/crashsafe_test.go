@@ -66,6 +66,8 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 	scenarios := []string{
 		"trace.synthesize=panic(1)",
 		"trace.synthesize=error(1)",
+		"trace.synthesize-pass=panic(1)",
+		"trace.synthesize-pass=error(1)",
 		"harness.schedule-build=panic(3)",
 		"harness.schedule-build=error(3)",
 		"core.sweep-shard=panic(2)",
@@ -151,6 +153,37 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 		if !bytes.Equal(manifestBytes(t, m), manifestBytes(t, cleanRun)) {
 			t.Errorf("%s: retried manifest differs from clean run", scenario)
 		}
+	}
+}
+
+// TestHelperGoroutinePanicBecomesCellError: synthesis fans passes out to
+// goroutines of its own, where no recovery boundary stands between a panic
+// and the end of the process. A panic injected into such a pass must be
+// carried back to the cell's goroutine and end as that cell's error, with the
+// injected site attached — and a retry, the fault spent, must complete with
+// clean-run bytes.
+func TestHelperGoroutinePanicBecomesCellError(t *testing.T) {
+	spec := crashSpec()
+	cleanRun, err := Run(spec, RunOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	withHarnessFaults(t, "trace.synthesize-pass=panic(1)")
+	_, err = Run(spec, RunOptions{Workers: 1, NoPrefetch: true})
+	if err == nil {
+		t.Fatal("armed run completed; the helper-pass failpoint did not fire")
+	}
+	if inj, ok := fault.AsInjected(err); !ok || inj.Site != "trace.synthesize-pass" {
+		t.Fatalf("cell error lost the injected site: %v", err)
+	}
+
+	withHarnessFaults(t, "trace.synthesize-pass=panic(1)")
+	m, err := Run(spec, RunOptions{Workers: 2, MaxRetries: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatalf("retry did not absorb a one-shot helper-pass panic: %v", err)
+	}
+	if !bytes.Equal(manifestBytes(t, m), manifestBytes(t, cleanRun)) {
+		t.Error("retried manifest differs from clean run")
 	}
 }
 

@@ -3,6 +3,7 @@ package socialgraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -135,5 +136,74 @@ func TestBuilderGrowKeepsSemantics(t *testing.T) {
 		if !reflect.DeepEqual(ga.Neighbors(u), gb.Neighbors(u)) || !reflect.DeepEqual(ga.Followees(u), gb.Followees(u)) {
 			t.Fatalf("user %d differs between grown and ungrown builders", u)
 		}
+	}
+}
+
+// TestQuickInducedMonotoneMatchesBuilder: for ascending users the direct
+// arena construction and the Builder construction are the same graph — same
+// rows in both directions, nil rows for users left isolated, same memory
+// estimate — for both kinds; and InducedSubgraph takes the direct one exactly
+// when its input is ascending, skipping duplicates and out-of-range IDs as
+// before.
+func TestQuickInducedMonotoneMatchesBuilder(t *testing.T) {
+	sawIsolated := false
+	prop := func(e edgeBatch, pick uint64) bool {
+		b := NewBuilder(e.kind, e.n)
+		for i := range e.u {
+			b.AddEdge(e.u[i], e.v[i])
+		}
+		g := b.Build()
+		// An ascending subset chosen by pick's bits, salted with entries
+		// InducedSubgraph must skip.
+		users := []UserID{-1}
+		for u := 0; u < e.n; u++ {
+			if pick>>(u%64)&1 == 1 {
+				users = append(users, UserID(u), UserID(u))
+			}
+		}
+		users = append(users, UserID(e.n))
+
+		got, orig := g.InducedSubgraph(users)
+		keep := make([]UserID, e.n)
+		for i := range keep {
+			keep[i] = -1
+		}
+		for i, u := range orig {
+			keep[u] = UserID(i)
+		}
+		want := g.inducedByBuilder(orig, keep)
+		if !reflect.DeepEqual(got, want) || got.MemoryBytes() != want.MemoryBytes() {
+			t.Logf("kind %v users %v:\n direct  %+v\n builder %+v", e.kind, users, got, want)
+			return false
+		}
+		for u := range orig {
+			if got.out[u] == nil {
+				sawIsolated = true
+			}
+		}
+		// Any other order goes through the Builder and renames accordingly.
+		if len(orig) > 1 {
+			rev := slices.Clone(orig)
+			slices.Reverse(rev)
+			sub, back := g.InducedSubgraph(rev)
+			for i, u := range back {
+				for _, v := range sub.Neighbors(UserID(i)) {
+					if !g.HasEdge(u, back[v]) {
+						t.Logf("reversed subgraph has edge %d-%d absent from the graph", u, back[v])
+						return false
+					}
+				}
+			}
+			if sub.NumEdges() != got.NumEdges() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if !sawIsolated {
+		t.Error("no case left a kept user isolated; the nil-row convention went unchecked")
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"dosn/internal/fault"
 )
 
 // UserID identifies a user; IDs are dense indices in [0, NumUsers).
@@ -91,16 +93,27 @@ func (b *Builder) AddEdge(u, v UserID) {
 func (b *Builder) Build() *Graph {
 	g := &Graph{kind: b.kind}
 	g.out = adjacencyViews(b.n, b.src, b.dst, b.kind == Undirected, false)
+	canonicalize(g.out)
 	if b.kind == Directed {
 		g.in = adjacencyViews(b.n, b.src, b.dst, false, true)
-	}
-	for u := range g.out {
-		g.out[u] = dedupSorted(g.out[u])
-	}
-	for u := range g.in {
-		g.in[u] = dedupSorted(g.in[u])
+		canonicalize(g.in)
 	}
 	return g
+}
+
+// canonicalize sorts and deduplicates every row in place, the two halves of
+// the row range concurrently: a row is touched by exactly one half, so the
+// result cannot depend on the overlap.
+func canonicalize(rows [][]UserID) {
+	half := func(rows [][]UserID) func() {
+		return func() {
+			for u := range rows {
+				rows[u] = dedupSorted(rows[u])
+			}
+		}
+	}
+	mid := len(rows) / 2
+	fault.Parallel(half(rows[:mid]), half(rows[mid:]))
 }
 
 // adjacencyViews bins the edge list into per-node slices backed by a single
@@ -346,6 +359,27 @@ func (g *Graph) InducedSubgraph(users []UserID) (*Graph, []UserID) {
 		keep[u] = UserID(len(orig))
 		orig = append(orig, u)
 	}
+	if slices.IsSorted(orig) {
+		return g.inducedMonotone(orig, keep), orig
+	}
+	return g.inducedByBuilder(orig, keep), orig
+}
+
+// inducedMonotone is the induced subgraph for ascending orig (the activity
+// filter's case). The remap is then monotone, so a kept row filtered in
+// place is already sorted and duplicate-free: the arena rows are built
+// directly, with no edge arrays and no per-row re-sort.
+func (g *Graph) inducedMonotone(orig, keep []UserID) *Graph {
+	sub := &Graph{kind: g.Kind(), out: filterRows(g.out, orig, keep)}
+	if sub.kind == Directed {
+		sub.in = filterRows(g.in, orig, keep)
+	}
+	return sub
+}
+
+// inducedByBuilder is the induced subgraph for users in any order: the
+// surviving edges go through a Builder, which re-sorts every row.
+func (g *Graph) inducedByBuilder(orig, keep []UserID) *Graph {
 	b := NewBuilder(g.Kind(), len(orig))
 	// Count the surviving edges first so the builder's edge arrays are
 	// allocated once at exact size.
@@ -369,7 +403,38 @@ func (g *Graph) InducedSubgraph(users []UserID) (*Graph, []UserID) {
 			}
 		}
 	}
-	return b.Build(), orig
+	return b.Build()
+}
+
+// filterRows builds one direction of an induced subgraph under a monotone
+// remap: new row i is rows[orig[i]] restricted to kept users and renamed
+// through keep. One counting pass sizes the arena exactly; rows left empty
+// stay nil, as Build leaves them.
+func filterRows(rows [][]UserID, orig, keep []UserID) [][]UserID {
+	total := 0
+	for _, u := range orig {
+		for _, v := range rows[u] {
+			if keep[v] >= 0 {
+				total++
+			}
+		}
+	}
+	arena := make([]UserID, total)
+	out := make([][]UserID, len(orig))
+	w := 0
+	for i, u := range orig {
+		lo := w
+		for _, v := range rows[u] {
+			if nv := keep[v]; nv >= 0 {
+				arena[w] = nv
+				w++
+			}
+		}
+		if w > lo {
+			out[i] = arena[lo:w:w]
+		}
+	}
+	return out
 }
 
 // WriteEdges writes the graph as "src,dst" CSV lines preceded by a header

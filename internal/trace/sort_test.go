@@ -65,6 +65,41 @@ func refSortColumns(g testRows) (creator, receiver []socialgraph.UserID, atUnix 
 	return creator, receiver, atUnix
 }
 
+// dayKeyed buffers the batch the way the row loop hands it to the counting
+// scatter: one-row creator runs (creator i made row i), receivers, and the
+// (day, second-of-day) key with per-day counts.
+func (g testRows) dayKeyed(days int) *genRows {
+	n := len(g.atUnix)
+	r := &genRows{
+		runs:      make([]int32, n),
+		receiver:  append([]socialgraph.UserID{}, g.receiver...),
+		day:       make([]uint8, n),
+		second:    make([]int32, n),
+		dayCounts: make([]int32, days),
+	}
+	for i, ts := range g.atUnix {
+		off := ts - Epoch.Unix()
+		r.runs[i] = 1
+		r.day[i], r.second[i] = uint8(off/daySeconds), int32(off%daySeconds)
+		r.dayCounts[off/daySeconds]++
+	}
+	return r
+}
+
+// sameColumns reports whether the scatter's output equals the reference
+// ordering, including the minute-of-day column it derives on the way.
+func sameColumns(d *Dataset, wc, wr []socialgraph.UserID, wa []int64) bool {
+	if len(d.minOfDay) != len(d.atUnix) {
+		return false
+	}
+	for i, ts := range d.atUnix {
+		if int(d.minOfDay[i]) != minuteOfDayUnix(ts) {
+			return false
+		}
+	}
+	return reflect.DeepEqual(d.creator, wc) && reflect.DeepEqual(d.receiver, wr) && reflect.DeepEqual(d.atUnix, wa)
+}
+
 // TestQuickScatterSortMatchesStableSort: both orderings — the counting
 // scatter (dense large-scale syntheses) and Reindex's stable permutation
 // sort (the sparse fallback) — reproduce the stable reference exactly, ties
@@ -77,15 +112,9 @@ func TestQuickScatterSortMatchesStableSort(t *testing.T) {
 
 		// Counting path: per-day row counts + two-round day scatter.
 		days := int((g.span + daySeconds - 1) / daySeconds)
-		dayCounts := make([]int32, days)
-		for _, ts := range g.atUnix {
-			dayCounts[(ts-Epoch.Unix())/daySeconds]++
-		}
-		creator := append([]socialgraph.UserID{}, g.creator...)
-		receiver := append([]socialgraph.UserID{}, g.receiver...)
-		atUnix := append([]int64{}, g.atUnix...)
-		scatterSortColumnsByDay(dayCounts, Epoch.Unix(), &creator, &receiver, &atUnix)
-		if !reflect.DeepEqual(creator, wc) || !reflect.DeepEqual(receiver, wr) || !reflect.DeepEqual(atUnix, wa) {
+		var sorted Dataset
+		g.dayKeyed(days).scatterSortByDay(&sorted, Epoch.Unix())
+		if !sameColumns(&sorted, wc, wr, wa) {
 			t.Logf("n=%d: counting scatter ordered differently from the stable reference", n)
 			return false
 		}
@@ -131,12 +160,11 @@ func TestUseCountingSortHeuristic(t *testing.T) {
 // TestScatterSortColumnsEmpty covers the zero-row edge (a config whose users
 // all have zero activities).
 func TestScatterSortColumnsEmpty(t *testing.T) {
-	var creator, receiver []socialgraph.UserID
-	var atUnix []int64
-	scatterSortColumnsByDay(make([]int32, 30), Epoch.Unix(), &creator, &receiver, &atUnix)
-	if len(creator) != 0 || len(receiver) != 0 || len(atUnix) != 0 {
-		t.Errorf("scatter of empty columns produced %d/%d/%d rows, want 0",
-			len(creator), len(receiver), len(atUnix))
+	var d Dataset
+	testRows{}.dayKeyed(30).scatterSortByDay(&d, Epoch.Unix())
+	if len(d.creator) != 0 || len(d.receiver) != 0 || len(d.atUnix) != 0 || len(d.minOfDay) != 0 {
+		t.Errorf("scatter of empty columns produced %d/%d/%d/%d rows, want 0",
+			len(d.creator), len(d.receiver), len(d.atUnix), len(d.minOfDay))
 	}
 }
 
@@ -166,16 +194,10 @@ func TestScatterSortDayBoundaries(t *testing.T) {
 	}
 	wc, wr, wa := refSortColumns(g)
 
-	dayCounts := make([]int32, 3)
-	for _, ts := range at {
-		dayCounts[(ts-epoch)/daySeconds]++
-	}
-	creator := append([]socialgraph.UserID{}, g.creator...)
-	receiver := append([]socialgraph.UserID{}, g.receiver...)
-	atUnix := append([]int64{}, g.atUnix...)
-	scatterSortColumnsByDay(dayCounts, epoch, &creator, &receiver, &atUnix)
-	if !reflect.DeepEqual(creator, wc) || !reflect.DeepEqual(receiver, wr) || !reflect.DeepEqual(atUnix, wa) {
-		t.Errorf("boundary scatter:\n got %v %v %v\nwant %v %v %v", creator, receiver, atUnix, wc, wr, wa)
+	var d Dataset
+	g.dayKeyed(3).scatterSortByDay(&d, epoch)
+	if !sameColumns(&d, wc, wr, wa) {
+		t.Errorf("boundary scatter:\n got %v %v %v\nwant %v %v %v", d.creator, d.receiver, d.atUnix, wc, wr, wa)
 	}
 }
 

@@ -16,15 +16,22 @@ import (
 // Execution-only telemetry; see internal/obs. Synthesis is timed, never
 // time-dependent: the timer reading flows out to reports only.
 var (
-	obsDatasets   = obs.C("trace.datasets_synthesized")
-	obsActivities = obs.C("trace.activities_generated")
-	obsSynthTimer = obs.T("trace.synthesize")
+	obsDatasets       = obs.C("trace.datasets_synthesized")
+	obsActivities     = obs.C("trace.activities_generated") // rows drawn, before the filter
+	obsActivitiesKept = obs.C("trace.activities_kept")
+	obsUsersKept      = obs.C("trace.users_kept")
+	obsSynthTimer     = obs.T("trace.synthesize")
 )
 
 // faultSynthesize sits at the head of dataset synthesis — the largest
 // single allocation in a matrix run — so chaos tests can model OOM-like
 // failures at the point a cell first touches bulk memory.
 var faultSynthesize = fault.NewSite("trace.synthesize")
+
+// faultSynthesizePass sits in the pass that runs beside the row loop, on a
+// goroutine of its own, so chaos tests can prove that a failure off the
+// calling goroutine still ends as the cell's error.
+var faultSynthesizePass = fault.NewSite("trace.synthesize-pass")
 
 // Paper-reported sizes of the filtered traces; used by the "paper" scale.
 const (
@@ -150,20 +157,28 @@ func (c SynthConfig) Validate() error {
 // Synthesize generates a dataset from the configuration. Generation is
 // deterministic for a given config.
 func Synthesize(cfg SynthConfig) (*Dataset, error) {
-	d, err := synthesizeColumns(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.Reindex()
-	return d, nil
+	return synthesize(cfg, 0)
 }
 
-// synthesizeColumns is Synthesize without the final index build: the
-// returned dataset has its columns in stable timestamp order but no CSR
-// indexes or derived columns. Callers that immediately filter the dataset
-// (SynthesizeCalibrated) go through this entry so the pre-filter indexes —
-// which the filter's own Reindex would discard wholesale — are never built.
-func synthesizeColumns(cfg SynthConfig) (*Dataset, error) {
+// synthesize is the one generator: it draws the whole population and keeps
+// the users who create at least minActivity activities (everyone when
+// minActivity <= 0). The result equals the unfiltered dataset followed by
+// FilterMinActivity(minActivity) byte for byte — pinned by
+// TestQuickFusedSynthesisMatchesFilter — without ever holding the rows the
+// filter would drop.
+//
+// The filter decision needs no row: a user creates counts[u] activities if
+// he has anyone to address and none otherwise, and counts is drawn before
+// the first activity. The row loop still makes every draw of every row —
+// the RNG stream is the contract the golden snapshots pin — but stores only
+// rows whose creator and receiver both survive, already renamed. Sorting and
+// indexing then run on survivors only; a stable sort commutes with a filter,
+// so the order is the one the two-step path reaches.
+//
+// Passes that share no output overlap through fault.Parallel: the induced
+// subgraph beside the row loop, the column scatters beside each other, the
+// index builds beside each other. No byte depends on the overlap.
+func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,75 +207,131 @@ func synthesizeColumns(cfg SynthConfig) (*Dataset, error) {
 
 	counts := lognormalInts(rng, cfg.Users, cfg.MeanActivities, cfg.SigmaActivities, 0, 100000)
 
-	// Exact row total before any column is allocated. activityTargets
-	// depends only on the graph and counts are already drawn, so the total
-	// consumes no RNG — generation below can stream each user's rows
-	// straight into columns pre-sized at their final length, with no
-	// whole-population row buffer in between. This is also where the int32
+	// Exact number of rows drawn, before any column is allocated:
+	// activityTargets depends only on the graph and counts are already
+	// drawn, so the total consumes no RNG. This is also where the int32
 	// index guard fires: past MaxActivities the CSR build and the sort
 	// permutation would silently wrap.
 	total := 0
-	for u := 0; u < cfg.Users; u++ {
-		if len(activityTargets(g, socialgraph.UserID(u))) > 0 {
-			total += counts[u]
+	for u := range counts {
+		if len(activityTargets(g, socialgraph.UserID(u))) == 0 {
+			counts[u] = 0 // nobody to address: the user creates nothing
 		}
+		total += counts[u]
 	}
 	if err := checkActivityCount(cfg.Name, total); err != nil {
 		return nil, err
 	}
 
-	d := &Dataset{Name: cfg.Name, Graph: g}
-	epochUnix := Epoch.Unix()
-	span := int64(cfg.Days) * 24 * 3600
-	// Generation order is user-ID order (the RNG contract every golden
-	// snapshot pins); the columns are then brought into stable timestamp
-	// order either by the counting scatter below (dense, large-scale
-	// syntheses; bounded scratch of one column at a time) or by Reindex's
-	// stable permutation sort (sparse horizons). Both are stable on the
-	// timestamp key, so the column bytes are identical whichever path runs —
-	// equal seconds keep generation order, which the CSR build preserves per
-	// user. Pinned by TestQuickScatterSortMatchesStableSort.
-	counting := useCountingSort(total, span)
-	var dayCounts []int32
-	if counting {
-		dayCounts = make([]int32, cfg.Days)
-	}
-	creator := make([]socialgraph.UserID, total)
-	receiver := make([]socialgraph.UserID, total)
-	atUnix := make([]int64, total)
-	zipf := newZipfSampler(cfg.AffinityZipfS)
-	var permScratch []int
-	pos := 0
-	for u := 0; u < cfg.Users; u++ {
-		targets := activityTargets(g, socialgraph.UserID(u))
-		if len(targets) == 0 {
-			continue
-		}
-		// Each user has his own stable favorite order; without the shuffle
-		// the Zipf skew would systematically favor low user IDs (friend
-		// lists are ID-sorted) and bias the MostActive policy globally.
-		perm := permInto(rng, len(targets), &permScratch)
-		for i := 0; i < counts[u]; i++ {
-			recv := targets[perm[zipf.rank(rng, len(targets))]]
-			minute := sampleMinute(rng, homes[u], cfg)
-			day := rng.Intn(cfg.Days)
-			at := epochUnix + int64(day)*24*3600 + int64(minute)*60 + int64(rng.Intn(60))
-			creator[pos], receiver[pos], atUnix[pos] = socialgraph.UserID(u), recv, at
-			if counting {
-				dayCounts[day]++
+	// The kept users, ascending, and remap[old] = new ID or -1. A nil remap
+	// keeps everyone under his own ID. bound is the number of rows whose
+	// creator survives — all the generation buffers can ever hold; how many
+	// of those also keep their receiver is known only once they are drawn.
+	var kept, remap []socialgraph.UserID
+	users, bound := cfg.Users, total
+	if minActivity > 0 {
+		remap = make([]socialgraph.UserID, cfg.Users)
+		bound = 0
+		for u, c := range counts {
+			remap[u] = -1
+			if c >= minActivity {
+				remap[u] = socialgraph.UserID(len(kept))
+				kept = append(kept, socialgraph.UserID(u))
+				bound += c
 			}
-			pos++
 		}
+		users = len(kept)
 	}
+
+	epochUnix := Epoch.Unix()
+	span := int64(cfg.Days) * daySeconds
+	// Generation order is user-ID order (the RNG contract every golden
+	// snapshot pins); the rows are then brought into stable timestamp order
+	// either by the counting scatter (dense, large-scale syntheses) or by
+	// Reindex's stable permutation sort (sparse horizons). Both are stable on
+	// the timestamp key, so the column bytes are identical whichever path
+	// runs — equal seconds keep generation order, which the CSR build
+	// preserves per user. Pinned by TestQuickScatterSortMatchesStableSort.
+	counting := useCountingSort(bound, span)
+	// Rows are buffered in generation order with the creator implied:
+	// runs[u] rows in a row belong to kept user u. The counting path stores
+	// the sort key in the form the scatter consumes (day byte, second of
+	// day); the sparse path, whose horizon may outgrow both, stores the
+	// timestamp.
+	gen := genRows{runs: make([]int32, users), receiver: make([]socialgraph.UserID, bound)}
 	if counting {
-		scatterSortColumnsByDay(dayCounts, epochUnix, &creator, &receiver, &atUnix)
+		gen.day = make([]uint8, bound)
+		gen.second = make([]int32, bound)
+		gen.dayCounts = make([]int32, cfg.Days)
+	} else {
+		gen.atUnix = make([]int64, bound)
 	}
-	d.setColumns(creator, receiver, atUnix)
-	if !counting {
-		d.sortByTimestamp()
+	sub := g
+	pos := 0
+	fault.Parallel(func() {
+		zipf := newZipfSampler(cfg.AffinityZipfS)
+		var permScratch []int
+		for u := 0; u < cfg.Users; u++ {
+			targets := activityTargets(g, socialgraph.UserID(u))
+			if len(targets) == 0 {
+				continue
+			}
+			nu := socialgraph.UserID(u)
+			if remap != nil {
+				nu = remap[u]
+			}
+			// Each user has his own stable favorite order; without the shuffle
+			// the Zipf skew would systematically favor low user IDs (friend
+			// lists are ID-sorted) and bias the MostActive policy globally.
+			perm := permInto(rng, len(targets), &permScratch)
+			first := pos
+			for i := 0; i < counts[u]; i++ {
+				recv := targets[perm[zipf.rank(rng, len(targets))]]
+				minute := sampleMinute(rng, homes[u], cfg)
+				day := rng.Intn(cfg.Days)
+				second := minute*60 + rng.Intn(60)
+				if remap != nil {
+					if recv = remap[recv]; nu < 0 || recv < 0 {
+						continue
+					}
+				}
+				gen.receiver[pos] = recv
+				if counting {
+					//dosn:boundschecked useCountingSort caps the span at 16<<20 s ≈ 194 days, so day < 256; second < 86400
+					gen.day[pos], gen.second[pos] = uint8(day), int32(second)
+					gen.dayCounts[day]++
+				} else {
+					gen.atUnix[pos] = epochUnix + int64(day)*daySeconds + int64(second)
+				}
+				pos++
+			}
+			if nu >= 0 {
+				//dosn:boundschecked pos <= total <= MaxActivities
+				gen.runs[nu] = int32(pos - first)
+			}
+		}
+	}, func() {
+		if err := faultSynthesizePass.InjectSeeded(cfg.Seed); err != nil {
+			panic(err) // a pass returns nothing: either fault form ends as its panic
+		}
+		if remap != nil {
+			sub, _ = g.InducedSubgraph(kept)
+		}
+	})
+	gen.receiver = gen.receiver[:pos] // the other buffers are read up to this length
+
+	d := &Dataset{Name: cfg.Name, Graph: sub}
+	if counting {
+		gen.scatterSortByDay(d, epochUnix)
+		d.buildIndexes(false)
+	} else {
+		d.setColumns(gen.columns())
+		d.Reindex()
 	}
 	obsDatasets.Inc()
 	obsActivities.Add(int64(total))
+	obsActivitiesKept.Add(int64(pos))
+	obsUsersKept.Add(int64(users))
 	return d, nil
 }
 
@@ -281,10 +352,40 @@ func useCountingSort(n int, span int64) bool {
 // generated on: at = epoch + day·daySeconds + second-of-day.
 const daySeconds = 24 * 3600
 
-// columnElem constrains the generic scatter helpers to the two element
-// types a dataset column stores.
-type columnElem interface {
-	socialgraph.UserID | int64
+// genRows buffers synthesized activities in generation order. The buffers
+// are sized by an upper bound; len(receiver) says how many rows they hold.
+// The creator column is implied: the rows come grouped by creator in
+// ascending ID order, runs[u] of them for user u. The sort key is held either
+// as (day, second of day) with the per-day row counts — what scatterSortByDay
+// consumes — or as the plain timestamp, never both.
+type genRows struct {
+	runs     []int32
+	receiver []socialgraph.UserID
+
+	day       []uint8
+	second    []int32
+	dayCounts []int32
+
+	atUnix []int64
+}
+
+// columns expands timestamp-keyed rows into exact-size columns in generation
+// order (the buffers may carry an upper bound's slack, which MemoryBytes
+// would count).
+func (r *genRows) columns() (creator, receiver []socialgraph.UserID, atUnix []int64) {
+	n := len(r.receiver)
+	creator = make([]socialgraph.UserID, n)
+	i := 0
+	for u, run := range r.runs {
+		for end := i + int(run); i < end; i++ {
+			creator[i] = socialgraph.UserID(u)
+		}
+	}
+	receiver = make([]socialgraph.UserID, n)
+	copy(receiver, r.receiver)
+	atUnix = make([]int64, n)
+	copy(atUnix, r.atUnix)
+	return creator, receiver, atUnix
 }
 
 // partitionByDay stably scatters src into dst grouped by day. cur must hold
@@ -293,8 +394,8 @@ type columnElem interface {
 // increment is L1-resident — and each day's region fills front to back, so
 // the writes form one sequential stream per day rather than random stores
 // across a span-sized histogram.
-func partitionByDay[T columnElem](src, dst []T, dayKey []uint8, cur []int32) {
-	for i, d := range dayKey {
+func partitionByDay(src, dst []int32, day []uint8, cur []int32) {
+	for i, d := range day {
 		p := cur[d]
 		cur[d] = p + 1
 		dst[p] = src[i]
@@ -302,21 +403,21 @@ func partitionByDay[T columnElem](src, dst []T, dayKey []uint8, cur []int32) {
 }
 
 // scatterWithinDays finishes one day-partitioned column: a stable counting
-// scatter by second-of-day inside each day's contiguous range, written back
-// into dst. sofd holds each row's second-of-day in partitioned order; hist
-// is a daySeconds-sized scratch reused across days — its 86400 int32
-// buckets stay cache-resident across a whole day's rows, which a per-second
+// scatter by second-of-day inside each day's contiguous range, written into
+// dst. second holds each row's second-of-day in partitioned order. The
+// daySeconds-sized histogram is reused across days — its 86400 int32 buckets
+// stay cache-resident across a whole day's rows, which a per-second
 // full-span histogram cannot.
-func scatterWithinDays[T columnElem](dayCounts, sofd, hist []int32, src, dst []T) {
+func scatterWithinDays(dayCounts, second, src, dst []int32) {
+	hist := make([]int32, daySeconds)
 	lo := int32(0)
 	for _, c := range dayCounts {
 		hi := lo + c
 		if c == 0 {
-			lo = hi
 			continue
 		}
 		clear(hist)
-		for _, k := range sofd[lo:hi] {
+		for _, k := range second[lo:hi] {
 			hist[k]++
 		}
 		pos := lo
@@ -325,7 +426,7 @@ func scatterWithinDays[T columnElem](dayCounts, sofd, hist []int32, src, dst []T
 			pos += cnt
 		}
 		for i := lo; i < hi; i++ {
-			k := sofd[i]
+			k := second[i]
 			p := hist[k]
 			hist[k] = p + 1
 			dst[p] = src[i]
@@ -334,61 +435,97 @@ func scatterWithinDays[T columnElem](dayCounts, sofd, hist []int32, src, dst []T
 	}
 }
 
-// scatterSortColumnsByDay brings generation-order columns into stable
-// timestamp order by a two-round counting scatter keyed on (day,
-// second-of-day). dayCounts must hold, per day of the horizon, the number
-// of rows generated on that day. Round one stably partitions a column by
-// day; round two finishes each day with a stable per-second counting
-// scatter. Stable on day then stable on second-of-day is stable on the full
-// timestamp, so ties keep generation order exactly as a single full-span
-// counting scatter would — the property every golden snapshot pins through
-// the CSR indexes (TestQuickScatterSortMatchesStableSort). Columns move one
-// at a time through two shared scratch columns, timestamps first since they
-// carry the keys, bounding extra memory to one replacement column of each
-// element size plus the two key columns. The counting-sort span cap
-// (16<<20 s ≈ 194 days) keeps every day index in a byte, and int32
-// positions are safe because every construction path guards
-// len(atUnix) <= MaxActivities first.
-func scatterSortColumnsByDay(dayCounts []int32, epochUnix int64, creator, receiver *[]socialgraph.UserID, atUnix *[]int64) {
-	ts := *atUnix
-	n := len(ts)
-
-	dayKey := make([]uint8, n)
-	for i, t := range ts {
-		//dosn:boundschecked useCountingSort caps the span at 16<<20 s ≈ 194 days, so day < 256
-		dayKey[i] = uint8((t - epochUnix) / daySeconds)
+// expandWithinDays writes the timestamp-derived columns of day-partitioned
+// rows in final order. Rows with equal keys carry equal timestamps, so no
+// scatter is needed: each day's second-of-day histogram is expanded front to
+// back into atUnix and its minute-of-day twin.
+func expandWithinDays(dayCounts, second []int32, epochUnix int64, atUnix []int64, minOfDay []uint16) {
+	hist := make([]int32, daySeconds)
+	lo := int32(0)
+	for d, c := range dayCounts {
+		hi := lo + c
+		if c == 0 {
+			continue
+		}
+		clear(hist)
+		for _, k := range second[lo:hi] {
+			hist[k]++
+		}
+		base := epochUnix + int64(d)*daySeconds
+		pos := lo
+		for k, cnt := range hist {
+			for end := pos + cnt; pos < end; pos++ {
+				atUnix[pos] = base + int64(k)
+				//dosn:boundschecked k < 86400, so the minute is < 1440
+				minOfDay[pos] = uint16(k / 60)
+			}
+		}
+		lo = hi
 	}
-	cur := make([]int32, len(dayCounts))
-	resetDays := func() {
+}
+
+// scatterSortByDay brings day-keyed generation-order rows into stable
+// timestamp order and stores them in d as final, exact-size columns
+// (creator, receiver, atUnix, minOfDay), consuming the buffer. It is a
+// two-round counting scatter keyed on (day, second-of-day): round one stably
+// partitions a column by day; round two finishes each day with a stable
+// per-second counting scatter. Stable on day then stable on second-of-day is
+// stable on the full timestamp, so ties keep generation order exactly as a
+// single full-span counting scatter would — the property every golden
+// snapshot pins through the CSR indexes
+// (TestQuickScatterSortMatchesStableSort).
+//
+// The key column goes first; once it is partitioned the three outputs share
+// nothing and run side by side: timestamps (with minOfDay), creators — fed
+// straight from the per-user runs — and receivers. The counting-sort span
+// cap (16<<20 s ≈ 194 days) keeps every day index in a byte, and int32
+// positions are safe because every construction path guards the row count
+// against MaxActivities first.
+//
+// The two scratch columns allocated here are spent when the scatter returns
+// and have exactly the length and element type of the CSR index columns, so
+// they are left in d.createdIdx and d.receivedIdx as the backing arrays
+// buildIndexes overwrites.
+func (r *genRows) scatterSortByDay(d *Dataset, epochUnix int64) {
+	n := len(r.receiver)
+	day := r.day[:n]
+	// cursors returns a fresh write cursor per day: the prefix sums of
+	// dayCounts. Every partition pass consumes its own.
+	cursors := func() []int32 {
+		cur := make([]int32, len(r.dayCounts))
 		pos := int32(0)
-		for d, c := range dayCounts {
+		for d, c := range r.dayCounts {
 			cur[d] = pos
 			pos += c
 		}
+		return cur
 	}
+	second := make([]int32, n)
+	partitionByDay(r.second, second, day, cursors())
+	receiverByDay := make([]socialgraph.UserID, n)
 
-	// Timestamps first: their partitioned order defines the second-of-day
-	// key column that the other columns replay.
-	resetDays()
-	t2 := make([]int64, n)
-	partitionByDay(ts, t2, dayKey, cur)
-	sofd := make([]int32, n)
-	for i, t := range t2 {
-		//dosn:boundschecked x % daySeconds is < 86400 for the non-negative synthetic offsets
-		sofd[i] = int32((t - epochUnix) % daySeconds)
-	}
-	hist := make([]int32, daySeconds)
-	scatterWithinDays(dayCounts, sofd, hist, t2, ts)
-	t2 = nil // partitioned timestamp copy is now collectible
-
-	u2 := make([]socialgraph.UserID, n)
-	resetDays()
-	partitionByDay(*creator, u2, dayKey, cur)
-	scatterWithinDays(dayCounts, sofd, hist, u2, *creator)
-
-	resetDays()
-	partitionByDay(*receiver, u2, dayKey, cur)
-	scatterWithinDays(dayCounts, sofd, hist, u2, *receiver)
+	// Each pass allocates its own output, so the zeroing overlaps too.
+	fault.Parallel(func() {
+		byDay := r.second // dead now that the keys are partitioned: the creators' scratch
+		cur := cursors()
+		i := 0
+		for u, run := range r.runs {
+			for end := i + int(run); i < end; i++ {
+				byDay[cur[day[i]]] = socialgraph.UserID(u)
+				cur[day[i]]++
+			}
+		}
+		d.creator = make([]socialgraph.UserID, n)
+		scatterWithinDays(r.dayCounts, second, byDay, d.creator)
+	}, func() {
+		partitionByDay(r.receiver, receiverByDay, day, cursors())
+		d.receiver = make([]socialgraph.UserID, n)
+		scatterWithinDays(r.dayCounts, second, receiverByDay, d.receiver)
+	}, func() {
+		d.atUnix, d.minOfDay = make([]int64, n), make([]uint16, n)
+		expandWithinDays(r.dayCounts, second, epochUnix, d.atUnix, d.minOfDay)
+	})
+	d.createdIdx, d.receivedIdx = second[:0], receiverByDay[:0]
 }
 
 // permInto is rand.Perm writing into a reusable scratch buffer: the same
@@ -634,19 +771,9 @@ func SynthesizeCalibrated(name string, users int, seed int64, minActivity int) (
 	if minActivity == 0 {
 		minActivity = PaperMinActivity
 	}
-	if minActivity <= 0 {
-		d, err := Synthesize(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("trace: synthesize %s: %w", name, err)
-		}
-		return d, nil
-	}
-	// The filter rebuilds every index on the filtered columns, so the
-	// pre-filter dataset is synthesized without indexes: same columns, same
-	// filtered result, one CSR build instead of two.
-	d, err := synthesizeColumns(cfg)
+	d, err := synthesize(cfg, minActivity)
 	if err != nil {
 		return nil, fmt.Errorf("trace: synthesize %s: %w", name, err)
 	}
-	return d.FilterMinActivity(minActivity), nil
+	return d, nil
 }

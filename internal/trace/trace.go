@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"dosn/internal/fault"
 	"dosn/internal/socialgraph"
 )
 
@@ -188,7 +189,8 @@ func (d *Dataset) appendColumns(creator, receiver socialgraph.UserID, atUnix int
 
 // setColumns replaces the trace with fully built columns (index-aligned,
 // owned by the dataset afterwards). It is the bulk-construction entry the
-// synthesizer and the activity filter use to avoid per-row append growth.
+// synthesizer's sparse path and the activity filter use to avoid per-row
+// append growth.
 func (d *Dataset) setColumns(creator, receiver []socialgraph.UserID, atUnix []int64) {
 	d.creator, d.receiver, d.atUnix = creator, receiver, atUnix
 	d.invalidate()
@@ -206,8 +208,8 @@ func (d *Dataset) invalidate() {
 // order within equal seconds) and (re)builds the per-user CSR indexes in one
 // counting-sort pass per direction. It must be called after constructing or
 // mutating a Dataset by hand; the synthesizers and Read do it automatically.
-// Columns already in timestamp order — the synthesizers emit them that way —
-// skip the sort entirely after one O(n) check.
+// Columns already in timestamp order — the activity filter emits them that
+// way — skip the sort entirely after one O(n) check.
 //
 // Reindex panics with ErrTooManyActivities past MaxActivities rows: the CSR
 // indexes are int32 and would otherwise wrap silently. The error-returning
@@ -219,15 +221,36 @@ func (d *Dataset) Reindex() {
 		panic(err)
 	}
 	d.sortByTimestamp()
+	d.buildIndexes(true)
+}
+
+// buildIndexes (re)builds the two CSR directions over columns already in
+// timestamp order and, when asked, the minOfDay column (the counting
+// synthesis path writes that one itself, straight from its sort keys). The
+// builds read the columns and write disjoint outputs, so they run side by
+// side.
+func (d *Dataset) buildIndexes(minOfDay bool) {
 	n := d.Graph.NumUsers()
-	d.createdOff, d.createdIdx = buildCSR(d.creator, n, d.createdOff, d.createdIdx)
-	d.receivedOff, d.receivedIdx = buildCSR(d.receiver, n, d.receivedOff, d.receivedIdx)
+	passes := []func(){
+		func() { d.createdOff, d.createdIdx = buildCSR(d.creator, n, d.createdOff, d.createdIdx) },
+		func() { d.receivedOff, d.receivedIdx = buildCSR(d.receiver, n, d.receivedOff, d.receivedIdx) },
+	}
+	if minOfDay {
+		passes = append(passes, d.fillMinOfDay)
+	}
+	fault.Parallel(passes...)
+}
+
+// fillMinOfDay derives the minOfDay column from atUnix, reusing its backing
+// array when large enough.
+func (d *Dataset) fillMinOfDay() {
 	if cap(d.minOfDay) >= len(d.atUnix) {
 		d.minOfDay = d.minOfDay[:len(d.atUnix)]
 	} else {
 		d.minOfDay = make([]uint16, len(d.atUnix))
 	}
 	for i, sec := range d.atUnix {
+		//dosn:boundschecked minuteOfDayUnix returns a minute in [0, 1440)
 		d.minOfDay[i] = uint16(minuteOfDayUnix(sec))
 	}
 }
@@ -507,8 +530,14 @@ func (d *Dataset) TimeBounds() (from, to time.Time, ok bool) {
 // with the graph reduced to the induced subgraph on kept users, user IDs
 // remapped densely, and activities between dropped users removed. Created
 // counts come from one pass over the creator column rather than the CSR
-// index, so the filter also accepts a dataset whose indexes were never
-// built — the synthesis fast path that skips the pre-filter Reindex.
+// index, so the filter also accepts a hand-built dataset whose indexes were
+// never built.
+//
+// This is the filter for datasets that arrive whole — read from files or
+// built by hand. Calibrated synthesis knows the threshold before it draws a
+// row and never materializes what this would drop (see synthesize); the two
+// agree byte for byte, which is what TestQuickFusedSynthesisMatchesFilter
+// uses this method for.
 func (d *Dataset) FilterMinActivity(min int) *Dataset {
 	counts := make([]int32, d.NumUsers())
 	for _, u := range d.creator {
