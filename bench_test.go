@@ -810,19 +810,13 @@ func BenchmarkMatrixLarge(b *testing.B) {
 	})
 }
 
-// hugeShardSize is the sweep shard budget of the huge-tier benchmarks: the
-// streaming reducer holds at most ~this many users' chunk grids alive, and
-// the figure doubles as the -shard-size a huge CLI run would pass.
-const hugeShardSize = 1 << 17
-
 // BenchmarkMatrixHuge is the million-user tier: one 1M-user facebook cell
-// end to end through the sharded pipeline — streaming synthesis into exactly
-// pre-sized columns, shard-granular schedule build, and the streaming shard
-// sweep (ShardSize) bounding live reduction state. Besides ns/cell it
-// records bytes_per_user, the columnar footprint per synthesized user, which
-// benchguard pins against the large tier (the huge row must stay within the
-// ~1.6 KB/user budget the README documents). Skipped under -short:
-// BenchmarkMatrixHugeSmoke exercises the same sharded path at CI scale.
+// end to end — streaming synthesis into exactly pre-sized columns,
+// shard-granular schedule build, and the sweep over the degree-10 users.
+// Besides ns/cell it records bytes_per_user, the columnar footprint per
+// synthesized user, which benchguard pins against the large tier (the huge
+// row must stay within the ~1.6 KB/user budget the README documents).
+// Skipped under -short: BenchmarkMatrixHugeSmoke is the CI-scale stand-in.
 func BenchmarkMatrixHuge(b *testing.B) {
 	if testing.Short() {
 		b.Skip("huge scale (1M users/dataset) skipped in -short mode")
@@ -844,7 +838,7 @@ func BenchmarkMatrixHuge(b *testing.B) {
 	stats := ds.Stats()
 	bytesPerUser := float64(stats.Bytes) / float64(stats.Users)
 	// Drop the stats dataset before timing so the measured run holds only
-	// the harness's own copy (the peak the shard budget is about).
+	// the harness's own copy.
 	ds = nil
 	runtime.GC()
 	var m *harness.RunManifest
@@ -852,7 +846,7 @@ func BenchmarkMatrixHuge(b *testing.B) {
 	meter := startAllocMeter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err = harness.Run(spec, harness.RunOptions{ShardSize: hugeShardSize})
+		m, err = harness.Run(spec, harness.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -864,7 +858,6 @@ func BenchmarkMatrixHuge(b *testing.B) {
 	recordMatrixBench(b, "MatrixHuge", map[string]float64{
 		"cells":          float64(len(m.Cells)),
 		"users_filtered": float64(stats.Users),
-		"shard_size":     float64(hugeShardSize),
 		"ns_per_cell":    nsPerCell,
 		"bytes_per_op":   meter.perOp(b.N),
 		"bytes_per_user": bytesPerUser,
@@ -872,11 +865,10 @@ func BenchmarkMatrixHuge(b *testing.B) {
 }
 
 // BenchmarkMatrixHugeSmoke is the huge tier at CI scale: the same spec shape
-// and the same sharded execution path (a ShardSize far below the population,
-// so the streaming reducer actually streams), but small enough for the -short
-// smoke run. Its per-user metrics are recorded so benchguard can gate the
-// sharded path's cost on every CI build even though the full 1M benchmark
-// only runs on workstations.
+// and execution path as BenchmarkMatrixHuge at 20k users, small enough for
+// the -short smoke run. It is the -short stand-in for the huge tier's
+// per-user bytes: benchguard gates bytes_per_user on every CI build even
+// though the full 1M benchmark only runs on workstations.
 func BenchmarkMatrixHugeSmoke(b *testing.B) {
 	const smokeUsers = 20_000
 	spec := harness.MatrixSpec{
@@ -899,9 +891,7 @@ func BenchmarkMatrixHugeSmoke(b *testing.B) {
 	meter := startAllocMeter()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Shard of 256 users over a 20k population: dozens of real shard
-		// batches per sweep, the streaming path CI is smoking out.
-		m, err = harness.Run(spec, harness.RunOptions{ShardSize: 256})
+		m, err = harness.Run(spec, harness.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

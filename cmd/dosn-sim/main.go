@@ -108,11 +108,10 @@ func run() error {
 const LargeScaleUsers = 100_000
 
 // HugeScaleUsers is the per-dataset user count of the "huge" scale: the
-// million-user tier the ROADMAP's north star names. The sharded synthesis,
-// schedule-build and streaming-sweep paths keep its peak memory bounded by
-// the columnar trace plus the schedule arena (README "Dataset layout &
-// memory"); pair it with `matrix -shard-size` to bound the sweep's live
-// reduction state too.
+// million-user tier the ROADMAP's north star names. The streaming synthesis
+// and the shard-by-shard schedule build keep its peak memory bounded by the
+// columnar trace plus the schedule arena (README "Dataset layout & memory");
+// the sweep touches only the degree-10 users and holds a few MB.
 const HugeScaleUsers = 1_000_000
 
 func scaleUsers(scale string) (fb, tw int, err error) {

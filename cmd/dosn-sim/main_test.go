@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dosn/internal/harness"
@@ -183,5 +186,55 @@ func TestWriteSinkIsCrashSafe(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Name() != "manifest.json" {
 		t.Errorf("directory holds %v, want only manifest.json (no temp left behind)", entries)
+	}
+}
+
+// TestMatrixTelemetryReportsEffectiveWorkers: the report's worker count is
+// the one the harness ran with — NumCPU capped by the cell count — not the
+// raw -workers flag, so a default-flag run is self-describing and an
+// over-asked one is not misreported.
+func TestMatrixTelemetryReportsEffectiveWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		want  int
+	}{
+		{"default flags, two cells", []string{"-modes", "conrep,unconrep"}, min(runtime.NumCPU(), 2)},
+		{"-workers above the cell count", []string{"-modes", "conrep", "-workers", "2"}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			report := filepath.Join(dir, "telemetry.json")
+			args := append([]string{
+				"-datasets", "facebook", "-models", "sporadic", "-max-degree", "3", "-repeats", "1", "-q",
+				"-json", filepath.Join(dir, "manifest.json"), "-telemetry", report,
+			}, tc.extra...)
+			if err := runMatrix(args); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct {
+				Workers int `json:"workers"`
+			}
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Workers != tc.want {
+				t.Errorf("report workers = %d, want %d", rep.Workers, tc.want)
+			}
+		})
+	}
+}
+
+// TestMatrixRejectsRetiredShardSizeFlag: -shard-size is gone, so a stale
+// script fails loudly with the flag package's unknown-flag error (main turns
+// any runMatrix error into a non-zero exit) instead of being ignored.
+func TestMatrixRejectsRetiredShardSizeFlag(t *testing.T) {
+	err := runMatrix([]string{"-shard-size", "1"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shard-size") {
+		t.Fatalf("runMatrix(-shard-size 1) = %v, want the unknown-flag error", err)
 	}
 }

@@ -35,7 +35,6 @@ func runMatrix(args []string) error {
 		repeats    = fs.Int("repeats", 3, "randomized-run repetitions (paper uses 5)")
 		rootSeed   = fs.Int64("seed", 42, "root seed; cell seeds derive from it and the cell coordinates")
 		workers    = fs.Int("workers", 0, "concurrent cells (0 = NumCPU); never affects results")
-		shardSize  = fs.Int("shard-size", 0, "stream each sweep in shards of ~this many users, bounding live reduction memory (0 = all at once); never affects results")
 		jsonOut    = fs.String("json", "", "write the run manifest as JSON to this file ('-' = stdout)")
 		csvOut     = fs.String("csv", "", "write per-(cell,policy,degree) rows as CSV to this file ('-' = stdout)")
 		quiet      = fs.Bool("q", false, "suppress per-cell progress on stderr")
@@ -139,11 +138,8 @@ func runMatrix(args []string) error {
 	}
 
 	start := time.Now()
-	if *shardSize < 0 {
-		return fmt.Errorf("-shard-size must be >= 0, got %d", *shardSize)
-	}
 	opts := harness.RunOptions{
-		Workers: *workers, ShardSize: *shardSize, NoPrefetch: *noPrefetch, Telemetry: collector,
+		Workers: *workers, NoPrefetch: *noPrefetch, Telemetry: collector,
 		MaxRetries: *maxRetries, RetryBackoff: *retryWait, CellTimeout: *cellLimit,
 		CheckpointPath: *checkpoint, Resume: *resume,
 	}
@@ -164,9 +160,7 @@ func runMatrix(args []string) error {
 		return err
 	}
 	if collector != nil {
-		// Resolve the effective knobs the way the harness does, so the
-		// report is self-describing even when the flags were left at 0.
-		rep := collector.Report("dosn-sim matrix -scale "+*scale, *workers, *shardSize)
+		rep := collector.Report("dosn-sim matrix -scale " + *scale)
 		if *telemetry != "" {
 			if err := writeSink(*telemetry, rep.WriteJSON); err != nil {
 				return err

@@ -57,7 +57,7 @@ type (
 	// Dataset joins a social graph with its activity trace. Activities are
 	// stored columnar (struct-of-arrays with CSR per-user indexes; see the
 	// trace package doc): iterate with NumActivities/ActivityAt or the
-	// allocation-free CreatedIdx/ReceivedIdx/ForEachReceived accessors, and
+	// allocation-free CreatedIdx/ReceivedIdx/ReceivedIdxBetween views, and
 	// load rows with SetActivities/AppendActivity + Reindex.
 	Dataset = trace.Dataset
 	// Activity is the row view of one interaction record — the construction

@@ -75,24 +75,20 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 	split := from.Add(time.Duration(float64(to.Sub(from)) * trainFraction))
 
 	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 21))), 1).Bitmaps()
-	degree, ok := ds.Graph.ModalDegree(5)
-	if !ok {
-		return nil, ErrNoUsers
-	}
-	users := ds.Graph.UsersWithDegree(degree)
-	if len(users) == 0 {
-		return nil, ErrNoUsers
+	users, err := analysisUsers(ds.Graph, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	var hist, oracle, random stats.Welford
 	for i, u := range users {
-		evalActs := ds.ReceivedByBetween(u, split, to)
-		if len(evalActs) == 0 {
+		evalIdx := ds.ReceivedIdxBetween(u, split, to)
+		if len(evalIdx) == 0 {
 			continue
 		}
-		evalMinutes := make([]int, len(evalActs))
-		for j, a := range evalActs {
-			evalMinutes[j] = a.MinuteOfDay()
+		evalMinutes := make([]int, len(evalIdx))
+		for j, k := range evalIdx {
+			evalMinutes[j] = ds.MinuteOfDayAt(int(k))
 		}
 		evaluate := func(counts []int, p replica.Policy, w *stats.Welford, salt int64) {
 			in := replica.Input{
@@ -149,13 +145,9 @@ func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed 
 		repeats = 3
 	}
 	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 31))), 1).Bitmaps()
-	degree, ok := ds.Graph.ModalDegree(5)
-	if !ok {
-		return nil, ErrNoUsers
-	}
-	users := ds.Graph.UsersWithDegree(degree)
-	if len(users) == 0 {
-		return nil, ErrNoUsers
+	users, err := analysisUsers(ds.Graph, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	rows := make([]ChurnRow, 0, 3)

@@ -101,6 +101,12 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		return nil, err
 	}
 	ds := cfg.Dataset
+	// One analysis population for every row: the sweeps average over it and
+	// the DHT rows route one lookup per (owner, friend) pair of it.
+	owners, err := analysisUsers(ds.Graph, cfg.UserDegree)
+	if err != nil {
+		return nil, err
+	}
 
 	var ring *dht.Ring
 	for _, a := range cfg.Architectures {
@@ -130,50 +136,40 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		}
 		policies := arch.Policies()
 		sweep, err := Run(Config{
-			Dataset:    ds,
-			Model:      cfg.Model,
-			Mode:       cfg.Mode,
-			Policies:   policies,
-			MaxDegree:  cfg.MaxDegree,
-			UserDegree: cfg.UserDegree,
-			Repeats:    cfg.Repeats,
-			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
-			Schedules:  tables,
+			Dataset:   ds,
+			Model:     cfg.Model,
+			Mode:      cfg.Mode,
+			Policies:  policies,
+			MaxDegree: cfg.MaxDegree,
+			Users:     owners,
+			Repeats:   cfg.Repeats,
+			Seed:      cfg.Seed,
+			Workers:   cfg.Workers,
+			Schedules: tables,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("architecture %s: %w", name, err)
 		}
 		row := ArchRow{Architecture: name, Sweep: sweep}
-		row.LoadMean, row.LoadMax, row.LoadCV, row.LoadGini = archHostLoad(cfg, policies[0], tables[0])
+		// Storage load: the architecture's primary policy over the first
+		// repetition's schedule table.
+		load := placementLoad(ds, tables[0].Bitmaps(), policies[0], cfg.Mode, cfg.MaxDegree,
+			func(u int) int64 { return mix(cfg.Seed, 41, int64(u)) })
+		row.LoadMean, row.LoadMax, row.LoadCV = metrics.LoadImbalance(load)
+		row.LoadGini = metrics.Gini(load)
 		if name != dht.ArchFriendReplica {
-			row.Lookup = archLookupStats(ring, ds, sweepUsers(cfg, ds))
+			row.Lookup = archLookupStats(ring, ds, owners)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// sweepUsers resolves the analysis population the sweeps average over,
-// mirroring Config.fill's degree selection.
-func sweepUsers(cfg ArchConfig, ds *trace.Dataset) []socialgraph.UserID {
-	deg := cfg.UserDegree
-	if deg <= 0 {
-		d, ok := ds.Graph.ModalDegree(5)
-		if !ok {
-			return nil
-		}
-		deg = d
-	}
-	return ds.Graph.UsersWithDegree(deg)
-}
-
-// archHostLoad places every profile in the dataset with the policy at the
-// full budget (first repetition's schedule table) and summarizes per-host
-// load.
-func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (mean, max, cv, gini float64) {
-	ds := cfg.Dataset
-	bitmaps := table.Bitmaps()
+// placementLoad places every profile in the dataset with the policy at the
+// full budget and returns the per-host replica counts (metrics.HostLoad).
+// Inputs the policy declares it ignores (replica.Traits) are not prepared;
+// seedOf supplies the per-user RNG seed of randomized policies.
+func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Policy, mode replica.Mode, budget int, seedOf func(u int) int64) []int {
 	traits := replica.TraitsOf(p)
 	assignments := make(map[socialgraph.UserID][]socialgraph.UserID, ds.NumUsers())
 	var countScratch trace.CountScratch
@@ -184,8 +180,8 @@ func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (me
 			Owner:      uid,
 			Candidates: ds.Graph.Neighbors(uid),
 			Bitmaps:    bitmaps,
-			Mode:       cfg.Mode,
-			Budget:     cfg.MaxDegree,
+			Mode:       mode,
+			Budget:     budget,
 		}
 		if traits.UsesInteractions {
 			in.CandidateCounts = ds.CandidateInteractionCounts(uid, in.Candidates, &countScratch)
@@ -200,13 +196,11 @@ func archHostLoad(cfg ArchConfig, p replica.Policy, table *onlinetime.Table) (me
 		}
 		var rng *rand.Rand
 		if traits.UsesRNG {
-			rng = rand.New(rand.NewSource(mix(cfg.Seed, 41, int64(u))))
+			rng = rand.New(rand.NewSource(seedOf(u)))
 		}
 		assignments[uid] = p.Select(in, rng)
 	}
-	load := metrics.HostLoad(assignments, ds.NumUsers())
-	mean, max, cv = metrics.LoadImbalance(load)
-	return mean, max, cv, metrics.Gini(load)
+	return metrics.HostLoad(assignments, ds.NumUsers())
 }
 
 // archLookupStats routes one profile lookup per (owner, friend) pair of the

@@ -44,8 +44,9 @@ var (
 )
 
 // Failpoints on the sweep's fragile seams (see internal/fault): disabled
-// they are one atomic load each, armed they let chaos tests kill a shard
-// dispatch, a worker mid-chunk, or a reduce step deterministically.
+// they are one atomic load each, armed they let chaos tests kill the start of
+// a repetition's sweep (core.sweep-shard, before the pool spawns), a worker
+// mid-chunk, or a reduce step deterministically.
 var (
 	faultSweepShard = fault.NewSite("core.sweep-shard")
 	faultSweepChunk = fault.NewSite("core.sweep-chunk")
@@ -114,29 +115,11 @@ type Config struct {
 	// Workers bounds the worker pool; default runtime.NumCPU(). The result
 	// does not depend on the worker count.
 	Workers int
-	// ShardUsers streams the sweep in batches of roughly this many users
-	// (rounded up to whole sweep chunks), bounding live per-chunk grid
-	// memory to one batch instead of the full population. Zero or negative
-	// means one batch of all users. Purely an execution knob: the chunk
-	// partition and the reduction order depend only on the user list, so
-	// the result bits are identical for any ShardUsers value, exactly as
-	// for any Workers value.
-	ShardUsers int
-	// NoPipeline disables the repetition pipeline: by default, when the
-	// sweep must build its own schedule tables (no Schedules entry for the
-	// repetition), the table for repetition r+1 is built concurrently with
-	// the sweep of repetition r, bounded to one table in flight, and grids
-	// are still merged in repetition order. Each repetition's randomness is
-	// an independent stream seeded by (Seed, rep), so the table bytes — and
-	// therefore the results — are bit-identical pipelined or serial; this
-	// knob exists for A/B tests and constrained-memory runs (one extra
-	// table alive during the overlap).
-	NoPipeline bool
 	// Obs, when non-nil, receives execution telemetry for this sweep:
 	// fine-grained phase accumulation (sweep-shards vs reduce), per-chunk
 	// counts, per-worker busy time, and the repetition pipeline's stall
-	// time. Execution-only, exactly like Workers and ShardUsers: a nil or
-	// non-nil Obs never changes the result bits.
+	// time. Execution-only, exactly like Workers: a nil or non-nil Obs never
+	// changes the result bits.
 	Obs *obs.CellObs
 	// Schedules optionally supplies precomputed per-repetition schedule
 	// tables (Schedules[rep], user-indexed arena rows). When set for a
@@ -176,34 +159,37 @@ func (c *Config) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
-	// The repetition pipeline overlaps the next table build with the
-	// current sweep; with no spare core that overlap only interleaves the
-	// two on one CPU while an extra table stays live, so it is gated off.
-	// Execution-only: results are bit-identical pipelined or serial
-	// (pinned by TestRunPipelineBitIdentical).
-	if runtime.NumCPU() == 1 {
-		c.NoPipeline = true
-	}
 	for rep, t := range c.Schedules {
 		if t != nil && t.NumUsers() < c.Dataset.NumUsers() {
 			return fmt.Errorf("core: Schedules[%d] covers %d users, dataset has %d", rep, t.NumUsers(), c.Dataset.NumUsers())
 		}
 	}
 	if len(c.Users) == 0 {
-		deg := c.UserDegree
-		if deg <= 0 {
-			d, ok := c.Dataset.Graph.ModalDegree(5)
-			if !ok {
-				return ErrNoUsers
-			}
-			deg = d
+		users, err := analysisUsers(c.Dataset.Graph, c.UserDegree)
+		if err != nil {
+			return err
 		}
-		c.Users = c.Dataset.Graph.UsersWithDegree(deg)
-		if len(c.Users) == 0 {
-			return fmt.Errorf("%w: degree %d", ErrNoUsers, deg)
-		}
+		c.Users = users
 	}
 	return nil
+}
+
+// analysisUsers resolves the population a sweep or ablation averages over:
+// the users with exactly userDegree friends, or with the modal degree >= 5
+// when userDegree is zero or negative (the paper's degree-10 population).
+func analysisUsers(g *socialgraph.Graph, userDegree int) ([]socialgraph.UserID, error) {
+	if userDegree <= 0 {
+		d, ok := g.ModalDegree(5)
+		if !ok {
+			return nil, ErrNoUsers
+		}
+		userDegree = d
+	}
+	users := g.UsersWithDegree(userDegree)
+	if len(users) == 0 {
+		return nil, fmt.Errorf("%w: degree %d", ErrNoUsers, userDegree)
+	}
+	return users, nil
 }
 
 // Cell is one aggregated data point of a sweep: a (policy, degree) pair.
@@ -283,10 +269,15 @@ func Run(cfg Config) (*Result, error) {
 	// Repetition pipeline: while repetition r sweeps, the schedule table of
 	// repetition r+1 builds in the background (one table in flight). Each
 	// repetition's RNG stream is seeded independently by (Seed, rep), so
-	// build order cannot change a byte; grids still merge in rep order. A
-	// panic inside the pipelined build is recovered at the goroutine
-	// boundary and delivered through the channel as this repetition's error
-	// — a crashing build must fail the sweep, never the process.
+	// build order cannot change a byte; grids still merge in rep order
+	// (pinned by TestRunPipelineBitIdentical). The overlap needs a spare
+	// core: on one CPU it only interleaves the build with the sweep while
+	// an extra table stays live, so every repetition then takes the serial
+	// default arm below. A panic inside the pipelined build is recovered at
+	// the goroutine boundary and delivered through the channel as this
+	// repetition's error — a crashing build must fail the sweep, never the
+	// process.
+	pipeline := runtime.NumCPU() > 1
 	var next chan builtTable
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		var table *onlinetime.Table
@@ -318,7 +309,7 @@ func Run(cfg Config) (*Result, error) {
 				cfg.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS())
 			}
 		}
-		if !cfg.NoPipeline && rep+1 < cfg.Repeats && cfg.providedTable(rep+1) == nil {
+		if pipeline && rep+1 < cfg.Repeats && cfg.providedTable(rep+1) == nil {
 			next = make(chan builtTable, 1)
 			go func(rep int, out chan<- builtTable) {
 				defer func() {
@@ -396,18 +387,16 @@ func mergeGrids(dst, src [][]Cell) {
 // users, and a 16-user chunk still spreads that over every core.
 const sweepChunkSize = 16
 
-// sweepOnce processes all users for one repetition with a worker pool,
-// streaming the fixed global chunk sequence through bounded shard batches.
-// Workers claim fixed index-ordered chunks of users and reduce each chunk's
-// samples in user order into a per-chunk grid; after each batch the chunk
-// grids are merged sequentially in chunk order before the next batch starts.
-// The chunk partition, the per-chunk accumulation order, and the global
-// chunk-order merge are all fixed by the user list alone — batches only
-// decide how many chunk grids are alive at once — so the result is
-// bit-identical regardless of worker count, shard size, or goroutine
-// scheduling. Live memory is O(batch chunks × policies × degrees): the full
-// population (ShardUsers <= 0) costs a few MB at paper scale, and a huge-
-// tier run with ShardUsers set holds only its shard's grids.
+// sweepOnce processes all users for one repetition: one worker pool, one
+// join, one chunk-order reduce. Workers claim fixed index-ordered chunks of
+// users and reduce each chunk's samples in user order into a per-chunk grid;
+// after the join the chunk grids are merged sequentially in chunk order. The
+// chunk partition, the per-chunk accumulation order, and the chunk-order
+// merge are all fixed by the user list alone, so the result is bit-identical
+// regardless of worker count or goroutine scheduling. Live memory is one
+// grid per chunk (policies × degrees cells): the sweep covers the users at
+// one degree, ≈ 2.7 % of a dataset, so even the million-user tier holds
+// 1,571 chunk grids — 6.4 MB beside a multi-GB dataset — and needs no bound.
 //
 // The repetition's schedule table is shared read-only: its arena rows are
 // the bitmap slice every worker reads, with no densification step on this
@@ -421,74 +410,60 @@ const sweepChunkSize = 16
 //
 //dosn:hotpath
 func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
-	bitmaps := table.Bitmaps()
+	if err := faultSweepShard.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
+		return nil, err
+	}
 	nChunks := (len(cfg.Users) + sweepChunkSize - 1) / sweepChunkSize
-	batchChunks := nChunks
-	if cfg.ShardUsers > 0 {
-		batchChunks = max(1, (cfg.ShardUsers+sweepChunkSize-1)/sweepChunkSize)
+	b := sweepBatch{
+		cfg:     cfg,
+		bitmaps: table.Bitmaps(),
+		rep:     rep,
+		chunks:  make([][][]Cell, nChunks),
+	}
+	b.next.Store(-1)
+	var sw obs.Watch
+	if cfg.Obs != nil {
+		sw = obs.StartWatch()
+	}
+	// A population with fewer chunks than workers needs only one goroutine
+	// per chunk: extra workers would claim nothing and exit, and the sweep
+	// spawns a pool per repetition of every cell.
+	for w := 0; w < min(cfg.Workers, nChunks); w++ {
+		b.wg.Add(1)
+		go b.run()
+	}
+	b.wg.Wait()
+	if cfg.Obs != nil {
+		cfg.Obs.AddPhaseNS("sweep-shards", sw.ElapsedNS())
+		sw = obs.StartWatch()
+	}
+	if err := b.takeErr(); err != nil {
+		return nil, err
+	}
+	if err := faultReduce.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
+		return nil, err
 	}
 
 	grid := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
-	chunkGrids := make([][][]Cell, min(batchChunks, nChunks))
-	for cs := 0; cs < nChunks; cs += batchChunks {
-		ce := min(cs+batchChunks, nChunks)
-		if err := faultSweepShard.InjectSeeded(mix(cfg.Seed, int64(rep), int64(cs))); err != nil {
-			return nil, err
-		}
-		b := sweepBatch{
-			cfg:     cfg,
-			bitmaps: bitmaps,
-			rep:     rep,
-			cs:      cs,
-			ce:      ce,
-			batch:   chunkGrids[:ce-cs],
-		}
-		b.next.Store(int64(cs) - 1)
-		var sw obs.Watch
-		if cfg.Obs != nil {
-			sw = obs.StartWatch()
-		}
-		// A batch with fewer chunks than workers needs only one goroutine
-		// per chunk: extra workers would claim nothing and exit, but the
-		// sweep spawns a pool per batch, so at huge-tier shard counts (or
-		// tiny per-degree populations) the idle spawns add up.
-		for w := 0; w < min(cfg.Workers, ce-cs); w++ {
-			b.wg.Add(1)
-			go b.run()
-		}
-		b.wg.Wait()
-		if cfg.Obs != nil {
-			cfg.Obs.AddPhaseNS("sweep-shards", sw.ElapsedNS())
-			sw = obs.StartWatch()
-		}
-		if err := b.takeErr(); err != nil {
-			return nil, err
-		}
-		if err := faultReduce.InjectSeeded(mix(cfg.Seed, int64(rep), int64(cs))); err != nil {
-			return nil, err
-		}
-
-		for i, g := range b.batch {
-			mergeGrids(grid, g)
-			b.batch[i] = nil // grid is collectible as soon as it is merged
-		}
-		if cfg.Obs != nil {
-			cfg.Obs.AddPhaseNS("reduce", sw.ElapsedNS())
-		}
+	for _, g := range b.chunks {
+		mergeGrids(grid, g)
+	}
+	if cfg.Obs != nil {
+		cfg.Obs.AddPhaseNS("reduce", sw.ElapsedNS())
 	}
 	return grid, nil
 }
 
-// sweepBatch is the shared state of one chunk batch's worker pool. The
+// sweepBatch is the shared state of one repetition's worker pool. The
 // workers run the named work method rather than a closure: the hot sweep
-// spawns one goroutine per worker per batch, and a capturing closure would
-// heap-allocate its environment each time (and hide which state is shared).
+// spawns one goroutine per worker per repetition, and a capturing closure
+// would heap-allocate its environment each time (and hide which state is
+// shared).
 type sweepBatch struct {
 	cfg     Config
 	bitmaps []interval.Bitmap
 	rep     int
-	cs, ce  int
-	batch   [][][]Cell
+	chunks  [][][]Cell // one grid per chunk, written by the claiming worker
 	next    atomic.Int64
 	wg      sync.WaitGroup
 
@@ -521,14 +496,14 @@ func (b *sweepBatch) takeErr() error {
 
 // run wraps one worker's chunk loop with busy-time accounting: when the
 // sweep carries a telemetry sink, each worker reports how long it spent in
-// its loop, which is what exposes shard imbalance (sum vs max busy time).
+// its loop, which is what exposes worker imbalance (sum vs max busy time).
 // The watch reading goes only into obs — results never see it.
 //
 // It is also the sweep's panic isolation boundary: a panic anywhere in the
 // chunk loop — a policy bug, a metric edge case, an injected fault — is
-// recovered here and converted into the batch's error, so a crashing worker
+// recovered here and converted into the sweep's error, so a crashing worker
 // fails its cell instead of killing the process (the busy-time accounting
-// still runs; the partially filled chunk grid is discarded with the batch).
+// still runs; the partially filled chunk grid is discarded with the repetition).
 func (b *sweepBatch) run() {
 	defer b.wg.Done()
 	var busy obs.Watch
@@ -537,7 +512,7 @@ func (b *sweepBatch) run() {
 	}
 	func() {
 		defer func() {
-			//dosn:recover sweep-worker boundary: a panicking chunk becomes the batch's error instead of killing the process
+			//dosn:recover sweep-worker boundary: a panicking chunk becomes the sweep's error instead of killing the process
 			if r := recover(); r != nil {
 				b.setErr(fault.PanicError("core: sweep worker", r, debug.Stack()))
 			}
@@ -560,7 +535,7 @@ func (b *sweepBatch) work() {
 	var scratch sweepScratch
 	for {
 		ci := int(b.next.Add(1))
-		if ci >= b.ce || b.failed.Load() {
+		if ci >= len(b.chunks) || b.failed.Load() {
 			return
 		}
 		if err := faultSweepChunk.InjectSeeded(mix(b.cfg.Seed, int64(b.rep), int64(ci))); err != nil {
@@ -573,7 +548,7 @@ func (b *sweepBatch) work() {
 		for _, u := range b.cfg.Users[lo:hi] {
 			sweepUser(b.cfg, b.bitmaps, b.rep, u, g, &scratch)
 		}
-		b.batch[ci-b.cs] = g
+		b.chunks[ci] = g
 		obsChunksSwept.Inc()
 		obsUsersSwept.Add(int64(hi - lo))
 		b.cfg.Obs.AddChunks(1)

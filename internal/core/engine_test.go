@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dosn/internal/obs"
@@ -312,7 +313,7 @@ func TestRunRejectsMisshapenSchedules(t *testing.T) {
 	}
 }
 
-// TestSweepWorkerPoolCappedByChunks pins the worker-spawn cap: a batch with
+// TestSweepWorkerPoolCappedByChunks pins the worker-spawn cap: a sweep with
 // fewer chunks than workers must spawn one goroutine per chunk, not one per
 // configured worker. The pin reads the telemetry worker-span count — every
 // spawned sweep worker reports exactly one busy span — so a regression that
@@ -330,42 +331,99 @@ func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rep := collector.Report("test", 8, 0)
+	rep := collector.Report("test")
 	if len(rep.Cells) != 1 || rep.Cells[0].Sweep == nil {
 		t.Fatalf("telemetry report missing sweep stats: %+v", rep.Cells)
 	}
 	// One chunk per repetition → one worker span per repetition.
 	if got := rep.Cells[0].Sweep.WorkerSpans; got != 2 {
-		t.Errorf("WorkerSpans = %d, want 2 (one per single-chunk batch)", got)
+		t.Errorf("WorkerSpans = %d, want 2 (one per single-chunk repetition)", got)
 	}
 }
 
 // TestRunPipelineBitIdentical pins the repetition pipeline's bit-identity:
 // building rep r+1's table in the background while rep r sweeps must yield
-// exactly the serial result, for any worker count, because each repetition's
-// RNG stream is independently seeded (mix(seed, rep)) and grids merge in
-// repetition order.
+// exactly the result of sweeping tables that were all built beforehand from
+// the same mix(seed, rep) streams — the harness's real path, which hands
+// core.Run every repetition's table and so never pipelines. The counter
+// assertion keeps the pipeline from being silently off where it is tested.
 func TestRunPipelineBitIdentical(t *testing.T) {
+	if runtime.NumCPU() == 1 {
+		t.Skip("the repetition pipeline needs a spare core; Run stays serial on one CPU")
+	}
 	ds := testDataset(t)
 	base := Config{
 		Dataset: ds, Model: onlinetime.Sporadic{}, Mode: replica.ConRep,
 		MaxDegree: 4, UserDegree: 10, Repeats: 3, Seed: 11,
 	}
 	serial := base
-	serial.NoPipeline = true
+	for rep := 0; rep < base.Repeats; rep++ {
+		rng := rand.New(rand.NewSource(mix(base.Seed, int64(rep))))
+		serial.Schedules = append(serial.Schedules, base.Model.BuildTable(ds, rng, 1))
+	}
+	pipelined := obs.C("core.tables_pipelined")
+	before := pipelined.Value()
 	want, err := Run(serial)
 	if err != nil {
-		t.Fatalf("Run(serial): %v", err)
+		t.Fatalf("Run(prebuilt schedules): %v", err)
+	}
+	if got := pipelined.Value(); got != before {
+		t.Fatalf("a run with every table supplied pipelined %d builds", got-before)
 	}
 	for _, workers := range []int{1, 4} {
 		cfg := base
 		cfg.Workers = workers
+		before = pipelined.Value()
 		got, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("Run(pipelined, workers=%d): %v", workers, err)
 		}
+		if built := pipelined.Value() - before; built != int64(base.Repeats-1) {
+			t.Errorf("workers=%d: %d tables built in the pipeline, want %d", workers, built, base.Repeats-1)
+		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("pipelined result (workers=%d) differs bitwise from serial reference", workers)
+			t.Fatalf("pipelined result (workers=%d) differs bitwise from the prebuilt-schedule reference", workers)
+		}
+	}
+}
+
+// TestSweepEqualsInOrderFold pins what the worker pool must reproduce: one
+// goroutine folding the users in list order, a fresh grid per 16-user chunk,
+// chunk grids merged in chunk order. The population is not a multiple of the
+// chunk size, so the short tail chunk is covered.
+func TestSweepEqualsInOrderFold(t *testing.T) {
+	ds := testDataset(t)
+	cfg := Config{
+		Dataset: ds, Model: onlinetime.RandomLength{}, Mode: replica.ConRep,
+		MaxDegree: 5, Repeats: 1, Seed: 5,
+	}
+	for u := 0; u < 37; u++ { // 2 full chunks + 5
+		cfg.Users = append(cfg.Users, socialgraph.UserID(u))
+	}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	const rep = 0
+	table := cfg.buildTable(ds, rep)
+
+	want := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
+	var scratch sweepScratch
+	for lo := 0; lo < len(cfg.Users); lo += 16 {
+		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
+		for _, u := range cfg.Users[lo:min(lo+16, len(cfg.Users))] {
+			sweepUser(cfg, table.Bitmaps(), rep, u, g, &scratch)
+		}
+		mergeGrids(want, g)
+	}
+
+	for _, workers := range []int{1, 3, 8} {
+		cfg.Workers = workers
+		got, err := sweepOnce(cfg, table, rep)
+		if err != nil {
+			t.Fatalf("sweepOnce(workers=%d): %v", workers, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("sweep with %d workers differs bitwise from the in-order fold", workers)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"dosn/internal/onlinetime"
 	"dosn/internal/osn"
 	"dosn/internal/replica"
-	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
 
@@ -160,18 +159,20 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 			analyticAoDSum += v
 			analyticAoDCount++
 		}
-		ds.ForEachReceived(u, func(_ int, a trace.Activity) {
-			day := int(a.At.Sub(trace.Epoch).Hours()/24) % cfg.Days
+		for j, k := range received {
+			// Whole days since the epoch (truncating toward zero), folded
+			// onto the simulated horizon.
+			day := int((ds.UnixAt(int(k))-trace.Epoch.Unix())/(24*60*60)) % cfg.Days
 			if day < 0 {
 				day += cfg.Days
 			}
 			posts = append(posts, osn.PostEvent{
-				At:      desim.Time(day)*interval.DayMinutes + desim.Time(a.MinuteOfDay()),
-				Creator: a.Creator,
+				At:      desim.Time(day)*interval.DayMinutes + desim.Time(actMinutes[j]),
+				Creator: ds.CreatorAt(int(k)),
 				Wall:    u,
 				Body:    "activity",
 			})
-		})
+		}
 		// Read workload: each friend accesses the profile once per day at a
 		// random minute of his own online time — by construction these
 		// reads sample the AoD-time demand set.
@@ -267,23 +268,9 @@ func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.
 	}
 	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 11))), 1).Bitmaps()
 	rows := make([]LoadBalanceRow, 0, 3)
-	var countScratch trace.CountScratch
 	for pi, p := range replica.DefaultPolicies() {
-		assignments := make(map[socialgraph.UserID][]socialgraph.UserID, ds.NumUsers())
-		for u := 0; u < ds.NumUsers(); u++ {
-			uid := socialgraph.UserID(u)
-			in := replica.Input{
-				Owner:           uid,
-				Candidates:      ds.Graph.Neighbors(uid),
-				Bitmaps:         schedules,
-				CandidateCounts: ds.CandidateInteractionCounts(uid, ds.Graph.Neighbors(uid), &countScratch),
-				Mode:            mode,
-				Budget:          budget,
-			}
-			rng := rand.New(rand.NewSource(mix(seed, int64(pi), int64(u))))
-			assignments[uid] = p.Select(in, rng)
-		}
-		load := metrics.HostLoad(assignments, ds.NumUsers())
+		load := placementLoad(ds, schedules, p, mode, budget,
+			func(u int) int64 { return mix(seed, int64(pi), int64(u)) })
 		mean, maxLoad, cv := metrics.LoadImbalance(load)
 		rows = append(rows, LoadBalanceRow{Policy: p.Name(), MeanLoad: mean, MaxLoad: maxLoad, CV: cv})
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // crashSpec is a 4-cell matrix (1 dataset × 2 models × 2 modes) that crosses
-// every failpoint seam: synthesis, schedule build (with a cache hit), shard
-// dispatch, chunk sweep, reduce, checkpoint append, manifest write.
+// every failpoint seam: synthesis, schedule build (with a cache hit), sweep
+// start, chunk sweep, reduce, checkpoint append, manifest write.
 func crashSpec() MatrixSpec {
 	return MatrixSpec{
 		Datasets:   []DatasetSpec{{Name: "facebook", Users: 300, Seed: 1}},
@@ -48,8 +48,8 @@ func manifestBytes(t *testing.T, m *RunManifest) []byte {
 // TestResumeByteIdenticalManifest is the kill-at-every-failpoint proof: for
 // each injection seam, in both panic and error form, a checkpointed run is
 // killed mid-matrix, then resumed with faults off — under a different worker
-// count and shard size — and the resumed manifest must match an
-// uninterrupted run byte for byte.
+// count — and the resumed manifest must match an uninterrupted run byte for
+// byte.
 func TestResumeByteIdenticalManifest(t *testing.T) {
 	spec := crashSpec()
 	cleanRun, err := Run(spec, RunOptions{Workers: 2})
@@ -62,7 +62,7 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 	// execution order so several scenarios journal a non-empty prefix before
 	// dying: schedule-build hit 3 is the third repetition build (first cell
 	// of the second model), sweep-shard hit 5 is the third cell's first
-	// batch, checkpoint-append hit 3 kills the third cell's journal entry.
+	// repetition, checkpoint-append hit 3 kills the third cell's journal entry.
 	scenarios := []string{
 		"trace.synthesize=panic(1)",
 		"trace.synthesize=error(1)",
@@ -101,7 +101,7 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 			fault.Disable()
 
 			resumed, err := Run(spec, RunOptions{
-				Workers: 2, ShardSize: 64, CheckpointPath: path, Resume: true,
+				Workers: 2, CheckpointPath: path, Resume: true,
 			})
 			if err != nil {
 				t.Fatalf("resume: %v", err)

@@ -45,45 +45,10 @@ func TestRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunByteIdenticalAcrossShardSizes pins that ShardSize — the huge-tier
-// streaming-sweep knob — is execution-only, exactly like the worker counts:
-// a huge-shaped (but small-N) matrix cell produces byte-identical manifests
-// whether the sweep streams one user at a time, an odd shard that straddles
-// the 16-user chunk boundaries, or the whole population in one batch,
-// across worker-count variation too.
-func TestRunByteIdenticalAcrossShardSizes(t *testing.T) {
-	spec := testSpec()
-	spec.Models = spec.Models[:1]
-	marshal := func(opts RunOptions) []byte {
-		t.Helper()
-		m, err := Run(spec, opts)
-		if err != nil {
-			t.Fatalf("Run(%+v): %v", opts, err)
-		}
-		data, err := m.MarshalCanonical()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	ref := marshal(RunOptions{Workers: 1, CoreWorkers: 1, ShardSize: 0}) // all users, one batch
-	variants := []RunOptions{
-		{Workers: 1, CoreWorkers: 1, ShardSize: 1},
-		{Workers: 2, CoreWorkers: 2, ShardSize: 7},
-		{Workers: 4, CoreWorkers: 1, ShardSize: 7},
-		{Workers: 1, CoreWorkers: 8, ShardSize: 1 << 20}, // shard larger than the population
-	}
-	for _, opts := range variants {
-		if got := marshal(opts); !bytes.Equal(ref, got) {
-			t.Errorf("manifest bytes differ for %+v", opts)
-		}
-	}
-}
-
 // TestTelemetryDoesNotPerturbManifest pins the observability contract: a
 // run with the full telemetry stack active — collector, JSONL event stream,
 // live progress sink — produces a byte-identical manifest to a bare run, at
-// every worker/shard configuration. Telemetry is a side artifact; if an
+// every worker configuration. Telemetry is a side artifact; if an
 // instrumented code path ever feeds a measurement back into a result, this
 // is the test that catches it.
 func TestTelemetryDoesNotPerturbManifest(t *testing.T) {
@@ -113,7 +78,6 @@ func TestTelemetryDoesNotPerturbManifest(t *testing.T) {
 	configs := []RunOptions{
 		{Workers: 1, CoreWorkers: 1},
 		{Workers: 4, CoreWorkers: 2},
-		{Workers: 2, CoreWorkers: 2, ShardSize: 7},
 	}
 	for _, opts := range configs {
 		ref := marshal(opts)
@@ -145,7 +109,7 @@ func TestSynthesizeTimerCoversThePhase(t *testing.T) {
 	if _, err := Run(spec, RunOptions{Workers: 1, NoPrefetch: true, Telemetry: col}); err != nil {
 		t.Fatal(err)
 	}
-	rep := col.Report("test", 1, 0)
+	rep := col.Report("test")
 	timerMS := rep.Timers["trace.synthesize"].TotalMS - timerBefore
 	var phaseMS float64
 	for _, p := range rep.Cells[0].Phases {
@@ -259,10 +223,10 @@ func TestRunByteIdenticalWithPrefetch(t *testing.T) {
 	ref := marshal(RunOptions{Workers: 1, CoreWorkers: 1, NoPrefetch: true})
 	variants := []RunOptions{
 		{Workers: 1, CoreWorkers: 1},
-		{Workers: 1, CoreWorkers: 4, ShardSize: 7},
+		{Workers: 1, CoreWorkers: 4},
 		{Workers: 4, CoreWorkers: 2},
-		{Workers: 8, CoreWorkers: 1, ShardSize: 3},
-		{Workers: 8, CoreWorkers: 1, ShardSize: 3}, // same knobs twice: scheduling jitter
+		{Workers: 8, CoreWorkers: 1},
+		{Workers: 8, CoreWorkers: 1}, // same knobs twice: scheduling jitter
 	}
 	for _, opts := range variants {
 		if got := marshal(opts); !bytes.Equal(ref, got) {

@@ -46,12 +46,6 @@ type RunOptions struct {
 	// max(1, NumCPU/Workers) so the two layers together roughly fill the
 	// machine without gross oversubscription.
 	CoreWorkers int
-	// ShardSize streams each cell's sweep in batches of roughly this many
-	// users (core.Config.ShardUsers), bounding the sweep's live per-chunk
-	// reduction state to one shard. Zero means one batch of all users.
-	// Execution-only, like Workers: the manifest bytes are identical for
-	// any shard size.
-	ShardSize int
 	// NoPrefetch disables the cell prefetcher: by default a single
 	// background goroutine warms the dataset and schedule caches of the
 	// next unclaimed cell while the workers sweep the current ones, staying
@@ -357,6 +351,7 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 	}
 
 	opts.Telemetry.SetTotalCells(len(cells))
+	opts.Telemetry.SetWorkers(opts.Workers)
 	shared := newCaches()
 	results := make([]CellResult, len(cells))
 	errs := make([]error, len(cells))
@@ -542,9 +537,9 @@ func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy,
 
 // runCell executes one cell's replication-degree sweep. FriendReplica cells
 // sweep the spec's policy list; DHT cells sweep their architecture's
-// placement over the dataset's shared ring. Only execution knobs are read
-// from opts (CoreWorkers, ShardSize); the cell result depends on (spec,
-// cell) alone. co (nil when telemetry is off) receives the per-phase
+// placement over the dataset's shared ring. Only the execution knob
+// CoreWorkers is read from opts; the cell result depends on (spec, cell)
+// alone. co (nil when telemetry is off) receives the per-phase
 // breakdown: synthesize → ring-build → schedule-build → sweep, with core
 // filling the finer sweep-shards/reduce split inside the sweep phase.
 func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
@@ -596,7 +591,6 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 		Repeats:    spec.Repeats,
 		Seed:       seed,
 		Workers:    opts.CoreWorkers,
-		ShardUsers: opts.ShardSize,
 		Schedules:  schedules,
 		Obs:        co,
 	})

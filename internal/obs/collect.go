@@ -45,6 +45,7 @@ type Collector struct {
 	progress *Progress
 	total    int
 	done     int
+	workers  int
 }
 
 // NewCollector starts a collector reading metrics from the Default
@@ -88,6 +89,17 @@ func (c *Collector) SetTotalCells(n int) {
 	p := c.progress
 	c.mu.Unlock()
 	p.SetTotal(n)
+}
+
+// SetWorkers records the cell-level worker count the run actually uses —
+// the harness's filled value, not the caller's flag — for the report.
+func (c *Collector) SetWorkers(n int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.workers = n
+	c.mu.Unlock()
 }
 
 // StartCell begins telemetry for one cell, identified by its manifest key,
@@ -168,7 +180,7 @@ type CellObs struct {
 }
 
 // PhaseStat is one named phase of a cell's execution. Repeated phases (one
-// schedule build per repetition, one sweep batch per shard) accumulate into
+// schedule build per repetition, one sweep per repetition) accumulate into
 // a single entry.
 type PhaseStat struct {
 	Name   string  `json:"name"`
@@ -201,8 +213,8 @@ func (o *CellObs) Phase(name string) func() {
 }
 
 // AddPhaseNS accumulates ns nanoseconds into a named phase without heap
-// snapshots or events — the fine-grained form core.sweepOnce uses per shard
-// batch, where a ReadMemStats per batch would be noise.
+// snapshots or events — the fine-grained form core.sweepOnce uses per
+// repetition, where a ReadMemStats per call would be noise.
 func (o *CellObs) AddPhaseNS(name string, ns int64) {
 	if o == nil {
 		return
@@ -258,7 +270,7 @@ func (o *CellObs) AddChunks(n int64) {
 }
 
 // WorkerBusy records one sweep worker goroutine's busy time. The max across
-// workers exposes imbalance (a straggler shard) that the sum alone hides.
+// workers exposes imbalance (a straggler worker) that the sum alone hides.
 func (o *CellObs) WorkerBusy(ns int64) {
 	if o == nil {
 		return

@@ -17,7 +17,8 @@ func TestNilSafety(t *testing.T) {
 	c.AttachEvents(io.Discard)
 	c.AttachProgress(nil)
 	c.SetTotalCells(5)
-	if rep := c.Report("x", 1, 0); rep != nil {
+	c.SetWorkers(2)
+	if rep := c.Report("x"); rep != nil {
 		t.Fatal("nil collector must produce a nil report")
 	}
 	o := c.StartCell("k", 0)
@@ -46,6 +47,7 @@ func TestCollectorReportAndEvents(t *testing.T) {
 	c := NewCollector()
 	c.AttachEvents(&events)
 	c.SetTotalCells(2)
+	c.SetWorkers(2)
 
 	a := c.StartCell("cell-a", 0)
 	done := a.Phase("synthesize")
@@ -64,8 +66,8 @@ func TestCollectorReportAndEvents(t *testing.T) {
 	b.Phase("sweep")()
 	b.Done()
 
-	rep := c.Report("test-run", 2, 64)
-	if rep.Schema != ReportSchema || rep.Command != "test-run" || rep.Workers != 2 || rep.ShardSize != 64 {
+	rep := c.Report("test-run")
+	if rep.Schema != ReportSchema || rep.Command != "test-run" || rep.Workers != 2 {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
 	if len(rep.Cells) != 2 {
@@ -118,14 +120,14 @@ func TestCollectorReportAndEvents(t *testing.T) {
 }
 
 // TestPhaseAccumulates pins that repeated phases (per-rep schedule builds,
-// per-shard sweep batches) fold into one entry with a call count.
+// per-rep sweeps) fold into one entry with a call count.
 func TestPhaseAccumulates(t *testing.T) {
 	c := NewCollector()
 	o := c.StartCell("k", 0)
 	o.AddPhaseNS("sweep-shards", 2e6)
 	o.AddPhaseNS("sweep-shards", 3e6)
 	o.Done()
-	rep := c.Report("", 1, 0)
+	rep := c.Report("")
 	if len(rep.Cells[0].Phases) != 1 {
 		t.Fatalf("phases did not accumulate: %+v", rep.Cells[0].Phases)
 	}

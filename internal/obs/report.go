@@ -14,15 +14,14 @@ const ReportSchema = 1
 // part of the canonical manifest: manifests are pure functions of
 // (spec, seed), reports are wall-clock truth about one execution.
 type Report struct {
-	Schema    int                  `json:"schema"`
-	Command   string               `json:"command,omitempty"`
-	WallMS    float64              `json:"wall_ms"`
-	Workers   int                  `json:"workers,omitempty"`
-	ShardSize int                  `json:"shard_size,omitempty"`
-	Cells     []CellReport         `json:"cells,omitempty"`
-	Counters  map[string]int64     `json:"counters,omitempty"`
-	Timers    map[string]TimerStat `json:"timers,omitempty"`
-	Mem       MemSnapshot          `json:"mem"`
+	Schema   int                  `json:"schema"`
+	Command  string               `json:"command,omitempty"`
+	WallMS   float64              `json:"wall_ms"`
+	Workers  int                  `json:"workers,omitempty"`
+	Cells    []CellReport         `json:"cells,omitempty"`
+	Counters map[string]int64     `json:"counters,omitempty"`
+	Timers   map[string]TimerStat `json:"timers,omitempty"`
+	Mem      MemSnapshot          `json:"mem"`
 }
 
 // CellReport is one cell's execution breakdown.
@@ -80,9 +79,9 @@ func heapMB() float64 {
 }
 
 // Report assembles the run's telemetry artifact and emits the run_done
-// event. command labels the producing invocation; workers and shardSize
-// echo the execution knobs so a report is self-describing.
-func (c *Collector) Report(command string, workers, shardSize int) *Report {
+// event. command labels the producing invocation; the worker count is the
+// one the harness reported through SetWorkers.
+func (c *Collector) Report(command string) *Report {
 	if c == nil {
 		return nil
 	}
@@ -92,17 +91,17 @@ func (c *Collector) Report(command string, workers, shardSize int) *Report {
 	c.mu.Lock()
 	cells := make([]*CellObs, len(c.cells))
 	copy(cells, c.cells)
+	workers := c.workers
 	c.mu.Unlock()
 
 	rep := &Report{
-		Schema:    ReportSchema,
-		Command:   command,
-		WallMS:    wallMS,
-		Workers:   workers,
-		ShardSize: shardSize,
-		Counters:  nonZero(c.reg.Counters()),
-		Timers:    c.reg.Timers(),
-		Mem:       ReadMem(),
+		Schema:   ReportSchema,
+		Command:  command,
+		WallMS:   wallMS,
+		Workers:  workers,
+		Counters: nonZero(c.reg.Counters()),
+		Timers:   c.reg.Timers(),
+		Mem:      ReadMem(),
 	}
 	for _, o := range cells {
 		rep.Cells = append(rep.Cells, o.report())

@@ -98,6 +98,16 @@ func (r *rowRef) interactionCountsBetween(u socialgraph.UserID, from, to time.Ti
 	return counts
 }
 
+// rowsAt materializes the rows an index accessor points at, so the index
+// views can be compared against the row-model reference.
+func rowsAt(d *Dataset, idx []int32) []Activity {
+	out := make([]Activity, len(idx))
+	for i, k := range idx {
+		out[i] = d.ActivityAt(int(k))
+	}
+	return out
+}
+
 func sameActivities(a, b []Activity) bool {
 	if len(a) != len(b) {
 		return false
@@ -157,15 +167,16 @@ func betweenDataset(t *testing.T) *Dataset {
 	return d
 }
 
-// TestReceivedByBetweenSemantics pins the half-open [from, to) contract the
-// row-era implementation had: from is inclusive, to exclusive, from == to and
-// inverted ranges are empty, sub-second boundaries round up to the next whole
-// second, and out-of-range users yield nil.
+// TestReceivedByBetweenSemantics pins the half-open [from, to) contract of
+// ReceivedIdxBetween, the one the row-era implementation had: from is
+// inclusive, to exclusive, from == to and inverted ranges are empty,
+// sub-second boundaries round up to the next whole second, and out-of-range
+// users yield nil.
 func TestReceivedByBetweenSemantics(t *testing.T) {
 	d := betweenDataset(t)
 	at := func(min int) time.Time { return Epoch.Add(time.Duration(min) * time.Minute) }
 
-	got := d.ReceivedByBetween(0, at(10), at(30))
+	got := rowsAt(d, d.ReceivedIdxBetween(0, at(10), at(30)))
 	if len(got) != 5 {
 		t.Fatalf("[10m,30m) = %d activities, want 5 (30m boundary excluded)", len(got))
 	}
@@ -184,24 +195,24 @@ func TestReceivedByBetweenSemantics(t *testing.T) {
 		}
 	}
 
-	if got := d.ReceivedByBetween(0, at(20), at(20)); got != nil {
+	if got := d.ReceivedIdxBetween(0, at(20), at(20)); got != nil {
 		t.Errorf("from == to must be empty, got %d", len(got))
 	}
-	if got := d.ReceivedByBetween(0, at(30), at(10)); got != nil {
+	if got := d.ReceivedIdxBetween(0, at(30), at(10)); got != nil {
 		t.Errorf("inverted range must be empty, got %d", len(got))
 	}
 	// A sub-second from excludes the instant it truncates into: [19m59.5s, …)
 	// must not include the 20m00s activities' predecessor at exactly 19m59s —
 	// more precisely, an activity at whole second s is >= a fractional bound b
 	// iff s >= ceil(b).
-	if got := d.ReceivedByBetween(0, at(10).Add(500*time.Millisecond), at(30)); len(got) != 4 {
+	if got := d.ReceivedIdxBetween(0, at(10).Add(500*time.Millisecond), at(30)); len(got) != 4 {
 		t.Errorf("fractional from must exclude the truncated second: got %d, want 4", len(got))
 	}
-	if got := d.ReceivedByBetween(0, at(10), at(29).Add(999*time.Millisecond)); len(got) != 5 {
+	if got := d.ReceivedIdxBetween(0, at(10), at(29).Add(999*time.Millisecond)); len(got) != 5 {
 		t.Errorf("fractional to covers through its floor second: got %d, want 5", len(got))
 	}
 
-	if d.ReceivedByBetween(-1, at(0), at(100)) != nil || d.ReceivedByBetween(99, at(0), at(100)) != nil {
+	if d.ReceivedIdxBetween(-1, at(0), at(100)) != nil || d.ReceivedIdxBetween(99, at(0), at(100)) != nil {
 		t.Error("out-of-range users must yield nil")
 	}
 }
@@ -282,8 +293,7 @@ func randomGraph(rng *rand.Rand, n int) *socialgraph.Graph {
 // TestQuickColumnarMatchesRowAccessors is the row/column equivalence
 // property: on randomized datasets — both graph kinds, users with no
 // activities, unsorted input, out-of-range IDs, tied timestamps — every
-// columnar accessor returns exactly what the legacy row implementation
-// returned.
+// index accessor points at exactly the rows the row-model reference returns.
 func TestQuickColumnarMatchesRowAccessors(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -305,20 +315,20 @@ func TestQuickColumnarMatchesRowAccessors(t *testing.T) {
 		var s CountScratch
 		for u := -2; u < n+2; u++ {
 			uid := socialgraph.UserID(u)
-			if !sameActivities(d.CreatedBy(uid), ref.createdBy(uid)) {
-				t.Logf("seed %d: CreatedBy(%d) differs", seed, u)
+			if !sameActivities(rowsAt(d, d.CreatedIdx(uid)), ref.createdBy(uid)) {
+				t.Logf("seed %d: CreatedIdx(%d) differs", seed, u)
 				return false
 			}
-			if !sameActivities(d.ReceivedBy(uid), ref.receivedBy(uid)) {
-				t.Logf("seed %d: ReceivedBy(%d) differs", seed, u)
+			if !sameActivities(rowsAt(d, d.ReceivedIdx(uid)), ref.receivedBy(uid)) {
+				t.Logf("seed %d: ReceivedIdx(%d) differs", seed, u)
 				return false
 			}
 			if d.CreatedCount(uid) != len(ref.createdBy(uid)) {
 				t.Logf("seed %d: CreatedCount(%d) differs", seed, u)
 				return false
 			}
-			if !sameActivities(d.ReceivedByBetween(uid, from, to), ref.receivedByBetween(uid, from, to)) {
-				t.Logf("seed %d: ReceivedByBetween(%d) differs", seed, u)
+			if !sameActivities(rowsAt(d, d.ReceivedIdxBetween(uid, from, to)), ref.receivedByBetween(uid, from, to)) {
+				t.Logf("seed %d: ReceivedIdxBetween(%d) differs", seed, u)
 				return false
 			}
 			neighbors := g.Neighbors(uid)
@@ -337,29 +347,20 @@ func TestQuickColumnarMatchesRowAccessors(t *testing.T) {
 					return false
 				}
 			}
-			// The index views must point at the same rows the legacy
-			// accessors copied out.
+			// The column accessors must agree with the materialized rows, and
+			// the counts with the index lengths.
+			refRecv := ref.receivedBy(uid)
 			for i, k := range d.ReceivedIdx(uid) {
-				if got, want := d.ActivityAt(int(k)), ref.receivedBy(uid)[i]; got.Creator != want.Creator || !got.At.Equal(want.At) {
-					t.Logf("seed %d: ReceivedIdx(%d)[%d] mismatch", seed, u, i)
+				a := d.ActivityAt(int(k))
+				if a.Receiver != d.ReceiverAt(int(k)) || a.Creator != d.CreatorAt(int(k)) ||
+					a.At.Unix() != d.UnixAt(int(k)) || a.MinuteOfDay() != d.MinuteOfDayAt(int(k)) ||
+					a.Creator != refRecv[i].Creator {
+					t.Logf("seed %d: column accessors disagree at ReceivedIdx(%d)[%d]", seed, u, i)
 					return false
 				}
 			}
-			// ForEachReceived must visit the same rows in the same order,
-			// with column indexes consistent with the column accessors.
-			refRecv := ref.receivedBy(uid)
-			visited := 0
-			iterOK := true
-			d.ForEachReceived(uid, func(i int, a Activity) {
-				if visited >= len(refRecv) ||
-					a.Receiver != d.ReceiverAt(i) || a.Creator != d.CreatorAt(i) ||
-					a.Creator != refRecv[visited].Creator || !a.At.Equal(refRecv[visited].At) {
-					iterOK = false
-				}
-				visited++
-			})
-			if !iterOK || visited != len(refRecv) || d.ReceivedCount(uid) != len(refRecv) {
-				t.Logf("seed %d: ForEachReceived/ReceivedCount(%d) differs", seed, u)
+			if d.ReceivedCount(uid) != len(refRecv) {
+				t.Logf("seed %d: ReceivedCount(%d) differs", seed, u)
 				return false
 			}
 		}
@@ -398,11 +399,11 @@ func TestReindexHandMutatedMatchesRowPath(t *testing.T) {
 	}
 	for u := -1; u < 9; u++ {
 		uid := socialgraph.UserID(u)
-		if !sameActivities(d.CreatedBy(uid), ref.createdBy(uid)) {
-			t.Fatalf("CreatedBy(%d) differs after hand mutation", u)
+		if !sameActivities(rowsAt(d, d.CreatedIdx(uid)), ref.createdBy(uid)) {
+			t.Fatalf("CreatedIdx(%d) differs after hand mutation", u)
 		}
-		if !sameActivities(d.ReceivedBy(uid), ref.receivedBy(uid)) {
-			t.Fatalf("ReceivedBy(%d) differs after hand mutation", u)
+		if !sameActivities(rowsAt(d, d.ReceivedIdx(uid)), ref.receivedBy(uid)) {
+			t.Fatalf("ReceivedIdx(%d) differs after hand mutation", u)
 		}
 	}
 	// The offsets must tile the indexed activities exactly.

@@ -15,14 +15,15 @@
 // direction, built in a single counting-sort pass by Reindex. The columnar
 // layout costs 16 bytes per activity plus 8 bytes per (activity, direction)
 // of index — roughly a third of the row-oriented representation it replaced —
-// and every accessor (CreatedIdx, ReceivedIdx, ForEachReceived,
+// and every accessor (CreatedIdx, ReceivedIdx, ReceivedIdxBetween,
 // CandidateInteractionCounts) returns views or fills caller-owned scratch, so
 // sweeping a dataset allocates nothing per user.
 //
-// Activity remains as a row view type: ActivityAt materializes one row on
-// demand, Rows the whole trace, and SetActivities loads rows back into
-// columns, so serialization and hand construction are lossless at second
-// resolution (the resolution of the CSV format; sub-second components are
+// Activity remains as the row type of the construction and serialization
+// boundary only — per-user reads go through the index accessors: ActivityAt
+// materializes one row on demand, Rows the whole trace, and SetActivities
+// loads rows back into columns, so serialization and hand construction are
+// lossless at second resolution (the resolution of the CSV format; sub-second components are
 // truncated when rows are loaded).
 //
 // The original traces are not redistributable, so package trace also contains
@@ -360,44 +361,6 @@ func csrRow(off, idx []int32, u socialgraph.UserID) []int32 {
 	return idx[off[u]:off[u+1]]
 }
 
-// ForEachReceived calls fn for every activity on user u's profile in
-// timestamp order, passing the activity's column index and its row view. It
-// allocates nothing.
-//
-//dosn:hotpath
-func (d *Dataset) ForEachReceived(u socialgraph.UserID, fn func(i int, a Activity)) {
-	for _, k := range d.ReceivedIdx(u) {
-		fn(int(k), d.ActivityAt(int(k)))
-	}
-}
-
-// CreatedBy returns the activities user u created, in timestamp order.
-//
-// It copies rows out of the columns; sweep loops should use CreatedIdx (or
-// ForEachReceived for the receiver direction) instead. Kept as the legacy
-// row-oriented accessor; the columnar equivalence property tests compare the
-// index accessors against it.
-func (d *Dataset) CreatedBy(u socialgraph.UserID) []Activity {
-	return d.gather(d.CreatedIdx(u))
-}
-
-// ReceivedBy returns the activities on user u's profile, in timestamp order.
-// Like CreatedBy it copies; hot paths should use ReceivedIdx.
-func (d *Dataset) ReceivedBy(u socialgraph.UserID) []Activity {
-	return d.gather(d.ReceivedIdx(u))
-}
-
-func (d *Dataset) gather(idx []int32) []Activity {
-	if idx == nil {
-		return nil
-	}
-	out := make([]Activity, len(idx))
-	for i, k := range idx {
-		out[i] = d.ActivityAt(int(k))
-	}
-	return out
-}
-
 // CreatedCount returns how many activities u created (no allocation).
 func (d *Dataset) CreatedCount(u socialgraph.UserID) int {
 	return len(d.CreatedIdx(u))
@@ -472,10 +435,14 @@ func secondsCeil(t time.Time) int64 {
 	return s
 }
 
-// receivedRange returns the subrange of u's received-activity index list
-// whose timestamps fall in the half-open interval [from, to). The list is in
-// timestamp order, so both bounds are binary searches.
-func (d *Dataset) receivedRange(u socialgraph.UserID, from, to time.Time) []int32 {
+// ReceivedIdxBetween returns the subrange of u's received-activity index
+// list whose timestamps fall in the half-open interval [from, to), in
+// timestamp order: a view into the CSR index, like ReceivedIdx. from == to
+// (or from after to) yields nothing, an activity exactly at `to` is
+// excluded, and an out-of-range u yields nil (pinned by
+// TestReceivedByBetweenSemantics). The list is in timestamp order, so both
+// bounds are binary searches.
+func (d *Dataset) ReceivedIdxBetween(u socialgraph.UserID, from, to time.Time) []int32 {
 	ks := d.ReceivedIdx(u)
 	if len(ks) == 0 {
 		return nil
@@ -489,24 +456,15 @@ func (d *Dataset) receivedRange(u socialgraph.UserID, from, to time.Time) []int3
 	return ks[lo:hi]
 }
 
-// ReceivedByBetween returns the activities on u's profile with timestamps in
-// the half-open interval [from, to), in timestamp order. from == to (or from
-// after to) yields nothing, an activity exactly at `to` is excluded, and an
-// out-of-range u yields nil, exactly as the pre-columnar implementation
-// behaved (pinned by TestReceivedByBetweenSemantics).
-func (d *Dataset) ReceivedByBetween(u socialgraph.UserID, from, to time.Time) []Activity {
-	return d.gather(d.receivedRange(u, from, to))
-}
-
 // InteractionCountsBetween is CandidateInteractionCounts over u's neighbors
 // restricted to activities with timestamps in [from, to) — the "pre-defined
 // time frame in the past" the MostActive policy ranks on (§III-B). Like
-// ReceivedByBetween it is half-open. The result is a fresh slice aligned
+// ReceivedIdxBetween it is half-open. The result is a fresh slice aligned
 // with Graph.Neighbors(u).
 func (d *Dataset) InteractionCountsBetween(u socialgraph.UserID, from, to time.Time) []int {
 	neighbors := d.Graph.Neighbors(u)
 	counts := make([]int, len(neighbors))
-	for _, k := range d.receivedRange(u, from, to) {
+	for _, k := range d.ReceivedIdxBetween(u, from, to) {
 		if i, ok := slices.BinarySearch(neighbors, d.creator[k]); ok {
 			counts[i]++
 		}

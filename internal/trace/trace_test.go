@@ -41,19 +41,19 @@ func TestReindexSortsByTime(t *testing.T) {
 
 func TestCreatedByReceivedBy(t *testing.T) {
 	d := tinyDataset(t)
-	if got := d.CreatedBy(1); len(got) != 2 {
-		t.Errorf("CreatedBy(1) = %d activities, want 2", len(got))
+	if got := d.CreatedIdx(1); len(got) != 2 {
+		t.Errorf("CreatedIdx(1) = %d activities, want 2", len(got))
 	}
-	if got := d.ReceivedBy(0); len(got) != 3 {
-		t.Errorf("ReceivedBy(0) = %d activities, want 3", len(got))
+	recv := d.ReceivedIdx(0)
+	if len(recv) != 3 {
+		t.Errorf("ReceivedIdx(0) = %d activities, want 3", len(recv))
 	}
-	recv := d.ReceivedBy(0)
 	for i := 1; i < len(recv); i++ {
-		if recv[i].At.Before(recv[i-1].At) {
-			t.Error("ReceivedBy must preserve timestamp order")
+		if d.UnixAt(int(recv[i])) < d.UnixAt(int(recv[i-1])) {
+			t.Error("ReceivedIdx must preserve timestamp order")
 		}
 	}
-	if d.CreatedBy(99) != nil || d.ReceivedBy(-1) != nil {
+	if d.CreatedIdx(99) != nil || d.ReceivedIdx(-1) != nil {
 		t.Error("out-of-range users should yield nil")
 	}
 	if d.CreatedCount(1) != 2 || d.CreatedCount(3) != 1 || d.CreatedCount(42) != 0 {
@@ -213,9 +213,9 @@ func TestSynthesizeTwitterSmall(t *testing.T) {
 	// Creators of activity on u's profile must be u's followers (replica
 	// candidates) — this property is what makes MostActive meaningful.
 	for u := 0; u < d.NumUsers(); u++ {
-		for _, a := range d.ReceivedBy(socialgraph.UserID(u)) {
-			if !d.Graph.HasEdge(socialgraph.UserID(u), a.Creator) {
-				t.Fatalf("activity on %d created by non-follower %d", u, a.Creator)
+		for _, k := range d.ReceivedIdx(socialgraph.UserID(u)) {
+			if c := d.CreatorAt(int(k)); !d.Graph.HasEdge(socialgraph.UserID(u), c) {
+				t.Fatalf("activity on %d created by non-follower %d", u, c)
 			}
 		}
 	}
@@ -290,15 +290,15 @@ func TestDiurnalClustering(t *testing.T) {
 	d := MustSynthesize(cfg)
 	checked := 0
 	for u := 0; u < d.NumUsers() && checked < 20; u++ {
-		acts := d.CreatedBy(socialgraph.UserID(u))
+		acts := d.CreatedIdx(socialgraph.UserID(u))
 		if len(acts) < 20 {
 			continue
 		}
 		checked++
 		// Circular mean via vector averaging.
 		var sx, sy float64
-		for _, a := range acts {
-			th := 2 * 3.141592653589793 * float64(a.MinuteOfDay()) / 1440
+		for _, k := range acts {
+			th := 2 * 3.141592653589793 * float64(d.MinuteOfDayAt(int(k))) / 1440
 			sx += math.Cos(th)
 			sy += math.Sin(th)
 		}
