@@ -3,8 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 
 	"dosn/internal/dht"
+	"dosn/internal/fault"
 	"dosn/internal/interval"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
@@ -32,9 +36,13 @@ type ArchConfig struct {
 	UserDegree int
 	Repeats    int
 	Seed       int64
-	// Workers bounds the per-sweep worker pool; never affects results.
+	// Workers bounds the worker pool of each sweep, table build and
+	// placement pass (default runtime.NumCPU()); never affects results.
 	Workers int
 }
+
+// faultPlacementChunk sits inside a placement-pass worker, per claimed chunk.
+var faultPlacementChunk = fault.NewSite("core.placement-chunk")
 
 func (c *ArchConfig) fill() error {
 	if c.Dataset == nil {
@@ -62,6 +70,9 @@ func (c *ArchConfig) fill() error {
 	}
 	if c.Repeats <= 0 {
 		c.Repeats = 1
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.NumCPU()
 	}
 	return nil
 }
@@ -108,14 +119,17 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		return nil, err
 	}
 
+	// One ring, and so one lookup summary, shared by every DHT row: ring and
+	// readers are the same whichever way the successors are ranked.
 	var ring *dht.Ring
+	var lookup metrics.RoutingStats
 	for _, a := range cfg.Architectures {
 		if a != dht.ArchFriendReplica {
 			r, err := dht.BuildRing(ds.NumUsers(), dht.Config{Bits: cfg.RingBits})
 			if err != nil {
 				return nil, err
 			}
-			ring = r
+			ring, lookup = r, archLookupStats(r, ds, owners)
 			break
 		}
 	}
@@ -153,61 +167,124 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		row := ArchRow{Architecture: name, Sweep: sweep}
 		// Storage load: the architecture's primary policy over the first
 		// repetition's schedule table.
-		load := placementLoad(ds, tables[0].Bitmaps(), policies[0], cfg.Mode, cfg.MaxDegree,
+		load, err := placementLoad(ds, tables[0].Bitmaps(), policies[0], cfg.Mode, cfg.MaxDegree, cfg.Workers,
 			func(u int) int64 { return mix(cfg.Seed, 41, int64(u)) })
+		if err != nil {
+			return nil, fmt.Errorf("architecture %s: %w", name, err)
+		}
 		row.LoadMean, row.LoadMax, row.LoadCV = metrics.LoadImbalance(load)
 		row.LoadGini = metrics.Gini(load)
 		if name != dht.ArchFriendReplica {
-			row.Lookup = archLookupStats(ring, ds, owners)
+			row.Lookup = lookup
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
+// placementChunkSize fixes the user-chunk granularity of the placement
+// pass. As in the sweep, chunk boundaries depend only on the population; a
+// chunk is large enough that claiming one is noise beside placing it and
+// small enough that a 13k-user dataset still balances over every core.
+const placementChunkSize = 128
+
 // placementLoad places every profile in the dataset with the policy at the
-// full budget and returns the per-host replica counts (metrics.HostLoad).
-// Inputs the policy declares it ignores (replica.Traits) are not prepared;
-// seedOf supplies the per-user RNG seed of randomized policies.
-func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Policy, mode replica.Mode, budget int, seedOf func(u int) int64) []int {
+// full budget and returns the per-host replica counts — how many foreign
+// profiles each user stores, the fairness/storage-balance requirement of
+// §II-B1. Inputs the policy declares it ignores (replica.Traits) are not
+// prepared; seedOf supplies the per-user RNG seed of randomized policies.
+//
+// Up to `workers` goroutines claim fixed index-ordered user chunks and count
+// into a load vector of their own; the vectors are summed at the join.
+// Integer addition commutes and every per-user input (seedOf(u) included) is
+// a function of the user alone, so the result cannot depend on the worker
+// count or the claim order. A panic in any worker — a policy bug, an
+// injected fault — is re-raised on this goroutine by fault.Parallel and
+// returned as the pass's error.
+func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Policy, mode replica.Mode, budget, workers int, seedOf func(u int) int64) (load []int, err error) {
+	defer func() {
+		//dosn:recover placement-pass boundary: a panicking placement worker becomes the comparison's error instead of killing the process
+		if r := recover(); r != nil {
+			load, err = nil, fault.PanicError("core: placement pass", r, debug.Stack())
+		}
+	}()
+	n := ds.NumUsers()
 	traits := replica.TraitsOf(p)
-	assignments := make(map[socialgraph.UserID][]socialgraph.UserID, ds.NumUsers())
-	var countScratch trace.CountScratch
-	var demand interval.Bitmap
-	for u := 0; u < ds.NumUsers(); u++ {
-		uid := socialgraph.UserID(u)
-		in := replica.Input{
-			Owner:      uid,
-			Candidates: ds.Graph.Neighbors(uid),
-			Bitmaps:    bitmaps,
-			Mode:       mode,
-			Budget:     budget,
-		}
-		if traits.UsesInteractions {
-			in.CandidateCounts = ds.CandidateInteractionCounts(uid, in.Candidates, &countScratch)
-		}
-		if traits.UsesDemand {
-			demand.Clear()
-			for _, k := range ds.ReceivedIdx(uid) {
-				m := ds.MinuteOfDayAt(int(k))
-				demand.AddInterval(interval.Interval{Start: m, End: m + 1})
+	var claimed atomic.Int64 // chunks handed out: the only cross-worker coordination
+	// work is one worker's loop: claim chunks until none are left and count
+	// every chosen host into a load vector this worker owns.
+	work := func() ([]int, error) {
+		load := make([]int, n)
+		var countScratch trace.CountScratch
+		var demand interval.Bitmap
+		for {
+			lo := int(claimed.Add(1)-1) * placementChunkSize
+			if lo >= n {
+				return load, nil
 			}
-			in.Demand = &demand
+			if err := faultPlacementChunk.InjectSeeded(int64(lo)); err != nil {
+				return nil, err
+			}
+			for u := lo; u < min(lo+placementChunkSize, n); u++ {
+				uid := socialgraph.UserID(u)
+				in := replica.Input{
+					Owner:      uid,
+					Candidates: ds.Graph.Neighbors(uid),
+					Bitmaps:    bitmaps,
+					Mode:       mode,
+					Budget:     budget,
+				}
+				if traits.UsesInteractions {
+					in.CandidateCounts = ds.CandidateInteractionCounts(uid, in.Candidates, &countScratch)
+				}
+				if traits.UsesDemand {
+					demand.Clear()
+					for _, k := range ds.ReceivedIdx(uid) {
+						m := ds.MinuteOfDayAt(int(k))
+						demand.AddInterval(interval.Interval{Start: m, End: m + 1})
+					}
+					in.Demand = &demand
+				}
+				var rng *rand.Rand
+				if traits.UsesRNG {
+					rng = rand.New(rand.NewSource(seedOf(u)))
+				}
+				metrics.AddHostLoad(load, p.Select(in, rng))
+			}
 		}
-		var rng *rand.Rand
-		if traits.UsesRNG {
-			rng = rand.New(rand.NewSource(seedOf(u)))
-		}
-		assignments[uid] = p.Select(in, rng)
 	}
-	return metrics.HostLoad(assignments, ds.NumUsers())
+
+	nChunks := (n + placementChunkSize - 1) / placementChunkSize
+	loads := make([][]int, max(1, min(workers, nChunks)))
+	errs := make([]error, len(loads))
+	fns := make([]func(), len(loads))
+	for w := range fns {
+		fns[w] = func() { loads[w], errs[w] = work() }
+	}
+	fault.Parallel(fns...)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	load = loads[0]
+	for _, l := range loads[1:] {
+		for h, c := range l {
+			load[h] += c
+		}
+	}
+	return load, nil
 }
 
 // archLookupStats routes one profile lookup per (owner, friend) pair of the
 // analysis population — the reader workload the AoD-time metric models —
 // and summarizes the hop counts.
 func archLookupStats(ring *dht.Ring, ds *trace.Dataset, owners []socialgraph.UserID) metrics.RoutingStats {
-	var hops []int
+	lookups := 0
+	for _, u := range owners {
+		lookups += ds.Graph.Degree(u)
+	}
+	hops := make([]int, 0, lookups)
 	for _, u := range owners {
 		key := ring.Key(u)
 		for _, f := range ds.Graph.Neighbors(u) {

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"dosn/internal/dht"
+	"dosn/internal/fault"
+	"dosn/internal/interval"
+	"dosn/internal/metrics"
+	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
+	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
 
@@ -173,5 +179,99 @@ func TestDHTPoliciesThroughEngine(t *testing.T) {
 		if eff := res.Value(pi, 5, MetricEffectiveReplicas); eff <= 0 {
 			t.Errorf("%s placed no replicas at budget 5", res.Policies[pi])
 		}
+	}
+}
+
+// TestPlacementLoadWorkerInvariant: the load vector of every placement the
+// repo ships — the three friend policies and both DHT variants, in both
+// modes — must equal a serial fold of Select over the users, whatever the
+// worker count. archDataset's 400 users make four chunks, so 2 and 7
+// workers split them differently (and 7 caps at one worker per chunk).
+func TestPlacementLoadWorkerInvariant(t *testing.T) {
+	ds := archDataset(t)
+	bitmaps := onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 9, 1).Bitmaps()
+	ring, err := dht.BuildRing(ds.NumUsers(), dht.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := append(replica.DefaultPolicies(),
+		&dht.Placement{Ring: ring},
+		&dht.Placement{Ring: ring, Social: true, Graph: ds.Graph})
+	seedOf := func(u int) int64 { return mix(5, int64(u)) }
+	const budget = 4
+	for _, p := range policies {
+		for _, mode := range []replica.Mode{replica.ConRep, replica.UnconRep} {
+			want := make([]int, ds.NumUsers())
+			var counts trace.CountScratch
+			for u := 0; u < ds.NumUsers(); u++ {
+				uid := socialgraph.UserID(u)
+				friends := ds.Graph.Neighbors(uid)
+				var demand interval.Bitmap
+				for _, k := range ds.ReceivedIdx(uid) {
+					m := ds.MinuteOfDayAt(int(k))
+					demand.AddInterval(interval.Interval{Start: m, End: m + 1})
+				}
+				metrics.AddHostLoad(want, p.Select(replica.Input{
+					Owner:           uid,
+					Candidates:      friends,
+					CandidateCounts: ds.CandidateInteractionCounts(uid, friends, &counts),
+					Demand:          &demand,
+					Bitmaps:         bitmaps,
+					Mode:            mode,
+					Budget:          budget,
+				}, rand.New(rand.NewSource(seedOf(u)))))
+			}
+			placed := 0
+			for _, c := range want {
+				placed += c
+			}
+			if placed == 0 {
+				t.Fatalf("%s/%v: reference fold placed nothing", p.Name(), mode)
+			}
+			for _, workers := range []int{1, 2, 7} {
+				got, err := placementLoad(ds, bitmaps, p, mode, budget, workers, seedOf)
+				if err != nil {
+					t.Fatalf("%s/%v workers=%d: %v", p.Name(), mode, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%v workers=%d: load differs from the serial fold", p.Name(), mode, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestPlacementWorkerFaultBecomesError: a panic inside a placement-pass
+// worker goroutine (and an injected error there) must come back as
+// RunArchComparison's error, carrying the injected fault, and leave nothing
+// behind that perturbs a clean rerun.
+func TestPlacementWorkerFaultBecomesError(t *testing.T) {
+	ds := archDataset(t)
+	cfg := ArchConfig{Dataset: ds, MaxDegree: 3, Repeats: 1, Seed: 7, Workers: 4}
+	// The 2nd hit is claimed by whichever worker gets there — on most runs a
+	// spawned goroutine, on the rest the caller's own pass.
+	for _, spec := range []string{"core.placement-chunk=panic(2)", "core.placement-chunk=error(2)"} {
+		withFaults(t, spec)
+		_, err := RunArchComparison(cfg)
+		if err == nil {
+			t.Fatalf("%s: RunArchComparison swallowed the injected fault", spec)
+		}
+		if inj, ok := fault.AsInjected(err); !ok || inj.Site != "core.placement-chunk" {
+			t.Fatalf("%s: error lost the injected fault: %v", spec, err)
+		}
+		fault.Disable()
+	}
+
+	got, err := RunArchComparison(cfg)
+	if err != nil {
+		t.Fatalf("clean rerun after recovered panic: %v", err)
+	}
+	cfg.Workers = 1
+	ref, err := RunArchComparison(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Error("post-recovery rerun diverged from the one-worker reference")
 	}
 }

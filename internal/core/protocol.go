@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"dosn/internal/desim"
 	"dosn/internal/interval"
@@ -266,11 +267,15 @@ func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.
 	if budget <= 0 {
 		budget = 3
 	}
-	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 11))), 1).Bitmaps()
+	workers := runtime.NumCPU()
+	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 11))), workers).Bitmaps()
 	rows := make([]LoadBalanceRow, 0, 3)
 	for pi, p := range replica.DefaultPolicies() {
-		load := placementLoad(ds, schedules, p, mode, budget,
+		load, err := placementLoad(ds, schedules, p, mode, budget, workers,
 			func(u int) int64 { return mix(seed, int64(pi), int64(u)) })
+		if err != nil {
+			return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
+		}
 		mean, maxLoad, cv := metrics.LoadImbalance(load)
 		rows = append(rows, LoadBalanceRow{Policy: p.Name(), MeanLoad: mean, MaxLoad: maxLoad, CV: cv})
 	}

@@ -96,8 +96,10 @@ func (a SocialDHT) Policies() []replica.Policy {
 }
 
 // NewArchitecture resolves a canonical architecture name. ring and graph are
-// required for the DHT architectures and ignored by FriendReplica; base
-// customizes FriendReplica's policy list (nil means the paper's three).
+// required for the DHT architectures and ignored by FriendReplica; SocialDHT
+// needs them to span the same users, since it looks ring candidates up in
+// the graph. base customizes FriendReplica's policy list (nil means the
+// paper's three).
 func NewArchitecture(name string, ring *Ring, graph *socialgraph.Graph, base []replica.Policy) (Architecture, error) {
 	switch name {
 	case ArchFriendReplica, "":
@@ -110,6 +112,9 @@ func NewArchitecture(name string, ring *Ring, graph *socialgraph.Graph, base []r
 	case ArchSocialDHT:
 		if ring == nil || graph == nil {
 			return nil, fmt.Errorf("dht: %s needs a ring and a graph", name)
+		}
+		if ring.NumNodes() != graph.NumUsers() {
+			return nil, fmt.Errorf("dht: %s ring has %d nodes but the graph has %d users", name, ring.NumNodes(), graph.NumUsers())
 		}
 		return SocialDHT{Ring: ring, Graph: graph}, nil
 	default:

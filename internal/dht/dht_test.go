@@ -368,6 +368,10 @@ func TestNewArchitecture(t *testing.T) {
 	if _, err := NewArchitecture(ArchSocialDHT, r, nil, nil); err == nil {
 		t.Error("SocialDHT without a graph accepted")
 	}
+	small := socialgraph.NewBuilder(socialgraph.Undirected, 19).Build()
+	if _, err := NewArchitecture(ArchSocialDHT, r, small, nil); err == nil {
+		t.Error("SocialDHT accepted a ring and a graph over different user counts")
+	}
 	if _, err := NewArchitecture("Gossip", r, g, nil); err == nil {
 		t.Error("unknown architecture accepted")
 	}

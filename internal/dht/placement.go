@@ -2,7 +2,7 @@ package dht
 
 import (
 	"math/rand"
-	"sort"
+	"sync"
 
 	"dosn/internal/interval"
 	"dosn/internal/replica"
@@ -33,6 +33,9 @@ const DefaultWindow = 4
 // values (a larger budget only extends the successor scan); SocialDHT ranks
 // a budget-sized candidate window, so selections from different budgets may
 // reorder. Both variants are fully deterministic (no RNG).
+//
+// Select is safe for concurrent use on one *Placement; a Placement must not
+// be copied after first use.
 type Placement struct {
 	// Ring is the key ring (required).
 	Ring *Ring
@@ -43,6 +46,10 @@ type Placement struct {
 	// Window overrides the candidate window multiplier (default
 	// DefaultWindow).
 	Window int
+
+	// scratch pools *rankScratch, so concurrent Select calls from sweep
+	// workers each rank in their own buffers.
+	scratch sync.Pool
 }
 
 // Compile-time interface checks.
@@ -102,67 +109,96 @@ func (p *Placement) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID 
 	return chosen
 }
 
-// rank reorders cands in place by descending placement score; ties resolve
-// by the original successor-list order (ring distance), which sort.SliceStable
-// preserves, so the ranking is deterministic.
+// rankScratch is the per-Select working memory of the SocialDHT ranking:
+// the owner's-neighbor mark bitset (one bit per user, all clear between
+// calls) and the candidate scores.
+type rankScratch struct {
+	marks  []uint64
+	scores []float64
+}
+
+// rank reorders cands in place by descending score; ties resolve by the
+// original successor-list order (ring distance), so the ranking is
+// deterministic.
 func (p *Placement) rank(in replica.Input, cands []socialgraph.UserID) {
-	scores := make([]float64, len(cands))
-	for i, c := range cands {
-		scores[i] = p.score(in, c)
+	sc, _ := p.scratch.Get().(*rankScratch)
+	if sc == nil {
+		sc = new(rankScratch)
 	}
-	idx := make([]int, len(cands))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	ranked := make([]socialgraph.UserID, len(cands))
-	for i, j := range idx {
-		ranked[i] = cands[j]
-	}
-	copy(cands, ranked)
+	sortByScoreDesc(p.score(in, cands, sc), cands)
+	p.scratch.Put(sc)
 }
 
-// score is the SocialDHT ranking function: social proximity to the owner
-// (direct edge = 1, otherwise the Jaccard similarity of the neighbor sets)
-// plus the fraction of the day the candidate's schedule overlaps the
-// owner's. Both terms lie in [0, 1]; equal weighting keeps the score free of
-// tuning knobs.
-func (p *Placement) score(in replica.Input, c socialgraph.UserID) float64 {
-	return p.proximity(in.Owner, c) + scheduleOverlap(in, in.Owner, c)
-}
+// score fills sc.scores with the SocialDHT ranking function of every
+// candidate: social proximity to the owner (direct edge = 1, otherwise the
+// Jaccard similarity of the neighbor sets) plus the fraction of the day the
+// candidate's schedule overlaps the owner's. Both terms lie in [0, 1]; equal
+// weighting keeps the score free of tuning knobs.
+//
+// Proximity never merges two neighbor lists: the owner's neighbors are
+// marked once in sc.marks, a candidate is a direct neighbor iff its own bit
+// is set, and otherwise |N(owner) ∩ N(c)| is a branch-free sum of bit tests
+// over the candidate's list alone. The marks are cleared again by a second
+// walk of the owner's list, so sc leaves as clean as it came.
+//
+//dosn:hotpath
+func (p *Placement) score(in replica.Input, cands []socialgraph.UserID, sc *rankScratch) []float64 {
+	if cap(sc.scores) < len(cands) {
+		sc.scores = make([]float64, len(cands))
+	}
+	scores := sc.scores[:len(cands)]
 
-// proximity measures social closeness of owner and candidate in [0, 1].
-func (p *Placement) proximity(owner, c socialgraph.UserID) float64 {
-	if p.Graph == nil {
-		return 0
-	}
-	if p.Graph.HasEdge(owner, c) {
-		return 1
-	}
-	return jaccard(p.Graph.Neighbors(owner), p.Graph.Neighbors(c))
-}
-
-// jaccard computes |a ∩ b| / |a ∪ b| over two sorted ID slices.
-func jaccard(a, b []socialgraph.UserID) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	common := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			common++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+	var own []socialgraph.UserID
+	if p.Graph != nil {
+		own = p.Graph.Neighbors(in.Owner)
+		// Candidates come from the ring, neighbors from the graph; sizing by
+		// the larger keeps every bit index in range even for a Placement
+		// literal that pairs mismatched ones (NewArchitecture rejects those).
+		if words := (max(p.Ring.NumNodes(), p.Graph.NumUsers()) + 63) / 64; len(sc.marks) < words {
+			sc.marks = make([]uint64, words)
 		}
 	}
-	union := len(a) + len(b) - common
-	return float64(common) / float64(union)
+	marks := sc.marks
+	for _, f := range own {
+		marks[f>>6] |= 1 << (f & 63)
+	}
+	for i, c := range cands {
+		var proximity float64
+		switch {
+		case len(own) == 0:
+			// No graph, or a friendless owner: proximity 0 for everyone.
+		case marks[c>>6]>>(c&63)&1 != 0:
+			proximity = 1
+		default:
+			nb := p.Graph.Neighbors(c)
+			common := 0
+			for _, f := range nb {
+				common += int(marks[f>>6] >> (f & 63) & 1)
+			}
+			if common > 0 {
+				proximity = float64(common) / float64(len(own)+len(nb)-common)
+			}
+		}
+		scores[i] = proximity + scheduleOverlap(in, in.Owner, c)
+	}
+	for _, f := range own {
+		marks[f>>6] = 0
+	}
+	return scores
+}
+
+// sortByScoreDesc is a stable insertion sort of cands by descending score,
+// permuting scores alongside. A stable order is unique, so the result is
+// the one sort.SliceStable gives; a candidate window is a few dozen entries.
+func sortByScoreDesc(scores []float64, cands []socialgraph.UserID) {
+	for i := 1; i < len(cands); i++ {
+		s, c := scores[i], cands[i]
+		j := i
+		for ; j > 0 && scores[j-1] < s; j-- {
+			scores[j], cands[j] = scores[j-1], cands[j-1]
+		}
+		scores[j], cands[j] = s, c
+	}
 }
 
 // scheduleOverlap returns |OT_a ∩ OT_b| / DayMinutes over the dense

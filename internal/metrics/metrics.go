@@ -334,19 +334,17 @@ func (dc *DelayCalc) Prefix(k int) DelayResult {
 	return res
 }
 
-// HostLoad counts, for every user, how many foreign profiles the user hosts
-// given per-owner replica assignments. It quantifies the fairness/storage-
-// balance requirement of §II-B1.
-func HostLoad(assignments map[socialgraph.UserID][]socialgraph.UserID, numUsers int) []int {
-	load := make([]int, numUsers)
-	for _, replicas := range assignments {
-		for _, r := range replicas {
-			if r >= 0 && int(r) < numUsers {
-				load[r]++
-			}
+// AddHostLoad counts one owner's replica group into a per-host load
+// vector: load[h] is how many foreign profiles user h hosts, the quantity
+// behind the fairness/storage-balance requirement of §II-B1. Replicas
+// outside the vector are ignored. Callers fold every owner's selection into
+// one vector (or one per worker, summed), never into a per-owner map.
+func AddHostLoad(load []int, replicas []socialgraph.UserID) {
+	for _, r := range replicas {
+		if r >= 0 && int(r) < len(load) {
+			load[r]++
 		}
 	}
-	return load
 }
 
 // Gini returns the Gini coefficient of a per-node load vector in [0, 1): 0
@@ -403,8 +401,8 @@ func SummarizeHops(hops []int) RoutingStats {
 	return s
 }
 
-// LoadImbalance summarizes a HostLoad vector as (mean, max, coefficient of
-// variation). A perfectly fair placement has cv → 0.
+// LoadImbalance summarizes a per-host load vector (AddHostLoad) as (mean,
+// max, coefficient of variation). A perfectly fair placement has cv → 0.
 func LoadImbalance(load []int) (mean, max float64, cv float64) {
 	if len(load) == 0 {
 		return 0, 0, 0

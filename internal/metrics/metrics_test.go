@@ -198,13 +198,16 @@ func TestMaxAchievableAvailability(t *testing.T) {
 }
 
 func TestHostLoadAndImbalance(t *testing.T) {
-	assignments := map[socialgraph.UserID][]socialgraph.UserID{
-		0: {1, 2},
-		1: {2},
-		2: {1},
-		3: {99}, // out of range must be ignored
+	load := make([]int, 4)
+	for _, replicas := range [][]socialgraph.UserID{
+		{1, 2},
+		{2},
+		{1},
+		{99, -1}, // out of range must be ignored
+		nil,
+	} {
+		AddHostLoad(load, replicas)
 	}
-	load := HostLoad(assignments, 4)
 	want := []int{0, 2, 2, 0}
 	for i := range want {
 		if load[i] != want[i] {
