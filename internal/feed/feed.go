@@ -4,81 +4,76 @@
 // pagination.
 package feed
 
-import (
-	"container/heap"
-
-	"dosn/internal/store"
-)
+import "dosn/internal/store"
 
 // Item is one feed entry.
 type Item = store.Post
 
-// older reports whether a is strictly older than b in feed order
-// (CreatedAt, then author, then sequence — a total order).
-func older(a, b Item) bool {
+// older reports whether a is strictly older than b in feed order:
+// CreatedAt, then author, then sequence, then wall. Sequence numbers count
+// per (author, wall), so the wall is what tells one author's k-th posts on
+// two walls apart; with it the order is total over the posts of distinct
+// walls, and a merge has exactly one result.
+func older(a, b *Item) bool {
 	if a.CreatedAt != b.CreatedAt {
 		return a.CreatedAt < b.CreatedAt
 	}
 	if a.ID.Author != b.ID.Author {
 		return a.ID.Author < b.ID.Author
 	}
-	return a.ID.Seq < b.ID.Seq
+	if a.ID.Seq != b.ID.Seq {
+		return a.ID.Seq < b.ID.Seq
+	}
+	return a.Wall < b.Wall
 }
 
-// mergeHeap is a max-heap of per-wall cursors, newest item first.
-type mergeHeap struct {
-	lists [][]Item // each list newest-last (store.Wall.Posts order)
-	pos   []int    // next index to take, counted from the end
-	order []int    // heap of list indices
-}
+// newest returns the head of a non-empty post list in rendering order.
+func newest(l []Item) *Item { return &l[len(l)-1] }
 
-func (h *mergeHeap) head(i int) Item {
-	l := h.lists[i]
-	return l[len(l)-1-h.pos[i]]
-}
-
-func (h *mergeHeap) Len() int { return len(h.order) }
-func (h *mergeHeap) Less(a, b int) bool {
-	// Max-heap on feed order: newer items first.
-	return older(h.head(h.order[b]), h.head(h.order[a]))
-}
-func (h *mergeHeap) Swap(a, b int)      { h.order[a], h.order[b] = h.order[b], h.order[a] }
-func (h *mergeHeap) Push(x interface{}) { h.order = append(h.order, x.(int)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.order
-	n := len(old)
-	x := old[n-1]
-	h.order = old[:n-1]
-	return x
+// siftDown restores the heap property below node i of h, a max-heap in feed
+// order of non-empty post lists keyed by their newest item.
+func siftDown(h [][]Item, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && older(newest(h[c]), newest(h[r])) {
+			c = r
+		}
+		if !older(newest(h[i]), newest(h[c])) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Merge combines per-wall post slices (each in store rendering order, oldest
 // first) into one reverse-chronological timeline, newest first.
 func Merge(walls ...[]Item) []Item {
-	h := &mergeHeap{}
+	h := make([][]Item, 0, len(walls))
 	total := 0
 	for _, w := range walls {
-		if len(w) == 0 {
-			continue
+		if len(w) > 0 {
+			h = append(h, w)
+			total += len(w)
 		}
-		h.lists = append(h.lists, w)
-		h.pos = append(h.pos, 0)
-		total += len(w)
 	}
-	for i := range h.lists {
-		h.order = append(h.order, i)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	heap.Init(h)
 	out := make([]Item, 0, total)
-	for h.Len() > 0 {
-		i := h.order[0]
-		out = append(out, h.head(i))
-		h.pos[i]++
-		if h.pos[i] >= len(h.lists[i]) {
-			heap.Pop(h)
+	for len(h) > 0 {
+		top := h[0]
+		out = append(out, *newest(top))
+		if len(top) > 1 {
+			h[0] = top[:len(top)-1]
 		} else {
-			heap.Fix(h, 0)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftDown(h, 0)
 	}
 	return out
 }
@@ -86,10 +81,11 @@ func Merge(walls ...[]Item) []Item {
 // Cursor marks a position in a timeline for pagination. The zero value
 // means "start from the newest item".
 type Cursor struct {
-	// After is exclusive: the page starts strictly after (older than) the
-	// item this cursor identifies.
+	// The cursor is exclusive: the page starts strictly after (older than)
+	// the item these three fields identify.
 	At    int64        `json:"at"`
 	ID    store.PostID `json:"id"`
+	Wall  store.NodeID `json:"wall"`
 	valid bool
 }
 
@@ -103,9 +99,9 @@ func Page(timeline []Item, c Cursor, limit int) (items []Item, next Cursor, done
 	start := 0
 	if c.valid {
 		// Find the first item strictly older than the cursor.
+		at := Item{CreatedAt: c.At, ID: c.ID, Wall: c.Wall}
 		for start < len(timeline) {
-			it := timeline[start]
-			if older(it, Item{CreatedAt: c.At, ID: c.ID}) {
+			if older(&timeline[start], &at) {
 				break
 			}
 			start++
@@ -120,5 +116,5 @@ func Page(timeline []Item, c Cursor, limit int) (items []Item, next Cursor, done
 		return items, Cursor{}, true
 	}
 	last := items[len(items)-1]
-	return items, Cursor{At: last.CreatedAt, ID: last.ID, valid: true}, false
+	return items, Cursor{At: last.CreatedAt, ID: last.ID, Wall: last.Wall, valid: true}, false
 }

@@ -2,6 +2,7 @@ package feed
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,52 @@ import (
 
 func post(author int32, seq uint64, at int64) Item {
 	return Item{ID: store.PostID{Author: author, Seq: seq}, CreatedAt: at}
+}
+
+func postOn(wall, author int32, seq uint64, at int64) Item {
+	it := post(author, seq, at)
+	it.Wall = wall
+	return it
+}
+
+// randomWalls draws 1–4 walls in store rendering order. Two authors write on
+// every wall, each numbering its posts per wall from 1, and timestamps
+// repeat: one author's k-th posts on two walls tie on everything but the
+// wall, the case sequence numbers alone cannot order.
+func randomWalls(rng *rand.Rand) [][]Item {
+	walls := make([][]Item, 1+rng.Intn(4))
+	for w := range walls {
+		var seq [2]uint64
+		at := int64(0)
+		for i, n := 0, rng.Intn(8); i < n; i++ {
+			at += int64(rng.Intn(2))
+			a := rng.Intn(2)
+			seq[a]++
+			walls[w] = append(walls[w], postOn(int32(w), int32(a), seq[a], at))
+		}
+		slices.SortFunc(walls[w], func(a, b Item) int {
+			if older(&a, &b) {
+				return -1
+			}
+			return 1
+		})
+	}
+	return walls
+}
+
+// sortedUnion is Merge's oracle: every item, sorted newest first.
+func sortedUnion(walls [][]Item) []Item {
+	var all []Item
+	for _, w := range walls {
+		all = append(all, w...)
+	}
+	slices.SortFunc(all, func(a, b Item) int {
+		if older(&b, &a) {
+			return -1
+		}
+		return 1
+	})
+	return all
 }
 
 func TestMergeNewestFirst(t *testing.T) {
@@ -77,9 +124,32 @@ func TestPagePagination(t *testing.T) {
 		t.Fatalf("paged items = %d, want 7", len(all))
 	}
 	for i := 1; i < len(all); i++ {
-		if !older(all[i], all[i-1]) {
+		if !older(&all[i], &all[i-1]) {
 			t.Errorf("pagination out of order at %d: %v after %v", i, all[i], all[i-1])
 		}
+	}
+}
+
+// Sequence numbers count per (author, wall): one author's first post on each
+// of two walls, written in the same minute, differ only in the wall. A
+// cursor without the wall resumed "strictly older" than both and dropped one.
+func TestPageKeepsSameAuthorTiesAcrossWalls(t *testing.T) {
+	timeline := Merge([]Item{postOn(10, 1, 1, 5)}, []Item{postOn(11, 1, 1, 5)})
+	if len(timeline) != 2 || timeline[0].Wall != 11 || timeline[1].Wall != 10 {
+		t.Fatalf("timeline = %v, want wall 11 then wall 10", timeline)
+	}
+	var paged []Item
+	var c Cursor
+	for i := 0; i < 3; i++ {
+		items, next, done := Page(timeline, c, 1)
+		paged = append(paged, items...)
+		if done {
+			break
+		}
+		c = next
+	}
+	if !slices.Equal(paged, timeline) {
+		t.Errorf("paged %v, want %v", paged, timeline)
 	}
 }
 
@@ -96,61 +166,31 @@ func TestPageZeroLimit(t *testing.T) {
 
 func TestQuickMergeMatchesSortedUnion(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nWalls := 1 + rng.Intn(4)
-		var walls [][]Item
-		total := 0
-		for w := 0; w < nWalls; w++ {
-			n := rng.Intn(6)
-			var wall []Item
-			at := int64(0)
-			for i := 0; i < n; i++ {
-				at += int64(rng.Intn(3)) // non-decreasing, duplicates allowed
-				wall = append(wall, post(int32(w), uint64(i+1), at))
-			}
-			walls = append(walls, wall)
-			total += n
-		}
-		got := Merge(walls...)
-		if len(got) != total {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if !older(got[i], got[i-1]) {
-				return false
-			}
-		}
-		return true
+		walls := randomWalls(rand.New(rand.NewSource(seed)))
+		return slices.Equal(Merge(walls...), sortedUnion(walls))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestQuickPaginationCoversAll(t *testing.T) {
 	f := func(seed int64, limitRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
 		limit := int(limitRaw%5) + 1
-		var wall []Item
-		at := int64(0)
-		for i := 0; i < rng.Intn(20); i++ {
-			at += int64(rng.Intn(2))
-			wall = append(wall, post(1, uint64(i+1), at))
-		}
-		timeline := Merge(wall)
+		timeline := Merge(randomWalls(rand.New(rand.NewSource(seed)))...)
 		var c Cursor
-		seen := 0
+		var paged []Item
 		for i := 0; i < 100; i++ { // bound iterations defensively
 			items, next, done := Page(timeline, c, limit)
-			seen += len(items)
+			paged = append(paged, items...)
 			if done {
 				break
 			}
 			c = next
 		}
-		return seen == len(timeline)
+		return slices.Equal(paged, timeline)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,0 +1,170 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"strings"
+	"testing"
+	"testing/quick"
+)
+
+// saveBoth returns the snapshot from Save and from the encoding/json oracle.
+func saveBoth(t testing.TB, s *Store) (got, want []byte) {
+	t.Helper()
+	var g, w bytes.Buffer
+	if err := s.Save(&g); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if err := saveEncodingJSON(s, &w); err != nil {
+		t.Fatalf("oracle save: %v", err)
+	}
+	return g.Bytes(), w.Bytes()
+}
+
+// The snapshot's bytes are the format: Save must write exactly what
+// encoding/json writes for the snapshot types, whatever the store holds.
+func TestSaveMatchesEncodingJSON(t *testing.T) {
+	f := func(seed int64) bool {
+		got, want := saveBoth(t, randomStore(rand.New(rand.NewSource(seed)), false))
+		if !bytes.Equal(got, want) {
+			t.Logf("seed %d:\nSave:\n%s\nencoding/json:\n%s", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The forms the random stores reach only by luck or not at all: a store with
+// no wall ("walls": null), a wall with no post and no field ("posts": [],
+// "fields": {}), and strings longer than the encoder's whole chunk, plain
+// and escaped.
+func TestSaveFixedCases(t *testing.T) {
+	empty := New(3)
+	hosting := New(3)
+	hosting.Host(9)
+	long := New(3)
+	long.Host(3)
+	for _, body := range []string{strings.Repeat("x", 2*snapshotChunk), strings.Repeat("<", 2*snapshotChunk), "short"} {
+		if _, err := long.Author(3, body, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range []*Store{empty, hosting, long} {
+		got, want := saveBoth(t, s)
+		if !bytes.Equal(got, want) {
+			t.Errorf("Save:\n%.400s\nencoding/json:\n%.400s", got, want)
+		}
+	}
+	got, _ := saveBoth(t, empty)
+	if string(got) != "{\n \"node\": 3,\n \"walls\": null\n}\n" {
+		t.Errorf("empty store saved as %q", got)
+	}
+}
+
+func TestSaveLoadSaveByteEqual(t *testing.T) {
+	f := func(seed int64) bool {
+		first, _ := saveBoth(t, randomStore(rand.New(rand.NewSource(seed)), true))
+		back, err := Load(bytes.NewReader(first))
+		if err != nil {
+			t.Logf("seed %d: Load: %v", seed, err)
+			return false
+		}
+		second, _ := saveBoth(t, back)
+		if !bytes.Equal(first, second) {
+			t.Logf("seed %d:\nfirst:\n%s\nsecond:\n%s", seed, first, second)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzSaveString checks the string path of the snapshot encoder — the only
+// part of the format that depends on content — as a post body, a field name
+// and a field value.
+func FuzzSaveString(f *testing.F) {
+	for _, s := range hostile {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		s := New(1)
+		s.Host(1)
+		if _, err := s.Author(1, body, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SetField(1, body, Field{Value: body, At: 1, Writer: 1}); err != nil {
+			t.Fatal(err)
+		}
+		got, want := saveBoth(t, s)
+		if !bytes.Equal(got, want) {
+			t.Errorf("Save:\n%s\nencoding/json:\n%s", got, want)
+		}
+	})
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failingWriter takes room bytes, then fails. With short set it fails the
+// way a broken writer does: fewer bytes than asked, no error.
+type failingWriter struct {
+	room  int
+	short bool
+	buf   bytes.Buffer
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.room {
+		w.room -= len(p)
+		return w.buf.Write(p)
+	}
+	n, _ := w.buf.Write(p[:w.room])
+	w.room = 0
+	if w.short {
+		return n, nil
+	}
+	return n, errDiskFull
+}
+
+// A write error anywhere in the stream must come back from Save: a snapshot
+// is many chunks now, and a dropped error would leave a truncated state file
+// reported as saved.
+func TestSaveSurfacesWriteErrors(t *testing.T) {
+	s := New(1)
+	s.Host(1)
+	s.Host(2)
+	for i := 0; i < 1200; i++ {
+		if _, err := s.Author(NodeID(1+i%2), strings.Repeat("x", 100), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.SetField(2, "bio", Field{Value: "v", At: 1, Writer: 1}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := saveBoth(t, s)
+	if len(want) < 3*snapshotChunk {
+		t.Fatalf("snapshot is %d bytes, want several chunks", len(want))
+	}
+	for _, room := range []int{0, 1, snapshotChunk / 2, snapshotChunk, len(want) / 2, len(want) - 1} {
+		w := &failingWriter{room: room}
+		err := s.Save(w)
+		if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "store save: ") {
+			t.Errorf("room %d: err = %v, want store save: … %v", room, err, errDiskFull)
+		}
+		if !bytes.HasPrefix(want, w.buf.Bytes()) {
+			t.Errorf("room %d: the bytes written are not a prefix of the snapshot", room)
+		}
+	}
+	if err := s.Save(&failingWriter{room: len(want) / 2, short: true}); err == nil || !strings.HasPrefix(err.Error(), "store save: ") {
+		t.Errorf("short write: err = %v, want store save: …", err)
+	}
+	w := &failingWriter{room: len(want)}
+	if err := s.Save(w); err != nil || !bytes.Equal(w.buf.Bytes(), want) {
+		t.Errorf("a writer with exactly enough room: err = %v, %d of %d bytes", err, w.buf.Len(), len(want))
+	}
+}

@@ -4,10 +4,23 @@
 // profile part the paper's §II-B2 describes. All operations are idempotent
 // and commutative, giving the eventual consistency the paper argues is
 // adequate for decentralized OSNs (§II-B1).
+//
+// A wall keeps its n posts in the two orders the protocol asks for, both
+// maintained on insert, so no read sorts or scans:
+//
+//   - Add is a binary search in the author's log (the idempotence check) and
+//     two appends when posts arrive in order — O(log n), amortized; a post
+//     that arrives out of order is inserted in place, O(n) moves.
+//   - MissingFrom is one binary search per author plus a copy of the k
+//     posts it returns: O(a·log n + k) for a authors.
+//   - Posts is a copy of the rendering order: O(n).
+//   - Save streams that order through an append encoder: O(bytes written),
+//     one fixed-size buffer, no copy of the posts.
 package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -58,75 +71,120 @@ func (f Field) newer(o Field) bool {
 	return f.Value > o.Value
 }
 
+// authorLog is one author's posts on a wall in sequence order, the order
+// anti-entropy reads: the holder of digest entry (author, seq) lacks exactly
+// the suffix after seq. It is never empty.
+type authorLog struct {
+	author NodeID
+	posts  []Post
+}
+
+// after returns the posts with a sequence number above seq.
+func (l *authorLog) after(seq uint64) []Post {
+	ps := l.posts
+	if ps[len(ps)-1].ID.Seq <= seq {
+		return nil
+	}
+	return ps[sort.Search(len(ps), func(i int) bool { return ps[i].ID.Seq > seq }):]
+}
+
+// rendersBefore reports whether a precedes b in wall rendering order:
+// (CreatedAt, Author, Seq). Post IDs are unique on a wall, so the order is
+// total there.
+func rendersBefore(a, b *Post) bool {
+	if a.CreatedAt != b.CreatedAt {
+		return a.CreatedAt < b.CreatedAt
+	}
+	if a.ID.Author != b.ID.Author {
+		return a.ID.Author < b.ID.Author
+	}
+	return a.ID.Seq < b.ID.Seq
+}
+
 // Wall is the replicated state of one profile: its post log and fields.
 type Wall struct {
-	Owner  NodeID
-	posts  map[PostID]Post
-	digest vclock.Clock
-	fields map[string]Field
+	Owner NodeID
+	// authors holds every post once, grouped by author in author order.
+	authors []authorLog
+	// timeline holds every post once more, in rendering order.
+	timeline []Post
+	fields   map[string]Field
 }
 
 // NewWall returns an empty wall for the owner.
 func NewWall(owner NodeID) *Wall {
-	return &Wall{
-		Owner:  owner,
-		posts:  make(map[PostID]Post),
-		digest: vclock.New(),
-		fields: make(map[string]Field),
-	}
+	return &Wall{Owner: owner, fields: make(map[string]Field)}
 }
 
-// Add inserts a post idempotently and returns whether it was new.
+// Add inserts a post idempotently and returns whether it was new. The first
+// post stored under an ID wins; a later one with the same ID is dropped
+// whatever it carries.
 func (w *Wall) Add(p Post) bool {
-	if _, dup := w.posts[p.ID]; dup {
-		return false
+	a := sort.Search(len(w.authors), func(i int) bool { return w.authors[i].author >= p.ID.Author })
+	if a == len(w.authors) || w.authors[a].author != p.ID.Author {
+		w.authors = slices.Insert(w.authors, a, authorLog{author: p.ID.Author})
 	}
-	w.posts[p.ID] = p
-	w.digest.Observe(p.ID.Author, p.ID.Seq)
+	l := &w.authors[a]
+	if n := len(l.posts); n == 0 || l.posts[n-1].ID.Seq < p.ID.Seq {
+		l.posts = append(l.posts, p)
+	} else {
+		i := sort.Search(n, func(i int) bool { return l.posts[i].ID.Seq >= p.ID.Seq })
+		if l.posts[i].ID.Seq == p.ID.Seq {
+			return false
+		}
+		l.posts = slices.Insert(l.posts, i, p)
+	}
+	if n := len(w.timeline); n == 0 || rendersBefore(&w.timeline[n-1], &p) {
+		w.timeline = append(w.timeline, p)
+	} else {
+		i := sort.Search(n, func(i int) bool { return rendersBefore(&p, &w.timeline[i]) })
+		w.timeline = slices.Insert(w.timeline, i, p)
+	}
 	return true
 }
 
 // Len returns the number of posts on the wall.
-func (w *Wall) Len() int { return len(w.posts) }
+func (w *Wall) Len() int { return len(w.timeline) }
 
-// Digest returns a copy of the wall's version vector: for each author the
-// highest sequence number stored.
-func (w *Wall) Digest() vclock.Clock { return w.digest.Copy() }
-
-// MissingFrom returns the posts the holder of the given digest lacks,
-// ordered deterministically. This is the anti-entropy delta.
-func (w *Wall) MissingFrom(d vclock.Clock) []Post {
-	var out []Post
-	for id, p := range w.posts {
-		if id.Seq > d.Get(id.Author) {
-			out = append(out, p)
-		}
+// Digest returns the wall's version vector: for each author the highest
+// sequence number stored. The caller owns the result.
+func (w *Wall) Digest() vclock.Clock {
+	d := make(vclock.Clock, len(w.authors))
+	for i := range w.authors {
+		l := &w.authors[i]
+		// Observe, not assignment: sequence 0 is a clock's "nothing seen" and
+		// gets no entry.
+		d.Observe(l.author, l.posts[len(l.posts)-1].ID.Seq)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Author != out[j].ID.Author {
-			return out[i].ID.Author < out[j].ID.Author
-		}
-		return out[i].ID.Seq < out[j].ID.Seq
-	})
+	return d
+}
+
+// MissingFrom returns the posts the holder of the given digest lacks, in
+// (Author, Seq) order. This is the anti-entropy delta.
+func (w *Wall) MissingFrom(d vclock.Clock) []Post {
+	// Counted first: the delta is then one exact allocation however many
+	// authors contribute to it.
+	n := 0
+	for i := range w.authors {
+		l := &w.authors[i]
+		n += len(l.after(d.Get(l.author)))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Post, 0, n)
+	for i := range w.authors {
+		l := &w.authors[i]
+		out = append(out, l.after(d.Get(l.author))...)
+	}
 	return out
 }
 
 // Posts returns all posts sorted by (CreatedAt, ID) — the wall rendering
-// order.
+// order. The caller owns the result.
 func (w *Wall) Posts() []Post {
-	out := make([]Post, 0, len(w.posts))
-	for _, p := range w.posts {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CreatedAt != out[j].CreatedAt {
-			return out[i].CreatedAt < out[j].CreatedAt
-		}
-		if out[i].ID.Author != out[j].ID.Author {
-			return out[i].ID.Author < out[j].ID.Author
-		}
-		return out[i].ID.Seq < out[j].ID.Seq
-	})
+	out := make([]Post, len(w.timeline))
+	copy(out, w.timeline)
 	return out
 }
 
@@ -207,11 +265,16 @@ func (s *Store) Hosts(owner NodeID) bool {
 func (s *Store) Walls() []NodeID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	return s.wallsLocked()
+}
+
+// wallsLocked returns hosted wall IDs in sorted order; callers must hold mu.
+func (s *Store) wallsLocked() []NodeID {
 	out := make([]NodeID, 0, len(s.walls))
 	for w := range s.walls {
 		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
