@@ -1,7 +1,9 @@
 // Command dosn-vet runs the repository's custom static-analysis suite — the
-// four internal/lint analyzers enforcing determinism (detrand, maporder),
-// int32 overflow safety (int32cast), and hot-path allocation discipline
-// (hotalloc) — over the packages matching the given patterns.
+// six internal/lint analyzers enforcing determinism (detrand, maporder),
+// int32 overflow safety (int32cast), hot-path allocation discipline
+// (hotalloc), sanctioned panic recovery (saferecover) and one constructor for
+// placement inputs (inputlit) — over the packages matching the given
+// patterns.
 //
 // Usage:
 //

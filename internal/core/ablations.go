@@ -80,6 +80,9 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 		return nil, err
 	}
 
+	// No policies: the Placer supplies the candidates, each evaluation its
+	// own windowed interaction counts.
+	pl := replica.NewPlacer(ds, schedules, replica.ConRep, budget)
 	var hist, oracle, random stats.Welford
 	for i, u := range users {
 		evalIdx := ds.ReceivedIdxBetween(u, split, to)
@@ -91,14 +94,8 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 			evalMinutes[j] = ds.MinuteOfDayAt(int(k))
 		}
 		evaluate := func(counts []int, p replica.Policy, w *stats.Welford, salt int64) {
-			in := replica.Input{
-				Owner:           u,
-				Candidates:      ds.Graph.Neighbors(u),
-				Bitmaps:         schedules,
-				CandidateCounts: counts,
-				Mode:            replica.ConRep,
-				Budget:          budget,
-			}
+			in := pl.Input(u)
+			in.CandidateCounts = counts // the window's interactions, not the whole trace's
 			rng := rand.New(rand.NewSource(mix(seed, salt, int64(i))))
 			replicas := p.Select(in, rng)
 			avail := metrics.AvailabilitySet(u, replicas, schedules)
@@ -150,21 +147,16 @@ func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed 
 		return nil, err
 	}
 
-	rows := make([]ChurnRow, 0, 3)
-	var countScratch trace.CountScratch
-	for pi, p := range replica.DefaultPolicies() {
+	policies := replica.DefaultPolicies()
+	pl := replica.NewPlacer(ds, schedules, replica.ConRep, budget, policies...)
+	rows := make([]ChurnRow, 0, len(policies))
+	for pi, p := range policies {
 		acc := make([]stats.Welford, budget+1)
 		for ui, u := range users {
-			in := replica.Input{
-				Owner:           u,
-				Candidates:      ds.Graph.Neighbors(u),
-				Bitmaps:         schedules,
-				CandidateCounts: ds.CandidateInteractionCounts(u, ds.Graph.Neighbors(u), &countScratch),
-				Mode:            replica.ConRep,
-				Budget:          budget,
-			}
+			// One stream per (policy, user): the selection draws from it
+			// first, the failure draws continue it.
 			rng := rand.New(rand.NewSource(mix(seed, int64(pi), int64(ui))))
-			replicas := p.Select(in, rng)
+			replicas := p.Select(pl.Input(u), rng)
 			for j := 0; j <= budget; j++ {
 				if j > len(replicas) {
 					break

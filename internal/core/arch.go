@@ -191,11 +191,11 @@ const placementChunkSize = 128
 // placementLoad places every profile in the dataset with the policy at the
 // full budget and returns the per-host replica counts — how many foreign
 // profiles each user stores, the fairness/storage-balance requirement of
-// §II-B1. Inputs the policy declares it ignores (replica.Traits) are not
-// prepared; seedOf supplies the per-user RNG seed of randomized policies.
+// §II-B1. seedOf supplies the per-user RNG seed of randomized policies.
 //
-// Up to `workers` goroutines claim fixed index-ordered user chunks and count
-// into a load vector of their own; the vectors are summed at the join.
+// Up to `workers` goroutines claim fixed index-ordered user chunks, each with
+// a replica.Placer and a load vector of its own; the vectors are summed at
+// the join.
 // Integer addition commutes and every per-user input (seedOf(u) included) is
 // a function of the user alone, so the result cannot depend on the worker
 // count or the claim order. A panic in any worker — a policy bug, an
@@ -209,14 +209,13 @@ func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Polic
 		}
 	}()
 	n := ds.NumUsers()
-	traits := replica.TraitsOf(p)
+	usesRNG := replica.TraitsOf(p).UsesRNG
 	var claimed atomic.Int64 // chunks handed out: the only cross-worker coordination
 	// work is one worker's loop: claim chunks until none are left and count
 	// every chosen host into a load vector this worker owns.
 	work := func() ([]int, error) {
 		load := make([]int, n)
-		var countScratch trace.CountScratch
-		var demand interval.Bitmap
+		pl := replica.NewPlacer(ds, bitmaps, mode, budget, p)
 		for {
 			lo := int(claimed.Add(1)-1) * placementChunkSize
 			if lo >= n {
@@ -226,27 +225,9 @@ func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Polic
 				return nil, err
 			}
 			for u := lo; u < min(lo+placementChunkSize, n); u++ {
-				uid := socialgraph.UserID(u)
-				in := replica.Input{
-					Owner:      uid,
-					Candidates: ds.Graph.Neighbors(uid),
-					Bitmaps:    bitmaps,
-					Mode:       mode,
-					Budget:     budget,
-				}
-				if traits.UsesInteractions {
-					in.CandidateCounts = ds.CandidateInteractionCounts(uid, in.Candidates, &countScratch)
-				}
-				if traits.UsesDemand {
-					demand.Clear()
-					for _, k := range ds.ReceivedIdx(uid) {
-						m := ds.MinuteOfDayAt(int(k))
-						demand.AddInterval(interval.Interval{Start: m, End: m + 1})
-					}
-					in.Demand = &demand
-				}
+				in := pl.Input(socialgraph.UserID(u))
 				var rng *rand.Rand
-				if traits.UsesRNG {
+				if usesRNG {
 					rng = rand.New(rand.NewSource(seedOf(u)))
 				}
 				metrics.AddHostLoad(load, p.Select(in, rng))

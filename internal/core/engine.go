@@ -533,6 +533,7 @@ func (b *sweepBatch) run() {
 //dosn:hotpath
 func (b *sweepBatch) work() {
 	var scratch sweepScratch
+	pl := replica.NewPlacer(b.cfg.Dataset, b.bitmaps, b.cfg.Mode, b.cfg.MaxDegree, b.cfg.Policies...)
 	for {
 		ci := int(b.next.Add(1))
 		if ci >= len(b.chunks) || b.failed.Load() {
@@ -546,7 +547,7 @@ func (b *sweepBatch) work() {
 		hi := min(lo+sweepChunkSize, len(b.cfg.Users))
 		g := newGrid(len(b.cfg.Policies), b.cfg.MaxDegree+1)
 		for _, u := range b.cfg.Users[lo:hi] {
-			sweepUser(b.cfg, b.bitmaps, b.rep, u, g, &scratch)
+			sweepUser(b.cfg, pl, b.rep, u, g, &scratch)
 		}
 		b.chunks[ci] = g
 		obsChunksSwept.Inc()
@@ -556,56 +557,49 @@ func (b *sweepBatch) work() {
 }
 
 // sweepScratch holds one worker's reusable buffers: the incrementally grown
-// availability bitmap, the per-user demand bitmap, the received-activity
-// minutes, the interaction-count buffers, and the delay calculator's
-// gap/distance matrices. Reusing it across users removes every per-user
-// metric allocation from the sweep hot path.
+// availability bitmap, the union of the friends' online times, the
+// received-activity minutes, and the delay calculator's gap/distance
+// matrices. Reusing it across users removes every per-user metric allocation
+// from the sweep hot path.
 type sweepScratch struct {
-	avail      interval.Bitmap
-	demand     interval.Bitmap
-	actMinutes []int
-	counts     trace.CountScratch
-	delay      metrics.DelayCalc
-	aod        metrics.AoDTracker
+	avail         interval.Bitmap
+	friendsOnline interval.Bitmap
+	actMinutes    []int
+	delay         metrics.DelayCalc
+	aod           metrics.AoDTracker
 }
 
 // sweepUser evaluates every policy and every replication degree for one
 // user, accumulating into grid. All interval arithmetic runs on the dense
-// bitmap rows. Inputs a policy declares it will ignore (replica.Traits) are
-// not prepared: only MostActive pays for the interaction counts, only
-// randomized policies pay for RNG seeding, and only MaxAv(activity) is
-// handed the demand universe.
+// bitmap rows. The worker's Placer prepares the placement input once per
+// user — only what the policies' replica.Traits declare they read — and only
+// randomized policies pay for RNG seeding.
 //
 // The degree loop is a one-pass incremental kernel: each step grows the
-// availability bitmap and reads back its measure and its demand overlap from
-// the single fused word traversal (interval.OrWithOverlapCount), the
-// AoD-activity hit count advances only by the newly set bits
-// (metrics.AoDTracker), and a degree that adds no replica (budget beyond the
-// selection) or no new minute reuses the previous step's integers outright.
+// availability bitmap and reads back its measure and its overlap with the
+// friends' online time from the single fused word traversal
+// (interval.OrWithOverlapCount), the AoD-activity hit count advances only by
+// the newly set bits (metrics.AoDTracker), and a degree that adds no replica
+// (budget beyond the selection) or no new minute reuses the previous step's
+// integers outright.
 // Every reused or incrementally maintained quantity is the same integer the
 // full rescan produced, so every float added to the Welford cells is
 // bit-identical to the three-pass loop this replaces.
 //
 //dosn:hotpath
-func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
+func sweepUser(cfg Config, pl *replica.Placer, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
 	ds := cfg.Dataset
-	friends := ds.Graph.Neighbors(u)
+	in := pl.Input(u)
+	bitmaps := in.Bitmaps
 
-	var needCounts, needDemand bool
-	for _, p := range cfg.Policies {
-		t := replica.TraitsOf(p)
-		needCounts = needCounts || t.UsesInteractions
-		needDemand = needDemand || t.UsesDemand
-	}
-
-	// Demand set: union of the friends' online times (AoD-time denominator).
-	scratch.demand.Clear()
-	for _, f := range friends {
+	// Union of the friends' online times: the AoD-time denominator.
+	scratch.friendsOnline.Clear()
+	for _, f := range in.Candidates {
 		if int(f) < len(bitmaps) {
-			scratch.demand.OrWith(&bitmaps[f])
+			scratch.friendsOnline.OrWith(&bitmaps[f])
 		}
 	}
-	demandLen := scratch.demand.Minutes()
+	friendsOnlineLen := scratch.friendsOnline.Minutes()
 
 	// Minutes-of-day of the received activities, pulled straight off the
 	// timestamp column once per user instead of once per (policy, degree)
@@ -614,25 +608,7 @@ func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.Use
 	for _, k := range ds.ReceivedIdx(u) {
 		scratch.actMinutes = append(scratch.actMinutes, ds.MinuteOfDayAt(int(k)))
 	}
-
-	in := replica.Input{
-		Owner:      u,
-		Candidates: friends,
-		Bitmaps:    bitmaps,
-		Mode:       cfg.Mode,
-		Budget:     cfg.MaxDegree,
-	}
-	if needCounts {
-		in.CandidateCounts = ds.CandidateInteractionCounts(u, friends, &scratch.counts)
-	}
 	scratch.aod.InitUser(scratch.actMinutes)
-	if needDemand {
-		// A copy, not the tracker's own bitmap: Input crosses the Policy
-		// interface, so a pointer into scratch would move every worker's
-		// whole scratch to the heap for a field only MaxAv(activity) reads.
-		demand := *scratch.aod.Activity()
-		in.Demand = &demand
-	}
 	for pi, p := range cfg.Policies {
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {
@@ -645,7 +621,7 @@ func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.Use
 		scratch.delay.Init(u, seq, bitmaps)
 		scratch.avail.CopyFrom(&bitmaps[u]) // degree 0: only the owner stores the profile
 		availLen := scratch.avail.Minutes()
-		overlap := scratch.avail.OverlapMinutes(&scratch.demand)
+		overlap := scratch.avail.OverlapMinutes(&scratch.friendsOnline)
 		scratch.aod.Reset(&scratch.avail)
 		aodVal, aodOK := scratch.aod.Value()
 		delayHours, prevK := 0.0, 0
@@ -656,7 +632,7 @@ func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.Use
 			}
 			if r > 0 && k == r { // grow the availability set incrementally
 				prevLen := availLen
-				availLen, overlap = scratch.avail.OrWithOverlapCount(&bitmaps[seq[k-1]], &scratch.demand)
+				availLen, overlap = scratch.avail.OrWithOverlapCount(&bitmaps[seq[k-1]], &scratch.friendsOnline)
 				if availLen != prevLen {
 					// New minutes were covered (equal popcount of a grown
 					// union means an unchanged set): fold exactly those bits
@@ -674,8 +650,8 @@ func sweepUser(cfg Config, bitmaps []interval.Bitmap, rep int, u socialgraph.Use
 			}
 			cell := &grid[pi][r]
 			cell.Availability.Add(float64(availLen) / interval.DayMinutes)
-			if demandLen > 0 {
-				cell.AoDTime.Add(float64(overlap) / float64(demandLen))
+			if friendsOnlineLen > 0 {
+				cell.AoDTime.Add(float64(overlap) / float64(friendsOnlineLen))
 			}
 			if aodOK {
 				cell.AoDActivity.Add(aodVal)

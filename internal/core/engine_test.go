@@ -408,10 +408,11 @@ func TestSweepEqualsInOrderFold(t *testing.T) {
 
 	want := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 	var scratch sweepScratch
+	pl := replica.NewPlacer(ds, table.Bitmaps(), cfg.Mode, cfg.MaxDegree, cfg.Policies...)
 	for lo := 0; lo < len(cfg.Users); lo += 16 {
 		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 		for _, u := range cfg.Users[lo:min(lo+16, len(cfg.Users))] {
-			sweepUser(cfg, table.Bitmaps(), rep, u, g, &scratch)
+			sweepUser(cfg, pl, rep, u, g, &scratch)
 		}
 		mergeGrids(want, g)
 	}

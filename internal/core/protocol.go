@@ -134,19 +134,11 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	analyticAoDTimeSum := 0.0
 	analyticAoDTimeCount := 0
 
-	var countScratch trace.CountScratch
+	pl := replica.NewPlacer(ds, schedules, cfg.Mode, cfg.Budget, cfg.Policy)
 	var actMinutes []int
 	for i, u := range owners {
-		in := replica.Input{
-			Owner:           u,
-			Candidates:      ds.Graph.Neighbors(u),
-			Bitmaps:         schedules,
-			CandidateCounts: ds.CandidateInteractionCounts(u, ds.Graph.Neighbors(u), &countScratch),
-			Mode:            cfg.Mode,
-			Budget:          cfg.Budget,
-		}
 		rng := rand.New(rand.NewSource(mix(cfg.Seed, 2, int64(i))))
-		replicas := cfg.Policy.Select(in, rng)
+		replicas := cfg.Policy.Select(pl.Input(u), rng)
 		assignments[u] = replicas
 
 		analyticDelaySum += metrics.UpdatePropagationDelay(u, replicas, schedules).Hours

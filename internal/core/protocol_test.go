@@ -66,6 +66,34 @@ func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
 	}
 }
 
+// TestProtocolValidationMaxAvActivityPlacesReplicas pins the bugfix: protocol
+// validation hands MaxAv(activity) the demand universe its Traits declare.
+// Without it the policy covered the empty universe — no replica, no
+// exchange, a zero delay bound, and no error.
+func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
+	cfg := ProtocolConfig{Dataset: testDataset(t), MaxWalls: 15, Seed: 5}
+	run := func(p replica.Policy) *ProtocolResult {
+		t.Helper()
+		cfg.Policy = p
+		res, err := RunProtocolValidation(cfg)
+		if err != nil {
+			t.Fatalf("RunProtocolValidation(%s): %v", p.Name(), err)
+		}
+		return res
+	}
+	plain := run(replica.MaxAv{})
+	activity := run(replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity})
+	if activity.Exchanges == 0 || activity.AnalyticWorstHours <= 0 {
+		t.Errorf("MaxAv(activity) placed no replicas: %d exchanges, analytic worst delay %.2f h",
+			activity.Exchanges, activity.AnalyticWorstHours)
+	}
+	// Covering the activity minutes is what the activity objective is for.
+	if activity.AnalyticAoDActivity < plain.AnalyticAoDActivity {
+		t.Errorf("MaxAv(activity) AoD-activity %.4f below plain MaxAv's %.4f",
+			activity.AnalyticAoDActivity, plain.AnalyticAoDActivity)
+	}
+}
+
 func TestProtocolValidationLossReducesDelivery(t *testing.T) {
 	ds := testDataset(t)
 	base := ProtocolConfig{Dataset: ds, MaxWalls: 8, Days: 3, Seed: 9}

@@ -1,9 +1,10 @@
-// Package lint implements the dosn-vet static-analysis suite: five
+// Package lint implements the dosn-vet static-analysis suite: six
 // repository-specific analyzers that enforce, at review time, the invariants
 // the test suite can only check dynamically — deterministic execution
 // (detrand, maporder), int32 CSR overflow safety (int32cast),
-// allocation-free hot paths (hotalloc), and sanctioned panic-recovery
-// boundaries (saferecover).
+// allocation-free hot paths (hotalloc), sanctioned panic-recovery
+// boundaries (saferecover), and one constructor for placement inputs
+// (inputlit).
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone: packages are
@@ -59,7 +60,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full dosn-vet suite in the order findings are
 // conventionally listed.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, Int32Cast, HotAlloc, SafeRecover}
+	return []*Analyzer{DetRand, MapOrder, Int32Cast, HotAlloc, SafeRecover, InputLit}
 }
 
 // Finding pairs a diagnostic with the analyzer that produced it and its

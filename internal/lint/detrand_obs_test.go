@@ -10,10 +10,10 @@ import (
 	"testing"
 )
 
-// The on-disk fixtures can only import the standard library (the source
-// importer resolves from GOROOT), so the obs-readback rule is exercised here
-// against an in-memory stand-in for dosn/internal/obs, resolved through a
-// map-backed importer. The stand-in mirrors the real API surface the rule
+// The obs-readback rule is exercised here against an in-memory stand-in for
+// dosn/internal/obs, resolved through the map-backed importer runFixture
+// also uses for its on-disk stand-ins (the source importer resolves only the
+// standard library). The stand-in mirrors the real API surface the rule
 // cares about: write methods (Inc, Add, AddPhaseNS), read methods (Value),
 // package-level readers (ReadMem), and the stopwatch reads that are
 // deliberately allowed (ElapsedNS).

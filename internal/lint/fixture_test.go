@@ -19,7 +19,9 @@ import (
 // comments, analysistest-style: every diagnostic must match a want on its
 // line, and every want must be hit. The fixture's package name doubles as
 // its import path, which is how detrand fixtures opt in or out of the
-// deterministic-package set.
+// deterministic-package set. A sub-directory X of the fixture is a stand-in
+// the fixture imports as "dosn/internal/X" (the source importer resolves
+// only the standard library).
 func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -27,9 +29,21 @@ func runFixture(t *testing.T, a *Analyzer, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The "source" importer resolves the standard library straight from
+	// GOROOT — no module machinery.
+	imp := mapImporter{pkgs: map[string]*types.Package{}, fallback: importer.ForCompiler(fset, "source", nil)}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() {
+			path := "dosn/internal/" + e.Name()
+			src, err := os.ReadFile(filepath.Join(dir, e.Name(), e.Name()+".go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			imp.pkgs[path], _, _ = checkSrc(t, fset, path, string(src), imp.fallback)
+			continue
+		}
+		if !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
@@ -48,11 +62,7 @@ func runFixture(t *testing.T, a *Analyzer, dir string) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	cfg := types.Config{
-		// The "source" importer resolves the standard library straight from
-		// GOROOT — fixtures import nothing else, so no module machinery.
-		Importer: importer.ForCompiler(fset, "source", nil),
-	}
+	cfg := types.Config{Importer: imp}
 	pkgName := files[0].Name.Name
 	pkg, err := cfg.Check(pkgName, fset, files, info)
 	if err != nil {
@@ -161,6 +171,10 @@ func TestHotAllocFixtures(t *testing.T) {
 
 func TestSafeRecoverFixtures(t *testing.T) {
 	runFixture(t, SafeRecover, filepath.Join("testdata", "saferecover", "fixture"))
+}
+
+func TestInputLitFixtures(t *testing.T) {
+	runFixture(t, InputLit, filepath.Join("testdata", "inputlit", "fixture"))
 }
 
 // TestRepoIsClean is the smoke gate: the dosn-vet suite must exit clean on

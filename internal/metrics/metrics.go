@@ -126,11 +126,6 @@ func (t *AoDTracker) InitUser(minutes []int) {
 	}
 }
 
-// Activity returns the distinct activity minutes digested by the last
-// InitUser — the set-cover universe of MaxAv's on-demand-activity objective
-// (replica.Input.Demand). The view is valid until the next InitUser.
-func (t *AoDTracker) Activity() *interval.Bitmap { return &t.act }
-
 // Reset starts a new selection from the base availability set (the owner's
 // own schedule at degree 0), once per policy.
 //

@@ -482,9 +482,9 @@ func TestAoDTrackerMatchesRescan(t *testing.T) {
 			norm[i] = ((m % interval.DayMinutes) + interval.DayMinutes) % interval.DayMinutes
 		}
 		tr.InitUser(raw)
-		// The demand universe handed to MaxAv(activity): distinct minutes.
-		if got, want := tr.Activity().Set(), minuteSet(norm); !got.Equal(want) {
-			t.Fatalf("trial %d: Activity() = %s, want %s", trial, got, want)
+		// The mask Advance counts hits through: the distinct minutes.
+		if got, want := tr.act.Set(), minuteSet(norm); !got.Equal(want) {
+			t.Fatalf("trial %d: activity mask = %s, want %s", trial, got, want)
 		}
 		for reset := 0; reset < 2; reset++ {
 			avail := interval.BitmapsFromSets([]interval.Set{randSet(rng)})[0]

@@ -46,6 +46,8 @@ func (m Mode) String() string {
 }
 
 // Input carries everything a policy needs to place replicas for one user.
+// Outside this package and the tests an Input comes from a Placer, which
+// prepares exactly the ingredients the policies' Traits declare.
 type Input struct {
 	// Owner is the profile owner.
 	Owner socialgraph.UserID
@@ -58,15 +60,15 @@ type Input struct {
 	// workers. An ID outside the slice is a user who is never online.
 	Bitmaps []interval.Bitmap
 	// CandidateCounts gives, per candidate position, the number of
-	// activities Candidates[i] created on the owner's profile (e.g. from
-	// trace.Dataset.CandidateInteractionCounts with a per-worker scratch).
-	// Only MostActive reads it; it must then have len(Candidates) entries.
+	// activities Candidates[i] created on the owner's profile. Only
+	// MostActive reads it; it must then have len(Candidates) entries.
 	CandidateCounts []int
 	// Demand is the set of minutes during which activity was observed on
 	// the owner's profile in the past. Only MaxAv with
 	// ObjectiveOnDemandActivity reads it (§III-A: the set-cover universe is
 	// "the union of the activity times of all friends observed during a
-	// pre-defined time in the past"); nil means no observed activity.
+	// pre-defined time in the past"); nil means not prepared, an empty
+	// bitmap means no observed activity.
 	Demand *interval.Bitmap
 	// Mode selects ConRep or UnconRep placement.
 	Mode Mode
@@ -239,9 +241,11 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 
 	var covered interval.Bitmap // the owner always hosts his profile
 	covered.CopyFrom(in.bitmap(in.Owner))
-	demand := &offline
-	if restricted && in.Demand != nil {
-		demand = in.Demand
+	demand := in.Demand
+	if restricted && demand == nil {
+		// An unprepared universe is not an empty one: covering nothing would
+		// silently place no replica at all.
+		panic("replica: MaxAv(activity) needs Input.Demand; build the Input with a replica.Placer")
 	}
 
 	// ConRep connectivity, maintained incrementally: conn[i] starts as

@@ -95,9 +95,9 @@ func TestMaxAvZeroBudget(t *testing.T) {
 }
 
 // TestMaxAvActivityObjectiveCoversDemand pins the dense demand universe:
-// only minutes inside Input.Demand count as gain, a nil Demand (no observed
-// activity) leaves nothing to cover, and a candidate ID outside Bitmaps is a
-// never-online user rather than a crash.
+// only minutes inside Input.Demand count as gain, an empty Demand (no
+// observed activity) leaves nothing to cover, and a candidate ID outside
+// Bitmaps is a never-online user rather than a crash.
 func TestMaxAvActivityObjectiveCoversDemand(t *testing.T) {
 	in := fixture(UnconRep, 2)
 	in.Candidates = append(in.Candidates, 99)
@@ -110,13 +110,26 @@ func TestMaxAvActivityObjectiveCoversDemand(t *testing.T) {
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("MaxAv(activity) = %v, want %v", got, want)
 	}
-	in.Demand = nil
+	in.Demand = new(interval.Bitmap)
 	if got := (MaxAv{Objective: ObjectiveOnDemandActivity}).Select(in, nil); len(got) != 0 {
-		t.Errorf("nil demand should leave nothing to cover, got %v", got)
+		t.Errorf("empty demand should leave nothing to cover, got %v", got)
 	}
 	if got := (MaxAv{}).Select(in, nil); len(got) != 2 {
 		t.Errorf("out-of-range candidate must not disturb selection, got %v", got)
 	}
+}
+
+// TestMaxAvActivityNilDemandPanics pins the unprepared-Input contract: a nil
+// Demand is not "no observed activity" (that silently placed no replica at
+// all) but a caller bug, reported with the way to fix it.
+func TestMaxAvActivityNilDemandPanics(t *testing.T) {
+	defer func() {
+		const want = "replica: MaxAv(activity) needs Input.Demand; build the Input with a replica.Placer"
+		if r := recover(); r != want {
+			t.Errorf("recovered %v, want panic %q", r, want)
+		}
+	}()
+	MaxAv{Objective: ObjectiveOnDemandActivity}.Select(fixture(UnconRep, 2), nil)
 }
 
 func TestMostActiveRanksByInteraction(t *testing.T) {

@@ -1,133 +1,6 @@
 package socialgraph
 
-import (
-	"math/rand"
-	"sort"
-)
-
-// GeneratePreferentialAttachment builds an undirected Barabási–Albert graph
-// with n users where each new user attaches to m existing users chosen with
-// probability proportional to their current degree. The result is connected
-// and has a heavy-tailed degree distribution with average degree ≈ 2m,
-// matching the shape of the paper's Fig. 2 for the Facebook dataset.
-func GeneratePreferentialAttachment(n, m int, rng *rand.Rand) *Graph {
-	if n <= 0 {
-		return NewBuilder(Undirected, 0).Build()
-	}
-	if m < 1 {
-		m = 1
-	}
-	if m >= n {
-		m = n - 1
-	}
-	b := NewBuilder(Undirected, n)
-	// repeated holds one entry per edge endpoint, so sampling uniformly from
-	// it is degree-proportional sampling.
-	repeated := make([]UserID, 0, 2*m*n)
-	// Seed with a small clique so early picks have targets.
-	seed := m + 1
-	for u := 1; u < seed && u < n; u++ {
-		for v := 0; v < u; v++ {
-			b.AddEdge(UserID(u), UserID(v))
-			repeated = append(repeated, UserID(u), UserID(v))
-		}
-	}
-	chosen := make(map[UserID]bool, m)
-	for u := seed; u < n; u++ {
-		targets := pickTargets(chosen, repeated, m, u, rng)
-		for _, v := range targets {
-			b.AddEdge(UserID(u), v)
-			repeated = append(repeated, UserID(u), v)
-		}
-	}
-	return b.Build()
-}
-
-// pickTargets samples m distinct degree-proportional targets (< u) and
-// returns them in sorted order so that generation is deterministic for a
-// given rng seed (map iteration order must not leak into the output).
-func pickTargets(chosen map[UserID]bool, repeated []UserID, m, u int, rng *rand.Rand) []UserID {
-	for id := range chosen {
-		delete(chosen, id)
-	}
-	for len(chosen) < m {
-		var target UserID
-		if len(repeated) == 0 {
-			target = UserID(rng.Intn(u))
-		} else {
-			target = repeated[rng.Intn(len(repeated))]
-		}
-		if target != UserID(u) {
-			chosen[target] = true
-		}
-	}
-	targets := make([]UserID, 0, m)
-	for v := range chosen {
-		targets = append(targets, v)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	return targets
-}
-
-// GenerateDirectedPreferentialAttachment builds a follower graph: each new
-// user follows m existing users (picked degree-proportionally) and also
-// gains followers from a fraction of them (reciprocity), producing the
-// heavy-tailed follower distribution of the paper's Twitter dataset. Edge
-// u→v means v follows u, so a popular user accumulates followers.
-func GenerateDirectedPreferentialAttachment(n, m int, reciprocity float64, rng *rand.Rand) *Graph {
-	if n <= 0 {
-		return NewBuilder(Directed, 0).Build()
-	}
-	if m < 1 {
-		m = 1
-	}
-	if m >= n {
-		m = n - 1
-	}
-	b := NewBuilder(Directed, n)
-	repeated := make([]UserID, 0, 2*m*n)
-	seed := m + 1
-	for u := 1; u < seed && u < n; u++ {
-		for v := 0; v < u; v++ {
-			b.AddEdge(UserID(v), UserID(u)) // u follows v
-			repeated = append(repeated, UserID(v))
-		}
-	}
-	chosen := make(map[UserID]bool, m)
-	for u := seed; u < n; u++ {
-		targets := pickTargets(chosen, repeated, m, u, rng)
-		for _, v := range targets {
-			b.AddEdge(v, UserID(u)) // u follows v: u ∈ Followers(v)
-			repeated = append(repeated, v)
-			if rng.Float64() < reciprocity {
-				b.AddEdge(UserID(u), v) // v follows back
-				repeated = append(repeated, UserID(u))
-			}
-		}
-	}
-	return b.Build()
-}
-
-// GenerateErdosRenyi builds a G(n, p) undirected random graph. Used as a
-// baseline generator in tests (its binomial degree distribution contrasts
-// with the heavy tails of preferential attachment).
-func GenerateErdosRenyi(n int, p float64, rng *rand.Rand) *Graph {
-	b := NewBuilder(Undirected, n)
-	if p <= 0 || n < 2 {
-		return b.Build()
-	}
-	if p > 1 {
-		p = 1
-	}
-	for u := 1; u < n; u++ {
-		for v := 0; v < u; v++ {
-			if rng.Float64() < p {
-				b.AddEdge(UserID(u), UserID(v))
-			}
-		}
-	}
-	return b.Build()
-}
+import "math/rand"
 
 // GenerateConfigurationModel builds an undirected graph whose degree
 // sequence approximates the given one (self-loops and duplicate edges are
@@ -149,39 +22,6 @@ func GenerateConfigurationModel(degrees []int, rng *rand.Rand) *Graph {
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 	for i := 0; i+1 < len(stubs); i += 2 {
 		b.AddEdge(stubs[i], stubs[i+1])
-	}
-	return b.Build()
-}
-
-// GenerateWattsStrogatz builds an undirected small-world graph: a ring
-// lattice of n users each wired to its k nearest neighbors (k rounded down
-// to even), with each edge rewired to a random endpoint with probability
-// beta. Used in tests as a clustered, low-diameter contrast to the
-// heavy-tailed generators.
-func GenerateWattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
-	b := NewBuilder(Undirected, n)
-	if n < 3 || k < 2 {
-		return b.Build()
-	}
-	k = k / 2 * 2 // even
-	if k >= n {
-		k = n - 1
-		k = k / 2 * 2
-	}
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			v := (u + j) % n
-			if beta > 0 && rng.Float64() < beta {
-				// Rewire to a random non-self endpoint; duplicate edges are
-				// dropped by the builder, slightly lowering the mean degree,
-				// which is acceptable for a test generator.
-				v = rng.Intn(n)
-				if v == u {
-					v = (u + 1 + rng.Intn(n-1)) % n
-				}
-			}
-			b.AddEdge(UserID(u), UserID(v))
-		}
 	}
 	return b.Build()
 }

@@ -1,8 +1,8 @@
 // Package socialgraph provides the social-graph substrate for the study: an
 // adjacency-list graph that is either undirected (Facebook friendship) or
 // directed (Twitter follower links), degree statistics, traversals, CSV
-// serialization, and the random-graph generators used to synthesize datasets
-// calibrated to the paper's traces.
+// serialization, and the configuration-model generator used to synthesize
+// datasets calibrated to the paper's traces.
 package socialgraph
 
 import (

@@ -147,16 +147,28 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
+// randomGraph is the input of the graph-invariant tests: a configuration
+// model graph of about the given mean degree, or — for Directed — as many
+// uniformly drawn follower links.
+func randomGraph(kind Kind, n, meanDegree int, rng *rand.Rand) *Graph {
+	if kind == Undirected {
+		degrees := make([]int, n)
+		for i := range degrees {
+			degrees[i] = 1 + rng.Intn(2*meanDegree-1)
+		}
+		return GenerateConfigurationModel(degrees, rng)
+	}
+	b := NewBuilder(Directed, n)
+	for i := 0; i < n*meanDegree; i++ {
+		b.AddEdge(UserID(rng.Intn(n)), UserID(rng.Intn(n)))
+	}
+	return b.Build()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	for _, kind := range []Kind{Undirected, Directed} {
 		t.Run(kind.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			var g *Graph
-			if kind == Undirected {
-				g = GeneratePreferentialAttachment(50, 3, rng)
-			} else {
-				g = GenerateDirectedPreferentialAttachment(50, 3, 0.3, rng)
-			}
+			g := randomGraph(kind, 50, 6, rand.New(rand.NewSource(7)))
 			var buf bytes.Buffer
 			if err := g.WriteEdges(&buf); err != nil {
 				t.Fatalf("WriteEdges: %v", err)
@@ -198,62 +210,6 @@ func TestReadEdgesErrors(t *testing.T) {
 	}
 }
 
-func TestGeneratePreferentialAttachment(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := GeneratePreferentialAttachment(500, 4, rng)
-	if g.NumUsers() != 500 {
-		t.Fatalf("NumUsers = %d", g.NumUsers())
-	}
-	avg := g.AverageDegree()
-	if avg < 6 || avg > 10 { // ≈ 2m = 8
-		t.Errorf("average degree = %.2f, want ≈8", avg)
-	}
-	if _, n := g.ConnectedComponents(); n != 1 {
-		t.Errorf("PA graph should be connected, has %d components", n)
-	}
-	// Heavy tail: max degree far above average.
-	hist := g.DegreeHistogram()
-	if maxDeg := len(hist) - 1; float64(maxDeg) < 3*avg {
-		t.Errorf("max degree %d not heavy-tailed vs avg %.1f", maxDeg, avg)
-	}
-}
-
-func TestGenerateDirectedPreferentialAttachment(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := GenerateDirectedPreferentialAttachment(500, 5, 0.5, rng)
-	if g.Kind() != Directed {
-		t.Fatal("expected directed graph")
-	}
-	avg := g.AverageDegree()
-	if avg < 5 || avg > 12 { // m(1+reciprocity) ≈ 7.5
-		t.Errorf("average follower count = %.2f, want ≈7.5", avg)
-	}
-	// Follower/followee symmetry of counts.
-	totalIn, totalOut := 0, 0
-	for u := 0; u < g.NumUsers(); u++ {
-		totalOut += len(g.Neighbors(UserID(u)))
-		totalIn += len(g.Followees(UserID(u)))
-	}
-	if totalIn != totalOut {
-		t.Errorf("sum followers %d != sum followees %d", totalOut, totalIn)
-	}
-}
-
-func TestGenerateErdosRenyi(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := GenerateErdosRenyi(200, 0.05, rng)
-	avg := g.AverageDegree()
-	if avg < 6 || avg > 14 { // ≈ (n-1)p ≈ 10
-		t.Errorf("average degree = %.2f, want ≈10", avg)
-	}
-	if g2 := GenerateErdosRenyi(5, 0, rng); g2.NumEdges() != 0 {
-		t.Error("p=0 should yield no edges")
-	}
-	if g3 := GenerateErdosRenyi(5, 1.5, rng); g3.NumEdges() != 10 {
-		t.Errorf("p>1 clamps to complete graph, got %d edges", g3.NumEdges())
-	}
-}
-
 func TestGenerateConfigurationModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	degrees := make([]int, 100)
@@ -269,18 +225,18 @@ func TestGenerateConfigurationModel(t *testing.T) {
 
 func TestGeneratorsEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if g := GeneratePreferentialAttachment(0, 3, rng); g.NumUsers() != 0 {
-		t.Error("n=0 should be empty")
+	if g := GenerateConfigurationModel(nil, rng); g.NumUsers() != 0 || g.NumEdges() != 0 {
+		t.Error("empty degree sequence should yield the empty graph")
 	}
-	if g := GeneratePreferentialAttachment(1, 3, rng); g.NumUsers() != 1 || g.NumEdges() != 0 {
-		t.Error("n=1 should have no edges")
+	if g := GenerateConfigurationModel([]int{0, 0, 0}, rng); g.NumUsers() != 3 || g.NumEdges() != 0 {
+		t.Error("all-zero degrees should yield isolated users")
 	}
-	if g := GenerateDirectedPreferentialAttachment(0, 3, 0.2, rng); g.NumUsers() != 0 {
-		t.Error("directed n=0 should be empty")
+	if g := GenerateConfigurationModel([]int{3}, rng); g.NumUsers() != 1 || g.NumEdges() != 0 {
+		t.Error("a lone user's stubs can only pair into dropped self-loops")
 	}
-	g := GeneratePreferentialAttachment(10, 0, rng) // m clamps to 1
-	if g.NumEdges() < 9 {
-		t.Errorf("m=0 clamps to 1; got %d edges", g.NumEdges())
+	// An odd stub total leaves one stub unpaired.
+	if g := GenerateConfigurationModel([]int{1, 1, 1}, rng); g.NumEdges() != 1 {
+		t.Errorf("three single stubs pair into one edge, got %d", g.NumEdges())
 	}
 }
 
@@ -288,7 +244,7 @@ func TestQuickUndirectedDegreeSumEqualsTwiceEdges(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%100) + 2
 		m := int(mRaw%5) + 1
-		g := GeneratePreferentialAttachment(n, m, rand.New(rand.NewSource(seed)))
+		g := randomGraph(Undirected, n, m, rand.New(rand.NewSource(seed)))
 		sum := 0
 		for u := 0; u < g.NumUsers(); u++ {
 			sum += g.Degree(UserID(u))
@@ -302,8 +258,7 @@ func TestQuickUndirectedDegreeSumEqualsTwiceEdges(t *testing.T) {
 
 func TestQuickNeighborsSortedUnique(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := GenerateErdosRenyi(60, 0.1, rng)
+		g := randomGraph(Undirected, 60, 6, rand.New(rand.NewSource(seed)))
 		for u := 0; u < g.NumUsers(); u++ {
 			ns := g.Neighbors(UserID(u))
 			for i := 1; i < len(ns); i++ {
@@ -321,8 +276,8 @@ func TestQuickNeighborsSortedUnique(t *testing.T) {
 
 func TestQuickGeneratorDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
-		g1 := GeneratePreferentialAttachment(80, 3, rand.New(rand.NewSource(seed)))
-		g2 := GeneratePreferentialAttachment(80, 3, rand.New(rand.NewSource(seed)))
+		g1 := randomGraph(Undirected, 80, 6, rand.New(rand.NewSource(seed)))
+		g2 := randomGraph(Undirected, 80, 6, rand.New(rand.NewSource(seed)))
 		if g1.NumEdges() != g2.NumEdges() {
 			return false
 		}
@@ -335,30 +290,5 @@ func TestQuickGeneratorDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGenerateWattsStrogatz(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := GenerateWattsStrogatz(200, 6, 0.1, rng)
-	if g.NumUsers() != 200 {
-		t.Fatalf("NumUsers = %d", g.NumUsers())
-	}
-	avg := g.AverageDegree()
-	if avg < 4.5 || avg > 6.5 { // ≈k, minus dropped duplicates from rewiring
-		t.Errorf("average degree = %.2f, want ≈6", avg)
-	}
-	if _, n := g.ConnectedComponents(); n > 3 {
-		t.Errorf("small-world graph split into %d components", n)
-	}
-	// beta=0 is the pure ring lattice: every degree exactly k.
-	ring := GenerateWattsStrogatz(50, 4, 0, rng)
-	for u := 0; u < 50; u++ {
-		if d := ring.Degree(UserID(u)); d != 4 {
-			t.Fatalf("ring lattice degree(%d) = %d, want 4", u, d)
-		}
-	}
-	if g := GenerateWattsStrogatz(2, 2, 0.5, rng); g.NumEdges() != 0 {
-		t.Error("degenerate sizes should yield no edges")
 	}
 }

@@ -1,7 +1,6 @@
 // Package stats provides the small numerical toolkit the experiment harness
-// needs: summary statistics, histograms, log-spaced sweeps, and the Bézier
-// smoothing the paper applies to all of its plots ("we have smoothed the
-// plots using Bezier curves to emphasize the different trends").
+// needs: batch mean and percentile, and the mergeable Welford accumulator
+// every sweep cell is made of.
 package stats
 
 import (
@@ -19,20 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile of xs using linear interpolation
@@ -120,90 +105,4 @@ func (w *Welford) Merge(o Welford) {
 	mean := w.mean + d*float64(o.n)/float64(n)
 	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// Point is one (x, y) sample of a plotted series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// BezierSmooth evaluates the Bézier curve whose control points are the
-// series points at n evenly spaced parameter values — the same smoothing
-// gnuplot's "smooth bezier" (used by the paper) applies. n < 2 returns a
-// copy of the input.
-func BezierSmooth(pts []Point, n int) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	if n < 2 || len(pts) == 1 {
-		out := make([]Point, len(pts))
-		copy(out, pts)
-		return out
-	}
-	out := make([]Point, n)
-	work := make([]Point, len(pts))
-	for i := 0; i < n; i++ {
-		t := float64(i) / float64(n-1)
-		copy(work, pts)
-		// De Casteljau evaluation.
-		for level := len(work) - 1; level > 0; level-- {
-			for j := 0; j < level; j++ {
-				work[j].X = (1-t)*work[j].X + t*work[j+1].X
-				work[j].Y = (1-t)*work[j].Y + t*work[j+1].Y
-			}
-		}
-		out[i] = work[0]
-	}
-	return out
-}
-
-// LogSpace returns n values logarithmically spaced in [lo, hi] inclusive.
-func LogSpace(lo, hi float64, n int) []float64 {
-	if n <= 0 || lo <= 0 || hi <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	llo, lhi := math.Log(lo), math.Log(hi)
-	for i := range out {
-		t := float64(i) / float64(n-1)
-		out[i] = math.Exp(llo + t*(lhi-llo))
-	}
-	return out
-}
-
-// Histogram counts xs into nbins equal-width bins over [min(xs), max(xs)];
-// it returns the bin edges (nbins+1 values) and counts (nbins values).
-func Histogram(xs []float64, nbins int) (edges []float64, counts []int) {
-	if len(xs) == 0 || nbins <= 0 {
-		return nil, nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges = make([]float64, nbins+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(nbins)
-	}
-	counts = make([]int, nbins)
-	for _, x := range xs {
-		b := int((x - lo) / (hi - lo) * float64(nbins))
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return edges, counts
 }

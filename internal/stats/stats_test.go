@@ -9,16 +9,31 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// batchVariance is the two-pass population variance the Welford accumulator
+// is checked against.
+func batchVariance(xs []float64) float64 {
+	m := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		ss += (x - m) * (x - m)
+	}
+	return ss / float64(len(xs))
+}
+
 func TestMeanStd(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, standard deviation 2
 	if !almost(Mean(xs), 5) {
 		t.Errorf("Mean = %v, want 5", Mean(xs))
 	}
-	if !almost(StdDev(xs), 2) {
-		t.Errorf("StdDev = %v, want 2", StdDev(xs))
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
 	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty slices should yield 0")
+	if !almost(math.Sqrt(w.Variance()), 2) {
+		t.Errorf("Welford standard deviation = %v, want 2", math.Sqrt(w.Variance()))
+	}
+	if Mean(nil) != 0 {
+		t.Error("empty slice should yield 0")
 	}
 }
 
@@ -80,7 +95,7 @@ func TestWelford(t *testing.T) {
 	if w.N() != 6 || !almost(w.Mean(), Mean(xs)) {
 		t.Errorf("Welford mean = %v n=%d", w.Mean(), w.N())
 	}
-	wantVar := StdDev(xs) * StdDev(xs)
+	wantVar := batchVariance(xs)
 	if !almost(w.Variance(), wantVar) {
 		t.Errorf("Welford variance = %v, want %v", w.Variance(), wantVar)
 	}
@@ -114,80 +129,6 @@ func TestWelfordMerge(t *testing.T) {
 	}
 }
 
-func TestBezierSmoothEndpoints(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 10}, {2, 0}, {3, 10}}
-	sm := BezierSmooth(pts, 50)
-	if len(sm) != 50 {
-		t.Fatalf("len = %d", len(sm))
-	}
-	if !almost(sm[0].X, 0) || !almost(sm[0].Y, 0) {
-		t.Errorf("curve must start at first control point, got %+v", sm[0])
-	}
-	last := sm[len(sm)-1]
-	if !almost(last.X, 3) || !almost(last.Y, 10) {
-		t.Errorf("curve must end at last control point, got %+v", last)
-	}
-	// Bézier curves stay inside the control polygon's bounding box.
-	for _, p := range sm {
-		if p.Y < -1e-9 || p.Y > 10+1e-9 || p.X < -1e-9 || p.X > 3+1e-9 {
-			t.Fatalf("point %+v escapes the control hull", p)
-		}
-	}
-}
-
-func TestBezierSmoothDegenerate(t *testing.T) {
-	if BezierSmooth(nil, 10) != nil {
-		t.Error("empty input should return nil")
-	}
-	one := BezierSmooth([]Point{{1, 2}}, 10)
-	if len(one) != 1 || one[0] != (Point{1, 2}) {
-		t.Errorf("single point should be copied, got %v", one)
-	}
-	two := BezierSmooth([]Point{{0, 0}, {1, 1}}, 1)
-	if len(two) != 2 {
-		t.Errorf("n<2 should copy input, got %v", two)
-	}
-}
-
-func TestLogSpace(t *testing.T) {
-	xs := LogSpace(100, 100000, 4)
-	want := []float64{100, 1000, 10000, 100000}
-	if len(xs) != 4 {
-		t.Fatalf("len = %d", len(xs))
-	}
-	for i := range want {
-		if math.Abs(xs[i]-want[i])/want[i] > 1e-9 {
-			t.Errorf("LogSpace[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	if LogSpace(0, 10, 3) != nil || LogSpace(1, 10, 0) != nil {
-		t.Error("invalid inputs should return nil")
-	}
-	if one := LogSpace(5, 50, 1); len(one) != 1 || one[0] != 5 {
-		t.Errorf("n=1 should return {lo}, got %v", one)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("edges=%d counts=%d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram loses samples: %v", counts)
-	}
-	if _, c := Histogram([]float64{7, 7, 7}, 3); c[0] != 3 {
-		t.Errorf("constant data should land in first bin, got %v", c)
-	}
-	if e, c := Histogram(nil, 3); e != nil || c != nil {
-		t.Error("empty data should return nils")
-	}
-}
-
 func TestQuickWelfordMatchesBatch(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
@@ -198,7 +139,7 @@ func TestQuickWelfordMatchesBatch(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 10
 			w.Add(xs[i])
 		}
-		return almost(w.Mean(), Mean(xs)) && math.Abs(w.Variance()-StdDev(xs)*StdDev(xs)) < 1e-6
+		return almost(w.Mean(), Mean(xs)) && math.Abs(w.Variance()-batchVariance(xs)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
