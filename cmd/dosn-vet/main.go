@@ -1,9 +1,9 @@
 // Command dosn-vet runs the repository's custom static-analysis suite — the
-// six internal/lint analyzers enforcing determinism (detrand, maporder),
+// seven internal/lint analyzers enforcing determinism (detrand, maporder),
 // int32 overflow safety (int32cast), hot-path allocation discipline
-// (hotalloc), sanctioned panic recovery (saferecover) and one constructor for
-// placement inputs (inputlit) — over the packages matching the given
-// patterns.
+// (hotalloc), sanctioned panic recovery (saferecover), one constructor for
+// placement inputs (inputlit) and joined, panic-safe fan-outs (rawgo) — over
+// the packages matching the given patterns.
 //
 // Usage:
 //

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
-	"sync/atomic"
+	"sync"
 
 	"dosn/internal/dht"
 	"dosn/internal/fault"
@@ -193,38 +192,27 @@ const placementChunkSize = 128
 // profiles each user stores, the fairness/storage-balance requirement of
 // §II-B1. seedOf supplies the per-user RNG seed of randomized policies.
 //
-// Up to `workers` goroutines claim fixed index-ordered user chunks, each with
-// a replica.Placer and a load vector of its own; the vectors are summed at
-// the join.
+// Up to `workers` workers claim fixed index-ordered user chunks through
+// fault.Chunks, each with a replica.Placer and a load vector of its own; the
+// first worker to run out of chunks hands its vector over as the total and
+// the others add theirs into it, under mu.
 // Integer addition commutes and every per-user input (seedOf(u) included) is
 // a function of the user alone, so the result cannot depend on the worker
-// count or the claim order. A panic in any worker — a policy bug, an
-// injected fault — is re-raised on this goroutine by fault.Parallel and
-// returned as the pass's error.
-func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Policy, mode replica.Mode, budget, workers int, seedOf func(u int) int64) (load []int, err error) {
-	defer func() {
-		//dosn:recover placement-pass boundary: a panicking placement worker becomes the comparison's error instead of killing the process
-		if r := recover(); r != nil {
-			load, err = nil, fault.PanicError("core: placement pass", r, debug.Stack())
-		}
-	}()
+// count or the claim order. A failure in any worker — an injected fault, a
+// panicking policy — comes back from fault.Chunks as the pass's error.
+func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Policy, mode replica.Mode, budget, workers int, seedOf func(u int) int64) ([]int, error) {
 	n := ds.NumUsers()
 	usesRNG := replica.TraitsOf(p).UsesRNG
-	var claimed atomic.Int64 // chunks handed out: the only cross-worker coordination
-	// work is one worker's loop: claim chunks until none are left and count
-	// every chosen host into a load vector this worker owns.
-	work := func() ([]int, error) {
+	var mu sync.Mutex
+	var total []int
+	err := fault.Chunks(n, placementChunkSize, workers, func(next func() (lo, hi int, ok bool)) error {
 		load := make([]int, n)
 		pl := replica.NewPlacer(ds, bitmaps, mode, budget, p)
-		for {
-			lo := int(claimed.Add(1)-1) * placementChunkSize
-			if lo >= n {
-				return load, nil
-			}
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			if err := faultPlacementChunk.InjectSeeded(int64(lo)); err != nil {
-				return nil, err
+				return err
 			}
-			for u := lo; u < min(lo+placementChunkSize, n); u++ {
+			for u := lo; u < hi; u++ {
 				in := pl.Input(socialgraph.UserID(u))
 				var rng *rand.Rand
 				if usesRNG {
@@ -233,28 +221,21 @@ func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Polic
 				metrics.AddHostLoad(load, p.Select(in, rng))
 			}
 		}
-	}
-
-	nChunks := (n + placementChunkSize - 1) / placementChunkSize
-	loads := make([][]int, max(1, min(workers, nChunks)))
-	errs := make([]error, len(loads))
-	fns := make([]func(), len(loads))
-	for w := range fns {
-		fns[w] = func() { loads[w], errs[w] = work() }
-	}
-	fault.Parallel(fns...)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		mu.Lock()
+		defer mu.Unlock()
+		if total == nil {
+			total = load
+			return nil
 		}
-	}
-	load = loads[0]
-	for _, l := range loads[1:] {
-		for h, c := range l {
-			load[h] += c
+		for h, c := range load {
+			total[h] += c
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return load, nil
+	return total, nil
 }
 
 // archLookupStats routes one profile lookup per (owner, friend) pair of the

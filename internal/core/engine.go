@@ -5,11 +5,13 @@
 //
 // The engine exploits the fact that all three policies are incremental (the
 // selection for budget r is a prefix of the selection for budget r+1), so a
-// full 0..MaxDegree sweep costs one policy run per user. A bounded worker
-// pool processes fixed index-ordered user chunks into per-chunk Welford
-// grids that are merged in chunk order, so sweeps over tens of thousands of
-// users run in seconds and results are bit-identical regardless of worker
-// count or goroutine scheduling.
+// full 0..MaxDegree sweep costs one policy run per user. Up to Workers
+// workers claim fixed index-ordered user chunks (fault.Chunks, the one
+// chunked fan-out the sweep, the placement pass and the schedule-table fill
+// share) and reduce them into per-chunk Welford grids that are merged in
+// chunk order, so sweeps over tens of thousands of users run in seconds and
+// results are bit-identical regardless of worker count or goroutine
+// scheduling.
 package core
 
 import (
@@ -18,8 +20,6 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"dosn/internal/fault"
 	"dosn/internal/interval"
@@ -45,7 +45,7 @@ var (
 
 // Failpoints on the sweep's fragile seams (see internal/fault): disabled
 // they are one atomic load each, armed they let chaos tests kill the start of
-// a repetition's sweep (core.sweep-shard, before the pool spawns), a worker
+// a repetition's sweep (core.sweep-shard, before the fan-out starts), a worker
 // mid-chunk, or a reduce step deterministically.
 var (
 	faultSweepShard = fault.NewSite("core.sweep-shard")
@@ -112,8 +112,8 @@ type Config struct {
 	Repeats int
 	// Seed drives all randomness in the sweep.
 	Seed int64
-	// Workers bounds the worker pool; default runtime.NumCPU(). The result
-	// does not depend on the worker count.
+	// Workers bounds the sweep's fan-out; default runtime.NumCPU(). The
+	// result does not depend on the worker count.
 	Workers int
 	// Obs, when non-nil, receives execution telemetry for this sweep:
 	// fine-grained phase accumulation (sweep-shards vs reduce), per-chunk
@@ -283,16 +283,11 @@ func Run(cfg Config) (*Result, error) {
 		var table *onlinetime.Table
 		switch {
 		case next != nil:
-			var sw obs.Watch
-			if cfg.Obs != nil {
-				sw = obs.StartWatch()
-			}
+			sw := obs.StartWatch()
 			bt := <-next
 			next = nil
-			if cfg.Obs != nil {
-				// Stall: sweep r-1 finished before table r was ready.
-				cfg.Obs.AddPhaseNS("pipeline-stall", sw.ElapsedNS())
-			}
+			// Stall: sweep r-1 finished before table r was ready.
+			cfg.Obs.AddPhaseNS("pipeline-stall", sw.ElapsedNS())
 			if bt.err != nil {
 				return nil, bt.err
 			}
@@ -300,17 +295,11 @@ func Run(cfg Config) (*Result, error) {
 		case cfg.providedTable(rep) != nil:
 			table = cfg.providedTable(rep)
 		default:
-			var sw obs.Watch
-			if cfg.Obs != nil {
-				sw = obs.StartWatch()
-			}
 			table = cfg.buildTable(ds, rep)
-			if cfg.Obs != nil {
-				cfg.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS())
-			}
 		}
 		if pipeline && rep+1 < cfg.Repeats && cfg.providedTable(rep+1) == nil {
 			next = make(chan builtTable, 1)
+			//dosn:go one-ahead table build, not a fan-out: it ends by sending on the buffered next, which the following repetition receives
 			go func(rep int, out chan<- builtTable) {
 				defer func() {
 					//dosn:recover pipelined-build boundary: a panic while prebuilding the next repetition's table becomes that repetition's error via the channel
@@ -318,14 +307,7 @@ func Run(cfg Config) (*Result, error) {
 						out <- builtTable{err: fault.PanicError("core: pipelined schedule build", r, debug.Stack())}
 					}
 				}()
-				var sw obs.Watch
-				if cfg.Obs != nil {
-					sw = obs.StartWatch()
-				}
 				t := cfg.buildTable(ds, rep)
-				if cfg.Obs != nil {
-					cfg.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS())
-				}
 				obsTablesPipelined.Inc()
 				out <- builtTable{t: t}
 			}(rep+1, next)
@@ -358,8 +340,11 @@ func (c *Config) providedTable(rep int) *onlinetime.Table {
 // buildTable builds the schedule table of one repetition from the
 // repetition's independent RNG stream. Pure function of (dataset, model,
 // seed, rep): the pipeline may run it concurrently with another
-// repetition's sweep without reordering any randomness.
+// repetition's sweep without reordering any randomness. The build's time is
+// the schedule-build phase, whichever goroutine it ran on.
 func (c *Config) buildTable(ds *trace.Dataset, rep int) *onlinetime.Table {
+	sw := obs.StartWatch()
+	defer func() { c.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS()) }()
 	return c.Model.BuildTable(ds, rand.New(rand.NewSource(mix(c.Seed, int64(rep)))), c.Workers)
 }
 
@@ -387,57 +372,42 @@ func mergeGrids(dst, src [][]Cell) {
 // users, and a 16-user chunk still spreads that over every core.
 const sweepChunkSize = 16
 
-// sweepOnce processes all users for one repetition: one worker pool, one
-// join, one chunk-order reduce. Workers claim fixed index-ordered chunks of
-// users and reduce each chunk's samples in user order into a per-chunk grid;
-// after the join the chunk grids are merged sequentially in chunk order. The
-// chunk partition, the per-chunk accumulation order, and the chunk-order
-// merge are all fixed by the user list alone, so the result is bit-identical
-// regardless of worker count or goroutine scheduling. Live memory is one
-// grid per chunk (policies × degrees cells): the sweep covers the users at
-// one degree, ≈ 2.7 % of a dataset, so even the million-user tier holds
-// 1,571 chunk grids — 6.4 MB beside a multi-GB dataset — and needs no bound.
+// sweepOnce processes all users for one repetition: one chunked fan-out
+// (fault.Chunks), one join, one chunk-order reduce. Workers claim fixed
+// index-ordered chunks of users and reduce each chunk's samples in user order
+// into a per-chunk grid; after the join the chunk grids are merged
+// sequentially in chunk order. The chunk partition, the per-chunk
+// accumulation order, and the chunk-order merge are all fixed by the user
+// list alone, so the result is bit-identical regardless of worker count or
+// goroutine scheduling. Live memory is one grid per chunk (policies × degrees
+// cells): the sweep covers the users at one degree, ≈ 2.7 % of a dataset, so
+// even the million-user tier holds 1,571 chunk grids — 6.4 MB beside a
+// multi-GB dataset — and needs no bound.
 //
 // The repetition's schedule table is shared read-only: its arena rows are
 // the bitmap slice every worker reads, with no densification step on this
-// path (the table was dense from construction). Every worker owns one
-// sweepScratch, so the per-user metric accumulation allocates nothing
-// beyond the policy selections.
+// path (the table was dense from construction).
 //
-// A worker that panics (a policy bug, an injected fault) is recovered at
-// its goroutine boundary and surfaces as this sweep's error; the remaining
-// workers drain their claimed chunks and stop.
-//
-//dosn:hotpath
+// A worker that fails — an injected error, a panic in a policy or a metric —
+// voids the repetition: fault.Chunks stops handing out chunks, joins, and
+// returns the failure (a panic as an error carrying the worker's stack) as
+// this sweep's error; the partially filled chunk grids go with it.
 func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 	if err := faultSweepShard.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
 		return nil, err
 	}
-	nChunks := (len(cfg.Users) + sweepChunkSize - 1) / sweepChunkSize
-	b := sweepBatch{
-		cfg:     cfg,
-		bitmaps: table.Bitmaps(),
-		rep:     rep,
-		chunks:  make([][][]Cell, nChunks),
-	}
-	b.next.Store(-1)
-	var sw obs.Watch
-	if cfg.Obs != nil {
-		sw = obs.StartWatch()
-	}
-	// A population with fewer chunks than workers needs only one goroutine
-	// per chunk: extra workers would claim nothing and exit, and the sweep
-	// spawns a pool per repetition of every cell.
-	for w := 0; w < min(cfg.Workers, nChunks); w++ {
-		b.wg.Add(1)
-		go b.run()
-	}
-	b.wg.Wait()
-	if cfg.Obs != nil {
-		cfg.Obs.AddPhaseNS("sweep-shards", sw.ElapsedNS())
-		sw = obs.StartWatch()
-	}
-	if err := b.takeErr(); err != nil {
+	chunks := make([][][]Cell, (len(cfg.Users)+sweepChunkSize-1)/sweepChunkSize)
+	sw := obs.StartWatch()
+	err := fault.Chunks(len(cfg.Users), sweepChunkSize, cfg.Workers, func(next func() (lo, hi int, ok bool)) error {
+		// Busy time per worker per repetition: sum against max across workers
+		// is what exposes imbalance. The reading goes only into obs.
+		busy := obs.StartWatch()
+		defer func() { cfg.Obs.WorkerBusy(busy.ElapsedNS()) }()
+		return sweepChunks(cfg, table.Bitmaps(), rep, chunks, next)
+	})
+	cfg.Obs.AddPhaseNS("sweep-shards", sw.ElapsedNS())
+	sw = obs.StartWatch()
+	if err != nil {
 		return nil, err
 	}
 	if err := faultReduce.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
@@ -445,115 +415,39 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 	}
 
 	grid := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
-	for _, g := range b.chunks {
+	for _, g := range chunks {
 		mergeGrids(grid, g)
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.AddPhaseNS("reduce", sw.ElapsedNS())
-	}
+	cfg.Obs.AddPhaseNS("reduce", sw.ElapsedNS())
 	return grid, nil
 }
 
-// sweepBatch is the shared state of one repetition's worker pool. The
-// workers run the named work method rather than a closure: the hot sweep
-// spawns one goroutine per worker per repetition, and a capturing closure
-// would heap-allocate its environment each time (and hide which state is
-// shared).
-type sweepBatch struct {
-	cfg     Config
-	bitmaps []interval.Bitmap
-	rep     int
-	chunks  [][][]Cell // one grid per chunk, written by the claiming worker
-	next    atomic.Int64
-	wg      sync.WaitGroup
-
-	// failed flags a worker failure so the remaining workers stop claiming
-	// chunks; err keeps the first failure (under errMu) for sweepOnce.
-	failed atomic.Bool
-	errMu  sync.Mutex
-	err    error
-}
-
-// setErr records the first worker failure and tells the other workers to
-// stop. Later failures are dropped: with one failure the whole repetition
-// is already void.
-func (b *sweepBatch) setErr(err error) {
-	b.errMu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.errMu.Unlock()
-	b.failed.Store(true)
-}
-
-// takeErr returns the first worker failure, if any. Called after wg.Wait,
-// so no worker is concurrently writing.
-func (b *sweepBatch) takeErr() error {
-	b.errMu.Lock()
-	defer b.errMu.Unlock()
-	return b.err
-}
-
-// run wraps one worker's chunk loop with busy-time accounting: when the
-// sweep carries a telemetry sink, each worker reports how long it spent in
-// its loop, which is what exposes worker imbalance (sum vs max busy time).
-// The watch reading goes only into obs — results never see it.
-//
-// It is also the sweep's panic isolation boundary: a panic anywhere in the
-// chunk loop — a policy bug, a metric edge case, an injected fault — is
-// recovered here and converted into the sweep's error, so a crashing worker
-// fails its cell instead of killing the process (the busy-time accounting
-// still runs; the partially filled chunk grid is discarded with the repetition).
-func (b *sweepBatch) run() {
-	defer b.wg.Done()
-	var busy obs.Watch
-	if b.cfg.Obs != nil {
-		busy = obs.StartWatch()
-	}
-	func() {
-		defer func() {
-			//dosn:recover sweep-worker boundary: a panicking chunk becomes the sweep's error instead of killing the process
-			if r := recover(); r != nil {
-				b.setErr(fault.PanicError("core: sweep worker", r, debug.Stack()))
-			}
-		}()
-		b.work()
-	}()
-	if b.cfg.Obs != nil {
-		b.cfg.Obs.WorkerBusy(busy.ElapsedNS())
-	}
-}
-
-// work is one worker's loop: claim fixed index-ordered chunks and reduce
-// each chunk's users in order into that chunk's grid. Chunk claiming is the
-// only cross-worker coordination; everything else is owned state. The
-// chunk counters are single atomic adds per 16-user chunk — allocation-free
-// and cheap enough to stay on unconditionally.
+// sweepChunks is one worker's loop: reduce each claimed chunk's users in
+// order into that chunk's grid. The worker owns one sweepScratch and one
+// replica.Placer, so the per-user metric accumulation allocates nothing
+// beyond the policy selections; chunks[ci] is written only by the worker that
+// claimed chunk ci. The chunk counters are single atomic adds per 16-user
+// chunk — allocation-free and cheap enough to stay on unconditionally.
 //
 //dosn:hotpath
-func (b *sweepBatch) work() {
+func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, chunks [][][]Cell, next func() (lo, hi int, ok bool)) error {
 	var scratch sweepScratch
-	pl := replica.NewPlacer(b.cfg.Dataset, b.bitmaps, b.cfg.Mode, b.cfg.MaxDegree, b.cfg.Policies...)
-	for {
-		ci := int(b.next.Add(1))
-		if ci >= len(b.chunks) || b.failed.Load() {
-			return
+	pl := replica.NewPlacer(cfg.Dataset, bitmaps, cfg.Mode, cfg.MaxDegree, cfg.Policies...)
+	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+		ci := lo / sweepChunkSize
+		if err := faultSweepChunk.InjectSeeded(mix(cfg.Seed, int64(rep), int64(ci))); err != nil {
+			return err
 		}
-		if err := faultSweepChunk.InjectSeeded(mix(b.cfg.Seed, int64(b.rep), int64(ci))); err != nil {
-			b.setErr(err)
-			return
+		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
+		for _, u := range cfg.Users[lo:hi] {
+			sweepUser(cfg, pl, rep, u, g, &scratch)
 		}
-		lo := ci * sweepChunkSize
-		hi := min(lo+sweepChunkSize, len(b.cfg.Users))
-		g := newGrid(len(b.cfg.Policies), b.cfg.MaxDegree+1)
-		for _, u := range b.cfg.Users[lo:hi] {
-			sweepUser(b.cfg, pl, b.rep, u, g, &scratch)
-		}
-		b.chunks[ci] = g
+		chunks[ci] = g
 		obsChunksSwept.Inc()
 		obsUsersSwept.Add(int64(hi - lo))
-		b.cfg.Obs.AddChunks(1)
+		cfg.Obs.AddChunks(1)
 	}
+	return nil
 }
 
 // sweepScratch holds one worker's reusable buffers: the incrementally grown

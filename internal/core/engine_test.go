@@ -313,31 +313,49 @@ func TestRunRejectsMisshapenSchedules(t *testing.T) {
 	}
 }
 
-// TestSweepWorkerPoolCappedByChunks pins the worker-spawn cap: a sweep with
-// fewer chunks than workers must spawn one goroutine per chunk, not one per
-// configured worker. The pin reads the telemetry worker-span count — every
-// spawned sweep worker reports exactly one busy span — so a regression that
-// spawns idle workers shows up as extra spans.
+// TestSweepWorkerPoolCappedByChunks pins the worker count of the sweep's
+// fan-out through telemetry: every sweep worker reports exactly one busy span
+// per repetition. With more chunks than workers spans == workers × repeats (a
+// per-chunk report would show chunks × repeats, and lose the sum-against-max
+// imbalance signal); with fewer chunks than workers the sweep runs one worker
+// per chunk, so a regression that starts idle workers shows up as extra spans.
 func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 	ds := testDataset(t)
-	users := ds.Graph.UsersWithDegree(10)[:3] // 3 users → a single 16-user chunk
-	collector := obs.NewCollector()
-	co := collector.StartCell("cap-test", 0)
-	_, err := Run(Config{
-		Dataset: ds, Users: users, MaxDegree: 2, Repeats: 2, Seed: 3,
-		Workers: 8, Obs: co,
-	})
-	co.Done()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	rep := collector.Report("test")
-	if len(rep.Cells) != 1 || rep.Cells[0].Sweep == nil {
-		t.Fatalf("telemetry report missing sweep stats: %+v", rep.Cells)
-	}
-	// One chunk per repetition → one worker span per repetition.
-	if got := rep.Cells[0].Sweep.WorkerSpans; got != 2 {
-		t.Errorf("WorkerSpans = %d, want 2 (one per single-chunk repetition)", got)
+	all := ds.Graph.UsersWithDegree(10)
+	const repeats = 2
+	for _, tc := range []struct {
+		name    string
+		users   []socialgraph.UserID
+		workers int
+	}{
+		{"more chunks than workers", all, 2},
+		{"one chunk, eight workers", all[:3], 8},
+	} {
+		nChunks := (len(tc.users) + sweepChunkSize - 1) / sweepChunkSize
+		if len(tc.users) == len(all) && nChunks <= tc.workers {
+			t.Fatalf("%s: %d users make only %d chunks", tc.name, len(tc.users), nChunks)
+		}
+		collector := obs.NewCollector()
+		co := collector.StartCell(tc.name, 0)
+		_, err := Run(Config{
+			Dataset: ds, Users: tc.users, MaxDegree: 2, Repeats: repeats, Seed: 3,
+			Workers: tc.workers, Obs: co,
+		})
+		co.Done()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		rep := collector.Report("test")
+		if len(rep.Cells) != 1 || rep.Cells[0].Sweep == nil {
+			t.Fatalf("%s: telemetry report missing sweep stats: %+v", tc.name, rep.Cells)
+		}
+		sweep := rep.Cells[0].Sweep
+		if want := int64(min(tc.workers, nChunks) * repeats); sweep.WorkerSpans != want {
+			t.Errorf("%s: WorkerSpans = %d, want min(workers, chunks) × repeats = %d", tc.name, sweep.WorkerSpans, want)
+		}
+		if want := int64(nChunks * repeats); sweep.Chunks != want {
+			t.Errorf("%s: Chunks = %d, want %d", tc.name, sweep.Chunks, want)
+		}
 	}
 }
 

@@ -30,9 +30,10 @@ func (panickingPolicy) Select(replica.Input, *rand.Rand) []socialgraph.UserID {
 }
 
 // TestSweepWorkerPanicBecomesError is the regression test for the
-// process-killing worker panic: a panic raised inside a sweepBatch worker
-// goroutine must surface as core.Run's error — carrying the injected fault
-// through the chunk-merge path — never crash the process.
+// process-killing worker panic: a panic raised inside a sweep worker
+// (fault.Chunks: the caller's goroutine or a helper) must surface as
+// core.Run's error — carrying the injected fault through the chunk-merge
+// path — never crash the process.
 func TestSweepWorkerPanicBecomesError(t *testing.T) {
 	ds := testDataset(t)
 	withFaults(t, "core.sweep-chunk=panic(1)")

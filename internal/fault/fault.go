@@ -32,6 +32,11 @@
 // This layer is execution-only chaos machinery: when disabled (the default,
 // and the only configuration benchmarks and golden tests run under) it
 // changes no behavior at all.
+//
+// The package also holds the simulator's two fan-outs (parallel.go), because
+// what they add to a bare go statement is fault containment: Parallel for a
+// fixed group of passes, Chunks for a chunk pool over an index range. The
+// compute packages start their goroutines through these (dosn-vet's rawgo).
 package fault
 
 import (

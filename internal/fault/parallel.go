@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Parallel runs fns concurrently — the first on the calling goroutine, each
@@ -44,6 +45,61 @@ func Parallel(fns ...func()) {
 			panic(p)
 		}
 	}
+}
+
+// Chunks is the chunked fan-out: it splits [0, n) into index-ordered chunks
+// of the given size (the last one shorter) and runs body on up to
+// min(workers, number of chunks) workers through Parallel — so one worker
+// means the calling goroutine and no other. Each body loops on next, which
+// hands it the next unclaimed [lo, hi) off one atomic counter (ok is false
+// once there is none): the only coordination between workers. Chunk
+// boundaries depend on n and size alone, so a caller that writes per-chunk
+// output from the claiming worker and combines it in chunk order (or
+// commutatively) gets the same bytes however the chunks were dealt.
+// Per-worker state is the body's locals.
+//
+// A body that returns an error or panics voids the pass: next stops
+// yielding to every worker, each finishes the chunk it holds, and after the
+// join Chunks returns the failure — a panic as a PanicError that keeps the
+// panicking worker's stack and still unwraps to an injected fault, else the
+// error of the lowest-indexed failing worker.
+func Chunks(n, size, workers int, body func(next func() (lo, hi int, ok bool)) error) (err error) {
+	var claimed atomic.Int64
+	var stop atomic.Bool
+	next := func() (lo, hi int, ok bool) {
+		if stop.Load() {
+			return 0, 0, false
+		}
+		lo = int(claimed.Add(1)-1) * size
+		return lo, min(lo+size, n), lo < n
+	}
+	errs := make([]error, min(max(workers, 1), (n+size-1)/size))
+	fns := make([]func(), len(errs))
+	for w := range fns {
+		fns[w] = func() {
+			ok := false
+			defer func() {
+				if !ok { // body returned an error, or is panicking
+					stop.Store(true)
+				}
+			}()
+			errs[w] = body(next)
+			ok = errs[w] == nil
+		}
+	}
+	defer func() {
+		//dosn:recover chunked fan-out join: Parallel re-raises a worker's panic here, on the caller's side of the join, and it becomes the pass's error
+		if r := recover(); r != nil {
+			err = PanicError("fault: chunk worker", r, nil) // r carries the worker's own stack
+		}
+	}()
+	Parallel(fns...)
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // passPanic is the value Parallel re-panics with: what a pass panicked with

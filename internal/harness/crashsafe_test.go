@@ -61,7 +61,8 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 	// Hit numbers are placed against the serial (Workers 1, no prefetch)
 	// execution order so several scenarios journal a non-empty prefix before
 	// dying: schedule-build hit 3 is the third repetition build (first cell
-	// of the second model), sweep-shard hit 5 is the third cell's first
+	// of the second model) and so is build-chunk hit 3 (300 users fill one
+	// 512-row chunk per table), sweep-shard hit 5 is the third cell's first
 	// repetition, checkpoint-append hit 3 kills the third cell's journal entry.
 	scenarios := []string{
 		"trace.synthesize=panic(1)",
@@ -70,6 +71,8 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 		"trace.synthesize-pass=error(1)",
 		"harness.schedule-build=panic(3)",
 		"harness.schedule-build=error(3)",
+		"onlinetime.build-chunk=panic(1)",
+		"onlinetime.build-chunk=error(3)",
 		"core.sweep-shard=panic(2)",
 		"core.sweep-shard=error(5)",
 		"core.sweep-chunk=panic(1)",
@@ -184,6 +187,53 @@ func TestHelperGoroutinePanicBecomesCellError(t *testing.T) {
 	}
 	if !bytes.Equal(manifestBytes(t, m), manifestBytes(t, cleanRun)) {
 		t.Error("retried manifest differs from clean run")
+	}
+}
+
+// TestTableBuildWorkerPanicBecomesCellError: the schedule-table build fans
+// its row fill out to workers of its own, inside the cell's schedule-cache
+// compute. A panic on one of them must come back to the cell's goroutine and
+// end as that cell's error with the injected site attached, every sibling
+// cell must still run to completion, and a run without the fault must produce
+// clean-run bytes — nothing of the failed build is left in the caches.
+func TestTableBuildWorkerPanicBecomesCellError(t *testing.T) {
+	spec := crashSpec()
+	spec.Datasets[0].Users = 2000 // several 512-row chunks per table, so four core workers fan out
+	if ds, err := buildDataset(spec.Datasets[0]); err != nil {
+		t.Fatal(err)
+	} else if ds.NumUsers() <= 1024 {
+		t.Fatalf("%d users are too few to fan the table build out", ds.NumUsers())
+	}
+	cleanRun, err := Run(spec, RunOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	withHarnessFaults(t, "onlinetime.build-chunk=panic(2)")
+	finished := 0
+	_, err = Run(spec, RunOptions{
+		Workers: 1, NoPrefetch: true, CoreWorkers: 4,
+		Progress: func(done, _ int, _ CellSpec, _ time.Duration) { finished = done },
+	})
+	if err == nil {
+		t.Fatal("armed run completed; the table-build failpoint did not fire")
+	}
+	if inj, ok := fault.AsInjected(err); !ok || inj.Site != "onlinetime.build-chunk" {
+		t.Fatalf("cell error lost the injected site: %v", err)
+	}
+	if first := spec.Cells()[0].Key(); !strings.Contains(err.Error(), first) {
+		t.Errorf("error is not attributed to the cell that built the table (%s): %v", first, err)
+	}
+	if want := len(spec.Cells()); finished != want {
+		t.Errorf("%d of %d cells finished; one failed build must not stop its siblings", finished, want)
+	}
+	fault.Disable()
+
+	m, err := Run(spec, RunOptions{Workers: 2, CoreWorkers: 4})
+	if err != nil {
+		t.Fatalf("rerun with the fault off: %v", err)
+	}
+	if !bytes.Equal(manifestBytes(t, m), manifestBytes(t, cleanRun)) {
+		t.Error("rerun manifest differs from clean run")
 	}
 }
 

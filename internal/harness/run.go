@@ -519,10 +519,10 @@ func runCellAttempt(spec MatrixSpec, cell CellSpec, policies []replica.Policy, o
 }
 
 // runCellRecovered is the cell isolation boundary: a panic anywhere in the
-// cell's synchronous call tree (core's sweep workers and pipelined build
-// carry their own boundaries) becomes this cell's error instead of killing
-// the process, so sibling cells finish and the checkpoint journal stays
-// intact.
+// cell's synchronous call tree (the fan-outs below it and core's pipelined
+// build bring their goroutines' panics back into it) becomes this cell's
+// error instead of killing the process, so sibling cells finish and the
+// checkpoint journal stays intact.
 func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (res CellResult, err error) {
 	defer func() {
 		//dosn:recover cell isolation boundary: a panicking cell (injected fault or real bug) becomes a CellResult error; siblings and the journal survive

@@ -1,10 +1,10 @@
-// Package lint implements the dosn-vet static-analysis suite: six
+// Package lint implements the dosn-vet static-analysis suite: seven
 // repository-specific analyzers that enforce, at review time, the invariants
 // the test suite can only check dynamically — deterministic execution
 // (detrand, maporder), int32 CSR overflow safety (int32cast),
 // allocation-free hot paths (hotalloc), sanctioned panic-recovery
-// boundaries (saferecover), and one constructor for placement inputs
-// (inputlit).
+// boundaries (saferecover), one constructor for placement inputs (inputlit),
+// and no hand-rolled goroutine pools in the compute packages (rawgo).
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone: packages are
@@ -60,7 +60,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full dosn-vet suite in the order findings are
 // conventionally listed.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, Int32Cast, HotAlloc, SafeRecover, InputLit}
+	return []*Analyzer{DetRand, MapOrder, Int32Cast, HotAlloc, SafeRecover, InputLit, RawGo}
 }
 
 // Finding pairs a diagnostic with the analyzer that produced it and its

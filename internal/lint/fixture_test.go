@@ -177,6 +177,13 @@ func TestInputLitFixtures(t *testing.T) {
 	runFixture(t, InputLit, filepath.Join("testdata", "inputlit", "fixture"))
 }
 
+func TestRawGoFixtures(t *testing.T) {
+	// The fixture is package "core", a compute package. That rawgo leaves
+	// other packages alone is TestRepoIsClean's to show: internal/harness has
+	// a cell pool with both constructs and no waiver.
+	runFixture(t, RawGo, filepath.Join("testdata", "rawgo", "core"))
+}
+
 // TestRepoIsClean is the smoke gate: the dosn-vet suite must exit clean on
 // the repository itself. A finding here means either a real regression or a
 // fix/waiver that lost its justification.

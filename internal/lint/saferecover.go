@@ -7,8 +7,8 @@ import (
 
 // SafeRecover forbids bare recover() calls outside sanctioned boundaries. A
 // recover that swallows a panic silently turns a crash into corrupted state;
-// the repository's crash-safety design (internal/fault, harness cell
-// isolation, core sweep workers) concentrates recovery at a handful of
+// the repository's crash-safety design (internal/fault's fan-out joins,
+// harness cell isolation) concentrates recovery at a handful of
 // audited seams, each converting the panic into an error via
 // fault.PanicError. Every such seam must carry //dosn:recover <why> so new
 // recovery points are a reviewed decision, not an accident.

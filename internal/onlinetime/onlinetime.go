@@ -168,7 +168,7 @@ func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Tab
 			offs[i] = int16(rng.Intn(sess))
 		}
 
-		forEachRowRangeIn(slo, shi, workers, func(lo, hi int) {
+		fillRows(slo, shi, workers, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
 				acts := d.CreatedIdx(socialgraph.UserID(u))
 				base := uoff[u-slo]
@@ -218,7 +218,7 @@ func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *
 	n := d.NumUsers()
 	t := NewTable(n)
 	centers := drawCenters(d, rng, make([]int32, 0, n))
-	forEachRowRange(n, workers, func(lo, hi int) {
+	fillRows(0, n, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			t.rows[u].AddInterval(windowCentered(resolveCenter(d, centers, u), length))
 		}
@@ -272,7 +272,7 @@ func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) 
 		lengths[u] = int32(lo*60 + rng.Intn((hi-lo)*60+1))
 		centers[u] = drawCenter(d, rng, socialgraph.UserID(u))
 	}
-	forEachRowRange(n, workers, func(ulo, uhi int) {
+	fillRows(0, n, workers, func(ulo, uhi int) {
 		for u := ulo; u < uhi; u++ {
 			t.rows[u].AddInterval(windowCentered(resolveCenter(d, centers, u), int(lengths[u])))
 		}

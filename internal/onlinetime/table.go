@@ -1,9 +1,7 @@
 package onlinetime
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"dosn/internal/fault"
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
 )
@@ -61,45 +59,28 @@ func (t *Table) MemoryBytes() int {
 // count.
 const buildChunk = 512
 
-// forEachRowRange runs fn over [0, users) split into fixed chunks on a
-// bounded worker pool. fn must only touch state owned by its range. With
-// workers <= 1 (or a single chunk) it runs inline, allocating nothing.
-func forEachRowRange(users, workers int, fn func(lo, hi int)) {
-	forEachRowRangeIn(0, users, workers, fn)
-}
+// faultBuildChunk sits inside a table-build worker, per claimed chunk.
+var faultBuildChunk = fault.NewSite("onlinetime.build-chunk")
 
-// forEachRowRangeIn is forEachRowRange over the user range [lo, hi) — the
-// per-shard form the shard-by-shard schedule builds use. Chunk boundaries
-// depend only on the range, and every chunk writes a disjoint arena row
-// range, so the table bytes are identical for any worker count.
-func forEachRowRangeIn(lo, hi, workers int, fn func(lo, hi int)) {
-	users := hi - lo
-	nChunks := (users + buildChunk - 1) / buildChunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		if users > 0 {
-			fn(lo, hi)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1))
-				if ci >= nChunks {
-					return
-				}
-				clo := lo + ci*buildChunk
-				fn(clo, min(clo+buildChunk, hi))
+// fillRows runs fill over the arena rows [lo, hi) in fixed buildChunk ranges
+// on up to `workers` workers (fault.Chunks; one worker fills inline). fill
+// must only touch state owned by its range: every chunk then writes a
+// disjoint arena row range, so the table bytes are identical for any worker
+// count. BuildTable has no error path, so a failed fill — a panic on any
+// worker, an injected fault — is re-raised on the calling goroutine, where
+// the harness's cell isolation or core's pipelined build turns it into an
+// error.
+func fillRows(lo, hi, workers int, fill func(lo, hi int)) {
+	err := fault.Chunks(hi-lo, buildChunk, workers, func(next func() (lo, hi int, ok bool)) error {
+		for clo, chi, ok := next(); ok; clo, chi, ok = next() {
+			if err := faultBuildChunk.InjectSeeded(int64(lo + clo)); err != nil {
+				return err
 			}
-		}()
+			fill(lo+clo, lo+chi)
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
-	wg.Wait()
 }

@@ -3,6 +3,8 @@ package onlinetime
 import (
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,5 +290,35 @@ func TestTableBitmapOutOfRange(t *testing.T) {
 	table.Bitmap(1).AddInterval(interval.Interval{Start: 5, End: 7})
 	if got := table.Bitmaps()[1].Minutes(); got != 2 {
 		t.Errorf("arena row minutes = %d, want 2 (view must alias)", got)
+	}
+}
+
+// TestFillRowsRaisesWorkerPanicOnCaller: a fill that panics on a table-build
+// worker must reach the goroutine that called BuildTable — where the
+// harness's cell boundary stands — as a panic the caller can recover, with
+// the worker's stack. Raised on the worker's own goroutine instead, it would
+// end the process (here: the test binary) past every boundary. Four workers
+// each hold one chunk before any fails, and every chunk but the first
+// panics, so at least two of the panics are on helper goroutines.
+func TestFillRowsRaisesWorkerPanicOnCaller(t *testing.T) {
+	var held sync.WaitGroup
+	held.Add(4)
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		fillRows(100, 100+4*buildChunk, 4, func(lo, hi int) {
+			held.Done()
+			held.Wait()
+			if lo != 100 {
+				panic("fill bug")
+			}
+		})
+		return nil
+	}()
+	err, ok := r.(error)
+	if !ok {
+		t.Fatalf("recovered %T %v, want the build's error", r, r)
+	}
+	if !strings.Contains(err.Error(), "fill bug") || !strings.Contains(err.Error(), "TestFillRowsRaisesWorkerPanicOnCaller") {
+		t.Errorf("panic lost its value or the worker's stack:\n%v", err)
 	}
 }

@@ -379,7 +379,8 @@ func (s *Store) Fields(wall NodeID) (map[string]Field, error) {
 
 // SyncInto performs one full anti-entropy round from s into dst for every
 // wall both stores host, and returns the number of posts transferred.
-// Fields are merged in both directions (LWW makes that safe).
+// Profile fields go the same way as posts, s into dst only (an LWW merge); a
+// caller that wants both stores equal calls it in each direction.
 func (s *Store) SyncInto(dst *Store) int {
 	transferred := 0
 	for _, wall := range s.Walls() {
