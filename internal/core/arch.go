@@ -208,6 +208,7 @@ func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Polic
 	err := fault.Chunks(n, placementChunkSize, workers, func(next func() (lo, hi int, ok bool)) error {
 		load := make([]int, n)
 		pl := replica.NewPlacer(ds, bitmaps, mode, budget, p)
+		var gen workerRNG
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			if err := faultPlacementChunk.InjectSeeded(int64(lo)); err != nil {
 				return err
@@ -216,7 +217,7 @@ func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Polic
 				in := pl.Input(socialgraph.UserID(u))
 				var rng *rand.Rand
 				if usesRNG {
-					rng = rand.New(rand.NewSource(seedOf(u)))
+					rng = gen.seeded(seedOf(u))
 				}
 				metrics.AddHostLoad(load, p.Select(in, rng))
 			}

@@ -452,15 +452,34 @@ func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, chunks [][][]Ce
 
 // sweepScratch holds one worker's reusable buffers: the incrementally grown
 // availability bitmap, the union of the friends' online times, the
-// received-activity minutes, and the delay calculator's gap/distance
-// matrices. Reusing it across users removes every per-user metric allocation
-// from the sweep hot path.
+// received-activity minutes, the delay calculator's gap/distance
+// matrices, and the generator the randomized policies draw from. Reusing it
+// across users removes every per-user metric allocation from the sweep hot
+// path.
 type sweepScratch struct {
 	avail         interval.Bitmap
 	friendsOnline interval.Bitmap
 	actMinutes    []int
 	delay         metrics.DelayCalc
 	aod           metrics.AoDTracker
+	rng           workerRNG
+}
+
+// workerRNG is the one generator a sweep or placement worker hands its
+// randomized policies. The zero value is ready.
+type workerRNG struct{ r *rand.Rand }
+
+// seeded returns the generator restarted at seed. (*rand.Rand).Seed reseeds
+// the source in place and resets the read position, so the stream is the one
+// rand.New(rand.NewSource(seed)) produces, without a new 5 KB source per
+// (repetition, policy, user).
+func (w *workerRNG) seeded(seed int64) *rand.Rand {
+	if w.r == nil {
+		w.r = rand.New(rand.NewSource(seed))
+	} else {
+		w.r.Seed(seed)
+	}
+	return w.r
 }
 
 // sweepUser evaluates every policy and every replication degree for one
@@ -506,7 +525,7 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, u socialgraph.UserID, gr
 	for pi, p := range cfg.Policies {
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {
-			rng = rand.New(rand.NewSource(mix(cfg.Seed, int64(rep), int64(pi), int64(u))))
+			rng = scratch.rng.seeded(mix(cfg.Seed, int64(rep), int64(pi), int64(u)))
 			obsRNGSeeded.Inc()
 		}
 		seq := p.Select(in, rng)

@@ -62,8 +62,10 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 	// execution order so several scenarios journal a non-empty prefix before
 	// dying: schedule-build hit 3 is the third repetition build (first cell
 	// of the second model) and so is build-chunk hit 3 (300 users fill one
-	// 512-row chunk per table), sweep-shard hit 5 is the third cell's first
-	// repetition, checkpoint-append hit 3 kills the third cell's journal entry.
+	// 512-row chunk per table), center-chunk hit 1 is the second model's first
+	// table (the dataset's one column fill), sweep-shard hit 5 is the third
+	// cell's first repetition, checkpoint-append hit 3 kills the third cell's
+	// journal entry.
 	scenarios := []string{
 		"trace.synthesize=panic(1)",
 		"trace.synthesize=error(1)",
@@ -73,6 +75,8 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 		"harness.schedule-build=error(3)",
 		"onlinetime.build-chunk=panic(1)",
 		"onlinetime.build-chunk=error(3)",
+		"trace.center-chunk=panic(1)",
+		"trace.center-chunk=error(1)",
 		"core.sweep-shard=panic(2)",
 		"core.sweep-shard=error(5)",
 		"core.sweep-chunk=panic(1)",

@@ -234,3 +234,38 @@ func TestRunByteIdenticalWithPrefetch(t *testing.T) {
 		}
 	}
 }
+
+// TestCenterColumnBuiltOncePerDatasetInAMatrix: the activity-center column is
+// a property of the dataset, so a matrix builds it once per dataset — not once
+// per table — however many (model, mode) cells, cell workers and prefetcher
+// warm-ups ask for it together, and never for a Sporadic-only run.
+func TestCenterColumnBuiltOncePerDatasetInAMatrix(t *testing.T) {
+	spec := MatrixSpec{
+		Datasets: []DatasetSpec{
+			{Name: "facebook", Users: 600, Seed: 1},
+			{Name: "twitter", Users: 600, Seed: 2},
+		},
+		Models:    []ModelSpec{FixedLength(2), FixedLength(8), RandomLength()},
+		Modes:     []string{"ConRep", "UnconRep"},
+		MaxDegree: 2,
+		Repeats:   2,
+		RootSeed:  7,
+	}
+	built := obs.C("trace.center_columns_built")
+	before := built.Value()
+	if _, err := Run(spec, RunOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Value() - before; n != 2 {
+		t.Errorf("%d center columns built over 2 datasets × 3 models × 2 modes × 2 repetitions, want 2", n)
+	}
+
+	spec.Models = []ModelSpec{Sporadic()}
+	before = built.Value()
+	if _, err := Run(spec, RunOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Value() - before; n != 0 {
+		t.Errorf("a Sporadic-only matrix built %d center columns, want none", n)
+	}
+}

@@ -22,15 +22,16 @@ socialgraph — flags:
     //dosn:wallclock <justification>);
   - the global math/rand top-level functions (rand.Intn, rand.Float64,
     rand.Shuffle, ...), which draw from a shared process-wide source;
-  - rand.NewSource(x) where x does not visibly derive from a seed: some
-    identifier in the argument must contain "seed" (case-insensitive), the
-    repository's convention for plumbed Config/seed parameters.
+  - rand.NewSource(x) and rng.Seed(x) on a *rand.Rand where x does not
+    visibly derive from a seed: some identifier in the argument must contain
+    "seed" (case-insensitive), the repository's convention for plumbed
+    Config/seed parameters.
   - reads of internal/obs telemetry state (Value, Counters, Timers, Report,
     ReadMem, ...): obs is execution-only, and its readings are wall-clock
     derived — deterministic code may write into it (Inc, Add, AddPhaseNS)
     but must never branch on what it measured.
 
-Methods on an explicit *rand.Rand are always fine.`,
+Every other method on an explicit *rand.Rand is fine.`,
 	Run: runDetRand,
 }
 
@@ -98,14 +99,12 @@ func runDetRand(pass *Pass) error {
 				}
 				pass.Reportf(call.Pos(), "time.Now in deterministic package %s: results must be a pure function of (config, seed); waive execution-only instrumentation with //dosn:wallclock <why>", pass.Pkg.Name())
 			case "math/rand":
-				name := sel.Sel.Name
-				if globalRandFuncs[name] {
+				if name := sel.Sel.Name; globalRandFuncs[name] {
 					pass.Reportf(call.Pos(), "rand.%s draws from the global math/rand source; use a *rand.Rand seeded from the config", name)
-					break
 				}
-				if name == "NewSource" && len(call.Args) == 1 && !mentionsSeed(call.Args[0]) {
-					pass.Reportf(call.Pos(), "rand.NewSource argument does not derive from a seed: plumb a Config/seed parameter (an identifier containing \"seed\") instead of %s", exprText(call.Args[0]))
-				}
+			}
+			if what := seedingCall(pass, sel); what != "" && len(call.Args) == 1 && !mentionsSeed(call.Args[0]) {
+				pass.Reportf(call.Pos(), "%s argument does not derive from a seed: plumb a Config/seed parameter (an identifier containing \"seed\") instead of %s", what, exprText(call.Args[0]))
 			}
 			if fn := obsReadback(pass, sel); fn != "" {
 				pass.Reportf(call.Pos(), "obs.%s reads execution telemetry (wall-clock derived) inside deterministic package %s: write-only instrumentation is fine, reading it back is not", fn, pass.Pkg.Name())
@@ -114,6 +113,24 @@ func runDetRand(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// seedingCall names the call when sel starts a math/rand stream from its
+// argument — rand.NewSource(x), or Seed(x) on an explicit *rand.Rand, which
+// restarts a worker's generator in place exactly as a new source would — and
+// returns "" for anything else.
+func seedingCall(pass *Pass, sel *ast.SelectorExpr) string {
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return ""
+	}
+	switch fn.FullName() {
+	case "math/rand.NewSource":
+		return "rand.NewSource"
+	case "(*math/rand.Rand).Seed":
+		return "(*rand.Rand).Seed"
+	}
+	return ""
 }
 
 // obsReadback returns the called function's name when sel resolves to a

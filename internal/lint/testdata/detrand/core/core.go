@@ -41,7 +41,13 @@ func unseeded(x int64) *rand.Rand {
 	return rand.New(rand.NewSource(x)) // want `rand\.NewSource argument does not derive from a seed`
 }
 
-// localRand: methods on an explicit *rand.Rand are always fine.
+// localRand: drawing from an explicit *rand.Rand is always fine.
 func localRand(rng *rand.Rand) int {
 	return rng.Intn(10)
+}
+
+// reseeded: restarting an explicit *rand.Rand answers to the NewSource rule.
+func reseeded(rng *rand.Rand, cfg Config, u int, x int64) {
+	rng.Seed(cfg.Seed + int64(u))
+	rng.Seed(x) // want `\(\*rand\.Rand\)\.Seed argument does not derive from a seed`
 }

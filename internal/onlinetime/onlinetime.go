@@ -27,6 +27,15 @@
 //  2. the per-user bitmaps are built from those values over a worker pool
 //     writing disjoint arena rows (deterministic for any worker count).
 //
+// What FixedLength and RandomLength center a window on — "the majority of the
+// user's activity times", the circular mean of the minutes at which the user
+// created activities — is a property of the trace, not of the model, the
+// window length, the seed or the repetition. It is therefore not computed
+// here: it is the dataset's ActivityCenters column (package trace), built
+// once per dataset on the first build that asks and shared by every later
+// table. Phase 1 draws a random center only for the users the column has
+// none for; phase 2 sets one window per row.
+//
 // The table is the only form a schedule takes: policies, metrics and the
 // protocol runtime all read its rows; a row's run list (Bitmap.Set) is a
 // view derived on demand by the few consumers that walk sessions.
@@ -34,8 +43,8 @@ package onlinetime
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"dosn/internal/interval"
@@ -208,19 +217,23 @@ func (f FixedLength) Name() string { return fmt.Sprintf("FixedLength(%dh)", f.Ho
 // layer.
 func (f FixedLength) windowMinutes() int { return min(max(f.Hours, 1), 24) * 60 }
 
-// BuildTable implements Model. Users with no activities get a window at a
-// uniformly random time of day (their behaviour is unknown); phase 1 draws
-// exactly those centers, phase 2 computes the activity-derived centers (the
-// trigonometric circular mean, the expensive part) in parallel.
+// BuildTable implements Model. The activity-derived centers are the dataset's
+// ActivityCenters column — computed once per dataset, whatever the window
+// length, seed or repetition. Users with no activities get a window at a
+// uniformly random time of day (their behaviour is unknown): phase 1 draws
+// exactly those centers, in user order; phase 2 sets each row's one window.
 func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
 	sp := obsBuildTimer.Begin()
 	length := f.windowMinutes()
 	n := d.NumUsers()
 	t := NewTable(n)
-	centers := drawCenters(d, rng, make([]int32, 0, n))
+	centers := slices.Clone(d.ActivityCenters(workers))
+	for u := range centers {
+		drawCenter(centers, u, rng)
+	}
 	fillRows(0, n, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			t.rows[u].AddInterval(windowCentered(resolveCenter(d, centers, u), length))
+			t.rows[u].AddInterval(windowCentered(int(centers[u]), length))
 		}
 	})
 	recordBuild(sp, n)
@@ -259,55 +272,37 @@ func (r RandomLength) bounds() (lo, hi int) {
 
 // BuildTable implements Model. Phase 1 draws, per user, the window length
 // and — for users with no activities — the random center, in that order
-// (the historical draw order).
+// (the historical draw order); every other center is the dataset's
+// ActivityCenters entry.
 func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
 	sp := obsBuildTimer.Begin()
 	lo, hi := r.bounds()
 	n := d.NumUsers()
 	t := NewTable(n)
 	lengths := make([]int32, n)
-	centers := make([]int32, n)
-	for u := 0; u < n; u++ {
+	centers := slices.Clone(d.ActivityCenters(workers))
+	for u := range centers {
 		//dosn:boundschecked bounds() clamps lo,hi to [1,24], so the draw is < 25*60
 		lengths[u] = int32(lo*60 + rng.Intn((hi-lo)*60+1))
-		centers[u] = drawCenter(d, rng, socialgraph.UserID(u))
+		drawCenter(centers, u, rng)
 	}
 	fillRows(0, n, workers, func(ulo, uhi int) {
 		for u := ulo; u < uhi; u++ {
-			t.rows[u].AddInterval(windowCentered(resolveCenter(d, centers, u), int(lengths[u])))
+			t.rows[u].AddInterval(windowCentered(int(centers[u]), int(lengths[u])))
 		}
 	})
 	recordBuild(sp, n)
 	return t
 }
 
-// drawCenter performs user u's phase-1 center draw: a uniformly random
-// minute for users with no created activities (whose behaviour is unknown),
-// or -1 meaning "derive the center from the activity history in phase 2".
-func drawCenter(d *trace.Dataset, rng *rand.Rand, u socialgraph.UserID) int32 {
-	if len(d.CreatedIdx(u)) == 0 {
-		return int32(rng.Intn(interval.DayMinutes))
+// drawCenter performs user u's phase-1 center draw on a copy of the
+// dataset's ActivityCenters column: a user with no created activities
+// (a negative entry) gets a uniformly random minute; an activity-derived
+// center draws nothing.
+func drawCenter(centers []int16, u int, rng *rand.Rand) {
+	if centers[u] < 0 {
+		centers[u] = int16(rng.Intn(interval.DayMinutes))
 	}
-	return -1
-}
-
-// drawCenters runs drawCenter over every user in ID order, appending to dst.
-func drawCenters(d *trace.Dataset, rng *rand.Rand, dst []int32) []int32 {
-	n := d.NumUsers()
-	for u := 0; u < n; u++ {
-		dst = append(dst, drawCenter(d, rng, socialgraph.UserID(u)))
-	}
-	return dst
-}
-
-// resolveCenter returns the window center for user u: the phase-1 draw when
-// one was made, the circular activity mean otherwise.
-func resolveCenter(d *trace.Dataset, centers []int32, u int) int {
-	if c := centers[u]; c >= 0 {
-		return int(c)
-	}
-	center, _ := activityCenter(d, socialgraph.UserID(u))
-	return center
 }
 
 // windowCentered is the interval of the window of the given length centered
@@ -316,32 +311,6 @@ func resolveCenter(d *trace.Dataset, centers []int32, u int) int {
 func windowCentered(center, length int) interval.Interval {
 	start := center - length/2
 	return interval.Interval{Start: start, End: start + length}
-}
-
-// activityCenter returns the circular mean minute-of-day of the user's
-// created activities; ok is false when the user has none.
-func activityCenter(d *trace.Dataset, u socialgraph.UserID) (center int, ok bool) {
-	acts := d.CreatedIdx(u)
-	if len(acts) == 0 {
-		return 0, false
-	}
-	var sx, sy float64
-	for _, k := range acts {
-		th := 2 * math.Pi * float64(d.MinuteOfDayAt(int(k))) / interval.DayMinutes
-		sx += math.Cos(th)
-		sy += math.Sin(th)
-	}
-	if math.Hypot(sx, sy) < 1e-9*float64(len(acts)) {
-		// Perfectly balanced activities (e.g. two opposite minutes): any
-		// center is as good as any other; use the first activity.
-		return d.MinuteOfDayAt(int(acts[0])), true
-	}
-	th := math.Atan2(sy, sx)
-	m := int(math.Round(th / (2 * math.Pi) * interval.DayMinutes))
-	if m < 0 {
-		m += interval.DayMinutes
-	}
-	return m % interval.DayMinutes, true
 }
 
 // ComputeTable builds the model's schedule table with a deterministic seed

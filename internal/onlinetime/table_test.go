@@ -1,6 +1,7 @@
 package onlinetime
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -21,6 +22,34 @@ import (
 // oracle: same per-user RNG draw order, sorted-interval arithmetic only, no
 // bitmaps. The properties below check that the arena table — under any
 // phase-2 worker count — produces exactly these sets.
+
+// activityCenter returns the circular mean minute-of-day of the user's
+// created activities, by direct trigonometry per activity; ok is false when
+// the user has none. It is the production code the dataset's ActivityCenters
+// column replaced, and the oracle that column is held to.
+func activityCenter(d *trace.Dataset, u socialgraph.UserID) (center int, ok bool) {
+	acts := d.CreatedIdx(u)
+	if len(acts) == 0 {
+		return 0, false
+	}
+	var sx, sy float64
+	for _, k := range acts {
+		th := 2 * math.Pi * float64(d.MinuteOfDayAt(int(k))) / interval.DayMinutes
+		sx += math.Cos(th)
+		sy += math.Sin(th)
+	}
+	if math.Hypot(sx, sy) < 1e-9*float64(len(acts)) {
+		// Perfectly balanced activities (e.g. two opposite minutes): any
+		// center is as good as any other; use the first activity.
+		return d.MinuteOfDayAt(int(acts[0])), true
+	}
+	th := math.Atan2(sy, sx)
+	m := int(math.Round(th / (2 * math.Pi) * interval.DayMinutes))
+	if m < 0 {
+		m += interval.DayMinutes
+	}
+	return m % interval.DayMinutes, true
+}
 
 func legacySporadic(s Sporadic, d *trace.Dataset, rng *rand.Rand) []interval.Set {
 	sess := s.sessionMinutes()

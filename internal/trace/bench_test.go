@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dosn/internal/socialgraph"
@@ -50,6 +51,28 @@ func BenchmarkFilterMinActivity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchDataset = raw.FilterMinActivity(PaperMinActivity)
+	}
+}
+
+// BenchmarkActivityCenters times the cold build of the activity-center column
+// — what the first FixedLength or RandomLength table on a dataset pays on top
+// of a warm build — on a paper-scale dataset, on one worker and on every core.
+func BenchmarkActivityCenters(b *testing.B) {
+	d, err := SynthesizeCalibrated("facebook", PaperFacebookUsers, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				d.centers = nil
+				d.ActivityCenters(workers)
+			}
+			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(perOp/float64(d.NumUsers()), "ns/user")
+			b.ReportMetric(perOp/float64(d.NumActivities()), "ns/activity")
+		})
 	}
 }
 

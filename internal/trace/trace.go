@@ -41,6 +41,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dosn/internal/fault"
@@ -111,6 +112,11 @@ type Dataset struct {
 	// instead of 8 in atUnix, a 4x cut of the cache-miss footprint on the
 	// hottest dataset read path.
 	minOfDay []uint16
+
+	// centers is the ActivityCenters column: nil until the first request
+	// builds it under centersMu, nil again after a mutation.
+	centersMu sync.Mutex
+	centers   []int16
 }
 
 // NumActivities returns the number of activities in the trace.
@@ -203,6 +209,7 @@ func (d *Dataset) invalidate() {
 	d.createdOff, d.createdIdx = nil, nil
 	d.receivedOff, d.receivedIdx = nil, nil
 	d.minOfDay = nil
+	d.centers = nil
 }
 
 // Reindex sorts the activities by timestamp (stable, preserving insertion
@@ -229,9 +236,11 @@ func (d *Dataset) Reindex() {
 // timestamp order and, when asked, the minOfDay column (the counting
 // synthesis path writes that one itself, straight from its sort keys). The
 // builds read the columns and write disjoint outputs, so they run side by
-// side.
+// side. The activity-center column reads the created index, so a column
+// built before it existed is dropped.
 func (d *Dataset) buildIndexes(minOfDay bool) {
 	n := d.Graph.NumUsers()
+	d.centers = nil
 	passes := []func(){
 		func() { d.createdOff, d.createdIdx = buildCSR(d.creator, n, d.createdOff, d.createdIdx) },
 		func() { d.receivedOff, d.receivedIdx = buildCSR(d.receiver, n, d.receivedOff, d.receivedIdx) },
@@ -552,14 +561,19 @@ func (d *Dataset) FilterMinActivity(min int) *Dataset {
 }
 
 // MemoryBytes estimates the resident size of the dataset: activity columns,
-// CSR indexes, and the graph's adjacency lists. It counts backing-array
-// capacity, the figure that matters for how far a sweep can scale.
+// CSR indexes, the minute-of-day column, the activity-center column once a
+// schedule build has asked for it (ActivityCenters; 2 bytes per user), and
+// the graph's adjacency lists. It counts backing-array capacity, the figure
+// that matters for how far a sweep can scale.
 func (d *Dataset) MemoryBytes() int {
 	const idBytes, tsBytes = 4, 8
 	b := (cap(d.creator) + cap(d.receiver)) * idBytes
 	b += cap(d.atUnix) * tsBytes
 	b += (cap(d.createdOff) + cap(d.createdIdx) + cap(d.receivedOff) + cap(d.receivedIdx)) * 4
 	b += cap(d.minOfDay) * 2
+	d.centersMu.Lock()
+	b += cap(d.centers) * 2
+	d.centersMu.Unlock()
 	if d.Graph != nil {
 		b += d.Graph.MemoryBytes()
 	}
