@@ -200,7 +200,11 @@ loop:
 		}
 	}
 	if *timeline > 0 {
-		printTimeline(st, *timeline)
+		items := feed.Timeline(st, *timeline)
+		fmt.Printf("timeline (%d newest across %d walls):\n", len(items), len(st.Walls()))
+		for _, it := range items {
+			fmt.Printf("  [%d] wall %d, by %d: %s\n", it.CreatedAt, it.Wall, it.ID.Author, it.Body)
+		}
 	}
 	return nil
 }
@@ -251,22 +255,6 @@ func saveState(path string, st *store.Store) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// printTimeline merges every hosted wall into one reverse-chronological
-// feed, newest first.
-func printTimeline(st *store.Store, limit int) {
-	var walls [][]feed.Item
-	for _, w := range st.Walls() {
-		if ps, err := st.Posts(w); err == nil && len(ps) > 0 {
-			walls = append(walls, ps)
-		}
-	}
-	items, _, _ := feed.Page(feed.Merge(walls...), feed.Cursor{}, limit)
-	fmt.Printf("timeline (%d newest across %d walls):\n", len(items), len(walls))
-	for _, it := range items {
-		fmt.Printf("  [%d] wall %d, by %d: %s\n", it.CreatedAt, it.Wall, it.ID.Author, it.Body)
-	}
 }
 
 // authorPosts parses "wall:text;wall:text" and writes the posts locally.

@@ -78,6 +78,19 @@ func Merge(walls ...[]Item) []Item {
 	return out
 }
 
+// Timeline returns the first page, at most limit items, of the merged feed
+// across every wall st hosts: the node's view of its friends' profiles.
+func Timeline(st *store.Store, limit int) []Item {
+	var walls [][]Item
+	for _, w := range st.Walls() {
+		if ps, err := st.Posts(w); err == nil {
+			walls = append(walls, ps)
+		}
+	}
+	items, _, _ := Page(Merge(walls...), Cursor{}, limit)
+	return items
+}
+
 // Cursor marks a position in a timeline for pagination. The zero value
 // means "start from the newest item".
 type Cursor struct {

@@ -609,32 +609,17 @@ func (n *Network) exchange(a, b *node) {
 	n.syncDirected(b, a)
 }
 
+// syncDirected runs one store anti-entropy round from src into dst and books
+// every post new at dst.
 func (n *Network) syncDirected(src, dst *node) {
-	for _, wall := range src.store.Walls() {
-		if !dst.store.Hosts(wall) {
-			continue
+	src.store.SyncInto(dst.store, func(_ store.NodeID, fresh []store.Post) {
+		for _, p := range fresh {
+			n.res.PostsTransferred++
+			obsPostsTransferred.Inc()
+			n.recordArrival(dst.id, p)
 		}
-		digest, err := dst.store.Digest(wall)
-		if err != nil {
-			continue
-		}
-		missing, err := src.store.MissingFrom(wall, digest)
-		if err != nil {
-			continue
-		}
-		got := false
-		for _, p := range missing {
-			if ok, err := dst.store.Apply(p); err == nil && ok {
-				n.res.PostsTransferred++
-				obsPostsTransferred.Inc()
-				n.recordArrival(dst.id, p)
-				got = true
-			}
-		}
-		if got {
-			n.markDirty(dst)
-		}
-	}
+		n.markDirty(dst)
+	})
 }
 
 // serveRead records whether a scripted profile access found any replica of
@@ -787,18 +772,8 @@ func (n *Network) onlineMinutesBetween(id NodeID, from, to desim.Time) int64 {
 // the node hosts (the "feed of updates on friends' profiles" of §II), at
 // most limit items. It returns nil for unknown nodes.
 func (n *Network) Timeline(id NodeID, limit int) []feed.Item {
-	nd, ok := n.nodes[id]
-	if !ok {
-		return nil
+	if nd, ok := n.nodes[id]; ok {
+		return feed.Timeline(nd.store, limit)
 	}
-	var walls [][]feed.Item
-	for _, w := range nd.store.Walls() {
-		ps, err := nd.store.Posts(w)
-		if err == nil && len(ps) > 0 {
-			walls = append(walls, ps)
-		}
-	}
-	timeline := feed.Merge(walls...)
-	items, _, _ := feed.Page(timeline, feed.Cursor{}, limit)
-	return items
+	return nil
 }

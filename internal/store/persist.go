@@ -199,18 +199,8 @@ func Load(r io.Reader) (*Store, error) {
 	s := New(snap.Node)
 	for _, ws := range snap.Walls {
 		s.Host(ws.Owner)
-		for _, p := range ws.Posts {
-			if p.Wall != ws.Owner {
-				return nil, fmt.Errorf("store load: post %v filed under wall %d", p.ID, ws.Owner)
-			}
-			if _, err := s.Apply(p); err != nil {
-				return nil, fmt.Errorf("store load: %w", err)
-			}
-		}
-		for name, f := range ws.Fields {
-			if _, err := s.SetField(ws.Owner, name, f); err != nil {
-				return nil, fmt.Errorf("store load: %w", err)
-			}
+		if _, err := s.MergeDelta(ws.Owner, ws.Posts, ws.Fields); err != nil {
+			return nil, fmt.Errorf("store load: %w", err)
 		}
 		s.mu.Lock()
 		if ws.AuthorSeq > s.authorSeq[ws.Owner] {

@@ -16,6 +16,15 @@
 //   - Posts is a copy of the rendering order: O(n).
 //   - Save streams that order through an append encoder: O(bytes written),
 //     one fixed-size buffer, no copy of the posts.
+//
+// One anti-entropy round for a wall is a pair of calls, from which SyncInto,
+// the simulated runtime (package osn) and the TCP node (package wire) all
+// replicate. Delta, the read side, returns the posts a digest lacks and the
+// wall's fields under one read lock. MergeDelta, the merge side, inserts
+// every post idempotently and every field by LWW under one write lock; a
+// delta holding a post of another wall is rejected whole before anything is
+// touched. It reports the new posts at the front of the caller's slice, so
+// what the caller does with them runs after the lock is released.
 package store
 
 import (
@@ -199,12 +208,6 @@ func (w *Wall) SetField(name string, f Field) bool {
 	return true
 }
 
-// GetField returns the current field value.
-func (w *Wall) GetField(name string) (Field, bool) {
-	f, ok := w.fields[name]
-	return f, ok
-}
-
 // Fields returns a copy of all fields.
 func (w *Wall) Fields() map[string]Field {
 	out := make(map[string]Field, len(w.fields))
@@ -212,13 +215,6 @@ func (w *Wall) Fields() map[string]Field {
 		out[k] = v
 	}
 	return out
-}
-
-// MergeFields applies every LWW field from o.
-func (w *Wall) MergeFields(o map[string]Field) {
-	for name, f := range o {
-		w.SetField(name, f)
-	}
 }
 
 // Store is a node's collection of wall replicas (its own wall plus the walls
@@ -308,51 +304,84 @@ func (s *Store) Author(wall NodeID, body string, at int64) (Post, error) {
 
 // Apply inserts a replicated post; it returns whether it was new.
 func (s *Store) Apply(p Post) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, ok := s.walls[p.Wall]
-	if !ok {
-		return false, &ErrNotHosted{Wall: p.Wall}
-	}
-	// Keep authoring sequence ahead of anything seen, so a node that
-	// re-hosts its own history never reuses an ID.
-	if p.ID.Author == s.node && p.ID.Seq > s.authorSeq[p.Wall] {
-		s.authorSeq[p.Wall] = p.ID.Seq
-	}
-	return w.Add(p), nil
+	n, err := s.MergeDelta(p.Wall, []Post{p}, nil)
+	return n == 1, err
 }
 
-// Digest returns the version vector of a hosted wall.
-func (s *Store) Digest(wall NodeID) (vclock.Clock, error) {
+// read runs f on a hosted wall under the read lock.
+func (s *Store) read(wall NodeID, f func(w *Wall)) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	w, ok := s.walls[wall]
 	if !ok {
-		return nil, &ErrNotHosted{Wall: wall}
+		return &ErrNotHosted{Wall: wall}
 	}
-	return w.Digest(), nil
+	f(w)
+	return nil
+}
+
+// Delta is the read side of an anti-entropy round: the posts of a hosted
+// wall that the holder of digest d lacks, in (Author, Seq) order, and the
+// wall's fields, nil when it has none. The caller owns both.
+func (s *Store) Delta(wall NodeID, d vclock.Clock) (posts []Post, fields map[string]Field, err error) {
+	err = s.read(wall, func(w *Wall) {
+		posts = w.MissingFrom(d)
+		if len(w.fields) > 0 {
+			fields = w.Fields()
+		}
+	})
+	return posts, fields, err
+}
+
+// MergeDelta is the merge side of an anti-entropy round. It moves the posts
+// that were new, in their given order, to the front of posts and returns
+// how many there are.
+func (s *Store) MergeDelta(wall NodeID, posts []Post, fields map[string]Field) (int, error) {
+	for _, p := range posts {
+		if p.Wall != wall {
+			return 0, fmt.Errorf("store: delta for wall %d holds post %v of wall %d", wall, p.ID, p.Wall)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w, ok := s.walls[wall]
+	if !ok {
+		return 0, &ErrNotHosted{Wall: wall}
+	}
+	n := 0
+	for i, p := range posts {
+		// Keep authoring sequence ahead of anything seen, so a node that
+		// re-hosts its own history never reuses an ID.
+		if p.ID.Author == s.node && p.ID.Seq > s.authorSeq[wall] {
+			s.authorSeq[wall] = p.ID.Seq
+		}
+		if w.Add(p) {
+			posts[n], posts[i] = p, posts[n]
+			n++
+		}
+	}
+	for name, f := range fields {
+		w.SetField(name, f)
+	}
+	return n, nil
+}
+
+// Digest returns the version vector of a hosted wall.
+func (s *Store) Digest(wall NodeID) (d vclock.Clock, err error) {
+	err = s.read(wall, func(w *Wall) { d = w.Digest() })
+	return d, err
 }
 
 // MissingFrom returns the posts of a hosted wall the given digest lacks.
 func (s *Store) MissingFrom(wall NodeID, d vclock.Clock) ([]Post, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.walls[wall]
-	if !ok {
-		return nil, &ErrNotHosted{Wall: wall}
-	}
-	return w.MissingFrom(d), nil
+	posts, _, err := s.Delta(wall, d)
+	return posts, err
 }
 
 // Posts returns a hosted wall's posts in rendering order.
-func (s *Store) Posts(wall NodeID) ([]Post, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.walls[wall]
-	if !ok {
-		return nil, &ErrNotHosted{Wall: wall}
-	}
-	return w.Posts(), nil
+func (s *Store) Posts(wall NodeID) (ps []Post, err error) {
+	err = s.read(wall, func(w *Wall) { ps = w.Posts() })
+	return ps, err
 }
 
 // SetField applies an LWW profile-field write to a hosted wall.
@@ -367,45 +396,37 @@ func (s *Store) SetField(wall NodeID, name string, f Field) (bool, error) {
 }
 
 // Fields returns a hosted wall's profile fields.
-func (s *Store) Fields(wall NodeID) (map[string]Field, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.walls[wall]
-	if !ok {
-		return nil, &ErrNotHosted{Wall: wall}
-	}
-	return w.Fields(), nil
+func (s *Store) Fields(wall NodeID) (fs map[string]Field, err error) {
+	err = s.read(wall, func(w *Wall) { fs = w.Fields() })
+	return fs, err
 }
 
-// SyncInto performs one full anti-entropy round from s into dst for every
-// wall both stores host, and returns the number of posts transferred.
-// Profile fields go the same way as posts, s into dst only (an LWW merge); a
-// caller that wants both stores equal calls it in each direction.
-func (s *Store) SyncInto(dst *Store) int {
+// SyncInto runs one anti-entropy round from s into dst — s's Delta for dst's
+// digest, merged by dst — for every wall both host, and returns the number
+// of posts new at dst. Fields go s into dst only; a caller that wants both
+// stores equal calls it in each direction. Each onNew is called, with no
+// lock held, once per wall that gained posts, with those posts in (Author,
+// Seq) order.
+func (s *Store) SyncInto(dst *Store, onNew ...func(wall NodeID, fresh []Post)) int {
 	transferred := 0
 	for _, wall := range s.Walls() {
 		if !dst.Hosts(wall) {
 			continue
 		}
-		d, err := dst.Digest(wall)
-		if err != nil {
+		// Both stores host the wall, no wall is ever dropped, and a Delta
+		// holds only its own wall's posts: none of these calls can fail.
+		d, _ := dst.Digest(wall)
+		posts, fields, _ := s.Delta(wall, d)
+		if len(posts) == 0 && len(fields) == 0 {
 			continue
 		}
-		missing, err := s.MissingFrom(wall, d)
-		if err != nil {
+		n, _ := dst.MergeDelta(wall, posts, fields)
+		if n == 0 {
 			continue
 		}
-		for _, p := range missing {
-			if ok, err := dst.Apply(p); err == nil && ok {
-				transferred++
-			}
-		}
-		if fs, err := s.Fields(wall); err == nil {
-			dst.mu.Lock()
-			if w, ok := dst.walls[wall]; ok {
-				w.MergeFields(fs)
-			}
-			dst.mu.Unlock()
+		transferred += n
+		for _, f := range onNew {
+			f(wall, posts[:n])
 		}
 	}
 	return transferred

@@ -78,11 +78,11 @@ func TestFieldLWW(t *testing.T) {
 	if !w.SetField("status", Field{Value: "tie", At: 2, Writer: 9}) {
 		t.Error("tie should resolve to higher writer")
 	}
-	f, ok := w.GetField("status")
+	f, ok := w.fields["status"]
 	if !ok || f.Value != "tie" {
 		t.Errorf("field = %+v", f)
 	}
-	if _, ok := w.GetField("missing"); ok {
+	if _, ok := w.fields["missing"]; ok {
 		t.Error("missing field should report !ok")
 	}
 }
@@ -263,8 +263,7 @@ func TestQuickLWWConvergence(t *testing.T) {
 			for _, i := range order {
 				w.SetField("f", writes[i])
 			}
-			f, _ := w.GetField("f")
-			return f
+			return w.fields["f"]
 		}
 		order1 := rng.Perm(len(writes))
 		order2 := rng.Perm(len(writes))

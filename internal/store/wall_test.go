@@ -132,6 +132,33 @@ func TestStoreConcurrentUse(t *testing.T) {
 			return err
 		})
 	}
+	run(func(i int, wall NodeID) error {
+		// A peer's delta: this round's post, the one before it again, and a
+		// field write.
+		delta := []Post{{ID: PostID{Author: 4, Seq: uint64(i + 1)}, Wall: wall, Body: "merged", CreatedAt: int64(i)}}
+		if i >= walls {
+			delta = append(delta, Post{ID: PostID{Author: 4, Seq: uint64(i + 1 - walls)}, Wall: wall, Body: "merged", CreatedAt: int64(i - walls)})
+		}
+		_, err := s.MergeDelta(wall, delta, map[string]Field{"bio": {Value: "v", At: int64(i), Writer: 4}})
+		return err
+	})
+	// A second replica syncing with s both ways, as the simulated runtime does.
+	peer := New(5)
+	for w := 0; w < walls; w++ {
+		peer.Host(NodeID(w))
+	}
+	run(func(int, NodeID) error {
+		s.SyncInto(peer)
+		peer.SyncInto(s)
+		return nil
+	})
+	run(func(_ int, wall NodeID) error {
+		d, err := s.Digest(wall)
+		if err == nil {
+			_, _, err = peer.Delta(wall, d)
+		}
+		return err
+	})
 	run(func(_ int, wall NodeID) error {
 		ps, err := s.Posts(wall)
 		for i := 1; i < len(ps) && err == nil; i++ {
@@ -163,8 +190,8 @@ func TestStoreConcurrentUse(t *testing.T) {
 	})
 	wg.Wait()
 	for w := 0; w < walls; w++ {
-		if ps, _ := s.Posts(NodeID(w)); len(ps) != 3*rounds/walls {
-			t.Errorf("wall %d holds %d posts, want %d", w, len(ps), 3*rounds/walls)
+		if ps, _ := s.Posts(NodeID(w)); len(ps) != 4*rounds/walls {
+			t.Errorf("wall %d holds %d posts, want %d", w, len(ps), 4*rounds/walls)
 		}
 	}
 }

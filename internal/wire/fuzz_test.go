@@ -12,21 +12,26 @@ import (
 )
 
 // FuzzServerSession throws arbitrary byte streams at a live server session
-// and requires that the server neither panics nor hangs. Seeds cover the
-// well-formed handshakes and truncated/garbage frames.
+// and requires that the server neither panics nor hangs, and that every post
+// it stores sits on its own wall. Seeds cover the well-formed handshakes,
+// truncated/garbage frames and a push that smuggles a post onto the other
+// hosted wall.
 func FuzzServerSession(f *testing.F) {
 	f.Add(`{"type":"hello","from":2}` + "\n" + `{"type":"bye"}` + "\n")
 	f.Add(`{"type":"hello","from":2}` + "\n" + `{"type":"sync","wall":10}` + "\n")
 	f.Add(`{"type":"hello"}` + "\n" + `{"type":"push","wall":10,"posts":[{"id":{"author":1,"seq":1},"wall":10}]}` + "\n")
+	f.Add(`{"type":"hello","from":2}` + "\n" + `{"type":"push","wall":10,"posts":[{"id":{"author":2,"seq":1},"wall":10},{"id":{"author":2,"seq":2},"wall":11}]}` + "\n" + `{"type":"sync","wall":11}` + "\n")
 	f.Add("not json at all\n")
 	f.Add(`{"type":"sync","wall":10}` + "\n") // missing hello
 	f.Add(`{"type":"hello","from":2}` + "\n" + `{"type":"what"}` + "\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
 		st := store.New(1)
-		st.Host(10)
-		if _, err := st.Author(10, "seed", 1); err != nil {
-			t.Fatal(err)
+		for _, wall := range []int32{10, 11} {
+			st.Host(wall)
+			if _, err := st.Author(wall, "seed", 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 		srv := NewServer(st)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -52,8 +57,16 @@ func FuzzServerSession(f *testing.F) {
 		}
 		_ = conn.Close()
 		// The store must stay consistent regardless of the garbage.
-		if ps, err := st.Posts(10); err != nil || len(ps) < 1 {
-			t.Fatalf("store corrupted: %v %v", ps, err)
+		for _, wall := range st.Walls() {
+			ps, err := st.Posts(wall)
+			if err != nil || len(ps) < 1 {
+				t.Fatalf("store corrupted: %v %v", ps, err)
+			}
+			for _, p := range ps {
+				if p.Wall != wall {
+					t.Fatalf("post %v of wall %d stored on wall %d", p.ID, p.Wall, wall)
+				}
+			}
 		}
 	})
 }

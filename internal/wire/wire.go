@@ -1,15 +1,19 @@
 // Package wire implements the networked peer protocol of the F2F OSN node:
 // newline-delimited JSON over TCP (stdlib net only). A sync session pulls
 // the posts the client lacks and pushes the posts the server lacks, per
-// wall, using the same version-vector deltas the simulation runtime uses —
-// so the runnable node (cmd/dosn-node) exercises exactly the replication
-// logic the experiments model.
+// wall. Both ends build a delta with store.Delta and apply one with
+// store.MergeDelta, the pair store.SyncInto — and through it the simulated
+// runtime — replicates with, so the runnable node (cmd/dosn-node) exercises
+// exactly the replication logic the experiments model by construction. A
+// delta the store rejects ends the session with an error frame naming its
+// wall, on whichever end received it.
 package wire
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -132,13 +136,16 @@ func (s *Server) Close() error {
 	return err
 }
 
+// notHosted answers a sync for a wall the server lacks; the client skips it.
+const notHosted = "wall not hosted"
+
 // serve handles one session.
 func (s *Server) serve(conn net.Conn) {
 	dec, enc := newCodec(conn)
 
 	var hello Message
 	if err := recv(dec, &hello); err != nil || hello.Type != TypeHello {
-		_ = send(enc, Message{Type: TypeError, Msg: "expected hello"})
+		end(conn, enc, Message{Type: TypeError, Msg: "expected hello"})
 		return
 	}
 	_ = send(enc, Message{Type: TypeHello, From: s.st.Node()})
@@ -149,32 +156,40 @@ func (s *Server) serve(conn net.Conn) {
 			return // disconnect
 		}
 		switch m.Type {
-		case TypeBye:
+		case TypeBye, TypeError: // an error frame is the peer giving up
 			return
 		case TypeSync:
 			s.handleSync(enc, m)
 		case TypePush:
-			s.handlePush(m)
+			if _, err := s.st.MergeDelta(m.Wall, m.Posts, m.Fields); err != nil {
+				end(conn, enc, Message{Type: TypeError, Wall: m.Wall, Msg: err.Error()})
+				return
+			}
 		default:
-			_ = send(enc, Message{Type: TypeError, Msg: fmt.Sprintf("unexpected %q", m.Type)})
+			end(conn, enc, Message{Type: TypeError, Msg: fmt.Sprintf("unexpected %q", m.Type)})
 			return
 		}
 	}
 }
 
+// end sends the frame that ends a session, closes the sending half and
+// discards input until the peer hangs up: closing with input unread resets
+// the connection, which can destroy the frame before the peer reads it.
+func end(conn net.Conn, enc *json.Encoder, m Message) {
+	_ = send(enc, m)
+	if c, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = c.CloseWrite()
+	}
+	io.Copy(io.Discard, conn)
+}
+
 func (s *Server) handleSync(enc *json.Encoder, m Message) {
-	if !s.st.Hosts(m.Wall) {
-		_ = send(enc, Message{Type: TypeError, Wall: m.Wall, Msg: "wall not hosted"})
-		return
-	}
-	clientDigest := DecodeDigest(m.Digest)
-	missing, err := s.st.MissingFrom(m.Wall, clientDigest)
+	missing, fields, err := s.st.Delta(m.Wall, DecodeDigest(m.Digest))
 	if err != nil {
-		_ = send(enc, Message{Type: TypeError, Wall: m.Wall, Msg: err.Error()})
+		_ = send(enc, Message{Type: TypeError, Wall: m.Wall, Msg: notHosted})
 		return
 	}
-	digest, _ := s.st.Digest(m.Wall)
-	fields, _ := s.st.Fields(m.Wall)
+	digest, _ := s.st.Digest(m.Wall) // Delta found the wall, and no wall is ever dropped
 	_ = send(enc, Message{
 		Type:   TypeDelta,
 		From:   s.st.Node(),
@@ -185,18 +200,6 @@ func (s *Server) handleSync(enc *json.Encoder, m Message) {
 	})
 }
 
-func (s *Server) handlePush(m Message) {
-	if !s.st.Hosts(m.Wall) {
-		return
-	}
-	for _, p := range m.Posts {
-		_, _ = s.st.Apply(p)
-	}
-	for name, f := range m.Fields {
-		_, _ = s.st.SetField(m.Wall, name, f)
-	}
-}
-
 // SyncStats reports one client session's transfer counts.
 type SyncStats struct {
 	Pulled int // posts applied locally
@@ -204,8 +207,17 @@ type SyncStats struct {
 	Walls  int // walls synced
 }
 
-// ErrRejected is returned when the peer answers with a protocol error.
-var ErrRejected = errors.New("wire: peer rejected session")
+// ErrRejected is returned when a sync session is refused: the peer answered
+// with an error frame, or sent a delta the local store rejected.
+var ErrRejected = errors.New("wire: session rejected")
+
+// rejected is Sync's error for a frame that is not the answer it awaits.
+func rejected(m Message) error {
+	if m.Type == TypeError {
+		return fmt.Errorf("%w: wall %d: %s", ErrRejected, m.Wall, m.Msg)
+	}
+	return fmt.Errorf("%w: unexpected %q", ErrRejected, m.Type)
+}
 
 // Sync dials addr and synchronizes every wall both sides host: it walks the
 // walls the local store hosts and the peer skips the ones it lacks.
@@ -232,9 +244,8 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 	for _, wall := range st.Walls() {
 		digest, err := st.Digest(wall)
 		if err != nil {
-			continue
+			return stats, err
 		}
-		fields, _ := st.Fields(wall)
 		if err := send(enc, Message{
 			Type:   TypeSync,
 			From:   st.Node(),
@@ -247,25 +258,22 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 		if err := recv(dec, &delta); err != nil {
 			return stats, fmt.Errorf("wire delta %d: %w", wall, err)
 		}
-		if delta.Type == TypeError {
+		if delta.Type == TypeError && delta.Wall == wall && delta.Msg == notHosted {
 			continue // peer does not host this wall
 		}
 		if delta.Type != TypeDelta {
-			return stats, fmt.Errorf("%w: unexpected %q", ErrRejected, delta.Type)
+			return stats, rejected(delta) // an error frame may name the wall pushed last
 		}
-		for _, p := range delta.Posts {
-			if ok, err := st.Apply(p); err == nil && ok {
-				stats.Pulled++
-			}
-		}
-		for name, f := range delta.Fields {
-			_, _ = st.SetField(wall, name, f)
-		}
-		// Push back what the peer lacks.
-		peerDigest := DecodeDigest(delta.Digest)
-		toPush, err := st.MissingFrom(wall, peerDigest)
+		pulled, err := st.MergeDelta(wall, delta.Posts, delta.Fields)
 		if err != nil {
-			continue
+			_ = send(enc, Message{Type: TypeError, From: st.Node(), Wall: wall, Msg: err.Error()})
+			return stats, fmt.Errorf("%w: %v", ErrRejected, err)
+		}
+		stats.Pulled += pulled
+		// Push back what the peer lacks, with the fields as merged here.
+		toPush, fields, err := st.Delta(wall, DecodeDigest(delta.Digest))
+		if err != nil {
+			return stats, err
 		}
 		if err := send(enc, Message{
 			Type:   TypePush,
@@ -281,11 +289,12 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 	}
 	_ = send(enc, Message{Type: TypeBye, From: st.Node()})
 	// Drain until the peer closes the connection (EOF is the normal session
-	// end) so the final pushes are processed before we tear down.
+	// end) so the final pushes are processed before we tear down; a rejected
+	// last push arrives here as its error frame.
 	var done Message
-	for recv(dec, &done) == nil {
-		if done.Type == TypeBye {
-			break
+	for recv(dec, &done) == nil && done.Type != TypeBye {
+		if done.Type == TypeError {
+			return stats, rejected(done)
 		}
 	}
 	return stats, nil
