@@ -236,22 +236,26 @@ func openState(path string, id int32) (*store.Store, error) {
 
 // saveState writes the snapshot atomically and durably (temp file + fsync +
 // rename): after a crash the state file is the old snapshot or the new one,
-// never a truncated mix.
-func saveState(path string, st *store.Store) error {
+// never a truncated mix, and a failed save leaves no temp file behind.
+func saveState(path string, st *store.Store) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := st.Save(f); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close() // no-op after a successful Close
+			os.Remove(tmp)
+		}
+	}()
+	if err = st.Save(f); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err = f.Sync(); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
+	if err = f.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dosn/internal/store"
@@ -44,5 +46,37 @@ func TestSetFieldsParsing(t *testing.T) {
 		if err := setFields(st, bad, 9, 1); err == nil {
 			t.Errorf("setFields(%q) should fail", bad)
 		}
+	}
+}
+
+// TestSaveStateLeavesNoTempFileOnFailure: -state naming an existing
+// directory makes the final rename fail. The error must surface, and the
+// temp file must not outlive it; a save to a plain path still round-trips.
+func TestSaveStateLeavesNoTempFileOnFailure(t *testing.T) {
+	st := store.New(1)
+	if err := authorPosts(st, "1:hello", 5); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "state")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveState(dir, st); err == nil {
+		t.Fatal("saving over a directory succeeded")
+	}
+	if _, err := os.Stat(dir + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed save left its temp file behind (stat: %v)", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := saveState(path, st); err != nil {
+		t.Fatal(err)
+	}
+	back, err := openState(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps, err := back.Posts(1); err != nil || len(ps) != 1 || ps[0].Body != "hello" {
+		t.Errorf("restored wall 1 = %v (%v)", ps, err)
 	}
 }

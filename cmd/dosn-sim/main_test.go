@@ -229,12 +229,15 @@ func TestMatrixTelemetryReportsEffectiveWorkers(t *testing.T) {
 	}
 }
 
-// TestMatrixRejectsRetiredShardSizeFlag: -shard-size is gone, so a stale
-// script fails loudly with the flag package's unknown-flag error (main turns
-// any runMatrix error into a non-zero exit) instead of being ignored.
+// TestMatrixRejectsRetiredShardSizeFlag: -shard-size and -no-prefetch are
+// gone, so a stale script fails loudly with the flag package's unknown-flag
+// error (main turns any runMatrix error into a non-zero exit) instead of
+// being ignored.
 func TestMatrixRejectsRetiredShardSizeFlag(t *testing.T) {
-	err := runMatrix([]string{"-shard-size", "1"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shard-size") {
-		t.Fatalf("runMatrix(-shard-size 1) = %v, want the unknown-flag error", err)
+	for _, args := range [][]string{{"-shard-size", "1"}, {"-no-prefetch"}} {
+		err := runMatrix(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("runMatrix(%v) = %v, want the unknown-flag error", args, err)
+		}
 	}
 }

@@ -42,7 +42,6 @@ func runMatrix(args []string) error {
 		events     = fs.String("events", "", "stream execution lifecycle events as JSONL to this file")
 		progress   = fs.Bool("progress", false, "live single-line progress on stderr (cells done, current phase, ETA, heap); replaces per-cell lines")
 		debugAddr  = fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
-		noPrefetch = fs.Bool("no-prefetch", false, "disable cell prefetching (serial reference execution); never affects results")
 		checkpoint = fs.String("checkpoint", "", "append each completed cell to a crash-safe JSONL journal at this path (fsync per cell)")
 		resume     = fs.Bool("resume", false, "restore completed cells from the -checkpoint journal; the resumed manifest is byte-identical to an uninterrupted run")
 		maxRetries = fs.Int("max-retries", 0, "rerun a failed cell (error, panic, or timeout) up to this many times; never affects results")
@@ -139,7 +138,7 @@ func runMatrix(args []string) error {
 
 	start := time.Now()
 	opts := harness.RunOptions{
-		Workers: *workers, NoPrefetch: *noPrefetch, Telemetry: collector,
+		Workers: *workers, Telemetry: collector,
 		MaxRetries: *maxRetries, RetryBackoff: *retryWait, CellTimeout: *cellLimit,
 		CheckpointPath: *checkpoint, Resume: *resume,
 	}

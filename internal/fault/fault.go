@@ -19,7 +19,7 @@
 //
 // Trigger policies are deterministic. Fire-on-Nth-hit counts hits in arrival
 // order, so with concurrent workers the *which cell* of the Nth hit depends
-// on scheduling (use one worker and -no-prefetch for exact replay).
+// on scheduling (use one worker for exact replay).
 // Probability triggers hash (arm seed, site name, key) where key is the
 // caller-provided deterministic seed of the work item (the cell seed, a
 // schedule seed, a chunk coordinate) — Site.InjectSeeded — so WHICH work

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dosn/internal/fault"
+	"dosn/internal/obs"
 )
 
 // crashSpec is a 4-cell matrix (1 dataset × 2 models × 2 modes) that crosses
@@ -58,43 +59,51 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 	}
 	clean := manifestBytes(t, cleanRun)
 
-	// Hit numbers are placed against the serial (Workers 1, no prefetch)
-	// execution order so several scenarios journal a non-empty prefix before
-	// dying: schedule-build hit 3 is the third repetition build (first cell
-	// of the second model) and so is build-chunk hit 3 (300 users fill one
-	// 512-row chunk per table), center-chunk hit 1 is the second model's first
-	// table (the dataset's one column fill), sweep-shard hit 5 is the third
-	// cell's first repetition, checkpoint-append hit 3 kills the third cell's
-	// journal entry.
-	scenarios := []string{
-		"trace.synthesize=panic(1)",
-		"trace.synthesize=error(1)",
-		"trace.synthesize-pass=panic(1)",
-		"trace.synthesize-pass=error(1)",
-		"harness.schedule-build=panic(3)",
-		"harness.schedule-build=error(3)",
-		"onlinetime.build-chunk=panic(1)",
-		"onlinetime.build-chunk=error(3)",
-		"trace.center-chunk=panic(1)",
-		"trace.center-chunk=error(1)",
-		"core.sweep-shard=panic(2)",
-		"core.sweep-shard=error(5)",
-		"core.sweep-chunk=panic(1)",
-		"core.sweep-chunk=error(1)",
-		"core.reduce=panic(1)",
-		"core.reduce=error(3)",
-		"harness.checkpoint-append=panic(2)",
-		"harness.checkpoint-append=error(3)",
-		"harness.manifest-write=error(1)",
+	// Hit numbers are placed against the serial (one worker) claim order,
+	// cells 0, 2, 1, 3: the first needers of the Sporadic and FixedLength(2h)
+	// schedules, then their UnconRep reusers. Each repetition builds one
+	// table (300 users fill one 512-row chunk) and sweeps once, so:
+	// schedule-build hit 3, build-chunk hit 3 and reduce hit 3 are cell 2's
+	// first repetition; center-chunk hit 1 is cell 2's first table (the
+	// dataset's one column fill); sweep-shard hit 5 is the first repetition of
+	// cell 1, a reuser; checkpoint-append hits 2 and 3 are the second and
+	// third cells claimed. kills names the cell each scenario fails, so a
+	// change of claim order that moves a hit shows here, not as a silent
+	// change of what the scenario exercises.
+	const (
+		sporadicCon   = "facebook/Sporadic/ConRep"
+		sporadicUncon = "facebook/Sporadic/UnconRep"
+		fixedCon      = "facebook/FixedLength(2h)/ConRep"
+	)
+	scenarios := []struct{ fault, kills string }{
+		{"trace.synthesize=panic(1)", sporadicCon},
+		{"trace.synthesize=error(1)", sporadicCon},
+		{"trace.synthesize-pass=panic(1)", sporadicCon},
+		{"trace.synthesize-pass=error(1)", sporadicCon},
+		{"harness.schedule-build=panic(3)", fixedCon},
+		{"harness.schedule-build=error(3)", fixedCon},
+		{"onlinetime.build-chunk=panic(1)", sporadicCon},
+		{"onlinetime.build-chunk=error(3)", fixedCon},
+		{"trace.center-chunk=panic(1)", fixedCon},
+		{"trace.center-chunk=error(1)", fixedCon},
+		{"core.sweep-shard=panic(2)", sporadicCon},
+		{"core.sweep-shard=error(5)", sporadicUncon},
+		{"core.sweep-chunk=panic(1)", sporadicCon},
+		{"core.sweep-chunk=error(1)", sporadicCon},
+		{"core.reduce=panic(1)", sporadicCon},
+		{"core.reduce=error(3)", fixedCon},
+		{"harness.checkpoint-append=panic(2)", fixedCon},
+		{"harness.checkpoint-append=error(3)", sporadicUncon},
+		{"harness.manifest-write=error(1)", ""},
 	}
-	for _, scenario := range scenarios {
-		t.Run(scenario, func(t *testing.T) {
+	fired := obs.C("fault.injections_fired")
+	for _, sc := range scenarios {
+		t.Run(sc.fault, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			withHarnessFaults(t, scenario)
-			m, err := Run(spec, RunOptions{
-				Workers: 1, NoPrefetch: true, CheckpointPath: path,
-			})
-			if strings.HasPrefix(scenario, "harness.manifest-write") {
+			withHarnessFaults(t, sc.fault)
+			before := fired.Value()
+			m, err := Run(spec, RunOptions{Workers: 1, CheckpointPath: path})
+			if sc.kills == "" {
 				// The run itself completes; the fault fires on the encode.
 				if err != nil {
 					t.Fatalf("run failed before the manifest seam: %v", err)
@@ -104,6 +113,11 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 				}
 			} else if err == nil {
 				t.Fatal("armed run completed; failpoint did not fire")
+			} else if !strings.HasPrefix(err.Error(), "cell "+sc.kills+":") {
+				t.Fatalf("the fault killed the wrong cell, want %s: %v", sc.kills, err)
+			}
+			if n := fired.Value() - before; n != 1 {
+				t.Fatalf("fault.injections_fired advanced by %d, want 1", n)
 			}
 			fault.Disable()
 
@@ -176,7 +190,7 @@ func TestHelperGoroutinePanicBecomesCellError(t *testing.T) {
 		t.Fatalf("clean run: %v", err)
 	}
 	withHarnessFaults(t, "trace.synthesize-pass=panic(1)")
-	_, err = Run(spec, RunOptions{Workers: 1, NoPrefetch: true})
+	_, err = Run(spec, RunOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("armed run completed; the helper-pass failpoint did not fire")
 	}
@@ -215,7 +229,7 @@ func TestTableBuildWorkerPanicBecomesCellError(t *testing.T) {
 	withHarnessFaults(t, "onlinetime.build-chunk=panic(2)")
 	finished := 0
 	_, err = Run(spec, RunOptions{
-		Workers: 1, NoPrefetch: true, CoreWorkers: 4,
+		Workers: 1, CoreWorkers: 4,
 		Progress: func(done, _ int, _ CellSpec, _ time.Duration) { finished = done },
 	})
 	if err == nil {
@@ -255,14 +269,81 @@ func TestRetriesExhaustedSurfaceError(t *testing.T) {
 	}
 }
 
+// TestRetryIsNotAScheduleCacheHit: a cell that asks for its schedule entry
+// again — the retry of a failed attempt, or of one its watchdog abandoned —
+// reuses nothing another cell built, so neither the schedule_cache_hits
+// counter nor the cell's telemetry may count it as a hit. Across distinct
+// cells the counter still reads cells minus distinct entries.
+func TestRetryIsNotAScheduleCacheHit(t *testing.T) {
+	oneCell := crashSpec()
+	oneCell.Models = oneCell.Models[:1]
+	oneCell.Modes = oneCell.Modes[:1]
+	oneCell.Repeats = 1
+	scenarios := []struct {
+		name, fault string
+		opts        RunOptions
+	}{
+		{"failed attempt", "harness.schedule-build=error(1)", RunOptions{MaxRetries: 1, RetryBackoff: time.Millisecond}},
+		// The stall outlives the watchdog after the entry is built. The one
+		// repetition's reduce is the attempt's last failpoint site, so the
+		// abandoned attempt has none left to hit once it wakes.
+		{"abandoned attempt", "core.reduce=delay(1500ms,1)", RunOptions{MaxRetries: 1, RetryBackoff: time.Millisecond, CellTimeout: time.Second}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			withHarnessFaults(t, sc.fault)
+			col := obs.NewCollector()
+			opts := sc.opts
+			opts.Workers, opts.Telemetry = 1, col
+			before := obsSchedHits.Value()
+			if _, err := Run(oneCell, opts); err != nil {
+				t.Fatalf("retry did not absorb the one-shot fault: %v", err)
+			}
+			if n := obsSchedHits.Value() - before; n != 0 {
+				t.Errorf("schedule_cache_hits advanced by %d over one cell, want 0", n)
+			}
+			if rep := col.Report("test"); rep.Cells[0].ScheduleCacheHit {
+				t.Error("the cell's report marks a schedule-cache hit on its own entry")
+			}
+		})
+	}
+
+	spec := crashSpec() // 4 cells over 2 (dataset, model) entries
+	before := obsSchedHits.Value()
+	m, err := Run(spec, RunOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := obsSchedHits.Value() - before; n != 2 || m.ScheduleCacheHits != 2 {
+		t.Errorf("schedule_cache_hits advanced by %d, manifest reads %d; want 2 = 4 cells - 2 entries", n, m.ScheduleCacheHits)
+	}
+}
+
+// TestProgressPanicFailsTheRun: a panicking Progress callback is outside
+// every cell boundary, so it fails the run with an error — after the cells
+// in flight finish, and without stranding the other workers on the
+// callback's lock.
+func TestProgressPanicFailsTheRun(t *testing.T) {
+	_, err := Run(crashSpec(), RunOptions{
+		Workers:  2,
+		Progress: func(int, int, CellSpec, time.Duration) { panic("progress sink broke") },
+	})
+	if err == nil || !strings.Contains(err.Error(), "progress sink broke") {
+		t.Fatalf("Run = %v, want the callback's panic as the run's error", err)
+	}
+}
+
 // TestCellTimeoutWatchdog pins the per-attempt watchdog: a one-shot injected
-// stall times the attempt out, and a retry (the delay is spent) completes
-// with clean-run bytes.
+// stall times the attempt out (TestRetryIsNotAScheduleCacheHit retries one
+// to completion). The stall outlives the test binary: the abandoned attempts
+// — the stalled cell's and its siblings', blocked behind its dataset build —
+// must never wake to hit a failpoint a later test (or a later -count
+// iteration) has armed.
 func TestCellTimeoutWatchdog(t *testing.T) {
 	spec := crashSpec()
-	withHarnessFaults(t, "trace.synthesize=delay(30s,1)")
+	withHarnessFaults(t, "trace.synthesize=delay(1h,1)")
 	_, err := Run(spec, RunOptions{
-		Workers: 1, NoPrefetch: true, CellTimeout: 100 * time.Millisecond,
+		Workers: 1, CellTimeout: 100 * time.Millisecond,
 	})
 	if err == nil || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("stalled cell did not time out: %v", err)

@@ -11,36 +11,45 @@ import (
 
 // TestRunByteIdenticalAcrossWorkerCounts pins the harness's core guarantee:
 // the marshaled manifest depends only on (spec, root seed). Worker count,
-// goroutine scheduling (two runs at the same count) and the inner core.Run
-// pool size must never change a byte of the output.
+// claim interleaving (two runs at the same count) and the inner core.Run
+// pool size must never change a byte of the output — ScheduleCacheHits
+// included, which counts cell-to-cell reuse whichever worker built an entry.
 func TestRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	spec := testSpec()
-	// Include the DHT architectures so ring construction and lookup-driven
-	// placement are covered by the byte-identity guarantee too.
-	spec.Models = spec.Models[:1]
-	spec.Architectures = []string{"FriendReplica", "RandomDHT", "SocialDHT"}
-	marshal := func(opts RunOptions) []byte {
-		t.Helper()
-		m, err := Run(spec, opts)
-		if err != nil {
-			t.Fatalf("Run(%+v): %v", opts, err)
+	// The architecture axis puts ring construction and lookup-driven
+	// placement under the guarantee; testSpec's two models give each dataset
+	// two schedule entries, whose first builds the claim order runs side by
+	// side.
+	archSpec := testSpec()
+	archSpec.Models = archSpec.Models[:1]
+	archSpec.Architectures = []string{"FriendReplica", "RandomDHT", "SocialDHT"}
+	for _, spec := range []MatrixSpec{archSpec, testSpec()} {
+		marshal := func(opts RunOptions) []byte {
+			t.Helper()
+			m, err := Run(spec, opts)
+			if err != nil {
+				t.Fatalf("Run(%+v): %v", opts, err)
+			}
+			if m.ScheduleCacheHits == 0 {
+				t.Fatalf("spec exercises no schedule reuse; the hit-invariance pin is vacuous")
+			}
+			data, err := m.MarshalCanonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
 		}
-		data, err := m.MarshalCanonical()
-		if err != nil {
-			t.Fatal(err)
+		ref := marshal(RunOptions{Workers: 1, CoreWorkers: 1})
+		variants := []RunOptions{
+			{Workers: 1, CoreWorkers: 8},
+			{Workers: 2, CoreWorkers: 4},
+			{Workers: 4, CoreWorkers: 2},
+			{Workers: 8, CoreWorkers: 1},
+			{Workers: 8, CoreWorkers: 1}, // same count twice: scheduling jitter
 		}
-		return data
-	}
-	ref := marshal(RunOptions{Workers: 1, CoreWorkers: 1})
-	variants := []RunOptions{
-		{Workers: 1, CoreWorkers: 8},
-		{Workers: 4, CoreWorkers: 2},
-		{Workers: 8, CoreWorkers: 1},
-		{Workers: 8, CoreWorkers: 1}, // same count twice: scheduling jitter
-	}
-	for _, opts := range variants {
-		if got := marshal(opts); !bytes.Equal(ref, got) {
-			t.Errorf("manifest bytes differ for %+v", opts)
+		for _, opts := range variants {
+			if got := marshal(opts); !bytes.Equal(ref, got) {
+				t.Errorf("%d cells: manifest bytes differ for %+v", len(spec.Cells()), opts)
+			}
 		}
 	}
 }
@@ -106,7 +115,7 @@ func TestSynthesizeTimerCoversThePhase(t *testing.T) {
 	col := obs.NewCollector()
 	timerBefore := obs.Default.Timers()["trace.synthesize"].TotalMS
 	before := obs.Default.Counters()
-	if _, err := Run(spec, RunOptions{Workers: 1, NoPrefetch: true, Telemetry: col}); err != nil {
+	if _, err := Run(spec, RunOptions{Workers: 1, Telemetry: col}); err != nil {
 		t.Fatal(err)
 	}
 	rep := col.Report("test")
@@ -197,48 +206,10 @@ func TestRootSeedChangesResults(t *testing.T) {
 	}
 }
 
-// TestRunByteIdenticalWithPrefetch pins that the execution pipeline — the
-// background cell prefetcher plus core's repetition pipelining, both on by
-// default — is execution-only. The NoPrefetch reference runs fully serial
-// (no warm-ahead, no overlapped table builds); every pipelined variant must
-// reproduce its manifest byte for byte, including ScheduleCacheHits, which
-// counts cell-to-cell reuse and must not see prefetcher warm-ups.
-func TestRunByteIdenticalWithPrefetch(t *testing.T) {
-	spec := testSpec() // cells share (dataset, model) pairs → nonzero ScheduleCacheHits
-	marshal := func(opts RunOptions) []byte {
-		t.Helper()
-		m, err := Run(spec, opts)
-		if err != nil {
-			t.Fatalf("Run(%+v): %v", opts, err)
-		}
-		if m.ScheduleCacheHits == 0 {
-			t.Fatalf("spec exercises no schedule reuse; the hit-invariance pin is vacuous")
-		}
-		data, err := m.MarshalCanonical()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	ref := marshal(RunOptions{Workers: 1, CoreWorkers: 1, NoPrefetch: true})
-	variants := []RunOptions{
-		{Workers: 1, CoreWorkers: 1},
-		{Workers: 1, CoreWorkers: 4},
-		{Workers: 4, CoreWorkers: 2},
-		{Workers: 8, CoreWorkers: 1},
-		{Workers: 8, CoreWorkers: 1}, // same knobs twice: scheduling jitter
-	}
-	for _, opts := range variants {
-		if got := marshal(opts); !bytes.Equal(ref, got) {
-			t.Errorf("manifest bytes differ for %+v", opts)
-		}
-	}
-}
-
 // TestCenterColumnBuiltOncePerDatasetInAMatrix: the activity-center column is
 // a property of the dataset, so a matrix builds it once per dataset — not once
-// per table — however many (model, mode) cells, cell workers and prefetcher
-// warm-ups ask for it together, and never for a Sporadic-only run.
+// per table — however many (model, mode) cells and cell workers ask for it
+// together, and never for a Sporadic-only run.
 func TestCenterColumnBuiltOncePerDatasetInAMatrix(t *testing.T) {
 	spec := MatrixSpec{
 		Datasets: []DatasetSpec{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,84 @@ func TestCellsEnumerateInCanonicalOrder(t *testing.T) {
 	for i, c := range cells {
 		if c.Index != i {
 			t.Errorf("cell %d carries index %d", i, c.Index)
+		}
+	}
+}
+
+// TestClaimOrderSpreadsFirstBuilds pins the order workers claim cells in:
+// a permutation of the cell indices; datasets in spec order; within a
+// dataset, every first needer of a (dataset, model) schedule entry before
+// every reuser; index order inside each group. DHT cells share the entry
+// of the friend cells over the same (dataset, model), so on the
+// architecture axis only the first cell of each entry is a first needer.
+func TestClaimOrderSpreadsFirstBuilds(t *testing.T) {
+	wide := testSpec()
+	wide.Architectures = []string{"FriendReplica", "RandomDHT", "SocialDHT"}
+	seq := func(from, to, step int) []int {
+		var out []int
+		for i := from; i < to; i += step {
+			out = append(out, i)
+		}
+		return out
+	}
+	cat := func(parts ...[]int) []int {
+		var out []int
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		spec MatrixSpec
+		want []int
+	}{
+		// 2 datasets × 2 models × 2 modes: entries start at 0, 2 and 4, 6.
+		{"testSpec", testSpec(), []int{0, 2, 1, 3, 4, 6, 5, 7}},
+		// × 3 architectures: 12 cells a dataset, entries start at 0, 6 and 12, 18.
+		{"architectures", wide, cat([]int{0, 6}, seq(1, 6, 1), seq(7, 12, 1), []int{12, 18}, seq(13, 18, 1), seq(19, 24, 1))},
+		// The paper's 24 cells: six models a dataset, ConRep first needs each.
+		{"paper", PaperMatrix(100), cat(seq(0, 12, 2), seq(1, 12, 2), seq(12, 24, 2), seq(13, 24, 2))},
+	} {
+		cells := tc.spec.Cells()
+		order := claimOrder(cells)
+		if !slices.Equal(order, tc.want) {
+			t.Errorf("%s: claim order %v, want %v", tc.name, order, tc.want)
+		}
+		datasetPos := make(map[string]int)
+		for p, d := range tc.spec.Datasets {
+			datasetPos[d.key()] = p
+		}
+		firstOf := make(map[string]int)
+		for _, c := range cells {
+			if _, ok := firstOf[c.scheduleKey()]; !ok {
+				firstOf[c.scheduleKey()] = c.Index
+			}
+		}
+		first := func(i int) bool { return firstOf[cells[i].scheduleKey()] == i }
+		seen := make([]bool, len(cells))
+		for k, i := range order {
+			if i < 0 || i >= len(cells) || seen[i] {
+				t.Fatalf("%s: claim order %v is not a permutation of 0..%d", tc.name, order, len(cells)-1)
+			}
+			seen[i] = true
+			if k == 0 {
+				continue
+			}
+			p := order[k-1]
+			dp, di := datasetPos[cells[p].Dataset.key()], datasetPos[cells[i].Dataset.key()]
+			switch {
+			case di < dp:
+				t.Errorf("%s: cell %d (dataset %d) claimed after cell %d (dataset %d)", tc.name, i, di, p, dp)
+			case di > dp:
+			case !first(p) && first(i):
+				t.Errorf("%s: first needer %d claimed after reuser %d", tc.name, i, p)
+			case first(p) == first(i) && i < p:
+				t.Errorf("%s: cell %d claimed after cell %d of its group", tc.name, i, p)
+			}
+		}
+		if len(order) != len(cells) {
+			t.Errorf("%s: %d claims for %d cells", tc.name, len(order), len(cells))
 		}
 	}
 }

@@ -21,44 +21,35 @@ import (
 // Execution-only telemetry; see internal/obs. Values flow out to the debug
 // endpoint and telemetry reports, never back into manifests.
 var (
-	obsCellsStarted    = obs.C("harness.cells_started")
-	obsCellsDone       = obs.C("harness.cells_done")
-	obsSchedHits       = obs.C("harness.schedule_cache_hits")
-	obsCellsPrefetched = obs.C("harness.cells_prefetched")
-	obsPrefetchHits    = obs.C("harness.schedule_prefetch_hits")
-	obsCellsRecovered  = obs.C("harness.cells_recovered")
-	obsCellsRetried    = obs.C("harness.cells_retried")
-	obsCellsResumed    = obs.C("harness.cells_resumed")
+	obsCellsStarted   = obs.C("harness.cells_started")
+	obsCellsDone      = obs.C("harness.cells_done")
+	obsSchedHits      = obs.C("harness.schedule_cache_hits")
+	obsCellsRecovered = obs.C("harness.cells_recovered")
+	obsCellsRetried   = obs.C("harness.cells_retried")
+	obsCellsResumed   = obs.C("harness.cells_resumed")
 )
 
 // faultScheduleBuild fires inside the shared schedule-cache compute, once per
 // repetition, keyed by the spec-derived schedule seed — so which repetition
 // fails under a probability trigger is invariant across worker counts and
-// across the prefetcher racing a cell to the same cache entry.
+// across which of two cells wins the race to the same cache entry.
 var faultScheduleBuild = fault.NewSite("harness.schedule-build")
 
 // RunOptions tunes execution only; nothing here may change the results.
 type RunOptions struct {
 	// Workers bounds the number of cells executed concurrently; default
-	// NumCPU (capped by the cell count).
+	// NumCPU (capped by the cell count). Workers claim cells in claimOrder
+	// through fault.Chunks; one worker runs every cell on the calling
+	// goroutine in that order, which makes it the serial reference execution
+	// that fire-on-Nth-hit failpoints are placed against.
 	Workers int
 	// CoreWorkers bounds core.Run's per-user pool inside each cell; default
 	// max(1, NumCPU/Workers) so the two layers together roughly fill the
 	// machine without gross oversubscription.
 	CoreWorkers int
-	// NoPrefetch disables the cell prefetcher: by default a single
-	// background goroutine warms the dataset and schedule caches of the
-	// next unclaimed cell while the workers sweep the current ones, staying
-	// at most one cell ahead (the memory bound: one extra dataset + one
-	// schedule set in flight). Every warmed value is a pure function of the
-	// spec keys and lands in the same shared lazy caches the workers read,
-	// so manifests — including the ScheduleCacheHits count, which only ever
-	// counts cell-to-cell reuse — are byte-identical with the prefetcher on
-	// or off. core.Run's repetition pipeline never runs under the harness —
-	// every cell is handed a cached table for each repetition — so this is
-	// the only overlap switch a matrix run has.
-	NoPrefetch bool
-	// Progress, when set, is called after each finished cell.
+	// Progress, when set, is called after each finished cell. Calls are
+	// serialized; a panicking callback fails the run once the cells in
+	// flight have finished.
 	Progress func(done, total int, cell CellSpec, elapsed time.Duration)
 	// Telemetry, when set, collects per-cell phase breakdowns, worker
 	// utilization, and lifecycle events (see internal/obs). Execution-only,
@@ -105,13 +96,6 @@ func (o RunOptions) fill(cells int) RunOptions {
 		// the division is uneven is goroutine-cheap; idle cores are not.
 		o.CoreWorkers = (runtime.NumCPU() + o.Workers - 1) / o.Workers
 	}
-	// Overlap needs a spare core: on a single-CPU machine the prefetcher
-	// only steals cycles from the sweep and holds an extra dataset + table
-	// live, so it stays off. Execution-only, like Workers — results are
-	// byte-identical either way (pinned by TestRunByteIdenticalWithPrefetch).
-	if runtime.NumCPU() == 1 {
-		o.NoPrefetch = true
-	}
 	return o
 }
 
@@ -143,15 +127,13 @@ func (l *lazy[T]) get(compute func() (T, error)) (T, error) {
 }
 
 // schedEntry is one (dataset, model) schedule-cache slot. Beyond the lazy
-// computation it tracks who touched it: requested flips when the first
-// *cell* (never the prefetcher) asks for it, so the schedule_cache_hits
-// counter measures cell-to-cell reuse regardless of whether the prefetcher
-// populated the entry first; prefetched marks entries the prefetcher warmed,
-// feeding the execution-only schedule_prefetch_hits counter.
+// computation it records which cell asked for it first, so the
+// schedule_cache_hits counter counts reuse by a *different* cell: a cell
+// that asks again — a retry, or the retry of an abandoned timed-out
+// attempt — is not a hit.
 type schedEntry struct {
 	lazy[[]*onlinetime.Table]
-	requested  atomic.Bool
-	prefetched atomic.Bool
+	firstCell atomic.Int64 // 1 + index of the first cell to ask; 0 until one does
 }
 
 // caches shares datasets and schedule computations across the cells of one
@@ -227,104 +209,57 @@ func buildDataset(d DatasetSpec) (*trace.Dataset, error) {
 // run — cells sharing the coordinates reuse the arena read-only, with no
 // per-cell conversion. buildWorkers is the filling cell's core budget: the
 // parallel phase-2 row construction may use it freely because worker counts
-// never reach the table bytes. hit reports whether another *cell* already
-// requested the entry — cell-to-cell reuse, feeding execution-only telemetry
-// (an entry the prefetcher warmed first is not a hit). The manifest's
-// ScheduleCacheHits is NOT this measured count but the spec-derived
-// expectedScheduleHits: under resume or retry the measured count shifts
-// (restored cells never request; retried cells request twice) while the
-// manifest bytes must not.
-func (c *caches) schedulesFor(spec MatrixSpec, d DatasetSpec, m ModelSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit bool, err error) {
-	entry := c.scheduleEntry(d.key() + "|" + m.key())
-	if hit = entry.requested.Swap(true); hit {
+// never reach the table bytes. hit reports whether a different cell asked
+// for the entry first — cell-to-cell reuse, feeding execution-only
+// telemetry. The manifest's ScheduleCacheHits is NOT this measured count
+// but the spec-derived expectedScheduleHits: under resume the measured
+// count shifts (restored cells never ask) while the manifest bytes must not.
+func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit bool, err error) {
+	entry := c.scheduleEntry(cell.scheduleKey())
+	me := int64(cell.Index) + 1
+	if !entry.firstCell.CompareAndSwap(0, me) && entry.firstCell.Load() != me {
+		hit = true
 		obsSchedHits.Inc()
-	} else if entry.prefetched.Load() {
-		// Execution-only: first cell to need these schedules found them
-		// already warmed by the prefetcher.
-		obsPrefetchHits.Inc()
 	}
-	tables, err = entry.get(c.buildSchedules(spec, d, m, ds, model, buildWorkers))
+	tables, err = entry.get(func() ([]*onlinetime.Table, error) {
+		out := make([]*onlinetime.Table, spec.Repeats)
+		for rep := range out {
+			seed := spec.scheduleSeed(cell.Dataset, cell.Model, rep)
+			if err := faultScheduleBuild.InjectSeeded(seed); err != nil {
+				return nil, err
+			}
+			out[rep] = model.BuildTable(ds, rand.New(rand.NewSource(seed)), buildWorkers)
+		}
+		return out, nil
+	})
 	return tables, hit, err
 }
 
-// buildSchedules returns the compute closure of one schedule-cache entry:
-// every repetition's table from the spec-derived seeds. Shared by the cell
-// path and the prefetcher so both populate an entry with the identical pure
-// function.
-func (c *caches) buildSchedules(spec MatrixSpec, d DatasetSpec, m ModelSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) func() ([]*onlinetime.Table, error) {
-	return func() ([]*onlinetime.Table, error) {
-		out := make([]*onlinetime.Table, spec.Repeats)
-		for rep := range out {
-			if err := faultScheduleBuild.InjectSeeded(spec.scheduleSeed(d, m, rep)); err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(spec.scheduleSeed(d, m, rep)))
-			out[rep] = model.BuildTable(ds, rng, buildWorkers)
+// claimOrder is the order in which workers claim cells: datasets in spec
+// order and, within a dataset, first every cell that is the first to need
+// its (dataset, model) schedule entry, then the dataset's other cells, each
+// group in index order. Cells() enumerates dataset → model → mode, so
+// claiming by index hands two workers the two modes of one model and the
+// second idles on the first one's schedule build; this order starts a
+// dataset's builds side by side and leaves the reusers to find their entries
+// built. Grouping by dataset keeps two datasets from being synthesized at
+// once, which would raise the peak heap.
+func claimOrder(cells []CellSpec) []int {
+	order := make([]int, 0, len(cells))
+	seen := make(map[string]bool)
+	var reusers []int
+	for i, c := range cells {
+		if i > 0 && c.Dataset.key() != cells[i-1].Dataset.key() {
+			order, reusers = append(order, reusers...), reusers[:0]
 		}
-		return out, nil
-	}
-}
-
-// warmCell is the prefetcher's work: populate the dataset and schedule
-// caches for one cell, exactly as the cell's worker would, without touching
-// the cache-hit accounting. Errors are deliberately dropped — the owning
-// cell will rerun the same lazy computation and surface the identical error
-// with its cell context attached. Panics are dropped for the same reason:
-// the prefetcher is purely advisory, and a panicking warm compute (an
-// injected fault, say) must not kill the process when the owning cell would
-// reproduce and report the identical failure inside its isolation boundary.
-func (c *caches) warmCell(spec MatrixSpec, cell CellSpec, buildWorkers int) {
-	defer func() {
-		//dosn:recover advisory prefetch boundary: the owning cell reruns the same pure compute and reports the failure with cell context
-		if r := recover(); r != nil {
-			_ = r
-		}
-	}()
-	ds, err := c.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
-		return buildDataset(cell.Dataset)
-	})
-	if err != nil {
-		return
-	}
-	if !cell.isFriend() {
-		_, _ = c.ringFor(cell.Dataset, cell.RingBits, ds)
-	}
-	model, err := cell.Model.Model()
-	if err != nil {
-		return
-	}
-	entry := c.scheduleEntry(cell.Dataset.key() + "|" + cell.Model.key())
-	entry.prefetched.Store(true)
-	_, _ = entry.get(c.buildSchedules(spec, cell.Dataset, cell.Model, ds, model, buildWorkers))
-	obsCellsPrefetched.Inc()
-}
-
-// prefetch overlaps next-cell synthesis with the running cells' sweeps. It
-// stays at most ONE cell ahead of the highest index any worker has claimed,
-// so peak memory grows by a single extra dataset+schedule set regardless of
-// matrix size. claims carries every claimed index and is closed once the
-// workers drain, which bounds the goroutine's lifetime to Run's. restored
-// cells (checkpoint resume) are skipped: their results are already in hand,
-// so warming their caches would only burn memory ahead of need.
-func prefetch(spec MatrixSpec, cells []CellSpec, opts RunOptions, shared *caches, restored map[int]CellResult, claims <-chan int) {
-	maxClaimed := -1
-	pf := 0 // next cell index eligible for warming
-	for i := range claims {
-		if i > maxClaimed {
-			maxClaimed = i
-		}
-		if pf <= maxClaimed {
-			// Workers already own everything up to maxClaimed; warming
-			// those would only duplicate waiting.
-			pf = maxClaimed + 1
-		}
-		if pf == maxClaimed+1 && pf < len(cells) {
-			if _, ok := restored[pf]; !ok {
-				shared.warmCell(spec, cells[pf], opts.CoreWorkers)
-			}
-			pf++
+		if k := c.scheduleKey(); seen[k] {
+			reusers = append(reusers, i)
+		} else {
+			seen[k] = true
+			order = append(order, i)
 		}
 	}
+	return append(order, reusers...)
 }
 
 // Run executes every cell of the matrix and returns the assembled manifest.
@@ -365,69 +300,52 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 		}
 		defer cp.Close()
 	}
-	var next atomic.Int64
-	next.Store(-1)
-	// claims feeds the prefetcher: each claimed cell index, buffered so
-	// workers never block on it. Closed after the workers drain.
-	var claims chan int
-	if !opts.NoPrefetch {
-		claims = make(chan int, len(cells)+opts.Workers)
-	}
-	var done atomic.Int64
 	var mu sync.Mutex // serializes Progress callbacks
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(cells) {
-					return
-				}
-				if claims != nil {
-					claims <- i
-				}
-				//dosn:wallclock elapsed feeds only the Progress callback; results never read it
-				start := time.Now()
-				if res, ok := restored[i]; ok {
-					// Checkpoint restore: the journaled result is the same
-					// pure function of (spec, seed) a recompute would
-					// produce, so slotting it in preserves manifest bytes.
-					obsCellsResumed.Inc()
-					results[i] = res
-				} else {
-					obsCellsStarted.Inc()
-					co := opts.Telemetry.StartCell(cells[i].Key(), w)
-					results[i], errs[i] = runCellGuarded(spec, cells[i], policies, opts, shared, co)
-					co.Done()
-					obsCellsDone.Inc()
-					if errs[i] == nil && cp != nil {
-						errs[i] = cp.append(i, cells[i].canonicalKey(), results[i])
-					}
-				}
-				if opts.Progress != nil {
-					mu.Lock()
-					opts.Progress(int(done.Add(1)), len(cells), cells[i], time.Since(start))
-					mu.Unlock()
-				} else {
-					done.Add(1)
+	done := 0
+	progress := func(cell CellSpec, elapsed time.Duration) {
+		mu.Lock()
+		defer mu.Unlock() // a panicking callback must not strand the other workers
+		done++
+		opts.Progress(done, len(cells), cell, elapsed)
+	}
+	// A cell's failure lands in errs and never stops its siblings, so the
+	// body returns no error; Chunks fails only on a panic outside the cell
+	// boundary (a Progress callback's, say).
+	order := claimOrder(cells)
+	var workers atomic.Int64
+	err := fault.Chunks(len(order), 1, opts.Workers, func(next func() (lo, hi int, ok bool)) error {
+		w := int(workers.Add(1) - 1)
+		for {
+			k, _, ok := next()
+			if !ok {
+				return nil
+			}
+			i := order[k]
+			//dosn:wallclock elapsed feeds only the Progress callback; results never read it
+			start := time.Now()
+			if res, ok := restored[i]; ok {
+				// Checkpoint restore: the journaled result is the same pure
+				// function of (spec, seed) a recompute would produce, so
+				// slotting it in preserves manifest bytes.
+				obsCellsResumed.Inc()
+				results[i] = res
+			} else {
+				obsCellsStarted.Inc()
+				co := opts.Telemetry.StartCell(cells[i].Key(), w)
+				results[i], errs[i] = runCellGuarded(spec, cells[i], policies, opts, shared, co)
+				co.Done()
+				obsCellsDone.Inc()
+				if errs[i] == nil && cp != nil {
+					errs[i] = cp.append(i, cells[i].canonicalKey(), results[i])
 				}
 			}
-		}(w)
-	}
-	var prefetchWG sync.WaitGroup
-	if claims != nil {
-		prefetchWG.Add(1)
-		go func() {
-			defer prefetchWG.Done()
-			prefetch(spec, cells, opts, shared, restored, claims)
-		}()
-	}
-	wg.Wait()
-	if claims != nil {
-		close(claims)
-		prefetchWG.Wait()
+			if opts.Progress != nil {
+				progress(cells[i], time.Since(start))
+			}
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -445,14 +363,15 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 // expectedScheduleHits is the manifest's ScheduleCacheHits: cells minus
 // distinct (dataset, model) pairs. It is derived from the spec rather than
 // measured because the measured count is an execution artifact — a resumed
-// run requests fewer entries (restored cells never ask) and a retried cell
-// can request twice — while manifest bytes must depend on (spec, seed)
-// alone. For every uninterrupted, fault-free run the two are equal: each
-// distinct pair misses exactly once and every other request hits.
+// run requests fewer entries (restored cells never ask), and a sibling that
+// rebuilds an entry after the first asker's build failed still counts as a
+// reuse — while manifest bytes must depend on (spec, seed) alone. For every
+// uninterrupted, fault-free run the two are equal: each distinct pair misses
+// exactly once and every other request hits.
 func expectedScheduleHits(cells []CellSpec) int {
 	distinct := make(map[string]struct{}, len(cells))
 	for _, c := range cells {
-		distinct[c.Dataset.key()+"|"+c.Model.key()] = struct{}{}
+		distinct[c.scheduleKey()] = struct{}{}
 	}
 	return len(cells) - len(distinct)
 }
@@ -504,6 +423,7 @@ func runCellAttempt(spec MatrixSpec, cell CellSpec, policies []replica.Policy, o
 		err error
 	}
 	ch := make(chan outcome, 1)
+	//dosn:go per-attempt watchdog: joined through ch unless the timer wins, and then abandoned to finish into the buffered ch
 	go func() {
 		r, e := runCellRecovered(spec, cell, policies, opts, shared, co)
 		ch <- outcome{r, e}
@@ -570,7 +490,7 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 		return CellResult{}, err
 	}
 	phaseDone = co.Phase("schedule-build")
-	schedules, hit, err := shared.schedulesFor(spec, cell.Dataset, cell.Model, ds, model, opts.CoreWorkers)
+	schedules, hit, err := shared.schedulesFor(spec, cell, ds, model, opts.CoreWorkers)
 	phaseDone()
 	if err != nil {
 		return CellResult{}, err

@@ -386,6 +386,12 @@ func (c CellSpec) canonicalKey() string {
 	return k
 }
 
+// scheduleKey names the cell's schedule-cache entry: every cell over the
+// same (dataset, model) shares one, whatever its mode or architecture.
+func (c CellSpec) scheduleKey() string {
+	return c.Dataset.key() + "|" + c.Model.key()
+}
+
 // Cells enumerates the matrix in canonical (dataset, model, mode,
 // architecture) order. With architectures listed, FriendReplica-first
 // ordering within a coordinate triple is whatever the spec lists — callers

@@ -178,10 +178,12 @@ func TestInputLitFixtures(t *testing.T) {
 }
 
 func TestRawGoFixtures(t *testing.T) {
-	// The fixture is package "core", a compute package. That rawgo leaves
-	// other packages alone is TestRepoIsClean's to show: internal/harness has
-	// a cell pool with both constructs and no waiver.
+	// Package "core" is a compute package; package "harness" is covered too,
+	// with its watchdog waived. That rawgo leaves other packages alone is
+	// TestRepoIsClean's to show: internal/fault joins its fan-outs with a
+	// WaitGroup and no waiver.
 	runFixture(t, RawGo, filepath.Join("testdata", "rawgo", "core"))
+	runFixture(t, RawGo, filepath.Join("testdata", "rawgo", "harness"))
 }
 
 // TestRepoIsClean is the smoke gate: the dosn-vet suite must exit clean on

@@ -2,14 +2,15 @@ package lint
 
 import "go/ast"
 
-// RawGo keeps hand-rolled goroutine pools out of the compute packages: a
-// pool that forgets to recover ends the process on a worker's panic.
+// RawGo keeps hand-rolled goroutine pools out of the compute packages and
+// the harness: a pool that forgets to recover ends the process on a
+// worker's panic.
 var RawGo = &Analyzer{
 	Name: "rawgo",
-	Doc: `forbid go statements and sync.WaitGroup in the compute packages
+	Doc: `forbid go statements and sync.WaitGroup in the compute packages and the harness
 
-In core, onlinetime, replica, metrics, dht, trace and socialgraph, a go
-statement or a mention of sync.WaitGroup is a finding: fan out with
+In core, onlinetime, replica, metrics, dht, trace, socialgraph and harness,
+a go statement or a mention of sync.WaitGroup is a finding: fan out with
 fault.Parallel or fault.Chunks, which join every goroutine they start and
 carry a panic back to the caller. A goroutine that is not a fan-out is waived
 with //dosn:go <justification> on the same line or the line above.`,
@@ -18,7 +19,7 @@ with //dosn:go <justification> on the same line or the line above.`,
 
 var rawGoPkgs = map[string]bool{
 	"core": true, "onlinetime": true, "replica": true, "metrics": true,
-	"dht": true, "trace": true, "socialgraph": true,
+	"dht": true, "trace": true, "socialgraph": true, "harness": true,
 }
 
 func runRawGo(pass *Pass) error {

@@ -33,7 +33,7 @@ func sanctionedSameLine() (err error) {
 
 func sanctionedTrailing() {
 	defer func() {
-		_ = recover() //dosn:recover advisory prefetch: owning cell reruns the compute
+		_ = recover() //dosn:recover advisory warm-up: the owner reruns the compute
 	}()
 }
 

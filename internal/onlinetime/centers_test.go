@@ -92,9 +92,9 @@ func centerModels() []Model {
 	}
 }
 
-// TestCenterColumnBuiltOncePerDataset: the two modes of a (dataset, model)
-// start together and the prefetcher runs beside them, so first requests for
-// the column arrive concurrently. Eight goroutines building every
+// TestCenterColumnBuiltOncePerDataset: a matrix run starts the first builds
+// of a dataset's (dataset, model) entries side by side, so first requests
+// for the column arrive concurrently. Eight goroutines building every
 // center-reading model on one fresh dataset get the tables of the serial
 // build, from exactly one column build.
 func TestCenterColumnBuiltOncePerDataset(t *testing.T) {

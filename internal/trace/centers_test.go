@@ -80,8 +80,8 @@ func TestActivityCentersInvalidation(t *testing.T) {
 }
 
 // TestActivityCentersBuiltOnceUnderContention: concurrent first requests —
-// two cell workers and the prefetcher in a matrix run — share one build and
-// one column.
+// cell workers building the tables of different models of one dataset in a
+// matrix run — share one build and one column.
 func TestActivityCentersBuiltOnceUnderContention(t *testing.T) {
 	d := MustSynthesize(DefaultFacebookConfig(3 * centerChunk))
 	want := slices.Clone(d.ActivityCenters(1))
