@@ -84,6 +84,7 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 	// own windowed interaction counts.
 	pl := replica.NewPlacer(ds, schedules, replica.ConRep, budget)
 	var hist, oracle, random stats.Welford
+	var gen workerRNG
 	for i, u := range users {
 		evalIdx := ds.ReceivedIdxBetween(u, split, to)
 		if len(evalIdx) == 0 {
@@ -96,8 +97,7 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 		evaluate := func(counts []int, p replica.Policy, w *stats.Welford, salt int64) {
 			in := pl.Input(u)
 			in.CandidateCounts = counts // the window's interactions, not the whole trace's
-			rng := rand.New(rand.NewSource(mix(seed, salt, int64(i))))
-			replicas := p.Select(in, rng)
+			replicas := p.Select(in, gen.seeded(mix(seed, salt, int64(i))))
 			avail := metrics.AvailabilitySet(u, replicas, schedules)
 			if v, ok := metrics.AvailabilityOnDemandMinutes(&avail, evalMinutes); ok {
 				w.Add(v)
@@ -150,12 +150,13 @@ func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed 
 	policies := replica.DefaultPolicies()
 	pl := replica.NewPlacer(ds, schedules, replica.ConRep, budget, policies...)
 	rows := make([]ChurnRow, 0, len(policies))
+	var gen workerRNG
 	for pi, p := range policies {
 		acc := make([]stats.Welford, budget+1)
 		for ui, u := range users {
 			// One stream per (policy, user): the selection draws from it
 			// first, the failure draws continue it.
-			rng := rand.New(rand.NewSource(mix(seed, int64(pi), int64(ui))))
+			rng := gen.seeded(mix(seed, int64(pi), int64(ui)))
 			replicas := p.Select(pl.Input(u), rng)
 			for j := 0; j <= budget; j++ {
 				if j > len(replicas) {

@@ -465,28 +465,11 @@ type sweepScratch struct {
 	rng           workerRNG
 }
 
-// workerRNG is the one generator a sweep or placement worker hands its
-// randomized policies. The zero value is ready.
-type workerRNG struct{ r *rand.Rand }
-
-// seeded returns the generator restarted at seed. (*rand.Rand).Seed reseeds
-// the source in place and resets the read position, so the stream is the one
-// rand.New(rand.NewSource(seed)) produces, without a new 5 KB source per
-// (repetition, policy, user).
-func (w *workerRNG) seeded(seed int64) *rand.Rand {
-	if w.r == nil {
-		w.r = rand.New(rand.NewSource(seed))
-	} else {
-		w.r.Seed(seed)
-	}
-	return w.r
-}
-
 // sweepUser evaluates every policy and every replication degree for one
 // user, accumulating into grid. All interval arithmetic runs on the dense
 // bitmap rows. The worker's Placer prepares the placement input once per
 // user — only what the policies' replica.Traits declare they read — and only
-// randomized policies pay for RNG seeding.
+// randomized policies get a generator, reseeded in O(1) (workerRNG).
 //
 // The degree loop is a one-pass incremental kernel: each step grows the
 // availability bitmap and reads back its measure and its overlap with the
@@ -526,7 +509,6 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, u socialgraph.UserID, gr
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {
 			rng = scratch.rng.seeded(mix(cfg.Seed, int64(rep), int64(pi), int64(u)))
-			obsRNGSeeded.Inc()
 		}
 		seq := p.Select(in, rng)
 		// Pairwise node gaps for the whole selection, computed once; each

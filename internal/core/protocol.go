@@ -136,9 +136,9 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 
 	pl := replica.NewPlacer(ds, schedules, cfg.Mode, cfg.Budget, cfg.Policy)
 	var actMinutes []int
+	var gen workerRNG
 	for i, u := range owners {
-		rng := rand.New(rand.NewSource(mix(cfg.Seed, 2, int64(i))))
-		replicas := cfg.Policy.Select(pl.Input(u), rng)
+		replicas := cfg.Policy.Select(pl.Input(u), gen.seeded(mix(cfg.Seed, 2, int64(i))))
 		assignments[u] = replicas
 
 		analyticDelaySum += metrics.UpdatePropagationDelay(u, replicas, schedules).Hours

@@ -132,10 +132,10 @@ type Policy interface {
 }
 
 // Traits declares which Input ingredients a policy actually consumes, so a
-// sweep engine can skip preparing the ones it will ignore (seeding an RNG
-// per user is a measurable fraction of a MaxAv sweep, and only MostActive
-// reads the interaction counts). Results never depend on traits — they only
-// gate work whose output the policy would discard.
+// sweep engine can skip preparing the ones it will ignore (a deterministic
+// policy is handed no generator; only MostActive reads the interaction
+// counts). Results never depend on traits — they only gate work whose output
+// the policy would discard.
 type Traits struct {
 	// UsesRNG is false for fully deterministic policies; Select may then
 	// receive a nil rng.
