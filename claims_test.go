@@ -2,6 +2,7 @@ package dosn_test
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -13,8 +14,9 @@ import (
 // verified-against-text (nobody has checked a row against the paper's
 // text), and its source line exists and carries the row's section marker —
 // the marker itself, or the word "paper" for a row whose source names no
-// section ("—"). A row whose line moved or lost its citation fails here
-// until it is re-pointed.
+// section ("—"). A row whose line moved or lost its citation fails here,
+// naming the nearest line within ±30 that carries the marker, until it is
+// re-pointed.
 func TestClaimsLedgerSources(t *testing.T) {
 	f, err := os.Open("PAPER.md")
 	if err != nil {
@@ -66,13 +68,14 @@ func TestClaimsLedgerSources(t *testing.T) {
 			t.Errorf("%s: %s has %d lines, the row cites line %d", id, path, len(src), n)
 			continue
 		}
-		cited, marker := src[n-1], section
-		if section == "—" {
-			cited, marker = strings.ToLower(cited), "paper"
+		if carries(src[n-1], section) {
+			continue
 		}
-		if !strings.Contains(cited, marker) {
-			t.Errorf("%s: %s does not carry %q: %s", id, source, marker, strings.TrimSpace(src[n-1]))
+		hint := "no line within ±30 carries it"
+		if near := nearestCarrier(src, n, section, 30); near > 0 {
+			hint = fmt.Sprintf("nearest line carrying it: %s:%d", path, near)
 		}
+		t.Errorf("%s: %s does not carry %q (%s): %s", id, source, section, hint, strings.TrimSpace(src[n-1]))
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -80,4 +83,28 @@ func TestClaimsLedgerSources(t *testing.T) {
 	if len(seen) == 0 {
 		t.Fatal("PAPER.md has no ledger rows")
 	}
+}
+
+// carries reports whether a source line carries a row's section marker: the
+// marker itself, or the word "paper" for a row that cites no section ("—").
+func carries(line, section string) bool {
+	if section == "—" {
+		return strings.Contains(strings.ToLower(line), "paper")
+	}
+	return strings.Contains(line, section)
+}
+
+// nearestCarrier returns the 1-based number of the line within ±radius of
+// line n that carries the section marker, the nearer one first and the
+// earlier on a tie, or 0 when none does — so re-pointing a row whose line
+// moved is a copy of the number the failure names.
+func nearestCarrier(src []string, n int, section string, radius int) int {
+	for d := 1; d <= radius; d++ {
+		for _, c := range []int{n - d, n + d} {
+			if c >= 1 && c <= len(src) && carries(src[c-1], section) {
+				return c
+			}
+		}
+	}
+	return 0
 }

@@ -452,10 +452,10 @@ func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, chunks [][][]Ce
 
 // sweepScratch holds one worker's reusable buffers: the incrementally grown
 // availability bitmap, the union of the friends' online times, the
-// received-activity minutes, the delay calculator's gap/distance
-// matrices, and the generator the randomized policies draw from. Reusing it
-// across users removes every per-user metric allocation from the sweep hot
-// path.
+// received-activity minutes, the delay calculator's per-user gap memo and
+// distance matrix, and the generator the randomized policies draw from.
+// Reusing it across users removes every per-user metric allocation from the
+// sweep hot path.
 type sweepScratch struct {
 	avail         interval.Bitmap
 	friendsOnline interval.Bitmap
@@ -505,15 +505,18 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, u socialgraph.UserID, gr
 		scratch.actMinutes = append(scratch.actMinutes, ds.MinuteOfDayAt(int(k)))
 	}
 	scratch.aod.InitUser(scratch.actMinutes)
+	// Pairwise node gaps are memoized per user: the policies choose from the
+	// same candidates, so each distinct pair's gap is computed once across
+	// all of them; each degree's delay is the shortest-path diameter over a
+	// prefix of one policy's selection.
+	scratch.delay.Init(u, nil, bitmaps)
 	for pi, p := range cfg.Policies {
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {
 			rng = scratch.rng.seeded(mix(cfg.Seed, int64(rep), int64(pi), int64(u)))
 		}
 		seq := p.Select(in, rng)
-		// Pairwise node gaps for the whole selection, computed once; each
-		// degree's delay is the shortest-path diameter over a prefix.
-		scratch.delay.Init(u, seq, bitmaps)
+		scratch.delay.Reselect(seq)
 		scratch.avail.CopyFrom(&bitmaps[u]) // degree 0: only the owner stores the profile
 		availLen := scratch.avail.Minutes()
 		overlap := scratch.avail.OverlapMinutes(&scratch.friendsOnline)

@@ -96,7 +96,7 @@ func AvailabilityOnDemandMinutes(avail *interval.Bitmap, minutes []int) (v float
 type AoDTracker struct {
 	total    int                         // number of activities, duplicates included
 	act      interval.Bitmap             // distinct activity minutes
-	weight   [interval.DayMinutes]uint16 // multiplicity per minute-of-day
+	weight   [interval.DayMinutes]uint32 // multiplicity per minute-of-day
 	distinct []int                       // minutes with weight > 0, for O(distinct) clearing
 	covered  interval.Bitmap             // the availability set accounted for in hits
 	newMins  []int                       // scratch: newly covered activity minutes
@@ -194,138 +194,190 @@ func UpdatePropagationDelay(owner socialgraph.UserID, replicas []socialgraph.Use
 	return dc.Prefix(len(replicas))
 }
 
-// delayInf marks an unreachable node pair; it matches the previous
-// Floyd–Warshall implementation's sentinel so sums never overflow.
-const delayInf = math.MaxInt32
+// delayInf marks an unreachable node pair. It is far above any finite path
+// (at most 1,439 minutes an edge) and small enough that the sum of two never
+// overflows, so the relax loops add and compare without testing for it: a
+// sum with an unreachable leg is never below a stored distance.
+const delayInf = 1 << 40
+
+// weightUnknown marks a slot pair whose edge weight is not yet computed.
+const weightUnknown = -1
 
 // DelayCalc computes update-propagation delays over dense schedules with
-// reusable scratch. Init loads a full selection once; Prefix(k) then answers
-// the metric for the owner plus the first k replicas by growing an exact
-// all-pairs-shortest-path solution one node at a time (O(n²) per added node:
-// edge weights from one word-wise AND plus a cyclic gap scan each, then a
-// relax-through-the-new-node pass). A sweep that asks for every prefix of an
-// 11-node selection therefore does O(n³) integer work total, not O(n⁴) as
-// the per-degree Floyd–Warshall recomputation it replaces — with answers
-// equal bit for bit, since both compute exact shortest paths. The zero value
-// is ready; scratch grows to the largest selection seen.
+// reusable scratch. Init loads an owner and a selection; Prefix(k) then
+// answers the metric for the owner plus the first k replicas by growing an
+// exact all-pairs-shortest-path solution one node at a time (O(n²) per added
+// node: one edge weight per old node, then a relax-through-the-new-node
+// pass). A sweep that asks for every prefix of an 11-node selection
+// therefore does O(n³) integer work total, not O(n⁴) as the per-degree
+// Floyd–Warshall recomputation it replaces — with answers equal bit for bit,
+// since both compute exact shortest paths.
+//
+// Edge weights (one word-wise AND plus a cyclic gap scan per pair, read
+// straight from the schedule arena) are memoized per owner, keyed by node
+// slot: every distinct user ID seen since Init gets one, the owner slot 0.
+// Reselect loads another selection for the same owner and schedules and
+// keeps the memo, so a sweep that evaluates several policies' selections of
+// one owner computes each distinct pair's weight once. The zero value is
+// ready; scratch grows to the largest owner seen and is reused thereafter.
 type DelayCalc struct {
-	nodes  []interval.Bitmap // owner + selection, dense schedules
-	dist   []int             // row-major APSP over the first solved nodes
-	wrow   []int             // edge weights of the node being added
-	stride int               // row stride of dist (max selection size seen)
-	n      int               // nodes loaded by Init
-	solved int               // APSP is exact for the first solved nodes
+	bitmaps []interval.Bitmap    // schedules of the current owner's Init
+	ids     []socialgraph.UserID // slot → user ID; slot 0 is the owner
+	weight  []int64              // slot-pair edge weights, row-major, stride wst
+	wst     int                  // row stride of weight
+	node    []int                // node position → slot: owner, then the selection
+	dist    []int64              // row-major APSP over the first solved nodes
+	stride  int                  // row stride of dist (max selection size seen)
+	solved  int                  // APSP is exact for the first solved nodes
+	worst   int64                // largest finite distance among the solved nodes
+	conn    bool                 // no solved pair is unreachable
 }
 
-// initSize prepares scratch for n nodes and resets the solved region.
-func (dc *DelayCalc) initSize(n int) {
+// Init prepares the calculator for owner over bitmaps (indexed by UserID;
+// out-of-range IDs are treated as never online), forgets every memoized
+// weight, and loads the selection {owner} ∪ seq.
+func (dc *DelayCalc) Init(owner socialgraph.UserID, seq []socialgraph.UserID, bitmaps []interval.Bitmap) {
+	dc.bitmaps = bitmaps
+	dc.ids = dc.ids[:0]
+	dc.slot(owner)
+	dc.Reselect(seq)
+}
+
+// Reselect loads the selection {owner} ∪ seq for the owner and schedules of
+// the last Init, keeping the weights memoized since then. It must follow an
+// Init.
+func (dc *DelayCalc) Reselect(seq []socialgraph.UserID) {
+	n := len(seq) + 1
 	if dc.stride < n {
 		dc.stride = n
-		dc.dist = make([]int, n*n)
-		dc.wrow = make([]int, n)
+		dc.dist = make([]int64, n*n)
 	}
-	if cap(dc.nodes) < n {
-		dc.nodes = make([]interval.Bitmap, n)
+	dc.node = append(dc.node[:0], 0)
+	for _, r := range seq {
+		dc.node = append(dc.node, dc.slot(r))
 	}
-	dc.nodes = dc.nodes[:n]
-	dc.n = n
 	dc.solved = 1
 	dc.dist[0] = 0
 }
 
-// Init prepares the calculator for the selection {owner} ∪ seq, reading
-// dense schedules from bitmaps (indexed by UserID; out-of-range IDs are
-// treated as never online).
-func (dc *DelayCalc) Init(owner socialgraph.UserID, seq []socialgraph.UserID, bitmaps []interval.Bitmap) {
-	dc.initSize(len(seq) + 1)
-	at := func(i int, u socialgraph.UserID) {
-		if u < 0 || int(u) >= len(bitmaps) {
-			dc.nodes[i].Clear()
-			return
+// slot returns u's slot, opening one on first sight. A new slot's weight row
+// and column are marked unknown; a slot's row is never read before that, so
+// this is the whole per-owner reset: O(slots²) per owner, no allocation once
+// the memo has grown to the largest owner.
+func (dc *DelayCalc) slot(u socialgraph.UserID) int {
+	for s, id := range dc.ids {
+		if id == u {
+			return s
 		}
-		dc.nodes[i].CopyFrom(&bitmaps[u])
 	}
-	at(0, owner)
-	for i, r := range seq {
-		at(i+1, r)
+	s := len(dc.ids)
+	dc.ids = append(dc.ids, u)
+	if s >= dc.wst {
+		st := max(2*dc.wst, 16)
+		grown := make([]int64, st*st)
+		for i := 0; i < s; i++ {
+			copy(grown[i*st:i*st+s], dc.weight[i*dc.wst:i*dc.wst+s])
+		}
+		dc.weight, dc.wst = grown, st
 	}
+	for i := 0; i <= s; i++ {
+		dc.weight[s*dc.wst+i] = weightUnknown
+		dc.weight[i*dc.wst+s] = weightUnknown
+	}
+	return s
+}
+
+// edge returns the weight between slots a and b: the worst-case wait until
+// both are next online together, delayInf when they never are.
+func (dc *DelayCalc) edge(a, b int) int64 {
+	w := dc.weight[a*dc.wst+b]
+	if w != weightUnknown {
+		return w
+	}
+	w = delayInf
+	u, v := dc.ids[a], dc.ids[b]
+	if u >= 0 && int(u) < len(dc.bitmaps) && v >= 0 && int(v) < len(dc.bitmaps) {
+		if gap, ok := dc.bitmaps[u].MaxGapWith(&dc.bitmaps[v]); ok {
+			w = int64(gap)
+		}
+	}
+	dc.weight[a*dc.wst+b], dc.weight[b*dc.wst+a] = w, w
+	return w
 }
 
 // addNode extends the exact APSP solution from m to m+1 nodes. Any path to
 // the new node m decomposes into a shortest path within the old node set
 // plus one final edge, and any improved old-pair path must pass through m,
-// so two O(m²) passes keep the solution exact.
+// so two O(m²) passes keep the solution exact. The second pass visits every
+// pair of the grown set, so it also records the diameter and connectivity.
 func (dc *DelayCalc) addNode() {
 	m, st := dc.solved, dc.stride
+	sm := dc.node[m]
+	// Row m holds the new node's edge weights until the first pass, which
+	// writes only column m, is done; it then becomes the row of distances.
+	row := dc.dist[m*st : m*st+m+1]
 	for j := 0; j < m; j++ {
-		w := delayInf
-		if gap, ok := dc.nodes[j].MaxGapWith(&dc.nodes[m]); ok {
-			w = gap
-		}
-		dc.wrow[j] = w
+		row[j] = dc.edge(dc.node[j], sm)
 	}
 	for i := 0; i < m; i++ {
-		best := dc.wrow[i] // the direct edge (dist[i][i] = 0)
-		for j := 0; j < m; j++ {
-			if dij, w := dc.dist[i*st+j], dc.wrow[j]; dij < delayInf && w < delayInf {
-				if c := dij + w; c < best {
-					best = c
-				}
+		di := dc.dist[i*st : i*st+m]
+		best := row[i] // the direct edge (dist[i][i] = 0)
+		for j, dij := range di {
+			if c := dij + row[j]; c < best {
+				best = c
 			}
 		}
-		dc.dist[i*st+m], dc.dist[m*st+i] = best, best
+		dc.dist[i*st+m] = best
 	}
-	dc.dist[m*st+m] = 0
 	for i := 0; i < m; i++ {
-		dim := dc.dist[i*st+m]
-		if dim == delayInf {
-			continue
-		}
-		for j := 0; j < m; j++ {
-			if dmj := dc.dist[m*st+j]; dmj < delayInf {
-				if c := dim + dmj; c < dc.dist[i*st+j] {
-					dc.dist[i*st+j] = c
-				}
+		row[i] = dc.dist[i*st+m]
+	}
+	row[m] = 0
+	worst, conn := int64(0), true
+	for i := 0; i < m; i++ {
+		dim := row[i]
+		di := dc.dist[i*st : i*st+m]
+		for j := i + 1; j < m; j++ {
+			d := di[j]
+			if c := dim + row[j]; c < d {
+				d = c
+				di[j], dc.dist[j*st+i] = d, d
+			}
+			if d >= delayInf {
+				conn = false
+			} else if d > worst {
+				worst = d
 			}
 		}
+		if dim >= delayInf {
+			conn = false
+		} else if dim > worst {
+			worst = dim
+		}
 	}
+	dc.worst, dc.conn = worst, conn
 	dc.solved = m + 1
 }
 
 // Prefix returns the update-propagation-delay metric for the owner plus the
-// first k replicas of the initialized selection. It is bit-identical to
-// calling UpdatePropagationDelay on that prefix. Nondecreasing k across
-// calls (the degree sweep's access pattern) reuses all prior work; a smaller
-// k restarts the incremental solution.
+// first k replicas of the loaded selection. It is bit-identical to calling
+// UpdatePropagationDelay on that prefix. Nondecreasing k across calls (the
+// degree sweep's access pattern) reuses all prior work; a smaller k restarts
+// the incremental solution.
 func (dc *DelayCalc) Prefix(k int) DelayResult {
-	n := k + 1
-	if n > dc.n {
-		n = dc.n
-	}
+	n := min(k+1, len(dc.node))
 	res := DelayResult{Connected: true, Nodes: n}
 	if n < 2 {
 		return res
 	}
 	if n < dc.solved { // shrinking prefix: restart the incremental build
 		dc.solved = 1
-		dc.dist[0] = 0
 	}
 	for dc.solved < n {
 		dc.addNode()
 	}
-	worst := 0
-	st := dc.stride
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			switch {
-			case dc.dist[i*st+j] == delayInf:
-				res.Connected = false
-			case dc.dist[i*st+j] > worst:
-				worst = dc.dist[i*st+j]
-			}
-		}
-	}
-	res.Hours = float64(worst) / 60
+	res.Hours = float64(dc.worst) / 60
+	res.Connected = dc.conn
 	return res
 }
 

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -524,4 +526,267 @@ func randSet(rng *rand.Rand) interval.Set {
 		ivs = append(ivs, interval.Interval{Start: start, End: start + 1 + rng.Intn(200)})
 	}
 	return interval.NewSet(ivs...)
+}
+
+// floydDelay is the delay metric computed the textbook way, sharing no code
+// with DelayCalc: each edge weight is MaxGap of a materialized intersection
+// (IntersectInto), then Floyd–Warshall over {owner} ∪ seq. Out-of-range IDs
+// are never online.
+func floydDelay(owner socialgraph.UserID, seq []socialgraph.UserID, bitmaps []interval.Bitmap) DelayResult {
+	ids := append([]socialgraph.UserID{owner}, seq...)
+	n := len(ids)
+	sched := func(u socialgraph.UserID) *interval.Bitmap {
+		if u < 0 || int(u) >= len(bitmaps) {
+			return new(interval.Bitmap)
+		}
+		return &bitmaps[u]
+	}
+	const inf = math.MaxInt
+	d := make([][]int, n)
+	for i := range d {
+		d[i] = make([]int, n)
+		for j := range d[i] {
+			if i == j {
+				continue
+			}
+			var common interval.Bitmap
+			common.IntersectInto(sched(ids[i]), sched(ids[j]))
+			d[i][j] = inf
+			if gap, ok := common.MaxGap(); ok {
+				d[i][j] = gap
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if d[i][k] != inf && d[k][j] != inf && d[i][k]+d[k][j] < d[i][j] {
+					d[i][j] = d[i][k] + d[k][j]
+				}
+			}
+		}
+	}
+	res := DelayResult{Connected: true, Nodes: n}
+	worst := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if d[i][j] == inf {
+				res.Connected = false
+			} else if d[i][j] > worst {
+				worst = d[i][j]
+			}
+		}
+	}
+	res.Hours = float64(worst) / 60
+	return res
+}
+
+// delayWorld is one owner's schedules and the selections a sweep loads for
+// it, in order: the first through Init, the rest through Reselect.
+type delayWorld struct {
+	bitmaps    []interval.Bitmap
+	owner      socialgraph.UserID
+	selections [][]socialgraph.UserID
+}
+
+// checkDelayCalc loads w's selections into dc and compares every prefix,
+// ascending (one past the end included) and then shrinking, with the
+// Floyd–Warshall oracle.
+func checkDelayCalc(dc *DelayCalc, w delayWorld) error {
+	for s, seq := range w.selections {
+		if s == 0 {
+			dc.Init(w.owner, seq, w.bitmaps)
+		} else {
+			dc.Reselect(seq)
+		}
+		var ks []int
+		for k := 0; k <= len(seq)+1; k++ {
+			ks = append(ks, k)
+		}
+		for k := len(seq); k >= 0; k-- {
+			ks = append(ks, k)
+		}
+		for _, k := range ks {
+			want := floydDelay(w.owner, seq[:min(k, len(seq))], w.bitmaps)
+			if got := dc.Prefix(k); got != want {
+				return fmt.Errorf("owner %d selection %d %v prefix %d: DelayCalc %+v, oracle %+v", w.owner, s, seq, k, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// randomSchedules draws n fragmented schedules, one in five empty.
+func randomSchedules(rng *rand.Rand, n int) []interval.Bitmap {
+	sets := make([]interval.Set, n)
+	for u := range sets {
+		if rng.Intn(5) == 0 {
+			continue
+		}
+		for k := 1 + rng.Intn(5); k > 0; k-- {
+			sets[u] = sets[u].Union(interval.Window(rng.Intn(interval.DayMinutes), 1+rng.Intn(360)))
+		}
+	}
+	return interval.BitmapsFromSets(sets)
+}
+
+// TestQuickDelayCalcReselectMatchesFloydWarshall runs one owner through
+// several overlapping selections drawn from one candidate pool — as the
+// sweep's policies choose from one owner's friends — with repeated IDs, the
+// owner inside a selection, out-of-range and negative IDs and empty
+// schedules. The same owner and IDs are then loaded again over other
+// schedules: Init must forget every memoized weight. One calculator serves
+// every world, as one sweep worker's does.
+func TestQuickDelayCalcReselectMatchesFloydWarshall(t *testing.T) {
+	var dc DelayCalc
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(10)
+		id := func() socialgraph.UserID { return socialgraph.UserID(rng.Intn(n+4) - 2) }
+		w := delayWorld{bitmaps: randomSchedules(rng, n), owner: socialgraph.UserID(rng.Intn(n))}
+		if rng.Intn(8) == 0 {
+			w.owner = id()
+		}
+		pool := make([]socialgraph.UserID, 10)
+		for i := range pool {
+			pool[i] = id()
+		}
+		pool[0] = w.owner
+		for s := 0; s < 4; s++ {
+			seq := make([]socialgraph.UserID, rng.Intn(12))
+			for i := range seq {
+				seq[i] = pool[rng.Intn(len(pool))]
+			}
+			w.selections = append(w.selections, seq)
+		}
+		if err := checkDelayCalc(&dc, w); err != nil {
+			t.Log(err)
+			return false
+		}
+		w.bitmaps = randomSchedules(rng, n)
+		if err := checkDelayCalc(&dc, w); err != nil {
+			t.Log("over new schedules:", err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// decodeDelayWorld reads a delayWorld off fuzz bytes (zeros once they run
+// out): up to 8 users with up to 3 windows each, an owner and up to 4
+// selections of up to 11 IDs in [-2, users+2).
+func decodeDelayWorld(data []byte) delayWorld {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	n := 1 + next()%8
+	sets := make([]interval.Set, n)
+	for u := range sets {
+		for k := next() % 4; k > 0; k-- {
+			sets[u] = sets[u].Union(interval.Window(next()*interval.DayMinutes/256, 1+2*next()))
+		}
+	}
+	id := func() socialgraph.UserID { return socialgraph.UserID(next()%(n+4) - 2) }
+	w := delayWorld{bitmaps: interval.BitmapsFromSets(sets), owner: id()}
+	for s := 1 + next()%4; s > 0; s-- {
+		seq := make([]socialgraph.UserID, next()%12)
+		for i := range seq {
+			seq[i] = id()
+		}
+		w.selections = append(w.selections, seq)
+	}
+	return w
+}
+
+// FuzzDelayCalc holds Init / Reselect / Prefix to the Floyd–Warshall oracle
+// on decoded worlds, then reloads the same IDs over the schedules in reverse
+// user order, which a stale memoized weight would get wrong.
+func FuzzDelayCalc(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 2, 0, 60, 40, 90, 1, 30, 200, 3, 10, 20, 128, 50, 250, 5, 0, 2, 5, 3, 4, 5, 2, 1, 3, 3, 3, 5, 0, 1, 2})
+	f.Add([]byte{7, 1, 0, 255, 2, 100, 10, 140, 10, 0, 3, 5, 5, 200, 120, 9, 0, 1, 1, 3, 3, 1, 255, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := decodeDelayWorld(data)
+		var dc DelayCalc
+		if err := checkDelayCalc(&dc, w); err != nil {
+			t.Fatal(err)
+		}
+		slices.Reverse(w.bitmaps)
+		if err := checkDelayCalc(&dc, w); err != nil {
+			t.Fatal("over reversed schedules:", err)
+		}
+	})
+}
+
+// TestAoDTrackerManyActivitiesOnOneMinute: a minute's multiplicity does not
+// wrap. 70,000 activities on one minute (more than a uint16 holds) count
+// exactly as the one-shot form counts them, whether the minute is covered at
+// Reset or by a later Advance.
+func TestAoDTrackerManyActivitiesOnOneMinute(t *testing.T) {
+	minutes := make([]int, 70_000, 70_003)
+	for i := range minutes {
+		minutes[i] = 600
+	}
+	minutes = append(minutes, 10, 20, 700)
+	var tr AoDTracker
+	tr.InitUser(minutes)
+	early := interval.BitmapsFromSets([]interval.Set{interval.Window(590, 20)})[0]
+	late := interval.BitmapsFromSets([]interval.Set{interval.Window(0, 15)})[0]
+	tr.Reset(&early)
+	check := func(avail *interval.Bitmap) {
+		t.Helper()
+		want, wantOK := AvailabilityOnDemandMinutes(avail, minutes)
+		if got, ok := tr.Value(); got != want || ok != wantOK {
+			t.Fatalf("tracker %v,%v, one-shot %v,%v", got, ok, want, wantOK)
+		}
+	}
+	check(&early)
+	tr.Reset(&late)
+	check(&late)
+	late.OrWith(&early)
+	tr.Advance(&late)
+	check(&late)
+}
+
+var benchSink int
+
+// BenchmarkDelayCalc times the sweep's delay work for one owner: three
+// policies' 10-node selections over the same 10 candidates, every prefix of
+// each, Init once and Reselect per selection. The schedules are fragmented,
+// Sporadic-like days of 5–15 sessions.
+func BenchmarkDelayCalc(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sets := make([]interval.Set, 11)
+	for u := range sets {
+		for k := 5 + rng.Intn(11); k > 0; k-- {
+			sets[u] = sets[u].Union(interval.Window(rng.Intn(interval.DayMinutes), 5+rng.Intn(36)))
+		}
+	}
+	bitmaps := interval.BitmapsFromSets(sets)
+	sels := make([][]socialgraph.UserID, 3)
+	for s := range sels {
+		sels[s] = make([]socialgraph.UserID, 10)
+		for i, p := range rng.Perm(10) {
+			sels[s][i] = socialgraph.UserID(p + 1)
+		}
+	}
+	var dc DelayCalc
+	b.ReportAllocs()
+	for b.Loop() {
+		dc.Init(0, nil, bitmaps)
+		for _, seq := range sels {
+			dc.Reselect(seq)
+			for k := 0; k <= len(seq); k++ {
+				benchSink += dc.Prefix(k).Nodes
+			}
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package replica_test
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -72,5 +74,32 @@ func BenchmarkPlacerInput(b *testing.B) {
 				benchSink += len(pl.Input(owners[i%len(owners)]).Candidates)
 			}
 		})
+	}
+}
+
+// BenchmarkPolicySelect times the randomized policies' selections beside
+// BenchmarkMaxAvSelect: budget 10, cycling over the same degree-10 owners,
+// per mode. One generator runs on across owners.
+func BenchmarkPolicySelect(b *testing.B) {
+	ds, bitmaps := benchFacebook()
+	owners := benchOwners(b, ds)
+	for _, p := range []replica.Policy{replica.MostActive{}, replica.Random{}} {
+		for _, mode := range []replica.Mode{replica.ConRep, replica.UnconRep} {
+			b.Run(p.Name()+"/"+mode.String(), func(b *testing.B) {
+				pl := replica.NewPlacer(ds, bitmaps, mode, 10, p)
+				ins := make([]replica.Input, len(owners))
+				for i, u := range owners {
+					ins[i] = pl.Input(u)
+					// The counts live in the Placer only until its next Input.
+					ins[i].CandidateCounts = slices.Clone(ins[i].CandidateCounts)
+				}
+				rng := rand.New(rand.NewSource(1))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += len(p.Select(ins[i%len(ins)], rng))
+				}
+			})
+		}
 	}
 }

@@ -106,19 +106,79 @@ func (in *Input) Connected(c socialgraph.UserID, chosen []socialgraph.UserID) bo
 	return false
 }
 
-// eligible returns the not-yet-chosen candidates permitted by the mode.
-func (in *Input) eligible(chosen []socialgraph.UserID, taken map[socialgraph.UserID]bool) []socialgraph.UserID {
-	out := make([]socialgraph.UserID, 0, len(in.Candidates))
-	for _, c := range in.Candidates {
-		if taken[c] {
-			continue
-		}
-		if in.Mode == ConRep && !in.Connected(c, chosen) {
-			continue
-		}
-		out = append(out, c)
+// tracker is one Select call's view of the candidate list, per candidate
+// position: its schedule (a pointer into the arena), whether it is taken,
+// and under ConRep whether it is time-connected to the owner or to a pick.
+// Connectivity is maintained incrementally: it starts as "overlaps the
+// owner", and a pick can only switch candidates from unconnected to
+// connected, so one Intersects against the pick per unconnected candidate
+// replaces Input.Connected's rescan of the whole chosen list — with the
+// identical answer at every probe.
+type tracker struct {
+	ids   []socialgraph.UserID
+	cand  []*interval.Bitmap
+	taken []bool
+	conn  []bool // nil under UnconRep, where every candidate is connected
+	pool  []int  // openPool's result, reused at every step
+}
+
+// newTracker starts a tracker over in's candidates: nothing taken, ConRep
+// connectivity seeded from the owner.
+func newTracker(in *Input) tracker {
+	t := tracker{
+		ids:   in.Candidates,
+		cand:  make([]*interval.Bitmap, len(in.Candidates)),
+		taken: make([]bool, len(in.Candidates)),
 	}
-	return out
+	for i, c := range in.Candidates {
+		t.cand[i] = in.bitmap(c)
+	}
+	if in.Mode == ConRep {
+		owner := in.bitmap(in.Owner)
+		t.conn = make([]bool, len(in.Candidates))
+		for i, b := range t.cand {
+			t.conn[i] = b.Intersects(owner)
+		}
+	}
+	return t
+}
+
+// open reports whether candidate position i is not taken and permitted by
+// the mode.
+func (t *tracker) open(i int) bool {
+	return !t.taken[i] && (t.conn == nil || t.conn[i])
+}
+
+// take records the pick of position i. Taken is marked by ID, so a
+// duplicate candidate entry leaves the pool together with its twin.
+func (t *tracker) take(i int) {
+	for j, c := range t.ids {
+		if c == t.ids[i] {
+			t.taken[j] = true
+		}
+	}
+	if t.conn != nil {
+		for j, ok := range t.conn {
+			if !ok && t.cand[j].Intersects(t.cand[i]) {
+				t.conn[j] = true
+			}
+		}
+	}
+}
+
+// openPool returns the open candidate positions in candidate order, so a
+// uniform draw over it picks what a draw over the open candidates would.
+func (t *tracker) openPool() []int {
+	if t.pool == nil {
+		t.pool = make([]int, 0, len(t.ids))
+	}
+	t.pool = t.pool[:0]
+	for i := range t.ids {
+		if t.open(i) {
+			t.pool = append(t.pool, i)
+		}
+	}
+	return t.pool
 }
 
 // Policy chooses replica locations for a user's profile.
@@ -222,45 +282,27 @@ func (m MaxAv) Traits() Traits {
 // in-place word-wise OR.
 func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
-	// taken is indexed by candidate position, not ID. A duplicate candidate
-	// entry would stay "eligible" after its twin is chosen, but its marginal
-	// gain is then 0 and gains must exceed 0 to be picked, so the selected
-	// sequence is identical to the ID-keyed map this replaces.
-	taken := make([]bool, len(in.Candidates))
 	restricted := m.Objective == ObjectiveOnDemandActivity
-
-	// Candidate schedules are pointers into the shared arena. Sizes are
-	// cached so each greedy probe needs a single overlap popcount
-	// (gain = size − overlap).
-	cand := make([]*interval.Bitmap, len(in.Candidates))
-	size := make([]int, len(in.Candidates))
-	for i, c := range in.Candidates {
-		cand[i] = in.bitmap(c)
-		size[i] = cand[i].Minutes()
-	}
-
-	var covered interval.Bitmap // the owner always hosts his profile
-	covered.CopyFrom(in.bitmap(in.Owner))
-	demand := in.Demand
-	if restricted && demand == nil {
+	if restricted && in.Demand == nil {
 		// An unprepared universe is not an empty one: covering nothing would
 		// silently place no replica at all.
 		panic("replica: MaxAv(activity) needs Input.Demand; build the Input with a replica.Placer")
 	}
+	demand := in.Demand
+	// A duplicate candidate entry leaves with its twin (tracker.take); it
+	// could not be picked anyway, since its marginal gain is 0 once the twin
+	// is covered and gains must exceed 0.
+	t := newTracker(&in)
 
-	// ConRep connectivity, maintained incrementally: conn[i] starts as
-	// "overlaps the owner" (covered holds exactly the owner's minutes here)
-	// and each chosen replica can only switch candidates from unconnected to
-	// connected, so one Intersects against the new replica per candidate per
-	// round replaces Connected's rescan of the whole chosen list. The
-	// answers are identical to Input.Connected at every probe.
-	var conn []bool
-	if in.Mode == ConRep {
-		conn = make([]bool, len(in.Candidates))
-		for i := range in.Candidates {
-			conn[i] = cand[i].Intersects(&covered)
-		}
+	// Sizes are cached so each greedy probe needs a single overlap popcount
+	// (gain = size − overlap).
+	size := make([]int, len(t.cand))
+	for i, b := range t.cand {
+		size[i] = b.Minutes()
 	}
+
+	var covered interval.Bitmap // the owner always hosts his profile
+	covered.CopyFrom(in.bitmap(in.Owner))
 
 	// bound[i] is an upper bound on candidate i's marginal gain: initially
 	// its schedule size, thereafter its gain the last time it was evaluated.
@@ -270,28 +312,22 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	// cannot win the round, and one with bound 0 can never be picked at all
 	// (selection requires gain > 0), so both skips leave the chosen
 	// sequence bit-identical to the full rescan.
-	bound := make([]int, len(in.Candidates))
+	bound := make([]int, len(size))
 	copy(bound, size)
 
 	for len(chosen) < in.Budget {
 		bestIdx := -1
 		bestGain := 0
 		bestOverlap := 0
-		for i := range in.Candidates {
-			if taken[i] {
+		for i, b := range t.cand {
+			if !t.open(i) || bound[i] == 0 || bound[i] < bestGain {
 				continue
 			}
-			if conn != nil && !conn[i] {
-				continue
-			}
-			if bound[i] == 0 || bound[i] < bestGain {
-				continue
-			}
-			overlap := covered.OverlapMinutes(cand[i])
+			overlap := covered.OverlapMinutes(b)
 			var gain int
 			if restricted {
 				// Contribution inside the demand universe only.
-				gain = cand[i].MinutesInNotIn(demand, &covered)
+				gain = b.MinutesInNotIn(demand, &covered)
 			} else {
 				gain = size[i] - overlap // |OT_c \ covered|
 			}
@@ -307,15 +343,8 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 			break // no improvement possible: stop, as the paper prescribes
 		}
 		chosen = append(chosen, in.Candidates[bestIdx])
-		taken[bestIdx] = true
-		covered.OrWith(cand[bestIdx])
-		if conn != nil {
-			for i := range conn {
-				if !conn[i] && cand[i].Intersects(cand[bestIdx]) {
-					conn[i] = true
-				}
-			}
-		}
+		covered.OrWith(t.cand[bestIdx])
+		t.take(bestIdx)
 	}
 	return chosen
 }
@@ -347,33 +376,28 @@ func (MostActive) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
 		return in.Candidates[ranked[a]] < in.Candidates[ranked[b]]
 	})
 
+	t := newTracker(&in)
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
-	taken := make(map[socialgraph.UserID]bool, in.Budget)
 	for len(chosen) < in.Budget {
-		// Highest-ranked eligible candidate with non-zero activity.
-		best := socialgraph.UserID(-1)
+		// Highest-ranked open candidate with non-zero activity.
+		best := -1
 		for _, i := range ranked {
-			c := in.Candidates[i]
-			if taken[c] || in.CandidateCounts[i] == 0 {
-				continue
+			if in.CandidateCounts[i] != 0 && t.open(i) {
+				best = i
+				break
 			}
-			if in.Mode == ConRep && !in.Connected(c, chosen) {
-				continue
-			}
-			best = c
-			break
 		}
 		if best < 0 {
 			// Out of active candidates: fall back to random friends, as the
 			// paper prescribes when there are not enough active ones.
-			pool := in.eligible(chosen, taken)
+			pool := t.openPool()
 			if len(pool) == 0 {
 				break
 			}
 			best = pool[rng.Intn(len(pool))]
 		}
-		chosen = append(chosen, best)
-		taken[best] = true
+		chosen = append(chosen, in.Candidates[best])
+		t.take(best)
 	}
 	return chosen
 }
@@ -390,16 +414,16 @@ func (Random) Traits() Traits { return Traits{UsesRNG: true} }
 
 // Select implements Policy.
 func (Random) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
+	t := newTracker(&in)
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
-	taken := make(map[socialgraph.UserID]bool, in.Budget)
 	for len(chosen) < in.Budget {
-		pool := in.eligible(chosen, taken)
+		pool := t.openPool()
 		if len(pool) == 0 {
 			break
 		}
 		pick := pool[rng.Intn(len(pool))]
-		chosen = append(chosen, pick)
-		taken[pick] = true
+		chosen = append(chosen, in.Candidates[pick])
+		t.take(pick)
 	}
 	return chosen
 }

@@ -3,6 +3,8 @@ package replica
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -152,12 +154,8 @@ func TestMostActiveFillsWithRandom(t *testing.T) {
 	if got[0] != 2 {
 		t.Errorf("most active candidate must come first, got %v", got)
 	}
-	seen := map[socialgraph.UserID]bool{}
-	for _, r := range got {
-		if seen[r] {
-			t.Errorf("duplicate replica %d in %v", r, got)
-		}
-		seen[r] = true
+	if !distinct(got) {
+		t.Errorf("duplicate replica in %v", got)
 	}
 }
 
@@ -183,15 +181,11 @@ func TestRandomSelectsWithinBudgetAndMode(t *testing.T) {
 		if len(got) > 3 {
 			t.Fatalf("seed %d: budget exceeded: %v", seed, got)
 		}
-		seen := map[socialgraph.UserID]bool{}
-		for _, r := range got {
-			if r == 3 {
-				t.Fatalf("seed %d: disconnected candidate chosen", seed)
-			}
-			if seen[r] {
-				t.Fatalf("seed %d: duplicate pick %v", seed, got)
-			}
-			seen[r] = true
+		if slices.Contains(got, 3) {
+			t.Fatalf("seed %d: disconnected candidate chosen", seed)
+		}
+		if !distinct(got) {
+			t.Fatalf("seed %d: duplicate pick %v", seed, got)
 		}
 	}
 }
@@ -391,17 +385,7 @@ func TestQuickSelectionWellFormed(t *testing.T) {
 		}
 		p := policies[int(policyIdx)%len(policies)]
 		got := p.Select(in, rng)
-		if len(got) > budget {
-			return false
-		}
-		seen := map[socialgraph.UserID]bool{}
-		for _, r := range got {
-			if r == in.Owner || seen[r] {
-				return false
-			}
-			seen[r] = true
-		}
-		return true
+		return len(got) <= budget && !slices.Contains(got, in.Owner) && distinct(got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -440,5 +424,211 @@ func TestTraitsOfDefaultsConservative(t *testing.T) {
 	tr := TraitsOf(anonPolicy{})
 	if !tr.UsesRNG || !tr.UsesInteractions || !tr.UsesDemand {
 		t.Errorf("undeclared policy traits = %+v, want all true", tr)
+	}
+}
+
+// distinct reports whether no ID repeats in ids.
+func distinct(ids []socialgraph.UserID) bool {
+	sorted := slices.Sorted(slices.Values(ids))
+	return len(slices.Compact(sorted)) == len(ids)
+}
+
+// refEligible is the not-yet-taken candidates the mode permits, found by ID
+// and by rescanning Input.Connected over the chosen list: the pool Random
+// and MostActive drew from before the connectivity tracker.
+func refEligible(in *Input, chosen []socialgraph.UserID, taken map[socialgraph.UserID]struct{}) []socialgraph.UserID {
+	var out []socialgraph.UserID
+	for _, c := range in.Candidates {
+		if _, ok := taken[c]; ok {
+			continue
+		}
+		if in.Mode == ConRep && !in.Connected(c, chosen) {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// refRandom is Random over an ID-keyed taken set and a rebuilt pool.
+func refRandom(in Input, rng *rand.Rand) []socialgraph.UserID {
+	var chosen []socialgraph.UserID
+	taken := map[socialgraph.UserID]struct{}{}
+	for len(chosen) < in.Budget {
+		pool := refEligible(&in, chosen, taken)
+		if len(pool) == 0 {
+			break
+		}
+		pick := pool[rng.Intn(len(pool))]
+		chosen = append(chosen, pick)
+		taken[pick] = struct{}{}
+	}
+	return chosen
+}
+
+// refMostActive is MostActive over an ID-keyed taken set, Connected rescans
+// and a rebuilt fallback pool. "No active candidate left" is a flag, not a
+// negative ID, so a negative candidate ID with activity is ranked like any
+// other (TestMostActiveRanksNegativeID).
+func refMostActive(in Input, rng *rand.Rand) []socialgraph.UserID {
+	ranked := make([]int, len(in.Candidates))
+	for i := range ranked {
+		ranked[i] = i
+	}
+	sort.SliceStable(ranked, func(a, b int) bool {
+		ci, cj := in.CandidateCounts[ranked[a]], in.CandidateCounts[ranked[b]]
+		if ci != cj {
+			return ci > cj
+		}
+		return in.Candidates[ranked[a]] < in.Candidates[ranked[b]]
+	})
+	var chosen []socialgraph.UserID
+	taken := map[socialgraph.UserID]struct{}{}
+	for len(chosen) < in.Budget {
+		var best socialgraph.UserID
+		found := false
+		for _, i := range ranked {
+			c := in.Candidates[i]
+			if _, ok := taken[c]; ok || in.CandidateCounts[i] == 0 {
+				continue
+			}
+			if in.Mode == ConRep && !in.Connected(c, chosen) {
+				continue
+			}
+			best, found = c, true
+			break
+		}
+		if !found {
+			pool := refEligible(&in, chosen, taken)
+			if len(pool) == 0 {
+				break
+			}
+			best = pool[rng.Intn(len(pool))]
+		}
+		chosen = append(chosen, best)
+		taken[best] = struct{}{}
+	}
+	return chosen
+}
+
+// refMaxAv is MaxAv's greedy set cover as a full rescan: every open
+// candidate's gain is recomputed every round (no submodular bound), and
+// connectivity is a Connected rescan. Taken is by position, so a duplicate
+// entry stays open after its twin is picked; its gain is then 0.
+func refMaxAv(m MaxAv, in Input) []socialgraph.UserID {
+	var chosen []socialgraph.UserID
+	taken := make([]bool, len(in.Candidates))
+	var covered interval.Bitmap
+	covered.CopyFrom(in.bitmap(in.Owner))
+	for len(chosen) < in.Budget {
+		bestIdx, bestGain, bestOverlap := -1, 0, 0
+		for i, c := range in.Candidates {
+			if taken[i] || (in.Mode == ConRep && !in.Connected(c, chosen)) {
+				continue
+			}
+			b := in.bitmap(c)
+			overlap := covered.OverlapMinutes(b)
+			gain := b.Minutes() - overlap
+			if m.Objective == ObjectiveOnDemandActivity {
+				gain = b.MinutesInNotIn(in.Demand, &covered)
+			}
+			if gain > bestGain || (gain == bestGain && gain > 0 && overlap < bestOverlap) {
+				bestIdx, bestGain, bestOverlap = i, gain, overlap
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		chosen = append(chosen, in.Candidates[bestIdx])
+		taken[bestIdx] = true
+		covered.OrWith(in.bitmap(in.Candidates[bestIdx]))
+	}
+	return chosen
+}
+
+// randomPolicyInput draws a placement input with the awkward cases: IDs in
+// [-2, users+2) (duplicates, the owner, out-of-range and negative
+// candidates), empty schedules, all-zero, all-tied or mixed counts, either
+// mode, and a budget from 0 to two past the candidate count.
+func randomPolicyInput(rng *rand.Rand) Input {
+	n := 3 + rng.Intn(9)
+	schedules := make([]interval.Set, n)
+	for u := range schedules {
+		for k := rng.Intn(4); k > 0; k-- {
+			schedules[u] = schedules[u].Union(interval.Window(rng.Intn(interval.DayMinutes), 1+rng.Intn(300)))
+		}
+	}
+	cands := make([]socialgraph.UserID, rng.Intn(11))
+	counts := make([]int, len(cands))
+	tied := 1 + rng.Intn(3)
+	shape := rng.Intn(3)
+	for i := range cands {
+		cands[i] = socialgraph.UserID(rng.Intn(n+4) - 2)
+		switch shape {
+		case 1:
+			counts[i] = tied
+		case 2:
+			counts[i] = rng.Intn(3)
+		}
+	}
+	demand := interval.BitmapsFromSets([]interval.Set{interval.Window(rng.Intn(interval.DayMinutes), rng.Intn(600))})[0]
+	mode := ConRep
+	if rng.Intn(2) == 0 {
+		mode = UnconRep
+	}
+	return Input{
+		Owner: socialgraph.UserID(rng.Intn(n)), Candidates: cands, Bitmaps: interval.BitmapsFromSets(schedules),
+		CandidateCounts: counts, Demand: &demand, Mode: mode, Budget: rng.Intn(len(cands) + 3),
+	}
+}
+
+// TestQuickPoliciesMatchReferences holds every policy to its reference on
+// random inputs: the same selection, and the generator left at the same
+// position (the next Int63 is equal), so a sweep's later draws are the same
+// draws.
+func TestQuickPoliciesMatchReferences(t *testing.T) {
+	activity := MaxAv{Objective: ObjectiveOnDemandActivity}
+	policies := []struct {
+		name      string
+		got, want func(Input, *rand.Rand) []socialgraph.UserID
+	}{
+		{"Random", Random{}.Select, refRandom},
+		{"MostActive", MostActive{}.Select, refMostActive},
+		{"MaxAv", MaxAv{}.Select, func(in Input, _ *rand.Rand) []socialgraph.UserID { return refMaxAv(MaxAv{}, in) }},
+		{"MaxAv(activity)", activity.Select, func(in Input, _ *rand.Rand) []socialgraph.UserID { return refMaxAv(activity, in) }},
+	}
+	f := func(seed int64) bool {
+		in := randomPolicyInput(rand.New(rand.NewSource(seed)))
+		for _, p := range policies {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, want := p.got(in, a), p.want(in, b)
+			if !slices.Equal(got, want) {
+				t.Logf("%s %s budget %d candidates %v counts %v: selected %v, reference %v",
+					p.name, in.Mode, in.Budget, in.Candidates, in.CandidateCounts, got, want)
+				return false
+			}
+			if x, y := a.Int63(), b.Int63(); x != y {
+				t.Logf("%s: selection %v left the generator at a different position", p.name, got)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMostActiveRanksNegativeID: a candidate ID below zero (a never-online
+// user) with activity is the top-ranked pick like any other; "no active
+// candidate left" is signalled by position, so it is not mistaken for one.
+func TestMostActiveRanksNegativeID(t *testing.T) {
+	in := fixture(UnconRep, 1)
+	in.Candidates = []socialgraph.UserID{1, -1, 2, 5}
+	in.CandidateCounts = []int{0, 5, 0, 0}
+	for seed := int64(0); seed < 8; seed++ {
+		if got := (MostActive{}).Select(in, rand.New(rand.NewSource(seed))); !slices.Equal(got, []socialgraph.UserID{-1}) {
+			t.Fatalf("seed %d: MostActive = %v, want [-1]", seed, got)
+		}
 	}
 }
