@@ -14,9 +14,10 @@ import (
 
 // compareDraws makes the same calls on want and got and reports the first
 // whose results differ. The calls cycle through every *rand.Rand method the
-// policies and experiments use: Intn on its power-of-two, rejection and
-// 63-bit paths, Int63, Uint64, Float64, Perm and Shuffle — so the stream is
-// read well past the 273-word lag and the 607-word wrap.
+// policies and experiments use: Intn on its power-of-two and rejection
+// paths, Int63n (Intn's path past 31 bits, called directly so the test
+// builds where int has 32), Int63, Uint64, Float64, Perm and Shuffle — so
+// the stream is read well past the 273-word lag and the 607-word wrap.
 func compareDraws(want, got *rand.Rand, calls int) error {
 	for i := 0; i < calls; i++ {
 		var a, b any
@@ -28,7 +29,7 @@ func compareDraws(want, got *rand.Rand, calls int) error {
 		case 2: // rejects almost half of its draws
 			a, b = want.Intn(1<<30+1), got.Intn(1<<30+1)
 		case 3:
-			a, b = want.Intn(1<<40+3), got.Intn(1<<40+3)
+			a, b = want.Int63n(1<<40+3), got.Int63n(1<<40+3)
 		case 4:
 			a, b = want.Int63(), got.Int63()
 		case 5:

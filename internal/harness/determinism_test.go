@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"dosn/internal/obs"
@@ -16,9 +18,10 @@ import (
 // included, which counts cell-to-cell reuse whichever worker built an entry.
 func TestRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// The architecture axis puts ring construction and lookup-driven
-	// placement under the guarantee; testSpec's two models give each dataset
-	// two schedule entries, whose first builds the claim order runs side by
-	// side.
+	// placement under the guarantee; testSpec's two datasets are synthesized
+	// side by side, and its two models give each dataset two schedule
+	// entries, whose first builds the claim order also runs side by side. Odd
+	// worker counts (3, 7) split the round-robin over datasets unevenly.
 	archSpec := testSpec()
 	archSpec.Models = archSpec.Models[:1]
 	archSpec.Architectures = []string{"FriendReplica", "RandomDHT", "SocialDHT"}
@@ -42,7 +45,9 @@ func TestRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		variants := []RunOptions{
 			{Workers: 1, CoreWorkers: 8},
 			{Workers: 2, CoreWorkers: 4},
+			{Workers: 3, CoreWorkers: 2},
 			{Workers: 4, CoreWorkers: 2},
+			{Workers: 7, CoreWorkers: 1},
 			{Workers: 8, CoreWorkers: 1},
 			{Workers: 8, CoreWorkers: 1}, // same count twice: scheduling jitter
 		}
@@ -93,6 +98,67 @@ func TestTelemetryDoesNotPerturbManifest(t *testing.T) {
 		if got := marshal(instrumented(opts)); !bytes.Equal(ref, got) {
 			t.Errorf("telemetry perturbed the manifest for %+v", opts)
 		}
+	}
+}
+
+// TestDatasetsSynthesizeSideBySide: two workers over two datasets claim one
+// cell of each first, so the two single-stream syntheses overlap instead of
+// the second worker idling through each. The failpoint stretches every
+// synthesis to at least 300 ms, so the overlap cannot be a scheduling
+// accident. Exactly one cell per dataset books synthesize; its siblings
+// book the wait as cache-wait. On one dataset, the second worker's first
+// cell waits out the whole synthesis.
+func TestDatasetsSynthesizeSideBySide(t *testing.T) {
+	withHarnessFaults(t, "trace.synthesize=delay(300ms)")
+	type span struct{ start, end float64 }
+	run := func(spec MatrixSpec) (*obs.Report, map[string][]span) {
+		t.Helper()
+		col := obs.NewCollector()
+		var events bytes.Buffer
+		col.AttachEvents(&events)
+		if _, err := Run(spec, RunOptions{Workers: 2, Telemetry: col}); err != nil {
+			t.Fatal(err)
+		}
+		rep := col.Report("test")
+		synth := make(map[string][]span) // dataset -> its synthesize phases
+		for _, line := range bytes.Split(bytes.TrimSpace(events.Bytes()), []byte("\n")) {
+			var e obs.Event
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("bad event %q: %v", line, err)
+			}
+			if e.Ev == "phase" && e.Phase == "synthesize" {
+				dataset, _, _ := strings.Cut(e.Cell, "/")
+				synth[dataset] = append(synth[dataset], span{e.TMS - e.MS, e.TMS})
+			}
+		}
+		return rep, synth
+	}
+
+	_, synth := run(testSpec())
+	fb, tw := synth["facebook"], synth["twitter"]
+	if len(fb) != 1 || len(tw) != 1 {
+		t.Fatalf("synthesize booked by %d facebook and %d twitter cells, want one each", len(fb), len(tw))
+	}
+	if fb[0].start >= tw[0].end || tw[0].start >= fb[0].end {
+		t.Errorf("syntheses ran one after the other: facebook %v ms, twitter %v ms", fb[0], tw[0])
+	}
+
+	one := testSpec()
+	one.Datasets = one.Datasets[:1]
+	rep, synth := run(one)
+	if n := len(synth["facebook"]); n != 1 {
+		t.Fatalf("synthesize booked by %d cells of one dataset, want one", n)
+	}
+	var waitMS float64
+	for _, c := range rep.Cells {
+		for _, p := range c.Phases {
+			if p.Name == obs.CacheWait {
+				waitMS = max(waitMS, p.MS)
+			}
+		}
+	}
+	if waitMS < 200 {
+		t.Errorf("longest cache-wait %.1f ms; the second worker should wait out a ≥ 300 ms synthesis", waitMS)
 	}
 }
 

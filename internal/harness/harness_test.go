@@ -91,14 +91,22 @@ func TestCellsEnumerateInCanonicalOrder(t *testing.T) {
 }
 
 // TestClaimOrderSpreadsFirstBuilds pins the order workers claim cells in:
-// a permutation of the cell indices; datasets in spec order; within a
-// dataset, every first needer of a (dataset, model) schedule entry before
-// every reuser; index order inside each group. DHT cells share the entry
-// of the friend cells over the same (dataset, model), so on the
+// a permutation of the cell indices, taken round-robin over the datasets in
+// spec order, so every dataset's first cell is claimed before any dataset's
+// second, its second before any dataset's third, and so on. Within a
+// dataset, every first needer of a (dataset, model) schedule entry comes
+// before every reuser, in index order inside each group. DHT cells share
+// the entry of the friend cells over the same (dataset, model), so on the
 // architecture axis only the first cell of each entry is a first needer.
 func TestClaimOrderSpreadsFirstBuilds(t *testing.T) {
 	wide := testSpec()
 	wide.Architectures = []string{"FriendReplica", "RandomDHT", "SocialDHT"}
+	three := testSpec()
+	three.Datasets = []DatasetSpec{
+		{Name: "facebook", Users: 300, Seed: 1},
+		{Name: "facebook", Users: 300, Seed: 3},
+		{Name: "twitter", Users: 300, Seed: 2},
+	}
 	seq := func(from, to, step int) []int {
 		var out []int
 		for i := from; i < to; i += step {
@@ -113,17 +121,37 @@ func TestClaimOrderSpreadsFirstBuilds(t *testing.T) {
 		}
 		return out
 	}
+	// roundRobin takes one element of each list in turn.
+	roundRobin := func(lists ...[]int) []int {
+		var out []int
+		for k := 0; ; k++ {
+			took := false
+			for _, l := range lists {
+				if k < len(l) {
+					out, took = append(out, l[k]), true
+				}
+			}
+			if !took {
+				return out
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		spec MatrixSpec
 		want []int
 	}{
 		// 2 datasets × 2 models × 2 modes: entries start at 0, 2 and 4, 6.
-		{"testSpec", testSpec(), []int{0, 2, 1, 3, 4, 6, 5, 7}},
+		{"testSpec", testSpec(), roundRobin([]int{0, 2, 1, 3}, []int{4, 6, 5, 7})},
 		// × 3 architectures: 12 cells a dataset, entries start at 0, 6 and 12, 18.
-		{"architectures", wide, cat([]int{0, 6}, seq(1, 6, 1), seq(7, 12, 1), []int{12, 18}, seq(13, 18, 1), seq(19, 24, 1))},
-		// The paper's 24 cells: six models a dataset, ConRep first needs each.
-		{"paper", PaperMatrix(100), cat(seq(0, 12, 2), seq(1, 12, 2), seq(12, 24, 2), seq(13, 24, 2))},
+		{"architectures", wide, roundRobin(
+			cat([]int{0, 6}, seq(1, 6, 1), seq(7, 12, 1)),
+			cat([]int{12, 18}, seq(13, 18, 1), seq(19, 24, 1)))},
+		// One dataset at two seeds is two datasets: three lists of four.
+		{"three datasets", three, roundRobin([]int{0, 2, 1, 3}, []int{4, 6, 5, 7}, []int{8, 10, 9, 11})},
+		// The paper's 24 cells: six models a dataset, ConRep first needs
+		// each, so the claims run 0, 12, 2, 14, … 10, 22, 1, 13, … 11, 23.
+		{"paper", PaperMatrix(100), roundRobin(cat(seq(0, 12, 2), seq(1, 12, 2)), cat(seq(12, 24, 2), seq(13, 24, 2)))},
 	} {
 		cells := tc.spec.Cells()
 		order := claimOrder(cells)
@@ -142,25 +170,31 @@ func TestClaimOrderSpreadsFirstBuilds(t *testing.T) {
 		}
 		first := func(i int) bool { return firstOf[cells[i].scheduleKey()] == i }
 		seen := make([]bool, len(cells))
-		for k, i := range order {
+		claimed := make([]int, len(tc.spec.Datasets)) // claims so far, per dataset
+		last := make(map[int]int)                     // dataset -> its latest claim
+		prevRank, prevD := -1, -1
+		for _, i := range order {
 			if i < 0 || i >= len(cells) || seen[i] {
 				t.Fatalf("%s: claim order %v is not a permutation of 0..%d", tc.name, order, len(cells)-1)
 			}
 			seen[i] = true
-			if k == 0 {
-				continue
+			d := datasetPos[cells[i].Dataset.key()]
+			rank := claimed[d] // cell i is its dataset's claim number rank+1
+			claimed[d]++
+			if rank < prevRank || (rank == prevRank && d < prevD) {
+				t.Errorf("%s: cell %d (dataset %d's claim %d) claimed after dataset %d's claim %d",
+					tc.name, i, d, rank+1, prevD, prevRank+1)
 			}
-			p := order[k-1]
-			dp, di := datasetPos[cells[p].Dataset.key()], datasetPos[cells[i].Dataset.key()]
-			switch {
-			case di < dp:
-				t.Errorf("%s: cell %d (dataset %d) claimed after cell %d (dataset %d)", tc.name, i, di, p, dp)
-			case di > dp:
-			case !first(p) && first(i):
-				t.Errorf("%s: first needer %d claimed after reuser %d", tc.name, i, p)
-			case first(p) == first(i) && i < p:
-				t.Errorf("%s: cell %d claimed after cell %d of its group", tc.name, i, p)
+			prevRank, prevD = rank, d
+			if p, ok := last[d]; ok {
+				switch {
+				case !first(p) && first(i):
+					t.Errorf("%s: first needer %d claimed after reuser %d", tc.name, i, p)
+				case first(p) == first(i) && i < p:
+					t.Errorf("%s: cell %d claimed after cell %d of its group", tc.name, i, p)
+				}
 			}
+			last[d] = i
 		}
 		if len(order) != len(cells) {
 			t.Errorf("%s: %d claims for %d cells", tc.name, len(order), len(cells))

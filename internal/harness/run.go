@@ -40,8 +40,9 @@ type RunOptions struct {
 	// Workers bounds the number of cells executed concurrently; default
 	// NumCPU (capped by the cell count). Workers claim cells in claimOrder
 	// through fault.Chunks; one worker runs every cell on the calling
-	// goroutine in that order, which makes it the serial reference execution
-	// that fire-on-Nth-hit failpoints are placed against.
+	// goroutine in that order — alternating datasets when the spec has
+	// several — which makes it the serial reference execution that
+	// fire-on-Nth-hit failpoints are placed against.
 	Workers int
 	// CoreWorkers bounds core.Run's per-user pool inside each cell; default
 	// max(1, NumCPU/Workers) so the two layers together roughly fill the
@@ -111,19 +112,21 @@ type lazy[T any] struct {
 	val  T
 }
 
-func (l *lazy[T]) get(compute func() (T, error)) (T, error) {
+// get returns the slot's value, computing it if no caller has yet. ran
+// reports whether this call ran compute (whether or not it failed): a caller
+// that gets ran == false waited on, or reused, another caller's work.
+func (l *lazy[T]) get(compute func() (T, error)) (v T, ran bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
-		return l.val, nil
+		return l.val, false, nil
 	}
-	v, err := compute()
-	if err != nil {
+	if v, err = compute(); err != nil {
 		var zero T
-		return zero, err
+		return zero, true, err
 	}
 	l.val, l.done = v, true
-	return v, nil
+	return v, true, nil
 }
 
 // schedEntry is one (dataset, model) schedule-cache slot. Beyond the lazy
@@ -168,8 +171,9 @@ func (c *caches) datasetEntry(key string) *lazy[*trace.Dataset] {
 // ringFor computes (or fetches) the ring shared by every DHT cell over the
 // given dataset. The ring is a pure function of (user count, ring bits) —
 // like the dataset, it is infrastructure, independent of the root seed — so
-// two cells over the same dataset always route on the same ring.
-func (c *caches) ringFor(d DatasetSpec, bits int, ds *trace.Dataset) (*dht.Ring, error) {
+// two cells over the same dataset always route on the same ring. built
+// reports whether this call built it.
+func (c *caches) ringFor(d DatasetSpec, bits int, ds *trace.Dataset) (ring *dht.Ring, built bool, err error) {
 	key := fmt.Sprintf("%s|%d", d.key(), bits)
 	c.mu.Lock()
 	e, ok := c.rings[key]
@@ -211,17 +215,20 @@ func buildDataset(d DatasetSpec) (*trace.Dataset, error) {
 // parallel phase-2 row construction may use it freely because worker counts
 // never reach the table bytes. hit reports whether a different cell asked
 // for the entry first — cell-to-cell reuse, feeding execution-only
-// telemetry. The manifest's ScheduleCacheHits is NOT this measured count
-// but the spec-derived expectedScheduleHits: under resume the measured
-// count shifts (restored cells never ask) while the manifest bytes must not.
-func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit bool, err error) {
+// telemetry — and built whether this call ran the build. The two differ
+// when a cell rebuilds an entry whose first asker's build failed, or when a
+// retry finds its own abandoned attempt's entry. The manifest's
+// ScheduleCacheHits is NOT the measured hit count but the spec-derived
+// expectedScheduleHits: under resume the measured count shifts (restored
+// cells never ask) while the manifest bytes must not.
+func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit, built bool, err error) {
 	entry := c.scheduleEntry(cell.scheduleKey())
 	me := int64(cell.Index) + 1
 	if !entry.firstCell.CompareAndSwap(0, me) && entry.firstCell.Load() != me {
 		hit = true
 		obsSchedHits.Inc()
 	}
-	tables, err = entry.get(func() ([]*onlinetime.Table, error) {
+	tables, built, err = entry.get(func() ([]*onlinetime.Table, error) {
 		out := make([]*onlinetime.Table, spec.Repeats)
 		for rep := range out {
 			seed := spec.scheduleSeed(cell.Dataset, cell.Model, rep)
@@ -232,34 +239,50 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 		}
 		return out, nil
 	})
-	return tables, hit, err
+	return tables, hit, built, err
 }
 
-// claimOrder is the order in which workers claim cells: datasets in spec
-// order and, within a dataset, first every cell that is the first to need
-// its (dataset, model) schedule entry, then the dataset's other cells, each
-// group in index order. Cells() enumerates dataset → model → mode, so
-// claiming by index hands two workers the two modes of one model and the
-// second idles on the first one's schedule build; this order starts a
-// dataset's builds side by side and leaves the reusers to find their entries
-// built. Grouping by dataset keeps two datasets from being synthesized at
-// once, which would raise the peak heap.
+// claimOrder is the order in which workers claim cells. Each dataset gets a
+// list: first every cell that is the first to need its (dataset, model)
+// schedule entry, then the dataset's other cells, each group in index order.
+// Workers take the lists round-robin, datasets in spec order: every
+// dataset's first cell, then every dataset's second, and so on. Cells()
+// enumerates dataset → model → mode, so claiming by index hands two workers
+// the two modes of one model and the second idles on the first one's
+// schedule build, and claiming one dataset at a time idles the second worker
+// through each dataset's single-stream synthesis. This order synthesizes the
+// datasets side by side, then starts their builds side by side, and leaves
+// the reusers to find their entries built.
 func claimOrder(cells []CellSpec) []int {
-	order := make([]int, 0, len(cells))
+	var lists, reusers [][]int
+	pos := make(map[string]int)
 	seen := make(map[string]bool)
-	var reusers []int
 	for i, c := range cells {
-		if i > 0 && c.Dataset.key() != cells[i-1].Dataset.key() {
-			order, reusers = append(order, reusers...), reusers[:0]
+		d, ok := pos[c.Dataset.key()]
+		if !ok {
+			d = len(lists)
+			pos[c.Dataset.key()] = d
+			lists, reusers = append(lists, nil), append(reusers, nil)
 		}
 		if k := c.scheduleKey(); seen[k] {
-			reusers = append(reusers, i)
+			reusers[d] = append(reusers[d], i)
 		} else {
 			seen[k] = true
-			order = append(order, i)
+			lists[d] = append(lists[d], i)
 		}
 	}
-	return append(order, reusers...)
+	for d := range lists {
+		lists[d] = append(lists[d], reusers[d]...)
+	}
+	order := make([]int, 0, len(cells))
+	for k := 0; len(order) < len(cells); k++ {
+		for _, l := range lists {
+			if k < len(l) {
+				order = append(order, l[k])
+			}
+		}
+	}
+	return order
 }
 
 // Run executes every cell of the matrix and returns the assembled manifest.
@@ -461,25 +484,27 @@ func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy,
 // CoreWorkers is read from opts; the cell result depends on (spec, cell)
 // alone. co (nil when telemetry is off) receives the per-phase
 // breakdown: synthesize → ring-build → schedule-build → sweep, with core
-// filling the finer sweep-shards/reduce split inside the sweep phase.
+// filling the finer sweep-shards/reduce split inside the sweep phase. The
+// first three fetch shared cache entries, and only the cell that computes an
+// entry books its time there; a cell that waits on, or reuses, a sibling's
+// books cache-wait instead.
 func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
-	phaseDone := co.Phase("synthesize")
-	ds, err := shared.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
+	cacheDone := co.CachePhase("synthesize")
+	ds, built, err := shared.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
 		return buildDataset(cell.Dataset)
 	})
-	phaseDone()
+	cacheDone(built)
 	if err != nil {
 		return CellResult{}, err
 	}
 	if !cell.isFriend() {
-		phaseDone = co.Phase("ring-build")
-		ring, err := shared.ringFor(cell.Dataset, cell.RingBits, ds)
+		cacheDone = co.CachePhase("ring-build")
+		ring, built, err := shared.ringFor(cell.Dataset, cell.RingBits, ds)
+		cacheDone(built)
 		if err != nil {
-			phaseDone()
 			return CellResult{}, err
 		}
 		arch, err := dht.NewArchitecture(cell.Arch, ring, ds.Graph, nil)
-		phaseDone()
 		if err != nil {
 			return CellResult{}, err
 		}
@@ -489,9 +514,9 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 	if err != nil {
 		return CellResult{}, err
 	}
-	phaseDone = co.Phase("schedule-build")
-	schedules, hit, err := shared.schedulesFor(spec, cell, ds, model, opts.CoreWorkers)
-	phaseDone()
+	cacheDone = co.CachePhase("schedule-build")
+	schedules, hit, built, err := shared.schedulesFor(spec, cell, ds, model, opts.CoreWorkers)
+	cacheDone(built)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -500,7 +525,7 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 	}
 	seed := spec.CellSeed(cell)
 	co.SetSweepWorkers(opts.CoreWorkers)
-	phaseDone = co.Phase("sweep")
+	phaseDone := co.Phase("sweep")
 	res, err := core.Run(core.Config{
 		Dataset:    ds,
 		Model:      model,

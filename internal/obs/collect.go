@@ -19,7 +19,11 @@ import (
 //
 // t_ms is milliseconds since the collector was created; ms is the duration
 // of the thing that just finished. worker identifies the harness worker
-// goroutine that ran the cell.
+// goroutine that ran the cell. A harness cell's phases are synthesize,
+// ring-build (DHT cells), schedule-build and sweep; the first three only
+// for the cell that computed the shared entry, while a cell that waited on,
+// or reused, a sibling's entry books cache-wait. Inside a cell, core adds
+// sweep-shards, reduce and pipeline-stall to the report without events.
 type Event struct {
 	TMS    float64 `json:"t_ms"`
 	Ev     string  `json:"ev"`
@@ -36,8 +40,9 @@ type Event struct {
 // zero-cost-when-off switch: instrumentation sites call methods
 // unconditionally and pay a nil check when telemetry is disabled.
 type Collector struct {
-	watch Watch
-	reg   *Registry
+	watch       Watch
+	reg         *Registry
+	calibration Calibration
 
 	mu       sync.Mutex
 	cells    []*CellObs
@@ -49,9 +54,12 @@ type Collector struct {
 }
 
 // NewCollector starts a collector reading metrics from the Default
-// registry.
+// registry. It first runs the ≈ 50 ms calibration loop, before its clock
+// starts, so the report carries the machine's score and the run's wall
+// time excludes it; a run without a collector pays nothing.
 func NewCollector() *Collector {
-	return &Collector{watch: StartWatch(), reg: Default}
+	cal := calibrate()
+	return &Collector{watch: StartWatch(), reg: Default, calibration: cal}
 }
 
 // AttachEvents streams JSONL events to w (one Event per line) and emits
@@ -189,6 +197,10 @@ type PhaseStat struct {
 	HeapMB float64 `json:"heap_mb,omitempty"`
 }
 
+// CacheWait is the phase a cell books for the time it spent waiting on, or
+// reusing, a shared cache entry another cell computed.
+const CacheWait = "cache-wait"
+
 // Phase starts a named phase and returns the function that ends it. The
 // end function records the accumulated duration, snapshots the heap, and
 // emits a phase event. Typical use: done := co.Phase("sweep"); ...; done().
@@ -196,20 +208,44 @@ func (o *CellObs) Phase(name string) func() {
 	if o == nil {
 		return func() {}
 	}
-	o.col.setPhase(o.key + " · " + name)
-	w := StartWatch()
-	return func() {
-		ns := w.ElapsedNS()
-		heap := heapMB()
-		ms := float64(ns) / 1e6
-		o.mu.Lock()
-		st := o.phaseLocked(name)
-		st.MS += ms
-		st.Calls++
-		st.HeapMB = heap
-		o.mu.Unlock()
-		o.col.emit(Event{Ev: "phase", Cell: o.key, Phase: name, Worker: o.worker, MS: roundMS(ms), HeapMB: heap})
+	w := o.startPhase(name)
+	return func() { o.endPhase(name, w) }
+}
+
+// CachePhase starts a phase that fetches a shared cache entry. Its end
+// function books the time under name when this cell computed the entry,
+// and under CacheWait when the cell waited on, or reused, one another cell
+// computed: a wait is not the work it waited for.
+func (o *CellObs) CachePhase(name string) func(computed bool) {
+	if o == nil {
+		return func(bool) {}
 	}
+	w := o.startPhase(name)
+	return func(computed bool) {
+		if computed {
+			o.endPhase(name, w)
+		} else {
+			o.endPhase(CacheWait, w)
+		}
+	}
+}
+
+func (o *CellObs) startPhase(name string) Watch {
+	o.col.setPhase(o.key + " · " + name)
+	return StartWatch()
+}
+
+func (o *CellObs) endPhase(name string, w Watch) {
+	ns := w.ElapsedNS()
+	heap := heapMB()
+	ms := float64(ns) / 1e6
+	o.mu.Lock()
+	st := o.phaseLocked(name)
+	st.MS += ms
+	st.Calls++
+	st.HeapMB = heap
+	o.mu.Unlock()
+	o.col.emit(Event{Ev: "phase", Cell: o.key, Phase: name, Worker: o.worker, MS: roundMS(ms), HeapMB: heap})
 }
 
 // AddPhaseNS accumulates ns nanoseconds into a named phase without heap

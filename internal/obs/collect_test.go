@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,6 +29,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil collector must hand out nil cell obs")
 	}
 	o.Phase("p")()
+	o.CachePhase("p")(false)
 	o.AddPhaseNS("p", 100)
 	o.SetSweepWorkers(4)
 	o.MarkScheduleCacheHit()
@@ -116,6 +120,62 @@ func TestCollectorReportAndEvents(t *testing.T) {
 	var back Report
 	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
+	}
+}
+
+// TestReportEnvAndCalibration pins the env block and the calibration score
+// every report carries: the running build and machine, under the JSON keys
+// a diff of two reports reads, and one timed pass of the fixed-work loop.
+func TestReportEnvAndCalibration(t *testing.T) {
+	rep := NewCollector().Report("x")
+	e := rep.Env
+	if e.GoVersion != runtime.Version() || e.GOOS != runtime.GOOS || e.GOARCH != runtime.GOARCH {
+		t.Errorf("build fields wrong: %+v", e)
+	}
+	if e.NumCPU != runtime.NumCPU() || e.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("cpu counts wrong: %+v", e)
+	}
+	if (runtime.GOARCH == "amd64") != strings.HasPrefix(e.GOAMD64, "v") {
+		t.Errorf("goamd64 = %q on %s", e.GOAMD64, runtime.GOARCH)
+	}
+	if !slices.Equal(e.Args, os.Args[1:]) {
+		t.Errorf("args = %q, want %q", e.Args, os.Args[1:])
+	}
+	if c := rep.Calibration; c.WorkUnits != calibrationUnits || c.MS <= 0 {
+		t.Errorf("calibration = %+v, want %d work units in a positive time", c, calibrationUnits)
+	}
+	t.Logf("env %+v, calibration %+v", e, rep.Calibration)
+
+	var out bytes.Buffer
+	if err := rep.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		Env         map[string]json.RawMessage `json:"env"`
+		Calibration map[string]json.RawMessage `json:"calibration"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"go_version", "goos", "goarch", "num_cpu", "gomaxprocs", "cpu_model", "args"} {
+		if _, ok := raw.Env[k]; !ok {
+			t.Errorf("env lacks %q: %v", k, raw.Env)
+		}
+	}
+	for _, k := range []string{"ms", "work_units"} {
+		if _, ok := raw.Calibration[k]; !ok {
+			t.Errorf("calibration lacks %q: %v", k, raw.Calibration)
+		}
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	x86 := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel\t\t: 85\nmodel name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n\nprocessor\t: 1\nmodel name\t: second\n"
+	if got := cpuModel(x86); got != "Intel(R) Xeon(R) CPU @ 2.20GHz" {
+		t.Errorf("cpuModel = %q, want the first model name", got)
+	}
+	if got := cpuModel("processor\t: 0\nBogoMIPS\t: 50.00\n"); got != "" {
+		t.Errorf("cpuModel without a model name = %q, want empty", got)
 	}
 }
 

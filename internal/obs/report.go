@@ -8,20 +8,23 @@ import (
 )
 
 // ReportSchema versions the telemetry report layout for downstream tooling.
-const ReportSchema = 1
+// Schema 2 added env and calibration, and the cache-wait phase.
+const ReportSchema = 2
 
 // Report is the telemetry side artifact (-telemetry out.json). It is never
 // part of the canonical manifest: manifests are pure functions of
 // (spec, seed), reports are wall-clock truth about one execution.
 type Report struct {
-	Schema   int                  `json:"schema"`
-	Command  string               `json:"command,omitempty"`
-	WallMS   float64              `json:"wall_ms"`
-	Workers  int                  `json:"workers,omitempty"`
-	Cells    []CellReport         `json:"cells,omitempty"`
-	Counters map[string]int64     `json:"counters,omitempty"`
-	Timers   map[string]TimerStat `json:"timers,omitempty"`
-	Mem      MemSnapshot          `json:"mem"`
+	Schema      int                  `json:"schema"`
+	Command     string               `json:"command,omitempty"`
+	Env         Env                  `json:"env"`
+	Calibration Calibration          `json:"calibration"`
+	WallMS      float64              `json:"wall_ms"`
+	Workers     int                  `json:"workers,omitempty"`
+	Cells       []CellReport         `json:"cells,omitempty"`
+	Counters    map[string]int64     `json:"counters,omitempty"`
+	Timers      map[string]TimerStat `json:"timers,omitempty"`
+	Mem         MemSnapshot          `json:"mem"`
 }
 
 // CellReport is one cell's execution breakdown.
@@ -95,13 +98,15 @@ func (c *Collector) Report(command string) *Report {
 	c.mu.Unlock()
 
 	rep := &Report{
-		Schema:   ReportSchema,
-		Command:  command,
-		WallMS:   wallMS,
-		Workers:  workers,
-		Counters: nonZero(c.reg.Counters()),
-		Timers:   c.reg.Timers(),
-		Mem:      ReadMem(),
+		Schema:      ReportSchema,
+		Command:     command,
+		Env:         readEnv(),
+		Calibration: c.calibration,
+		WallMS:      wallMS,
+		Workers:     workers,
+		Counters:    nonZero(c.reg.Counters()),
+		Timers:      c.reg.Timers(),
+		Mem:         ReadMem(),
 	}
 	for _, o := range cells {
 		rep.Cells = append(rep.Cells, o.report())

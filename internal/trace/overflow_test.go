@@ -26,7 +26,8 @@ func TestCheckActivityCountBoundary(t *testing.T) {
 // exceeds the int32 index range must fail with ErrTooManyActivities before
 // any activity column is allocated (the guard runs on the RNG-free exact
 // total, so this test needs only the small degree/count draws, not 2^31
-// rows of memory).
+// rows of memory). The total is summed in 64 bits: where int has 32, an int
+// sum wrapped negative, passed the guard and panicked in make.
 func TestSynthesizeRefusesInt32Overflow(t *testing.T) {
 	cfg := SynthConfig{
 		Name:     "overflow",

@@ -211,13 +211,14 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	// activityTargets depends only on the graph and counts are already
 	// drawn, so the total consumes no RNG. This is also where the int32
 	// index guard fires: past MaxActivities the CSR build and the sort
-	// permutation would silently wrap.
-	total := 0
+	// permutation would silently wrap. The sum is 64-bit so that it cannot
+	// wrap first where int has 32 bits.
+	var total int64
 	for u := range counts {
 		if len(activityTargets(g, socialgraph.UserID(u))) == 0 {
 			counts[u] = 0 // nobody to address: the user creates nothing
 		}
-		total += counts[u]
+		total += int64(counts[u])
 	}
 	if err := checkActivityCount(cfg.Name, total); err != nil {
 		return nil, err
@@ -228,7 +229,7 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	// creator survives — all the generation buffers can ever hold; how many
 	// of those also keep their receiver is known only once they are drawn.
 	var kept, remap []socialgraph.UserID
-	users, bound := cfg.Users, total
+	users, bound := cfg.Users, int(total) // ≤ MaxActivities, checked above
 	if minActivity > 0 {
 		remap = make([]socialgraph.UserID, cfg.Users)
 		bound = 0

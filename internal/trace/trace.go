@@ -225,7 +225,7 @@ func (d *Dataset) invalidate() {
 // is allocated, so the panic is reachable only from hand-built datasets that
 // ignored those entry points.
 func (d *Dataset) Reindex() {
-	if err := checkActivityCount(d.Name, len(d.atUnix)); err != nil {
+	if err := checkActivityCount(d.Name, int64(len(d.atUnix))); err != nil {
 		panic(err)
 	}
 	d.sortByTimestamp()
@@ -274,7 +274,7 @@ func (d *Dataset) sortByTimestamp() {
 	}
 	// Reindex checks before calling, but the permutation is int32 and would
 	// wrap silently past MaxActivities — hold the invariant locally too.
-	if err := checkActivityCount(d.Name, len(d.atUnix)); err != nil {
+	if err := checkActivityCount(d.Name, int64(len(d.atUnix))); err != nil {
 		panic(err)
 	}
 	perm := make([]int32, len(d.atUnix))
@@ -632,8 +632,9 @@ var ErrTooManyActivities = errors.New("trace: activity count exceeds int32 index
 const MaxActivities = math.MaxInt32
 
 // checkActivityCount returns ErrTooManyActivities (wrapped, with context) if
-// n rows would overflow the int32 activity indexes.
-func checkActivityCount(name string, n int) error {
+// n rows would overflow the int32 activity indexes. n is 64-bit so that a
+// count past the limit is representable where int has 32 bits.
+func checkActivityCount(name string, n int64) error {
 	if n > MaxActivities {
 		return fmt.Errorf("trace: dataset %q: %d activities: %w", name, n, ErrTooManyActivities)
 	}
@@ -717,7 +718,7 @@ func ReadActivities(r io.Reader) ([]Activity, error) {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrBadTraceFormat, line, text)
 		}
 		if len(out) >= MaxActivities {
-			return nil, checkActivityCount("", len(out)+1)
+			return nil, checkActivityCount("", int64(len(out))+1)
 		}
 		c, err1 := strconv.Atoi(parts[0])
 		rcv, err2 := strconv.Atoi(parts[1])
