@@ -74,7 +74,7 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 	}
 	split := from.Add(time.Duration(float64(to.Sub(from)) * trainFraction))
 
-	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 21))), 1).Bitmaps()
+	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 21), 1).Bitmaps()
 	users, err := analysisUsers(ds.Graph, 0)
 	if err != nil {
 		return nil, err
@@ -141,7 +141,7 @@ func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed 
 	if repeats <= 0 {
 		repeats = 3
 	}
-	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 31))), 1).Bitmaps()
+	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 31), 1).Bitmaps()
 	users, err := analysisUsers(ds.Graph, 0)
 	if err != nil {
 		return nil, err

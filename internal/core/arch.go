@@ -133,12 +133,12 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		}
 	}
 
-	// One schedule table per repetition, derived exactly as core.Run derives
-	// its fallback schedules, shared by every architecture: the comparison
-	// varies placement and nothing else.
+	// One schedule table per repetition (repTable, as Run builds its own),
+	// shared by every architecture: the comparison varies placement and
+	// nothing else.
 	tables := make([]*onlinetime.Table, cfg.Repeats)
 	for rep := range tables {
-		tables[rep] = cfg.Model.BuildTable(ds, rand.New(rand.NewSource(mix(cfg.Seed, int64(rep)))), cfg.Workers)
+		tables[rep] = repTable(cfg.Model, ds, cfg.Seed, rep, cfg.Workers)
 	}
 
 	rows := make([]ArchRow, 0, len(cfg.Architectures))

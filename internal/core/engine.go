@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 
 	"dosn/internal/fault"
 	"dosn/internal/interval"
@@ -37,10 +36,9 @@ import (
 // values are never read back on this side of the obs boundary, so results
 // stay a pure function of (spec, seed).
 var (
-	obsChunksSwept     = obs.C("core.sweep_chunks")
-	obsUsersSwept      = obs.C("core.sweep_users")
-	obsRNGSeeded       = obs.C("core.rng_seeded")
-	obsTablesPipelined = obs.C("core.tables_pipelined")
+	obsChunksSwept = obs.C("core.sweep_chunks")
+	obsUsersSwept  = obs.C("core.sweep_users")
+	obsRNGSeeded   = obs.C("core.rng_seeded")
 )
 
 // Failpoints on the sweep's fragile seams (see internal/fault): disabled
@@ -116,10 +114,10 @@ type Config struct {
 	// result does not depend on the worker count.
 	Workers int
 	// Obs, when non-nil, receives execution telemetry for this sweep:
-	// fine-grained phase accumulation (sweep-shards vs reduce), per-chunk
-	// counts, per-worker busy time, and the repetition pipeline's stall
-	// time. Execution-only, exactly like Workers: a nil or non-nil Obs never
-	// changes the result bits.
+	// fine-grained phase accumulation (schedule-build for the tables the
+	// sweep builds itself, sweep-shards vs reduce), per-chunk counts and
+	// per-worker busy time. Execution-only, exactly like Workers: a nil or
+	// non-nil Obs never changes the result bits.
 	Obs *obs.CellObs
 	// Schedules optionally supplies precomputed per-repetition schedule
 	// tables (Schedules[rep], user-indexed arena rows). When set for a
@@ -250,9 +248,8 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	ds := cfg.Dataset
 	res := &Result{
-		DatasetName: ds.Name,
+		DatasetName: cfg.Dataset.Name,
 		ModelName:   cfg.Model.Name(),
 		Mode:        cfg.Mode,
 		Users:       len(cfg.Users),
@@ -266,53 +263,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Cells = newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 
-	// Repetition pipeline: while repetition r sweeps, the schedule table of
-	// repetition r+1 builds in the background (one table in flight). Each
-	// repetition's RNG stream is seeded independently by (Seed, rep), so
-	// build order cannot change a byte; grids still merge in rep order
-	// (pinned by TestRunPipelineBitIdentical). The overlap needs a spare
-	// core: on one CPU it only interleaves the build with the sweep while
-	// an extra table stays live, so every repetition then takes the serial
-	// default arm below. A panic inside the pipelined build is recovered at
-	// the goroutine boundary and delivered through the channel as this
-	// repetition's error — a crashing build must fail the sweep, never the
-	// process.
-	pipeline := runtime.NumCPU() > 1
-	var next chan builtTable
+	// One repetition at a time: take or build its table, sweep, and merge
+	// the grid in repetition order.
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		var table *onlinetime.Table
-		switch {
-		case next != nil:
-			sw := obs.StartWatch()
-			bt := <-next
-			next = nil
-			// Stall: sweep r-1 finished before table r was ready.
-			cfg.Obs.AddPhaseNS("pipeline-stall", sw.ElapsedNS())
-			if bt.err != nil {
-				return nil, bt.err
-			}
-			table = bt.t
-		case cfg.providedTable(rep) != nil:
-			table = cfg.providedTable(rep)
-		default:
-			table = cfg.buildTable(ds, rep)
-		}
-		if pipeline && rep+1 < cfg.Repeats && cfg.providedTable(rep+1) == nil {
-			next = make(chan builtTable, 1)
-			//dosn:go one-ahead table build, not a fan-out: it ends by sending on the buffered next, which the following repetition receives
-			go func(rep int, out chan<- builtTable) {
-				defer func() {
-					//dosn:recover pipelined-build boundary: a panic while prebuilding the next repetition's table becomes that repetition's error via the channel
-					if r := recover(); r != nil {
-						out <- builtTable{err: fault.PanicError("core: pipelined schedule build", r, debug.Stack())}
-					}
-				}()
-				t := cfg.buildTable(ds, rep)
-				obsTablesPipelined.Inc()
-				out <- builtTable{t: t}
-			}(rep+1, next)
-		}
-		grid, err := sweepOnce(cfg, table, rep)
+		grid, err := sweepOnce(cfg, cfg.table(rep), rep)
 		if err != nil {
 			return nil, err
 		}
@@ -321,31 +275,24 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// builtTable is the repetition pipeline's channel payload: the prebuilt
-// table, or the error a recovered build panic was converted into.
-type builtTable struct {
-	t   *onlinetime.Table
-	err error
-}
-
-// providedTable returns the caller-supplied schedule table for a repetition,
-// or nil when the sweep must build its own.
-func (c *Config) providedTable(rep int) *onlinetime.Table {
-	if rep < len(c.Schedules) {
+// table returns the schedule table of one repetition: the caller's from
+// Schedules when it supplies one, otherwise built on the calling goroutine
+// by repTable, its time booked as the schedule-build phase. A failed build
+// panics here, on every repetition alike (BuildTable has no error path).
+func (c *Config) table(rep int) *onlinetime.Table {
+	if rep < len(c.Schedules) && c.Schedules[rep] != nil {
 		return c.Schedules[rep]
 	}
-	return nil
-}
-
-// buildTable builds the schedule table of one repetition from the
-// repetition's independent RNG stream. Pure function of (dataset, model,
-// seed, rep): the pipeline may run it concurrently with another
-// repetition's sweep without reordering any randomness. The build's time is
-// the schedule-build phase, whichever goroutine it ran on.
-func (c *Config) buildTable(ds *trace.Dataset, rep int) *onlinetime.Table {
 	sw := obs.StartWatch()
 	defer func() { c.Obs.AddPhaseNS("schedule-build", sw.ElapsedNS()) }()
-	return c.Model.BuildTable(ds, rand.New(rand.NewSource(mix(c.Seed, int64(rep)))), c.Workers)
+	return repTable(c.Model, c.Dataset, c.Seed, rep, c.Workers)
+}
+
+// repTable builds the schedule table of repetition rep from its own seed,
+// mix(seed, rep), so no repetition's randomness depends on another's. Run's
+// own tables and RunArchComparison's shared ones both come from here.
+func repTable(model onlinetime.Model, ds *trace.Dataset, seed int64, rep, workers int) *onlinetime.Table {
+	return onlinetime.ComputeTable(model, ds, mix(seed, int64(rep)), workers)
 }
 
 func newGrid(policies, degrees int) [][]Cell {

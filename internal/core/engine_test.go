@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"dosn/internal/obs"
@@ -359,52 +358,6 @@ func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 	}
 }
 
-// TestRunPipelineBitIdentical pins the repetition pipeline's bit-identity:
-// building rep r+1's table in the background while rep r sweeps must yield
-// exactly the result of sweeping tables that were all built beforehand from
-// the same mix(seed, rep) streams — the harness's real path, which hands
-// core.Run every repetition's table and so never pipelines. The counter
-// assertion keeps the pipeline from being silently off where it is tested.
-func TestRunPipelineBitIdentical(t *testing.T) {
-	if runtime.NumCPU() == 1 {
-		t.Skip("the repetition pipeline needs a spare core; Run stays serial on one CPU")
-	}
-	ds := testDataset(t)
-	base := Config{
-		Dataset: ds, Model: onlinetime.Sporadic{}, Mode: replica.ConRep,
-		MaxDegree: 4, UserDegree: 10, Repeats: 3, Seed: 11,
-	}
-	serial := base
-	for rep := 0; rep < base.Repeats; rep++ {
-		rng := rand.New(rand.NewSource(mix(base.Seed, int64(rep))))
-		serial.Schedules = append(serial.Schedules, base.Model.BuildTable(ds, rng, 1))
-	}
-	pipelined := obs.C("core.tables_pipelined")
-	before := pipelined.Value()
-	want, err := Run(serial)
-	if err != nil {
-		t.Fatalf("Run(prebuilt schedules): %v", err)
-	}
-	if got := pipelined.Value(); got != before {
-		t.Fatalf("a run with every table supplied pipelined %d builds", got-before)
-	}
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		before = pipelined.Value()
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run(pipelined, workers=%d): %v", workers, err)
-		}
-		if built := pipelined.Value() - before; built != int64(base.Repeats-1) {
-			t.Errorf("workers=%d: %d tables built in the pipeline, want %d", workers, built, base.Repeats-1)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("pipelined result (workers=%d) differs bitwise from the prebuilt-schedule reference", workers)
-		}
-	}
-}
-
 // TestSweepEqualsInOrderFold pins what the worker pool must reproduce: one
 // goroutine folding the users in list order, a fresh grid per 16-user chunk,
 // chunk grids merged in chunk order. The population is not a multiple of the
@@ -422,7 +375,7 @@ func TestSweepEqualsInOrderFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rep = 0
-	table := cfg.buildTable(ds, rep)
+	table := cfg.table(rep)
 
 	want := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 	var scratch sweepScratch

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -86,6 +87,54 @@ func TestSweepFaultSitesPropagateErrors(t *testing.T) {
 		}
 		fault.Disable()
 	}
+}
+
+// TestTableBuildFailureSameOnEveryRepetition pins the failure contract of a
+// table Run builds itself: BuildTable has no error path, so a failed build
+// panics on the caller's goroutine with the injected fault as the panic
+// value, whichever repetition it hits and whatever the worker count. The
+// 500-user test dataset fills in one 512-row build chunk, so hit k of the
+// build-chunk site falls in repetition k-1's build.
+func TestTableBuildFailureSameOnEveryRepetition(t *testing.T) {
+	ds := testDataset(t)
+	if ds.NumUsers() > 512 {
+		t.Fatalf("%d users span several build chunks; hit k no longer lands in repetition k-1", ds.NumUsers())
+	}
+	cfg := Config{Dataset: ds, MaxDegree: 2, UserDegree: 10, Repeats: 2, Seed: 7}
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	for _, workers := range []int{1, 4} {
+		for rep := 0; rep < cfg.Repeats; rep++ {
+			hit := rep + 1
+			withFaults(t, fmt.Sprintf("onlinetime.build-chunk=error(%d)", hit))
+			c := cfg
+			c.Workers = workers
+			v, err := runRecovering(c)
+			if err != nil {
+				t.Errorf("workers=%d, rep %d: build failure returned as an error, want a panic: %v", workers, rep, err)
+			} else if inj, ok := fault.AsInjected(v); !ok || inj.Site != "onlinetime.build-chunk" || inj.Hit != int64(hit) {
+				t.Errorf("workers=%d, rep %d: panic value %v, want the build-chunk fault at hit %d", workers, rep, v, hit)
+			}
+			fault.Disable()
+		}
+	}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("clean rerun: %v", err)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Error("clean rerun after failed builds differs from the reference")
+	}
+}
+
+// runRecovering runs cfg and returns the value Run panicked with, or Run's
+// error when it returned.
+func runRecovering(cfg Config) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	_, err = Run(cfg)
+	return nil, err
 }
 
 // TestPanickingPolicyBecomesError pins the same boundary against a genuine

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dosn/internal/onlinetime"
@@ -279,7 +278,6 @@ func UserDegreeFigure(ds *trace.Dataset, metric Metric, opts Options) (plot.Figu
 	if len(rows) == 0 {
 		return plot.Figure{}, fmt.Errorf("fig9%s: %w", suffix, ErrNoUsers)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].degree < rows[j].degree })
 	for pi, name := range rows[0].res.Policies {
 		xs := make([]float64, len(rows))
 		ys := make([]float64, len(rows))

@@ -113,7 +113,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 		return nil, err
 	}
 	ds := cfg.Dataset
-	schedules := cfg.Model.BuildTable(ds, rand.New(rand.NewSource(mix(cfg.Seed, 1))), 1).Bitmaps()
+	schedules := onlinetime.ComputeTable(cfg.Model, ds, mix(cfg.Seed, 1), 1).Bitmaps()
 
 	owners := ds.Graph.UsersWithDegree(cfg.UserDegree)
 	if len(owners) == 0 {
@@ -260,7 +260,7 @@ func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.
 		budget = 3
 	}
 	workers := runtime.NumCPU()
-	schedules := model.BuildTable(ds, rand.New(rand.NewSource(mix(seed, 11))), workers).Bitmaps()
+	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 11), workers).Bitmaps()
 	rows := make([]LoadBalanceRow, 0, 3)
 	for pi, p := range replica.DefaultPolicies() {
 		load, err := placementLoad(ds, schedules, p, mode, budget, workers,

@@ -15,7 +15,6 @@ import (
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
 	"dosn/internal/trace"
-	"math/rand"
 )
 
 // Execution-only telemetry; see internal/obs. Values flow out to the debug
@@ -235,7 +234,7 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 			if err := faultScheduleBuild.InjectSeeded(seed); err != nil {
 				return nil, err
 			}
-			out[rep] = model.BuildTable(ds, rand.New(rand.NewSource(seed)), buildWorkers)
+			out[rep] = onlinetime.ComputeTable(model, ds, seed, buildWorkers)
 		}
 		return out, nil
 	})
@@ -462,8 +461,9 @@ func runCellAttempt(spec MatrixSpec, cell CellSpec, policies []replica.Policy, o
 }
 
 // runCellRecovered is the cell isolation boundary: a panic anywhere in the
-// cell's synchronous call tree (the fan-outs below it and core's pipelined
-// build bring their goroutines' panics back into it) becomes this cell's
+// cell's synchronous call tree (the fan-outs below it bring their
+// goroutines' panics back into it, and a failed table build re-raises on
+// the goroutine that asked for the table) becomes this cell's
 // error instead of killing the process, so sibling cells finish and the
 // checkpoint journal stays intact.
 func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (res CellResult, err error) {

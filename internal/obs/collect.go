@@ -23,7 +23,7 @@ import (
 // ring-build (DHT cells), schedule-build and sweep; the first three only
 // for the cell that computed the shared entry, while a cell that waited on,
 // or reused, a sibling's entry books cache-wait. Inside a cell, core adds
-// sweep-shards, reduce and pipeline-stall to the report without events.
+// sweep-shards and reduce to the report without events.
 type Event struct {
 	TMS    float64 `json:"t_ms"`
 	Ev     string  `json:"ev"`

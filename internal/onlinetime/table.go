@@ -68,8 +68,7 @@ var faultBuildChunk = fault.NewSite("onlinetime.build-chunk")
 // disjoint arena row range, so the table bytes are identical for any worker
 // count. BuildTable has no error path, so a failed fill — a panic on any
 // worker, an injected fault — is re-raised on the calling goroutine, where
-// the harness's cell isolation or core's pipelined build turns it into an
-// error.
+// the harness's cell isolation turns it into the cell's error.
 func fillRows(lo, hi, workers int, fill func(lo, hi int)) {
 	err := fault.Chunks(hi-lo, buildChunk, workers, func(next func() (lo, hi int, ok bool)) error {
 		for clo, chi, ok := next(); ok; clo, chi, ok = next() {

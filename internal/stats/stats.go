@@ -1,24 +1,12 @@
 // Package stats provides the small numerical toolkit the experiment harness
-// needs: batch mean and percentile, and the mergeable Welford accumulator
-// every sweep cell is made of.
+// needs: a batch percentile, and the mergeable Welford accumulator every
+// sweep cell is made of.
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // Percentile returns the p-th percentile of xs using linear interpolation
 // between closest ranks. Its edge behavior is defined, not accidental:

@@ -9,10 +9,23 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// mean is the batch arithmetic mean the Welford accumulator is checked
+// against (0 for an empty slice).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
 // batchVariance is the two-pass population variance the Welford accumulator
 // is checked against.
 func batchVariance(xs []float64) float64 {
-	m := Mean(xs)
+	m := mean(xs)
 	ss := 0.0
 	for _, x := range xs {
 		ss += (x - m) * (x - m)
@@ -22,8 +35,8 @@ func batchVariance(xs []float64) float64 {
 
 func TestMeanStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, standard deviation 2
-	if !almost(Mean(xs), 5) {
-		t.Errorf("Mean = %v, want 5", Mean(xs))
+	if !almost(mean(xs), 5) {
+		t.Errorf("mean = %v, want 5", mean(xs))
 	}
 	var w Welford
 	for _, x := range xs {
@@ -32,7 +45,7 @@ func TestMeanStd(t *testing.T) {
 	if !almost(math.Sqrt(w.Variance()), 2) {
 		t.Errorf("Welford standard deviation = %v, want 2", math.Sqrt(w.Variance()))
 	}
-	if Mean(nil) != 0 {
+	if mean(nil) != 0 {
 		t.Error("empty slice should yield 0")
 	}
 }
@@ -92,7 +105,7 @@ func TestWelford(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != 6 || !almost(w.Mean(), Mean(xs)) {
+	if w.N() != 6 || !almost(w.Mean(), mean(xs)) {
 		t.Errorf("Welford mean = %v n=%d", w.Mean(), w.N())
 	}
 	wantVar := batchVariance(xs)
@@ -139,7 +152,7 @@ func TestQuickWelfordMatchesBatch(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 10
 			w.Add(xs[i])
 		}
-		return almost(w.Mean(), Mean(xs)) && math.Abs(w.Variance()-batchVariance(xs)) < 1e-6
+		return almost(w.Mean(), mean(xs)) && math.Abs(w.Variance()-batchVariance(xs)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
