@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -93,7 +94,7 @@ func run() error {
 
 	switch {
 	case *experiment != "":
-		return runExperiment(*experiment, fbUsers, *seed)
+		return runExperiment(os.Stdout, *experiment, fbUsers, *seed)
 	case *figID == "" || *figID == "list":
 		return listFigures(opts)
 	default:
@@ -205,7 +206,9 @@ func writeDat(dir, id string, fig dosn.Figure) error {
 	return nil
 }
 
-func runExperiment(name string, fbUsers int, seed int64) error {
+// runExperiment runs the named extension experiment on a synthetic Facebook
+// dataset of fbUsers users and writes its table to w.
+func runExperiment(w io.Writer, name string, fbUsers int, seed int64) error {
 	fb, err := dosn.Facebook(fbUsers, 1)
 	if err != nil {
 		return err
@@ -218,28 +221,28 @@ func runExperiment(name string, fbUsers int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("X1/X2 — protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)")
-		fmt.Printf("  walls simulated            %d\n", res.Walls)
-		fmt.Printf("  posts replayed             %d\n", res.Posts)
-		fmt.Printf("  delivered to full group    %.1f%%\n", res.DeliveredFraction*100)
-		fmt.Printf("  analytic worst-case delay  %.2f h (upper bound)\n", res.AnalyticWorstHours)
-		fmt.Printf("  measured max delay         %.2f h\n", res.MeasuredMaxHours)
-		fmt.Printf("  measured mean pair delay   %.2f h (actual)\n", res.MeasuredPairHours)
-		fmt.Printf("  measured mean pair delay   %.2f h (observed)\n", res.ObservedPairHours)
-		fmt.Printf("  immediate landings         %.1f%% (measured AoD-activity)\n", res.ImmediateFraction*100)
-		fmt.Printf("  analytic AoD-activity      %.1f%%\n", res.AnalyticAoDActivity*100)
-		fmt.Printf("  measured AoD-time          %.1f%% (analytic %.1f%%)\n", res.MeasuredAoDTime*100, res.AnalyticAoDTime*100)
-		fmt.Printf("  anti-entropy exchanges     %d (posts transferred: %d)\n", res.Exchanges, res.PostsTransferred)
+		fmt.Fprintln(w, "X1/X2 — protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)")
+		fmt.Fprintf(w, "  walls simulated            %d\n", res.Walls)
+		fmt.Fprintf(w, "  posts replayed             %d\n", res.Posts)
+		fmt.Fprintf(w, "  delivered to full group    %.1f%%\n", res.DeliveredFraction*100)
+		fmt.Fprintf(w, "  analytic worst-case delay  %.2f h (upper bound)\n", res.AnalyticWorstHours)
+		fmt.Fprintf(w, "  measured max delay         %.2f h\n", res.MeasuredMaxHours)
+		fmt.Fprintf(w, "  measured mean pair delay   %.2f h (actual)\n", res.MeasuredPairHours)
+		fmt.Fprintf(w, "  measured mean pair delay   %.2f h (observed)\n", res.ObservedPairHours)
+		fmt.Fprintf(w, "  immediate landings         %.1f%% (measured AoD-activity)\n", res.ImmediateFraction*100)
+		fmt.Fprintf(w, "  analytic AoD-activity      %.1f%%\n", res.AnalyticAoDActivity*100)
+		fmt.Fprintf(w, "  measured AoD-time          %.1f%% (analytic %.1f%%)\n", res.MeasuredAoDTime*100, res.AnalyticAoDTime*100)
+		fmt.Fprintf(w, "  anti-entropy exchanges     %d (posts transferred: %d)\n", res.Exchanges, res.PostsTransferred)
 		return nil
 	case "loadbalance":
 		rows, err := dosn.ReplicaLoadBalance(fb, dosn.NewSporadic(0), dosn.ConRep, 3, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println("X4 — replica-host load balance (ConRep, budget 3, Sporadic)")
-		fmt.Printf("  %-12s %10s %10s %10s\n", "policy", "mean", "max", "cv")
+		fmt.Fprintln(w, "X4 — replica-host load balance (ConRep, budget 3, Sporadic)")
+		fmt.Fprintf(w, "  %-12s %10s %10s %10s\n", "policy", "mean", "max", "cv")
 		for _, r := range rows {
-			fmt.Printf("  %-12s %10.2f %10.0f %10.3f\n", r.Policy, r.MeanLoad, r.MaxLoad, r.CV)
+			fmt.Fprintf(w, "  %-12s %10.2f %10.0f %10.3f\n", r.Policy, r.MeanLoad, r.MaxLoad, r.CV)
 		}
 		return nil
 	case "objective":
@@ -247,10 +250,10 @@ func runExperiment(name string, fbUsers int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("A1 — MaxAv objective ablation (ConRep, Sporadic)")
-		fmt.Printf("  %-18s %14s %14s\n", "policy", "avail@deg3", "AoD-act@deg3")
+		fmt.Fprintln(w, "A1 — MaxAv objective ablation (ConRep, Sporadic)")
+		fmt.Fprintf(w, "  %-18s %14s %14s\n", "policy", "avail@deg3", "AoD-act@deg3")
 		for pi, p := range res.Policies {
-			fmt.Printf("  %-18s %14.3f %14.3f\n", p,
+			fmt.Fprintf(w, "  %-18s %14.3f %14.3f\n", p,
 				res.Value(pi, 3, dosn.MetricAvailability),
 				res.Value(pi, 3, dosn.MetricAoDActivity))
 		}
@@ -260,29 +263,29 @@ func runExperiment(name string, fbUsers int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("A2 — MostActive trained on history (budget 3, 50/50 split)")
-		fmt.Printf("  users evaluated          %d\n", res.Users)
-		fmt.Printf("  historical AoD-activity  %.3f\n", res.HistoricalAoDActivity)
-		fmt.Printf("  oracle AoD-activity      %.3f\n", res.OracleAoDActivity)
-		fmt.Printf("  random AoD-activity      %.3f\n", res.RandomAoDActivity)
+		fmt.Fprintln(w, "A2 — MostActive trained on history (budget 3, 50/50 split)")
+		fmt.Fprintf(w, "  users evaluated          %d\n", res.Users)
+		fmt.Fprintf(w, "  historical AoD-activity  %.3f\n", res.HistoricalAoDActivity)
+		fmt.Fprintf(w, "  oracle AoD-activity      %.3f\n", res.OracleAoDActivity)
+		fmt.Fprintf(w, "  random AoD-activity      %.3f\n", res.RandomAoDActivity)
 		return nil
 	case "churn":
 		rows, err := dosn.Churn(fb, dosn.NewSporadic(0), 5, 3, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println("A3 — availability under replica churn (budget 5, Sporadic)")
-		fmt.Printf("  %-12s", "policy")
+		fmt.Fprintln(w, "A3 — availability under replica churn (budget 5, Sporadic)")
+		fmt.Fprintf(w, "  %-12s", "policy")
 		for j := 0; j <= 5; j++ {
-			fmt.Printf("  fail=%d", j)
+			fmt.Fprintf(w, "  fail=%d", j)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, r := range rows {
-			fmt.Printf("  %-12s", r.Policy)
+			fmt.Fprintf(w, "  %-12s", r.Policy)
 			for _, v := range r.Availability {
-				fmt.Printf("  %6.3f", v)
+				fmt.Fprintf(w, "  %6.3f", v)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	case "arch":
@@ -292,13 +295,13 @@ func runExperiment(name string, fbUsers int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("X6 — storage-architecture comparison (ConRep, budget 5, Sporadic)")
-		fmt.Printf("  %-14s %-12s %10s %10s %10s %10s %10s %10s\n",
+		fmt.Fprintln(w, "X6 — storage-architecture comparison (ConRep, budget 5, Sporadic)")
+		fmt.Fprintf(w, "  %-14s %-12s %10s %10s %10s %10s %10s %10s\n",
 			"architecture", "policy", "avail@5", "aod-t@5", "delay_h@5", "hops", "load_cv", "load_gini")
 		for _, r := range rows {
 			last := len(r.Sweep.Degrees) - 1
 			for pi, policy := range r.Sweep.Policies {
-				fmt.Printf("  %-14s %-12s %10.3f %10.3f %10.2f %10.2f %10.3f %10.3f\n",
+				fmt.Fprintf(w, "  %-14s %-12s %10.3f %10.3f %10.2f %10.2f %10.3f %10.3f\n",
 					r.Architecture, policy,
 					r.Sweep.Value(pi, last, dosn.MetricAvailability),
 					r.Sweep.Value(pi, last, dosn.MetricAoDTime),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -238,6 +240,78 @@ func TestMatrixRejectsRetiredShardSizeFlag(t *testing.T) {
 		err := runMatrix(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("runMatrix(%v) = %v, want the unknown-flag error", args, err)
+		}
+	}
+}
+
+// TestRunExperiment runs every extension experiment at small scale and checks
+// its header lines and that it reports finite numbers; the protocol run must
+// actually exchange data between replicas.
+func TestRunExperiment(t *testing.T) {
+	const users, seed = 2000, 42
+	for _, tt := range []struct {
+		name   string
+		header []string // title line, then the column header's fields
+	}{
+		{"protocol", []string{"X1/X2 — protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)"}},
+		{"loadbalance", []string{"X4 — replica-host load balance (ConRep, budget 3, Sporadic)",
+			"policy mean max cv"}},
+		{"objective", []string{"A1 — MaxAv objective ablation (ConRep, Sporadic)",
+			"policy avail@deg3 AoD-act@deg3"}},
+		{"history", []string{"A2 — MostActive trained on history (budget 3, 50/50 split)"}},
+		{"churn", []string{"A3 — availability under replica churn (budget 5, Sporadic)",
+			"policy fail=0 fail=1 fail=2 fail=3 fail=4 fail=5"}},
+		{"arch", []string{"X6 — storage-architecture comparison (ConRep, budget 5, Sporadic)",
+			"architecture policy avail@5 aod-t@5 delay_h@5 hops load_cv load_gini"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := runExperiment(&out, tt.name, users, seed); err != nil {
+				t.Fatalf("runExperiment: %v", err)
+			}
+			lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+			if len(lines) <= len(tt.header) {
+				t.Fatalf("output has %d lines, want rows after %d header lines:\n%s", len(lines), len(tt.header), out.String())
+			}
+			if lines[0] != tt.header[0] {
+				t.Errorf("title = %q, want %q", lines[0], tt.header[0])
+			}
+			if len(tt.header) > 1 {
+				if got := strings.Join(strings.Fields(lines[1]), " "); got != tt.header[1] {
+					t.Errorf("column header = %q, want %q", got, tt.header[1])
+				}
+			}
+			finite := 0
+			for _, line := range lines[len(tt.header):] {
+				if strings.Contains(line, "NaN") || strings.Contains(line, "Inf") {
+					t.Errorf("non-finite row %q", line)
+				} else if strings.ContainsAny(line, "0123456789") {
+					finite++
+				}
+			}
+			if finite == 0 {
+				t.Errorf("no finite row in\n%s", out.String())
+			}
+			if tt.name == "protocol" {
+				var exchanges int
+				for _, line := range lines {
+					if f := strings.Fields(line); len(f) > 1 && f[0] == "anti-entropy" {
+						exchanges, _ = strconv.Atoi(f[2])
+					}
+				}
+				if exchanges <= 0 {
+					t.Errorf("protocol run reports %d exchanges, want > 0:\n%s", exchanges, out.String())
+				}
+			}
+		})
+	}
+	err := runExperiment(io.Discard, "gossip", users, seed)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for _, name := range []string{"protocol", "loadbalance", "objective", "history", "churn", "arch"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error %q does not list %q", err, name)
 		}
 	}
 }

@@ -67,8 +67,6 @@ func (f FriendReplica) Policies() []replica.Policy {
 // RandomDHT is the hash-placed successor-list architecture.
 type RandomDHT struct {
 	Ring *Ring
-	// Window overrides the successor-candidate window multiplier.
-	Window int
 }
 
 // Name implements Architecture.
@@ -76,15 +74,13 @@ func (RandomDHT) Name() string { return ArchRandomDHT }
 
 // Policies implements Architecture.
 func (a RandomDHT) Policies() []replica.Policy {
-	return []replica.Policy{&Placement{Ring: a.Ring, Window: a.Window}}
+	return []replica.Policy{&Placement{Ring: a.Ring}}
 }
 
 // SocialDHT is the socially-aware successor-ranking architecture.
 type SocialDHT struct {
 	Ring  *Ring
 	Graph *socialgraph.Graph
-	// Window overrides the successor-candidate window multiplier.
-	Window int
 }
 
 // Name implements Architecture.
@@ -92,7 +88,7 @@ func (SocialDHT) Name() string { return ArchSocialDHT }
 
 // Policies implements Architecture.
 func (a SocialDHT) Policies() []replica.Policy {
-	return []replica.Policy{&Placement{Ring: a.Ring, Social: true, Graph: a.Graph, Window: a.Window}}
+	return []replica.Policy{&Placement{Ring: a.Ring, Social: true, Graph: a.Graph}}
 }
 
 // NewArchitecture resolves a canonical architecture name. ring and graph are

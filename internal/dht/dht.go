@@ -13,8 +13,8 @@
 // interface (arch.go) puts them and the classic friend-replica policies
 // behind one switchable axis.
 //
-// Everything is deterministic: ring IDs are splitmix64 hashes of (salt,
-// user), positions are totally ordered by (id, user), and lookups are pure
+// Everything is deterministic: ring IDs are splitmix64 hashes of the user,
+// positions are totally ordered by (id, user), and lookups are pure
 // functions of the ring, so construction and routing are bit-identical
 // across worker counts and invocation orders.
 package dht
@@ -36,10 +36,6 @@ const DefaultBits = 32
 type Config struct {
 	// Bits is the ring-identifier width in [8, 64]; 0 means DefaultBits.
 	Bits int
-	// Salt perturbs the node/key hash placement. Architectures in one
-	// comparison should share a salt so their rings coincide; 0 is the
-	// canonical layout.
-	Salt int64
 }
 
 func (c Config) fill() (Config, error) {
@@ -67,7 +63,6 @@ type Ring struct {
 	// Chord finger table, used only for hop counting — lookups themselves
 	// binary-search the sorted id slice.
 	fingers [][]int32
-	salt    int64
 }
 
 // BuildRing constructs the ring for users 0..n-1. The layout depends only on
@@ -87,7 +82,6 @@ func BuildRing(n int, cfg Config) (*Ring, error) {
 	}
 	r := &Ring{
 		bits:  cfg.Bits,
-		salt:  cfg.Salt,
 		ids:   make([]uint64, n),
 		users: make([]socialgraph.UserID, n),
 		pos:   make([]int32, n),
@@ -99,7 +93,7 @@ func BuildRing(n int, cfg Config) (*Ring, error) {
 	}
 	order := make([]int32, n)
 	for u := 0; u < n; u++ {
-		r.ids[u] = splitmix(uint64(cfg.Salt), nodeDomain, uint64(u)) & r.mask
+		r.ids[u] = splitmix(0, nodeDomain, uint64(u)) & r.mask
 		order[u] = int32(u)
 	}
 	// Total order by (id, user): hash collisions (possible at small Bits)
@@ -123,7 +117,8 @@ func BuildRing(n int, cfg Config) (*Ring, error) {
 }
 
 // hash domains separate node placement from profile keys, so a profile's key
-// never trivially coincides with its owner's node identifier.
+// never trivially coincides with its owner's node identifier. Both hashes
+// lead with a 0 word: every pinned ring position and key depends on it.
 const (
 	nodeDomain = 0x6e6f6465 // "node"
 	keyDomain  = 0x6b6579   // "key"
@@ -162,27 +157,10 @@ func (r *Ring) buildFingers() {
 // NumNodes returns the number of ring nodes.
 func (r *Ring) NumNodes() int { return len(r.users) }
 
-// Bits returns the ring-identifier width.
-func (r *Ring) Bits() int { return r.bits }
-
-// NodeID returns user u's ring identifier.
-func (r *Ring) NodeID(u socialgraph.UserID) uint64 {
-	return r.ids[r.pos[u]]
-}
-
 // Key returns the ring point of u's profile key (a different hash domain
 // than node placement, as in a real DHT where keys hash content, not hosts).
 func (r *Ring) Key(u socialgraph.UserID) uint64 {
-	return splitmix(uint64(r.salt), keyDomain, uint64(u)) & r.mask
-}
-
-// PositionOf returns u's index in clockwise ring order.
-func (r *Ring) PositionOf(u socialgraph.UserID) int { return int(r.pos[u]) }
-
-// UserAt returns the user at ring position p (reduced modulo the ring size).
-func (r *Ring) UserAt(p int) socialgraph.UserID {
-	n := len(r.users)
-	return r.users[((p%n)+n)%n]
+	return splitmix(0, keyDomain, uint64(u)) & r.mask
 }
 
 // successorPos returns the position of the first node whose id is >= key in
@@ -193,31 +171,6 @@ func (r *Ring) successorPos(key uint64) int {
 		return 0
 	}
 	return p
-}
-
-// Successor returns the node responsible for key: the first node at or after
-// the key in clockwise order (the Chord successor).
-func (r *Ring) Successor(key uint64) socialgraph.UserID {
-	return r.users[r.successorPos(key)]
-}
-
-// Successors returns the first k distinct nodes at or after key in clockwise
-// order — the successor list a replication factor of k places a profile on.
-// k is clamped to the ring size.
-func (r *Ring) Successors(key uint64, k int) []socialgraph.UserID {
-	if k <= 0 {
-		return nil
-	}
-	n := len(r.users)
-	if k > n {
-		k = n
-	}
-	out := make([]socialgraph.UserID, k)
-	p := r.successorPos(key)
-	for i := 0; i < k; i++ {
-		out[i] = r.users[(p+i)%n]
-	}
-	return out
 }
 
 // SuccessorsOf returns up to k successor candidates for owner's profile key,
@@ -242,9 +195,9 @@ func (r *Ring) SuccessorsOf(owner socialgraph.UserID, k int) []socialgraph.UserI
 	return out
 }
 
-// Steps returns the number of clockwise single-successor steps from position
+// steps returns the number of clockwise single-successor steps from position
 // `from` to position `to` — the successor-list walk length between them.
-func (r *Ring) Steps(from, to int) int {
+func (r *Ring) steps(from, to int) int {
 	n := len(r.users)
 	return ((to-from)%n + n) % n
 }
@@ -255,31 +208,21 @@ func (r *Ring) Steps(from, to int) int {
 // itself responsible for takes 0 hops. Bounded by O(log n) in expectation
 // and by the ring size in the worst case.
 func (r *Ring) HopCount(from socialgraph.UserID, key uint64) int {
-	hops := 0
-	r.walk(from, key, func(socialgraph.UserID) { hops++ })
+	hops, _ := r.walk(from, key)
 	return hops
 }
 
-// Route returns the full lookup path from `from` to the node responsible for
-// key, inclusive of both endpoints. The first element is always `from`; the
-// last is Successor(key). len(Route)-1 equals HopCount.
-func (r *Ring) Route(from socialgraph.UserID, key uint64) []socialgraph.UserID {
-	path := []socialgraph.UserID{from}
-	r.walk(from, key, func(u socialgraph.UserID) { path = append(path, u) })
-	return path
-}
-
-// walk performs the greedy Chord lookup, invoking visit for every node the
-// query is forwarded to (not for the origin). The loop runs in position
-// space — each iteration strictly shrinks the clockwise distance to the
-// destination, so it terminates even when hash collisions make ring
-// identifiers non-unique (possible at small Bits).
-func (r *Ring) walk(from socialgraph.UserID, key uint64, visit func(socialgraph.UserID)) {
+// walk performs the greedy Chord lookup and returns the number of hops the
+// query is forwarded and the position it stops at, successorPos(key). The
+// loop runs in position space — each iteration strictly shrinks the
+// clockwise distance to the destination, so it terminates even when hash
+// collisions make ring identifiers non-unique (possible at small Bits).
+func (r *Ring) walk(from socialgraph.UserID, key uint64) (hops, at int) {
 	n := len(r.users)
 	dest := r.successorPos(key)
 	cur := int(r.pos[from])
 	for cur != dest {
-		remaining := r.Steps(cur, dest)
+		remaining := r.steps(cur, dest)
 		// Forward to the farthest finger that does not overshoot the
 		// destination; the immediate successor (one step) always qualifies.
 		// Finger position distances are nondecreasing in the finger index,
@@ -288,12 +231,13 @@ func (r *Ring) walk(from socialgraph.UserID, key uint64, visit func(socialgraph.
 		row := r.fingers[cur]
 		for i := r.bits - 1; i >= 0; i-- {
 			f := int(row[i])
-			if d := r.Steps(cur, f); d > 1 && d < remaining {
+			if d := r.steps(cur, f); d > 1 && d < remaining {
 				next = f
 				break
 			}
 		}
 		cur = next
-		visit(r.users[cur])
+		hops++
 	}
+	return hops, cur
 }

@@ -58,7 +58,7 @@ func TestRingDeterministic(t *testing.T) {
 	ref := make([]ans, 200)
 	for i := range ref {
 		key := a.Key(socialgraph.UserID(i))
-		ref[i] = ans{a.Successor(key), a.HopCount(socialgraph.UserID(i+17), key)}
+		ref[i] = ans{a.users[a.successorPos(key)], a.HopCount(socialgraph.UserID(i+17), key)}
 	}
 	// The same lookups from 8 goroutines must reproduce them exactly.
 	var wg sync.WaitGroup
@@ -69,7 +69,7 @@ func TestRingDeterministic(t *testing.T) {
 			defer wg.Done()
 			for i := range ref {
 				key := a.Key(socialgraph.UserID(i))
-				if got := (ans{a.Successor(key), a.HopCount(socialgraph.UserID(i+17), key)}); got != ref[i] {
+				if got := (ans{a.users[a.successorPos(key)], a.HopCount(socialgraph.UserID(i+17), key)}); got != ref[i] {
 					errs <- "concurrent lookup diverged from serial"
 					return
 				}
@@ -83,41 +83,38 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-func TestSaltChangesLayout(t *testing.T) {
-	a := mustRing(t, 100, Config{})
-	b := mustRing(t, 100, Config{Salt: 9})
-	if reflect.DeepEqual(a.ids, b.ids) {
-		t.Error("different salts produced identical layouts")
-	}
-	if a.Key(5) == b.Key(5) {
-		t.Error("different salts produced identical keys")
-	}
-}
-
-// TestSuccessorsMatchBruteForce checks the binary-searched successor list
-// against a direct scan of the sorted ring.
+// TestSuccessorsMatchBruteForce checks SuccessorsOf's binary-searched start
+// against a direct scan of the sorted ring: the first k nodes at or after the
+// owner's key in clockwise order, the owner skipped, k clamped to n-1.
 func TestSuccessorsMatchBruteForce(t *testing.T) {
-	r := mustRing(t, 64, Config{Bits: 16}) // small id space: exercises wrap + collisions
+	const n = 64
+	r := mustRing(t, n, Config{Bits: 16}) // small id space: exercises wrap + collisions
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		key := rng.Uint64() & r.mask
+		owner := socialgraph.UserID(rng.Intn(n))
 		k := 1 + rng.Intn(8)
-		got := r.Successors(key, k)
+		if trial%10 == 0 {
+			k = n - 1 + rng.Intn(3) // at and past the clamp
+		}
+		got := r.SuccessorsOf(owner, k)
 		// Brute force: walk positions from the first id >= key.
+		key := r.Key(owner)
 		start := 0
 		for start < len(r.ids) && r.ids[start] < key {
 			start++
 		}
-		start %= len(r.ids)
-		for i := 0; i < k; i++ {
-			want := r.users[(start+i)%len(r.users)]
-			if got[i] != want {
-				t.Fatalf("Successors(%d, %d)[%d] = %d, want %d", key, k, i, got[i], want)
+		var want []socialgraph.UserID
+		for i := 0; i < n && len(want) < k; i++ {
+			if u := r.users[(start+i)%n]; u != owner {
+				want = append(want, u)
 			}
 		}
-	}
-	if got := r.Successors(0, 1000); len(got) != r.NumNodes() {
-		t.Errorf("oversized successor list has %d entries, want %d", len(got), r.NumNodes())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("SuccessorsOf(%d, %d) = %v, want %v", owner, k, got, want)
+		}
+		if k >= n && len(got) != n-1 {
+			t.Fatalf("SuccessorsOf(%d, %d) has %d entries, want the clamp %d", owner, k, len(got), n-1)
+		}
 	}
 }
 
@@ -141,8 +138,8 @@ func TestSuccessorsOfExcludesOwner(t *testing.T) {
 	}
 }
 
-// TestRouteReachesSuccessor: every lookup path ends at the key's successor,
-// its length matches HopCount, and greedy finger routing stays within the
+// TestRouteReachesSuccessor: every lookup ends at the key's successor, its
+// hop count matches HopCount, and greedy finger routing stays within the
 // O(log n)-style bound (each hop at least halves the remaining distance, so
 // hops can never exceed the ring size and should sit near log2 n).
 func TestRouteReachesSuccessor(t *testing.T) {
@@ -152,19 +149,18 @@ func TestRouteReachesSuccessor(t *testing.T) {
 	for from := socialgraph.UserID(0); from < 300; from += 7 {
 		for owner := socialgraph.UserID(0); owner < 300; owner += 11 {
 			key := r.Key(owner)
-			path := r.Route(from, key)
-			if path[0] != from {
-				t.Fatalf("route starts at %d, want %d", path[0], from)
+			hops, at := r.walk(from, key)
+			if want := r.successorPos(key); at != want {
+				t.Fatalf("lookup from %d ends at position %d, want successor %d", from, at, want)
 			}
-			if last := path[len(path)-1]; last != r.Successor(key) {
-				t.Fatalf("route from %d ends at %d, want successor %d", from, last, r.Successor(key))
-			}
-			hops := r.HopCount(from, key)
-			if hops != len(path)-1 {
-				t.Fatalf("HopCount %d disagrees with route length %d", hops, len(path)-1)
+			if got := r.HopCount(from, key); got != hops {
+				t.Fatalf("HopCount %d disagrees with the walk's %d hops", got, hops)
 			}
 			if hops >= r.NumNodes() {
 				t.Fatalf("hop count %d not below ring size", hops)
+			}
+			if root := r.users[at]; r.HopCount(root, key) != 0 {
+				t.Fatalf("the key's own successor %d takes %d hops", root, r.HopCount(root, key))
 			}
 			totalHops += hops
 			lookups++
@@ -178,12 +174,12 @@ func TestRouteReachesSuccessor(t *testing.T) {
 func TestStepsAndPositions(t *testing.T) {
 	r := mustRing(t, 10, Config{})
 	for u := socialgraph.UserID(0); u < 10; u++ {
-		if r.UserAt(r.PositionOf(u)) != u {
-			t.Fatalf("UserAt(PositionOf(%d)) != %d", u, u)
+		if r.users[r.pos[u]] != u {
+			t.Fatalf("users[pos[%d]] != %d", u, u)
 		}
 	}
-	if r.Steps(3, 3) != 0 || r.Steps(9, 0) != 1 || r.Steps(0, 9) != 9 {
-		t.Error("Steps arithmetic wrong")
+	if r.steps(3, 3) != 0 || r.steps(9, 0) != 1 || r.steps(0, 9) != 9 {
+		t.Error("steps arithmetic wrong")
 	}
 }
 
@@ -313,8 +309,7 @@ func TestSocialDHTPrefersFriends(t *testing.T) {
 	}
 	r := mustRing(t, n, Config{})
 	owner := socialgraph.UserID(0)
-	window := (&Placement{}).window(3)
-	cands := r.SuccessorsOf(owner, window)
+	cands := r.SuccessorsOf(owner, window(3))
 	b := socialgraph.NewBuilder(socialgraph.Undirected, n)
 	friend := cands[len(cands)-1] // the worst-placed candidate by ring order
 	b.AddEdge(owner, friend)

@@ -43,9 +43,6 @@ type Placement struct {
 	Social bool
 	// Graph supplies social proximity for the Social variant.
 	Graph *socialgraph.Graph
-	// Window overrides the candidate window multiplier (default
-	// DefaultWindow).
-	Window int
 
 	// scratch pools *rankScratch, so concurrent Select calls from sweep
 	// workers each rank in their own buffers.
@@ -71,12 +68,8 @@ func (p *Placement) Name() string {
 func (p *Placement) Traits() replica.Traits { return replica.Traits{} }
 
 // window returns the candidate window size for a budget.
-func (p *Placement) window(budget int) int {
-	w := p.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
-	n := w * budget
+func window(budget int) int {
+	n := DefaultWindow * budget
 	if n < budget {
 		n = budget
 	}
@@ -92,7 +85,7 @@ func (p *Placement) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID 
 	if p.Ring == nil || in.Budget <= 0 {
 		return nil
 	}
-	cands := p.Ring.SuccessorsOf(in.Owner, p.window(in.Budget))
+	cands := p.Ring.SuccessorsOf(in.Owner, window(in.Budget))
 	if p.Social {
 		p.rank(in, cands)
 	}

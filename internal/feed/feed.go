@@ -1,7 +1,6 @@
 // Package feed assembles timelines: the "feed of updates on friends'
 // profiles" a typical OSN offers (paper §II). It merges the post logs of
-// many walls into a reverse-chronological stream with stable cursors for
-// pagination.
+// many walls into one reverse-chronological stream.
 package feed
 
 import "dosn/internal/store"
@@ -78,56 +77,19 @@ func Merge(walls ...[]Item) []Item {
 	return out
 }
 
-// Timeline returns the first page, at most limit items, of the merged feed
-// across every wall st hosts: the node's view of its friends' profiles.
+// Timeline returns the newest min(limit, n) items of the merged feed across
+// every wall st hosts: the node's view of its friends' profiles. It returns
+// nil for limit <= 0.
 func Timeline(st *store.Store, limit int) []Item {
+	if limit <= 0 {
+		return nil
+	}
 	var walls [][]Item
 	for _, w := range st.Walls() {
 		if ps, err := st.Posts(w); err == nil {
 			walls = append(walls, ps)
 		}
 	}
-	items, _, _ := Page(Merge(walls...), Cursor{}, limit)
-	return items
-}
-
-// Cursor marks a position in a timeline for pagination. The zero value
-// means "start from the newest item".
-type Cursor struct {
-	// The cursor is exclusive: the page starts strictly after (older than)
-	// the item these three fields identify.
-	At    int64        `json:"at"`
-	ID    store.PostID `json:"id"`
-	Wall  store.NodeID `json:"wall"`
-	valid bool
-}
-
-// Page returns up to limit items from the merged timeline starting at the
-// cursor, plus the cursor for the next page. done is true when the timeline
-// is exhausted.
-func Page(timeline []Item, c Cursor, limit int) (items []Item, next Cursor, done bool) {
-	if limit <= 0 {
-		return nil, c, len(timeline) == 0
-	}
-	start := 0
-	if c.valid {
-		// Find the first item strictly older than the cursor.
-		at := Item{CreatedAt: c.At, ID: c.ID, Wall: c.Wall}
-		for start < len(timeline) {
-			if older(&timeline[start], &at) {
-				break
-			}
-			start++
-		}
-	}
-	end := start + limit
-	if end > len(timeline) {
-		end = len(timeline)
-	}
-	items = timeline[start:end]
-	if end == len(timeline) {
-		return items, Cursor{}, true
-	}
-	last := items[len(items)-1]
-	return items, Cursor{At: last.CreatedAt, ID: last.ID, Wall: last.Wall, valid: true}, false
+	items := Merge(walls...)
+	return items[:min(limit, len(items))]
 }

@@ -98,69 +98,67 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
+// hostAll returns a store that hosts every wall the posts name and holds
+// every post.
+func hostAll(t *testing.T, walls [][]Item) *store.Store {
+	t.Helper()
+	st := store.New(99)
+	for _, w := range walls {
+		for _, p := range w {
+			st.Host(p.Wall)
+			if _, err := st.Apply(p); err != nil {
+				t.Fatalf("Apply(%v): %v", p, err)
+			}
+		}
+	}
+	return st
+}
+
+// TestPagePagination: a timeline page of limit items is the newest
+// min(limit, n) items of the merged feed, newest first.
 func TestPagePagination(t *testing.T) {
 	var wall []Item
 	for i := 1; i <= 7; i++ {
-		wall = append(wall, post(1, uint64(i), int64(i)))
+		wall = append(wall, postOn(3, 1, uint64(i), int64(i)))
 	}
-	timeline := Merge(wall)
+	st := hostAll(t, [][]Item{wall})
+	full := Merge(wall)
+	for _, tc := range []struct{ limit, want int }{
+		{1, 1}, {3, 3}, {7, 7}, {100, 7},
+	} {
+		got := Timeline(st, tc.limit)
+		if !slices.Equal(got, full[:tc.want]) {
+			t.Errorf("Timeline(limit %d) = %v, want the newest %d of %v", tc.limit, got, tc.want, full)
+		}
+		for i := 1; i < len(got); i++ {
+			if !older(&got[i], &got[i-1]) {
+				t.Errorf("Timeline(limit %d) out of order at %d: %v after %v", tc.limit, i, got[i], got[i-1])
+			}
+		}
+	}
+}
 
-	var all []Item
-	var c Cursor
-	pages := 0
-	for {
-		items, next, done := Page(timeline, c, 3)
-		all = append(all, items...)
-		pages++
-		if done {
-			break
+// TestPageZeroLimit: a page of limit <= 0 is nil, and an empty store's page
+// is empty.
+func TestPageZeroLimit(t *testing.T) {
+	st := hostAll(t, [][]Item{{postOn(3, 1, 1, 1)}})
+	for _, limit := range []int{-1, 0} {
+		if got := Timeline(st, limit); got != nil {
+			t.Errorf("Timeline(limit %d) = %#v, want nil", limit, got)
 		}
-		c = next
 	}
-	if pages != 3 {
-		t.Errorf("pages = %d, want 3 (3+3+1)", pages)
-	}
-	if len(all) != 7 {
-		t.Fatalf("paged items = %d, want 7", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if !older(&all[i], &all[i-1]) {
-			t.Errorf("pagination out of order at %d: %v after %v", i, all[i], all[i-1])
-		}
+	if got := Timeline(store.New(1), 5); len(got) != 0 {
+		t.Errorf("Timeline of an empty store = %v", got)
 	}
 }
 
 // Sequence numbers count per (author, wall): one author's first post on each
-// of two walls, written in the same minute, differ only in the wall. A
-// cursor without the wall resumed "strictly older" than both and dropped one.
-func TestPageKeepsSameAuthorTiesAcrossWalls(t *testing.T) {
+// of two walls, written in the same minute, differ only in the wall. Merge
+// keeps both, newer wall first.
+func TestMergeSameAuthorTiesAcrossWalls(t *testing.T) {
 	timeline := Merge([]Item{postOn(10, 1, 1, 5)}, []Item{postOn(11, 1, 1, 5)})
 	if len(timeline) != 2 || timeline[0].Wall != 11 || timeline[1].Wall != 10 {
 		t.Fatalf("timeline = %v, want wall 11 then wall 10", timeline)
-	}
-	var paged []Item
-	var c Cursor
-	for i := 0; i < 3; i++ {
-		items, next, done := Page(timeline, c, 1)
-		paged = append(paged, items...)
-		if done {
-			break
-		}
-		c = next
-	}
-	if !slices.Equal(paged, timeline) {
-		t.Errorf("paged %v, want %v", paged, timeline)
-	}
-}
-
-func TestPageZeroLimit(t *testing.T) {
-	items, _, done := Page([]Item{post(1, 1, 1)}, Cursor{}, 0)
-	if len(items) != 0 || done {
-		t.Errorf("zero limit = (%v,%v)", items, done)
-	}
-	_, _, done = Page(nil, Cursor{}, 0)
-	if !done {
-		t.Error("empty timeline with zero limit is done")
 	}
 }
 
@@ -174,21 +172,18 @@ func TestQuickMergeMatchesSortedUnion(t *testing.T) {
 	}
 }
 
-func TestQuickPaginationCoversAll(t *testing.T) {
+// TestQuickTimelineIsMergePrefix: a store's timeline is the newest
+// min(limit, n) items of the merge of its walls.
+func TestQuickTimelineIsMergePrefix(t *testing.T) {
 	f := func(seed int64, limitRaw uint8) bool {
-		limit := int(limitRaw%5) + 1
-		timeline := Merge(randomWalls(rand.New(rand.NewSource(seed)))...)
-		var c Cursor
-		var paged []Item
-		for i := 0; i < 100; i++ { // bound iterations defensively
-			items, next, done := Page(timeline, c, limit)
-			paged = append(paged, items...)
-			if done {
-				break
-			}
-			c = next
+		walls := randomWalls(rand.New(rand.NewSource(seed)))
+		limit := int(limitRaw % 40)
+		full := Merge(walls...)
+		got := Timeline(hostAll(t, walls), limit)
+		if limit == 0 {
+			return got == nil
 		}
-		return slices.Equal(paged, timeline)
+		return slices.Equal(got, full[:min(limit, len(full))])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -29,7 +29,7 @@ these exonerates it:
     lives at a caller or in a data invariant the analyzer cannot see).
 
 int and uint are treated as 64-bit (the supported platforms); conversions to
-named defined types (socialgraph.UserID, dht.NodeID) are out of scope — they
+named defined types (socialgraph.UserID) are out of scope — they
 are identities, not lengths.`,
 	Run: runInt32Cast,
 }

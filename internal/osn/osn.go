@@ -19,10 +19,8 @@ import (
 	"sort"
 
 	"dosn/internal/desim"
-	"dosn/internal/dht"
 	"dosn/internal/feed"
 	"dosn/internal/interval"
-	"dosn/internal/metrics"
 	"dosn/internal/obs"
 	"dosn/internal/socialgraph"
 	"dosn/internal/stats"
@@ -84,17 +82,6 @@ type Config struct {
 	// receiving new data; replicas then exchange only when a session
 	// starts. Used by the protocol-design ablation (A4).
 	DisableEagerPush bool
-	// Router switches the runtime into lookup-routed delivery mode: post
-	// handoffs and profile reads resolve the wall through the DHT ring
-	// instead of assuming the creator knows the replica group. The hop
-	// count of every resolution is measured (Result.LookupHops) and each
-	// node that forwards a query accumulates routing load
-	// (Result.RouteLoad*). Routing runs over the static ring — the DHT's
-	// stabilized state — while delivery success still requires an online
-	// group member, reached from the lookup root via its successor list
-	// (one extra hop when the root itself is not the live target). Nil
-	// keeps the classic friend-to-friend behavior, byte for byte.
-	Router *dht.Ring
 	// Seed drives the loss process.
 	Seed int64
 }
@@ -178,21 +165,6 @@ type Result struct {
 	// availability-on-demand.
 	ReadsTotal  int
 	ReadsServed int
-	// RoutedOps counts DHT resolutions performed in lookup-routed mode
-	// (zero when Config.Router is nil).
-	RoutedOps int
-	// LookupHops aggregates, per routed operation that reached an online
-	// replica, the total DHT hop count (finger hops to the key's root plus
-	// the successor-list hop to the live replica).
-	LookupHops stats.Welford
-	// RouteLoadMean/Max/CV/Gini summarize how unevenly query-handling duty
-	// — forwarding a lookup or serving it at the live replica — spread
-	// over the nodes (per-node load imbalance of the routing layer; see
-	// metrics.LoadImbalance and metrics.Gini).
-	RouteLoadMean float64
-	RouteLoadMax  float64
-	RouteLoadCV   float64
-	RouteLoadGini float64
 }
 
 // Network is a configured protocol-runtime instance. Build with NewNetwork,
@@ -207,9 +179,6 @@ type Network struct {
 	deliveries []*delivery
 	byPost     map[postKey]*delivery
 	res        Result
-	// routeLoad counts, per node, the queries the node forwarded in
-	// lookup-routed mode; nil when no Router is configured.
-	routeLoad []int
 	// authorSeq assigns per-(creator,wall) sequence numbers for posts
 	// created by non-hosts while disconnected.
 	authorSeq map[[2]NodeID]uint64
@@ -223,9 +192,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if cfg.Days <= 0 {
 		return nil, ErrBadHorizon
 	}
-	if cfg.Router != nil && cfg.Router.NumNodes() < len(cfg.Schedules) {
-		return nil, fmt.Errorf("osn: router ring has %d nodes, schedules cover %d users", cfg.Router.NumNodes(), len(cfg.Schedules))
-	}
 	n := &Network{
 		cfg:       cfg,
 		sim:       desim.New(),
@@ -234,9 +200,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		groups:    make(map[NodeID][]NodeID),
 		byPost:    make(map[postKey]*delivery),
 		authorSeq: make(map[[2]NodeID]uint64),
-	}
-	if cfg.Router != nil {
-		n.routeLoad = make([]int, len(cfg.Schedules))
 	}
 	inRange := func(id NodeID) bool { return id >= 0 && int(id) < len(cfg.Schedules) }
 
@@ -514,22 +477,18 @@ func (n *Network) createPost(p PostEvent) {
 	}
 }
 
-// flushOutbox attempts to hand each queued post to an online member of its
-// wall group: the lowest-ID one in classic mode, the lookup-resolved one in
-// routed mode.
+// flushOutbox attempts to hand each queued post to the lowest-ID online
+// member of its wall group.
 func (n *Network) flushOutbox(nd *node) {
 	if len(nd.outbox) == 0 {
 		return
 	}
 	var remaining []store.Post
 	for _, post := range nd.outbox {
-		target, hops := n.resolveTarget(nd.id, NodeID(post.Wall))
+		target := n.onlineGroupMember(NodeID(post.Wall))
 		if target == nil || n.lossy() {
 			remaining = append(remaining, post)
 			continue
-		}
-		if n.cfg.Router != nil {
-			n.res.LookupHops.Add(float64(hops))
 		}
 		if ok, err := target.store.Apply(post); err == nil && ok {
 			n.res.PostsTransferred++
@@ -548,53 +507,6 @@ func (n *Network) onlineGroupMember(wall NodeID) *node {
 		}
 	}
 	return nil
-}
-
-// resolveTarget finds the online replica a routed operation lands on. With
-// no Router it is the lowest-ID online group member (the classic mode,
-// untouched). With a Router the wall's key is resolved on the static ring
-// from the requesting node — every node that handles the query (forwards
-// it, or serves it as the live replica) accrues routing load — and the live
-// replica closest to the lookup root in successor order is chosen, one
-// extra hop away unless the root itself is the live target. The returned
-// hop count covers the whole resolution; it is 0 in classic mode.
-func (n *Network) resolveTarget(from, wall NodeID) (*node, int) {
-	r := n.cfg.Router
-	if r == nil {
-		return n.onlineGroupMember(wall), 0
-	}
-	n.res.RoutedOps++
-	path := r.Route(from, r.Key(wall))
-	for _, hop := range path[1:] {
-		if int(hop) < len(n.routeLoad) {
-			n.routeLoad[hop]++
-		}
-	}
-	hops := len(path) - 1
-	root := path[len(path)-1]
-	rootPos := r.PositionOf(root)
-	var best *node
-	bestSteps := -1
-	for _, m := range n.groups[wall] {
-		nd := n.nodes[m]
-		if !nd.online {
-			continue
-		}
-		steps := r.Steps(rootPos, r.PositionOf(m))
-		if bestSteps < 0 || steps < bestSteps {
-			best, bestSteps = nd, steps
-		}
-	}
-	if best == nil {
-		return nil, hops
-	}
-	if best.id != root {
-		hops++ // successor-list forward from the root to the live replica
-		if int(best.id) < len(n.routeLoad) {
-			n.routeLoad[best.id]++ // the live replica serves the query
-		}
-	}
-	return best, hops
 }
 
 // exchange performs bidirectional anti-entropy between two online nodes for
@@ -623,25 +535,13 @@ func (n *Network) syncDirected(src, dst *node) {
 }
 
 // serveRead records whether a scripted profile access found any replica of
-// the wall online, resolving through the ring in lookup-routed mode. A
-// reader that is itself an online replica of the wall reads from its own
-// store — no lookup, no hops — mirroring createPost's local-apply path; in
-// classic mode this short-circuit answers identically to the group scan.
+// the wall online.
 func (n *Network) serveRead(r ReadEvent) {
 	n.res.ReadsTotal++
 	obsReadsTotal.Inc()
-	if nd, ok := n.nodes[r.Reader]; ok && nd.online && nd.store.Hosts(store.NodeID(r.Wall)) {
+	if n.onlineGroupMember(r.Wall) != nil {
 		n.res.ReadsServed++
 		obsReadsServed.Inc()
-		return
-	}
-	target, hops := n.resolveTarget(r.Reader, r.Wall)
-	if target != nil {
-		n.res.ReadsServed++
-		obsReadsServed.Inc()
-		if n.cfg.Router != nil {
-			n.res.LookupHops.Add(float64(hops))
-		}
 	}
 }
 
@@ -742,10 +642,6 @@ func (n *Network) finalize() {
 	}
 	if n.res.Posts > 0 {
 		n.res.ImmediateFraction = float64(immediate) / float64(n.res.Posts)
-	}
-	if n.routeLoad != nil {
-		n.res.RouteLoadMean, n.res.RouteLoadMax, n.res.RouteLoadCV = metrics.LoadImbalance(n.routeLoad)
-		n.res.RouteLoadGini = metrics.Gini(n.routeLoad)
 	}
 }
 

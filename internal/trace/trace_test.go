@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -163,6 +164,31 @@ func TestReadActivitiesErrors(t *testing.T) {
 				t.Errorf("err = %v, want ErrBadTraceFormat", err)
 			}
 		})
+	}
+}
+
+// TestReadActivitiesRejectsWideIDs: a user ID that does not fit int32 is a
+// format error naming its line, not a wrapped reference to a real user
+// (4294967297 used to load as user 1). IDs that fit but lie outside the
+// graph still load; Reindex skips them.
+func TestReadActivitiesRejectsWideIDs(t *testing.T) {
+	for _, in := range []string{
+		"# dosn-activities 1\n4294967297,2,3\n",
+		"# dosn-activities 2\n1,2,3\n1,2147483648,3\n",
+		"# dosn-activities 1\n-2147483649,2,3\n",
+	} {
+		_, err := ReadActivities(strings.NewReader(in))
+		if !errors.Is(err, ErrBadTraceFormat) {
+			t.Errorf("ReadActivities(%q) err = %v, want ErrBadTraceFormat", in, err)
+			continue
+		}
+		if want := fmt.Sprintf("line %d:", strings.Count(in, "\n")); !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadActivities(%q) err = %v, want it to name %q", in, err, want)
+		}
+	}
+	acts, err := ReadActivities(strings.NewReader("# dosn-activities 1\n2147483647,-2147483648,3\n"))
+	if err != nil || len(acts) != 1 || acts[0].Creator != math.MaxInt32 || acts[0].Receiver != math.MinInt32 {
+		t.Errorf("int32-range IDs = %v, %v; want them loaded as written", acts, err)
 	}
 }
 
