@@ -66,8 +66,9 @@ type (
 	// SynthConfig parameterizes synthetic dataset generation.
 	SynthConfig = trace.SynthConfig
 	// OnlineModel approximates per-user online times from activity. Its one
-	// build method is BuildTable: schedules exist only as ScheduleTable rows
-	// (row.Set() is the interval view of a row).
+	// build method is BuildTable (a nil row set builds every row): schedules
+	// exist only as ScheduleTable rows (row.Set() is the interval view of a
+	// row).
 	OnlineModel = onlinetime.Model
 	// ScheduleTable is the arena-backed dense schedule store: one day-bitmap
 	// row per user in a single flat allocation. SweepConfig.Schedules takes

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"dosn/internal/fault"
 	"dosn/internal/interval"
@@ -36,9 +37,10 @@ import (
 // values are never read back on this side of the obs boundary, so results
 // stay a pure function of (spec, seed).
 var (
-	obsChunksSwept = obs.C("core.sweep_chunks")
-	obsUsersSwept  = obs.C("core.sweep_users")
-	obsRNGSeeded   = obs.C("core.rng_seeded")
+	obsChunksSwept  = obs.C("core.sweep_chunks")
+	obsUsersSwept   = obs.C("core.sweep_users")
+	obsRNGSeeded    = obs.C("core.rng_seeded")
+	obsSweepsReused = obs.C("core.sweeps_reused") // (repetition, policy) columns copied, not swept
 )
 
 // Failpoints on the sweep's fragile seams (see internal/fault): disabled
@@ -121,11 +123,16 @@ type Config struct {
 	Obs *obs.CellObs
 	// Schedules optionally supplies precomputed per-repetition schedule
 	// tables (Schedules[rep], user-indexed arena rows). When set for a
-	// repetition, the engine uses it instead of calling Model.BuildTable,
-	// which lets callers densify each (dataset, model, rep) schedule once
-	// and share it across every sweep with those coordinates — see
-	// internal/harness. Repetitions beyond len(Schedules) fall back to
-	// Model.BuildTable.
+	// repetition, the engine uses it instead of building one, which lets
+	// callers build each (dataset, model, rep) schedule once and share it
+	// across every sweep with those coordinates — see internal/harness.
+	// Repetitions beyond len(Schedules) fall back to a table built in line.
+	// A supplied table need only fill the rows the sweep reads: every user
+	// of Users and each of their candidates (AnalysisRows, when UserDegree
+	// chooses the users). A repetition whose table is the same
+	// *Table as an earlier repetition's — a seed-independent schedule
+	// built once — reuses that repetition's results for every policy that
+	// draws no randomness (replica.Traits), instead of sweeping it again.
 	Schedules []*onlinetime.Table
 }
 
@@ -188,6 +195,28 @@ func analysisUsers(g *socialgraph.Graph, userDegree int) ([]socialgraph.UserID, 
 		return nil, fmt.Errorf("%w: degree %d", ErrNoUsers, userDegree)
 	}
 	return users, nil
+}
+
+// AnalysisRows returns the schedule rows a sweep over the analysis
+// population of userDegree reads (resolved as Run resolves it): every
+// analysed user and each of their placement candidates, the user's
+// Graph.Neighbors, in ascending order. A table that fills these rows sweeps
+// to the same bits as a full one (onlinetime.ComputeRows).
+func AnalysisRows(g *socialgraph.Graph, userDegree int) ([]socialgraph.UserID, error) {
+	users, err := analysisUsers(g, userDegree)
+	if err != nil {
+		return nil, err
+	}
+	n := len(users)
+	for _, u := range users {
+		n += len(g.Neighbors(u))
+	}
+	rows := append(make([]socialgraph.UserID, 0, n), users...)
+	for _, u := range users {
+		rows = append(rows, g.Neighbors(u)...)
+	}
+	slices.Sort(rows)
+	return slices.Compact(rows), nil
 }
 
 // Cell is one aggregated data point of a sweep: a (policy, degree) pair.
@@ -264,11 +293,17 @@ func Run(cfg Config) (*Result, error) {
 	res.Cells = newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 
 	// One repetition at a time: take or build its table, sweep, and merge
-	// the grid in repetition order.
+	// the grid in repetition order. A table seen before brings the grid of
+	// the first repetition that swept it.
+	first := make(map[*onlinetime.Table][][]Cell)
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		grid, err := sweepOnce(cfg, cfg.table(rep), rep)
+		table := cfg.table(rep)
+		grid, err := sweepOnce(cfg, table, rep, first[table])
 		if err != nil {
 			return nil, err
+		}
+		if _, ok := first[table]; !ok {
+			first[table] = grid
 		}
 		mergeGrids(res.Cells, grid)
 	}
@@ -335,11 +370,45 @@ const sweepChunkSize = 16
 // the bitmap slice every worker reads, with no densification step on this
 // path (the table was dense from construction).
 //
+// When prior is the grid of an earlier repetition over the same table, the
+// policies that draw no randomness are not swept again: their columns are
+// prior's, which the same table, users and selections would reproduce bit
+// for bit. Only the randomized policies are swept — their generators are
+// seeded by repetition — and with none of them there is no sweep at all.
+//
 // A worker that fails — an injected error, a panic in a policy or a metric —
 // voids the repetition: fault.Chunks stops handing out chunks, joins, and
 // returns the failure (a panic as an error carrying the worker's stack) as
 // this sweep's error; the partially filled chunk grids go with it.
-func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
+func sweepOnce(cfg Config, table *onlinetime.Table, rep int, prior [][]Cell) ([][]Cell, error) {
+	reused := make([]bool, len(cfg.Policies))
+	swept := make([]replica.Policy, 0, len(cfg.Policies))
+	for pi, p := range cfg.Policies {
+		reused[pi] = prior != nil && !replica.TraitsOf(p).UsesRNG
+		if !reused[pi] {
+			swept = append(swept, p)
+		}
+	}
+	grid, err := sweepPolicies(cfg, table, rep, reused, swept)
+	if err != nil {
+		return nil, err
+	}
+	for pi, r := range reused {
+		if r {
+			grid[pi] = prior[pi]
+			obsSweepsReused.Inc()
+		}
+	}
+	return grid, nil
+}
+
+// sweepPolicies is sweepOnce's fan-out over the policies not marked reused
+// (swept lists them); the reused columns of the grid it returns are empty.
+func sweepPolicies(cfg Config, table *onlinetime.Table, rep int, reused []bool, swept []replica.Policy) ([][]Cell, error) {
+	grid := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
+	if len(swept) == 0 {
+		return grid, nil
+	}
 	if err := faultSweepShard.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
 		return nil, err
 	}
@@ -350,7 +419,7 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 		// is what exposes imbalance. The reading goes only into obs.
 		busy := obs.StartWatch()
 		defer func() { cfg.Obs.WorkerBusy(busy.ElapsedNS()) }()
-		return sweepChunks(cfg, table.Bitmaps(), rep, chunks, next)
+		return sweepChunks(cfg, table.Bitmaps(), rep, reused, swept, chunks, next)
 	})
 	cfg.Obs.AddPhaseNS("sweep-shards", sw.ElapsedNS())
 	sw = obs.StartWatch()
@@ -361,7 +430,6 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 		return nil, err
 	}
 
-	grid := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 	for _, g := range chunks {
 		mergeGrids(grid, g)
 	}
@@ -370,16 +438,18 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int) ([][]Cell, error) {
 }
 
 // sweepChunks is one worker's loop: reduce each claimed chunk's users in
-// order into that chunk's grid. The worker owns one sweepScratch and one
-// replica.Placer, so the per-user metric accumulation allocates nothing
-// beyond the policy selections; chunks[ci] is written only by the worker that
-// claimed chunk ci. The chunk counters are single atomic adds per 16-user
-// chunk — allocation-free and cheap enough to stay on unconditionally.
+// order into that chunk's grid, for the policies not marked reused (swept
+// lists them). The worker owns one sweepScratch and one replica.Placer,
+// which prepares only what the swept policies read, so the per-user metric
+// accumulation allocates nothing beyond the policy selections; chunks[ci]
+// is written only by the worker that claimed chunk ci. The chunk counters
+// are single atomic adds per 16-user chunk — allocation-free and cheap
+// enough to stay on unconditionally.
 //
 //dosn:hotpath
-func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, chunks [][][]Cell, next func() (lo, hi int, ok bool)) error {
+func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, reused []bool, swept []replica.Policy, chunks [][][]Cell, next func() (lo, hi int, ok bool)) error {
 	var scratch sweepScratch
-	pl := replica.NewPlacer(cfg.Dataset, bitmaps, cfg.Mode, cfg.MaxDegree, cfg.Policies...)
+	pl := replica.NewPlacer(cfg.Dataset, bitmaps, cfg.Mode, cfg.MaxDegree, swept...)
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		ci := lo / sweepChunkSize
 		if err := faultSweepChunk.InjectSeeded(mix(cfg.Seed, int64(rep), int64(ci))); err != nil {
@@ -387,7 +457,7 @@ func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, chunks [][][]Ce
 		}
 		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 		for _, u := range cfg.Users[lo:hi] {
-			sweepUser(cfg, pl, rep, u, g, &scratch)
+			sweepUser(cfg, pl, rep, reused, u, g, &scratch)
 		}
 		chunks[ci] = g
 		obsChunksSwept.Inc()
@@ -412,11 +482,12 @@ type sweepScratch struct {
 	rng           workerRNG
 }
 
-// sweepUser evaluates every policy and every replication degree for one
-// user, accumulating into grid. All interval arithmetic runs on the dense
-// bitmap rows. The worker's Placer prepares the placement input once per
-// user — only what the policies' replica.Traits declare they read — and only
-// randomized policies get a generator, reseeded in O(1) (workerRNG).
+// sweepUser evaluates every policy not marked reused and every replication
+// degree for one user, accumulating into grid. All interval arithmetic runs
+// on the dense bitmap rows. The worker's Placer prepares the placement input
+// once per user — only what the policies' replica.Traits declare they read
+// — and only randomized policies get a generator, reseeded in O(1)
+// (workerRNG).
 //
 // The degree loop is a one-pass incremental kernel: each step grows the
 // availability bitmap and reads back its measure and its overlap with the
@@ -430,7 +501,7 @@ type sweepScratch struct {
 // bit-identical to the three-pass loop this replaces.
 //
 //dosn:hotpath
-func sweepUser(cfg Config, pl *replica.Placer, rep int, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
+func sweepUser(cfg Config, pl *replica.Placer, rep int, reused []bool, u socialgraph.UserID, grid [][]Cell, scratch *sweepScratch) {
 	ds := cfg.Dataset
 	in := pl.Input(u)
 	bitmaps := in.Bitmaps
@@ -458,6 +529,9 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, u socialgraph.UserID, gr
 	// prefix of one policy's selection.
 	scratch.delay.Init(u, nil, bitmaps)
 	for pi, p := range cfg.Policies {
+		if reused[pi] {
+			continue
+		}
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {
 			rng = scratch.rng.seeded(mix(cfg.Seed, int64(rep), int64(pi), int64(u)))

@@ -234,7 +234,7 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	pre := base
 	for rep := 0; rep < base.Repeats; rep++ {
 		pre.Schedules = append(pre.Schedules,
-			base.Model.BuildTable(ds, rand.New(rand.NewSource(mix(base.Seed, int64(rep)))), 1))
+			base.Model.BuildTable(ds, rand.New(rand.NewSource(mix(base.Seed, int64(rep)))), 1, nil))
 	}
 	cached, err := Run(pre)
 	if err != nil {
@@ -247,7 +247,7 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	alt := base
 	for rep := 0; rep < base.Repeats; rep++ {
 		alt.Schedules = append(alt.Schedules,
-			base.Model.BuildTable(ds, rand.New(rand.NewSource(mix(777, int64(rep)))), 1))
+			base.Model.BuildTable(ds, rand.New(rand.NewSource(mix(777, int64(rep)))), 1, nil))
 	}
 	shifted, err := Run(alt)
 	if err != nil {
@@ -383,14 +383,14 @@ func TestSweepEqualsInOrderFold(t *testing.T) {
 	for lo := 0; lo < len(cfg.Users); lo += 16 {
 		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 		for _, u := range cfg.Users[lo:min(lo+16, len(cfg.Users))] {
-			sweepUser(cfg, pl, rep, u, g, &scratch)
+			sweepUser(cfg, pl, rep, make([]bool, len(cfg.Policies)), u, g, &scratch)
 		}
 		mergeGrids(want, g)
 	}
 
 	for _, workers := range []int{1, 3, 8} {
 		cfg.Workers = workers
-		got, err := sweepOnce(cfg, table, rep)
+		got, err := sweepOnce(cfg, table, rep, nil)
 		if err != nil {
 			t.Fatalf("sweepOnce(workers=%d): %v", workers, err)
 		}

@@ -63,8 +63,11 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 	// cells 0, 2, 1, 3: the first needers of the Sporadic and FixedLength(2h)
 	// schedules, then their UnconRep reusers. crashSpec has one dataset, so
 	// the claim order's round-robin over datasets has nothing to alternate
-	// and leaves these hits where they were. Each repetition builds one
-	// table (300 users fill one 512-row chunk) and sweeps once, so:
+	// and leaves these hits where they were. schedule-build fires once per
+	// repetition; each Sporadic repetition builds one table, and the
+	// FixedLength(2h) entry, seed-independent over its row set, builds one
+	// for both (a row set under 512 rows fills one chunk); every repetition
+	// sweeps once (Random draws per repetition), so:
 	// schedule-build hit 3, build-chunk hit 3 and reduce hit 3 are cell 2's
 	// first repetition; center-chunk hit 1 is cell 2's first table (the
 	// dataset's one column fill); sweep-shard hit 5 is the first repetition of

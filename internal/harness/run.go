@@ -14,6 +14,7 @@ import (
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
+	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
 
@@ -146,14 +147,25 @@ type caches struct {
 	datasets  map[string]*lazy[*trace.Dataset]
 	schedules map[string]*schedEntry
 	rings     map[string]*lazy[*dht.Ring]
+	// everyRow holds the schedule keys some DHT cell of the run reads;
+	// read-only after newCaches.
+	everyRow map[string]bool
 }
 
-func newCaches() *caches {
-	return &caches{
+// newCaches returns the empty caches of a run over the given cells.
+func newCaches(cells []CellSpec) *caches {
+	c := &caches{
 		datasets:  make(map[string]*lazy[*trace.Dataset]),
 		schedules: make(map[string]*schedEntry),
 		rings:     make(map[string]*lazy[*dht.Ring]),
+		everyRow:  make(map[string]bool),
 	}
+	for _, cell := range cells {
+		if !cell.isFriend() {
+			c.everyRow[cell.scheduleKey()] = true
+		}
+	}
+	return c
 }
 
 func (c *caches) datasetEntry(key string) *lazy[*trace.Dataset] {
@@ -206,20 +218,36 @@ func buildDataset(d DatasetSpec) (*trace.Dataset, error) {
 	return trace.SynthesizeCalibrated(n.Name, n.Users, n.Seed, n.MinActivity)
 }
 
+// scheduleRows is the row set the tables of one schedule entry fill (nil:
+// every row). A friend cell reads only the analysis closure of the spec's
+// UserDegree (core.AnalysisRows, resolved as core.Run resolves it); a DHT
+// cell may place a replica on any user, so an entry a DHT cell shares fills
+// every row.
+func (c *caches) scheduleRows(key string, userDegree int, ds *trace.Dataset) ([]socialgraph.UserID, error) {
+	if c.everyRow[key] {
+		return nil, nil
+	}
+	return core.AnalysisRows(ds.Graph, userDegree)
+}
+
 // schedulesFor computes (or fetches) the per-repetition schedule tables
 // shared by every cell with the given (dataset, model) coordinates. Each
-// table is densified exactly once per (dataset, model, rep) for the whole
-// run — cells sharing the coordinates reuse the arena read-only, with no
-// per-cell conversion. buildWorkers is the filling cell's core budget: the
-// parallel phase-2 row construction may use it freely because worker counts
-// never reach the table bytes. hit reports whether a different cell asked
-// for the entry first — cell-to-cell reuse, feeding execution-only
-// telemetry — and built whether this call ran the build. The two differ
-// when a cell rebuilds an entry whose first asker's build failed, or when a
-// retry finds its own abandoned attempt's entry. The manifest's
-// ScheduleCacheHits is NOT the measured hit count but the spec-derived
-// expectedScheduleHits: under resume the measured count shifts (restored
-// cells never ask) while the manifest bytes must not.
+// table is built exactly once per (dataset, model, rep) for the whole run,
+// filling only the rows its readers read (scheduleRows), and cells sharing
+// the coordinates reuse the arena read-only. When the build over those rows
+// is the same for every seed (onlinetime.SeedIndependent), the first
+// repetition's table serves every repetition — the same *Table, which
+// core.Run recognizes — while the harness.schedule-build failpoint still
+// fires once per repetition. buildWorkers is the filling cell's core
+// budget: the parallel phase-2 row construction may use it freely because
+// worker counts never reach the table bytes. hit reports whether a
+// different cell asked for the entry first — cell-to-cell reuse, feeding
+// execution-only telemetry — and built whether this call ran the build. The
+// two differ when a cell rebuilds an entry whose first asker's build
+// failed, or when a retry finds its own abandoned attempt's entry. The
+// manifest's ScheduleCacheHits is NOT the measured hit count but the
+// spec-derived expectedScheduleHits: under resume the measured count shifts
+// (restored cells never ask) while the manifest bytes must not.
 func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit, built bool, err error) {
 	entry := c.scheduleEntry(cell.scheduleKey())
 	me := int64(cell.Index) + 1
@@ -228,13 +256,22 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 		obsSchedHits.Inc()
 	}
 	tables, built, err = entry.get(func() ([]*onlinetime.Table, error) {
+		rows, err := c.scheduleRows(cell.scheduleKey(), spec.UserDegree, ds)
+		if err != nil {
+			return nil, err
+		}
+		once := onlinetime.SeedIndependent(model, ds, rows, buildWorkers)
 		out := make([]*onlinetime.Table, spec.Repeats)
 		for rep := range out {
 			seed := spec.scheduleSeed(cell.Dataset, cell.Model, rep)
 			if err := faultScheduleBuild.InjectSeeded(seed); err != nil {
 				return nil, err
 			}
-			out[rep] = onlinetime.ComputeTable(model, ds, seed, buildWorkers)
+			if once && rep > 0 {
+				out[rep] = out[0]
+			} else {
+				out[rep] = onlinetime.ComputeRows(model, ds, seed, buildWorkers, rows)
+			}
 		}
 		return out, nil
 	})
@@ -309,7 +346,7 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 
 	opts.Telemetry.SetTotalCells(len(cells))
 	opts.Telemetry.SetWorkers(opts.Workers)
-	shared := newCaches()
+	shared := newCaches(cells)
 	results := make([]CellResult, len(cells))
 	errs := make([]error, len(cells))
 	var cp *checkpoint

@@ -10,6 +10,16 @@
 // schedules are cached across cells that share a (dataset, model, repetition)
 // key, so a full {2 datasets} × {6 models} × {2 modes} matrix computes each
 // schedule set once instead of twice.
+//
+// A schedule table fills only the rows its cells read. Friend-replication
+// cells read the analysis closure — the analysed users and their candidates
+// (core.AnalysisRows), about a fifth of a paper-scale dataset — and DHT cells
+// read every row, so an entry any DHT cell shares fills every row. Rows
+// outside the set stay empty, and no cell reads them. When the build over
+// the entry's rows is the same for every seed (onlinetime.SeedIndependent:
+// FixedLength when every filled row has an activity center), the entry
+// builds one table and hands it to every repetition, and core.Run sweeps
+// its RNG-free policies over it once. Neither changes a manifest byte.
 package harness
 
 import (

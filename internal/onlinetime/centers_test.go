@@ -103,7 +103,7 @@ func TestCenterColumnBuiltOncePerDataset(t *testing.T) {
 	models := centerModels()
 	want := make([]*Table, len(models))
 	for i, m := range models {
-		want[i] = m.BuildTable(serial, rand.New(rand.NewSource(int64(i))), 1)
+		want[i] = m.BuildTable(serial, rand.New(rand.NewSource(int64(i))), 1, nil)
 	}
 
 	d := trace.MustSynthesize(cfg)
@@ -117,7 +117,7 @@ func TestCenterColumnBuiltOncePerDataset(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			i := g % len(models)
-			got[g] = models[i].BuildTable(d, rand.New(rand.NewSource(int64(i))), 1+g%3)
+			got[g] = models[i].BuildTable(d, rand.New(rand.NewSource(int64(i))), 1+g%3, nil)
 		}()
 	}
 	wg.Wait()
@@ -138,7 +138,7 @@ func TestCenterColumnBuiltOncePerDataset(t *testing.T) {
 func TestCenterFillFaultFailsOnlyThatBuild(t *testing.T) {
 	cfg := trace.DefaultFacebookConfig(3 * buildChunk)
 	m := FixedLength{Hours: 4}
-	want := m.BuildTable(trace.MustSynthesize(cfg), rand.New(rand.NewSource(3)), 1)
+	want := m.BuildTable(trace.MustSynthesize(cfg), rand.New(rand.NewSource(3)), 1, nil)
 
 	d := trace.MustSynthesize(cfg)
 	if err := fault.Enable("trace.center-chunk=panic(2)"); err != nil {
@@ -146,7 +146,7 @@ func TestCenterFillFaultFailsOnlyThatBuild(t *testing.T) {
 	}
 	r := func() (r any) {
 		defer func() { r = recover() }()
-		m.BuildTable(d, rand.New(rand.NewSource(3)), 2)
+		m.BuildTable(d, rand.New(rand.NewSource(3)), 2, nil)
 		return nil
 	}()
 	fault.Disable()
@@ -154,7 +154,7 @@ func TestCenterFillFaultFailsOnlyThatBuild(t *testing.T) {
 	if inj, ok := fault.AsInjected(err); !ok || inj.Site != "trace.center-chunk" {
 		t.Fatalf("recovered %v, want the injected fault", r)
 	}
-	if got := m.BuildTable(d, rand.New(rand.NewSource(3)), 2); !reflect.DeepEqual(got.Bitmaps(), want.Bitmaps()) {
+	if got := m.BuildTable(d, rand.New(rand.NewSource(3)), 2, nil); !reflect.DeepEqual(got.Bitmaps(), want.Bitmaps()) {
 		t.Error("the build after the failed one differs from a clean build")
 	}
 }

@@ -21,11 +21,20 @@
 // phases:
 //
 //  1. every random value the model needs is drawn sequentially off the
-//     caller's *rand.Rand, in exactly the per-user, per-activity order the
-//     historical Set-emitting build consumed it — so a seed keeps producing
-//     byte-identical schedules no matter how phase 2 is scheduled;
-//  2. the per-user bitmaps are built from those values over a worker pool
-//     writing disjoint arena rows (deterministic for any worker count).
+//     caller's *rand.Rand, for every user, in exactly the per-user,
+//     per-activity order the historical Set-emitting build consumed it — so
+//     a seed keeps producing byte-identical schedules no matter which rows
+//     phase 2 fills or how it is scheduled;
+//  2. the bitmaps of the requested rows are built from those values over a
+//     worker pool writing disjoint arena rows (deterministic for any worker
+//     count). A build given a row set fills only those rows and leaves every
+//     other row empty; a nil row set means every row.
+//
+// A row set serves a caller that knows which rows its readers read: a
+// friend-replication sweep reads only its analysed users and their
+// candidates, about a fifth of a paper-scale dataset. Whether a build over a row
+// set is the same for every seed is one rule, SeedIndependent: a caller
+// whose repetitions differ only by seed may then build the table once.
 //
 // What FixedLength and RandomLength center a window on — "the majority of the
 // user's activity times", the circular mean of the minutes at which the user
@@ -63,11 +72,20 @@ var (
 )
 
 // recordBuild finalizes one BuildTable's telemetry: the span's duration and
-// the row volume it produced.
-func recordBuild(sp obs.Span, users int) {
+// the number of rows it filled.
+func recordBuild(sp obs.Span, filled int) {
 	sp.End()
 	obsTablesBuilt.Inc()
-	obsRowsBuilt.Add(int64(users))
+	obsRowsBuilt.Add(int64(filled))
+}
+
+// filledRows is the number of rows a build over n users and the row set
+// rows fills.
+func filledRows(n int, rows []socialgraph.UserID) int {
+	if rows == nil {
+		return n
+	}
+	return len(rows)
 }
 
 // Model computes per-user online-time schedules from an activity trace.
@@ -76,12 +94,14 @@ func recordBuild(sp obs.Span, users int) {
 type Model interface {
 	// Name identifies the model in experiment output ("Sporadic", ...).
 	Name() string
-	// BuildTable returns the arena-backed dense schedule of every user.
-	// Random values are consumed from rng in a fixed sequential order
-	// (phase 1); workers bounds the parallel bitmap-construction pool
-	// (phase 2), which never affects the result. workers <= 1 builds
-	// inline.
-	BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table
+	// BuildTable returns the arena-backed dense schedule table of the
+	// dataset with the rows of the row set filled: rows lists user IDs in
+	// ascending order without repeats, and nil means every user. Random
+	// values are consumed from rng for every user in a fixed sequential
+	// order (phase 1), whatever the row set; workers bounds the parallel
+	// bitmap-construction pool (phase 2), which never affects the result.
+	// workers <= 1 builds inline.
+	BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table
 }
 
 // Compile-time interface checks.
@@ -142,7 +162,7 @@ const buildShardUsers = 1 << 16
 // each user's session windows into his arena row. Both phases run shard by
 // shard (buildShardUsers) with the draw column reused, bounding peak memory
 // by one shard's activities.
-func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
+func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
 	sess := s.sessionMinutes()
 	n := d.NumUsers()
@@ -177,23 +197,21 @@ func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Tab
 			offs[i] = int16(rng.Intn(sess))
 		}
 
-		fillRows(slo, shi, workers, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				acts := d.CreatedIdx(socialgraph.UserID(u))
-				base := uoff[u-slo]
-				row := &t.rows[u]
-				for j, k := range acts {
-					// The activity happens at a uniformly random point inside
-					// the session, so the session starts up to sess-1 minutes
-					// earlier.
-					//dosn:boundschecked j indexes acts, whose length is capped at trace.MaxActivities
-					start := d.MinuteOfDayAt(int(k)) - int(offs[base+int32(j)])
-					row.AddInterval(interval.Interval{Start: start, End: start + sess})
-				}
+		fillRows(slo, shi, rows, workers, func(u int) {
+			acts := d.CreatedIdx(socialgraph.UserID(u))
+			base := uoff[u-slo]
+			row := &t.rows[u]
+			for j, k := range acts {
+				// The activity happens at a uniformly random point inside
+				// the session, so the session starts up to sess-1 minutes
+				// earlier.
+				//dosn:boundschecked j indexes acts, whose length is capped at trace.MaxActivities
+				start := d.MinuteOfDayAt(int(k)) - int(offs[base+int32(j)])
+				row.AddInterval(interval.Interval{Start: start, End: start + sess})
 			}
 		})
 	}
-	recordBuild(sp, n)
+	recordBuild(sp, filledRows(n, rows))
 	return t
 }
 
@@ -222,7 +240,7 @@ func (f FixedLength) windowMinutes() int { return min(max(f.Hours, 1), 24) * 60 
 // length, seed or repetition. Users with no activities get a window at a
 // uniformly random time of day (their behaviour is unknown): phase 1 draws
 // exactly those centers, in user order; phase 2 sets each row's one window.
-func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
+func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
 	length := f.windowMinutes()
 	n := d.NumUsers()
@@ -231,12 +249,10 @@ func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *
 	for u := range centers {
 		drawCenter(centers, u, rng)
 	}
-	fillRows(0, n, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			t.rows[u].AddInterval(windowCentered(int(centers[u]), length))
-		}
+	fillRows(0, n, rows, workers, func(u int) {
+		t.rows[u].AddInterval(windowCentered(int(centers[u]), length))
 	})
-	recordBuild(sp, n)
+	recordBuild(sp, filledRows(n, rows))
 	return t
 }
 
@@ -274,7 +290,7 @@ func (r RandomLength) bounds() (lo, hi int) {
 // and — for users with no activities — the random center, in that order
 // (the historical draw order); every other center is the dataset's
 // ActivityCenters entry.
-func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) *Table {
+func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
 	lo, hi := r.bounds()
 	n := d.NumUsers()
@@ -286,12 +302,10 @@ func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int) 
 		lengths[u] = int32(lo*60 + rng.Intn((hi-lo)*60+1))
 		drawCenter(centers, u, rng)
 	}
-	fillRows(0, n, workers, func(ulo, uhi int) {
-		for u := ulo; u < uhi; u++ {
-			t.rows[u].AddInterval(windowCentered(int(centers[u]), int(lengths[u])))
-		}
+	fillRows(0, n, rows, workers, func(u int) {
+		t.rows[u].AddInterval(windowCentered(int(centers[u]), int(lengths[u])))
 	})
-	recordBuild(sp, n)
+	recordBuild(sp, filledRows(n, rows))
 	return t
 }
 
@@ -313,10 +327,43 @@ func windowCentered(center, length int) interval.Interval {
 	return interval.Interval{Start: start, End: start + length}
 }
 
-// ComputeTable builds the model's schedule table with a deterministic seed
-// and the given phase-2 worker budget (which never affects the result).
+// ComputeTable builds the model's schedule table of every user with a
+// deterministic seed and the given phase-2 worker budget (which never
+// affects the result).
 func ComputeTable(m Model, d *trace.Dataset, seed int64, workers int) *Table {
-	return m.BuildTable(d, rand.New(rand.NewSource(seed)), workers)
+	return ComputeRows(m, d, seed, workers, nil)
+}
+
+// ComputeRows is ComputeTable with only the rows of the row set filled (see
+// Model.BuildTable; nil means every row). A filled row is byte-identical to
+// the same row of ComputeTable's table for the same seed.
+func ComputeRows(m Model, d *trace.Dataset, seed int64, workers int, rows []socialgraph.UserID) *Table {
+	return m.BuildTable(d, rand.New(rand.NewSource(seed)), workers, rows)
+}
+
+// SeedIndependent reports whether m's build over the row set (nil: every
+// row) fills those rows the same for every seed — whether nothing it draws
+// reaches a filled row. A caller whose repetitions differ only by seed may
+// then build one table and share it among them. Sporadic draws every
+// session offset and RandomLength every window length, so neither ever
+// qualifies. FixedLength draws only the centers of users the dataset's
+// ActivityCenters column has none for, so it qualifies exactly when every
+// row in the set has one. Asking may build the dataset's center column
+// (over up to workers workers), which a FixedLength build needs anyway.
+func SeedIndependent(m Model, d *trace.Dataset, rows []socialgraph.UserID, workers int) bool {
+	if _, ok := m.(FixedLength); !ok {
+		return false
+	}
+	centers := d.ActivityCenters(workers)
+	if rows == nil {
+		return !slices.ContainsFunc(centers, func(c int16) bool { return c < 0 })
+	}
+	for _, u := range rows {
+		if centers[u] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // DefaultModels returns the model set evaluated throughout the paper's

@@ -199,8 +199,8 @@ func TestScheduleAllUsesSharedRNGDeterministically(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 900)
 	rng1 := rand.New(rand.NewSource(5))
 	rng2 := rand.New(rand.NewSource(5))
-	a := Sporadic{}.BuildTable(d, rng1, 1).Bitmaps()
-	b := Sporadic{}.BuildTable(d, rng2, 1).Bitmaps()
+	a := Sporadic{}.BuildTable(d, rng1, 1, nil).Bitmaps()
+	b := Sporadic{}.BuildTable(d, rng2, 1, nil).Bitmaps()
 	for u := range a {
 		if !a[u].Equal(&b[u]) {
 			t.Fatalf("user %d schedules differ", u)

@@ -1,6 +1,8 @@
 package onlinetime
 
 import (
+	"slices"
+
 	"dosn/internal/fault"
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
@@ -10,11 +12,14 @@ import (
 // user, all rows living in a single contiguous allocation
 // (interval.BitmapWords words — 184 bytes — per user, ~18 MB flat at 100k
 // users). It is the schedule representation: engines keep one table per
-// (dataset, model, repetition) and hand policies, metrics and the protocol
-// runtime O(1) row views.
+// (dataset, model, repetition) — one for every repetition when the build is
+// seed-independent (SeedIndependent) — and hand policies, metrics and the
+// protocol runtime O(1) row views.
 //
-// Rows are mutable through Bitmap; the engines treat a built table as
-// read-only and share it across workers.
+// A table built over a row set (Model.BuildTable) has every other row
+// empty; only a reader of those rows alone may be handed it. Rows are
+// mutable through Bitmap; the engines treat a built table as read-only and
+// share it across workers.
 type Table struct {
 	rows []interval.Bitmap
 }
@@ -53,29 +58,41 @@ func (t *Table) MemoryBytes() int {
 	return len(t.rows) * interval.BitmapWords * 8
 }
 
-// buildChunk is the user-range granularity of the parallel phase-2 build.
-// Chunk boundaries depend only on the user count, and every chunk writes a
-// disjoint arena row range, so the table bytes are identical for any worker
-// count.
+// buildChunk is the row granularity of the parallel phase-2 build. Chunk
+// boundaries depend only on the user count and the row set, and every chunk
+// writes disjoint arena rows, so the table bytes are identical for any
+// worker count.
 const buildChunk = 512
 
 // faultBuildChunk sits inside a table-build worker, per claimed chunk.
 var faultBuildChunk = fault.NewSite("onlinetime.build-chunk")
 
-// fillRows runs fill over the arena rows [lo, hi) in fixed buildChunk ranges
-// on up to `workers` workers (fault.Chunks; one worker fills inline). fill
-// must only touch state owned by its range: every chunk then writes a
-// disjoint arena row range, so the table bytes are identical for any worker
-// count. BuildTable has no error path, so a failed fill — a panic on any
-// worker, an injected fault — is re-raised on the calling goroutine, where
-// the harness's cell isolation turns it into the cell's error.
-func fillRows(lo, hi, workers int, fill func(lo, hi int)) {
-	err := fault.Chunks(hi-lo, buildChunk, workers, func(next func() (lo, hi int, ok bool)) error {
+// fillRows runs fill(u) for every row u in [lo, hi), or only for those the
+// row set lists when rows is non-nil (ascending user IDs; nil means every
+// row), in fixed chunks of buildChunk filled rows on up to `workers` workers
+// (fault.Chunks; one worker fills inline). The failpoint is keyed by each
+// chunk's first row. fill must only touch state owned by row u: chunks then
+// write disjoint arena rows, so the table bytes are identical for any worker
+// count. BuildTable has no error path, so a failed fill — a
+// panic on any worker, an injected fault — is re-raised on the calling
+// goroutine, where the harness's cell isolation turns it into the cell's
+// error.
+func fillRows(lo, hi int, rows []socialgraph.UserID, workers int, fill func(u int)) {
+	n, row := hi-lo, func(i int) int { return lo + i }
+	if rows != nil {
+		from, _ := slices.BinarySearch(rows, socialgraph.UserID(lo))
+		to, _ := slices.BinarySearch(rows, socialgraph.UserID(hi))
+		rows = rows[from:to]
+		n, row = len(rows), func(i int) int { return int(rows[i]) }
+	}
+	err := fault.Chunks(n, buildChunk, workers, func(next func() (lo, hi int, ok bool)) error {
 		for clo, chi, ok := next(); ok; clo, chi, ok = next() {
-			if err := faultBuildChunk.InjectSeeded(int64(lo + clo)); err != nil {
+			if err := faultBuildChunk.InjectSeeded(int64(row(clo))); err != nil {
 				return err
 			}
-			fill(lo+clo, lo+chi)
+			for i := clo; i < chi; i++ {
+				fill(row(i))
+			}
 		}
 		return nil
 	})

@@ -170,7 +170,7 @@ func TestQuickTableMatchesLegacySets(t *testing.T) {
 		m := m
 		prop := func(rt randomTrace, seed int64) bool {
 			want := legacyScheduleAll(m, rt.d, rand.New(rand.NewSource(seed)))
-			table := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 4)
+			table := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 4, nil)
 			if table.NumUsers() != len(want) {
 				return false
 			}
@@ -200,9 +200,9 @@ func TestQuickTableBuildWorkerCountInvariant(t *testing.T) {
 	for _, m := range quickModels() {
 		m := m
 		prop := func(rt randomTrace, seed int64) bool {
-			ref := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 1)
+			ref := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 1, nil)
 			for _, workers := range []int{0, 2, 3, 8} {
-				got := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), workers)
+				got := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), workers, nil)
 				if !reflect.DeepEqual(ref.Bitmaps(), got.Bitmaps()) {
 					t.Logf("%s: workers=%d differs from sequential build", m.Name(), workers)
 					return false
@@ -221,9 +221,9 @@ func TestQuickTableBuildWorkerCountInvariant(t *testing.T) {
 func TestTableBuildWorkerCountInvariantLarge(t *testing.T) {
 	d := trace.MustSynthesize(trace.DefaultFacebookConfig(3 * buildChunk / 2))
 	for _, m := range DefaultModels() {
-		ref := m.BuildTable(d, rand.New(rand.NewSource(7)), 1)
+		ref := m.BuildTable(d, rand.New(rand.NewSource(7)), 1, nil)
 		for _, workers := range []int{2, 5} {
-			got := m.BuildTable(d, rand.New(rand.NewSource(7)), workers)
+			got := m.BuildTable(d, rand.New(rand.NewSource(7)), workers, nil)
 			if !reflect.DeepEqual(ref.Bitmaps(), got.Bitmaps()) {
 				t.Errorf("%s: workers=%d differs from sequential build", m.Name(), workers)
 			}
@@ -334,10 +334,12 @@ func TestFillRowsRaisesWorkerPanicOnCaller(t *testing.T) {
 	held.Add(4)
 	r := func() (r any) {
 		defer func() { r = recover() }()
-		fillRows(100, 100+4*buildChunk, 4, func(lo, hi int) {
-			held.Done()
-			held.Wait()
-			if lo != 100 {
+		fillRows(100, 100+4*buildChunk, nil, 4, func(u int) {
+			if (u-100)%buildChunk == 0 {
+				held.Done()
+				held.Wait()
+			}
+			if u >= 100+buildChunk {
 				panic("fill bug")
 			}
 		})

@@ -440,9 +440,14 @@ func ReadEdges(r io.Reader) (*Graph, error) {
 	if n < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: line 1: user count %d outside [0, %d]", ErrBadGraphFormat, n, math.MaxInt32)
 	}
-	kind := Undirected
-	if kindStr == "directed" {
+	var kind Kind
+	switch kindStr {
+	case Undirected.String():
+		kind = Undirected
+	case Directed.String():
 		kind = Directed
+	default:
+		return nil, fmt.Errorf("%w: line 1: graph kind %q is neither %q nor %q", ErrBadGraphFormat, kindStr, Undirected, Directed)
 	}
 	b := NewBuilder(kind, n)
 	line := 1

@@ -196,6 +196,24 @@ func TestReadEdgesErrors(t *testing.T) {
 	}
 }
 
+// TestReadEdgesRejectsUnknownKind: the header's kind word must be exactly
+// "undirected" or "directed". Any other word — a capitalized "Directed", a
+// typo — used to load as a friendship graph, mirroring every follower edge.
+func TestReadEdgesRejectsUnknownKind(t *testing.T) {
+	for _, kind := range []string{"Directed", "Undirected", "direct", "weird"} {
+		_, err := ReadEdges(strings.NewReader("# dosn-graph " + kind + " 3\n1,0\n"))
+		if !errors.Is(err, ErrBadGraphFormat) || !strings.Contains(err.Error(), "line 1:") {
+			t.Errorf("kind %q: err = %v, want ErrBadGraphFormat naming line 1", kind, err)
+		}
+	}
+	for _, want := range []Kind{Undirected, Directed} {
+		g, err := ReadEdges(strings.NewReader("# dosn-graph " + want.String() + " 3\n1,0\n"))
+		if err != nil || g.Kind() != want {
+			t.Errorf("kind %s: got %v, err %v", want, g, err)
+		}
+	}
+}
+
 // TestReadEdgesRejectsWideIDs: an endpoint that does not fit int32 is a
 // format error naming its line, not a wrapped edge between real users
 // (4294967297,2 used to load as the edge 1–2), and the header's user count

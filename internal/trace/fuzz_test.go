@@ -49,6 +49,9 @@ func FuzzReadEdges(f *testing.F) {
 	f.Add("")
 	f.Add("# dosn-graph undirected 3\n0,0\n9,9\n-1,2\n")
 	f.Add("# dosn-graph weird 3\n0,1\n")
+	f.Add("# dosn-graph Directed 3\n1,0\n")
+	f.Add("# dosn-graph Undirected 3\n1,0\n")
+	f.Add("# dosn-graph direct 3\n1,0\n")
 	f.Add("# dosn-graph undirected 3\n4294967297,2\n")
 	f.Add("# dosn-graph undirected -1\n")
 	f.Add("# dosn-graph undirected 4294967296\n")
