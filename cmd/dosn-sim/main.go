@@ -98,7 +98,7 @@ func run() error {
 	case *figID == "" || *figID == "list":
 		return listFigures(opts)
 	default:
-		return runFigures(*figID, fbUsers, twUsers, opts, *outDir, *ascii)
+		return runFigures(os.Stdout, *figID, fbUsers, twUsers, opts, *outDir, *ascii)
 	}
 }
 
@@ -155,7 +155,10 @@ func listFigures(opts dosn.Options) error {
 	return nil
 }
 
-func runFigures(figID string, fbUsers, twUsers int, opts dosn.Options, outDir string, ascii bool) error {
+// runFigures regenerates the figure figID ("all" for every one) and writes
+// each figure's table, and its ASCII chart when ascii is set, to w; outDir,
+// when set, also receives one .dat file per figure.
+func runFigures(w io.Writer, figID string, fbUsers, twUsers int, opts dosn.Options, outDir string, ascii bool) error {
 	suite, err := buildSuite(fbUsers, twUsers, opts)
 	if err != nil {
 		return err
@@ -164,27 +167,27 @@ func runFigures(figID string, fbUsers, twUsers int, opts dosn.Options, outDir st
 	if figID == "all" {
 		ids = suite.FigureIDs()
 	}
-	for _, id := range ids {
-		start := time.Now()
-		fig, err := suite.Figure(id)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%s computed in %v\n", id, time.Since(start).Round(time.Millisecond))
-		if err := fig.PrintTable(os.Stdout); err != nil {
+	start := time.Now()
+	figs, err := suite.Figures(ids)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%d figures computed in %v\n", len(figs), time.Since(start).Round(time.Millisecond))
+	for _, fig := range figs {
+		if err := fig.PrintTable(w); err != nil {
 			return err
 		}
 		if ascii {
-			if err := fig.Render(os.Stdout, 64, 14); err != nil {
+			if err := fig.Render(w, 64, 14); err != nil {
 				return err
 			}
 		}
 		if outDir != "" {
-			if err := writeDat(outDir, id, fig); err != nil {
+			if err := writeDat(outDir, fig.ID, fig); err != nil {
 				return err
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"dosn"
 	"dosn/internal/harness"
 )
 
@@ -247,6 +249,43 @@ func TestMatrixRejectsRetiredShardSizeFlag(t *testing.T) {
 // TestRunExperiment runs every extension experiment at small scale and checks
 // its header lines and that it reports finite numbers; the protocol run must
 // actually exchange data between replicas.
+// TestRunFiguresAll drives -fig all -ascii=false at small scale with one
+// repetition: every figure prints its table once, in FigureIDs order, and
+// -out writes one .dat file per figure.
+func TestRunFiguresAll(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := runFigures(&out, "all", 2000, 2000, dosn.Options{Repeats: 1, Seed: 42}, dir, false); err != nil {
+		t.Fatalf("runFigures: %v", err)
+	}
+	want := (&dosn.Suite{}).FigureIDs()
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if id, _, ok := strings.Cut(line, " — "); ok && strings.HasPrefix(id, "fig") {
+			got = append(got, id)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("figure tables printed = %v\nwant %v", got, want)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dats []string
+	for _, e := range entries {
+		dats = append(dats, e.Name())
+	}
+	wantDats := make([]string, len(want))
+	for i, id := range want {
+		wantDats[i] = id + ".dat"
+	}
+	slices.Sort(wantDats)
+	if !reflect.DeepEqual(dats, wantDats) {
+		t.Errorf("-out wrote %v\nwant %v", dats, wantDats)
+	}
+}
+
 func TestRunExperiment(t *testing.T) {
 	const users, seed = 2000, 42
 	for _, tt := range []struct {

@@ -32,7 +32,6 @@ func ObjectiveAblation(ds *trace.Dataset, model onlinetime.Model, opts Options) 
 		UserDegree: opts.UserDegree,
 		Repeats:    opts.Repeats,
 		Seed:       opts.Seed,
-		Workers:    opts.Workers,
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dosn/internal/onlinetime"
@@ -22,8 +23,6 @@ type Options struct {
 	Repeats int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds per-sweep parallelism (0 = NumCPU).
-	Workers int
 }
 
 func (o Options) fill() Options {
@@ -40,96 +39,6 @@ func (o Options) fill() Options {
 		o.Seed = 42
 	}
 	return o
-}
-
-// PanelSpec identifies one panel of a paper figure: a dataset, an
-// online-time model, a placement mode, and the metric plotted.
-type PanelSpec struct {
-	ID      string
-	Dataset string // "facebook" or "twitter"
-	Title   string
-	Model   onlinetime.Model
-	Mode    replica.Mode
-	Metric  Metric
-}
-
-// panelModels is the (a)-(d) model order used by figures 3, 5, 6, 7, 10, 11.
-var panelModels = []struct {
-	suffix string
-	model  onlinetime.Model
-}{
-	{suffix: "a", model: onlinetime.Sporadic{}},
-	{suffix: "b", model: onlinetime.RandomLength{}},
-	{suffix: "c", model: onlinetime.FixedLength{Hours: 2}},
-	{suffix: "d", model: onlinetime.FixedLength{Hours: 8}},
-}
-
-// StandardPanels returns the sweep panels for figures 3–7 and 10–11.
-func StandardPanels() []PanelSpec {
-	add := func(out []PanelSpec, fig, dataset string, mode replica.Mode, metric Metric, what string) []PanelSpec {
-		for _, pm := range panelModels {
-			out = append(out, PanelSpec{
-				ID:      fig + pm.suffix,
-				Dataset: dataset,
-				Title:   fmt.Sprintf("%s-%s: %s (%s)", datasetTitle(dataset), mode, what, pm.model.Name()),
-				Model:   pm.model,
-				Mode:    mode,
-				Metric:  metric,
-			})
-		}
-		return out
-	}
-	var out []PanelSpec
-	out = add(out, "fig3", "facebook", replica.ConRep, MetricAvailability, "Availability")
-	// Fig 4 shows only the FixedLength panels for UnconRep.
-	out = append(out,
-		PanelSpec{ID: "fig4a", Dataset: "facebook", Title: "Facebook-UnconRep: Availability (FixedLength(2h))",
-			Model: onlinetime.FixedLength{Hours: 2}, Mode: replica.UnconRep, Metric: MetricAvailability},
-		PanelSpec{ID: "fig4b", Dataset: "facebook", Title: "Facebook-UnconRep: Availability (FixedLength(8h))",
-			Model: onlinetime.FixedLength{Hours: 8}, Mode: replica.UnconRep, Metric: MetricAvailability},
-	)
-	out = add(out, "fig5", "facebook", replica.ConRep, MetricAoDTime, "Availability-on-Demand-Time")
-	out = add(out, "fig6", "facebook", replica.ConRep, MetricAoDActivity, "Availability-on-Demand-Activity")
-	out = add(out, "fig7", "facebook", replica.ConRep, MetricDelayHours, "Update Propagation Delay")
-	out = add(out, "fig10", "twitter", replica.ConRep, MetricAvailability, "Availability")
-	out = add(out, "fig11", "twitter", replica.ConRep, MetricAoDTime, "Availability-on-Demand-Time")
-	return out
-}
-
-func datasetTitle(name string) string {
-	switch name {
-	case "facebook":
-		return "Facebook"
-	case "twitter":
-		return "Twitter"
-	default:
-		return name
-	}
-}
-
-// RunPanel executes the sweep behind one panel and returns the figure.
-func RunPanel(ds *trace.Dataset, spec PanelSpec, opts Options) (plot.Figure, error) {
-	opts = opts.fill()
-	res, err := Run(Config{
-		Dataset:    ds,
-		Model:      spec.Model,
-		Mode:       spec.Mode,
-		MaxDegree:  opts.MaxDegree,
-		UserDegree: opts.UserDegree,
-		Repeats:    opts.Repeats,
-		Seed:       opts.Seed,
-		Workers:    opts.Workers,
-	})
-	if err != nil {
-		return plot.Figure{}, fmt.Errorf("panel %s: %w", spec.ID, err)
-	}
-	return plot.Figure{
-		ID:     spec.ID,
-		Title:  spec.Title,
-		XLabel: "replication degree",
-		YLabel: spec.Metric.String(),
-		Series: res.MetricSeries(spec.Metric),
-	}, nil
 }
 
 // MetricSeries extracts one plottable series per policy for the metric.
@@ -175,119 +84,136 @@ func DegreeDistributionFigure(datasets ...*trace.Dataset) plot.Figure {
 	return fig
 }
 
-// SessionLengthSeconds is the paper's Fig. 8 sweep grid (log-spaced,
-// 100 s – 100 000 s).
-var SessionLengthSeconds = []float64{100, 300, 1000, 3000, 10000, 30000, 100000}
-
-// SessionLengthFigure reproduces one panel of Fig. 8: a metric as a function
-// of the Sporadic session length at a fixed replication degree of 3.
-func SessionLengthFigure(ds *trace.Dataset, metric Metric, opts Options) (plot.Figure, error) {
-	opts = opts.fill()
-	const fixedDegree = 3
-	fig := plot.Figure{
-		ID:     "fig8" + sessionPanelSuffix(metric),
-		Title:  fmt.Sprintf("Effect of session length in Sporadic (degree %d): %s", fixedDegree, metric),
-		XLabel: "session length (sec)",
-		YLabel: metric.String(),
-		LogX:   true,
-	}
-	var results []*Result
-	for _, sec := range SessionLengthSeconds {
-		res, err := Run(Config{
-			Dataset:    ds,
-			Model:      onlinetime.Sporadic{SessionLength: time.Duration(sec) * time.Second},
-			Mode:       replica.ConRep,
-			MaxDegree:  fixedDegree,
-			UserDegree: opts.UserDegree,
-			Repeats:    opts.Repeats,
-			Seed:       opts.Seed,
-			Workers:    opts.Workers,
-		})
-		if err != nil {
-			return plot.Figure{}, fmt.Errorf("session %.0fs: %w", sec, err)
-		}
-		results = append(results, res)
-	}
-	for pi, name := range results[0].Policies {
-		xs := make([]float64, len(results))
-		ys := make([]float64, len(results))
-		for i, res := range results {
-			xs[i] = SessionLengthSeconds[i]
-			ys[i] = res.Last(pi, metric)
-		}
-		fig.Series = append(fig.Series, plot.Series{Label: name, X: xs, Y: ys})
-	}
-	return fig, nil
-}
-
-func sessionPanelSuffix(m Metric) string {
-	switch m {
-	case MetricAvailability:
-		return "a"
-	case MetricAoDTime:
-		return "b"
-	case MetricAoDActivity:
-		return "c"
-	case MetricDelayHours:
-		return "d"
+func datasetTitle(name string) string {
+	switch name {
+	case "facebook":
+		return "Facebook"
+	case "twitter":
+		return "Twitter"
 	default:
-		return "x"
+		return name
 	}
 }
 
-// UserDegreeFigure reproduces one panel of Fig. 9: a metric as a function of
-// the user degree (1..10) with the replication degree allowed to reach the
-// user degree (all friends may host replicas).
-func UserDegreeFigure(ds *trace.Dataset, metric Metric, opts Options) (plot.Figure, error) {
-	opts = opts.fill()
-	suffix := "a"
-	if metric == MetricDelayHours {
-		suffix = "b"
+// sweep is one Run configuration a figure reads; the suite's Options supply
+// the repeat count and the seed. Every field is comparable, so a map keyed
+// by sweep runs each distinct configuration once.
+type sweep struct {
+	dataset    string // "facebook" or "twitter"
+	model      onlinetime.Model
+	mode       replica.Mode
+	maxDegree  int
+	userDegree int
+}
+
+// figure is one figure of the paper's evaluation, a view of its sweeps. A
+// degree panel (xs nil) reads one sweep and plots the metric against the
+// replication degree. Otherwise sweep i is plotted at xs[i] by its value at
+// its largest replication degree.
+type figure struct {
+	id, title, xLabel string
+	metric            Metric
+	logX              bool
+	sweeps            []sweep
+	xs                []float64
+}
+
+// render draws the figure from the results of its sweeps.
+func (f figure) render(results map[sweep]*Result) plot.Figure {
+	fig := plot.Figure{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.metric.String(), LogX: f.logX}
+	if f.xs == nil {
+		fig.Series = results[f.sweeps[0]].MetricSeries(f.metric)
+		return fig
 	}
-	fig := plot.Figure{
-		ID:     "fig9" + suffix,
-		Title:  fmt.Sprintf("Effect of user degree in Sporadic: %s", metric),
-		XLabel: "user degree",
-		YLabel: metric.String(),
+	for pi, name := range results[f.sweeps[0]].Policies {
+		ys := make([]float64, len(f.sweeps))
+		for i, sw := range f.sweeps {
+			ys[i] = results[sw].Last(pi, f.metric)
+		}
+		fig.Series = append(fig.Series, plot.Series{Label: name, X: slices.Clone(f.xs), Y: ys})
 	}
-	type row struct {
-		degree int
-		res    *Result
+	return fig
+}
+
+// sessionSeconds is the paper's Fig. 8 sweep grid (log-spaced,
+// 100 s – 100 000 s).
+var sessionSeconds = []float64{100, 300, 1000, 3000, 10000, 30000, 100000}
+
+// figures returns every sweep figure of the paper in FigureIDs order (Fig. 2,
+// which plots the datasets themselves, is not one).
+func (s *Suite) figures() []figure {
+	o := s.Opts.fill()
+	var out []figure
+	// Figs. 3, 5, 6, 7, 10 and 11 show panels (a)–(d) for the four models.
+	models := []onlinetime.Model{
+		onlinetime.Sporadic{},
+		onlinetime.RandomLength{},
+		onlinetime.FixedLength{Hours: 2},
+		onlinetime.FixedLength{Hours: 8},
 	}
-	var rows []row
-	for d := 1; d <= opts.UserDegree; d++ {
-		users := ds.Graph.UsersWithDegree(d)
-		if len(users) == 0 {
+	degreePanels := func(fig, dataset string, mode replica.Mode, metric Metric, what string, models ...onlinetime.Model) {
+		for i, m := range models {
+			out = append(out, figure{
+				id:     fig + "abcd"[i:i+1],
+				title:  fmt.Sprintf("%s-%s: %s (%s)", datasetTitle(dataset), mode, what, m.Name()),
+				xLabel: "replication degree",
+				metric: metric,
+				sweeps: []sweep{{dataset, m, mode, o.MaxDegree, o.UserDegree}},
+			})
+		}
+	}
+	degreePanels("fig3", "facebook", replica.ConRep, MetricAvailability, "Availability", models...)
+	// Fig 4 shows only the FixedLength panels, for UnconRep.
+	degreePanels("fig4", "facebook", replica.UnconRep, MetricAvailability, "Availability", models[2:]...)
+	degreePanels("fig5", "facebook", replica.ConRep, MetricAoDTime, "Availability-on-Demand-Time", models...)
+	degreePanels("fig6", "facebook", replica.ConRep, MetricAoDActivity, "Availability-on-Demand-Activity", models...)
+	degreePanels("fig7", "facebook", replica.ConRep, MetricDelayHours, "Update Propagation Delay", models...)
+	degreePanels("fig10", "twitter", replica.ConRep, MetricAvailability, "Availability", models...)
+	degreePanels("fig11", "twitter", replica.ConRep, MetricAoDTime, "Availability-on-Demand-Time", models...)
+
+	// Fig. 8: each panel plots one metric against the Sporadic session
+	// length, at a fixed replication degree of 3.
+	const fixedDegree = 3
+	var sessions []sweep
+	for _, sec := range sessionSeconds {
+		model := onlinetime.Sporadic{SessionLength: time.Duration(sec) * time.Second}
+		sessions = append(sessions, sweep{"facebook", model, replica.ConRep, fixedDegree, o.UserDegree})
+	}
+	for i, metric := range []Metric{MetricAvailability, MetricAoDTime, MetricAoDActivity, MetricDelayHours} {
+		out = append(out, figure{
+			id:     "fig8" + "abcd"[i:i+1],
+			title:  fmt.Sprintf("Effect of session length in Sporadic (degree %d): %s", fixedDegree, metric),
+			xLabel: "session length (sec)",
+			metric: metric,
+			logX:   true,
+			sweeps: sessions,
+			xs:     sessionSeconds,
+		})
+	}
+
+	// Fig. 9: a metric against the user degree (1..UserDegree), the
+	// replication degree allowed to reach the user degree (all friends may
+	// host replicas). A degree no Facebook user has is left out.
+	var degrees []sweep
+	var xs []float64
+	for d := 1; d <= o.UserDegree; d++ {
+		if s.Facebook != nil && len(s.Facebook.Graph.UsersWithDegree(d)) == 0 {
 			continue
 		}
-		res, err := Run(Config{
-			Dataset:   ds,
-			Model:     onlinetime.Sporadic{},
-			Mode:      replica.ConRep,
-			MaxDegree: d, // highest possible replication degree for the user degree
-			Users:     users,
-			Repeats:   opts.Repeats,
-			Seed:      opts.Seed,
-			Workers:   opts.Workers,
+		degrees = append(degrees, sweep{"facebook", onlinetime.Sporadic{}, replica.ConRep, d, d})
+		xs = append(xs, float64(d))
+	}
+	for i, metric := range []Metric{MetricAvailability, MetricDelayHours} {
+		out = append(out, figure{
+			id:     "fig9" + "ab"[i:i+1],
+			title:  fmt.Sprintf("Effect of user degree in Sporadic: %s", metric),
+			xLabel: "user degree",
+			metric: metric,
+			sweeps: degrees,
+			xs:     xs,
 		})
-		if err != nil {
-			return plot.Figure{}, fmt.Errorf("user degree %d: %w", d, err)
-		}
-		rows = append(rows, row{degree: d, res: res})
 	}
-	if len(rows) == 0 {
-		return plot.Figure{}, fmt.Errorf("fig9%s: %w", suffix, ErrNoUsers)
-	}
-	for pi, name := range rows[0].res.Policies {
-		xs := make([]float64, len(rows))
-		ys := make([]float64, len(rows))
-		for i, rw := range rows {
-			xs[i] = float64(rw.degree)
-			ys[i] = rw.res.Last(pi, metric)
-		}
-		fig.Series = append(fig.Series, plot.Series{Label: name, X: xs, Y: ys})
-	}
-	return fig, nil
+	return out
 }
 
 // Suite binds the two datasets and regenerates any figure of the paper by
@@ -301,43 +227,79 @@ type Suite struct {
 // FigureIDs lists every figure the suite can regenerate, in paper order.
 func (s *Suite) FigureIDs() []string {
 	ids := []string{"fig2"}
-	for _, p := range StandardPanels() {
-		ids = append(ids, p.ID)
+	for _, f := range s.figures() {
+		ids = append(ids, f.id)
 	}
-	ids = append(ids, "fig8a", "fig8b", "fig8c", "fig8d", "fig9a", "fig9b")
 	return ids
 }
 
 // Figure regenerates the figure with the given identifier.
 func (s *Suite) Figure(id string) (plot.Figure, error) {
-	switch id {
-	case "fig2":
-		return DegreeDistributionFigure(s.Facebook, s.Twitter), nil
-	case "fig8a":
-		return SessionLengthFigure(s.Facebook, MetricAvailability, s.Opts)
-	case "fig8b":
-		return SessionLengthFigure(s.Facebook, MetricAoDTime, s.Opts)
-	case "fig8c":
-		return SessionLengthFigure(s.Facebook, MetricAoDActivity, s.Opts)
-	case "fig8d":
-		return SessionLengthFigure(s.Facebook, MetricDelayHours, s.Opts)
-	case "fig9a":
-		return UserDegreeFigure(s.Facebook, MetricAvailability, s.Opts)
-	case "fig9b":
-		return UserDegreeFigure(s.Facebook, MetricDelayHours, s.Opts)
+	figs, err := s.Figures([]string{id})
+	if err != nil {
+		return plot.Figure{}, err
 	}
-	for _, p := range StandardPanels() {
-		if p.ID != id {
+	return figs[0], nil
+}
+
+// Figures regenerates the figures with the given identifiers, in order. The
+// figures are views of their sweeps: each distinct sweep among them runs
+// once, however many figures read it.
+func (s *Suite) Figures(ids []string) ([]plot.Figure, error) {
+	byID := make(map[string]figure)
+	for _, f := range s.figures() {
+		byID[f.id] = f
+	}
+	results := make(map[sweep]*Result)
+	for _, id := range ids {
+		f, ok := byID[id]
+		switch {
+		case id == "fig2":
 			continue
+		case !ok:
+			return nil, fmt.Errorf("unknown figure %q", id)
+		case len(f.sweeps) == 0:
+			return nil, fmt.Errorf("figure %s: %w", id, ErrNoUsers)
 		}
-		ds := s.Facebook
-		if p.Dataset == "twitter" {
-			ds = s.Twitter
+		for _, sw := range f.sweeps {
+			if _, done := results[sw]; done {
+				continue
+			}
+			res, err := s.run(sw)
+			if err != nil {
+				return nil, fmt.Errorf("figure %s: %w", id, err)
+			}
+			results[sw] = res
 		}
-		if ds == nil {
-			return plot.Figure{}, fmt.Errorf("figure %s: dataset %q not loaded", id, p.Dataset)
-		}
-		return RunPanel(ds, p, s.Opts)
 	}
-	return plot.Figure{}, fmt.Errorf("unknown figure %q", id)
+	out := make([]plot.Figure, len(ids))
+	for i, id := range ids {
+		if id == "fig2" {
+			out[i] = DegreeDistributionFigure(s.Facebook, s.Twitter)
+		} else {
+			out[i] = byID[id].render(results)
+		}
+	}
+	return out, nil
+}
+
+// run executes one sweep with the suite's repeat count and seed.
+func (s *Suite) run(sw sweep) (*Result, error) {
+	ds := s.Facebook
+	if sw.dataset == "twitter" {
+		ds = s.Twitter
+	}
+	if ds == nil {
+		return nil, fmt.Errorf("dataset %q not loaded", sw.dataset)
+	}
+	o := s.Opts.fill()
+	return Run(Config{
+		Dataset:    ds,
+		Model:      sw.model,
+		Mode:       sw.mode,
+		MaxDegree:  sw.maxDegree,
+		UserDegree: sw.userDegree,
+		Repeats:    o.Repeats,
+		Seed:       o.Seed,
+	})
 }

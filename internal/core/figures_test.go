@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,26 +27,93 @@ func testSuite(t testing.TB) *Suite {
 }
 
 func TestStandardPanelsCoverPaperFigures(t *testing.T) {
-	panels := StandardPanels()
+	s := testSuite(t)
 	byFig := map[string]int{}
-	for _, p := range panels {
-		byFig[strings.TrimRight(p.ID, "abcd")]++
+	seen := map[string]bool{}
+	for _, f := range s.figures() {
+		byFig[strings.TrimRight(f.id, "abcd")]++
+		if seen[f.id] {
+			t.Errorf("duplicate panel id %s", f.id)
+		}
+		seen[f.id] = true
+		if f.xs != nil && len(f.xs) != len(f.sweeps) {
+			t.Errorf("panel %s has %d x values for %d sweeps", f.id, len(f.xs), len(f.sweeps))
+		}
+		for _, sw := range f.sweeps {
+			if sw.dataset != "facebook" && sw.dataset != "twitter" {
+				t.Errorf("panel %s has unknown dataset %q", f.id, sw.dataset)
+			}
+		}
 	}
-	want := map[string]int{"fig3": 4, "fig4": 2, "fig5": 4, "fig6": 4, "fig7": 4, "fig10": 4, "fig11": 4}
+	want := map[string]int{"fig3": 4, "fig4": 2, "fig5": 4, "fig6": 4, "fig7": 4, "fig8": 4, "fig9": 2, "fig10": 4, "fig11": 4}
 	for fig, n := range want {
 		if byFig[fig] != n {
 			t.Errorf("figure %s has %d panels, want %d", fig, byFig[fig], n)
 		}
 	}
-	seen := map[string]bool{}
-	for _, p := range panels {
-		if seen[p.ID] {
-			t.Errorf("duplicate panel id %s", p.ID)
+}
+
+// TestFiguresRunEachSweepOnce: rendering every figure in one Figures call
+// gives exactly what one Figure call per ID gives, while each distinct sweep
+// runs once — counted by the users the engine swept (per repetition), which
+// a skipped or repeated sweep would change. Not parallel: it reads a
+// process-wide counter.
+func TestFiguresRunEachSweepOnce(t *testing.T) {
+	s := testSuite(t)
+	ids := s.FigureIDs()
+	var perID, distinct int64
+	var sweeps int
+	seen := map[sweep]bool{}
+	for _, f := range s.figures() {
+		for _, sw := range f.sweeps {
+			ds := s.Facebook
+			if sw.dataset == "twitter" {
+				ds = s.Twitter
+			}
+			n := int64(len(ds.Graph.UsersWithDegree(sw.userDegree)) * s.Opts.Repeats)
+			perID += n
+			if !seen[sw] {
+				seen[sw] = true
+				distinct += n
+				sweeps++
+			}
 		}
-		seen[p.ID] = true
-		if p.Dataset != "facebook" && p.Dataset != "twitter" {
-			t.Errorf("panel %s has unknown dataset %q", p.ID, p.Dataset)
+	}
+	// 10 degree-panel sweeps (Fig. 3's four models, Fig. 4's two UnconRep
+	// ones, Fig. 10's four), Fig. 8's seven session lengths and one per user
+	// degree 1..UserDegree that has users for Fig. 9; at MaxDegree 6, Fig.
+	// 9's degree 10 is not Fig. 3a's sweep.
+	want := 10 + 7
+	for d := 1; d <= s.Opts.UserDegree; d++ {
+		if len(s.Facebook.Graph.UsersWithDegree(d)) > 0 {
+			want++
 		}
+	}
+	if sweeps != want {
+		t.Fatalf("%d distinct sweeps, want %d", sweeps, want)
+	}
+
+	before := obsUsersSwept.Value()
+	all, err := s.Figures(ids)
+	if err != nil {
+		t.Fatalf("Figures: %v", err)
+	}
+	if got := obsUsersSwept.Value() - before; got != distinct {
+		t.Errorf("Figures swept %d users, want %d (each of %d distinct sweeps once)", got, distinct, sweeps)
+	}
+
+	before = obsUsersSwept.Value()
+	for i, id := range ids {
+		fig, err := s.Figure(id)
+		if err != nil {
+			t.Fatalf("Figure(%s): %v", id, err)
+		}
+		if !reflect.DeepEqual(fig, all[i]) {
+			t.Errorf("%s: Figures and Figure render differently", id)
+		}
+	}
+	if got := obsUsersSwept.Value() - before; got != perID {
+		t.Errorf("per-ID Figure calls swept %d users, want %d", got, perID)
 	}
 }
 
@@ -101,9 +169,9 @@ func TestDegreeDistributionFigure(t *testing.T) {
 
 func TestSessionLengthFigureShape(t *testing.T) {
 	s := testSuite(t)
-	fig, err := SessionLengthFigure(s.Facebook, MetricAvailability, s.Opts)
+	fig, err := s.Figure("fig8a")
 	if err != nil {
-		t.Fatalf("SessionLengthFigure: %v", err)
+		t.Fatalf("fig8a: %v", err)
 	}
 	if !fig.LogX || fig.ID != "fig8a" {
 		t.Errorf("figure meta = %+v", fig)
@@ -127,9 +195,9 @@ func TestSessionLengthFigureShape(t *testing.T) {
 
 func TestSessionLengthDelayFalls(t *testing.T) {
 	s := testSuite(t)
-	fig, err := SessionLengthFigure(s.Facebook, MetricDelayHours, s.Opts)
+	fig, err := s.Figure("fig8d")
 	if err != nil {
-		t.Fatalf("SessionLengthFigure: %v", err)
+		t.Fatalf("fig8d: %v", err)
 	}
 	for _, series := range fig.Series {
 		first, last := series.Y[0], series.Y[len(series.Y)-1]
@@ -142,9 +210,9 @@ func TestSessionLengthDelayFalls(t *testing.T) {
 
 func TestUserDegreeFigureShape(t *testing.T) {
 	s := testSuite(t)
-	fig, err := UserDegreeFigure(s.Facebook, MetricAvailability, s.Opts)
+	fig, err := s.Figure("fig9a")
 	if err != nil {
-		t.Fatalf("UserDegreeFigure: %v", err)
+		t.Fatalf("fig9a: %v", err)
 	}
 	if fig.ID != "fig9a" || len(fig.Series) != 3 {
 		t.Fatalf("figure meta: id=%s series=%d", fig.ID, len(fig.Series))

@@ -79,9 +79,9 @@ func diffDatasets(got, want *Dataset) string {
 }
 
 // fusedCase is a quick.Generator over small synthesis configs of both graph
-// kinds, alternating between a horizon dense enough for the counting scatter
-// and a sparse one (up to 400 days, past what a day byte holds) that takes
-// the permutation sort. Low degrees leave some users with nobody to address.
+// kinds, alternating between a dense one-day horizon, where many rows share a
+// second, and a sparse one of up to maxDays days. Low degrees leave some users
+// with nobody to address.
 type fusedCase struct {
 	cfg   SynthConfig
 	dense bool
@@ -97,7 +97,7 @@ func (fusedCase) Generate(r *rand.Rand, _ int) reflect.Value {
 		SigmaDegree:         r.Float64(),
 		MeanActivities:      12,
 		SigmaActivities:     1.2,
-		Days:                1 + r.Intn(400),
+		Days:                1 + r.Intn(maxDays),
 		AffinityZipfS:       float64(r.Intn(3)) * 0.6,
 		DiurnalSigmaMinutes: 60,
 		UniformFraction:     0.1,
@@ -122,8 +122,7 @@ func TestQuickFusedSynthesisMatchesFilter(t *testing.T) {
 	var sawDense, sawSparse, sawNoTargets, sawDropped bool
 	prop := func(c fusedCase) bool {
 		ref := referenceSynthesize(c.cfg)
-		rows := ref.NumActivities()
-		if useCountingSort(rows, int64(c.cfg.Days)*daySeconds) {
+		if c.dense {
 			sawDense = true
 		} else {
 			sawSparse = true
@@ -204,8 +203,8 @@ func TestSynthesizeCalibratedMatchesTwoStep(t *testing.T) {
 }
 
 // TestSynthesisIndependentOfGOMAXPROCS: the fan-out passes share no output,
-// so one core and four produce the same dataset, on the counting path (dense
-// one-day horizon) and the sparse one.
+// so one core and four produce the same dataset, on a dense one-day horizon
+// and on the calibrated ones.
 func TestSynthesisIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	dense := DefaultFacebookConfig(600)

@@ -138,25 +138,6 @@ func TestQuickScatterSortMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestUseCountingSortHeuristic pins the cost rule: counting only for
-// horizons that fit an array and are dense in rows; never for n too small
-// (the counts array would dwarf the dataset) or spans past the cap.
-func TestUseCountingSortHeuristic(t *testing.T) {
-	const day = 24 * 3600
-	if !useCountingSort(5_000_000, 30*day) {
-		t.Error("large-scale synthesis (5M rows / 30 days) must take the counting sort")
-	}
-	if useCountingSort(30_000, 30*day) {
-		t.Error("small synthesis must not pay a 30-day counts array")
-	}
-	if useCountingSort(100_000_000, (16<<20)+1) {
-		t.Error("spans past the cap must fall back regardless of density")
-	}
-	if useCountingSort(0, 0) {
-		t.Error("empty span must fall back")
-	}
-}
-
 // TestScatterSortColumnsEmpty covers the zero-row edge (a config whose users
 // all have zero activities).
 func TestScatterSortColumnsEmpty(t *testing.T) {

@@ -65,6 +65,7 @@ type SynthConfig struct {
 	MeanActivities  float64
 	SigmaActivities float64
 	// Days is the trace length in days (the paper's Twitter trace spans 14).
+	// At most 256: the sort keeps a row's day in a byte.
 	Days int
 	// AffinityZipfS skews which friend an activity targets (rank-1/rank^s),
 	// giving the MostActive policy its signal. 0 disables the skew.
@@ -147,6 +148,8 @@ func (c SynthConfig) Validate() error {
 		return errors.New("trace: config needs MeanActivities >= 0")
 	case c.Days <= 0:
 		return errors.New("trace: config needs Days > 0")
+	case c.Days > maxDays:
+		return fmt.Errorf("trace: config Days must be <= %d, got %d", maxDays, c.Days)
 	case c.UniformFraction < 0 || c.UniformFraction > 1:
 		return errors.New("trace: UniformFraction must be in [0,1]")
 	default:
@@ -244,28 +247,23 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 		users = len(kept)
 	}
 
-	epochUnix := Epoch.Unix()
-	span := int64(cfg.Days) * daySeconds
 	// Generation order is user-ID order (the RNG contract every golden
 	// snapshot pins); the rows are then brought into stable timestamp order
-	// either by the counting scatter (dense, large-scale syntheses) or by
-	// Reindex's stable permutation sort (sparse horizons). Both are stable on
-	// the timestamp key, so the column bytes are identical whichever path
-	// runs — equal seconds keep generation order, which the CSR build
-	// preserves per user. Pinned by TestQuickScatterSortMatchesStableSort.
-	counting := useCountingSort(bound, span)
+	// by the day-partitioned counting scatter. It is stable on the timestamp
+	// key, so equal seconds keep generation order, which the CSR build
+	// preserves per user — the order Reindex's stable sort reaches (pinned by
+	// TestQuickScatterSortMatchesStableSort and, through the reference
+	// generator, TestQuickFusedSynthesisMatchesFilter).
+	//
 	// Rows are buffered in generation order with the creator implied:
-	// runs[u] rows in a row belong to kept user u. The counting path stores
-	// the sort key in the form the scatter consumes (day byte, second of
-	// day); the sparse path, whose horizon may outgrow both, stores the
-	// timestamp.
-	gen := genRows{runs: make([]int32, users), receiver: make([]socialgraph.UserID, bound)}
-	if counting {
-		gen.day = make([]uint8, bound)
-		gen.second = make([]int32, bound)
-		gen.dayCounts = make([]int32, cfg.Days)
-	} else {
-		gen.atUnix = make([]int64, bound)
+	// runs[u] rows in a row belong to kept user u. The sort key is stored in
+	// the form the scatter consumes: day byte, second of day.
+	gen := genRows{
+		runs:      make([]int32, users),
+		receiver:  make([]socialgraph.UserID, bound),
+		day:       make([]uint8, bound),
+		second:    make([]int32, bound),
+		dayCounts: make([]int32, cfg.Days),
 	}
 	sub := g
 	pos := 0
@@ -297,13 +295,9 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 					}
 				}
 				gen.receiver[pos] = recv
-				if counting {
-					//dosn:boundschecked useCountingSort caps the span at 16<<20 s ≈ 194 days, so day < 256; second < 86400
-					gen.day[pos], gen.second[pos] = uint8(day), int32(second)
-					gen.dayCounts[day]++
-				} else {
-					gen.atUnix[pos] = epochUnix + int64(day)*daySeconds + int64(second)
-				}
+				//dosn:boundschecked Validate caps Days at maxDays = 256, so day < 256; second < 86400
+				gen.day[pos], gen.second[pos] = uint8(day), int32(second)
+				gen.dayCounts[day]++
 				pos++
 			}
 			if nu >= 0 {
@@ -322,13 +316,8 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	gen.receiver = gen.receiver[:pos] // the other buffers are read up to this length
 
 	d := &Dataset{Name: cfg.Name, Graph: sub}
-	if counting {
-		gen.scatterSortByDay(d, epochUnix)
-		d.buildIndexes(false)
-	} else {
-		d.setColumns(gen.columns())
-		d.Reindex()
-	}
+	gen.scatterSortByDay(d, Epoch.Unix())
+	d.buildIndexes(false)
 	obsDatasets.Inc()
 	obsActivities.Add(int64(total))
 	obsActivitiesKept.Add(int64(pos))
@@ -336,29 +325,20 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	return d, nil
 }
 
-// useCountingSort decides between the O(n + span) counting sort and the
-// O(n log n) comparison sort. Every synthetic timestamp lies in [epochUnix,
-// epochUnix+span) — day < Days, minute < 1440, second < 60 — so counting is
-// valid whenever the span fits an array; it wins when the rows are dense
-// enough in the horizon that the span-sized counts array is small next to
-// the row volume (the large-scale regime the sort used to dominate), and
-// loses on small syntheses where a 30-day counts array would dwarf the
-// dataset itself.
-func useCountingSort(n int, span int64) bool {
-	const maxCountingSpan = 16 << 20 // ≈185 days ≈ 64 MB of counts at most
-	return span > 0 && span <= maxCountingSpan && span <= int64(n)*4
-}
-
 // daySeconds is the length of the synthetic day grid every timestamp is
 // generated on: at = epoch + day·daySeconds + second-of-day.
 const daySeconds = 24 * 3600
 
+// maxDays is the longest trace the synthesizer generates: the scatter sort
+// keeps each row's day in a byte.
+const maxDays = 256
+
 // genRows buffers synthesized activities in generation order. The buffers
 // are sized by an upper bound; len(receiver) says how many rows they hold.
 // The creator column is implied: the rows come grouped by creator in
-// ascending ID order, runs[u] of them for user u. The sort key is held either
-// as (day, second of day) with the per-day row counts — what scatterSortByDay
-// consumes — or as the plain timestamp, never both.
+// ascending ID order, runs[u] of them for user u. The sort key is held as
+// (day, second of day) with the per-day row counts — what scatterSortByDay
+// consumes.
 type genRows struct {
 	runs     []int32
 	receiver []socialgraph.UserID
@@ -366,27 +346,6 @@ type genRows struct {
 	day       []uint8
 	second    []int32
 	dayCounts []int32
-
-	atUnix []int64
-}
-
-// columns expands timestamp-keyed rows into exact-size columns in generation
-// order (the buffers may carry an upper bound's slack, which MemoryBytes
-// would count).
-func (r *genRows) columns() (creator, receiver []socialgraph.UserID, atUnix []int64) {
-	n := len(r.receiver)
-	creator = make([]socialgraph.UserID, n)
-	i := 0
-	for u, run := range r.runs {
-		for end := i + int(run); i < end; i++ {
-			creator[i] = socialgraph.UserID(u)
-		}
-	}
-	receiver = make([]socialgraph.UserID, n)
-	copy(receiver, r.receiver)
-	atUnix = make([]int64, n)
-	copy(atUnix, r.atUnix)
-	return creator, receiver, atUnix
 }
 
 // partitionByDay stably scatters src into dst grouped by day. cur must hold
@@ -478,10 +437,10 @@ func expandWithinDays(dayCounts, second []int32, epochUnix int64, atUnix []int64
 //
 // The key column goes first; once it is partitioned the three outputs share
 // nothing and run side by side: timestamps (with minOfDay), creators — fed
-// straight from the per-user runs — and receivers. The counting-sort span
-// cap (16<<20 s ≈ 194 days) keeps every day index in a byte, and int32
-// positions are safe because every construction path guards the row count
-// against MaxActivities first.
+// straight from the per-user runs — and receivers. Validate's Days cap
+// (maxDays) keeps every day index in a byte, and int32 positions are safe
+// because every construction path guards the row count against
+// MaxActivities first.
 //
 // The two scratch columns allocated here are spent when the scatter returns
 // and have exactly the length and element type of the CSR index columns, so

@@ -286,6 +286,30 @@ func TestSynthesizeValidation(t *testing.T) {
 	}
 }
 
+// TestSynthesizeDaysBoundary: the scatter sort keeps a row's day in a byte,
+// so Validate accepts 256 days and rejects 257. At the limit the last day's
+// rows still land in order: the dataset equals the unfused reference.
+func TestSynthesizeDaysBoundary(t *testing.T) {
+	cfg := DefaultFacebookConfig(60)
+	cfg.MeanActivities = 400
+	cfg.Days = 256
+	got, err := Synthesize(cfg)
+	if err != nil {
+		t.Fatalf("Days 256: %v", err)
+	}
+	if part := diffDatasets(got, referenceSynthesize(cfg)); part != "" {
+		t.Errorf("Days 256: %s differs from the reference", part)
+	}
+	last := Epoch.Unix() + 255*daySeconds
+	if n := got.NumActivities(); n == 0 || got.atUnix[n-1] < last {
+		t.Errorf("Days 256: no row on the last day (%d rows)", n)
+	}
+	cfg.Days = 257
+	if _, err := Synthesize(cfg); err == nil {
+		t.Error("Days 257 must fail validation")
+	}
+}
+
 func TestFilterAtPaperThreshold(t *testing.T) {
 	cfg := DefaultFacebookConfig(400)
 	cfg.Seed = 11
