@@ -241,6 +241,43 @@ func TestPlacementLoadWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestPlacerWorkAreasPerWorker: every sweep worker's Placer carries the
+// work area all six shipped placements alternate on, user after user, so
+// the sweep must give the same bits at every worker count in both modes.
+// Run under -race it also pins that no work area is shared between workers.
+func TestPlacerWorkAreasPerWorker(t *testing.T) {
+	ds := archDataset(t)
+	ring, err := dht.BuildRing(ds.NumUsers(), dht.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := append(replica.DefaultPolicies(),
+		replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity},
+		&dht.Placement{Ring: ring},
+		&dht.Placement{Ring: ring, Social: true, Graph: ds.Graph})
+	users := make([]socialgraph.UserID, ds.NumUsers())
+	for u := range users {
+		users[u] = socialgraph.UserID(u)
+	}
+	for _, mode := range []replica.Mode{replica.ConRep, replica.UnconRep} {
+		var ref *Result
+		for _, workers := range []int{1, 3} {
+			res, err := Run(Config{
+				Dataset: ds, Model: onlinetime.Sporadic{}, Mode: mode, Policies: policies,
+				Users: users, MaxDegree: 4, Repeats: 1, Seed: 3, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", mode, workers, err)
+			}
+			if ref == nil {
+				ref = res
+			} else if !reflect.DeepEqual(ref, res) {
+				t.Errorf("%v: the sweep with %d workers differs bitwise from 1 worker", mode, workers)
+			}
+		}
+	}
+}
+
 // TestPlacementWorkerFaultBecomesError: a panic inside a placement-pass
 // worker goroutine (and an injected error there) must come back as
 // RunArchComparison's error, carrying the injected fault, and leave nothing

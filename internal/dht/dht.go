@@ -180,19 +180,22 @@ func (r *Ring) SuccessorsOf(owner socialgraph.UserID, k int) []socialgraph.UserI
 	if k <= 0 {
 		return nil
 	}
+	return r.appendSuccessors(make([]socialgraph.UserID, 0, min(k, len(r.users)-1)), owner, k)
+}
+
+// appendSuccessors appends SuccessorsOf(owner, k) to dst: the walk a
+// placement runs into its pooled window buffer.
+func (r *Ring) appendSuccessors(dst []socialgraph.UserID, owner socialgraph.UserID, k int) []socialgraph.UserID {
 	n := len(r.users)
-	if k > n-1 {
-		k = n - 1
-	}
-	out := make([]socialgraph.UserID, 0, k)
+	k = min(k, n-1)
 	p := r.successorPos(r.Key(owner))
-	for i := 0; i < n && len(out) < k; i++ {
-		u := r.users[(p+i)%n]
-		if u != owner {
-			out = append(out, u)
+	for i, added := 0, 0; i < n && added < k; i++ {
+		if u := r.users[(p+i)%n]; u != owner {
+			dst = append(dst, u)
+			added++
 		}
 	}
-	return out
+	return dst
 }
 
 // steps returns the number of clockwise single-successor steps from position

@@ -44,8 +44,8 @@ type Placement struct {
 	// Graph supplies social proximity for the Social variant.
 	Graph *socialgraph.Graph
 
-	// scratch pools *rankScratch, so concurrent Select calls from sweep
-	// workers each rank in their own buffers.
+	// scratch pools *selectScratch, so concurrent Select calls from sweep
+	// workers each walk and rank in their own buffers.
 	scratch sync.Pool
 }
 
@@ -77,17 +77,24 @@ func window(budget int) int {
 }
 
 // Select implements replica.Policy. Candidates are the owner's successor
-// window on the ring; SocialDHT re-ranks them by descending score before the
-// greedy scan. In ConRep mode candidates that are not time-connected to the
+// window on the ring, walked into a pooled buffer; SocialDHT re-ranks them
+// by descending score before the greedy scan, ties resolving by ring
+// distance. In ConRep mode candidates that are not time-connected to the
 // group built so far are skipped, under the identical rule the friend
-// policies use.
+// policies use. Only the returned selection is allocated.
 func (p *Placement) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID {
 	if p.Ring == nil || in.Budget <= 0 {
 		return nil
 	}
-	cands := p.Ring.SuccessorsOf(in.Owner, window(in.Budget))
+	sc, _ := p.scratch.Get().(*selectScratch)
+	if sc == nil {
+		sc = new(selectScratch)
+	}
+	defer p.scratch.Put(sc)
+	sc.cands = p.Ring.appendSuccessors(sc.cands[:0], in.Owner, window(in.Budget))
+	cands := sc.cands
 	if p.Social {
-		p.rank(in, cands)
+		sortByScoreDesc(p.score(in, cands, sc), cands)
 	}
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
 	for _, c := range cands {
@@ -102,24 +109,13 @@ func (p *Placement) Select(in replica.Input, _ *rand.Rand) []socialgraph.UserID 
 	return chosen
 }
 
-// rankScratch is the per-Select working memory of the SocialDHT ranking:
-// the owner's-neighbor mark bitset (one bit per user, all clear between
-// calls) and the candidate scores.
-type rankScratch struct {
+// selectScratch is the per-Select working memory: the successor-candidate
+// window and, for the SocialDHT ranking, the owner's-neighbor mark bitset
+// (one bit per user, all clear between calls) and the candidate scores.
+type selectScratch struct {
+	cands  []socialgraph.UserID
 	marks  []uint64
 	scores []float64
-}
-
-// rank reorders cands in place by descending score; ties resolve by the
-// original successor-list order (ring distance), so the ranking is
-// deterministic.
-func (p *Placement) rank(in replica.Input, cands []socialgraph.UserID) {
-	sc, _ := p.scratch.Get().(*rankScratch)
-	if sc == nil {
-		sc = new(rankScratch)
-	}
-	sortByScoreDesc(p.score(in, cands, sc), cands)
-	p.scratch.Put(sc)
 }
 
 // score fills sc.scores with the SocialDHT ranking function of every
@@ -135,7 +131,7 @@ func (p *Placement) rank(in replica.Input, cands []socialgraph.UserID) {
 // walk of the owner's list, so sc leaves as clean as it came.
 //
 //dosn:hotpath
-func (p *Placement) score(in replica.Input, cands []socialgraph.UserID, sc *rankScratch) []float64 {
+func (p *Placement) score(in replica.Input, cands []socialgraph.UserID, sc *selectScratch) []float64 {
 	if cap(sc.scores) < len(cands) {
 		sc.scores = make([]float64, len(cands))
 	}

@@ -3,6 +3,7 @@ package dht
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -77,7 +78,7 @@ func TestQuickProximityMatchesOracle(t *testing.T) {
 		n := 8 + rng.Intn(120)
 		g := randomGraph(rng, kind, n)
 		p := &Placement{Ring: mustRing(t, n, Config{}), Social: true, Graph: g}
-		var sc rankScratch
+		var sc selectScratch
 		for _, owner := range []socialgraph.UserID{0, socialgraph.UserID(rng.Intn(n)), socialgraph.UserID(rng.Intn(n))} {
 			cands := make([]socialgraph.UserID, 0, n-1)
 			for c := 0; c < n; c++ {
@@ -190,4 +191,62 @@ func TestPlacementSelectConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestQuickScratchWindowMatchesSuccessorsOf runs a sequence of owners whose
+// budgets shrink and grow through one Placement, so its pooled window and
+// score buffers are reused at every size. The walk into a reused buffer
+// must equal SuccessorsOf, and each selection must equal the one ranked on
+// fresh memory: SuccessorsOf's window, scores from a fresh scratch, a
+// stable descending sort and the greedy ConRep scan.
+func TestQuickScratchWindowMatchesSuccessorsOf(t *testing.T) {
+	f := func(seed int64, social bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(120)
+		g := randomGraph(rng, socialgraph.Undirected, max(n, 4))
+		schedules := make([]interval.Set, n)
+		for u := range schedules {
+			schedules[u] = interval.Window(rng.Intn(interval.DayMinutes), rng.Intn(400))
+		}
+		ring := mustRing(t, n, Config{Bits: 8 + rng.Intn(57)})
+		p := &Placement{Ring: ring, Social: social, Graph: g}
+		var buf []socialgraph.UserID
+		for step := 0; step < 12; step++ {
+			mode := replica.Mode(1 + rng.Intn(2))
+			in := replica.Input{Owner: socialgraph.UserID(rng.Intn(n)), Bitmaps: interval.BitmapsFromSets(schedules), Mode: mode, Budget: rng.Intn(n + 2)}
+			want := ring.SuccessorsOf(in.Owner, window(in.Budget))
+			buf = ring.appendSuccessors(buf[:0], in.Owner, window(in.Budget))
+			if !slices.Equal(buf, want) {
+				t.Logf("n=%d owner %d k=%d: reused walk %v, SuccessorsOf %v", n, in.Owner, window(in.Budget), buf, want)
+				return false
+			}
+			if social {
+				scores := p.score(in, want, new(selectScratch))
+				idx := make([]int, len(want))
+				for i := range idx {
+					idx[i] = i
+				}
+				sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+				ranked := make([]socialgraph.UserID, len(want))
+				for i, j := range idx {
+					ranked[i] = want[j]
+				}
+				want = ranked
+			}
+			var chosen []socialgraph.UserID
+			for _, c := range want {
+				if len(chosen) < in.Budget && (mode == replica.UnconRep || in.Connected(c, chosen)) {
+					chosen = append(chosen, c)
+				}
+			}
+			if got := p.Select(in, nil); !slices.Equal(got, chosen) {
+				t.Logf("n=%d owner %d budget %d %v social=%v: pooled Select %v, fresh ranking %v", n, in.Owner, in.Budget, mode, social, got, chosen)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
 }

@@ -56,6 +56,7 @@ import (
 const EnvVar = "DOSN_FAILPOINTS"
 
 // obsInjected counts fired injections (execution telemetry; see internal/obs).
+// Each site also counts its own under fault.fired.<site>.
 var obsInjected = obs.C("fault.injections_fired")
 
 // enabled is the global fast gate every Inject checks first: one atomic load
@@ -70,8 +71,9 @@ var (
 // Site is one named injection point. Declare sites as package-level vars via
 // NewSite so they register once and arm by name.
 type Site struct {
-	name string
-	arm  atomic.Pointer[arming]
+	name  string
+	arm   atomic.Pointer[arming]
+	fired *obs.Counter // fault.fired.<name>
 }
 
 // action is what a fired failpoint does.
@@ -106,16 +108,16 @@ type arming struct {
 	hits   atomic.Int64
 }
 
-// NewSite registers (or fetches) the named injection site. Calling it twice
-// with one name returns the same site, so tests and package init order never
-// conflict.
+// NewSite registers (or fetches) the named injection site and its
+// fault.fired.<name> counter. Calling it twice with one name returns the
+// same site, so tests and package init order never conflict.
 func NewSite(name string) *Site {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if s, ok := sites[name]; ok {
 		return s
 	}
-	s := &Site{name: name}
+	s := &Site{name: name, fired: obs.C("fault.fired." + name)}
 	sites[name] = s
 	return s
 }
@@ -176,6 +178,7 @@ func (s *Site) fire(key int64, seeded bool) error {
 		}
 	}
 	obsInjected.Inc()
+	s.fired.Inc()
 	switch a.action {
 	case actPanic:
 		panic(&Injected{Site: s.name, Hit: hit})

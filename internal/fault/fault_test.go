@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dosn/internal/obs"
 )
 
 // withFaults arms a spec for the duration of one test body.
@@ -242,5 +244,34 @@ func TestSiteNamesSortedAndComplete(t *testing.T) {
 	}
 	if !sawAA || !sawZZ {
 		t.Fatalf("SiteNames missing registered sites: %v", names)
+	}
+}
+
+// TestPerSiteFiredCounters: with two sites armed, each site's
+// fault.fired.<site> counter advances by that site's firings alone, and the
+// two advances sum to fault.injections_fired's.
+func TestPerSiteFiredCounters(t *testing.T) {
+	a, b := NewSite("test.count-a"), NewSite("test.count-b")
+	firedA, firedB := obs.C("fault.fired.test.count-a"), obs.C("fault.fired.test.count-b")
+	a0, b0, total0 := firedA.Value(), firedB.Value(), obsInjected.Value()
+	withFaults(t, "test.count-a=error(p=1,seed=1); test.count-b=error(2)")
+	wantA, wantB := 0, 0
+	for i := 0; i < 5; i++ {
+		if a.Inject() != nil {
+			wantA++
+		}
+		if b.Inject() != nil {
+			wantB++
+		}
+	}
+	if wantA != 5 || wantB != 1 {
+		t.Fatalf("sites fired %d and %d times, want 5 and 1", wantA, wantB)
+	}
+	gotA, gotB, total := firedA.Value()-a0, firedB.Value()-b0, obsInjected.Value()-total0
+	if gotA != int64(wantA) || gotB != int64(wantB) {
+		t.Errorf("per-site counters advanced by %d and %d, want %d and %d", gotA, gotB, wantA, wantB)
+	}
+	if gotA+gotB != total {
+		t.Errorf("per-site counters sum to %d, fault.injections_fired advanced by %d", gotA+gotB, total)
 	}
 }

@@ -13,8 +13,14 @@ import (
 // nothing per user, and it prepares an ingredient only when one of the
 // policies it was built for declares (Traits) that it reads it.
 //
-// A Placer is not safe for concurrent use: a parallel pass gives every
-// worker its own.
+// It also owns the policies' working memory, which every Input it prepares
+// carries: a warmed Select on such an Input allocates only the selection it
+// returns, and that selection belongs to the caller. The working memory
+// belongs to the Placer.
+//
+// A Placer is not safe for concurrent use, and neither are its Inputs:
+// two Inputs from one Placer must not be Selected concurrently. A parallel
+// pass gives every worker its own Placer.
 type Placer struct {
 	ds      *trace.Dataset
 	bitmaps []interval.Bitmap
@@ -23,6 +29,7 @@ type Placer struct {
 	traits  Traits // union over the policies; UsesRNG is the caller's business
 	counts  trace.CountScratch
 	demand  interval.Bitmap
+	work    selectWork
 }
 
 // NewPlacer returns a Placer over the dataset and the arena rows of one
@@ -40,7 +47,8 @@ func NewPlacer(ds *trace.Dataset, bitmaps []interval.Bitmap, mode Mode, budget i
 }
 
 // Input prepares the placement input of user u. CandidateCounts and Demand
-// point into the Placer and are valid until its next Input call.
+// point into the Placer and are valid until its next Input call; the Input
+// carries the Placer's work area to the policies' Select.
 //
 //dosn:hotpath
 func (pl *Placer) Input(u socialgraph.UserID) Input {
@@ -50,6 +58,7 @@ func (pl *Placer) Input(u socialgraph.UserID) Input {
 		Bitmaps:    pl.bitmaps,
 		Mode:       pl.mode,
 		Budget:     pl.budget,
+		work:       &pl.work,
 	}
 	if pl.traits.UsesInteractions {
 		in.CandidateCounts = pl.ds.CandidateInteractionCounts(u, in.Candidates, &pl.counts)

@@ -12,11 +12,20 @@
 // onlinetime.Table (one day-bitmap row per user), interaction counts arrive
 // positionally aligned with the candidate list, and the activity-demand
 // universe is a bitmap. Every overlap question is a word-wise operation.
+//
+// Ownership: a selection Select returns is freshly allocated and belongs to
+// the caller, who may keep it. The working memory a Select call needs —
+// the tracker's columns, MaxAv's size and bound columns, MostActive's
+// ranking — belongs to the Placer that prepared the Input, so a warmed
+// Select allocates only its answer. Inputs from one Placer share that
+// memory and must not be Selected concurrently; an Input built as a literal
+// carries none, and its Select works on fresh memory.
 package replica
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
@@ -74,6 +83,9 @@ type Input struct {
 	Mode Mode
 	// Budget is the maximum replication degree (number of replicas).
 	Budget int
+
+	// work is the preparing Placer's work area (nil for a literal).
+	work *selectWork
 }
 
 // offline is the schedule of an ID outside Input.Bitmaps: never online.
@@ -106,6 +118,39 @@ func (in *Input) Connected(c socialgraph.UserID, chosen []socialgraph.UserID) bo
 	return false
 }
 
+// selectWork is the working memory of Select calls: the tracker's columns,
+// MaxAv's size and bound columns and MostActive's ranking. A Placer owns one
+// (see the package doc for the ownership rule). Every Select resizes and
+// clears the columns it reads, so nothing carries over between calls.
+type selectWork struct {
+	cand   []*interval.Bitmap
+	taken  []bool
+	conn   []bool
+	pool   []int
+	size   []int
+	bound  []int
+	ranked []int
+}
+
+// workArea returns the Input's work area, or a fresh one for a literal Input.
+func (in *Input) workArea() *selectWork {
+	if in.work == nil {
+		return new(selectWork)
+	}
+	return in.work
+}
+
+// resize returns s resliced to n cleared elements, allocating only when its
+// capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // tracker is one Select call's view of the candidate list, per candidate
 // position: its schedule (a pointer into the arena), whether it is taken,
 // and under ConRep whether it is time-connected to the owner or to a pick.
@@ -113,7 +158,7 @@ func (in *Input) Connected(c socialgraph.UserID, chosen []socialgraph.UserID) bo
 // owner", and a pick can only switch candidates from unconnected to
 // connected, so one Intersects against the pick per unconnected candidate
 // replaces Input.Connected's rescan of the whole chosen list — with the
-// identical answer at every probe.
+// identical answer at every probe. Its columns live in the work area.
 type tracker struct {
 	ids   []socialgraph.UserID
 	cand  []*interval.Bitmap
@@ -122,20 +167,21 @@ type tracker struct {
 	pool  []int  // openPool's result, reused at every step
 }
 
-// newTracker starts a tracker over in's candidates: nothing taken, ConRep
-// connectivity seeded from the owner.
-func newTracker(in *Input) tracker {
-	t := tracker{
-		ids:   in.Candidates,
-		cand:  make([]*interval.Bitmap, len(in.Candidates)),
-		taken: make([]bool, len(in.Candidates)),
-	}
+// newTracker starts a tracker over in's candidates in w: nothing taken,
+// ConRep connectivity seeded from the owner.
+func newTracker(in *Input, w *selectWork) tracker {
+	n := len(in.Candidates)
+	w.cand = resize(w.cand, n)
+	w.taken = resize(w.taken, n)
+	w.pool = resize(w.pool, n)
+	t := tracker{ids: in.Candidates, cand: w.cand, taken: w.taken, pool: w.pool[:0]}
 	for i, c := range in.Candidates {
 		t.cand[i] = in.bitmap(c)
 	}
 	if in.Mode == ConRep {
 		owner := in.bitmap(in.Owner)
-		t.conn = make([]bool, len(in.Candidates))
+		w.conn = resize(w.conn, n)
+		t.conn = w.conn
 		for i, b := range t.cand {
 			t.conn[i] = b.Intersects(owner)
 		}
@@ -168,10 +214,8 @@ func (t *tracker) take(i int) {
 
 // openPool returns the open candidate positions in candidate order, so a
 // uniform draw over it picks what a draw over the open candidates would.
+// The pool's capacity is the candidate count, so it never reallocates.
 func (t *tracker) openPool() []int {
-	if t.pool == nil {
-		t.pool = make([]int, 0, len(t.ids))
-	}
 	t.pool = t.pool[:0]
 	for i := range t.ids {
 		if t.open(i) {
@@ -289,14 +333,16 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 		panic("replica: MaxAv(activity) needs Input.Demand; build the Input with a replica.Placer")
 	}
 	demand := in.Demand
+	w := in.workArea()
 	// A duplicate candidate entry leaves with its twin (tracker.take); it
 	// could not be picked anyway, since its marginal gain is 0 once the twin
 	// is covered and gains must exceed 0.
-	t := newTracker(&in)
+	t := newTracker(&in, w)
 
 	// Sizes are cached so each greedy probe needs a single overlap popcount
 	// (gain = size − overlap).
-	size := make([]int, len(t.cand))
+	w.size = resize(w.size, len(t.cand))
+	size := w.size
 	for i, b := range t.cand {
 		size[i] = b.Minutes()
 	}
@@ -312,7 +358,8 @@ func (m MaxAv) Select(in Input, _ *rand.Rand) []socialgraph.UserID {
 	// cannot win the round, and one with bound 0 can never be picked at all
 	// (selection requires gain > 0), so both skips leave the chosen
 	// sequence bit-identical to the full rescan.
-	bound := make([]int, len(size))
+	w.bound = resize(w.bound, len(size))
+	bound := w.bound
 	copy(bound, size)
 
 	for len(chosen) < in.Budget {
@@ -363,20 +410,21 @@ func (MostActive) Traits() Traits { return Traits{UsesRNG: true, UsesInteraction
 // Select implements Policy. Ranking runs over candidate positions, so the
 // positional CandidateCounts column needs no ID lookups.
 func (MostActive) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
-	ranked := make([]int, len(in.Candidates))
+	w := in.workArea()
+	w.ranked = resize(w.ranked, len(in.Candidates))
+	ranked := w.ranked
 	for i := range ranked {
 		ranked[i] = i
 	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		ci := in.CandidateCounts[ranked[a]]
-		cj := in.CandidateCounts[ranked[b]]
-		if ci != cj {
-			return ci > cj
+	counts, ids := in.CandidateCounts, in.Candidates
+	slices.SortStableFunc(ranked, func(a, b int) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return in.Candidates[ranked[a]] < in.Candidates[ranked[b]]
+		return cmp.Compare(ids[a], ids[b])
 	})
 
-	t := newTracker(&in)
+	t := newTracker(&in, w)
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
 	for len(chosen) < in.Budget {
 		// Highest-ranked open candidate with non-zero activity.
@@ -414,7 +462,7 @@ func (Random) Traits() Traits { return Traits{UsesRNG: true} }
 
 // Select implements Policy.
 func (Random) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
-	t := newTracker(&in)
+	t := newTracker(&in, in.workArea())
 	chosen := make([]socialgraph.UserID, 0, in.Budget)
 	for len(chosen) < in.Budget {
 		pool := t.openPool()
