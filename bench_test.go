@@ -261,14 +261,12 @@ func BenchmarkA1ObjectiveAblation(b *testing.B) {
 	b.ResetTimer()
 	var availObj, actObj float64
 	for i := 0; i < b.N; i++ {
-		res, err := dosn.ObjectiveAblation(s.Facebook, dosn.NewSporadic(0), dosn.Options{
-			MaxDegree: 5, Repeats: benchRepeats, Seed: benchSeed,
-		})
+		fig, err := s.Figure("ablation-objective-aodact")
 		if err != nil {
 			b.Fatal(err)
 		}
-		availObj = res.Value(0, 3, dosn.MetricAoDActivity)
-		actObj = res.Value(1, 3, dosn.MetricAoDActivity)
+		availObj = fig.Series[0].Y[3] // MaxAv at degree 3
+		actObj = fig.Series[1].Y[3]   // MaxAv(activity)
 	}
 	b.ReportMetric(availObj, "maxav_aodact_deg3")
 	b.ReportMetric(actObj, "maxav_activity_aodact_deg3")

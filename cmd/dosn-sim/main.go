@@ -1,19 +1,20 @@
 // Command dosn-sim regenerates the figures of the paper's evaluation
-// section from synthetic calibrated datasets, and runs the extension
-// experiments (protocol validation, replica load balance).
+// section from synthetic calibrated datasets, and the extension experiments
+// (ablations, protocol validation, replica load balance, storage
+// architectures) as figures of the same kind.
 //
 // Usage:
 //
-//	dosn-sim -fig list                 # list every reproducible figure
-//	dosn-sim -fig fig3a                # print one figure as a table + chart
-//	dosn-sim -fig all -out results/    # regenerate everything into .dat files
-//	dosn-sim -experiment protocol      # X1/X2: analytic vs measured delays
-//	dosn-sim -experiment loadbalance   # X4: replica-host fairness
-//	dosn-sim -experiment objective     # A1: MaxAv objective ablation
-//	dosn-sim -experiment history       # A2: MostActive trained on history
-//	dosn-sim -experiment churn         # A3: availability under churn
-//	dosn-sim -experiment arch          # X6: friend-replica vs random/social DHT
-//	dosn-sim -scale paper -fig fig3a   # full paper-scale datasets (slower)
+//	dosn-sim -fig list                          # list every figure and experiment
+//	dosn-sim -fig fig3a                         # print one figure as a table + chart
+//	dosn-sim -fig all -out results/             # regenerate everything into .dat files
+//	dosn-sim -fig experiment-protocol           # X1/X2: analytic vs measured delays
+//	dosn-sim -fig experiment-loadbalance        # X4: replica-host fairness
+//	dosn-sim -fig ablation-objective-aodact     # A1: MaxAv objective ablation (also -avail)
+//	dosn-sim -fig ablation-history              # A2: MostActive trained on history
+//	dosn-sim -fig ablation-churn                # A3: availability under churn
+//	dosn-sim -fig experiment-arch               # X6: friend-replica vs random/social DHT
+//	dosn-sim -scale paper -fig fig3a            # full paper-scale datasets (slower)
 //
 // The matrix subcommand runs the paper's whole experiment matrix — datasets ×
 // online-time models × placement modes — in one deterministic invocation and
@@ -27,6 +28,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,23 +52,39 @@ func run() error {
 	if len(os.Args) > 1 && os.Args[1] == "matrix" {
 		return runMatrix(os.Args[2:])
 	}
+	return runFig(os.Args[1:], os.Stdout)
+}
+
+// runFig implements the figure front door: -fig regenerates any figure of
+// the paper or extension experiment, every one ("all"), or lists them.
+func runFig(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("dosn-sim", flag.ContinueOnError)
 	var (
-		figID      = flag.String("fig", "", "figure to regenerate (fig2, fig3a, ..., fig11d), 'all', or 'list'")
-		experiment = flag.String("experiment", "", "extension experiment: protocol | loadbalance | objective | history | churn | arch")
-		scale      = flag.String("scale", "small", "dataset scale: small (2000 users) | medium (5000) | paper (13884/14933) | large (100000) | huge (1000000)")
-		outDir     = flag.String("out", "", "directory for gnuplot .dat files (default: print to stdout)")
-		ascii      = flag.Bool("ascii", true, "render ASCII charts to stdout")
-		repeats    = flag.Int("repeats", 3, "randomized-run repetitions (paper uses 5)")
-		maxDegree  = flag.Int("max-degree", 10, "replication degree sweep bound")
-		userDegree = flag.Int("user-degree", 10, "user degree of the analysis population")
-		seed       = flag.Int64("seed", 42, "random seed")
-		debugAddr  = flag.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
+		figID      = fs.String("fig", "", "figure or experiment to regenerate (fig2, fig3a, ..., experiment-arch), 'all', or 'list'")
+		scale      = fs.String("scale", "small", "dataset scale: small (2000 users) | medium (5000) | paper (13884/14933) | large (100000) | huge (1000000)")
+		outDir     = fs.String("out", "", "directory for gnuplot .dat files (default: print to stdout)")
+		ascii      = fs.Bool("ascii", true, "render ASCII charts to stdout")
+		repeats    = fs.Int("repeats", 3, "randomized-run repetitions (paper uses 5)")
+		maxDegree  = fs.Int("max-degree", 10, "replication degree sweep bound")
+		userDegree = fs.Int("user-degree", 10, "user degree of the analysis population")
+		seed       = fs.Int64("seed", 42, "random seed")
+		debugAddr  = fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
 	)
 	var pf prof.Flags
-	pf.Register(flag.CommandLine)
-	flag.Parse()
+	pf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: usage already printed, exit clean
+		}
+		return err
+	}
+	// The library fills zero values with defaults; -user-degree has no
+	// modal-degree reading here, so 0 is as much nonsense as a negative.
+	if err := checkRunFlags(*maxDegree, *userDegree, *repeats, *seed, false); err != nil {
+		return err
+	}
 
-	// Profiles and the debug endpoint cover the whole figure/experiment run.
+	// Profiles and the debug endpoint cover the whole figure run.
 	stopProf, err := pf.Start()
 	if err != nil {
 		return err
@@ -91,15 +109,29 @@ func run() error {
 		Repeats:    *repeats,
 		Seed:       *seed,
 	}
-
-	switch {
-	case *experiment != "":
-		return runExperiment(os.Stdout, *experiment, fbUsers, *seed)
-	case *figID == "" || *figID == "list":
-		return listFigures(opts)
-	default:
-		return runFigures(os.Stdout, *figID, fbUsers, twUsers, opts, *outDir, *ascii)
+	if *figID == "" || *figID == "list" {
+		return listFigures(w, opts)
 	}
+	return runFigures(w, *figID, fbUsers, twUsers, opts, *outDir, *ascii)
+}
+
+// checkRunFlags rejects explicit nonsense in the flags -fig and matrix share,
+// which the library would otherwise silently rewrite to its defaults.
+// modalOK admits -user-degree 0, which matrix reads as the modal degree.
+func checkRunFlags(maxDegree, userDegree, repeats int, seed int64, modalOK bool) error {
+	switch {
+	case maxDegree <= 0:
+		return fmt.Errorf("-max-degree must be > 0, got %d", maxDegree)
+	case modalOK && userDegree < 0:
+		return fmt.Errorf("-user-degree must be >= 0 (0 = modal degree), got %d", userDegree)
+	case !modalOK && userDegree <= 0:
+		return fmt.Errorf("-user-degree must be > 0, got %d", userDegree)
+	case repeats <= 0:
+		return fmt.Errorf("-repeats must be > 0, got %d", repeats)
+	case seed == 0:
+		return errors.New("-seed must be nonzero (0 would select the library default of 42)")
+	}
+	return nil
 }
 
 // LargeScaleUsers is the per-dataset user count of the "large" scale: an
@@ -145,13 +177,13 @@ func buildSuite(fbUsers, twUsers int, opts dosn.Options) (*dosn.Suite, error) {
 	return suite, nil
 }
 
-func listFigures(opts dosn.Options) error {
+func listFigures(w io.Writer, opts dosn.Options) error {
 	suite := &dosn.Suite{Opts: opts} // IDs need no datasets
-	fmt.Println("reproducible figures:")
+	fmt.Fprintln(w, "reproducible figures and experiments:")
 	for _, id := range suite.FigureIDs() {
-		fmt.Println(" ", id)
+		fmt.Fprintln(w, " ", id)
 	}
-	fmt.Println("run with -fig <id> or -fig all")
+	fmt.Fprintln(w, "run with -fig <id> or -fig all")
 	return nil
 }
 
@@ -207,113 +239,4 @@ func writeDat(dir, id string, fig dosn.Figure) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
-}
-
-// runExperiment runs the named extension experiment on a synthetic Facebook
-// dataset of fbUsers users and writes its table to w.
-func runExperiment(w io.Writer, name string, fbUsers int, seed int64) error {
-	fb, err := dosn.Facebook(fbUsers, 1)
-	if err != nil {
-		return err
-	}
-	switch name {
-	case "protocol":
-		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, Seed: seed, MaxWalls: 25, Days: 7,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "X1/X2 — protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)")
-		fmt.Fprintf(w, "  walls simulated            %d\n", res.Walls)
-		fmt.Fprintf(w, "  posts replayed             %d\n", res.Posts)
-		fmt.Fprintf(w, "  delivered to full group    %.1f%%\n", res.DeliveredFraction*100)
-		fmt.Fprintf(w, "  analytic worst-case delay  %.2f h (upper bound)\n", res.AnalyticWorstHours)
-		fmt.Fprintf(w, "  measured max delay         %.2f h\n", res.MeasuredMaxHours)
-		fmt.Fprintf(w, "  measured mean pair delay   %.2f h (actual)\n", res.MeasuredPairHours)
-		fmt.Fprintf(w, "  measured mean pair delay   %.2f h (observed)\n", res.ObservedPairHours)
-		fmt.Fprintf(w, "  immediate landings         %.1f%% (measured AoD-activity)\n", res.ImmediateFraction*100)
-		fmt.Fprintf(w, "  analytic AoD-activity      %.1f%%\n", res.AnalyticAoDActivity*100)
-		fmt.Fprintf(w, "  measured AoD-time          %.1f%% (analytic %.1f%%)\n", res.MeasuredAoDTime*100, res.AnalyticAoDTime*100)
-		fmt.Fprintf(w, "  anti-entropy exchanges     %d (posts transferred: %d)\n", res.Exchanges, res.PostsTransferred)
-		return nil
-	case "loadbalance":
-		rows, err := dosn.ReplicaLoadBalance(fb, dosn.NewSporadic(0), dosn.ConRep, 3, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "X4 — replica-host load balance (ConRep, budget 3, Sporadic)")
-		fmt.Fprintf(w, "  %-12s %10s %10s %10s\n", "policy", "mean", "max", "cv")
-		for _, r := range rows {
-			fmt.Fprintf(w, "  %-12s %10.2f %10.0f %10.3f\n", r.Policy, r.MeanLoad, r.MaxLoad, r.CV)
-		}
-		return nil
-	case "objective":
-		res, err := dosn.ObjectiveAblation(fb, dosn.NewSporadic(0), dosn.Options{Repeats: 3, Seed: seed})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "A1 — MaxAv objective ablation (ConRep, Sporadic)")
-		fmt.Fprintf(w, "  %-18s %14s %14s\n", "policy", "avail@deg3", "AoD-act@deg3")
-		for pi, p := range res.Policies {
-			fmt.Fprintf(w, "  %-18s %14.3f %14.3f\n", p,
-				res.Value(pi, 3, dosn.MetricAvailability),
-				res.Value(pi, 3, dosn.MetricAoDActivity))
-		}
-		return nil
-	case "history":
-		res, err := dosn.HistorySplit(fb, dosn.NewSporadic(0), 3, 0.5, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "A2 — MostActive trained on history (budget 3, 50/50 split)")
-		fmt.Fprintf(w, "  users evaluated          %d\n", res.Users)
-		fmt.Fprintf(w, "  historical AoD-activity  %.3f\n", res.HistoricalAoDActivity)
-		fmt.Fprintf(w, "  oracle AoD-activity      %.3f\n", res.OracleAoDActivity)
-		fmt.Fprintf(w, "  random AoD-activity      %.3f\n", res.RandomAoDActivity)
-		return nil
-	case "churn":
-		rows, err := dosn.Churn(fb, dosn.NewSporadic(0), 5, 3, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "A3 — availability under replica churn (budget 5, Sporadic)")
-		fmt.Fprintf(w, "  %-12s", "policy")
-		for j := 0; j <= 5; j++ {
-			fmt.Fprintf(w, "  fail=%d", j)
-		}
-		fmt.Fprintln(w)
-		for _, r := range rows {
-			fmt.Fprintf(w, "  %-12s", r.Policy)
-			for _, v := range r.Availability {
-				fmt.Fprintf(w, "  %6.3f", v)
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	case "arch":
-		rows, err := dosn.RunArchComparison(dosn.ArchConfig{
-			Dataset: fb, MaxDegree: 5, Repeats: 3, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "X6 — storage-architecture comparison (ConRep, budget 5, Sporadic)")
-		fmt.Fprintf(w, "  %-14s %-12s %10s %10s %10s %10s %10s %10s\n",
-			"architecture", "policy", "avail@5", "aod-t@5", "delay_h@5", "hops", "load_cv", "load_gini")
-		for _, r := range rows {
-			last := len(r.Sweep.Degrees) - 1
-			for pi, policy := range r.Sweep.Policies {
-				fmt.Fprintf(w, "  %-14s %-12s %10.3f %10.3f %10.2f %10.2f %10.3f %10.3f\n",
-					r.Architecture, policy,
-					r.Sweep.Value(pi, last, dosn.MetricAvailability),
-					r.Sweep.Value(pi, last, dosn.MetricAoDTime),
-					r.Sweep.Value(pi, last, dosn.MetricDelayHours),
-					r.Lookup.MeanHops, r.LoadCV, r.LoadGini)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q (protocol|loadbalance|objective|history|churn|arch)", name)
-	}
 }

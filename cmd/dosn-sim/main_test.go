@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -246,12 +245,10 @@ func TestMatrixRejectsRetiredShardSizeFlag(t *testing.T) {
 	}
 }
 
-// TestRunExperiment runs every extension experiment at small scale and checks
-// its header lines and that it reports finite numbers; the protocol run must
-// actually exchange data between replicas.
 // TestRunFiguresAll drives -fig all -ascii=false at small scale with one
-// repetition: every figure prints its table once, in FigureIDs order, and
-// -out writes one .dat file per figure.
+// repetition: every figure and experiment prints its table once, in
+// FigureIDs order, with finite values, and -out writes one .dat file per
+// figure.
 func TestRunFiguresAll(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
@@ -261,12 +258,20 @@ func TestRunFiguresAll(t *testing.T) {
 	want := (&dosn.Suite{}).FigureIDs()
 	var got []string
 	for _, line := range strings.Split(out.String(), "\n") {
-		if id, _, ok := strings.Cut(line, " — "); ok && strings.HasPrefix(id, "fig") {
+		if id, _, ok := strings.Cut(line, " — "); ok {
 			got = append(got, id)
+		}
+		if strings.Contains(line, "NaN") || strings.Contains(line, "Inf") {
+			t.Errorf("non-finite row %q", line)
 		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("figure tables printed = %v\nwant %v", got, want)
+	}
+	for _, id := range []string{"ablation-objective-avail", "ablation-history", "experiment-protocol", "experiment-arch"} {
+		if !slices.Contains(got, id) {
+			t.Errorf("-fig all skipped experiment %s", id)
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -286,71 +291,38 @@ func TestRunFiguresAll(t *testing.T) {
 	}
 }
 
-func TestRunExperiment(t *testing.T) {
-	const users, seed = 2000, 42
-	for _, tt := range []struct {
-		name   string
-		header []string // title line, then the column header's fields
-	}{
-		{"protocol", []string{"X1/X2 — protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)"}},
-		{"loadbalance", []string{"X4 — replica-host load balance (ConRep, budget 3, Sporadic)",
-			"policy mean max cv"}},
-		{"objective", []string{"A1 — MaxAv objective ablation (ConRep, Sporadic)",
-			"policy avail@deg3 AoD-act@deg3"}},
-		{"history", []string{"A2 — MostActive trained on history (budget 3, 50/50 split)"}},
-		{"churn", []string{"A3 — availability under replica churn (budget 5, Sporadic)",
-			"policy fail=0 fail=1 fail=2 fail=3 fail=4 fail=5"}},
-		{"arch", []string{"X6 — storage-architecture comparison (ConRep, budget 5, Sporadic)",
-			"architecture policy avail@5 aod-t@5 delay_h@5 hops load_cv load_gini"}},
+// TestRunFigRejectsRetiredExperimentFlag: -experiment is gone (the
+// experiments are -fig IDs), so a stale script fails loudly with the flag
+// package's unknown-flag error instead of being ignored.
+func TestRunFigRejectsRetiredExperimentFlag(t *testing.T) {
+	err := runFig([]string{"-experiment", "protocol"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -experiment") {
+		t.Errorf("runFig(-experiment protocol) = %v, want the unknown-flag error", err)
+	}
+}
+
+// TestRunFigRejectsExplicitNonsense: the library reads a zero seed, repeat
+// count or user degree as "use the default", so -fig must refuse them
+// rather than silently run seed 42, 5 repetitions or degree 10.
+func TestRunFigRejectsExplicitNonsense(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seed", "0"},
+		{"-repeats", "0"},
+		{"-repeats", "-1"},
+		{"-user-degree", "0"},
+		{"-user-degree", "-1"},
+		{"-max-degree", "0"},
 	} {
-		t.Run(tt.name, func(t *testing.T) {
-			var out bytes.Buffer
-			if err := runExperiment(&out, tt.name, users, seed); err != nil {
-				t.Fatalf("runExperiment: %v", err)
-			}
-			lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-			if len(lines) <= len(tt.header) {
-				t.Fatalf("output has %d lines, want rows after %d header lines:\n%s", len(lines), len(tt.header), out.String())
-			}
-			if lines[0] != tt.header[0] {
-				t.Errorf("title = %q, want %q", lines[0], tt.header[0])
-			}
-			if len(tt.header) > 1 {
-				if got := strings.Join(strings.Fields(lines[1]), " "); got != tt.header[1] {
-					t.Errorf("column header = %q, want %q", got, tt.header[1])
-				}
-			}
-			finite := 0
-			for _, line := range lines[len(tt.header):] {
-				if strings.Contains(line, "NaN") || strings.Contains(line, "Inf") {
-					t.Errorf("non-finite row %q", line)
-				} else if strings.ContainsAny(line, "0123456789") {
-					finite++
-				}
-			}
-			if finite == 0 {
-				t.Errorf("no finite row in\n%s", out.String())
-			}
-			if tt.name == "protocol" {
-				var exchanges int
-				for _, line := range lines {
-					if f := strings.Fields(line); len(f) > 1 && f[0] == "anti-entropy" {
-						exchanges, _ = strconv.Atoi(f[2])
-					}
-				}
-				if exchanges <= 0 {
-					t.Errorf("protocol run reports %d exchanges, want > 0:\n%s", exchanges, out.String())
-				}
-			}
-		})
-	}
-	err := runExperiment(io.Discard, "gossip", users, seed)
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	for _, name := range []string{"protocol", "loadbalance", "objective", "history", "churn", "arch"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-experiment error %q does not list %q", err, name)
+		err := runFig(append([]string{"-fig", "list"}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("runFig(%v) = %v, want an error naming %s", args, err, args[0])
 		}
+	}
+	var out bytes.Buffer
+	if err := runFig([]string{"-fig", "list", "-seed", "7", "-repeats", "1"}, &out); err != nil {
+		t.Fatalf("runFig(-fig list): %v", err)
+	}
+	if !strings.Contains(out.String(), "experiment-arch") {
+		t.Errorf("-fig list does not list the experiments:\n%s", out.String())
 	}
 }

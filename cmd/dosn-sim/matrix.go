@@ -195,15 +195,8 @@ func buildMatrixSpec(scale, datasets, models, modes, policies string, maxDegree,
 	if err != nil {
 		return harness.MatrixSpec{}, err
 	}
-	switch {
-	case maxDegree <= 0:
-		return harness.MatrixSpec{}, fmt.Errorf("-max-degree must be > 0, got %d", maxDegree)
-	case userDegree < 0:
-		return harness.MatrixSpec{}, fmt.Errorf("-user-degree must be >= 0 (0 = modal degree), got %d", userDegree)
-	case repeats <= 0:
-		return harness.MatrixSpec{}, fmt.Errorf("-repeats must be > 0, got %d", repeats)
-	case rootSeed == 0:
-		return harness.MatrixSpec{}, fmt.Errorf("-seed must be nonzero (0 would select the library default of 42)")
+	if err := checkRunFlags(maxDegree, userDegree, repeats, rootSeed, true); err != nil {
+		return harness.MatrixSpec{}, err
 	}
 	spec := harness.MatrixSpec{
 		Version:    harness.SpecVersion,

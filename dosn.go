@@ -90,7 +90,8 @@ type (
 	Metric = core.Metric
 	// Options tunes figure regeneration.
 	Options = core.Options
-	// Suite regenerates any figure of the paper by ID.
+	// Suite regenerates any figure of the paper, or extension experiment,
+	// by ID.
 	Suite = core.Suite
 	// Figure is a plottable reproduction of a paper figure.
 	Figure = plot.Figure
@@ -301,12 +302,6 @@ func ReplicaLoadBalance(ds *Dataset, model OnlineModel, mode Mode, budget int, s
 // activity objective) rather than the friends' online time.
 func NewMaxAvActivity() Policy {
 	return replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity}
-}
-
-// ObjectiveAblation compares MaxAv's availability objective against its
-// on-demand-activity objective (plus Random as the floor).
-func ObjectiveAblation(ds *Dataset, model OnlineModel, opts Options) (*SweepResult, error) {
-	return core.ObjectiveAblation(ds, model, opts)
 }
 
 // HistorySplit trains MostActive on the first trainFraction of the trace and

@@ -97,7 +97,8 @@ type goldenEntry struct {
 	gen func(t *testing.T) dosn.Figure
 }
 
-// figEntry snapshots one paper figure regenerated through the suite.
+// figEntry snapshots one paper figure or extension experiment regenerated
+// through the suite.
 func figEntry(id string, tol tolerance) goldenEntry {
 	return goldenEntry{id: id, tol: tol, gen: func(t *testing.T) dosn.Figure {
 		fig, err := goldenSuite(t).Figure(id)
@@ -128,12 +129,13 @@ func goldenEntries() []goldenEntry {
 		entries = append(entries, figEntry(id, tolFraction))
 	}
 	entries = append(entries,
-		goldenEntry{id: "ablation-objective-aodact", tol: tolFraction, gen: objectiveAblationFigure(dosn.MetricAoDActivity)},
-		goldenEntry{id: "ablation-objective-avail", tol: tolFraction, gen: objectiveAblationFigure(dosn.MetricAvailability)},
-		goldenEntry{id: "ablation-history", tol: tolFraction, gen: historyFigure},
-		goldenEntry{id: "ablation-churn", tol: tolFraction, gen: churnFigure},
-		goldenEntry{id: "experiment-loadbalance", tol: tolLoad, gen: loadBalanceFigure},
+		figEntry("ablation-objective-aodact", tolFraction),
+		figEntry("ablation-objective-avail", tolFraction),
+		figEntry("ablation-history", tolFraction),
+		figEntry("ablation-churn", tolFraction),
+		figEntry("experiment-loadbalance", tolLoad),
 		goldenEntry{id: "experiment-protocol", tol: tolHours, gen: protocolFigure},
+		figEntry("experiment-arch", tolLoad), // fractions, hours, hops and load statistics
 		goldenEntry{id: "matrix-facebook-sporadic-conrep", tol: tolFraction, gen: matrixCellFigure("facebook", "Sporadic", "ConRep", "availability")},
 		goldenEntry{id: "matrix-facebook-fixed2-unconrep", tol: tolFraction, gen: matrixCellFigure("facebook", "FixedLength(2h)", "UnconRep", "availability")},
 		goldenEntry{id: "matrix-twitter-sporadic-conrep-delay", tol: tolHours, gen: matrixCellFigure("twitter", "Sporadic", "ConRep", "delay_hours")},
@@ -143,94 +145,12 @@ func goldenEntries() []goldenEntry {
 	return entries
 }
 
-// objectiveAblationFigure snapshots ablation A1 as one series per policy.
-func objectiveAblationFigure(metric dosn.Metric) func(t *testing.T) dosn.Figure {
-	return func(t *testing.T) dosn.Figure {
-		s := goldenSuite(t)
-		res, err := dosn.ObjectiveAblation(s.Facebook, dosn.NewSporadic(0), dosn.Options{
-			MaxDegree: 5, UserDegree: 10, Repeats: 2, Seed: 42,
-		})
-		if err != nil {
-			t.Fatalf("objective ablation: %v", err)
-		}
-		return dosn.Figure{
-			ID:     "ablation-objective",
-			Title:  "A1: MaxAv objective ablation",
-			XLabel: "replication degree",
-			YLabel: metric.String(),
-			Series: res.MetricSeries(metric),
-		}
-	}
-}
-
-func historyFigure(t *testing.T) dosn.Figure {
-	s := goldenSuite(t)
-	res, err := dosn.HistorySplit(s.Facebook, dosn.NewSporadic(0), 3, 0.5, 42)
-	if err != nil {
-		t.Fatalf("history split: %v", err)
-	}
-	return dosn.Figure{
-		ID:     "ablation-history",
-		Title:  "A2: MostActive trained on history (budget 3, 50/50 split)",
-		XLabel: "ranking (0=historical, 1=oracle, 2=random)",
-		YLabel: "availability-on-demand-activity",
-		Series: []dosn.Series{{
-			Label: "AoD-activity",
-			X:     []float64{0, 1, 2},
-			Y:     []float64{res.HistoricalAoDActivity, res.OracleAoDActivity, res.RandomAoDActivity},
-		}},
-	}
-}
-
-func churnFigure(t *testing.T) dosn.Figure {
-	s := goldenSuite(t)
-	rows, err := dosn.Churn(s.Facebook, dosn.NewSporadic(0), 5, 2, 42)
-	if err != nil {
-		t.Fatalf("churn: %v", err)
-	}
-	fig := dosn.Figure{
-		ID:     "ablation-churn",
-		Title:  "A3: availability under replica churn (budget 5)",
-		XLabel: "failed replicas",
-		YLabel: "availability",
-	}
-	for _, r := range rows {
-		xs := make([]float64, len(r.Availability))
-		for i := range xs {
-			xs[i] = float64(i)
-		}
-		fig.Series = append(fig.Series, dosn.Series{Label: r.Policy, X: xs, Y: r.Availability})
-	}
-	return fig
-}
-
-func loadBalanceFigure(t *testing.T) dosn.Figure {
-	s := goldenSuite(t)
-	rows, err := dosn.ReplicaLoadBalance(s.Facebook, dosn.NewSporadic(0), dosn.ConRep, 3, 42)
-	if err != nil {
-		t.Fatalf("load balance: %v", err)
-	}
-	fig := dosn.Figure{
-		ID:     "experiment-loadbalance",
-		Title:  "X4: replica-host load balance (ConRep, budget 3)",
-		XLabel: "statistic (0=mean, 1=max, 2=cv)",
-		YLabel: "replica-host load",
-	}
-	for _, r := range rows {
-		fig.Series = append(fig.Series, dosn.Series{
-			Label: r.Policy,
-			X:     []float64{0, 1, 2},
-			Y:     []float64{r.MeanLoad, r.MaxLoad, r.CV},
-		})
-	}
-	return fig
-}
-
 // protocolFigure snapshots X1/X2 — every field of the analytic-vs-runtime
 // comparison — for the default configuration and for a lossy randomized one
 // (MostActive draws placement randomness, FixedLength wraps midnight, loss
 // consumes the runtime RNG), so the schedule, placement, read-draw and loss
-// streams are all pinned.
+// streams are all pinned. Unlike the suite's experiment-protocol entry, whose
+// one configuration pins none of the last three, it builds its own.
 func protocolFigure(t *testing.T) dosn.Figure {
 	s := goldenSuite(t)
 	fig := dosn.Figure{
@@ -253,18 +173,7 @@ func protocolFigure(t *testing.T) dosn.Figure {
 		if err != nil {
 			t.Fatalf("protocol validation %s: %v", c.label, err)
 		}
-		ys := []float64{
-			float64(res.Walls), float64(res.Posts),
-			res.AnalyticWorstHours, res.MeasuredMaxHours, res.MeasuredPairHours, res.ObservedPairHours,
-			res.ImmediateFraction, res.AnalyticAoDActivity, res.MeasuredAoDTime, res.AnalyticAoDTime,
-			res.DeliveredFraction,
-			float64(res.Exchanges), float64(res.PostsTransferred), float64(res.LostContacts),
-		}
-		xs := make([]float64, len(ys))
-		for i := range xs {
-			xs[i] = float64(i)
-		}
-		fig.Series = append(fig.Series, dosn.Series{Label: c.label, X: xs, Y: ys})
+		fig.Series = append(fig.Series, res.Series(c.label))
 	}
 	return fig
 }

@@ -13,28 +13,6 @@ import (
 	"dosn/internal/trace"
 )
 
-// ObjectiveAblation compares MaxAv's two set-cover objectives (availability
-// vs on-demand-activity) head to head; the activity-targeted variant should
-// win on AoD-activity and lose on raw availability (ablation A1). The
-// returned Result carries both variants plus Random as the floor.
-func ObjectiveAblation(ds *trace.Dataset, model onlinetime.Model, opts Options) (*Result, error) {
-	opts = opts.fill()
-	return Run(Config{
-		Dataset: ds,
-		Model:   model,
-		Mode:    replica.ConRep,
-		Policies: []replica.Policy{
-			replica.MaxAv{},
-			replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity},
-			replica.Random{},
-		},
-		MaxDegree:  opts.MaxDegree,
-		UserDegree: opts.UserDegree,
-		Repeats:    opts.Repeats,
-		Seed:       opts.Seed,
-	})
-}
-
 // HistorySplitResult reports ablation A2: how well MostActive trained on
 // past interactions predicts future activity coverage.
 type HistorySplitResult struct {

@@ -72,30 +72,27 @@ func TestActivityMinutes(t *testing.T) {
 	}
 }
 
+// TestObjectiveAblation: ablation A1, the suite's ablation-objective
+// entries (MaxAv, MaxAv(activity), Random over degrees 0..5).
 func TestObjectiveAblation(t *testing.T) {
-	ds := testDataset(t)
-	res, err := ObjectiveAblation(ds, onlinetime.Sporadic{}, Options{
-		MaxDegree: 5, UserDegree: 10, Repeats: 2, Seed: 7,
-	})
+	s := &Suite{Facebook: testDataset(t), Opts: Options{Repeats: 2, Seed: 7}}
+	figs, err := s.Figures([]string{"ablation-objective-avail", "ablation-objective-aodact"})
 	if err != nil {
-		t.Fatalf("ObjectiveAblation: %v", err)
+		t.Fatalf("ablation-objective: %v", err)
 	}
-	if len(res.Policies) != 3 || res.Policies[1] != "MaxAv(activity)" {
-		t.Fatalf("policies = %v", res.Policies)
+	avail, act := figs[0].Series, figs[1].Series
+	if len(act) != 3 || act[1].Label != "MaxAv(activity)" || len(act[0].Y) != 6 {
+		t.Fatalf("series = %+v", act)
 	}
-	availIdx, actIdx, rndIdx := 0, 1, 2
+	maxAv, maxAvAct, rnd := 0, 1, 2
 	// The activity-targeted objective must beat Random on AoD-activity at
 	// mid budgets and must not beat plain MaxAv on raw availability (it
 	// spends budget only where activity happens).
 	deg := 3
-	actOnAct := res.Value(actIdx, deg, MetricAoDActivity)
-	rndOnAct := res.Value(rndIdx, deg, MetricAoDActivity)
-	if actOnAct+1e-9 < rndOnAct {
+	if actOnAct, rndOnAct := act[maxAvAct].Y[deg], act[rnd].Y[deg]; actOnAct+1e-9 < rndOnAct {
 		t.Errorf("MaxAv(activity) AoD-activity %.3f below Random %.3f", actOnAct, rndOnAct)
 	}
-	availOnAvail := res.Value(availIdx, deg, MetricAvailability)
-	actOnAvail := res.Value(actIdx, deg, MetricAvailability)
-	if actOnAvail > availOnAvail+1e-9 {
+	if availOnAvail, actOnAvail := avail[maxAv].Y[deg], avail[maxAvAct].Y[deg]; actOnAvail > availOnAvail+1e-9 {
 		t.Errorf("MaxAv(activity) availability %.3f should not exceed MaxAv %.3f",
 			actOnAvail, availOnAvail)
 	}

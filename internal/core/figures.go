@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"dosn/internal/onlinetime"
@@ -61,27 +62,25 @@ func (r *Result) Last(policy int, m Metric) float64 {
 	return r.Value(policy, len(r.Degrees)-1, m)
 }
 
-// DegreeDistributionFigure reproduces Fig. 2: the number of users at each
-// user degree for every given dataset.
-func DegreeDistributionFigure(datasets ...*trace.Dataset) plot.Figure {
-	fig := plot.Figure{
-		ID:     "fig2",
-		Title:  "User degree distribution of the datasets",
-		XLabel: "user degree",
-		YLabel: "number of users",
-	}
-	for _, ds := range datasets {
-		hist := ds.Graph.DegreeHistogram()
+// degreeSeries reproduces Fig. 2: the number of users at each user degree,
+// one series per dataset.
+func degreeSeries(s *Suite, _ Options) ([]plot.Series, error) {
+	var out []plot.Series
+	for _, name := range []string{"facebook", "twitter"} {
+		ds, err := s.dataset(name)
+		if err != nil {
+			return nil, err
+		}
 		var xs, ys []float64
-		for d, c := range hist {
+		for d, c := range ds.Graph.DegreeHistogram() {
 			if c > 0 {
 				xs = append(xs, float64(d))
 				ys = append(ys, float64(c))
 			}
 		}
-		fig.Series = append(fig.Series, plot.Series{Label: datasetTitle(ds.Name), X: xs, Y: ys})
+		out = append(out, plot.Series{Label: datasetTitle(ds.Name), X: xs, Y: ys})
 	}
-	return fig
+	return out, nil
 }
 
 func datasetTitle(name string) string {
@@ -104,46 +103,63 @@ type sweep struct {
 	mode       replica.Mode
 	maxDegree  int
 	userDegree int
+	policies   string // "" for the paper's three, "objective" for ablation A1's
 }
 
-// figure is one figure of the paper's evaluation, a view of its sweeps. A
-// degree panel (xs nil) reads one sweep and plots the metric against the
-// replication degree. Otherwise sweep i is plotted at xs[i] by its value at
-// its largest replication degree.
+// figure is one entry of the suite: a figure of the paper's evaluation or an
+// extension experiment. A degree panel (xs nil) reads one sweep and plots the
+// metric against the replication degree. With xs, sweep i is plotted at xs[i]
+// by its value at its largest replication degree. An entry with series reads
+// no sweep and computes its own series.
 type figure struct {
 	id, title, xLabel string
+	yLabel            string // "" for the metric's name
 	metric            Metric
 	logX              bool
 	sweeps            []sweep
 	xs                []float64
+	series            func(s *Suite, o Options) ([]plot.Series, error)
 }
 
-// render draws the figure from the results of its sweeps.
-func (f figure) render(results map[sweep]*Result) plot.Figure {
-	fig := plot.Figure{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.metric.String(), LogX: f.logX}
-	if f.xs == nil {
+// render draws the figure from the results of its sweeps, or computes it.
+func (f figure) render(s *Suite, results map[sweep]*Result) (plot.Figure, error) {
+	fig := plot.Figure{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.yLabel, LogX: f.logX}
+	if fig.YLabel == "" {
+		fig.YLabel = f.metric.String()
+	}
+	var err error
+	switch {
+	case f.series != nil:
+		fig.Series, err = f.series(s, s.Opts.fill())
+	case f.xs == nil:
 		fig.Series = results[f.sweeps[0]].MetricSeries(f.metric)
-		return fig
-	}
-	for pi, name := range results[f.sweeps[0]].Policies {
-		ys := make([]float64, len(f.sweeps))
-		for i, sw := range f.sweeps {
-			ys[i] = results[sw].Last(pi, f.metric)
+	default:
+		for pi, name := range results[f.sweeps[0]].Policies {
+			ys := make([]float64, len(f.sweeps))
+			for i, sw := range f.sweeps {
+				ys[i] = results[sw].Last(pi, f.metric)
+			}
+			fig.Series = append(fig.Series, plot.Series{Label: name, X: slices.Clone(f.xs), Y: ys})
 		}
-		fig.Series = append(fig.Series, plot.Series{Label: name, X: slices.Clone(f.xs), Y: ys})
 	}
-	return fig
+	return fig, err
 }
 
 // sessionSeconds is the paper's Fig. 8 sweep grid (log-spaced,
 // 100 s – 100 000 s).
 var sessionSeconds = []float64{100, 300, 1000, 3000, 10000, 30000, 100000}
 
-// figures returns every sweep figure of the paper in FigureIDs order (Fig. 2,
-// which plots the datasets themselves, is not one).
+// figures returns every entry of the suite in FigureIDs order: the paper's
+// figures, then the extension experiments.
 func (s *Suite) figures() []figure {
 	o := s.Opts.fill()
-	var out []figure
+	out := []figure{{
+		id:     "fig2",
+		title:  "User degree distribution of the datasets",
+		xLabel: "user degree",
+		yLabel: "number of users",
+		series: degreeSeries,
+	}}
 	// Figs. 3, 5, 6, 7, 10 and 11 show panels (a)–(d) for the four models.
 	models := []onlinetime.Model{
 		onlinetime.Sporadic{},
@@ -158,7 +174,7 @@ func (s *Suite) figures() []figure {
 				title:  fmt.Sprintf("%s-%s: %s (%s)", datasetTitle(dataset), mode, what, m.Name()),
 				xLabel: "replication degree",
 				metric: metric,
-				sweeps: []sweep{{dataset, m, mode, o.MaxDegree, o.UserDegree}},
+				sweeps: []sweep{{dataset, m, mode, o.MaxDegree, o.UserDegree, ""}},
 			})
 		}
 	}
@@ -177,7 +193,7 @@ func (s *Suite) figures() []figure {
 	var sessions []sweep
 	for _, sec := range sessionSeconds {
 		model := onlinetime.Sporadic{SessionLength: time.Duration(sec) * time.Second}
-		sessions = append(sessions, sweep{"facebook", model, replica.ConRep, fixedDegree, o.UserDegree})
+		sessions = append(sessions, sweep{"facebook", model, replica.ConRep, fixedDegree, o.UserDegree, ""})
 	}
 	for i, metric := range []Metric{MetricAvailability, MetricAoDTime, MetricAoDActivity, MetricDelayHours} {
 		out = append(out, figure{
@@ -200,7 +216,7 @@ func (s *Suite) figures() []figure {
 		if s.Facebook != nil && len(s.Facebook.Graph.UsersWithDegree(d)) == 0 {
 			continue
 		}
-		degrees = append(degrees, sweep{"facebook", onlinetime.Sporadic{}, replica.ConRep, d, d})
+		degrees = append(degrees, sweep{"facebook", onlinetime.Sporadic{}, replica.ConRep, d, d, ""})
 		xs = append(xs, float64(d))
 	}
 	for i, metric := range []Metric{MetricAvailability, MetricDelayHours} {
@@ -213,20 +229,22 @@ func (s *Suite) figures() []figure {
 			xs:     xs,
 		})
 	}
-	return out
+	return append(out, experiments()...)
 }
 
-// Suite binds the two datasets and regenerates any figure of the paper by
-// its identifier ("fig2", "fig3a" … "fig11d").
+// Suite binds the two datasets and regenerates any figure of the paper
+// ("fig2", "fig3a" … "fig11d") or extension experiment ("ablation-history",
+// "experiment-protocol", …) by its identifier.
 type Suite struct {
 	Facebook *trace.Dataset
 	Twitter  *trace.Dataset
 	Opts     Options
 }
 
-// FigureIDs lists every figure the suite can regenerate, in paper order.
+// FigureIDs lists every figure the suite can regenerate: the paper's in
+// paper order, then the extension experiments.
 func (s *Suite) FigureIDs() []string {
-	ids := []string{"fig2"}
+	var ids []string
 	for _, f := range s.figures() {
 		ids = append(ids, f.id)
 	}
@@ -254,11 +272,9 @@ func (s *Suite) Figures(ids []string) ([]plot.Figure, error) {
 	for _, id := range ids {
 		f, ok := byID[id]
 		switch {
-		case id == "fig2":
-			continue
 		case !ok:
-			return nil, fmt.Errorf("unknown figure %q", id)
-		case len(f.sweeps) == 0:
+			return nil, fmt.Errorf("unknown figure %q (%s)", id, strings.Join(s.FigureIDs(), "|"))
+		case f.series == nil && len(f.sweeps) == 0:
 			return nil, fmt.Errorf("figure %s: %w", id, ErrNoUsers)
 		}
 		for _, sw := range f.sweeps {
@@ -274,32 +290,181 @@ func (s *Suite) Figures(ids []string) ([]plot.Figure, error) {
 	}
 	out := make([]plot.Figure, len(ids))
 	for i, id := range ids {
-		if id == "fig2" {
-			out[i] = DegreeDistributionFigure(s.Facebook, s.Twitter)
-		} else {
-			out[i] = byID[id].render(results)
+		fig, err := byID[id].render(s, results)
+		if err != nil {
+			return nil, fmt.Errorf("figure %s: %w", id, err)
 		}
+		out[i] = fig
 	}
 	return out, nil
 }
 
-// run executes one sweep with the suite's repeat count and seed.
-func (s *Suite) run(sw sweep) (*Result, error) {
+// dataset returns the suite's dataset of the given name.
+func (s *Suite) dataset(name string) (*trace.Dataset, error) {
 	ds := s.Facebook
-	if sw.dataset == "twitter" {
+	if name == "twitter" {
 		ds = s.Twitter
 	}
 	if ds == nil {
-		return nil, fmt.Errorf("dataset %q not loaded", sw.dataset)
+		return nil, fmt.Errorf("dataset %q not loaded", name)
+	}
+	return ds, nil
+}
+
+// run executes one sweep with the suite's repeat count and seed.
+func (s *Suite) run(sw sweep) (*Result, error) {
+	ds, err := s.dataset(sw.dataset)
+	if err != nil {
+		return nil, err
+	}
+	var policies []replica.Policy   // nil: the paper's three
+	if sw.policies == "objective" { // ablation A1's set
+		policies = []replica.Policy{
+			replica.MaxAv{},
+			replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity},
+			replica.Random{},
+		}
 	}
 	o := s.Opts.fill()
 	return Run(Config{
 		Dataset:    ds,
 		Model:      sw.model,
 		Mode:       sw.mode,
+		Policies:   policies,
 		MaxDegree:  sw.maxDegree,
 		UserDegree: sw.userDegree,
 		Repeats:    o.Repeats,
 		Seed:       o.Seed,
 	})
+}
+
+// experiments returns the extension experiments as suite entries, each on the
+// Facebook dataset at the fixed budget its title names, reading Repeats and
+// Seed from the suite's Options.
+func experiments() []figure {
+	var out []figure
+	// A1 is a sweep of MaxAv's two set-cover objectives, Random the floor,
+	// over degrees 0..5: the activity-targeted variant should win on
+	// AoD-activity and lose on raw availability.
+	for i, metric := range []Metric{MetricAvailability, MetricAoDActivity} {
+		out = append(out, figure{
+			id:     "ablation-objective-" + []string{"avail", "aodact"}[i],
+			title:  "A1: MaxAv objective ablation",
+			xLabel: "replication degree",
+			metric: metric,
+			sweeps: []sweep{{"facebook", onlinetime.Sporadic{}, replica.ConRep, 5, 10, "objective"}},
+		})
+	}
+	return append(out,
+		figure{
+			id:     "ablation-history",
+			title:  "A2: MostActive trained on history (budget 3, 50/50 split)",
+			xLabel: "ranking (0=historical, 1=oracle, 2=random)",
+			metric: MetricAoDActivity,
+			series: historySeries,
+		},
+		figure{
+			id:     "ablation-churn",
+			title:  "A3: availability under replica churn (budget 5)",
+			xLabel: "failed replicas",
+			metric: MetricAvailability,
+			series: churnSeries,
+		},
+		figure{
+			id:     "experiment-loadbalance",
+			title:  "X4: replica-host load balance (ConRep, budget 3)",
+			xLabel: "statistic (0=mean, 1=max, 2=cv)",
+			yLabel: "replica-host load",
+			series: loadBalanceSeries,
+		},
+		figure{
+			id:     "experiment-protocol",
+			title:  "X1/X2: protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)",
+			xLabel: protocolFields,
+			yLabel: "value",
+			series: protocolSeries,
+		},
+		figure{
+			id:    "experiment-arch",
+			title: "X6: storage-architecture comparison (ConRep, budget 5, Sporadic)",
+			xLabel: "statistic (0=availability, 1=availability-on-demand-time, 2=delay (in hours), " +
+				"at degree 5; 3=mean lookup hops, 4=load cv, 5=load gini)",
+			yLabel: "value",
+			series: archSeries,
+		},
+	)
+}
+
+func historySeries(s *Suite, o Options) ([]plot.Series, error) {
+	res, err := HistorySplit(s.Facebook, onlinetime.Sporadic{}, 3, 0.5, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return []plot.Series{{
+		Label: "AoD-activity",
+		X:     indices(3),
+		Y:     []float64{res.HistoricalAoDActivity, res.OracleAoDActivity, res.RandomAoDActivity},
+	}}, nil
+}
+
+func churnSeries(s *Suite, o Options) ([]plot.Series, error) {
+	rows, err := Churn(s.Facebook, onlinetime.Sporadic{}, 5, o.Repeats, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	var out []plot.Series
+	for _, r := range rows {
+		out = append(out, plot.Series{Label: r.Policy, X: indices(len(r.Availability)), Y: r.Availability})
+	}
+	return out, nil
+}
+
+func loadBalanceSeries(s *Suite, o Options) ([]plot.Series, error) {
+	rows, err := ReplicaLoadBalance(s.Facebook, onlinetime.Sporadic{}, replica.ConRep, 3, o.Seed)
+	if err != nil {
+		return nil, err
+	}
+	var out []plot.Series
+	for _, r := range rows {
+		out = append(out, plot.Series{Label: r.Policy, X: indices(3), Y: []float64{r.MeanLoad, r.MaxLoad, r.CV}})
+	}
+	return out, nil
+}
+
+func protocolSeries(s *Suite, o Options) ([]plot.Series, error) {
+	res, err := RunProtocolValidation(ProtocolConfig{Dataset: s.Facebook, Seed: o.Seed, MaxWalls: 25, Days: 7})
+	if err != nil {
+		return nil, err
+	}
+	return []plot.Series{res.Series("MaxAv/ConRep/Sporadic")}, nil
+}
+
+func archSeries(s *Suite, o Options) ([]plot.Series, error) {
+	rows, err := RunArchComparison(ArchConfig{Dataset: s.Facebook, MaxDegree: 5, Repeats: o.Repeats, Seed: o.Seed})
+	if err != nil {
+		return nil, err
+	}
+	var out []plot.Series
+	for _, r := range rows {
+		for pi, policy := range r.Sweep.Policies {
+			label := r.Architecture
+			if policy != label {
+				label += "/" + policy
+			}
+			out = append(out, plot.Series{Label: label, X: indices(6), Y: []float64{
+				r.Sweep.Last(pi, MetricAvailability), r.Sweep.Last(pi, MetricAoDTime), r.Sweep.Last(pi, MetricDelayHours),
+				r.Lookup.MeanHops, r.LoadCV, r.LoadGini,
+			}})
+		}
+	}
+	return out, nil
+}
+
+// indices returns 0, 1, …, n-1: the x values of a categorical axis.
+func indices(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	return xs
 }

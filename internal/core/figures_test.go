@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,8 +57,9 @@ func TestStandardPanelsCoverPaperFigures(t *testing.T) {
 // TestFiguresRunEachSweepOnce: rendering every figure in one Figures call
 // gives exactly what one Figure call per ID gives, while each distinct sweep
 // runs once — counted by the users the engine swept (per repetition), which
-// a skipped or repeated sweep would change. Not parallel: it reads a
-// process-wide counter.
+// a skipped or repeated sweep would change. An entry that computes its own
+// series (X6 runs sweeps of its own) adds the same count to both. Not
+// parallel: it reads a process-wide counter.
 func TestFiguresRunEachSweepOnce(t *testing.T) {
 	s := testSuite(t)
 	ids := s.FigureIDs()
@@ -80,10 +82,10 @@ func TestFiguresRunEachSweepOnce(t *testing.T) {
 		}
 	}
 	// 10 degree-panel sweeps (Fig. 3's four models, Fig. 4's two UnconRep
-	// ones, Fig. 10's four), Fig. 8's seven session lengths and one per user
-	// degree 1..UserDegree that has users for Fig. 9; at MaxDegree 6, Fig.
-	// 9's degree 10 is not Fig. 3a's sweep.
-	want := 10 + 7
+	// ones, Fig. 10's four), Fig. 8's seven session lengths, A1's one and
+	// one per user degree 1..UserDegree that has users for Fig. 9; at
+	// MaxDegree 6, Fig. 9's degree 10 is not Fig. 3a's sweep.
+	want := 10 + 7 + 1
 	for d := 1; d <= s.Opts.UserDegree; d++ {
 		if len(s.Facebook.Graph.UsersWithDegree(d)) > 0 {
 			want++
@@ -93,7 +95,21 @@ func TestFiguresRunEachSweepOnce(t *testing.T) {
 		t.Fatalf("%d distinct sweeps, want %d", sweeps, want)
 	}
 
+	var computed []string
+	for _, f := range s.figures() {
+		if f.series != nil {
+			computed = append(computed, f.id)
+		}
+	}
 	before := obsUsersSwept.Value()
+	if _, err := s.Figures(computed); err != nil {
+		t.Fatalf("Figures(%v): %v", computed, err)
+	}
+	own := obsUsersSwept.Value() - before
+	distinct += own
+	perID += own
+
+	before = obsUsersSwept.Value()
 	all, err := s.Figures(ids)
 	if err != nil {
 		t.Fatalf("Figures: %v", err)
@@ -124,7 +140,7 @@ func TestSuiteFigureIDsResolve(t *testing.T) {
 		t.Fatalf("suite lists only %d figures", len(ids))
 	}
 	// Spot-check one panel id per figure family to keep the test fast.
-	for _, id := range []string{"fig2", "fig3a", "fig4b", "fig5c", "fig7d", "fig10a", "fig11b"} {
+	for _, id := range []string{"fig2", "fig3a", "fig4b", "fig5c", "fig7d", "fig10a", "fig11b", "ablation-churn"} {
 		fig, err := s.Figure(id)
 		if err != nil {
 			t.Fatalf("Figure(%s): %v", id, err)
@@ -137,22 +153,40 @@ func TestSuiteFigureIDsResolve(t *testing.T) {
 
 func TestSuiteUnknownFigure(t *testing.T) {
 	s := testSuite(t)
-	if _, err := s.Figure("fig99"); err == nil {
-		t.Error("unknown figure must error")
+	_, err := s.Figure("fig99")
+	if err == nil {
+		t.Fatal("unknown figure must error")
+	}
+	// The error lists the valid IDs, experiments included.
+	for _, id := range []string{"fig2", "fig11d", "ablation-churn", "experiment-protocol", "experiment-arch"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-figure error %q does not list %q", err, id)
+		}
 	}
 }
 
 func TestSuiteMissingDataset(t *testing.T) {
 	s := testSuite(t)
 	s.Twitter = nil
-	if _, err := s.Figure("fig10a"); err == nil {
-		t.Error("missing dataset must error")
+	for _, id := range []string{"fig10a", "fig2"} {
+		if _, err := s.Figure(id); err == nil {
+			t.Errorf("%s: missing dataset must error", id)
+		}
+	}
+	s.Facebook = nil
+	for _, id := range []string{"ablation-history", "experiment-arch"} {
+		if _, err := s.Figure(id); !errors.Is(err, ErrNoDataset) {
+			t.Errorf("%s without a dataset: err = %v, want ErrNoDataset", id, err)
+		}
 	}
 }
 
 func TestDegreeDistributionFigure(t *testing.T) {
 	s := testSuite(t)
-	fig := DegreeDistributionFigure(s.Facebook, s.Twitter)
+	fig, err := s.Figure("fig2")
+	if err != nil {
+		t.Fatalf("fig2: %v", err)
+	}
 	if len(fig.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(fig.Series))
 	}

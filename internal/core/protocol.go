@@ -10,6 +10,7 @@ import (
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
 	"dosn/internal/osn"
+	"dosn/internal/plot"
 	"dosn/internal/replica"
 	"dosn/internal/trace"
 )
@@ -104,6 +105,26 @@ type ProtocolResult struct {
 	Exchanges        int
 	PostsTransferred int
 	LostContacts     int
+}
+
+// protocolFields names the ProtocolResult fields that Series plots, by their
+// x value.
+const protocolFields = "field (0=walls, 1=posts, 2=analytic worst h, 3=measured max h, " +
+	"4=measured pair h, 5=observed pair h, 6=immediate, 7=analytic AoD-activity, " +
+	"8=measured AoD-time, 9=analytic AoD-time, 10=delivered, 11=exchanges, " +
+	"12=posts transferred, 13=lost contacts)"
+
+// Series plots every field of the result against its index (see
+// protocolFields) as one series with the given label.
+func (r *ProtocolResult) Series(label string) plot.Series {
+	ys := []float64{
+		float64(r.Walls), float64(r.Posts),
+		r.AnalyticWorstHours, r.MeasuredMaxHours, r.MeasuredPairHours, r.ObservedPairHours,
+		r.ImmediateFraction, r.AnalyticAoDActivity, r.MeasuredAoDTime, r.AnalyticAoDTime,
+		r.DeliveredFraction,
+		float64(r.Exchanges), float64(r.PostsTransferred), float64(r.LostContacts),
+	}
+	return plot.Series{Label: label, X: indices(len(ys)), Y: ys}
 }
 
 // RunProtocolValidation builds an OSN runtime for a sample of walls placed

@@ -253,30 +253,12 @@ func (b *Bitmap) OrWithOverlapCount(o, other *Bitmap) (minutes, overlap int) {
 	return minutes, overlap
 }
 
-// AppendDiffMinutes appends to dst the minutes set in b but not in prev, in
-// increasing order, and returns the grown slice (caller-owned scratch, no
-// allocation once capacity suffices). It is the incremental-update feed: a
-// consumer tracking a growing set folds in exactly the newly set bits instead
-// of rescanning the whole bitmap.
-//
-//dosn:hotpath
-func (b *Bitmap) AppendDiffMinutes(prev *Bitmap, dst []int) []int {
-	for i := range b.w {
-		d := b.word(i) &^ prev.w[i]
-		base := i * 64
-		for d != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(d))
-			d &= d - 1
-		}
-	}
-	return dst
-}
-
 // AppendNewOverlapMinutes appends to dst the minutes of (b \ prev) ∩ mask,
-// in increasing order, and returns the grown slice. It is the filtered
-// variant of AppendDiffMinutes: a consumer interested only in a fixed mask
-// (e.g. a user's activity minutes) enumerates just the newly set bits that
-// land inside it, so cost scales with the mask hits rather than the growth.
+// in increasing order, and returns the grown slice (caller-owned scratch, no
+// allocation once capacity suffices). It is the incremental-update feed of a
+// consumer interested only in a fixed mask (e.g. a user's activity minutes):
+// it enumerates just the newly set bits that land inside it, so cost scales
+// with the mask hits rather than the growth.
 //
 //dosn:hotpath
 func (b *Bitmap) AppendNewOverlapMinutes(prev, mask *Bitmap, dst []int) []int {

@@ -322,7 +322,7 @@ func TestQuickBitmapMidnightWrap(t *testing.T) {
 
 // --- fused sweep-kernel ops ------------------------------------------------
 //
-// OrWithCount / OrWithOverlapCount / AppendDiffMinutes exist so the sweep's
+// OrWithCount / OrWithOverlapCount / AppendNewOverlapMinutes exist so the sweep's
 // inner degree loop touches each 23-word bitmap once. Their contract is exact
 // equivalence with the separate ops they fuse — the goldens depend on it.
 
@@ -350,58 +350,6 @@ func TestQuickBitmapOrWithOverlapCountAgrees(t *testing.T) {
 		return fused.Equal(&ref) &&
 			minutes == ref.Minutes() &&
 			overlap == ref.OverlapMinutes(&db)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickBitmapAppendDiffMinutes(t *testing.T) {
-	// Against a grown union (prev ⊆ b, the sweep's only call shape) the diff
-	// is exactly the set difference, emitted in ascending minute order and
-	// appended after dst's existing prefix.
-	f := func(a, b Set) bool {
-		prev := a.Bitmap()
-		grown := a.Bitmap()
-		bb := b.Bitmap()
-		grown.OrWith(&bb)
-		dst := []int{-1}
-		dst = grown.AppendDiffMinutes(&prev, dst)
-		if dst[0] != -1 {
-			return false
-		}
-		want := b.Subtract(a)
-		got := NewSet()
-		last := -1
-		for _, m := range dst[1:] {
-			if m <= last || m < 0 || m >= DayMinutes {
-				return false
-			}
-			last = m
-			got = got.Union(NewSet(Interval{Start: m, End: m + 1}))
-		}
-		return len(dst)-1 == want.Len() && got.Equal(want)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickBitmapAppendDiffMinutesArbitrary(t *testing.T) {
-	// The general contract (no subset relation): minutes of b \ prev.
-	f := func(a, b Set) bool {
-		ab, bb := a.Bitmap(), b.Bitmap()
-		dst := ab.AppendDiffMinutes(&bb, nil)
-		want := a.Subtract(b)
-		if len(dst) != want.Len() {
-			return false
-		}
-		for _, m := range dst {
-			if !want.Contains(m) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)

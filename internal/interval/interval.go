@@ -44,9 +44,6 @@ type Interval struct {
 // Len returns the interval length in minutes.
 func (iv Interval) Len() int { return iv.End - iv.Start }
 
-// Wraps reports whether the interval crosses midnight.
-func (iv Interval) Wraps() bool { return iv.End > DayMinutes }
-
 // String renders the interval as "[start,end)".
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Start, iv.End) }
 
@@ -300,19 +297,6 @@ func (s Set) OverlapLen(o Set) int {
 	return total
 }
 
-// Shift returns the set circularly shifted forward by delta minutes
-// (negative delta shifts backward).
-func (s Set) Shift(delta int) Set {
-	if s.IsEmpty() || mod(delta) == 0 {
-		return s
-	}
-	flat := make([]Interval, 0, len(s.ivs)+1)
-	for _, iv := range s.ivs {
-		flat = appendCanonical(flat, iv.Start+delta, iv.End+delta)
-	}
-	return normalize(flat)
-}
-
 // MaxGap returns the longest circular run of minutes not in the set — the
 // worst-case wait, starting from an arbitrary instant, until the next minute
 // that is in the set. ok is false when the set is empty (the wait is
@@ -336,24 +320,6 @@ func (s Set) MaxGap() (gap int, ok bool) {
 		}
 	}
 	return maxGap, true
-}
-
-// NextIn returns the number of minutes from instant m (reduced modulo the
-// day) until the next minute contained in the set (0 if m itself is in the
-// set). ok is false when the set is empty.
-func (s Set) NextIn(m int) (wait int, ok bool) {
-	if s.IsEmpty() {
-		return 0, false
-	}
-	m = mod(m)
-	if s.Contains(m) {
-		return 0, true
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Start > m })
-	if i == len(s.ivs) {
-		return s.ivs[0].Start + DayMinutes - m, true
-	}
-	return s.ivs[i].Start - m, true
 }
 
 // String renders the set as a union of intervals, e.g. "[60,120)∪[600,660)".

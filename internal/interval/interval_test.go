@@ -232,21 +232,6 @@ func TestOverlap(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	s := Window(1380, 120) // wraps midnight
-	shifted := s.Shift(60)
-	if want := "[0,120)"; shifted.String() != want {
-		t.Errorf("Shift(60) = %s, want %s", shifted, want)
-	}
-	back := shifted.Shift(-60)
-	if !back.Equal(s) {
-		t.Errorf("Shift round-trip: got %s, want %s", back, s)
-	}
-	if !s.Shift(DayMinutes).Equal(s) {
-		t.Error("Shift by a full day should be identity")
-	}
-}
-
 func TestMaxGap(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -276,30 +261,6 @@ func TestMaxGap(t *testing.T) {
 				t.Errorf("MaxGap(%s) = (%d,%v), want (%d,%v)", tt.s, gap, ok, tt.wantGap, tt.wantOK)
 			}
 		})
-	}
-}
-
-func TestNextIn(t *testing.T) {
-	s := UnionAll(Window(100, 50), Window(1000, 50))
-	tests := []struct {
-		m        int
-		wantWait int
-	}{
-		{m: 100, wantWait: 0},
-		{m: 149, wantWait: 0},
-		{m: 150, wantWait: 850},
-		{m: 0, wantWait: 100},
-		{m: 1050, wantWait: 490}, // wraps to next day's 100
-		{m: 1439, wantWait: 101},
-	}
-	for _, tt := range tests {
-		wait, ok := s.NextIn(tt.m)
-		if !ok || wait != tt.wantWait {
-			t.Errorf("NextIn(%d) = (%d,%v), want (%d,true)", tt.m, wait, ok, tt.wantWait)
-		}
-	}
-	if _, ok := Empty.NextIn(5); ok {
-		t.Error("NextIn on empty set should report !ok")
 	}
 }
 

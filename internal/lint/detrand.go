@@ -59,7 +59,7 @@ var executionOnlyPkgs = map[string]bool{
 // reading is how deterministic code *feeds* a duration into an obs sink
 // (core.Run → AddPhaseNS), and the value never influences results.
 var obsReadbackFuncs = map[string]bool{
-	"Value": true, "Counters": true, "Gauges": true, "Timers": true,
+	"Value": true, "Counters": true, "Timers": true,
 	"CounterNames": true, "Stat": true, "Report": true, "ReadMem": true,
 }
 

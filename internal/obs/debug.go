@@ -18,7 +18,6 @@ var publishOnce sync.Once
 // stock cmdline/memstats vars, so /debug/vars is the one-stop live view.
 func publishVars() {
 	expvar.Publish("dosn_counters", expvar.Func(func() any { return Default.Counters() }))
-	expvar.Publish("dosn_gauges", expvar.Func(func() any { return Default.Gauges() }))
 	expvar.Publish("dosn_timers", expvar.Func(func() any { return Default.Timers() }))
 }
 

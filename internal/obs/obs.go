@@ -1,5 +1,5 @@
 // Package obs is the execution-only observability layer: named atomic
-// counters and gauges, monotonic phase timers, per-run telemetry collection
+// counters, monotonic phase timers, per-run telemetry collection
 // (reports, JSONL event streams, a live progress line), and an opt-in debug
 // HTTP endpoint serving pprof and expvar.
 //
@@ -46,31 +46,12 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // value).
 func (c *Counter) Name() string { return c.name }
 
-// Gauge is a named metric that can go up and down (e.g. live workers).
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value. Execution-only; see Counter.Value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
 // Registry is a named metric namespace. Lookups are get-or-create and
 // return the same instance for the same name, so instrumented packages
 // hoist them into package-level vars and pay only the atomic op per event.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	timers   map[string]*Timer
 }
 
@@ -79,7 +60,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		timers:   make(map[string]*Timer),
 	}
 }
@@ -104,23 +84,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Timer returns the named timer, creating it on first use.
@@ -148,17 +111,6 @@ func (r *Registry) Counters() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] = c.Value()
-	}
-	return out
-}
-
-// Gauges snapshots every registered gauge. Execution-only.
-func (r *Registry) Gauges() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
 	}
 	return out
 }
@@ -191,9 +143,6 @@ func (r *Registry) CounterNames() []string {
 
 // C returns the named counter from the Default registry.
 func C(name string) *Counter { return Default.Counter(name) }
-
-// G returns the named gauge from the Default registry.
-func G(name string) *Gauge { return Default.Gauge(name) }
 
 // T returns the named timer from the Default registry.
 func T(name string) *Timer { return Default.Timer(name) }

@@ -39,20 +39,13 @@ func TestRegistryIdentityAndSnapshot(t *testing.T) {
 	if r.Counter("a") != r.Counter("a") {
 		t.Fatal("same name must return the same counter")
 	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Fatal("same name must return the same gauge")
-	}
 	if r.Timer("t") != r.Timer("t") {
 		t.Fatal("same name must return the same timer")
 	}
 	r.Counter("b").Add(3)
-	r.Gauge("g").Set(-2)
 	snap := r.Counters()
 	if snap["a"] != 0 || snap["b"] != 3 {
 		t.Fatalf("counter snapshot wrong: %v", snap)
-	}
-	if g := r.Gauges(); g["g"] != -2 {
-		t.Fatalf("gauge snapshot wrong: %v", g)
 	}
 	names := r.CounterNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {

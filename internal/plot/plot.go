@@ -181,7 +181,7 @@ func (f Figure) PrintTable(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "%-14s", f.XLabel)
 	for _, s := range f.Series {
-		fmt.Fprintf(bw, "%14s", s.Label)
+		fmt.Fprintf(bw, " %13s", s.Label) // a long label stays apart
 	}
 	fmt.Fprintln(bw)
 	for i, x := range aligned {

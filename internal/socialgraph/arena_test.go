@@ -139,12 +139,11 @@ func TestBuilderGrowKeepsSemantics(t *testing.T) {
 	}
 }
 
-// TestQuickInducedMonotoneMatchesBuilder: for ascending users the direct
-// arena construction and the Builder construction are the same graph — same
-// rows in both directions, nil rows for users left isolated, same memory
-// estimate — for both kinds; and InducedSubgraph takes the direct one exactly
-// when its input is ascending, skipping duplicates and out-of-range IDs as
-// before.
+// TestQuickInducedMonotoneMatchesBuilder: InducedSubgraph's direct arena
+// construction and a Builder fed the surviving edges are the same graph —
+// same rows in both directions, nil rows for users left isolated, same memory
+// estimate — for both kinds, skipping duplicates and out-of-range IDs; and
+// users in any other order give the ascending call's graph and mapping.
 func TestQuickInducedMonotoneMatchesBuilder(t *testing.T) {
 	sawIsolated := false
 	prop := func(e edgeBatch, pick uint64) bool {
@@ -171,7 +170,7 @@ func TestQuickInducedMonotoneMatchesBuilder(t *testing.T) {
 		for i, u := range orig {
 			keep[u] = UserID(i)
 		}
-		want := g.inducedByBuilder(orig, keep)
+		want := inducedByBuilder(g, orig, keep)
 		if !reflect.DeepEqual(got, want) || got.MemoryBytes() != want.MemoryBytes() {
 			t.Logf("kind %v users %v:\n direct  %+v\n builder %+v", e.kind, users, got, want)
 			return false
@@ -181,22 +180,13 @@ func TestQuickInducedMonotoneMatchesBuilder(t *testing.T) {
 				sawIsolated = true
 			}
 		}
-		// Any other order goes through the Builder and renames accordingly.
-		if len(orig) > 1 {
-			rev := slices.Clone(orig)
-			slices.Reverse(rev)
-			sub, back := g.InducedSubgraph(rev)
-			for i, u := range back {
-				for _, v := range sub.Neighbors(UserID(i)) {
-					if !g.HasEdge(u, back[v]) {
-						t.Logf("reversed subgraph has edge %d-%d absent from the graph", u, back[v])
-						return false
-					}
-				}
-			}
-			if sub.NumEdges() != got.NumEdges() {
-				return false
-			}
+		// Any other order is sorted first: same graph, same mapping.
+		rev := slices.Clone(users)
+		slices.Reverse(rev)
+		sub, back := g.InducedSubgraph(rev)
+		if !reflect.DeepEqual(sub, got) || !reflect.DeepEqual(back, orig) {
+			t.Logf("kind %v: reversed users %v gave mapping %v, want %v", e.kind, rev, back, orig)
+			return false
 		}
 		return true
 	}
@@ -206,4 +196,19 @@ func TestQuickInducedMonotoneMatchesBuilder(t *testing.T) {
 	if !sawIsolated {
 		t.Error("no case left a kept user isolated; the nil-row convention went unchecked")
 	}
+}
+
+// inducedByBuilder is the reference induced subgraph: the surviving edges of
+// orig (renamed through keep) go through a Builder, which re-sorts every row.
+func inducedByBuilder(g *Graph, orig, keep []UserID) *Graph {
+	b := NewBuilder(g.Kind(), len(orig))
+	for _, u := range orig {
+		nu := keep[u]
+		for _, v := range g.out[u] {
+			if nv := keep[v]; nv >= 0 && (g.Kind() == Directed || nu < nv) { // add undirected edges once
+				b.AddEdge(nu, nv)
+			}
+		}
+	}
+	return b.Build()
 }

@@ -306,9 +306,14 @@ func (g *Graph) ModalDegree(minDegree int) (degree int, ok bool) {
 }
 
 // InducedSubgraph returns the subgraph on the given users, plus the mapping
-// from new dense IDs to original IDs. Edges with an endpoint outside the set
-// are dropped.
+// from new dense IDs to original IDs, which is ascending. Edges with an
+// endpoint outside the set are dropped; duplicate and out-of-range users are
+// skipped. Users in any other order are sorted into a copy first, so every
+// call takes the one construction below.
 func (g *Graph) InducedSubgraph(users []UserID) (*Graph, []UserID) {
+	if !slices.IsSorted(users) {
+		users = slices.Sorted(slices.Values(users))
+	}
 	// Dense remap column (-1 = dropped) instead of a map: duplicates and
 	// out-of-range entries skip exactly as the map-keyed version skipped
 	// them.
@@ -324,51 +329,14 @@ func (g *Graph) InducedSubgraph(users []UserID) (*Graph, []UserID) {
 		keep[u] = UserID(len(orig))
 		orig = append(orig, u)
 	}
-	if slices.IsSorted(orig) {
-		return g.inducedMonotone(orig, keep), orig
-	}
-	return g.inducedByBuilder(orig, keep), orig
-}
-
-// inducedMonotone is the induced subgraph for ascending orig (the activity
-// filter's case). The remap is then monotone, so a kept row filtered in
-// place is already sorted and duplicate-free: the arena rows are built
-// directly, with no edge arrays and no per-row re-sort.
-func (g *Graph) inducedMonotone(orig, keep []UserID) *Graph {
+	// orig ascends, so the remap is monotone and a kept row filtered in
+	// place is already sorted and duplicate-free: the arena rows are built
+	// directly, with no edge arrays and no per-row re-sort.
 	sub := &Graph{kind: g.Kind(), out: filterRows(g.out, orig, keep)}
 	if sub.kind == Directed {
 		sub.in = filterRows(g.in, orig, keep)
 	}
-	return sub
-}
-
-// inducedByBuilder is the induced subgraph for users in any order: the
-// surviving edges go through a Builder, which re-sorts every row.
-func (g *Graph) inducedByBuilder(orig, keep []UserID) *Graph {
-	b := NewBuilder(g.Kind(), len(orig))
-	// Count the surviving edges first so the builder's edge arrays are
-	// allocated once at exact size.
-	edges := 0
-	for _, u := range orig {
-		nu := keep[u]
-		for _, v := range g.out[u] {
-			if nv := keep[v]; nv >= 0 && (g.Kind() == Directed || nu < nv) {
-				edges++
-			}
-		}
-	}
-	b.Grow(edges)
-	for _, u := range orig {
-		nu := keep[u]
-		for _, v := range g.out[u] {
-			if nv := keep[v]; nv >= 0 {
-				if g.Kind() == Directed || nu < nv { // add undirected edges once
-					b.AddEdge(nu, nv)
-				}
-			}
-		}
-	}
-	return b.Build()
+	return sub, orig
 }
 
 // filterRows builds one direction of an induced subgraph under a monotone

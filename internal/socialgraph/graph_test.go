@@ -131,6 +131,12 @@ func TestInducedSubgraph(t *testing.T) {
 	if len(orig) != 3 || orig[0] != 1 || orig[1] != 2 || orig[2] != 4 {
 		t.Errorf("orig mapping = %v", orig)
 	}
+	// Unsorted input is sorted first: the mapping ascends, whatever the
+	// input order.
+	sub2, orig2 := g.InducedSubgraph([]UserID{4, 1, 2})
+	if !reflect.DeepEqual(orig2, orig) || !reflect.DeepEqual(sub2, sub) {
+		t.Errorf("unsorted input: mapping %v, want %v (and the same graph)", orig2, orig)
+	}
 }
 
 // randomGraph is the input of the graph-invariant tests: a configuration
