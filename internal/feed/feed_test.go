@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,22 +20,55 @@ func postOn(wall, author int32, seq uint64, at int64) Item {
 	return it
 }
 
-// randomWalls draws 1–4 walls in store rendering order. Two authors write on
-// every wall, each numbering its posts per wall from 1, and timestamps
-// repeat: one author's k-th posts on two walls tie on everything but the
-// wall, the case sequence numbers alone cannot order.
-func randomWalls(rng *rand.Rand) [][]Item {
-	walls := make([][]Item, 1+rng.Intn(4))
-	for w := range walls {
-		var seq [2]uint64
-		at := int64(0)
-		for i, n := 0, rng.Intn(8); i < n; i++ {
-			at += int64(rng.Intn(2))
-			a := rng.Intn(2)
-			seq[a]++
-			walls[w] = append(walls[w], postOn(int32(w), int32(a), seq[a], at))
+// older is the feed order on items, the oracle's side of merge's newer:
+// a is strictly older than b by CreatedAt, then author, then sequence, then
+// wall.
+func older(a, b *Item) bool {
+	if a.CreatedAt != b.CreatedAt {
+		return a.CreatedAt < b.CreatedAt
+	}
+	if a.ID.Author != b.ID.Author {
+		return a.ID.Author < b.ID.Author
+	}
+	if a.ID.Seq != b.ID.Seq {
+		return a.ID.Seq < b.ID.Seq
+	}
+	return a.Wall < b.Wall
+}
+
+// Palettes for decodeWalls' keys: small values, so keys tie often within
+// and across walls, and each field's extremes, so no key value can stand in
+// for an exhausted source.
+var (
+	atPalette     = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64}
+	authorPalette = []int32{math.MinInt32, 0, 1, math.MaxInt32}
+	seqPalette    = []uint64{0, 1, 2, math.MaxUint64}
+)
+
+// decodeWalls reads walls in store rendering order from data. The first
+// byte gives the wall count (0–70) and each following 3-byte group one item:
+// its wall, its CreatedAt and its (author, seq), each from a palette. Walls
+// are numbered from MinInt32 to MaxInt32 at the ends; a wall no item names
+// stays empty, and an ID that repeats on a wall keeps its first item, as a
+// store would.
+func decodeWalls(data []byte) [][]Item {
+	if len(data) == 0 {
+		return nil
+	}
+	walls := make([][]Item, int(data[0])%71)
+	if len(walls) == 0 {
+		return walls
+	}
+	for b := data[1:]; len(b) >= 3; b = b[3:] {
+		w := int(b[0]) % len(walls)
+		id := wallID(w, len(walls))
+		it := postOn(id, authorPalette[b[2]%4], seqPalette[b[2]/4%4], atPalette[b[1]%8])
+		if !slices.ContainsFunc(walls[w], func(p Item) bool { return p.ID == it.ID }) {
+			walls[w] = append(walls[w], it)
 		}
-		slices.SortFunc(walls[w], func(a, b Item) int {
+	}
+	for _, w := range walls {
+		slices.SortFunc(w, func(a, b Item) int {
 			if older(&a, &b) {
 				return -1
 			}
@@ -42,6 +76,28 @@ func randomWalls(rng *rand.Rand) [][]Item {
 		})
 	}
 	return walls
+}
+
+// wallID names wall w of n: MinInt32 first, MaxInt32 last, w between.
+func wallID(w, n int) int32 {
+	switch w {
+	case 0:
+		return math.MinInt32
+	case n - 1:
+		return math.MaxInt32
+	}
+	return int32(w)
+}
+
+// randomWalls draws 0–70 walls of about 3 items each on average, so a tree
+// of any shape up to 70 leaves, a single wall, and empty walls between full
+// ones all occur.
+func randomWalls(rng *rand.Rand) [][]Item {
+	n := rng.Intn(71)
+	data := make([]byte, 1+3*rng.Intn(6*n+1))
+	rng.Read(data)
+	data[0] = byte(n)
+	return decodeWalls(data)
 }
 
 // sortedUnion is Merge's oracle: every item, sorted newest first.
@@ -173,7 +229,8 @@ func TestQuickMergeMatchesSortedUnion(t *testing.T) {
 }
 
 // TestQuickTimelineIsMergePrefix: a store's timeline is the newest
-// min(limit, n) items of the merge of its walls.
+// min(limit, n) items of the merge of its walls, in an array of exactly
+// that many, so a short page keeps no longer merge alive.
 func TestQuickTimelineIsMergePrefix(t *testing.T) {
 	f := func(seed int64, limitRaw uint8) bool {
 		walls := randomWalls(rand.New(rand.NewSource(seed)))
@@ -183,9 +240,38 @@ func TestQuickTimelineIsMergePrefix(t *testing.T) {
 		if limit == 0 {
 			return got == nil
 		}
-		return slices.Equal(got, full[:min(limit, len(full))])
+		n := min(limit, len(full))
+		return slices.Equal(got, full[:n]) && cap(got) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzMerge: walls decoded from any bytes merge to their sorted union.
+func FuzzMerge(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 3, 0, 0, 7, 15})
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 0, 2, 7, 63, 1, 7, 63})
+	f.Add([]byte{70, 69, 4, 5, 0, 4, 5, 35, 1, 1, 64, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		walls := decodeWalls(data)
+		if got, want := Merge(walls...), sortedUnion(walls); !slices.Equal(got, want) {
+			t.Fatalf("Merge = %v, want %v", got, want)
+		}
+	})
+}
+
+// TestMergeAllocatesAnswerAndScratch: a merge allocates its answer and one
+// scratch block, the sources' heads and the tree over them.
+func TestMergeAllocatesAnswerAndScratch(t *testing.T) {
+	walls := make([][]Item, 9)
+	for w := range walls {
+		for i := range 5 {
+			walls[w] = append(walls[w], postOn(int32(w), 1, uint64(i+1), int64(i)))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { mergeSink = Merge(walls...) }); allocs > 2 {
+		t.Errorf("Merge allocates %v times, want at most 2", allocs)
 	}
 }

@@ -10,6 +10,7 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,7 +68,7 @@ func EncodeDigest(c vclock.Clock) []DigestEntry {
 		out = append(out, DigestEntry{Author: author, Seq: seq})
 	}
 	// Map iteration order is random; sort for determinism.
-	slices.SortFunc(out, func(a, b DigestEntry) int { return int(a.Author) - int(b.Author) })
+	slices.SortFunc(out, func(a, b DigestEntry) int { return cmp.Compare(a.Author, b.Author) })
 	return out
 }
 

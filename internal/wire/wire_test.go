@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,6 +24,23 @@ func TestDigestRoundTrip(t *testing.T) {
 	}
 	if len(EncodeDigest(vclock.New())) != 0 {
 		t.Error("empty digest should encode empty")
+	}
+}
+
+// TestEncodeDigestExtremeAuthors: authors 2³¹ apart sort by value. A
+// comparator that subtracts them overflows a 32-bit int, and its order then
+// follows map iteration, so frames would differ from run to run and from a
+// 64-bit peer's.
+func TestEncodeDigestExtremeAuthors(t *testing.T) {
+	c := vclock.New()
+	for _, a := range []int32{math.MaxInt32, 0, math.MinInt32} {
+		c.Observe(a, 1)
+	}
+	want := []DigestEntry{{math.MinInt32, 1}, {0, 1}, {math.MaxInt32, 1}}
+	for range 20 {
+		if got := EncodeDigest(c); !slices.Equal(got, want) {
+			t.Fatalf("EncodeDigest = %v, want %v", got, want)
+		}
 	}
 }
 
