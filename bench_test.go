@@ -33,26 +33,43 @@ const (
 )
 
 var (
-	benchOnce  sync.Once
-	benchSuite *dosn.Suite
-	benchErr   error
+	benchOnce sync.Once
+	benchFB   *dosn.Dataset
+	benchErr  error
 )
 
-// suite lazily synthesizes the two datasets shared by all benchmarks.
-func suite(b *testing.B) *dosn.Suite {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchSuite, benchErr = dosn.NewSuite(benchUsers, benchUsers, dosn.Options{
-			MaxDegree:  10,
-			UserDegree: 10,
-			Repeats:    benchRepeats,
-			Seed:       benchSeed,
-		})
-	})
-	if benchErr != nil {
-		b.Fatalf("build suite: %v", benchErr)
+// benchSpec is the base of the figure benchmarks: both calibrated datasets
+// at benchUsers, the paper's sweep bounds, benchRepeats and benchSeed.
+func benchSpec() dosn.MatrixSpec {
+	return dosn.MatrixSpec{
+		Datasets:   []dosn.MatrixDataset{{Name: "facebook", Users: benchUsers}, {Name: "twitter", Users: benchUsers}},
+		MaxDegree:  10,
+		UserDegree: 10,
+		Repeats:    benchRepeats,
+		RootSeed:   benchSeed,
 	}
-	return benchSuite
+}
+
+// facebook lazily synthesizes the Facebook dataset of benchSpec, which the
+// benchmarks that call a runner directly share.
+func facebook(b *testing.B) *dosn.Dataset {
+	b.Helper()
+	benchOnce.Do(func() { benchFB, benchErr = dosn.Facebook(benchUsers, 1) })
+	if benchErr != nil {
+		b.Fatalf("synthesize: %v", benchErr)
+	}
+	return benchFB
+}
+
+// figures renders the figures with the given IDs through the figure door
+// over benchSpec; each call synthesizes its datasets.
+func figures(b *testing.B, ids ...string) []dosn.Figure {
+	b.Helper()
+	figs, err := dosn.Figures(benchSpec(), ids)
+	if err != nil {
+		b.Fatalf("figures %v: %v", ids, err)
+	}
+	return figs
 }
 
 // figValue extracts series sLabel's y at x from a figure (for ReportMetric).
@@ -71,39 +88,33 @@ func figValue(b *testing.B, fig dosn.Figure, label string, xi int) float64 {
 	return -1
 }
 
-// benchPanels regenerates a set of panels b.N times and reports the
-// requested headline value from the first panel.
+// benchPanels regenerates a set of panels b.N times through the figure door
+// and reports the requested headline value from the first panel. Each
+// iteration synthesizes the dataset its panels read as well as running their
+// cells, so its ns/op measures the door end to end and is not comparable
+// with figure timings recorded when these benchmarks reused one dataset;
+// BenchmarkMatrixSingleCell and the BenchmarkMatrixSweep* benchmarks measure
+// the sweeps alone.
 func benchPanels(b *testing.B, ids []string, reportSeries, metricName string, xi int) {
-	s := suite(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var headline float64
 	for i := 0; i < b.N; i++ {
-		for j, id := range ids {
-			fig, err := s.Figure(id)
-			if err != nil {
-				b.Fatalf("figure %s: %v", id, err)
-			}
-			if j == 0 {
-				headline = figValue(b, fig, reportSeries, xi)
-			}
-		}
+		headline = figValue(b, figures(b, ids...)[0], reportSeries, xi)
 	}
 	b.ReportMetric(headline, metricName)
 }
 
 // --- Fig. 2: degree distribution -----------------------------------------
 
+// BenchmarkFig02DegreeDistribution renders Fig. 2 through the figure door;
+// each iteration synthesizes both datasets, which is nearly all of its cost.
 func BenchmarkFig02DegreeDistribution(b *testing.B) {
-	s := suite(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var users float64
 	for i := 0; i < b.N; i++ {
-		fig, err := s.Figure("fig2")
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := figures(b, "fig2")[0]
 		users = 0
 		for _, y := range fig.Series[0].Y {
 			users += y
@@ -159,13 +170,13 @@ func BenchmarkFig11TwitterAoDTime(b *testing.B) {
 // --- X1/X2: protocol-level validation --------------------------------------
 
 func BenchmarkX1ProtocolValidation(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var measured, analytic float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:  s.Facebook,
+			Dataset:  fb,
 			MaxWalls: 15,
 			Days:     7,
 			Seed:     benchSeed,
@@ -181,13 +192,13 @@ func BenchmarkX1ProtocolValidation(b *testing.B) {
 }
 
 func BenchmarkX2ObservedDelay(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var actual, observed float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:  s.Facebook,
+			Dataset:  fb,
 			Model:    dosn.NewFixedLength(8),
 			MaxWalls: 15,
 			Days:     7,
@@ -206,13 +217,13 @@ func BenchmarkX2ObservedDelay(b *testing.B) {
 // --- X3: effective replicas under ConRep -----------------------------------
 
 func BenchmarkX3EffectiveReplicas(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var eff float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunSweep(dosn.SweepConfig{
-			Dataset:    s.Facebook,
+			Dataset:    fb,
 			Model:      dosn.NewFixedLength(2),
 			Mode:       dosn.ConRep,
 			MaxDegree:  10,
@@ -231,12 +242,12 @@ func BenchmarkX3EffectiveReplicas(b *testing.B) {
 // --- X4: replica-host load balance ------------------------------------------
 
 func BenchmarkX4ReplicaLoad(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cvRandom, cvActive float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dosn.ReplicaLoadBalance(s.Facebook, dosn.NewSporadic(0), dosn.ConRep, 3, benchSeed)
+		rows, err := dosn.ReplicaLoadBalance(fb, dosn.NewSporadic(0), dosn.ConRep, 3, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,16 +266,15 @@ func BenchmarkX4ReplicaLoad(b *testing.B) {
 
 // --- A1–A3: ablation benches ------------------------------------------------
 
+// BenchmarkA1ObjectiveAblation renders A1 through the figure door; like
+// benchPanels, each iteration synthesizes the Facebook dataset before its
+// cell runs.
 func BenchmarkA1ObjectiveAblation(b *testing.B) {
-	s := suite(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var availObj, actObj float64
 	for i := 0; i < b.N; i++ {
-		fig, err := s.Figure("ablation-objective-aodact")
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := figures(b, "ablation-objective-aodact")[0]
 		availObj = fig.Series[0].Y[3] // MaxAv at degree 3
 		actObj = fig.Series[1].Y[3]   // MaxAv(activity)
 	}
@@ -273,12 +283,12 @@ func BenchmarkA1ObjectiveAblation(b *testing.B) {
 }
 
 func BenchmarkA2HistorySplit(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var hist, oracle float64
 	for i := 0; i < b.N; i++ {
-		res, err := dosn.HistorySplit(s.Facebook, dosn.NewSporadic(0), 3, 0.5, benchSeed)
+		res, err := dosn.HistorySplit(fb, dosn.NewSporadic(0), 3, 0.5, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,12 +300,12 @@ func BenchmarkA2HistorySplit(b *testing.B) {
 }
 
 func BenchmarkA3Churn(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var maxavAfter3 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dosn.Churn(s.Facebook, dosn.NewSporadic(0), 5, 2, benchSeed)
+		rows, err := dosn.Churn(fb, dosn.NewSporadic(0), 5, 2, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,19 +315,19 @@ func BenchmarkA3Churn(b *testing.B) {
 }
 
 func BenchmarkA4EagerPushAblation(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var eagerDelay, lazyDelay float64
 	for i := 0; i < b.N; i++ {
 		eager, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: s.Facebook, MaxWalls: 10, Days: 5, Seed: benchSeed,
+			Dataset: fb, MaxWalls: 10, Days: 5, Seed: benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		lazy, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: s.Facebook, MaxWalls: 10, Days: 5, Seed: benchSeed,
+			Dataset: fb, MaxWalls: 10, Days: 5, Seed: benchSeed,
 			DisableEagerPush: true,
 		})
 		if err != nil {
@@ -331,13 +341,13 @@ func BenchmarkA4EagerPushAblation(b *testing.B) {
 }
 
 func BenchmarkX5ReadAvailability(b *testing.B) {
-	s := suite(b)
+	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var measured, analytic float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: s.Facebook, MaxWalls: 15, Days: 7, Seed: benchSeed,
+			Dataset: fb, MaxWalls: 15, Days: 7, Seed: benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -505,8 +515,7 @@ func BenchmarkMatrixSingleCell(b *testing.B) {
 // checks, metric accumulation and update-propagation-delay computation of
 // core.sweepUser, and nothing else.
 func BenchmarkMatrixSweepMaxAvConRep(b *testing.B) {
-	s := suite(b)
-	ds := s.Facebook
+	ds := facebook(b)
 	model := onlinetime.Sporadic{}
 	table := onlinetime.ComputeTable(model, ds, benchSeed, 1)
 	cfg := core.Config{
@@ -551,8 +560,7 @@ func BenchmarkMatrixSweepMaxAvConRep(b *testing.B) {
 // policy. Recorded into BENCH_matrix.json; benchguard holds ns_per_user to
 // within 2x of the committed baseline.
 func BenchmarkSweepUserKernel(b *testing.B) {
-	s := suite(b)
-	ds := s.Facebook
+	ds := facebook(b)
 	model := onlinetime.Sporadic{}
 	table := onlinetime.ComputeTable(model, ds, benchSeed, 1)
 	users := ds.Graph.UsersWithDegree(10)
@@ -642,8 +650,7 @@ func BenchmarkDHTLookup(b *testing.B) {
 // loop. It pins the cost of the architecture axis's hot path next to the
 // friend-replica sweep it is compared against.
 func BenchmarkMatrixSweepSocialDHT(b *testing.B) {
-	s := suite(b)
-	ds := s.Facebook
+	ds := facebook(b)
 	ring, err := dht.BuildRing(ds.NumUsers(), dht.Config{})
 	if err != nil {
 		b.Fatal(err)

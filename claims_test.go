@@ -2,11 +2,15 @@ package dosn_test
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dosn"
+	"dosn/internal/harness"
 )
 
 // TestClaimsLedgerSources holds PAPER.md's claims ledger to its provenance:
@@ -107,4 +111,54 @@ func nearestCarrier(src []string, n int, section string, radius int) int {
 		}
 	}
 	return 0
+}
+
+// Markers around README.md's generated Results section.
+const (
+	resultsBegin = "<!-- results:begin (generated: go test -run TestReadmeResults -update .) -->\n"
+	resultsEnd   = "<!-- results:end -->\n"
+)
+
+// TestReadmeResults holds README.md's Results section to the claims table
+// of `dosn-sim -fig all -scale paper -repeats 5`, as the evaluator writes
+// it; -update rewrites the section. It renders every figure at paper scale
+// (about 2 s on two cores).
+func TestReadmeResults(t *testing.T) {
+	spec := harness.MatrixSpec{
+		Datasets: []harness.DatasetSpec{
+			{Name: "facebook", Users: dosn.PaperFacebookUsers},
+			{Name: "twitter", Users: dosn.PaperTwitterUsers},
+		},
+		MaxDegree:  10,
+		UserDegree: 10,
+		Repeats:    5,
+		RootSeed:   42,
+	}
+	table, err := harness.Claims(spec)
+	if err != nil {
+		t.Fatalf("Claims: %v", err)
+	}
+	var section bytes.Buffer
+	if err := table.WriteResults(&section, "dosn-sim -fig all -scale paper -repeats 5 -seed 42"); err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, rest, ok := strings.Cut(string(readme), resultsBegin)
+	current, after, ok2 := strings.Cut(rest, resultsEnd)
+	if !ok || !ok2 {
+		t.Fatalf("README.md lacks the Results markers %q … %q", resultsBegin, resultsEnd)
+	}
+	if *update {
+		out := before + resultsBegin + section.String() + resultsEnd + after
+		if err := os.WriteFile("README.md", []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if current != section.String() {
+		t.Errorf("README.md's Results section is stale; regenerate it with go test -run TestReadmeResults -update .\n--- want\n%s", section.String())
+	}
 }

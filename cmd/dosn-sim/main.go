@@ -25,6 +25,11 @@
 //	dosn-sim matrix -datasets facebook -models sporadic,fixed8 -modes conrep
 //	dosn-sim matrix -arch friend,random,social       # storage-architecture axis
 //	dosn-sim matrix -seed 7 -workers 16              # same seed ⇒ same bytes, any -workers
+//
+// Both doors build their spec from the same flags (-scale, -max-degree,
+// -user-degree, -repeats, -seed) and run it on the same cell runner: every
+// sweep figure is a view of matrix cells, so a figure point is the number
+// matrix reports for the same cell.
 package main
 
 import (
@@ -34,9 +39,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"dosn"
+	"dosn/internal/harness"
 	"dosn/internal/obs"
 	"dosn/internal/obs/prof"
 )
@@ -56,95 +63,95 @@ func run() error {
 }
 
 // runFig implements the figure front door: -fig regenerates any figure of
-// the paper or extension experiment, every one ("all"), or lists them.
+// the paper or extension experiment, every one ("all"), or lists them. Its
+// spec flags are the matrix door's; every figure is a view of matrix cells.
 func runFig(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("dosn-sim", flag.ContinueOnError)
 	var (
-		figID      = fs.String("fig", "", "figure or experiment to regenerate (fig2, fig3a, ..., experiment-arch), 'all', or 'list'")
-		scale      = fs.String("scale", "small", "dataset scale: small (2000 users) | medium (5000) | paper (13884/14933) | large (100000) | huge (1000000)")
-		outDir     = fs.String("out", "", "directory for gnuplot .dat files (default: print to stdout)")
-		ascii      = fs.Bool("ascii", true, "render ASCII charts to stdout")
-		repeats    = fs.Int("repeats", 3, "randomized-run repetitions (paper uses 5)")
-		maxDegree  = fs.Int("max-degree", 10, "replication degree sweep bound")
-		userDegree = fs.Int("user-degree", 10, "user degree of the analysis population")
-		seed       = fs.Int64("seed", 42, "random seed")
-		debugAddr  = fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
+		figID  = fs.String("fig", "", "figure or experiment to regenerate (fig2, fig3a, ..., experiment-arch), 'all', or 'list'")
+		outDir = fs.String("out", "", "directory for gnuplot .dat files (default: print to stdout)")
+		ascii  = fs.Bool("ascii", true, "render ASCII charts to stdout")
 	)
-	var pf prof.Flags
-	pf.Register(fs)
+	sf := newSpecFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h: usage already printed, exit clean
 		}
 		return err
 	}
-	// The library fills zero values with defaults; -user-degree has no
-	// modal-degree reading here, so 0 is as much nonsense as a negative.
-	if err := checkRunFlags(*maxDegree, *userDegree, *repeats, *seed, false); err != nil {
+	spec, err := sf.spec("facebook,twitter", "", "", "")
+	if err != nil {
 		return err
 	}
-
-	// Profiles and the debug endpoint cover the whole figure run.
-	stopProf, err := pf.Start()
+	if spec.UserDegree == 0 { // Fig. 9 sweeps the user degrees 1..-user-degree
+		return errors.New("-user-degree must be > 0 for figures, got 0")
+	}
+	if *figID == "" || *figID == "list" {
+		fmt.Fprintf(w, "reproducible figures and experiments:\n  %s\nrun with -fig <id> or -fig all\n", strings.Join(dosn.FigureIDs(), "\n  "))
+		return nil
+	}
+	stopProf, err := sf.start()
 	if err != nil {
 		return err
 	}
 	defer stopProf()
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/vars (pprof under /debug/pprof/)\n", dbg.Addr())
-	}
+	return runFigures(w, *figID, spec, *outDir, *ascii)
+}
 
-	fbUsers, twUsers, err := scaleUsers(*scale)
+// specFlags are the flags both doors build their spec from — scale, sweep
+// bounds, repeats and root seed — and the profiling knobs they share.
+type specFlags struct {
+	scale                          *string
+	maxDegree, userDegree, repeats *int
+	seed                           *int64
+	debugAddr                      *string
+	prof                           prof.Flags
+}
+
+func newSpecFlags(fs *flag.FlagSet) *specFlags {
+	f := &specFlags{
+		scale:      fs.String("scale", "small", "dataset scale: small (2000 users) | medium (5000) | paper (13884/14933) | large (100000) | huge (1000000)"),
+		maxDegree:  fs.Int("max-degree", 10, "replication degree sweep bound"),
+		userDegree: fs.Int("user-degree", 10, "user degree of the analysis population (0 = modal; -fig needs > 0)"),
+		repeats:    fs.Int("repeats", 3, "randomized-run repetitions (paper uses 5)"),
+		seed:       fs.Int64("seed", 42, "root seed; cell seeds derive from it and the cell coordinates"),
+		debugAddr:  fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run"),
+	}
+	f.prof.Register(fs)
+	return f
+}
+
+// spec builds the spec the flags describe over the given axis lists.
+func (f *specFlags) spec(datasets, models, modes, policies string) (harness.MatrixSpec, error) {
+	return buildMatrixSpec(*f.scale, datasets, models, modes, policies, *f.maxDegree, *f.userDegree, *f.repeats, *f.seed)
+}
+
+// start starts the profiles and the debug endpoint the flags ask for. The
+// returned stop ends both; it is idempotent, so a door may stop the
+// profiles early and still defer it.
+func (f *specFlags) start() (stop func(), err error) {
+	stopProf, err := f.prof.Start()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	opts := dosn.Options{
-		MaxDegree:  *maxDegree,
-		UserDegree: *userDegree,
-		Repeats:    *repeats,
-		Seed:       *seed,
+	if *f.debugAddr == "" {
+		return stopProf, nil
 	}
-	if *figID == "" || *figID == "list" {
-		return listFigures(w, opts)
+	dbg, err := obs.ServeDebug(*f.debugAddr)
+	if err != nil {
+		stopProf()
+		return nil, err
 	}
-	return runFigures(w, *figID, fbUsers, twUsers, opts, *outDir, *ascii)
+	fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/vars (pprof under /debug/pprof/)\n", dbg.Addr())
+	return func() { stopProf(); dbg.Close() }, nil
 }
 
-// checkRunFlags rejects explicit nonsense in the flags -fig and matrix share,
-// which the library would otherwise silently rewrite to its defaults.
-// modalOK admits -user-degree 0, which matrix reads as the modal degree.
-func checkRunFlags(maxDegree, userDegree, repeats int, seed int64, modalOK bool) error {
-	switch {
-	case maxDegree <= 0:
-		return fmt.Errorf("-max-degree must be > 0, got %d", maxDegree)
-	case modalOK && userDegree < 0:
-		return fmt.Errorf("-user-degree must be >= 0 (0 = modal degree), got %d", userDegree)
-	case !modalOK && userDegree <= 0:
-		return fmt.Errorf("-user-degree must be > 0, got %d", userDegree)
-	case repeats <= 0:
-		return fmt.Errorf("-repeats must be > 0, got %d", repeats)
-	case seed == 0:
-		return errors.New("-seed must be nonzero (0 would select the library default of 42)")
-	}
-	return nil
-}
-
-// LargeScaleUsers is the per-dataset user count of the "large" scale: an
-// order of magnitude past the paper's filtered traces, the first stop on the
-// ROADMAP's path toward million-user sweeps. The columnar dataset layer keeps
-// it inside a workstation's memory (see README "Dataset layout & memory").
+// LargeScaleUsers is the per-dataset user count of the "large" scale, an
+// order of magnitude past the paper's filtered traces.
 const LargeScaleUsers = 100_000
 
-// HugeScaleUsers is the per-dataset user count of the "huge" scale: the
-// million-user tier the ROADMAP's north star names. The streaming synthesis
-// and the shard-by-shard schedule build keep its peak memory bounded by the
-// columnar trace plus the schedule arena (README "Dataset layout & memory");
-// the sweep touches only the degree-10 users and holds a few MB.
+// HugeScaleUsers is the per-dataset user count of the "huge" scale (README
+// "Million-user huge tier").
 const HugeScaleUsers = 1_000_000
 
 func scaleUsers(scale string) (fb, tw int, err error) {
@@ -164,43 +171,16 @@ func scaleUsers(scale string) (fb, tw int, err error) {
 	}
 }
 
-func buildSuite(fbUsers, twUsers int, opts dosn.Options) (*dosn.Suite, error) {
-	start := time.Now()
-	fmt.Fprintf(os.Stderr, "synthesizing datasets (fb=%d, tw=%d users)...\n", fbUsers, twUsers)
-	suite, err := dosn.NewSuite(fbUsers, twUsers, opts)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "datasets ready in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(os.Stderr, "  facebook: %s\n", suite.Facebook.Stats())
-	fmt.Fprintf(os.Stderr, "  twitter:  %s\n", suite.Twitter.Stats())
-	return suite, nil
-}
-
-func listFigures(w io.Writer, opts dosn.Options) error {
-	suite := &dosn.Suite{Opts: opts} // IDs need no datasets
-	fmt.Fprintln(w, "reproducible figures and experiments:")
-	for _, id := range suite.FigureIDs() {
-		fmt.Fprintln(w, " ", id)
-	}
-	fmt.Fprintln(w, "run with -fig <id> or -fig all")
-	return nil
-}
-
-// runFigures regenerates the figure figID ("all" for every one) and writes
-// each figure's table, and its ASCII chart when ascii is set, to w; outDir,
-// when set, also receives one .dat file per figure.
-func runFigures(w io.Writer, figID string, fbUsers, twUsers int, opts dosn.Options, outDir string, ascii bool) error {
-	suite, err := buildSuite(fbUsers, twUsers, opts)
-	if err != nil {
-		return err
-	}
+// runFigures regenerates the figure figID ("all" for every one) over the
+// base spec and writes each figure's table, and its ASCII chart when ascii
+// is set, to w; outDir, when set, also receives one .dat file per figure.
+func runFigures(w io.Writer, figID string, spec harness.MatrixSpec, outDir string, ascii bool) error {
 	ids := []string{figID}
 	if figID == "all" {
-		ids = suite.FigureIDs()
+		ids = dosn.FigureIDs()
 	}
 	start := time.Now()
-	figs, err := suite.Figures(ids)
+	figs, err := dosn.Figures(spec, ids)
 	if err != nil {
 		return err
 	}
@@ -228,15 +208,5 @@ func writeDat(dir, id string, fig dosn.Figure) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create %s: %w", dir, err)
 	}
-	path := filepath.Join(dir, id+".dat")
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := fig.WriteDat(f); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
+	return writeSink(filepath.Join(dir, id+".dat"), fig.WriteDat)
 }

@@ -252,10 +252,14 @@ func TestMatrixRejectsRetiredShardSizeFlag(t *testing.T) {
 func TestRunFiguresAll(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := runFigures(&out, "all", 2000, 2000, dosn.Options{Repeats: 1, Seed: 42}, dir, false); err != nil {
+	spec, err := buildMatrixSpec("small", "facebook,twitter", "", "", "", 10, 10, 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runFigures(&out, "all", spec, dir, false); err != nil {
 		t.Fatalf("runFigures: %v", err)
 	}
-	want := (&dosn.Suite{}).FigureIDs()
+	want := dosn.FigureIDs()
 	var got []string
 	for _, line := range strings.Split(out.String(), "\n") {
 		if id, _, ok := strings.Cut(line, " — "); ok {

@@ -14,7 +14,6 @@ import (
 	"dosn/internal/fault"
 	"dosn/internal/harness"
 	"dosn/internal/obs"
-	"dosn/internal/obs/prof"
 )
 
 // runMatrix implements the `dosn-sim matrix` subcommand: one invocation runs
@@ -23,17 +22,12 @@ import (
 func runMatrix(args []string) error {
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	var (
-		scale      = fs.String("scale", "small", "dataset scale: small (2000 users) | medium (5000) | paper (13884/14933) | large (100000) | huge (1000000)")
 		datasets   = fs.String("datasets", "facebook,twitter", "comma-separated datasets (facebook|twitter)")
 		models     = fs.String("models", "sporadic,random,fixed2,fixed4,fixed6,fixed8", "comma-separated models (sporadic[:SECONDS]|random|fixedN)")
 		modes      = fs.String("modes", "conrep,unconrep", "comma-separated modes (conrep|unconrep)")
 		archs      = fs.String("arch", "", "comma-separated storage architectures (friend|random|social); default friend replication only")
 		ringBits   = fs.Int("ring-bits", 0, "DHT ring identifier width for random/social cells (0 = 32)")
 		policies   = fs.String("policies", "", "comma-separated policies (MaxAv|MaxAv(activity)|MostActive|Random); default the paper's three")
-		maxDegree  = fs.Int("max-degree", 10, "replication degree sweep bound")
-		userDegree = fs.Int("user-degree", 10, "user degree of the analysis population (0 = modal)")
-		repeats    = fs.Int("repeats", 3, "randomized-run repetitions (paper uses 5)")
-		rootSeed   = fs.Int64("seed", 42, "root seed; cell seeds derive from it and the cell coordinates")
 		workers    = fs.Int("workers", 0, "concurrent cells (0 = NumCPU); never affects results")
 		jsonOut    = fs.String("json", "", "write the run manifest as JSON to this file ('-' = stdout)")
 		csvOut     = fs.String("csv", "", "write per-(cell,policy,degree) rows as CSV to this file ('-' = stdout)")
@@ -41,15 +35,13 @@ func runMatrix(args []string) error {
 		telemetry  = fs.String("telemetry", "", "write the execution telemetry report (per-cell phase breakdown, counters) as JSON to this file ('-' = stdout); never part of the manifest")
 		events     = fs.String("events", "", "stream execution lifecycle events as JSONL to this file")
 		progress   = fs.Bool("progress", false, "live single-line progress on stderr (cells done, current phase, ETA, heap); replaces per-cell lines")
-		debugAddr  = fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run")
 		checkpoint = fs.String("checkpoint", "", "append each completed cell to a crash-safe JSONL journal at this path (fsync per cell)")
 		resume     = fs.Bool("resume", false, "restore completed cells from the -checkpoint journal; the resumed manifest is byte-identical to an uninterrupted run")
 		maxRetries = fs.Int("max-retries", 0, "rerun a failed cell (error, panic, or timeout) up to this many times; never affects results")
 		retryWait  = fs.Duration("retry-backoff", 0, "delay before the first cell retry, doubling per attempt, capped at 5s (0 = 50ms)")
 		cellLimit  = fs.Duration("cell-timeout", 0, "per-attempt cell watchdog; a cell exceeding it counts as failed (0 = off)")
 	)
-	var pf prof.Flags
-	pf.Register(fs)
+	sf := newSpecFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: dosn-sim matrix [flags]")
 		fmt.Fprintln(fs.Output(), "runs the full dataset × model × mode experiment matrix in one invocation")
@@ -70,7 +62,7 @@ func runMatrix(args []string) error {
 		fmt.Fprintf(os.Stderr, "matrix: fault injection armed from %s\n", fault.EnvVar)
 	}
 
-	spec, err := buildMatrixSpec(*scale, *datasets, *models, *modes, *policies, *maxDegree, *userDegree, *repeats, *rootSeed)
+	spec, err := sf.spec(*datasets, *models, *modes, *policies)
 	if err != nil {
 		return err
 	}
@@ -101,23 +93,14 @@ func runMatrix(args []string) error {
 	// Profiles cover exactly the harness run (not flag parsing or output
 	// serialization), so perf work on the matrix path starts from data
 	// rather than a guess: dosn-sim matrix -scale large -cpuprofile cpu.out.
-	// stopProf runs right after harness.Run returns, before the manifest is
-	// serialized; the deferred call only covers early-error exits (it is
-	// idempotent).
-	stopProf, err := pf.Start()
+	// stopProf (which also closes a -debug-addr endpoint) runs right after
+	// harness.Run returns, before the manifest is serialized; the deferred
+	// call only covers early-error exits (it is idempotent).
+	stopProf, err := sf.start()
 	if err != nil {
 		return err
 	}
 	defer stopProf()
-
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/vars (pprof under /debug/pprof/)\n", dbg.Addr())
-	}
 
 	// Telemetry is a side artifact: the collector observes execution (phase
 	// timings, worker utilization, heap) and never touches the manifest,
@@ -159,7 +142,7 @@ func runMatrix(args []string) error {
 		return err
 	}
 	if collector != nil {
-		rep := collector.Report("dosn-sim matrix -scale " + *scale)
+		rep := collector.Report("dosn-sim matrix -scale " + *sf.scale)
 		if *telemetry != "" {
 			if err := writeSink(*telemetry, rep.WriteJSON); err != nil {
 				return err
@@ -195,8 +178,15 @@ func buildMatrixSpec(scale, datasets, models, modes, policies string, maxDegree,
 	if err != nil {
 		return harness.MatrixSpec{}, err
 	}
-	if err := checkRunFlags(maxDegree, userDegree, repeats, rootSeed, true); err != nil {
-		return harness.MatrixSpec{}, err
+	switch {
+	case maxDegree <= 0:
+		return harness.MatrixSpec{}, fmt.Errorf("-max-degree must be > 0, got %d", maxDegree)
+	case userDegree < 0:
+		return harness.MatrixSpec{}, fmt.Errorf("-user-degree must be >= 0 (0 = modal degree), got %d", userDegree)
+	case repeats <= 0:
+		return harness.MatrixSpec{}, fmt.Errorf("-repeats must be > 0, got %d", repeats)
+	case rootSeed == 0:
+		return harness.MatrixSpec{}, errors.New("-seed must be nonzero (0 would select the library default of 42)")
 	}
 	spec := harness.MatrixSpec{
 		Version:    harness.SpecVersion,

@@ -88,11 +88,6 @@ type (
 	SweepResult = core.Result
 	// Metric identifies one efficiency metric.
 	Metric = core.Metric
-	// Options tunes figure regeneration.
-	Options = core.Options
-	// Suite regenerates any figure of the paper, or extension experiment,
-	// by ID.
-	Suite = core.Suite
 	// Figure is a plottable reproduction of a paper figure.
 	Figure = plot.Figure
 	// Series is one labelled curve of a figure.
@@ -202,7 +197,9 @@ var (
 func DefaultPolicies() []Policy { return replica.DefaultPolicies() }
 
 // PaperScale constants: the filtered trace sizes the paper reports, and the
-// activity-count filter it applies before analysis.
+// activity-count filter it applies before analysis. The "paper" scale
+// synthesizes PaperFacebookUsers and PaperTwitterUsers users before the
+// filter, so fewer remain after it (12,952 and 12,303 at the default seeds).
 const (
 	PaperFacebookUsers = trace.PaperFacebookUsers
 	PaperTwitterUsers  = trace.PaperTwitterUsers
@@ -242,22 +239,6 @@ func FacebookConfig(users int) SynthConfig { return trace.DefaultFacebookConfig(
 // TwitterConfig returns the default Twitter-like generator configuration.
 func TwitterConfig(users int) SynthConfig { return trace.DefaultTwitterConfig(users) }
 
-// NewSuite synthesizes both datasets and returns a figure suite that can
-// regenerate every figure of the paper. users sets the per-dataset scale
-// (e.g. 2000 for laptop runs, PaperFacebookUsers/PaperTwitterUsers for
-// paper-scale runs).
-func NewSuite(fbUsers, twUsers int, opts Options) (*Suite, error) {
-	fb, err := Facebook(fbUsers, 1)
-	if err != nil {
-		return nil, err
-	}
-	tw, err := Twitter(twUsers, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &Suite{Facebook: fb, Twitter: tw, Opts: opts}, nil
-}
-
 // RunSweep executes a replication-degree sweep (the core experiment behind
 // figures 3–7 and 10–11).
 func RunSweep(cfg SweepConfig) (*SweepResult, error) { return core.Run(cfg) }
@@ -273,6 +254,19 @@ func PaperMatrix(users int) MatrixSpec { return harness.PaperMatrix(users) }
 func RunMatrix(spec MatrixSpec, opts MatrixOptions) (*RunManifest, error) {
 	return harness.Run(spec, opts)
 }
+
+// Figures renders the figures of the paper and the extension experiments
+// with the given IDs (FigureIDs), in order, from spec's datasets, MaxDegree,
+// UserDegree (> 0), Repeats and RootSeed. A figure point equals the number
+// RunMatrix reports for the same cell.
+func Figures(spec MatrixSpec, ids []string) ([]Figure, error) {
+	return harness.Figures(spec, ids)
+}
+
+// FigureIDs lists every figure Figures renders: the paper's in paper order
+// ("fig2", "fig3a" … "fig11d"), then the extension experiments
+// ("ablation-objective-avail", … "experiment-arch").
+func FigureIDs() []string { return harness.FigureIDs() }
 
 // RunArchComparison evaluates DOSN storage architectures head to head over
 // one dataset: friend replication (the paper's design) against RandomDHT and

@@ -100,15 +100,21 @@ func TestDatasetRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
+// TestSuiteThroughFacade: the figure door through the facade renders a
+// figure by ID over a base spec.
 func TestSuiteThroughFacade(t *testing.T) {
-	s, err := NewSuite(300, 300, Options{MaxDegree: 4, Repeats: 1, Seed: 3})
-	if err != nil {
-		t.Fatalf("NewSuite: %v", err)
+	spec := MatrixSpec{
+		Datasets:   []MatrixDataset{{Name: "facebook", Users: 300}, {Name: "twitter", Users: 300}},
+		MaxDegree:  4,
+		UserDegree: 10,
+		Repeats:    1,
+		RootSeed:   3,
 	}
-	fig, err := s.Figure("fig2")
+	figs, err := Figures(spec, []string{"fig2"})
 	if err != nil {
 		t.Fatalf("fig2: %v", err)
 	}
+	fig := figs[0]
 	var buf bytes.Buffer
 	if err := fig.PrintTable(&buf); err != nil {
 		t.Fatalf("PrintTable: %v", err)
@@ -223,7 +229,8 @@ func TestBadConfigsFailWithErrorsNotPanics(t *testing.T) {
 	if _, err := Facebook(0, 1); err == nil {
 		t.Error("Facebook(0 users) should fail with an error")
 	}
-	if _, err := NewSuite(0, 100, Options{}); err == nil {
-		t.Error("NewSuite(0 fb users) should fail with an error")
+	zero := MatrixSpec{Datasets: []MatrixDataset{{Name: "facebook", Users: 0}, {Name: "twitter", Users: 100}}, UserDegree: 10}
+	if _, err := Figures(zero, []string{"fig2"}); err == nil {
+		t.Error("Figures over 0 facebook users should fail with an error")
 	}
 }

@@ -50,44 +50,48 @@ var (
 	tolLoad     = tolerance{Abs: 1e-7, Rel: 1e-7} // load-balance statistics
 )
 
+// goldenSpec is the base every golden figure is a view of: the CLI's
+// -scale small datasets, degrees up to 6, two repetitions.
+var goldenSpec = dosn.MatrixSpec{
+	Datasets:   []dosn.MatrixDataset{{Name: "facebook", Users: 2000}, {Name: "twitter", Users: 2000}},
+	MaxDegree:  6,
+	UserDegree: 10,
+	Repeats:    2,
+	RootSeed:   42,
+}
+
 var (
 	goldenOnce  sync.Once
 	goldenState struct {
-		suite *dosn.Suite
-		err   error
+		figs map[string]dosn.Figure
+		err  error
 	}
 )
 
-// goldenSuite builds the small-scale dataset pair shared by every golden
-// entry: degree distributions tuned so the degree-10 analysis population is
-// well populated at 500 users.
-func goldenSuite(t *testing.T) *dosn.Suite {
+// goldenFigure renders every figure of the door over goldenSpec in one
+// pass, once, and returns the one with the given ID.
+func goldenFigure(t *testing.T, id string) dosn.Figure {
 	t.Helper()
 	goldenOnce.Do(func() {
-		fbCfg := dosn.FacebookConfig(500)
-		fbCfg.MeanDegree, fbCfg.SigmaDegree, fbCfg.Seed = 12, 0.6, 33
-		fb, err := dosn.Synthesize(fbCfg)
+		ids := dosn.FigureIDs()
+		figs, err := dosn.Figures(goldenSpec, ids)
 		if err != nil {
-			goldenState.err = fmt.Errorf("facebook: %w", err)
+			goldenState.err = err
 			return
 		}
-		twCfg := dosn.TwitterConfig(500)
-		twCfg.MeanDegree, twCfg.SigmaDegree, twCfg.Seed = 14, 0.7, 34
-		tw, err := dosn.Synthesize(twCfg)
-		if err != nil {
-			goldenState.err = fmt.Errorf("twitter: %w", err)
-			return
-		}
-		goldenState.suite = &dosn.Suite{
-			Facebook: fb,
-			Twitter:  tw,
-			Opts:     dosn.Options{MaxDegree: 6, UserDegree: 10, Repeats: 2, Seed: 42},
+		goldenState.figs = make(map[string]dosn.Figure, len(figs))
+		for i, id := range ids {
+			goldenState.figs[id] = figs[i]
 		}
 	})
 	if goldenState.err != nil {
-		t.Fatalf("build golden suite: %v", goldenState.err)
+		t.Fatalf("render golden figures: %v", goldenState.err)
 	}
-	return goldenState.suite
+	fig, ok := goldenState.figs[id]
+	if !ok {
+		t.Fatalf("figure %s: not rendered", id)
+	}
+	return fig
 }
 
 // goldenEntry is one snapshotted figure or experiment.
@@ -97,16 +101,10 @@ type goldenEntry struct {
 	gen func(t *testing.T) dosn.Figure
 }
 
-// figEntry snapshots one paper figure or extension experiment regenerated
-// through the suite.
+// figEntry snapshots one paper figure or extension experiment rendered
+// through the figure door.
 func figEntry(id string, tol tolerance) goldenEntry {
-	return goldenEntry{id: id, tol: tol, gen: func(t *testing.T) dosn.Figure {
-		fig, err := goldenSuite(t).Figure(id)
-		if err != nil {
-			t.Fatalf("figure %s: %v", id, err)
-		}
-		return fig
-	}}
+	return goldenEntry{id: id, tol: tol, gen: func(t *testing.T) dosn.Figure { return goldenFigure(t, id) }}
 }
 
 func goldenEntries() []goldenEntry {
@@ -149,10 +147,18 @@ func goldenEntries() []goldenEntry {
 // comparison — for the default configuration and for a lossy randomized one
 // (MostActive draws placement randomness, FixedLength wraps midnight, loss
 // consumes the runtime RNG), so the schedule, placement, read-draw and loss
-// streams are all pinned. Unlike the suite's experiment-protocol entry, whose
+// streams are all pinned. Unlike the door's experiment-protocol entry, whose
 // one configuration pins none of the last three, it builds its own.
 func protocolFigure(t *testing.T) dosn.Figure {
-	s := goldenSuite(t)
+	// goldenSpec's datasets, at the calibrations' default seeds.
+	fb, err := dosn.Facebook(goldenSpec.Datasets[0].Users, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := dosn.Twitter(goldenSpec.Datasets[1].Users, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fig := dosn.Figure{
 		ID:     "experiment-protocol",
 		Title:  "X1/X2: protocol-level validation",
@@ -163,9 +169,9 @@ func protocolFigure(t *testing.T) dosn.Figure {
 		label string
 		cfg   dosn.ProtocolConfig
 	}{
-		{"MaxAv/ConRep/Sporadic", dosn.ProtocolConfig{Dataset: s.Facebook, MaxWalls: 12, Days: 4, Seed: 42}},
+		{"MaxAv/ConRep/Sporadic", dosn.ProtocolConfig{Dataset: fb, MaxWalls: 12, Days: 4, Seed: 42}},
 		{"MostActive/UnconRep/FixedLength(8h)/loss", dosn.ProtocolConfig{
-			Dataset: s.Twitter, Model: dosn.NewFixedLength(8), Policy: dosn.MostActive, Mode: dosn.UnconRep,
+			Dataset: tw, Model: dosn.NewFixedLength(8), Policy: dosn.MostActive, Mode: dosn.UnconRep,
 			Budget: 4, MaxWalls: 8, Days: 3, LossRate: 0.2, Seed: 42,
 		}},
 	} {

@@ -72,15 +72,25 @@ func TestActivityMinutes(t *testing.T) {
 	}
 }
 
-// TestObjectiveAblation: ablation A1, the suite's ablation-objective
-// entries (MaxAv, MaxAv(activity), Random over degrees 0..5).
+// TestObjectiveAblation: ablation A1, MaxAv, MaxAv(activity) and Random
+// over degrees 0..5.
 func TestObjectiveAblation(t *testing.T) {
-	s := &Suite{Facebook: testDataset(t), Opts: Options{Repeats: 2, Seed: 7}}
-	figs, err := s.Figures([]string{"ablation-objective-avail", "ablation-objective-aodact"})
+	res, err := Run(Config{
+		Dataset: testDataset(t),
+		Model:   onlinetime.Sporadic{},
+		Mode:    replica.ConRep,
+		Policies: []replica.Policy{
+			replica.MaxAv{}, replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity}, replica.Random{},
+		},
+		MaxDegree:  5,
+		UserDegree: 10,
+		Repeats:    2,
+		Seed:       7,
+	})
 	if err != nil {
-		t.Fatalf("ablation-objective: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	avail, act := figs[0].Series, figs[1].Series
+	avail, act := res.MetricSeries(MetricAvailability), res.MetricSeries(MetricAoDActivity)
 	if len(act) != 3 || act[1].Label != "MaxAv(activity)" || len(act[0].Y) != 6 {
 		t.Fatalf("series = %+v", act)
 	}

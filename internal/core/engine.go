@@ -26,6 +26,7 @@ import (
 	"dosn/internal/metrics"
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
+	"dosn/internal/plot"
 	"dosn/internal/replica"
 	"dosn/internal/socialgraph"
 	"dosn/internal/stats"
@@ -270,6 +271,25 @@ type Result struct {
 // index.
 func (r *Result) Value(policy, degreeIdx int, m Metric) float64 {
 	return r.Cells[policy][degreeIdx].value(m)
+}
+
+// MetricSeries extracts one plottable series per policy for the metric,
+// against the degrees 0..MaxDegree.
+func (r *Result) MetricSeries(m Metric) []plot.Series {
+	out := make([]plot.Series, len(r.Policies))
+	for pi, name := range r.Policies {
+		ys := make([]float64, len(r.Degrees))
+		for di := range r.Degrees {
+			ys[di] = r.Value(pi, di, m)
+		}
+		out[pi] = plot.Categorical(name, ys...)
+	}
+	return out
+}
+
+// Last returns the metric value at the largest swept degree.
+func (r *Result) Last(policy int, m Metric) float64 {
+	return r.Value(policy, len(r.Degrees)-1, m)
 }
 
 // Run executes the sweep described by cfg.

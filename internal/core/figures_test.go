@@ -3,278 +3,119 @@ package core
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
+	"time"
 
-	"dosn/internal/trace"
+	"dosn/internal/onlinetime"
+	"dosn/internal/plot"
+	"dosn/internal/replica"
 )
 
-func testSuite(t testing.TB) *Suite {
+// lastAt runs one ConRep Sporadic sweep and returns each policy's value of
+// metric m at its largest degree: one x position of Fig. 8 or Fig. 9. It
+// returns Run's error, ErrNoUsers when no user has the user degree.
+func lastAt(t *testing.T, session time.Duration, maxDegree, userDegree int, m Metric) ([]float64, error) {
 	t.Helper()
-	fb := trace.DefaultFacebookConfig(400)
-	fb.MeanDegree = 12
-	fb.SigmaDegree = 0.6
-	fb.Seed = 33
-	tw := trace.DefaultTwitterConfig(400)
-	tw.MeanDegree = 12
-	tw.SigmaDegree = 0.6
-	tw.Seed = 44
-	return &Suite{
-		Facebook: trace.MustSynthesize(fb),
-		Twitter:  trace.MustSynthesize(tw),
-		Opts:     Options{MaxDegree: 6, UserDegree: 10, Repeats: 1, Seed: 5},
-	}
-}
-
-func TestStandardPanelsCoverPaperFigures(t *testing.T) {
-	s := testSuite(t)
-	byFig := map[string]int{}
-	seen := map[string]bool{}
-	for _, f := range s.figures() {
-		byFig[strings.TrimRight(f.id, "abcd")]++
-		if seen[f.id] {
-			t.Errorf("duplicate panel id %s", f.id)
-		}
-		seen[f.id] = true
-		if f.xs != nil && len(f.xs) != len(f.sweeps) {
-			t.Errorf("panel %s has %d x values for %d sweeps", f.id, len(f.xs), len(f.sweeps))
-		}
-		for _, sw := range f.sweeps {
-			if sw.dataset != "facebook" && sw.dataset != "twitter" {
-				t.Errorf("panel %s has unknown dataset %q", f.id, sw.dataset)
-			}
-		}
-	}
-	want := map[string]int{"fig3": 4, "fig4": 2, "fig5": 4, "fig6": 4, "fig7": 4, "fig8": 4, "fig9": 2, "fig10": 4, "fig11": 4}
-	for fig, n := range want {
-		if byFig[fig] != n {
-			t.Errorf("figure %s has %d panels, want %d", fig, byFig[fig], n)
-		}
-	}
-}
-
-// TestFiguresRunEachSweepOnce: rendering every figure in one Figures call
-// gives exactly what one Figure call per ID gives, while each distinct sweep
-// runs once — counted by the users the engine swept (per repetition), which
-// a skipped or repeated sweep would change. An entry that computes its own
-// series (X6 runs sweeps of its own) adds the same count to both. Not
-// parallel: it reads a process-wide counter.
-func TestFiguresRunEachSweepOnce(t *testing.T) {
-	s := testSuite(t)
-	ids := s.FigureIDs()
-	var perID, distinct int64
-	var sweeps int
-	seen := map[sweep]bool{}
-	for _, f := range s.figures() {
-		for _, sw := range f.sweeps {
-			ds := s.Facebook
-			if sw.dataset == "twitter" {
-				ds = s.Twitter
-			}
-			n := int64(len(ds.Graph.UsersWithDegree(sw.userDegree)) * s.Opts.Repeats)
-			perID += n
-			if !seen[sw] {
-				seen[sw] = true
-				distinct += n
-				sweeps++
-			}
-		}
-	}
-	// 10 degree-panel sweeps (Fig. 3's four models, Fig. 4's two UnconRep
-	// ones, Fig. 10's four), Fig. 8's seven session lengths, A1's one and
-	// one per user degree 1..UserDegree that has users for Fig. 9; at
-	// MaxDegree 6, Fig. 9's degree 10 is not Fig. 3a's sweep.
-	want := 10 + 7 + 1
-	for d := 1; d <= s.Opts.UserDegree; d++ {
-		if len(s.Facebook.Graph.UsersWithDegree(d)) > 0 {
-			want++
-		}
-	}
-	if sweeps != want {
-		t.Fatalf("%d distinct sweeps, want %d", sweeps, want)
-	}
-
-	var computed []string
-	for _, f := range s.figures() {
-		if f.series != nil {
-			computed = append(computed, f.id)
-		}
-	}
-	before := obsUsersSwept.Value()
-	if _, err := s.Figures(computed); err != nil {
-		t.Fatalf("Figures(%v): %v", computed, err)
-	}
-	own := obsUsersSwept.Value() - before
-	distinct += own
-	perID += own
-
-	before = obsUsersSwept.Value()
-	all, err := s.Figures(ids)
+	res, err := Run(Config{
+		Dataset:    testDataset(t),
+		Model:      onlinetime.Sporadic{SessionLength: session},
+		Mode:       replica.ConRep,
+		MaxDegree:  maxDegree,
+		UserDegree: userDegree,
+		Repeats:    1,
+		Seed:       5,
+	})
 	if err != nil {
-		t.Fatalf("Figures: %v", err)
+		return nil, err
 	}
-	if got := obsUsersSwept.Value() - before; got != distinct {
-		t.Errorf("Figures swept %d users, want %d (each of %d distinct sweeps once)", got, distinct, sweeps)
+	out := make([]float64, len(res.Policies))
+	for pi := range res.Policies {
+		out[pi] = res.Last(pi, m)
 	}
-
-	before = obsUsersSwept.Value()
-	for i, id := range ids {
-		fig, err := s.Figure(id)
-		if err != nil {
-			t.Fatalf("Figure(%s): %v", id, err)
-		}
-		if !reflect.DeepEqual(fig, all[i]) {
-			t.Errorf("%s: Figures and Figure render differently", id)
-		}
-	}
-	if got := obsUsersSwept.Value() - before; got != perID {
-		t.Errorf("per-ID Figure calls swept %d users, want %d", got, perID)
-	}
+	return out, nil
 }
 
-func TestSuiteFigureIDsResolve(t *testing.T) {
-	s := testSuite(t)
-	ids := s.FigureIDs()
-	if len(ids) < 30 {
-		t.Fatalf("suite lists only %d figures", len(ids))
-	}
-	// Spot-check one panel id per figure family to keep the test fast.
-	for _, id := range []string{"fig2", "fig3a", "fig4b", "fig5c", "fig7d", "fig10a", "fig11b", "ablation-churn"} {
-		fig, err := s.Figure(id)
-		if err != nil {
-			t.Fatalf("Figure(%s): %v", id, err)
-		}
-		if fig.ID != id || len(fig.Series) == 0 {
-			t.Errorf("Figure(%s) = %q with %d series", id, fig.ID, len(fig.Series))
-		}
-	}
-}
-
-func TestSuiteUnknownFigure(t *testing.T) {
-	s := testSuite(t)
-	_, err := s.Figure("fig99")
-	if err == nil {
-		t.Fatal("unknown figure must error")
-	}
-	// The error lists the valid IDs, experiments included.
-	for _, id := range []string{"fig2", "fig11d", "ablation-churn", "experiment-protocol", "experiment-arch"} {
-		if !strings.Contains(err.Error(), id) {
-			t.Errorf("unknown-figure error %q does not list %q", err, id)
-		}
-	}
-}
-
-func TestSuiteMissingDataset(t *testing.T) {
-	s := testSuite(t)
-	s.Twitter = nil
-	for _, id := range []string{"fig10a", "fig2"} {
-		if _, err := s.Figure(id); err == nil {
-			t.Errorf("%s: missing dataset must error", id)
-		}
-	}
-	s.Facebook = nil
-	for _, id := range []string{"ablation-history", "experiment-arch"} {
-		if _, err := s.Figure(id); !errors.Is(err, ErrNoDataset) {
-			t.Errorf("%s without a dataset: err = %v, want ErrNoDataset", id, err)
-		}
-	}
-}
-
-func TestDegreeDistributionFigure(t *testing.T) {
-	s := testSuite(t)
-	fig, err := s.Figure("fig2")
+// mustLastAt is lastAt failing the test on any error.
+func mustLastAt(t *testing.T, session time.Duration, maxDegree, userDegree int, m Metric) []float64 {
+	t.Helper()
+	out, err := lastAt(t, session, maxDegree, userDegree, m)
 	if err != nil {
-		t.Fatalf("fig2: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if len(fig.Series) != 2 {
-		t.Fatalf("series = %d, want 2", len(fig.Series))
-	}
-	for _, series := range fig.Series {
-		total := 0.0
-		for _, y := range series.Y {
-			total += y
-		}
-		if int(total) != 400 {
-			t.Errorf("%s histogram sums to %v, want 400 users", series.Label, total)
-		}
-	}
+	return out
 }
 
+// TestSessionLengthFigureShape: Fig. 8a's effect in the engine. At degree 3,
+// availability rises from 100 s sessions to 100 000 s ones for every
+// policy, and at 100 000 s (≈28 h) sessions cover the whole day.
 func TestSessionLengthFigureShape(t *testing.T) {
-	s := testSuite(t)
-	fig, err := s.Figure("fig8a")
-	if err != nil {
-		t.Fatalf("fig8a: %v", err)
-	}
-	if !fig.LogX || fig.ID != "fig8a" {
-		t.Errorf("figure meta = %+v", fig)
-	}
-	// Fig. 8a: availability rises with session length for every policy;
-	// compare the shortest against the longest session.
-	for _, series := range fig.Series {
-		first, last := series.Y[0], series.Y[len(series.Y)-1]
-		if last <= first {
-			t.Errorf("%s: availability should grow with session length (%.3f → %.3f)",
-				series.Label, first, last)
+	short := mustLastAt(t, 100*time.Second, 3, 10, MetricAvailability)
+	long := mustLastAt(t, 100000*time.Second, 3, 10, MetricAvailability)
+	for pi := range short {
+		if long[pi] <= short[pi] {
+			t.Errorf("policy %d: availability should grow with session length (%.3f → %.3f)", pi, short[pi], long[pi])
 		}
-	}
-	// At 100 000 s (≈28 h) sessions cover the whole day: availability ≈ 1.
-	for _, series := range fig.Series {
-		if series.Y[len(series.Y)-1] < 0.95 {
-			t.Errorf("%s: availability at 100000s = %.3f, want ≈1", series.Label, series.Y[len(series.Y)-1])
+		if long[pi] < 0.95 {
+			t.Errorf("policy %d: availability at 100000s = %.3f, want ≈1", pi, long[pi])
 		}
 	}
 }
 
+// TestSessionLengthDelayFalls: Fig. 8d's effect, the delay at degree 3 falls
+// as sessions lengthen.
 func TestSessionLengthDelayFalls(t *testing.T) {
-	s := testSuite(t)
-	fig, err := s.Figure("fig8d")
-	if err != nil {
-		t.Fatalf("fig8d: %v", err)
-	}
-	for _, series := range fig.Series {
-		first, last := series.Y[0], series.Y[len(series.Y)-1]
-		if last >= first {
-			t.Errorf("%s: delay should fall with session length (%.2f → %.2f)",
-				series.Label, first, last)
+	short := mustLastAt(t, 100*time.Second, 3, 10, MetricDelayHours)
+	long := mustLastAt(t, 100000*time.Second, 3, 10, MetricDelayHours)
+	for pi := range short {
+		if long[pi] >= short[pi] {
+			t.Errorf("policy %d: delay should fall with session length (%.2f → %.2f)", pi, short[pi], long[pi])
 		}
 	}
 }
 
+// TestUserDegreeFigureShape: Fig. 9a's effect. With every friend allowed as
+// a replica (replication degree = user degree), the paper's three policies
+// reach the same availability at every user degree 1..10 that has users,
+// and availability grows from the lowest such degree to the highest.
 func TestUserDegreeFigureShape(t *testing.T) {
-	s := testSuite(t)
-	fig, err := s.Figure("fig9a")
-	if err != nil {
-		t.Fatalf("fig9a: %v", err)
-	}
-	if fig.ID != "fig9a" || len(fig.Series) != 3 {
-		t.Fatalf("figure meta: id=%s series=%d", fig.ID, len(fig.Series))
-	}
-	// Fig. 9a: with all friends allowed as replicas, every policy reaches
-	// the same (maximum) availability, and availability grows with degree.
-	for i := 1; i < len(fig.Series); i++ {
-		a, b := fig.Series[0], fig.Series[i]
-		for j := range a.Y {
-			if d := a.Y[j] - b.Y[j]; d > 0.02 || d < -0.02 {
-				t.Errorf("policies differ at degree %v: %.3f vs %.3f (all-friends budget should equalize)",
-					a.X[j], a.Y[j], b.Y[j])
+	var degrees []int
+	var points [][]float64
+	for d := 1; d <= 10; d++ {
+		at, err := lastAt(t, 0, d, d, MetricAvailability)
+		switch {
+		case errors.Is(err, ErrNoUsers):
+			continue // no user has this degree
+		case err != nil:
+			t.Fatalf("degree %d: %v", d, err)
+		}
+		if len(at) != 3 {
+			t.Fatalf("degree %d: %d policies, want the paper's 3", d, len(at))
+		}
+		for pi := 1; pi < len(at); pi++ {
+			if diff := at[0] - at[pi]; diff > 0.02 || diff < -0.02 {
+				t.Errorf("policies differ at degree %d: %.3f vs %.3f (an all-friends budget should equalize)", d, at[0], at[pi])
 			}
 		}
+		degrees, points = append(degrees, d), append(points, at)
 	}
-	for _, series := range fig.Series {
-		if series.Y[len(series.Y)-1] <= series.Y[0] {
-			t.Errorf("%s: availability should grow with user degree", series.Label)
+	if len(points) < 2 {
+		t.Fatalf("only user degrees %v have users", degrees)
+	}
+	low, high := points[0], points[len(points)-1]
+	for pi := range low {
+		if high[pi] <= low[pi] {
+			t.Errorf("policy %d: availability should grow with user degree (%.3f at %d → %.3f at %d)",
+				pi, low[pi], degrees[0], high[pi], degrees[len(degrees)-1])
 		}
 	}
 }
 
+// TestRunPanelRendersAndWrites: a sweep's MetricSeries is a degree panel
+// that renders as a chart and writes as a .dat file.
 func TestRunPanelRendersAndWrites(t *testing.T) {
-	s := testSuite(t)
-	fig, err := s.Figure("fig3a")
-	if err != nil {
-		t.Fatalf("fig3a: %v", err)
-	}
+	res := runSweep(t, testDataset(t), onlinetime.Sporadic{}, replica.ConRep)
+	fig := plot.Figure{ID: "fig3a", XLabel: "replication degree", YLabel: MetricAvailability.String(), Series: res.MetricSeries(MetricAvailability)}
 	var dat, txt bytes.Buffer
 	if err := fig.WriteDat(&dat); err != nil {
 		t.Fatalf("WriteDat: %v", err)

@@ -107,15 +107,15 @@ type ProtocolResult struct {
 	LostContacts     int
 }
 
-// protocolFields names the ProtocolResult fields that Series plots, by their
+// ProtocolFields names the ProtocolResult fields that Series plots, by their
 // x value.
-const protocolFields = "field (0=walls, 1=posts, 2=analytic worst h, 3=measured max h, " +
+const ProtocolFields = "field (0=walls, 1=posts, 2=analytic worst h, 3=measured max h, " +
 	"4=measured pair h, 5=observed pair h, 6=immediate, 7=analytic AoD-activity, " +
 	"8=measured AoD-time, 9=analytic AoD-time, 10=delivered, 11=exchanges, " +
 	"12=posts transferred, 13=lost contacts)"
 
 // Series plots every field of the result against its index (see
-// protocolFields) as one series with the given label.
+// ProtocolFields) as one series with the given label.
 func (r *ProtocolResult) Series(label string) plot.Series {
 	ys := []float64{
 		float64(r.Walls), float64(r.Posts),
@@ -124,7 +124,7 @@ func (r *ProtocolResult) Series(label string) plot.Series {
 		r.DeliveredFraction,
 		float64(r.Exchanges), float64(r.PostsTransferred), float64(r.LostContacts),
 	}
-	return plot.Series{Label: label, X: indices(len(ys)), Y: ys}
+	return plot.Categorical(label, ys...)
 }
 
 // RunProtocolValidation builds an OSN runtime for a sample of walls placed

@@ -1,0 +1,274 @@
+package harness
+
+import (
+	"errors"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"dosn/internal/core"
+	"dosn/internal/plot"
+)
+
+// figureBase is the base of the figure tests: small calibrated datasets and
+// the paper's sweep bounds, so that Fig. 9's degree-10 cell is Fig. 3a's.
+func figureBase() MatrixSpec {
+	return MatrixSpec{
+		Datasets:   []DatasetSpec{{Name: "facebook", Users: 600}, {Name: "twitter", Users: 600}},
+		MaxDegree:  10,
+		UserDegree: 10,
+		Repeats:    1,
+		RootSeed:   5,
+	}
+}
+
+// figureByID returns the entry of the door over base with the given ID.
+func figureByID(t *testing.T, base MatrixSpec, id string) figure {
+	t.Helper()
+	for _, f := range figures(base.fill()) {
+		if f.id == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %s", id)
+	return figure{}
+}
+
+func TestStandardPanelsCoverPaperFigures(t *testing.T) {
+	byFig := map[string]int{}
+	seen := map[string]bool{}
+	for _, f := range figures(figureBase().fill()) {
+		byFig[strings.TrimRight(f.id, "abcd")]++
+		if seen[f.id] {
+			t.Errorf("duplicate panel id %s", f.id)
+		}
+		seen[f.id] = true
+		if f.xs != nil && len(f.xs) != len(f.cells) {
+			t.Errorf("panel %s has %d x values for %d cells", f.id, len(f.xs), len(f.cells))
+		}
+		if f.logX != strings.HasPrefix(f.id, "fig8") { // only Fig. 8's session axis is log-spaced
+			t.Errorf("panel %s has logX %v", f.id, f.logX)
+		}
+		for _, j := range f.cells {
+			if len(j.spec.Cells()) != 1 || j.spec.Validate() != nil {
+				t.Errorf("panel %s reads a cell of a spec that is not one valid cell: %+v", f.id, j.spec)
+			}
+		}
+	}
+	want := map[string]int{"fig3": 4, "fig4": 2, "fig5": 4, "fig6": 4, "fig7": 4, "fig8": 4, "fig9": 2, "fig10": 4, "fig11": 4}
+	for fig, n := range want {
+		if byFig[fig] != n {
+			t.Errorf("figure %s has %d panels, want %d", fig, byFig[fig], n)
+		}
+	}
+}
+
+// TestFiguresRunEachSweepOnce: rendering every figure in one Figures call
+// runs each distinct harness cell once — counted by the cells the loop
+// started — and gives exactly what one Figures call per ID gives. Fig. 9's
+// degree-10 cell is Fig. 3a's, and A1 reads a cell of its own. Not
+// parallel: it reads a process-wide counter.
+func TestFiguresRunEachSweepOnce(t *testing.T) {
+	base := figureBase()
+	ids := FigureIDs()
+	distinct := map[string]bool{}
+	for _, f := range figures(base.fill()) {
+		for _, j := range f.cells {
+			distinct[j.key()] = true
+		}
+	}
+	// 10 degree-panel cells (Fig. 3's four models, Fig. 4's two UnconRep
+	// ones, Fig. 10's four; Figs. 5–7 and 11 read the same cells), Fig. 8's
+	// seven session lengths, A1's one, and Fig. 9's user degrees 1..9.
+	if want := 10 + 7 + 1 + 9; len(distinct) != want {
+		t.Fatalf("%d distinct cells, want %d", len(distinct), want)
+	}
+	fig9 := figureByID(t, base, "fig9a").cells
+	if fig9[len(fig9)-1].key() != figureByID(t, base, "fig3a").cells[0].key() {
+		t.Error("Fig. 9's degree-10 cell is not Fig. 3a's")
+	}
+
+	before := obsCellsStarted.Value()
+	_, all, err := runFigures(base, ids, 2)
+	if err != nil {
+		t.Fatalf("Figures: %v", err)
+	}
+	if got := obsCellsStarted.Value() - before; got != int64(len(distinct)) {
+		t.Errorf("Figures ran %d cells, want %d (each distinct cell once)", got, len(distinct))
+	}
+	for i, id := range ids {
+		_, figs, err := runFigures(base, []string{id}, 1)
+		if err != nil {
+			t.Fatalf("Figures(%s): %v", id, err)
+		}
+		if !reflect.DeepEqual(figs[0], all[i]) {
+			t.Errorf("%s: rendered alone and among all differently", id)
+		}
+	}
+}
+
+// TestFiguresAreManifestViews: a sweep figure's series is, bit for bit, the
+// matching cell of harness.Run on that cell's spec run alone — a Fig. 4
+// UnconRep panel, two Fig. 8 session lengths, one Fig. 9 user degree and
+// A1.
+func TestFiguresAreManifestViews(t *testing.T) {
+	base := figureBase()
+	// At max degree 6, Fig. 9's degree-6 cell and Fig. 3a's differ only in
+	// the user degree, so a door that keyed cells without it would read one
+	// for the other.
+	base.MaxDegree = 6
+	fb := base.Datasets[0]
+	spec := func(m ModelSpec, mode string, maxDegree, userDegree int, policies ...string) MatrixSpec {
+		return MatrixSpec{
+			Datasets: []DatasetSpec{fb}, Models: []ModelSpec{m}, Modes: []string{mode}, Policies: policies,
+			MaxDegree: maxDegree, UserDegree: userDegree, Repeats: base.Repeats, RootSeed: base.RootSeed,
+		}
+	}
+	cell := func(s MatrixSpec) CellResult {
+		t.Helper()
+		m, err := Run(s, RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return m.Cells[0]
+	}
+	ids := []string{"fig3a", "fig4b", "fig8a", "fig8d", "fig9b", "ablation-objective-avail", "ablation-objective-aodact"}
+	figs, err := Figures(base, ids)
+	if err != nil {
+		t.Fatalf("Figures: %v", err)
+	}
+	byID := map[string]plot.Figure{}
+	for _, f := range figs {
+		byID[f.ID] = f
+	}
+	// y returns one policy's values of a metric in a cell.
+	y := func(c CellResult, metric string, pi int) []float64 { return c.Metrics[metric][pi] }
+	// last returns the value at a cell's largest degree.
+	last := func(c CellResult, metric string, pi int) float64 { return c.Metrics[metric][pi][len(c.Degrees)-1] }
+
+	unconrep := cell(spec(FixedLength(8), "UnconRep", base.MaxDegree, base.UserDegree))
+	for pi, s := range byID["fig4b"].Series {
+		if !slices.Equal(s.Y, y(unconrep, "availability", pi)) {
+			t.Errorf("fig4b %s = %v, manifest %v", s.Label, s.Y, y(unconrep, "availability", pi))
+		}
+	}
+	for k, sec := range map[int]int{0: 100, 4: 10000} {
+		c := cell(spec(ModelSpec{Kind: "sporadic", SessionSeconds: sec}, "ConRep", 3, base.UserDegree))
+		for _, fm := range []struct{ id, metric string }{{"fig8a", "availability"}, {"fig8d", "delay_hours"}} {
+			for pi, s := range byID[fm.id].Series {
+				if s.X[k] != float64(sec) || s.Y[k] != last(c, fm.metric, pi) {
+					t.Errorf("%s %s at %g s = %v, manifest %v", fm.id, s.Label, s.X[k], s.Y[k], last(c, fm.metric, pi))
+				}
+			}
+		}
+	}
+	deg6 := cell(spec(Sporadic(), "ConRep", 6, 6))
+	for pi, s := range byID["fig9b"].Series {
+		i := slices.Index(s.X, 6)
+		if i < 0 || s.Y[i] != last(deg6, "delay_hours", pi) {
+			t.Errorf("fig9b %s at degree 6 = %v, manifest %v", s.Label, s.Y, last(deg6, "delay_hours", pi))
+		}
+	}
+	a1 := cell(spec(Sporadic(), "ConRep", 5, base.UserDegree, "MaxAv", "MaxAv(activity)", "Random"))
+	for _, fm := range []struct{ id, metric string }{{"ablation-objective-avail", "availability"}, {"ablation-objective-aodact", "aod_activity"}} {
+		for pi, s := range byID[fm.id].Series {
+			if s.Label != a1.Policies[pi] || !slices.Equal(s.Y, y(a1, fm.metric, pi)) {
+				t.Errorf("%s %s = %v, manifest %s %v", fm.id, s.Label, s.Y, a1.Policies[pi], y(a1, fm.metric, pi))
+			}
+		}
+	}
+}
+
+func TestFigureIDsResolve(t *testing.T) {
+	ids := FigureIDs()
+	if len(ids) != 40 {
+		t.Fatalf("the door lists %d figures, want 40", len(ids))
+	}
+	// One panel ID per figure family keeps the test fast.
+	probe := []string{"fig2", "fig3a", "fig4b", "fig5c", "fig7d", "fig8a", "fig9a", "fig10a", "fig11b", "ablation-churn"}
+	figs, err := Figures(figureBase(), probe)
+	if err != nil {
+		t.Fatalf("Figures: %v", err)
+	}
+	for i, id := range probe {
+		if figs[i].ID != id || len(figs[i].Series) == 0 {
+			t.Errorf("Figures(%s) = %q with %d series", id, figs[i].ID, len(figs[i].Series))
+		}
+		if figs[i].LogX != (id == "fig8a") {
+			t.Errorf("Figures(%s) has LogX %v", id, figs[i].LogX)
+		}
+	}
+	// Figs. 8 and 9 plot one series per policy of the paper's three.
+	for _, i := range []int{5, 6} {
+		if len(figs[i].Series) != 3 {
+			t.Errorf("%s has %d series, want 3", probe[i], len(figs[i].Series))
+		}
+	}
+}
+
+func TestUnknownFigure(t *testing.T) {
+	_, err := Figures(figureBase(), []string{"fig99"})
+	if err == nil {
+		t.Fatal("unknown figure must error")
+	}
+	// The error lists the valid IDs, experiments included.
+	for _, id := range []string{"fig2", "fig11d", "ablation-churn", "experiment-protocol", "experiment-arch"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-figure error %q does not list %q", err, id)
+		}
+	}
+}
+
+// TestFiguresMissingDataset: a figure over a dataset the base does not
+// list fails, and so does a base with no user degree for Fig. 9 to sweep.
+func TestFiguresMissingDataset(t *testing.T) {
+	base := figureBase()
+	base.Datasets = base.Datasets[:1] // no twitter
+	for _, id := range []string{"fig10a", "fig2"} {
+		if _, err := Figures(base, []string{id}); err == nil {
+			t.Errorf("%s: missing dataset must error", id)
+		}
+	}
+	base.Datasets = nil
+	for _, id := range []string{"ablation-history", "experiment-arch"} {
+		if _, err := Figures(base, []string{id}); err == nil || !strings.Contains(err.Error(), "no facebook dataset") {
+			t.Errorf("%s without a dataset: err = %v", id, err)
+		}
+	}
+	base = figureBase()
+	base.UserDegree = 0
+	if _, err := Figures(base, []string{"fig9a"}); err == nil {
+		t.Error("a base with user degree 0 must error")
+	}
+	// A user degree no user has leaves Fig. 3 without a population.
+	base.UserDegree = 500
+	if _, err := Figures(base, []string{"fig3a"}); !errors.Is(err, core.ErrNoUsers) {
+		t.Errorf("fig3a at user degree 500: err = %v, want ErrNoUsers", err)
+	}
+}
+
+func TestDegreeDistributionFigure(t *testing.T) {
+	base := figureBase()
+	figs, err := Figures(base, []string{"fig2"})
+	if err != nil {
+		t.Fatalf("fig2: %v", err)
+	}
+	if len(figs[0].Series) != 2 {
+		t.Fatalf("series = %d, want 2", len(figs[0].Series))
+	}
+	shared := newCaches(nil)
+	for i, series := range figs[0].Series {
+		ds, _, err := shared.dataset(base.Datasets[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0.0
+		for _, y := range series.Y {
+			total += y
+		}
+		if int(total) != ds.NumUsers() {
+			t.Errorf("%s histogram sums to %v, want its %d users", series.Label, total, ds.NumUsers())
+		}
+	}
+}

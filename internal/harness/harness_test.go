@@ -154,7 +154,7 @@ func TestClaimOrderSpreadsFirstBuilds(t *testing.T) {
 		{"paper", PaperMatrix(100), roundRobin(cat(seq(0, 12, 2), seq(1, 12, 2)), cat(seq(12, 24, 2), seq(13, 24, 2)))},
 	} {
 		cells := tc.spec.Cells()
-		order := claimOrder(cells)
+		order := claimOrder(tc.spec.jobs())
 		if !slices.Equal(order, tc.want) {
 			t.Errorf("%s: claim order %v, want %v", tc.name, order, tc.want)
 		}

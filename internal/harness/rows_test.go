@@ -122,7 +122,7 @@ func sweepCell(t *testing.T, spec MatrixSpec, cell CellSpec, e entryTables, tabl
 func TestRowSetPoisonedRowsNeverRead(t *testing.T) {
 	spec := rowSetSpec()
 	cells := spec.Cells()
-	c := newCaches(cells)
+	c := newCaches(spec.jobs())
 	datasets := map[string]*trace.Dataset{}
 	sensed := map[string]bool{}
 	for _, cell := range cells {
@@ -172,7 +172,7 @@ func TestRowSetEveryRowWhenDHTSharesEntry(t *testing.T) {
 	friendOnly.Architectures = nil
 	datasets := map[string]*trace.Dataset{}
 	cells := spec.Cells()
-	c := newCaches(cells)
+	c := newCaches(spec.jobs())
 	for _, cell := range cells {
 		if !cell.isFriend() {
 			continue
@@ -187,7 +187,7 @@ func TestRowSetEveryRowWhenDHTSharesEntry(t *testing.T) {
 				t.Errorf("%s rep %d: table differs from the full build", cell.Key(), rep)
 			}
 		}
-		fo := cachedEntry(t, friendOnly, newCaches(friendOnly.Cells()), cell, datasets)
+		fo := cachedEntry(t, friendOnly, newCaches(friendOnly.jobs()), cell, datasets)
 		if fo.rows == nil || len(fo.rows) >= e.ds.NumUsers() {
 			t.Errorf("%s: without the DHT axis the entry fills %d of %d rows, want the analysis closure", cell.Key(), len(fo.rows), e.ds.NumUsers())
 		}
@@ -206,7 +206,7 @@ func TestSeedIndependentEntryAliasesRepetitions(t *testing.T) {
 	cells := spec.Cells()
 	datasets := map[string]*trace.Dataset{}
 	for _, cell := range []CellSpec{cells[0], cells[2]} { // Sporadic, FixedLength(2h)
-		e := cachedEntry(t, spec, newCaches(cells), cell, datasets)
+		e := cachedEntry(t, spec, newCaches(spec.jobs()), cell, datasets)
 		fixed := cell.Model.Kind == "fixed"
 		if fixed != onlinetime.SeedIndependent(e.model, e.ds, e.rows, 1) {
 			t.Fatalf("%s: SeedIndependent over the entry's rows = %v", cell.Key(), !fixed)
@@ -216,7 +216,7 @@ func TestSeedIndependentEntryAliasesRepetitions(t *testing.T) {
 		}
 		if fixed {
 			withHarnessFaults(t, "harness.schedule-build=error(3)")
-			_, _, _, err := newCaches(cells).schedulesFor(spec, cell, e.ds, e.model, 1)
+			_, _, _, err := newCaches(spec.jobs()).schedulesFor(spec, cell, e.ds, e.model, 1)
 			if inj, ok := fault.AsInjected(err); !ok || inj.Hit != 3 {
 				t.Errorf("%s: build error %v, want the schedule-build fault at hit 3 (the third, aliased repetition)", cell.Key(), err)
 			}

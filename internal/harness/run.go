@@ -152,31 +152,34 @@ type caches struct {
 	everyRow map[string]bool
 }
 
-// newCaches returns the empty caches of a run over the given cells.
-func newCaches(cells []CellSpec) *caches {
+// newCaches returns the empty caches of a run of the given jobs.
+func newCaches(jobs []job) *caches {
 	c := &caches{
 		datasets:  make(map[string]*lazy[*trace.Dataset]),
 		schedules: make(map[string]*schedEntry),
 		rings:     make(map[string]*lazy[*dht.Ring]),
 		everyRow:  make(map[string]bool),
 	}
-	for _, cell := range cells {
-		if !cell.isFriend() {
-			c.everyRow[cell.scheduleKey()] = true
+	for _, j := range jobs {
+		if !j.cell.isFriend() {
+			c.everyRow[j.cell.scheduleKey()] = true
 		}
 	}
 	return c
 }
 
-func (c *caches) datasetEntry(key string) *lazy[*trace.Dataset] {
+// dataset synthesizes (or fetches) the dataset d describes, once per run
+// however many cells and figures read it. built reports whether this call
+// synthesized it.
+func (c *caches) dataset(d DatasetSpec) (ds *trace.Dataset, built bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.datasets[key]
+	e, ok := c.datasets[d.key()]
 	if !ok {
 		e = &lazy[*trace.Dataset]{}
-		c.datasets[key] = e
+		c.datasets[d.key()] = e
 	}
-	return e
+	c.mu.Unlock()
+	return e.get(func() (*trace.Dataset, error) { return buildDataset(d) })
 }
 
 // ringFor computes (or fetches) the ring shared by every DHT cell over the
@@ -249,7 +252,7 @@ func (c *caches) scheduleRows(key string, userDegree int, ds *trace.Dataset) ([]
 // spec-derived expectedScheduleHits: under resume the measured count shifts
 // (restored cells never ask) while the manifest bytes must not.
 func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit, built bool, err error) {
-	entry := c.scheduleEntry(cell.scheduleKey())
+	entry := c.scheduleEntry(job{spec: spec, cell: cell}.entryKey())
 	me := int64(cell.Index) + 1
 	if !entry.firstCell.CompareAndSwap(0, me) && entry.firstCell.Load() != me {
 		hit = true
@@ -278,29 +281,29 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 	return tables, hit, built, err
 }
 
-// claimOrder is the order in which workers claim cells. Each dataset gets a
-// list: first every cell that is the first to need its (dataset, model)
-// schedule entry, then the dataset's other cells, each group in index order.
-// Workers take the lists round-robin, datasets in spec order: every
-// dataset's first cell, then every dataset's second, and so on. Cells()
-// enumerates dataset → model → mode, so claiming by index hands two workers
-// the two modes of one model and the second idles on the first one's
-// schedule build, and claiming one dataset at a time idles the second worker
-// through each dataset's single-stream synthesis. This order synthesizes the
-// datasets side by side, then starts their builds side by side, and leaves
-// the reusers to find their entries built.
-func claimOrder(cells []CellSpec) []int {
+// claimOrder is the order in which workers claim jobs. Each dataset gets a
+// list: first every job that is the first to need its schedule entry, then
+// the dataset's other jobs, each group in index order. Workers take the
+// lists round-robin, datasets in spec order: every dataset's first job,
+// then every dataset's second, and so on. Cells() enumerates dataset →
+// model → mode, so claiming by index hands two workers the two modes of one
+// model and the second idles on the first one's schedule build, and
+// claiming one dataset at a time idles the second worker through each
+// dataset's single-stream synthesis. This order synthesizes the datasets
+// side by side, then starts their builds side by side, and leaves the
+// reusers to find their entries built.
+func claimOrder(jobs []job) []int {
 	var lists, reusers [][]int
 	pos := make(map[string]int)
 	seen := make(map[string]bool)
-	for i, c := range cells {
-		d, ok := pos[c.Dataset.key()]
+	for i, j := range jobs {
+		d, ok := pos[j.cell.Dataset.key()]
 		if !ok {
 			d = len(lists)
-			pos[c.Dataset.key()] = d
+			pos[j.cell.Dataset.key()] = d
 			lists, reusers = append(lists, nil), append(reusers, nil)
 		}
-		if k := c.scheduleKey(); seen[k] {
+		if k := j.entryKey(); seen[k] {
 			reusers[d] = append(reusers[d], i)
 		} else {
 			seen[k] = true
@@ -310,8 +313,8 @@ func claimOrder(cells []CellSpec) []int {
 	for d := range lists {
 		lists[d] = append(lists[d], reusers[d]...)
 	}
-	order := make([]int, 0, len(cells))
-	for k := 0; len(order) < len(cells); k++ {
+	order := make([]int, 0, len(jobs))
+	for k := 0; len(order) < len(jobs); k++ {
 		for _, l := range lists {
 			if k < len(l) {
 				order = append(order, l[k])
@@ -319,6 +322,39 @@ func claimOrder(cells []CellSpec) []int {
 		}
 	}
 	return order
+}
+
+// job is one cell of one spec: the unit the cell loop claims and runs.
+// Run's jobs share its spec; the figure door's come from one-cell specs.
+type job struct {
+	spec     MatrixSpec
+	cell     CellSpec
+	policies []replica.Policy
+}
+
+// entryKey names the job's schedule-cache entry. Cells over one (dataset,
+// model) share it, whatever their mode or architecture, when their specs
+// agree on what the tables hold: the rows (UserDegree), the table count
+// (Repeats) and the seeds (RootSeed). Within one spec it is scheduleKey.
+func (j job) entryKey() string {
+	return fmt.Sprintf("%s|%d|%d|%d", j.cell.scheduleKey(), j.spec.UserDegree, j.spec.Repeats, j.spec.RootSeed)
+}
+
+// jobs returns the jobs of a filled, validated spec: its cells, each with
+// the spec's policies.
+func (s MatrixSpec) jobs() []job {
+	policies := make([]replica.Policy, 0, len(s.Policies))
+	for _, name := range s.Policies {
+		if p, err := policyByName(name); err == nil { // Validate reports a bad name
+			policies = append(policies, p)
+		}
+	}
+	cells := s.Cells()
+	out := make([]job, len(cells))
+	for i, c := range cells {
+		out[i] = job{spec: s, cell: c, policies: policies}
+	}
+	return out
 }
 
 // Run executes every cell of the matrix and returns the assembled manifest.
@@ -329,26 +365,12 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cells := spec.Cells()
-	if len(cells) == 0 {
+	jobs := spec.jobs()
+	if len(jobs) == 0 {
 		return nil, fmt.Errorf("harness: spec enumerates no cells")
 	}
-	opts = opts.fill(len(cells))
-
-	policies := make([]replica.Policy, len(spec.Policies))
-	for i, name := range spec.Policies {
-		p, err := policyByName(name)
-		if err != nil {
-			return nil, err
-		}
-		policies[i] = p
-	}
-
-	opts.Telemetry.SetTotalCells(len(cells))
-	opts.Telemetry.SetWorkers(opts.Workers)
-	shared := newCaches(cells)
-	results := make([]CellResult, len(cells))
-	errs := make([]error, len(cells))
+	opts = opts.fill(len(jobs))
+	cells := spec.Cells()
 	var cp *checkpoint
 	restored := map[int]CellResult{}
 	if opts.CheckpointPath != "" {
@@ -359,52 +381,9 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 		}
 		defer cp.Close()
 	}
-	var mu sync.Mutex // serializes Progress callbacks
-	done := 0
-	progress := func(cell CellSpec, elapsed time.Duration) {
-		mu.Lock()
-		defer mu.Unlock() // a panicking callback must not strand the other workers
-		done++
-		opts.Progress(done, len(cells), cell, elapsed)
-	}
-	// A cell's failure lands in errs and never stops its siblings, so the
-	// body returns no error; Chunks fails only on a panic outside the cell
-	// boundary (a Progress callback's, say).
-	order := claimOrder(cells)
-	var workers atomic.Int64
-	err := fault.Chunks(len(order), 1, opts.Workers, func(next func() (lo, hi int, ok bool)) error {
-		w := int(workers.Add(1) - 1)
-		for {
-			k, _, ok := next()
-			if !ok {
-				return nil
-			}
-			i := order[k]
-			//dosn:wallclock elapsed feeds only the Progress callback; results never read it
-			start := time.Now()
-			if res, ok := restored[i]; ok {
-				// Checkpoint restore: the journaled result is the same pure
-				// function of (spec, seed) a recompute would produce, so
-				// slotting it in preserves manifest bytes.
-				obsCellsResumed.Inc()
-				results[i] = res
-			} else {
-				obsCellsStarted.Inc()
-				co := opts.Telemetry.StartCell(cells[i].Key(), w)
-				results[i], errs[i] = runCellGuarded(spec, cells[i], policies, opts, shared, co)
-				co.Done()
-				obsCellsDone.Inc()
-				if errs[i] == nil && cp != nil {
-					errs[i] = cp.append(i, cells[i].canonicalKey(), results[i])
-				}
-			}
-			if opts.Progress != nil {
-				progress(cells[i], time.Since(start))
-			}
-		}
-	})
+	results, errs, err := runJobs(jobs, opts, newCaches(jobs), restored, cp)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+		return nil, err
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -417,6 +396,63 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 		ScheduleCacheHits: expectedScheduleHits(cells),
 		Cells:             results,
 	}, nil
+}
+
+// runJobs is the cell loop: workers claim the jobs in claimOrder and run
+// each over the shared caches (a restored job takes its journaled result; cp,
+// when set, journals the rest). A job's failure lands in errs and never stops
+// its siblings; the error return is a panic outside the cell boundary.
+func runJobs(jobs []job, opts RunOptions, shared *caches, restored map[int]CellResult, cp *checkpoint) ([]CellResult, []error, error) {
+	opts.Telemetry.SetTotalCells(len(jobs))
+	opts.Telemetry.SetWorkers(opts.Workers)
+	results := make([]CellResult, len(jobs))
+	errs := make([]error, len(jobs))
+	var mu sync.Mutex // serializes Progress callbacks
+	done := 0
+	progress := func(cell CellSpec, elapsed time.Duration) {
+		mu.Lock()
+		defer mu.Unlock() // a panicking callback must not strand the other workers
+		done++
+		opts.Progress(done, len(jobs), cell, elapsed)
+	}
+	order := claimOrder(jobs)
+	var workers atomic.Int64
+	err := fault.Chunks(len(order), 1, opts.Workers, func(next func() (lo, hi int, ok bool)) error {
+		w := int(workers.Add(1) - 1)
+		for {
+			k, _, ok := next()
+			if !ok {
+				return nil
+			}
+			i := order[k]
+			j := jobs[i]
+			//dosn:wallclock elapsed feeds only the Progress callback; results never read it
+			start := time.Now()
+			if res, ok := restored[i]; ok {
+				// Checkpoint restore: the journaled result is the same pure
+				// function of (spec, seed) a recompute would produce, so
+				// slotting it in preserves manifest bytes.
+				obsCellsResumed.Inc()
+				results[i] = res
+			} else {
+				obsCellsStarted.Inc()
+				co := opts.Telemetry.StartCell(j.cell.Key(), w)
+				results[i], errs[i] = runCellGuarded(j.spec, j.cell, j.policies, opts, shared, co)
+				co.Done()
+				obsCellsDone.Inc()
+				if errs[i] == nil && cp != nil {
+					errs[i] = cp.append(i, j.cell.canonicalKey(), results[i])
+				}
+			}
+			if opts.Progress != nil {
+				progress(j.cell, time.Since(start))
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("harness: %w", err)
+	}
+	return results, errs, nil
 }
 
 // expectedScheduleHits is the manifest's ScheduleCacheHits: cells minus
@@ -527,9 +563,7 @@ func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy,
 // books cache-wait instead.
 func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
 	cacheDone := co.CachePhase("synthesize")
-	ds, built, err := shared.datasetEntry(cell.Dataset.key()).get(func() (*trace.Dataset, error) {
-		return buildDataset(cell.Dataset)
-	})
+	ds, built, err := shared.dataset(cell.Dataset)
 	cacheDone(built)
 	if err != nil {
 		return CellResult{}, err

@@ -20,6 +20,9 @@
 // FixedLength when every filled row has an activity center), the entry
 // builds one table and hands it to every repetition, and core.Run sweeps
 // its RNG-free policies over it once. Neither changes a manifest byte.
+//
+// Figures renders the paper's figures as views of cells on the same loop, so
+// a figure point is the number a manifest reports for that cell.
 package harness
 
 import (

@@ -18,6 +18,16 @@ type Series struct {
 	Y     []float64
 }
 
+// Categorical returns a series over a categorical axis: value i is
+// plotted at x = i.
+func Categorical(label string, ys ...float64) Series {
+	xs := make([]float64, len(ys))
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	return Series{Label: label, X: xs, Y: ys}
+}
+
 // Figure is a reproducible plot: an identifier matching the paper's figure
 // numbering, axis labels, and one or more series.
 type Figure struct {

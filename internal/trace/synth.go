@@ -33,13 +33,16 @@ var faultSynthesize = fault.NewSite("trace.synthesize")
 // calling goroutine still ends as the cell's error.
 var faultSynthesizePass = fault.NewSite("trace.synthesize-pass")
 
-// Paper-reported sizes of the filtered traces; used by the "paper" scale.
+// Paper-reported sizes of the filtered traces. The "paper" scale
+// synthesizes this many users and then applies the activity filter, so
+// fewer remain: 12,952 Facebook and 12,303 Twitter users at the default
+// seeds.
 const (
-	// PaperFacebookUsers is the filtered New Orleans trace size (13,884
-	// users, average degree 41, ~50 wall posts per user).
+	// PaperFacebookUsers is the paper's filtered New Orleans trace size
+	// (13,884 users, average degree 41, ~50 wall posts per user).
 	PaperFacebookUsers = 13884
-	// PaperTwitterUsers is the filtered Twitter trace size (14,933 users,
-	// average follower degree 76).
+	// PaperTwitterUsers is the paper's filtered Twitter trace size (14,933
+	// users, average follower degree 76).
 	PaperTwitterUsers = 14933
 )
 
