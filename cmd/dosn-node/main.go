@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"dosn/internal/fault"
 	"dosn/internal/feed"
 	"dosn/internal/obs"
 	"dosn/internal/store"
@@ -77,6 +78,13 @@ func run() error {
 	flag.Parse()
 	if *id < 0 {
 		return fmt.Errorf("-id is required")
+	}
+	// Failpoints (wire.read, wire.write, store.save, ...) arm only when the
+	// environment asks; otherwise each site costs one atomic load.
+	if on, err := fault.EnableFromEnv(os.Getenv(fault.EnvVar)); err != nil {
+		return fmt.Errorf("%s: %w", fault.EnvVar, err)
+	} else if on {
+		fmt.Fprintf(os.Stderr, "dosn-node: fault injection armed from %s\n", fault.EnvVar)
 	}
 	if *debugAddr != "" {
 		dbg, err := obs.ServeDebug(*debugAddr)

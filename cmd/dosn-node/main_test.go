@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"dosn/internal/fault"
+	"dosn/internal/obs"
 	"dosn/internal/store"
 )
 
@@ -78,5 +81,45 @@ func TestSaveStateLeavesNoTempFileOnFailure(t *testing.T) {
 	}
 	if ps, err := back.Posts(1); err != nil || len(ps) != 1 || ps[0].Body != "hello" {
 		t.Errorf("restored wall 1 = %v (%v)", ps, err)
+	}
+}
+
+// A save that fails at its start (failpoint store.save) reports the error
+// and leaves the previous state file byte for byte, with no temp file.
+func TestSaveStateFaultKeepsPreviousState(t *testing.T) {
+	st := store.New(1)
+	if err := authorPosts(st, "1:first", 5); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := saveState(path, st); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := authorPosts(st, "1:second", 6); err != nil {
+		t.Fatal(err)
+	}
+	fired := obs.C("fault.fired.store.save")
+	n := fired.Value()
+	if err := fault.Enable("store.save=error(1)"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	if err := saveState(path, st); err == nil {
+		t.Fatal("save succeeded through an injected fault")
+	} else if _, ok := fault.AsInjected(err); !ok {
+		t.Fatalf("save failed with %v, want the injected fault", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the state file changed (read: %v)", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed save left its temp file behind (stat: %v)", err)
+	}
+	if got := fired.Value() - n; got != 1 {
+		t.Errorf("fault.fired.store.save advanced by %d, want 1", got)
 	}
 }

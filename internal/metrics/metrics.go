@@ -411,13 +411,13 @@ func Gini(load []int) float64 {
 	var total, weighted float64
 	for i, l := range sorted {
 		total += float64(l)
-		weighted += float64(i+1) * float64(l)
+		weighted += float64(float64(i+1) * float64(l)) // rounded: no fused multiply-add
 	}
 	if total == 0 {
 		return 0
 	}
 	n := float64(len(sorted))
-	return (2*weighted - (n+1)*total) / (n * total)
+	return (2*weighted - float64((n+1)*total)) / (n * total) // rounded: no fused multiply-subtract
 }
 
 // RoutingStats summarizes the hop counts of a batch of DHT lookups — the
@@ -466,7 +466,7 @@ func LoadImbalance(load []int) (mean, max float64, cv float64) {
 	var ss float64
 	for _, l := range load {
 		d := float64(l) - mean
-		ss += d * d
+		ss += float64(d * d) // rounded: no fused multiply-add
 	}
 	std := math.Sqrt(ss / float64(len(load)))
 	if mean > 0 {

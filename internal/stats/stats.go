@@ -62,7 +62,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean)) // rounded: no fused multiply-add
 }
 
 // N returns the number of samples.

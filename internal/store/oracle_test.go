@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -86,6 +87,14 @@ func saveEncodingJSON(s *Store, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(snap)
+}
+
+// decodeEncodingJSON is Load's decode as it was: encoding/json's Decoder
+// over a buffered reader. Load must decode what it decodes.
+func decodeEncodingJSON(r io.Reader) (snapshot, error) {
+	var snap snapshot
+	err := json.NewDecoder(bufio.NewReader(r)).Decode(&snap)
+	return snap, err
 }
 
 // hostile are the pieces random strings are assembled from: what

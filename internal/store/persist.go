@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
+
+	"dosn/internal/fault"
+	"dosn/internal/jsonx"
 )
 
 // snapshot is the serialized form of a Store, as Load parses it.
@@ -24,6 +26,9 @@ type wallSnapshot struct {
 	AuthorSeq uint64 `json:"authorSeq"`
 }
 
+// saveSite is the failpoint at the start of Save (see internal/fault).
+var saveSite = fault.NewSite("store.save")
+
 // snapshotChunk is the size of the one buffer Save encodes into and of the
 // writes it makes, the last excepted.
 const snapshotChunk = 64 << 10
@@ -34,10 +39,13 @@ const snapshotChunk = 64 << 10
 // snapshot type, so equal stores save to equal bytes. The store is
 // read-locked until w has taken the last chunk.
 func (s *Store) Save(w io.Writer) error {
+	if err := saveSite.Inject(); err != nil {
+		return fmt.Errorf("store save: %w", err)
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	bw := bufio.NewWriterSize(w, snapshotChunk)
-	e := snapshotEncoder{w: bw, buf: bw.AvailableBuffer()}
+	e := snapshotEncoder{Encoder: jsonx.Encoder{Buf: bw.AvailableBuffer()}, w: bw}
 	err := e.store(s)
 	if err == nil {
 		err = bw.Flush()
@@ -52,96 +60,64 @@ func (s *Store) Save(w io.Writer) error {
 // buffer — the append-then-Write use AvailableBuffer exists for — so what
 // fits is encoded in place and never copied.
 type snapshotEncoder struct {
-	w   *bufio.Writer
-	buf []byte // w's free space, holding what was appended since the last commit
+	jsonx.Encoder // Buf is w's free space, holding what was appended since the last commit
+	w             *bufio.Writer
 }
 
 // commit hands what was appended to w. It is due after every post and
 // field, the pieces whose length the data decides: one that outgrew the free
 // space was appended to a copy, which w takes chunk by chunk.
 func (e *snapshotEncoder) commit() error {
-	_, err := e.w.Write(e.buf)
-	e.buf = e.w.AvailableBuffer()
+	_, err := e.w.Write(e.Buf)
+	e.Buf = e.w.AvailableBuffer()
 	return err
-}
-
-func (e *snapshotEncoder) lit(s string) { e.buf = append(e.buf, s...) }
-func (e *snapshotEncoder) i64(v int64)  { e.buf = strconv.AppendInt(e.buf, v, 10) }
-func (e *snapshotEncoder) u64(v uint64) { e.buf = strconv.AppendUint(e.buf, v, 10) }
-
-// plainASCII marks the bytes encoding/json copies into a string literal
-// unchanged under every setting: printable ASCII except the JSON and HTML
-// metacharacters.
-var plainASCII = func() (t [256]bool) {
-	for c := 0x20; c < 0x7f; c++ {
-		t[c] = true
-	}
-	for _, c := range []byte(`"\<>&`) {
-		t[c] = false
-	}
-	return t
-}()
-
-// str appends s as a JSON string. A string of plain bytes is quoted here;
-// any other goes through encoding/json, so escaping is its escaping.
-func (e *snapshotEncoder) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if !plainASCII[s[i]] {
-			q, _ := json.Marshal(s) // a string always marshals
-			e.buf = append(e.buf, q...)
-			return
-		}
-	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
 }
 
 // store appends the whole snapshot; the caller holds s.mu.
 func (e *snapshotEncoder) store(s *Store) error {
-	e.lit("{\n \"node\": ")
-	e.i64(int64(s.node))
+	e.Lit("{\n \"node\": ")
+	e.Int(int64(s.node))
 	owners := s.wallsLocked()
 	if len(owners) == 0 {
-		e.lit(",\n \"walls\": null")
+		e.Lit(",\n \"walls\": null")
 	} else {
-		e.lit(",\n \"walls\": [")
+		e.Lit(",\n \"walls\": [")
 		for i, owner := range owners {
 			if i > 0 {
-				e.lit(",")
+				e.Lit(",")
 			}
 			if err := e.wall(s.walls[owner], s.authorSeq[owner]); err != nil {
 				return err
 			}
 		}
-		e.lit("\n ]")
+		e.Lit("\n ]")
 	}
-	e.lit("\n}\n")
+	e.Lit("\n}\n")
 	return e.commit()
 }
 
 func (e *snapshotEncoder) wall(w *Wall, authorSeq uint64) error {
-	e.lit("\n  {\n   \"owner\": ")
-	e.i64(int64(w.Owner))
+	e.Lit("\n  {\n   \"owner\": ")
+	e.Int(int64(w.Owner))
 	if len(w.timeline) == 0 {
-		e.lit(",\n   \"posts\": []")
+		e.Lit(",\n   \"posts\": []")
 	} else {
-		e.lit(",\n   \"posts\": [")
+		e.Lit(",\n   \"posts\": [")
 		for i := range w.timeline {
 			if i > 0 {
-				e.lit(",")
+				e.Lit(",")
 			}
 			e.post(&w.timeline[i])
 			if err := e.commit(); err != nil {
 				return err
 			}
 		}
-		e.lit("\n   ]")
+		e.Lit("\n   ]")
 	}
 	if len(w.fields) == 0 {
-		e.lit(",\n   \"fields\": {}")
+		e.Lit(",\n   \"fields\": {}")
 	} else {
-		e.lit(",\n   \"fields\": {")
+		e.Lit(",\n   \"fields\": {")
 		names := make([]string, 0, len(w.fields))
 		for name := range w.fields {
 			names = append(names, name)
@@ -149,53 +125,80 @@ func (e *snapshotEncoder) wall(w *Wall, authorSeq uint64) error {
 		slices.Sort(names)
 		for i, name := range names {
 			if i > 0 {
-				e.lit(",")
+				e.Lit(",")
 			}
 			e.field(name, w.fields[name])
 			if err := e.commit(); err != nil {
 				return err
 			}
 		}
-		e.lit("\n   }")
+		e.Lit("\n   }")
 	}
-	e.lit(",\n   \"authorSeq\": ")
-	e.u64(authorSeq)
-	e.lit("\n  }")
+	e.Lit(",\n   \"authorSeq\": ")
+	e.Uint(authorSeq)
+	e.Lit("\n  }")
 	return nil
 }
 
 func (e *snapshotEncoder) post(p *Post) {
-	e.lit("\n    {\n     \"id\": {\n      \"author\": ")
-	e.i64(int64(p.ID.Author))
-	e.lit(",\n      \"seq\": ")
-	e.u64(p.ID.Seq)
-	e.lit("\n     },\n     \"wall\": ")
-	e.i64(int64(p.Wall))
-	e.lit(",\n     \"body\": ")
-	e.str(p.Body)
-	e.lit(",\n     \"createdAt\": ")
-	e.i64(p.CreatedAt)
-	e.lit("\n    }")
+	e.Lit("\n    {\n     \"id\": {\n      \"author\": ")
+	e.Int(int64(p.ID.Author))
+	e.Lit(",\n      \"seq\": ")
+	e.Uint(p.ID.Seq)
+	e.Lit("\n     },\n     \"wall\": ")
+	e.Int(int64(p.Wall))
+	e.Lit(",\n     \"body\": ")
+	e.Str(p.Body)
+	e.Lit(",\n     \"createdAt\": ")
+	e.Int(p.CreatedAt)
+	e.Lit("\n    }")
 }
 
 func (e *snapshotEncoder) field(name string, f Field) {
-	e.lit("\n    ")
-	e.str(name)
-	e.lit(": {\n     \"value\": ")
-	e.str(f.Value)
-	e.lit(",\n     \"at\": ")
-	e.i64(f.At)
-	e.lit(",\n     \"writer\": ")
-	e.i64(int64(f.Writer))
-	e.lit("\n    }")
+	e.Lit("\n    ")
+	e.Str(name)
+	e.Lit(": {\n     \"value\": ")
+	e.Str(f.Value)
+	e.Lit(",\n     \"at\": ")
+	e.Int(f.At)
+	e.Lit(",\n     \"writer\": ")
+	e.Int(int64(f.Writer))
+	e.Lit("\n    }")
 }
 
-// Load restores a store from a snapshot written by Save.
+// Load restores a store from a snapshot written by Save. The snapshot is
+// read by jsonx's parser, which reads no further than the snapshot's closing
+// brace; a snapshot it declines is decoded by encoding/json instead, so Load
+// returns what encoding/json would on every input, errors included.
 func Load(r io.Reader) (*Store, error) {
-	var snap snapshot
-	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
+	snap, err := decodeSnapshot(r)
+	if err != nil {
 		return nil, fmt.Errorf("store load: %w", err)
 	}
+	return restore(&snap)
+}
+
+// decodeSnapshot reads one snapshot value from r.
+func decodeSnapshot(r io.Reader) (snapshot, error) {
+	var snap snapshot
+	size := loadBuf
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() > size {
+		size = l.Len() // an in-memory snapshot is read into one buffer of its size
+	}
+	p := jsonx.NewParser(r, size)
+	if err := p.Start(); err != nil {
+		return snap, err
+	}
+	if parseSnapshot(p, &snap); !p.Declined() {
+		return snap, nil
+	}
+	snap = snapshot{}
+	err := json.NewDecoder(p.Rest()).Decode(&snap)
+	return snap, err
+}
+
+// restore builds the store a decoded snapshot describes.
+func restore(snap *snapshot) (*Store, error) {
 	s := New(snap.Node)
 	for _, ws := range snap.Walls {
 		s.Host(ws.Owner)
@@ -210,3 +213,47 @@ func Load(r io.Reader) (*Store, error) {
 	}
 	return s, nil
 }
+
+// loadBuf is the size Load's read buffer starts at, unless the reader
+// reports its length. The buffer grows to hold the whole snapshot, which a
+// declined parse replays.
+const loadBuf = 4 << 10
+
+var (
+	snapshotNames = []string{"node", "walls"}
+	wallNames     = []string{"owner", "posts", "fields", "authorSeq"}
+)
+
+func parseSnapshot(p *jsonx.Parser, snap *snapshot) {
+	o := p.Object(snapshotNames)
+	for o.Next() {
+		switch o.Key {
+		case 0:
+			snap.Node = p.Int32()
+		case 1:
+			snap.Walls = jsonx.Slice(p, parseWall)
+		}
+	}
+}
+
+func parseWall(p *jsonx.Parser, w *wallSnapshot) {
+	o := p.Object(wallNames)
+	for o.Next() {
+		switch o.Key {
+		case 0:
+			w.Owner = p.Int32()
+		case 1:
+			w.Posts = jsonx.Slice(p, parsePost)
+		case 2:
+			w.Fields = jsonx.Map(p, parseField)
+		case 3:
+			w.AuthorSeq = p.Uint64()
+		}
+	}
+}
+
+func parsePost(p *jsonx.Parser, q *Post) {
+	p.Post(&q.ID.Author, &q.ID.Seq, &q.Wall, &q.Body, &q.CreatedAt)
+}
+
+func parseField(p *jsonx.Parser, f *Field) { p.Field(&f.Value, &f.At, &f.Writer) }

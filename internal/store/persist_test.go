@@ -3,10 +3,17 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"time"
+
+	"dosn/internal/jsonx"
 )
 
 // saveBoth returns the snapshot from Save and from the encoding/json oracle.
@@ -166,5 +173,140 @@ func TestSaveSurfacesWriteErrors(t *testing.T) {
 	w := &failingWriter{room: len(want)}
 	if err := s.Save(w); err != nil || !bytes.Equal(w.buf.Bytes(), want) {
 		t.Errorf("a writer with exactly enough room: err = %v, %d of %d bytes", err, w.buf.Len(), len(want))
+	}
+}
+
+// snapshotSeeds are inputs for the decode differential: whole snapshots,
+// and the forms the parser leaves to encoding/json or must refuse itself.
+func snapshotSeeds(t testing.TB) [][]byte {
+	seeds := [][]byte{
+		[]byte(`{"node":1,"walls":null}`),
+		[]byte(`{"node":1,"walls":[]}` + "\n" + `{"node":2}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"posts":[],"fields":{},"authorSeq":0}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"posts":[{"id":{"author":1,"seq":1},"wall":1,"body":"x","createdAt":-0}]}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"posts":[{"id":{"author":1,"seq":1},"wall":2}]}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"fields":{"a":{"value":"v"},"a":{"at":2}}}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"fields":{"\u0061":{"value":"é\n\ud800"}}}]}`),
+		[]byte(`{"Node":7,"WALLS":[]}`),
+		[]byte(`{"node":1,"node":2}`),
+		[]byte(`{"node":1.0}`),
+		[]byte(`{"node":1e2}`),
+		[]byte(`{"node":01}`),
+		[]byte(`{"node":2147483648}`),
+		[]byte(`{"node":-2147483648,"walls":[{"owner":1,"authorSeq":18446744073709551615}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"authorSeq":18446744073709551616}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"authorSeq":-1}]}`),
+		[]byte(`{"node":"1"}`),
+		[]byte(`{"node":1,"extra":[1,{"a":null}]}`),
+		[]byte(`{"node":1,"walls":[{"owner":1,"posts":[{"body":"unterminated`),
+		[]byte(`{"node":1,"walls":[1,]}`),
+		[]byte(` ` + "\t\r\n"),
+		[]byte(`[]`),
+		[]byte(`null`),
+		[]byte(`not json`),
+		{},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		var buf bytes.Buffer
+		if err := randomStore(rand.New(rand.NewSource(seed)), seed%2 == 0).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, buf.Bytes(), buf.Bytes()[:buf.Len()/2])
+	}
+	return seeds
+}
+
+// FuzzLoad holds Load's decoding to encoding/json's on arbitrary bytes: the
+// same snapshot value (nil and empty told apart) or the same error text,
+// whether the bytes come in one read or one at a time, and the same store
+// from Load.
+func FuzzLoad(f *testing.F) {
+	for _, s := range snapshotSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		want, werr := decodeEncodingJSON(bytes.NewReader(in))
+		for _, r := range []io.Reader{bytes.NewReader(in), iotest.OneByteReader(bytes.NewReader(in))} {
+			got, err := decodeSnapshot(r)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("decode %q:\n got %+v, %v\nwant %+v, %v", in, got, err, want, werr)
+			}
+		}
+		st, err := Load(bytes.NewReader(in))
+		var oracle *Store
+		if werr == nil {
+			oracle, werr = restore(&want)
+		} else {
+			werr = fmt.Errorf("store load: %w", werr)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("Load %q: %v, want %v", in, err, werr)
+		}
+		if err == nil {
+			got, _ := saveBoth(t, st)
+			want, _ := saveBoth(t, oracle)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Load %q restored\n%s\nwant\n%s", in, got, want)
+			}
+		}
+	})
+}
+
+// A saved snapshot is read by the parser alone, whatever its strings hold.
+// (Valid UTF-8 only: two field names that differ in invalid bytes save as
+// one name, a duplicate key, which the parser leaves to encoding/json.)
+func TestLoadParsesSavedSnapshotsItself(t *testing.T) {
+	f := func(seed int64) bool {
+		s := randomStore(rand.New(rand.NewSource(seed)), true)
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p := jsonx.NewParser(bytes.NewReader(buf.Bytes()), 64)
+		var snap snapshot
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if parseSnapshot(p, &snap); p.Declined() {
+			t.Logf("seed %d: declined\n%s", seed, buf.Bytes())
+			return false
+		}
+		want, err := decodeEncodingJSON(bytes.NewReader(buf.Bytes()))
+		return err == nil && reflect.DeepEqual(snap, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Load returns once the snapshot's closing brace has arrived, with the
+// writer still open: it never waits for EOF.
+func TestLoadReturnsBeforeWriterCloses(t *testing.T) {
+	s := randomStore(rand.New(rand.NewSource(3)), true)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go pw.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n"))) // no newline, no close
+	done := make(chan error, 1)
+	go func() {
+		back, err := Load(pr)
+		if err == nil {
+			got, _ := saveBoth(t, back)
+			if !bytes.Equal(got, buf.Bytes()) {
+				err = errors.New("loaded a different store")
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Load waited for the writer to close")
 	}
 }

@@ -564,10 +564,10 @@ func followerGraph(followerCounts []int, rng *rand.Rand) *socialgraph.Graph {
 // lognormalInts draws n integers from a log-normal distribution with the
 // given mean, clamped to [lo, hi].
 func lognormalInts(rng *rand.Rand, n int, mean, sigma float64, lo, hi int) []int {
-	mu := math.Log(mean) - sigma*sigma/2
+	mu := math.Log(mean) - float64(sigma*sigma/2) // rounded: no fused multiply-subtract
 	out := make([]int, n)
 	for i := range out {
-		v := int(math.Round(math.Exp(mu + sigma*rng.NormFloat64())))
+		v := int(math.Round(math.Exp(mu + float64(sigma*rng.NormFloat64())))) // rounded: no fused multiply-add
 		if v < lo {
 			v = lo
 		}
@@ -589,7 +589,7 @@ func sampleHomeMinute(rng *rand.Rand) int {
 	} else {
 		mean, sigma = 20.5*60, 150
 	}
-	return wrapMinute(int(mean + sigma*rng.NormFloat64()))
+	return wrapMinute(int(mean + float64(sigma*rng.NormFloat64()))) // rounded: no fused multiply-add
 }
 
 // sampleMinute draws an activity minute-of-day around the creator's home

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"testing"
 
 	"dosn/internal/store"
@@ -48,38 +47,35 @@ func (c *loopConn) Read(p []byte) (int, error) {
 func (c *loopConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkFrame times the session codec on one delta frame: encode is the
-// sending end's send, decode the receiving end's recv, both through the
-// byte-counting codec a session uses.
+// sending end's send and flush, one Write per frame, decode the receiving
+// end's recv, both through the byte-counting codec a session uses.
 func BenchmarkFrame(b *testing.B) {
 	m := benchDelta()
-	var frame bytes.Buffer
-	_, enc := newCodec(&frame)
-	if err := send(enc, m); err != nil {
-		b.Fatal(err)
-	}
+	frame := appendMessage(nil, &m)
 	b.Run("encode", func(b *testing.B) {
-		_, enc := newCodec(&loopConn{frame: frame.Bytes()})
-		b.SetBytes(int64(frame.Len()))
+		c := newCodec(&loopConn{frame: frame})
+		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		for b.Loop() {
-			if err := send(enc, m); err != nil {
+			c.send(m)
+			if err := c.flush(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
-		dec, _ := newCodec(&loopConn{frame: frame.Bytes()})
-		b.SetBytes(int64(frame.Len()))
+		c := newCodec(&loopConn{frame: frame})
+		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		var got Message
 		for b.Loop() {
 			got = Message{}
-			if err := recv(dec, &got); err != nil {
+			if err := c.recv(&got); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if len(got.Posts) != len(m.Posts) || got.Posts[3] != m.Posts[3] {
-			b.Fatalf("decoded %+v, want %+v", got, m)
+		if c.dec != nil || len(got.Posts) != len(m.Posts) || got.Posts[3] != m.Posts[3] {
+			b.Fatalf("decoded %+v through encoding/json: %v, want %+v", got, c.dec != nil, m)
 		}
 	})
 }

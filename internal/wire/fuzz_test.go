@@ -3,9 +3,13 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dosn/internal/store"
@@ -24,6 +28,12 @@ func FuzzServerSession(f *testing.F) {
 	f.Add("not json at all\n")
 	f.Add(`{"type":"sync","wall":10}` + "\n") // missing hello
 	f.Add(`{"type":"hello","from":2}` + "\n" + `{"type":"what"}` + "\n")
+	// A frame the parser declines mid-session (an unknown key): it and every
+	// later frame are read by encoding/json.
+	f.Add(`{"type":"hello","from":2}` + "\n" + `{"type":"sync","wall":10,"x":1}` + "\n" + `{"type":"sync","wall":11}` + "\n" + `{"type":"bye"}` + "\n")
+	// Frames without a trailing newline: each is answered once its closing
+	// brace has arrived.
+	f.Add(`{"type":"hello","from":2}{"type":"sync","wall":10}{"type":"push","wall":11,"posts":[{"id":{"author":2,"seq":1},"wall":11}]}`)
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
 		st := store.New(1)
@@ -71,22 +81,78 @@ func FuzzServerSession(f *testing.F) {
 	})
 }
 
-// FuzzMessageDecode ensures arbitrary JSON never panics the frame decoder
-// and that digests survive an encode/decode cycle.
+// msgSeeds are frames for the decode differential: what sessions send, and
+// what the parser leaves to encoding/json or must refuse itself.
+var msgSeeds = []string{
+	`{"type":"delta","digest":[{"author":1,"seq":2}]}`,
+	`{"digest":[{"author":-5,"seq":18446744073709551615}]}`,
+	`{}`,
+	`[1,2,3]`,
+	`{"type":"push","from":2,"wall":10,"posts":[{"id":{"author":2,"seq":1},"wall":10,"body":"a <b> & \u00e9","createdAt":-9223372036854775808}],"fields":{"bio":{"value":"v","at":3,"writer":2},"\u0062":{"value":"w"}}}` + "\n",
+	`{"type":"hello"}{"type":"bye"}`,
+	` {"type" : "sync" , "wall" :10 ,"digest" : [ ] }` + "\r\n\t",
+	`{"type":"delta","posts":[],"fields":{},"digest":null,"msg":""}`,
+	`{"type":"delta","posts":[{}],"fields":{"a":null}}`,
+	`{"Type":"hello"}`,
+	`{"TYPE":"hello","type":"bye"}`,
+	`{"ty\u0070e":"hello"}`,
+	`{"type":"hello","type":"bye"}`,
+	`{"fields":{"a":{"value":"1"},"a":{"at":2}}}`,
+	`{"type":null,"from":null}`,
+	`{"from":1.0}`,
+	`{"from":1e1}`,
+	`{"from":-0}`,
+	`{"from":01}`,
+	`{"from":2147483648}`,
+	`{"from":-2147483649}`,
+	`{"digest":[{"seq":-1}]}`,
+	`{"digest":[{"seq":18446744073709551616}]}`,
+	`{"type":5}`,
+	`{"type":"a\x01b"}`,
+	`{"msg":"\ud800\udc00\ud800"}`,
+	"{\"msg\":\"\xff\xfe\"}",
+	`{"msg":"\q"}`,
+	`{"type":"hello"`,
+	`{"type":"hello",}`,
+	`{"posts":[1,]}`,
+	`{"type":"hello"}x{"type":"bye"}`,
+	`nul`,
+	`{"x":[{"y":[null,true,false,1.5e-3,"s"]}],"type":"hello"}`,
+}
+
+// FuzzMessageDecode holds the session codec to encoding/json's Decoder on
+// arbitrary byte streams: frame by frame, the same Message (nil and empty
+// told apart) and the same error text or none, whether the stream arrives in
+// one read or a byte at a time. Digests survive an encode/decode cycle.
 func FuzzMessageDecode(f *testing.F) {
-	f.Add(`{"type":"delta","digest":[{"author":1,"seq":2}]}`)
-	f.Add(`{"digest":[{"author":-5,"seq":18446744073709551615}]}`)
-	f.Add(`{}`)
-	f.Add(`[1,2,3]`)
+	for _, s := range msgSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, in string) {
-		var m Message
-		if err := json.NewDecoder(strings.NewReader(in)).Decode(&m); err != nil {
-			return
-		}
-		c := DecodeDigest(m.Digest)
-		back := DecodeDigest(EncodeDigest(c))
-		if !c.Dominates(back) || !back.Dominates(c) {
-			t.Fatalf("digest round trip: %v vs %v", c, back)
+		for _, r := range []io.Reader{strings.NewReader(in), iotest.OneByteReader(strings.NewReader(in))} {
+			c := newCodec(readOnly{r})
+			dec := json.NewDecoder(strings.NewReader(in))
+			for step := 0; step < 64; step++ {
+				var got, want Message
+				err := c.recv(&got)
+				werr := dec.Decode(&want)
+				if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("frame %d of %q:\n got %#v, %v\nwant %#v, %v", step, in, got, err, want, werr)
+				}
+				if werr == io.EOF {
+					break
+				}
+				clock := DecodeDigest(got.Digest)
+				back := DecodeDigest(EncodeDigest(clock))
+				if !clock.Dominates(back) || !back.Dominates(clock) {
+					t.Fatalf("digest round trip: %v vs %v", clock, back)
+				}
+			}
 		}
 	})
 }
+
+// readOnly is a connection that only reads.
+type readOnly struct{ io.Reader }
+
+func (readOnly) Write(p []byte) (int, error) { return len(p), nil }

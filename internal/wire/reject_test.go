@@ -178,3 +178,31 @@ func TestSyncSurfacesRejectedPush(t *testing.T) {
 		})
 	}
 }
+
+// Sync's drain loop decodes each frame into a fresh Message: an error frame
+// with neither wall nor message, arriving after a stray frame that carried
+// both, is reported with neither.
+func TestSyncDrainReportsEachFrameAlone(t *testing.T) {
+	st := store.New(2)
+	st.Host(10)
+	addr := stubPeer(t, func(dec *json.Decoder, enc *json.Encoder) {
+		for {
+			var m Message
+			if dec.Decode(&m) != nil {
+				return
+			}
+			switch m.Type {
+			case TypeSync:
+				_ = enc.Encode(Message{Type: TypeDelta, From: 1, Wall: m.Wall})
+			case TypeBye:
+				_ = enc.Encode(Message{Type: TypeDelta, Wall: 12, Msg: "x"})
+				_ = enc.Encode(Message{Type: TypeError})
+				return
+			}
+		}
+	})
+	_, err := Sync(addr, st)
+	if want := "wire: session rejected: wall 0: "; err == nil || err.Error() != want {
+		t.Errorf("Sync = %v, want %q", err, want)
+	}
+}

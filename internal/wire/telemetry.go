@@ -1,9 +1,6 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"io"
 
 	"dosn/internal/obs"
@@ -12,8 +9,8 @@ import (
 // Execution-only wire telemetry (see internal/obs): per-type message
 // counters, transferred byte counters, and an error counter, published on
 // the debug endpoint of cmd/dosn-node. Counting happens at the codec
-// boundary — send/recv and the counting reader/writer below — so every
-// session, client or server, is accounted identically.
+// boundary — codec.send/recv/flush and the counting reader/writer below — so
+// every session, client or server, is accounted identically.
 var (
 	wireBytesRead    = obs.C("wire.bytes_read")
 	wireBytesWritten = obs.C("wire.bytes_written")
@@ -31,41 +28,6 @@ func perType(prefix string) map[MsgType]*obs.Counter {
 		m[t] = obs.C(prefix + string(t))
 	}
 	return m
-}
-
-// send encodes one frame and counts it by type. Error frames count into
-// wire.errors too: a spike there is the first sign of a misbehaving peer.
-func send(enc *json.Encoder, m Message) error {
-	if err := enc.Encode(m); err != nil {
-		wireErrors.Inc()
-		return err
-	}
-	wireSent[m.Type].Inc()
-	if m.Type == TypeError {
-		wireErrors.Inc()
-	}
-	return nil
-}
-
-// recv decodes one frame and counts it by type. A frame of a type outside
-// the protocol (untrusted input) counts under wire.recv.other so metric
-// names stay bounded. EOF is the normal session end and is not an error.
-func recv(dec *json.Decoder, m *Message) error {
-	if err := dec.Decode(m); err != nil {
-		if !errors.Is(err, io.EOF) {
-			wireErrors.Inc()
-		}
-		return err
-	}
-	if c := wireRecv[m.Type]; c != nil {
-		c.Inc()
-	} else {
-		wireRecvOther.Inc()
-	}
-	if m.Type == TypeError {
-		wireErrors.Inc()
-	}
-	return nil
 }
 
 // countingReader counts bytes as they come off the connection, before
@@ -95,11 +57,4 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 		cw.c.Add(int64(n))
 	}
 	return n, err
-}
-
-// newCodec wraps a connection in the counted JSON codec every session uses.
-func newCodec(conn io.ReadWriter) (*json.Decoder, *json.Encoder) {
-	dec := json.NewDecoder(bufio.NewReader(countingReader{r: conn, c: wireBytesRead}))
-	enc := json.NewEncoder(countingWriter{w: conn, c: wireBytesWritten})
-	return dec, enc
 }

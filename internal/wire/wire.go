@@ -7,11 +7,23 @@
 // exactly the replication logic the experiments model by construction. A
 // delta the store rejects ends the session with an error frame naming its
 // wall, on whichever end received it.
+//
+// Frames are written and read by a codec built on internal/jsonx, without
+// reflection. A frame is written as encoding/json's Encoder writes a Message,
+// byte for byte. It is read by a pull parser that returns as soon as the
+// frame's closing brace has arrived. The first frame outside the parser's
+// plain subset (an escaped or unknown key, null where a string or number
+// belongs, a fraction, a syntax error, ...) is replayed, with the rest of the
+// session, through an encoding/json Decoder that then reads every later
+// frame, so a session decodes what encoding/json decodes, errors included.
+// Frames a session sends are buffered and written with one Write before each
+// blocking read, before the sending half closes, and at session end: the
+// bytes on the wire are those of one Write per frame, grouped into fewer
+// segments.
 package wire
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -142,32 +154,33 @@ const notHosted = "wall not hosted"
 
 // serve handles one session.
 func (s *Server) serve(conn net.Conn) {
-	dec, enc := newCodec(conn)
+	c := newCodec(conn)
+	defer c.flush() // nothing is left to report a failed last write to
 
 	var hello Message
-	if err := recv(dec, &hello); err != nil || hello.Type != TypeHello {
-		end(conn, enc, Message{Type: TypeError, Msg: "expected hello"})
+	if err := c.recv(&hello); err != nil || hello.Type != TypeHello {
+		c.end(conn, Message{Type: TypeError, Msg: "expected hello"})
 		return
 	}
-	_ = send(enc, Message{Type: TypeHello, From: s.st.Node()})
+	c.send(Message{Type: TypeHello, From: s.st.Node()})
 
 	for {
 		var m Message
-		if err := recv(dec, &m); err != nil {
+		if err := c.recv(&m); err != nil {
 			return // disconnect
 		}
 		switch m.Type {
 		case TypeBye, TypeError: // an error frame is the peer giving up
 			return
 		case TypeSync:
-			s.handleSync(enc, m)
+			s.handleSync(c, m)
 		case TypePush:
 			if _, err := s.st.MergeDelta(m.Wall, m.Posts, m.Fields); err != nil {
-				end(conn, enc, Message{Type: TypeError, Wall: m.Wall, Msg: err.Error()})
+				c.end(conn, Message{Type: TypeError, Wall: m.Wall, Msg: err.Error()})
 				return
 			}
 		default:
-			end(conn, enc, Message{Type: TypeError, Msg: fmt.Sprintf("unexpected %q", m.Type)})
+			c.end(conn, Message{Type: TypeError, Msg: fmt.Sprintf("unexpected %q", m.Type)})
 			return
 		}
 	}
@@ -176,22 +189,23 @@ func (s *Server) serve(conn net.Conn) {
 // end sends the frame that ends a session, closes the sending half and
 // discards input until the peer hangs up: closing with input unread resets
 // the connection, which can destroy the frame before the peer reads it.
-func end(conn net.Conn, enc *json.Encoder, m Message) {
-	_ = send(enc, m)
-	if c, ok := conn.(interface{ CloseWrite() error }); ok {
-		_ = c.CloseWrite()
+func (c *codec) end(conn net.Conn, m Message) {
+	c.send(m)
+	_ = c.flush()
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
 	}
 	io.Copy(io.Discard, conn)
 }
 
-func (s *Server) handleSync(enc *json.Encoder, m Message) {
+func (s *Server) handleSync(c *codec, m Message) {
 	missing, fields, err := s.st.Delta(m.Wall, DecodeDigest(m.Digest))
 	if err != nil {
-		_ = send(enc, Message{Type: TypeError, Wall: m.Wall, Msg: notHosted})
+		c.send(Message{Type: TypeError, Wall: m.Wall, Msg: notHosted})
 		return
 	}
 	digest, _ := s.st.Digest(m.Wall) // Delta found the wall, and no wall is ever dropped
-	_ = send(enc, Message{
+	c.send(Message{
 		Type:   TypeDelta,
 		From:   s.st.Node(),
 		Wall:   m.Wall,
@@ -229,13 +243,12 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 		return stats, fmt.Errorf("wire dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	dec, enc := newCodec(conn)
+	c := newCodec(conn)
+	defer c.flush() // a frame sent on the way out, an error frame say, leaves before the close
 
-	if err := send(enc, Message{Type: TypeHello, From: st.Node()}); err != nil {
-		return stats, fmt.Errorf("wire hello: %w", err)
-	}
+	c.send(Message{Type: TypeHello, From: st.Node()})
 	var hello Message
-	if err := recv(dec, &hello); err != nil {
+	if err := c.recv(&hello); err != nil {
 		return stats, fmt.Errorf("wire hello reply: %w", err)
 	}
 	if hello.Type != TypeHello {
@@ -247,16 +260,14 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 		if err != nil {
 			return stats, err
 		}
-		if err := send(enc, Message{
+		c.send(Message{
 			Type:   TypeSync,
 			From:   st.Node(),
 			Wall:   wall,
 			Digest: EncodeDigest(digest),
-		}); err != nil {
-			return stats, fmt.Errorf("wire sync %d: %w", wall, err)
-		}
+		})
 		var delta Message
-		if err := recv(dec, &delta); err != nil {
+		if err := c.recv(&delta); err != nil {
 			return stats, fmt.Errorf("wire delta %d: %w", wall, err)
 		}
 		if delta.Type == TypeError && delta.Wall == wall && delta.Msg == notHosted {
@@ -267,7 +278,7 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 		}
 		pulled, err := st.MergeDelta(wall, delta.Posts, delta.Fields)
 		if err != nil {
-			_ = send(enc, Message{Type: TypeError, From: st.Node(), Wall: wall, Msg: err.Error()})
+			c.send(Message{Type: TypeError, From: st.Node(), Wall: wall, Msg: err.Error()})
 			return stats, fmt.Errorf("%w: %v", ErrRejected, err)
 		}
 		stats.Pulled += pulled
@@ -276,27 +287,31 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 		if err != nil {
 			return stats, err
 		}
-		if err := send(enc, Message{
+		c.send(Message{
 			Type:   TypePush,
 			From:   st.Node(),
 			Wall:   wall,
 			Posts:  toPush,
 			Fields: fields,
-		}); err != nil {
-			return stats, fmt.Errorf("wire push %d: %w", wall, err)
-		}
+		})
 		stats.Pushed += len(toPush)
 		stats.Walls++
 	}
-	_ = send(enc, Message{Type: TypeBye, From: st.Node()})
+	c.send(Message{Type: TypeBye, From: st.Node()})
+	if err := c.flush(); err != nil {
+		return stats, fmt.Errorf("wire push: %w", err) // the last push goes out with the bye
+	}
 	// Drain until the peer closes the connection (EOF is the normal session
 	// end) so the final pushes are processed before we tear down; a rejected
-	// last push arrives here as its error frame.
-	var done Message
-	for recv(dec, &done) == nil && done.Type != TypeBye {
+	// last push arrives here as its error frame. Each frame decodes into a
+	// fresh Message: a field a frame omits is zero, not the last frame's.
+	for {
+		var done Message
+		if c.recv(&done) != nil || done.Type == TypeBye {
+			return stats, nil
+		}
 		if done.Type == TypeError {
 			return stats, rejected(done)
 		}
 	}
-	return stats, nil
 }
