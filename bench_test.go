@@ -241,24 +241,16 @@ func BenchmarkX3EffectiveReplicas(b *testing.B) {
 
 // --- X4: replica-host load balance ------------------------------------------
 
+// BenchmarkX4ReplicaLoad renders X4 through the figure door; each
+// iteration synthesizes the Facebook dataset before the experiment runs.
 func BenchmarkX4ReplicaLoad(b *testing.B) {
-	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cvRandom, cvActive float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dosn.ReplicaLoadBalance(fb, dosn.NewSporadic(0), dosn.ConRep, 3, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.Policy {
-			case "Random":
-				cvRandom = r.CV
-			case "MostActive":
-				cvActive = r.CV
-			}
-		}
+		fig := figures(b, "experiment-loadbalance")[0]
+		cvRandom = figValue(b, fig, "Random", 2) // x = 2 is the cv
+		cvActive = figValue(b, fig, "MostActive", 2)
 	}
 	b.ReportMetric(cvRandom, "cv_random")
 	b.ReportMetric(cvActive, "cv_mostactive")
@@ -282,34 +274,28 @@ func BenchmarkA1ObjectiveAblation(b *testing.B) {
 	b.ReportMetric(actObj, "maxav_activity_aodact_deg3")
 }
 
+// BenchmarkA2HistorySplit renders A2 through the figure door, as A1.
 func BenchmarkA2HistorySplit(b *testing.B) {
-	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var hist, oracle float64
 	for i := 0; i < b.N; i++ {
-		res, err := dosn.HistorySplit(fb, dosn.NewSporadic(0), 3, 0.5, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hist = res.HistoricalAoDActivity
-		oracle = res.OracleAoDActivity
+		fig := figures(b, "ablation-history")[0]
+		hist = figValue(b, fig, "AoD-activity", 0)
+		oracle = figValue(b, fig, "AoD-activity", 1)
 	}
 	b.ReportMetric(hist, "historical_aodact")
 	b.ReportMetric(oracle, "oracle_aodact")
 }
 
+// BenchmarkA3Churn renders A3 through the figure door, as A1; its failure
+// draws repeat benchRepeats times.
 func BenchmarkA3Churn(b *testing.B) {
-	fb := facebook(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var maxavAfter3 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dosn.Churn(fb, dosn.NewSporadic(0), 5, 2, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		maxavAfter3 = rows[0].Availability[3]
+		maxavAfter3 = figValue(b, figures(b, "ablation-churn")[0], "MaxAv", 3)
 	}
 	b.ReportMetric(maxavAfter3, "maxav_avail_after_3_failures")
 }

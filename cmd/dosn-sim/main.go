@@ -29,7 +29,9 @@
 // Both doors build their spec from the same flags (-scale, -max-degree,
 // -user-degree, -repeats, -seed) and run it on the same cell runner: every
 // sweep figure is a view of matrix cells, so a figure point is the number
-// matrix reports for the same cell.
+// matrix reports for the same cell. Fig. 2 and the computed experiments run
+// as jobs of the same cell loop, beside the sweep cells, and a panic in one
+// fails only its figure.
 package main
 
 import (

@@ -96,12 +96,6 @@ type (
 	ProtocolConfig = core.ProtocolConfig
 	// ProtocolResult compares analytic predictions with measurements.
 	ProtocolResult = core.ProtocolResult
-	// LoadBalanceRow reports replica-host load fairness for one policy.
-	LoadBalanceRow = core.LoadBalanceRow
-	// HistorySplitResult reports the train-on-history MostActive ablation.
-	HistorySplitResult = core.HistorySplitResult
-	// ChurnRow reports availability degradation under replica failures.
-	ChurnRow = core.ChurnRow
 	// MatrixSpec declares a whole experiment matrix (datasets × models ×
 	// modes) for one deterministic harness run.
 	MatrixSpec = harness.MatrixSpec
@@ -258,7 +252,8 @@ func RunMatrix(spec MatrixSpec, opts MatrixOptions) (*RunManifest, error) {
 // Figures renders the figures of the paper and the extension experiments
 // with the given IDs (FigureIDs), in order, from spec's datasets, MaxDegree,
 // UserDegree (> 0), Repeats and RootSeed. A figure point equals the number
-// RunMatrix reports for the same cell.
+// RunMatrix reports for the same cell. It is the one way in to the
+// ablations (A1–A3) and the replica-load experiment (X4).
 func Figures(spec MatrixSpec, ids []string) ([]Figure, error) {
 	return harness.Figures(spec, ids)
 }
@@ -285,29 +280,11 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	return core.RunProtocolValidation(cfg)
 }
 
-// ReplicaLoadBalance reports how evenly each policy spreads replica-hosting
-// duty over the nodes (the fairness requirement of §II-B1).
-func ReplicaLoadBalance(ds *Dataset, model OnlineModel, mode Mode, budget int, seed int64) ([]LoadBalanceRow, error) {
-	return core.ReplicaLoadBalance(ds, model, mode, budget, seed)
-}
-
 // NewMaxAvActivity returns the MaxAv variant whose set-cover universe is the
 // past activity on the owner's profile (§III-A's availability-on-demand-
 // activity objective) rather than the friends' online time.
 func NewMaxAvActivity() Policy {
 	return replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity}
-}
-
-// HistorySplit trains MostActive on the first trainFraction of the trace and
-// evaluates availability-on-demand-activity on the remainder, against an
-// oracle ranking and a random floor.
-func HistorySplit(ds *Dataset, model OnlineModel, budget int, trainFraction float64, seed int64) (*HistorySplitResult, error) {
-	return core.HistorySplit(ds, model, budget, trainFraction, seed)
-}
-
-// Churn measures availability as randomly chosen replicas fail, per policy.
-func Churn(ds *Dataset, model OnlineModel, budget, repeats int, seed int64) ([]ChurnRow, error) {
-	return core.Churn(ds, model, budget, repeats, seed)
 }
 
 // WriteDataset serializes a dataset (graph, then activities).

@@ -135,17 +135,6 @@ func TestProtocolValidationThroughFacade(t *testing.T) {
 	}
 }
 
-func TestLoadBalanceThroughFacade(t *testing.T) {
-	ds := smallFacebook(t)
-	rows, err := ReplicaLoadBalance(ds, NewSporadic(0), ConRep, 3, 1)
-	if err != nil {
-		t.Fatalf("ReplicaLoadBalance: %v", err)
-	}
-	if len(rows) != 3 {
-		t.Errorf("rows = %v", rows)
-	}
-}
-
 func TestMatrixThroughFacade(t *testing.T) {
 	spec := MatrixSpec{
 		Datasets:   []MatrixDataset{{Name: "facebook", Users: 300, Seed: 1}},

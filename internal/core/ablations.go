@@ -36,12 +36,6 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 	if ds == nil {
 		return nil, ErrNoDataset
 	}
-	if model == nil {
-		model = onlinetime.Sporadic{}
-	}
-	if budget <= 0 {
-		budget = 3
-	}
 	if trainFraction <= 0 || trainFraction >= 1 {
 		return nil, fmt.Errorf("core: trainFraction %v outside (0,1)", trainFraction)
 	}
@@ -108,15 +102,6 @@ type ChurnRow struct {
 func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed int64) ([]ChurnRow, error) {
 	if ds == nil {
 		return nil, ErrNoDataset
-	}
-	if model == nil {
-		model = onlinetime.Sporadic{}
-	}
-	if budget <= 0 {
-		budget = 5
-	}
-	if repeats <= 0 {
-		repeats = 3
 	}
 	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 31), 1).Bitmaps()
 	users, err := analysisUsers(ds.Graph, 0)

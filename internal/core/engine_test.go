@@ -83,18 +83,23 @@ func TestRunFillsDefaults(t *testing.T) {
 	}
 }
 
+// TestAvailabilityMonotoneInDegree: each degree's selection is a prefix of
+// the next, so no mean that only grows with the replica set — availability,
+// both AoD metrics and the effective replica count — falls as k grows.
 func TestAvailabilityMonotoneInDegree(t *testing.T) {
 	ds := testDataset(t)
 	res := runSweep(t, ds, onlinetime.Sporadic{}, replica.ConRep)
-	for pi := range res.Policies {
-		prev := -1.0
-		for di := range res.Degrees {
-			v := res.Value(pi, di, MetricAvailability)
-			if v < prev-1e-9 {
-				t.Errorf("%s: availability not monotone at degree %d: %v < %v",
-					res.Policies[pi], di, v, prev)
+	for _, m := range []Metric{MetricAvailability, MetricAoDTime, MetricAoDActivity, MetricEffectiveReplicas} {
+		for pi := range res.Policies {
+			prev := -1.0
+			for di := range res.Degrees {
+				v := res.Value(pi, di, m)
+				if v < prev-1e-9 {
+					t.Errorf("%s: %s not monotone at degree %d: %v < %v",
+						res.Policies[pi], m, di, v, prev)
+				}
+				prev = v
 			}
-			prev = v
 		}
 	}
 }

@@ -271,15 +271,6 @@ func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.
 	if ds == nil {
 		return nil, ErrNoDataset
 	}
-	if model == nil {
-		model = onlinetime.Sporadic{}
-	}
-	if mode == 0 {
-		mode = replica.ConRep
-	}
-	if budget <= 0 {
-		budget = 3
-	}
 	workers := runtime.NumCPU()
 	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 11), workers).Bitmaps()
 	rows := make([]LoadBalanceRow, 0, 3)

@@ -48,23 +48,35 @@ func Claims(base MatrixSpec) (*ClaimsTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := evidence{figs: make(map[string]plot.Figure), datasets: make(map[string]*trace.Dataset)}
-	for _, f := range figs {
-		ev.figs[f.ID] = f
-	}
-	for i, c := range d.results {
-		if d.errs[i] == nil {
-			ev.cells = append(ev.cells, c)
-		}
-	}
-	for _, name := range []string{"facebook", "twitter"} {
-		if ev.datasets[name], err = d.dataset(name); err != nil {
-			return nil, err
-		}
+	ev, err := d.evidence(figs)
+	if err != nil {
+		return nil, err
 	}
 	t := evaluate(ev)
 	t.Base = d.base
 	return t, nil
+}
+
+// evidence gathers what the evaluator reads from a pass of the door and the
+// figures it rendered. Its cells are the sweep cells that ran: a computed
+// entry's values reach the evaluator only through its figure.
+func (d *door) evidence(figs []plot.Figure) (evidence, error) {
+	ev := evidence{figs: make(map[string]plot.Figure), datasets: make(map[string]*trace.Dataset)}
+	for _, f := range figs {
+		ev.figs[f.ID] = f
+	}
+	for i, j := range d.jobs {
+		if j.compute == nil && d.errs[i] == nil {
+			ev.cells = append(ev.cells, d.results[i])
+		}
+	}
+	for _, name := range []string{"facebook", "twitter"} {
+		var err error
+		if ev.datasets[name], err = d.shared.named(d.base, name); err != nil {
+			return ev, err
+		}
+	}
+	return ev, nil
 }
 
 // evaluate computes every row of the table from the evidence.

@@ -15,18 +15,18 @@ import (
 
 // figure is one entry of the figure door: a figure of the paper's
 // evaluation or an extension experiment. A degree panel (xs nil) reads one
-// cell and plots the metric against the replication degree. With xs, cell i
-// is plotted at xs[i] by its value at its largest replication degree, and a
-// cell with no analysis population is left out. An entry with series reads
-// no cell and computes its own series from base's Facebook dataset.
+// job and plots each policy's row of the metric against the result's
+// Degrees: a sweep cell's replication degrees, or a computed entry's axis.
+// With xs, cell i is plotted at xs[i] by its value at its largest
+// replication degree, and a cell with no analysis population is left out.
 type figure struct {
 	id, title, xLabel string
 	yLabel            string // "" for the metric's name
 	metric            core.Metric
 	logX              bool
+	dropZeros         bool // leave a point of value 0 undrawn
 	cells             []job
 	xs                []float64
-	series            func(d *door, fb *trace.Dataset) ([]plot.Series, error)
 }
 
 // one returns the cell of the one-cell spec over (dataset, model, mode) that
@@ -47,9 +47,13 @@ func one(base MatrixSpec, dataset string, model ModelSpec, mode replica.Mode, ma
 	return spec.jobs()[0]
 }
 
-// key is the cell's identity across specs: its coordinates and every spec
-// field its result depends on. Two figures reading one key read one run.
+// key is the job's identity across specs: a cell's coordinates and every
+// spec field its result depends on, or a computed job's figure ID. Two
+// figures reading one key read one run.
 func (j job) key() string {
+	if j.compute != nil {
+		return j.figure
+	}
 	s := j.spec
 	return fmt.Sprintf("%s|%d|%d|%d|%d|%s", j.cell.canonicalKey(), s.MaxDegree, s.UserDegree, s.Repeats, s.RootSeed, strings.Join(s.Policies, ","))
 }
@@ -61,13 +65,30 @@ var sessionSeconds = []float64{100, 300, 1000, 3000, 10000, 30000, 100000}
 // figures returns every entry of the door over base in FigureIDs order: the
 // paper's figures, then the extension experiments.
 func figures(base MatrixSpec) []figure {
-	out := []figure{{
-		id:     "fig2",
-		title:  "User degree distribution of the datasets",
-		xLabel: "user degree",
-		yLabel: "number of users",
-		series: degreeSeries,
-	}}
+	// Fig. 2 draws, per dataset, the number of users at each user degree
+	// some user has.
+	out := []figure{computed(base, figure{
+		id:        "fig2",
+		title:     "User degree distribution of the datasets",
+		xLabel:    "user degree",
+		yLabel:    "number of users",
+		dropZeros: true,
+	}, func(fb *trace.Dataset, shared *caches) ([]string, [][]float64, error) {
+		tw, err := shared.named(base, "twitter")
+		if err != nil {
+			return nil, nil, err
+		}
+		var labels []string
+		var rows [][]float64
+		for _, ds := range []*trace.Dataset{fb, tw} {
+			var row []float64
+			for _, c := range ds.Graph.DegreeHistogram() {
+				row = append(row, float64(c))
+			}
+			labels, rows = append(labels, datasetTitle(ds.Name)), append(rows, row)
+		}
+		return labels, rows, nil
+	})}
 	// Figs. 3, 5, 6, 7, 10 and 11 show panels (a)–(d) for the four models.
 	models := []ModelSpec{Sporadic(), RandomLength(), FixedLength(2), FixedLength(8)}
 	degreePanels := func(fig, dataset string, mode replica.Mode, metric core.Metric, what string, models ...ModelSpec) {
@@ -143,20 +164,21 @@ func FigureIDs() []string {
 }
 
 // door is one pass of the figure door over a base spec: the caches its
-// cells and experiments share, and its cells' outcomes in run order.
+// jobs share, and its jobs with their outcomes, in run order.
 type door struct {
 	base    MatrixSpec
 	shared  *caches
-	index   map[string]int // a cell's key → its slot in results and errs
+	jobs    []job
+	index   map[string]int // a job's key → its slot in jobs, results and errs
 	results []CellResult
 	errs    []error
 }
 
 // Figures renders the figures with the given IDs (FigureIDs), in order,
 // from base's datasets, MaxDegree, UserDegree (> 0), Repeats and RootSeed.
-// A sweep figure is a view of the cells of one-cell specs of base; each
-// distinct cell runs once on Run's cell loop, over the dataset cache Fig. 2
-// and the experiments read too.
+// A sweep figure is a view of the cells of one-cell specs of base, and Fig.
+// 2 and the computed experiments are jobs of their own; each distinct job
+// runs once on Run's cell loop, over one dataset and schedule cache.
 func Figures(base MatrixSpec, ids []string) ([]plot.Figure, error) {
 	_, figs, err := runFigures(base, ids, 0)
 	return figs, err
@@ -174,7 +196,6 @@ func runFigures(base MatrixSpec, ids []string, workers int) (*door, []plot.Figur
 		byID[f.id] = f
 	}
 	d := &door{base: base, index: make(map[string]int)}
-	var jobs []job
 	for _, id := range ids {
 		f, ok := byID[id]
 		if !ok {
@@ -182,15 +203,15 @@ func runFigures(base MatrixSpec, ids []string, workers int) (*door, []plot.Figur
 		}
 		for _, j := range f.cells {
 			if _, dup := d.index[j.key()]; !dup {
-				d.index[j.key()] = len(jobs)
-				j.cell.Index = len(jobs)
-				jobs = append(jobs, j)
+				d.index[j.key()] = len(d.jobs)
+				j.cell.Index = len(d.jobs)
+				d.jobs = append(d.jobs, j)
 			}
 		}
 	}
-	d.shared = newCaches(jobs)
+	d.shared = newCaches(d.jobs)
 	var err error
-	if d.results, d.errs, err = runJobs(jobs, RunOptions{Workers: workers}.fill(len(jobs)), d.shared, nil, nil); err != nil {
+	if d.results, d.errs, err = runJobs(d.jobs, RunOptions{Workers: workers}.fill(len(d.jobs)), d.shared, nil, nil); err != nil {
 		return nil, nil, err
 	}
 	figs := make([]plot.Figure, len(ids))
@@ -204,22 +225,22 @@ func runFigures(base MatrixSpec, ids []string, workers int) (*door, []plot.Figur
 	return d, figs, nil
 }
 
-// result returns the outcome of one of the door's cells.
+// result returns the outcome of one of the door's jobs.
 func (d *door) result(j job) (CellResult, error) {
 	i := d.index[j.key()]
-	if d.errs[i] != nil {
+	if d.errs[i] != nil && j.compute == nil {
 		return CellResult{}, fmt.Errorf("cell %s: %w", j.cell.Key(), d.errs[i])
 	}
-	return d.results[i], nil
+	return d.results[i], d.errs[i]
 }
 
-// dataset returns base's dataset of the given name from the door's cache.
-func (d *door) dataset(name string) (*trace.Dataset, error) {
-	spec, ok := d.base.dataset(name)
+// named returns base's dataset of the given name from the caches.
+func (c *caches) named(base MatrixSpec, name string) (*trace.Dataset, error) {
+	spec, ok := base.dataset(name)
 	if !ok {
 		return nil, fmt.Errorf("harness: the spec has no %s dataset", name)
 	}
-	ds, _, err := d.shared.dataset(spec)
+	ds, _, err := c.dataset(spec)
 	return ds, err
 }
 
@@ -233,28 +254,26 @@ func (s MatrixSpec) dataset(name string) (DatasetSpec, bool) {
 	return s.Datasets[i], true
 }
 
-// render draws the figure from its cells, or computes it.
+// render draws the figure from its jobs' results.
 func (f figure) render(d *door) (plot.Figure, error) {
 	fig := plot.Figure{ID: f.id, Title: f.title, XLabel: f.xLabel, YLabel: f.yLabel, LogX: f.logX}
 	if fig.YLabel == "" {
 		fig.YLabel = f.metric.String()
 	}
 	metric := metricID(f.metric)
-	switch {
-	case f.series != nil:
-		fb, err := d.dataset("facebook")
-		if err != nil {
-			return fig, err
-		}
-		fig.Series, err = f.series(d, fb)
-		return fig, err
-	case f.xs == nil:
+	if f.xs == nil {
 		c, err := d.result(f.cells[0])
 		if err != nil {
 			return fig, err
 		}
-		for pi, name := range c.Policies { // degrees run 0..MaxDegree: a degree is its index
-			fig.Series = append(fig.Series, plot.Categorical(name, c.Metrics[metric][pi]...))
+		for pi, name := range c.Policies {
+			s := plot.Series{Label: name}
+			for di, y := range c.Metrics[metric][pi] {
+				if y != 0 || !f.dropZeros {
+					s.X, s.Y = append(s.X, float64(c.Degrees[di])), append(s.Y, y)
+				}
+			}
+			fig.Series = append(fig.Series, s)
 		}
 		return fig, nil
 	}
@@ -283,38 +302,45 @@ func (f figure) render(d *door) (plot.Figure, error) {
 	return fig, nil
 }
 
-// metricID returns the manifest identifier of a metric.
+// metricID returns the manifest identifier of a metric, or "value", the
+// key of a computed entry's values, when the figure names none.
 func metricID(m core.Metric) string {
 	for _, mc := range metricColumns {
 		if mc.Metric == m {
 			return mc.ID
 		}
 	}
-	return ""
+	return "value"
 }
 
 // datasetTitle capitalizes a dataset name for a title ("Facebook").
 func datasetTitle(name string) string { return strings.ToUpper(name[:1]) + name[1:] }
 
-// degreeSeries reproduces Fig. 2: the number of users at each user degree,
-// one series per dataset.
-func degreeSeries(d *door, fb *trace.Dataset) ([]plot.Series, error) {
-	tw, err := d.dataset("twitter")
-	if err != nil {
-		return nil, err
-	}
-	var out []plot.Series
-	for _, ds := range []*trace.Dataset{fb, tw} {
-		var xs, ys []float64
-		for deg, c := range ds.Graph.DegreeHistogram() {
-			if c > 0 {
-				xs = append(xs, float64(deg))
-				ys = append(ys, float64(c))
+// computed makes f a computed entry of the door: its one job reads base's
+// Facebook dataset (and, through shared, any other) from the door's caches,
+// and rows returns one row of values per series label, over the axis 0, 1,
+// …, stored under f's metric.
+func computed(base MatrixSpec, f figure, rows func(fb *trace.Dataset, shared *caches) ([]string, [][]float64, error)) figure {
+	fb, _ := base.dataset("facebook")
+	key := metricID(f.metric)
+	f.cells = []job{{cell: CellSpec{Dataset: fb}, figure: f.id, compute: func(shared *caches) (CellResult, error) {
+		ds, err := shared.named(base, "facebook")
+		if err != nil {
+			return CellResult{}, err
+		}
+		labels, values, err := rows(ds, shared)
+		if err != nil {
+			return CellResult{}, err
+		}
+		res := CellResult{Policies: labels, Metrics: map[string][][]float64{key: values}}
+		for _, row := range values {
+			for len(res.Degrees) < len(row) {
+				res.Degrees = append(res.Degrees, len(res.Degrees))
 			}
 		}
-		out = append(out, plot.Series{Label: datasetTitle(ds.Name), X: xs, Y: ys})
-	}
-	return out, nil
+		return res, nil
+	}}}
+	return f
 }
 
 // experiments returns the extension experiments as entries of the door, each
@@ -336,101 +362,75 @@ func experiments(base MatrixSpec) []figure {
 		})
 	}
 	return append(out,
-		figure{
+		computed(base, figure{
 			id:     "ablation-history",
 			title:  "A2: MostActive trained on history (budget 3, 50/50 split)",
 			xLabel: "ranking (0=historical, 1=oracle, 2=random)",
 			metric: core.MetricAoDActivity,
-			series: historySeries,
-		},
-		figure{
+		}, func(fb *trace.Dataset, _ *caches) ([]string, [][]float64, error) {
+			res, err := core.HistorySplit(fb, onlinetime.Sporadic{}, 3, 0.5, base.RootSeed)
+			if err != nil {
+				return nil, nil, err
+			}
+			return []string{"AoD-activity"}, [][]float64{{res.HistoricalAoDActivity, res.OracleAoDActivity, res.RandomAoDActivity}}, nil
+		}),
+		computed(base, figure{
 			id:     "ablation-churn",
 			title:  "A3: availability under replica churn (budget 5)",
 			xLabel: "failed replicas",
 			metric: core.MetricAvailability,
-			series: churnSeries,
-		},
-		figure{
+		}, func(fb *trace.Dataset, _ *caches) (labels []string, rows [][]float64, err error) {
+			churn, err := core.Churn(fb, onlinetime.Sporadic{}, 5, base.Repeats, base.RootSeed)
+			for _, r := range churn {
+				labels, rows = append(labels, r.Policy), append(rows, r.Availability)
+			}
+			return labels, rows, err
+		}),
+		computed(base, figure{
 			id:     "experiment-loadbalance",
 			title:  "X4: replica-host load balance (ConRep, budget 3)",
 			xLabel: "statistic (0=mean, 1=max, 2=cv)",
 			yLabel: "replica-host load",
-			series: loadBalanceSeries,
-		},
-		figure{
+		}, func(fb *trace.Dataset, _ *caches) (labels []string, rows [][]float64, err error) {
+			load, err := core.ReplicaLoadBalance(fb, onlinetime.Sporadic{}, replica.ConRep, 3, base.RootSeed)
+			for _, r := range load {
+				labels, rows = append(labels, r.Policy), append(rows, []float64{r.MeanLoad, r.MaxLoad, r.CV})
+			}
+			return labels, rows, err
+		}),
+		computed(base, figure{
 			id:     "experiment-protocol",
 			title:  "X1/X2: protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)",
 			xLabel: core.ProtocolFields,
 			yLabel: "value",
-			series: protocolSeries,
-		},
-		figure{
+		}, func(fb *trace.Dataset, _ *caches) ([]string, [][]float64, error) {
+			res, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Seed: base.RootSeed, MaxWalls: 25, Days: 7})
+			if err != nil {
+				return nil, nil, err
+			}
+			s := res.Series("MaxAv/ConRep/Sporadic")
+			return []string{s.Label}, [][]float64{s.Y}, nil
+		}),
+		computed(base, figure{
 			id:    "experiment-arch",
 			title: "X6: storage-architecture comparison (ConRep, budget 5, Sporadic)",
 			xLabel: "statistic (0=availability, 1=availability-on-demand-time, 2=delay (in hours), " +
 				"at degree 5; 3=mean lookup hops, 4=load cv, 5=load gini)",
 			yLabel: "value",
-			series: archSeries,
-		},
-	)
-}
-
-func historySeries(d *door, fb *trace.Dataset) ([]plot.Series, error) {
-	res, err := core.HistorySplit(fb, onlinetime.Sporadic{}, 3, 0.5, d.base.RootSeed)
-	if err != nil {
-		return nil, err
-	}
-	return []plot.Series{plot.Categorical("AoD-activity", res.HistoricalAoDActivity, res.OracleAoDActivity, res.RandomAoDActivity)}, nil
-}
-
-func churnSeries(d *door, fb *trace.Dataset) ([]plot.Series, error) {
-	rows, err := core.Churn(fb, onlinetime.Sporadic{}, 5, d.base.Repeats, d.base.RootSeed)
-	if err != nil {
-		return nil, err
-	}
-	var out []plot.Series
-	for _, r := range rows {
-		out = append(out, plot.Categorical(r.Policy, r.Availability...))
-	}
-	return out, nil
-}
-
-func loadBalanceSeries(d *door, fb *trace.Dataset) ([]plot.Series, error) {
-	rows, err := core.ReplicaLoadBalance(fb, onlinetime.Sporadic{}, replica.ConRep, 3, d.base.RootSeed)
-	if err != nil {
-		return nil, err
-	}
-	var out []plot.Series
-	for _, r := range rows {
-		out = append(out, plot.Categorical(r.Policy, r.MeanLoad, r.MaxLoad, r.CV))
-	}
-	return out, nil
-}
-
-func protocolSeries(d *door, fb *trace.Dataset) ([]plot.Series, error) {
-	res, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Seed: d.base.RootSeed, MaxWalls: 25, Days: 7})
-	if err != nil {
-		return nil, err
-	}
-	return []plot.Series{res.Series("MaxAv/ConRep/Sporadic")}, nil
-}
-
-func archSeries(d *door, fb *trace.Dataset) ([]plot.Series, error) {
-	rows, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, MaxDegree: 5, Repeats: d.base.Repeats, Seed: d.base.RootSeed})
-	if err != nil {
-		return nil, err
-	}
-	var out []plot.Series
-	for _, r := range rows {
-		for pi, policy := range r.Sweep.Policies {
-			label := r.Architecture
-			if policy != label {
-				label += "/" + policy
+		}, func(fb *trace.Dataset, _ *caches) (labels []string, rows [][]float64, err error) {
+			arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, MaxDegree: 5, Repeats: base.Repeats, Seed: base.RootSeed})
+			for _, r := range arch {
+				for pi, policy := range r.Sweep.Policies {
+					label := r.Architecture
+					if policy != label {
+						label += "/" + policy
+					}
+					labels = append(labels, label)
+					rows = append(rows, []float64{r.Sweep.Last(pi, core.MetricAvailability), r.Sweep.Last(pi, core.MetricAoDTime),
+						r.Sweep.Last(pi, core.MetricDelayHours), r.Lookup.MeanHops, r.LoadCV, r.LoadGini})
+				}
 			}
-			out = append(out, plot.Categorical(label,
-				r.Sweep.Last(pi, core.MetricAvailability), r.Sweep.Last(pi, core.MetricAoDTime), r.Sweep.Last(pi, core.MetricDelayHours),
-				r.Lookup.MeanHops, r.LoadCV, r.LoadGini))
-		}
-	}
-	return out, nil
+			return labels, rows, err
+		}),
+	)
 }

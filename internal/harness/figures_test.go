@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dosn/internal/core"
+	"dosn/internal/fault"
 	"dosn/internal/plot"
 )
 
@@ -51,6 +52,9 @@ func TestStandardPanelsCoverPaperFigures(t *testing.T) {
 			t.Errorf("panel %s has logX %v", f.id, f.logX)
 		}
 		for _, j := range f.cells {
+			if j.compute != nil {
+				continue // a computed entry's job reads no spec
+			}
 			if len(j.spec.Cells()) != 1 || j.spec.Validate() != nil {
 				t.Errorf("panel %s reads a cell of a spec that is not one valid cell: %+v", f.id, j.spec)
 			}
@@ -65,17 +69,23 @@ func TestStandardPanelsCoverPaperFigures(t *testing.T) {
 }
 
 // TestFiguresRunEachSweepOnce: rendering every figure in one Figures call
-// runs each distinct harness cell once — counted by the cells the loop
-// started — and gives exactly what one Figures call per ID gives. Fig. 9's
-// degree-10 cell is Fig. 3a's, and A1 reads a cell of its own. Not
-// parallel: it reads a process-wide counter.
+// starts one loop job per distinct harness cell and one per computed entry —
+// counted by the jobs the loop started — and gives exactly what one Figures
+// call per ID gives. Fig. 9's degree-10 cell is Fig. 3a's, and A1 reads a
+// cell of its own. The claims evaluator's cells are the sweep cells alone.
+// Not parallel: it reads a process-wide counter.
 func TestFiguresRunEachSweepOnce(t *testing.T) {
 	base := figureBase()
 	ids := FigureIDs()
 	distinct := map[string]bool{}
+	computedJobs := 0
 	for _, f := range figures(base.fill()) {
 		for _, j := range f.cells {
-			distinct[j.key()] = true
+			if j.compute != nil {
+				computedJobs++
+			} else {
+				distinct[j.key()] = true
+			}
 		}
 	}
 	// 10 degree-panel cells (Fig. 3's four models, Fig. 4's two UnconRep
@@ -84,18 +94,34 @@ func TestFiguresRunEachSweepOnce(t *testing.T) {
 	if want := 10 + 7 + 1 + 9; len(distinct) != want {
 		t.Fatalf("%d distinct cells, want %d", len(distinct), want)
 	}
+	// Fig. 2, A2, A3, X4, X1/X2 and X6.
+	if computedJobs != 6 {
+		t.Fatalf("%d computed entries, want 6", computedJobs)
+	}
 	fig9 := figureByID(t, base, "fig9a").cells
 	if fig9[len(fig9)-1].key() != figureByID(t, base, "fig3a").cells[0].key() {
 		t.Error("Fig. 9's degree-10 cell is not Fig. 3a's")
 	}
 
 	before := obsCellsStarted.Value()
-	_, all, err := runFigures(base, ids, 2)
+	d, all, err := runFigures(base, ids, 2)
 	if err != nil {
 		t.Fatalf("Figures: %v", err)
 	}
-	if got := obsCellsStarted.Value() - before; got != int64(len(distinct)) {
-		t.Errorf("Figures ran %d cells, want %d (each distinct cell once)", got, len(distinct))
+	if got, want := obsCellsStarted.Value()-before, int64(len(distinct)+computedJobs); got != want {
+		t.Errorf("Figures started %d jobs, want %d (each distinct cell once, each computed entry once)", got, want)
+	}
+	ev, err := d.evidence(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.cells) != len(distinct) {
+		t.Errorf("the evaluator reads %d cells, want the %d sweep cells", len(ev.cells), len(distinct))
+	}
+	for _, c := range ev.cells {
+		if c.Mode == "" {
+			t.Errorf("the evaluator reads a computed result among its cells: %v", c.Policies)
+		}
 	}
 	for i, id := range ids {
 		_, figs, err := runFigures(base, []string{id}, 1)
@@ -270,5 +296,29 @@ func TestDegreeDistributionFigure(t *testing.T) {
 		if int(total) != ds.NumUsers() {
 			t.Errorf("%s histogram sums to %v, want its %d users", series.Label, total, ds.NumUsers())
 		}
+	}
+}
+
+// TestComputedEntryPanicIsRecovered: a computed entry that panics — here a
+// table build inside X4's runner — fails its figure with an error naming
+// it, through the cell isolation boundary, and the door keeps working. Not
+// parallel: it arms a process-wide failpoint and reads a process-wide
+// counter.
+func TestComputedEntryPanicIsRecovered(t *testing.T) {
+	withHarnessFaults(t, "onlinetime.build-chunk=panic(1)")
+	before := obsCellsRecovered.Value()
+	_, err := Figures(figureBase(), []string{"experiment-loadbalance"})
+	if err == nil || !strings.Contains(err.Error(), "experiment-loadbalance") {
+		t.Fatalf("err = %v, want the panic as an error naming experiment-loadbalance", err)
+	}
+	if _, ok := fault.AsInjected(err); !ok {
+		t.Errorf("err = %v, want the injected fault", err)
+	}
+	if got := obsCellsRecovered.Value() - before; got != 1 {
+		t.Errorf("cells_recovered rose by %d, want 1", got)
+	}
+	fault.Disable()
+	if figs, err := Figures(figureBase(), []string{"experiment-loadbalance"}); err != nil || len(figs[0].Series) != 3 {
+		t.Errorf("after the fault: err = %v", err)
 	}
 }

@@ -324,19 +324,38 @@ func claimOrder(jobs []job) []int {
 	return order
 }
 
-// job is one cell of one spec: the unit the cell loop claims and runs.
-// Run's jobs share its spec; the figure door's come from one-cell specs.
+// job is the unit the cell loop claims and runs: one cell of one spec, or a
+// computed entry of the figure door. Run's jobs share its spec; the door's
+// cells come from one-cell specs.
 type job struct {
 	spec     MatrixSpec
 	cell     CellSpec
 	policies []replica.Policy
+	// compute, when set, makes the job the computed entry of the figure with
+	// ID figure: it runs compute over the run's caches instead of sweeping
+	// cell, whose Dataset only places the job in claimOrder.
+	figure  string
+	compute func(*caches) (CellResult, error)
+}
+
+// name names the job in telemetry and errors: its cell's key, or its
+// figure's ID.
+func (j job) name() string {
+	if j.compute != nil {
+		return j.figure
+	}
+	return j.cell.Key()
 }
 
 // entryKey names the job's schedule-cache entry. Cells over one (dataset,
 // model) share it, whatever their mode or architecture, when their specs
 // agree on what the tables hold: the rows (UserDegree), the table count
-// (Repeats) and the seeds (RootSeed). Within one spec it is scheduleKey.
+// (Repeats) and the seeds (RootSeed). Within one spec it is scheduleKey. A
+// computed job shares no entry.
 func (j job) entryKey() string {
+	if j.compute != nil {
+		return "figure|" + j.figure
+	}
 	return fmt.Sprintf("%s|%d|%d|%d", j.cell.scheduleKey(), j.spec.UserDegree, j.spec.Repeats, j.spec.RootSeed)
 }
 
@@ -436,8 +455,8 @@ func runJobs(jobs []job, opts RunOptions, shared *caches, restored map[int]CellR
 				results[i] = res
 			} else {
 				obsCellsStarted.Inc()
-				co := opts.Telemetry.StartCell(j.cell.Key(), w)
-				results[i], errs[i] = runCellGuarded(j.spec, j.cell, j.policies, opts, shared, co)
+				co := opts.Telemetry.StartCell(j.name(), w)
+				results[i], errs[i] = runCellGuarded(j, opts, shared, co)
 				co.Done()
 				obsCellsDone.Inc()
 				if errs[i] == nil && cp != nil {
@@ -471,14 +490,14 @@ func expectedScheduleHits(cells []CellSpec) int {
 	return len(cells) - len(distinct)
 }
 
-// runCellGuarded is the crash-safety wrapper around one cell: panic
+// runCellGuarded is the crash-safety wrapper around one job: panic
 // isolation (runCellRecovered), an optional per-attempt watchdog
 // (runCellAttempt), and bounded retries with capped exponential backoff.
 // Retrying is sound because cell results are pure functions of (spec, seed)
 // and the shared caches never memoize failures.
-func runCellGuarded(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
+func runCellGuarded(j job, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
 	for attempt := 0; ; attempt++ {
-		res, err := runCellAttempt(spec, cell, policies, opts, shared, co)
+		res, err := runCellAttempt(j, opts, shared, co)
 		if err == nil || attempt >= opts.MaxRetries {
 			return res, err
 		}
@@ -509,9 +528,9 @@ func retryBackoff(base time.Duration, attempt int) time.Duration {
 // channel and its result is discarded. The shared caches stay coherent under
 // abandonment — lazy computes are pure and complete under their entry lock —
 // so a retry or a sibling cell reusing an entry is safe.
-func runCellAttempt(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
+func runCellAttempt(j job, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
 	if opts.CellTimeout <= 0 {
-		return runCellRecovered(spec, cell, policies, opts, shared, co)
+		return runCellRecovered(j, opts, shared, co)
 	}
 	type outcome struct {
 		res CellResult
@@ -520,7 +539,7 @@ func runCellAttempt(spec MatrixSpec, cell CellSpec, policies []replica.Policy, o
 	ch := make(chan outcome, 1)
 	//dosn:go per-attempt watchdog: joined through ch unless the timer wins, and then abandoned to finish into the buffered ch
 	go func() {
-		r, e := runCellRecovered(spec, cell, policies, opts, shared, co)
+		r, e := runCellRecovered(j, opts, shared, co)
 		ch <- outcome{r, e}
 	}()
 	watchdog := time.NewTimer(opts.CellTimeout)
@@ -534,21 +553,24 @@ func runCellAttempt(spec MatrixSpec, cell CellSpec, policies []replica.Policy, o
 }
 
 // runCellRecovered is the cell isolation boundary: a panic anywhere in the
-// cell's synchronous call tree (the fan-outs below it bring their
+// job's synchronous call tree (the fan-outs below it bring their
 // goroutines' panics back into it, and a failed table build re-raises on
-// the goroutine that asked for the table) becomes this cell's
-// error instead of killing the process, so sibling cells finish and the
+// the goroutine that asked for the table) becomes this job's
+// error instead of killing the process, so sibling jobs finish and the
 // checkpoint journal stays intact.
-func runCellRecovered(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (res CellResult, err error) {
+func runCellRecovered(j job, opts RunOptions, shared *caches, co *obs.CellObs) (res CellResult, err error) {
 	defer func() {
-		//dosn:recover cell isolation boundary: a panicking cell (injected fault or real bug) becomes a CellResult error; siblings and the journal survive
+		//dosn:recover cell isolation boundary: a panicking job (injected fault or real bug) becomes a CellResult error; siblings and the journal survive
 		if r := recover(); r != nil {
 			obsCellsRecovered.Inc()
 			res = CellResult{}
-			err = fault.PanicError("harness: cell "+cell.Key(), r, debug.Stack())
+			err = fault.PanicError("harness: cell "+j.name(), r, debug.Stack())
 		}
 	}()
-	return runCell(spec, cell, policies, opts, shared, co)
+	if j.compute != nil {
+		return j.compute(shared)
+	}
+	return runCell(j.spec, j.cell, j.policies, opts, shared, co)
 }
 
 // runCell executes one cell's replication-degree sweep. FriendReplica cells

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -393,6 +392,12 @@ func (g *Graph) WriteEdges(w io.Writer) error {
 // ErrBadGraphFormat is returned by ReadEdges for malformed input.
 var ErrBadGraphFormat = errors.New("socialgraph: malformed graph file")
 
+// MaxUsers is the largest user count ReadEdges accepts from a graph file's
+// header. Build allocates about 32 B per header user even when the file has
+// no edges, so 2³¹−1 users would ask for about 69 GB. 2²⁴ is 16 times the
+// 1 M-user huge tier and caps what a header alone can ask for at 0.5 GB.
+const MaxUsers = 1 << 24
+
 // ReadEdges parses a graph written by WriteEdges.
 func ReadEdges(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -405,8 +410,8 @@ func ReadEdges(r io.Reader) (*Graph, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "# dosn-graph %s %d", &kindStr, &n); err != nil {
 		return nil, fmt.Errorf("%w: bad header %q", ErrBadGraphFormat, sc.Text())
 	}
-	if n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: line 1: user count %d outside [0, %d]", ErrBadGraphFormat, n, math.MaxInt32)
+	if n < 0 || n > MaxUsers {
+		return nil, fmt.Errorf("%w: line 1: user count %d outside [0, %d]", ErrBadGraphFormat, n, MaxUsers)
 	}
 	var kind Kind
 	switch kindStr {

@@ -3,8 +3,10 @@ package socialgraph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -223,7 +225,7 @@ func TestReadEdgesRejectsUnknownKind(t *testing.T) {
 // TestReadEdgesRejectsWideIDs: an endpoint that does not fit int32 is a
 // format error naming its line, not a wrapped edge between real users
 // (4294967297,2 used to load as the edge 1–2), and the header's user count
-// must lie in [0, MaxInt32]. Endpoints that fit but lie outside the graph
+// must lie in [0, MaxUsers]. Endpoints that fit but lie outside the graph
 // are still skipped.
 func TestReadEdgesRejectsWideIDs(t *testing.T) {
 	for _, tt := range []struct{ in, line string }{
@@ -245,6 +247,27 @@ func TestReadEdgesRejectsWideIDs(t *testing.T) {
 	g, err := ReadEdges(strings.NewReader("# dosn-graph undirected 3\n0,1\n2,2147483647\n"))
 	if err != nil || g.NumUsers() != 3 || g.NumEdges() != 1 {
 		t.Errorf("out-of-graph int32 endpoint: err %v; want it skipped", err)
+	}
+}
+
+// TestReadEdgesRejectsOversizedHeader: a header user count above MaxUsers
+// fails with ErrBadGraphFormat before anything proportional to the count is
+// allocated (a 2³¹−1 header would otherwise ask for about 69 GB). The heap
+// delta shows it; the limit itself is not loaded here, since it is meant to
+// be large.
+func TestReadEdgesRejectsOversizedHeader(t *testing.T) {
+	for _, n := range []int{MaxUsers + 1, 1<<31 - 1} {
+		in := fmt.Sprintf("# dosn-graph undirected %d\n", n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadEdges(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadGraphFormat) {
+			t.Errorf("ReadEdges(%q) err = %v, want ErrBadGraphFormat", in, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("ReadEdges(%q) allocated %d B before failing, want under 1 MiB", in, grew)
+		}
 	}
 }
 

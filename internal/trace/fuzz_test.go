@@ -55,6 +55,7 @@ func FuzzReadEdges(f *testing.F) {
 	f.Add("# dosn-graph undirected 3\n4294967297,2\n")
 	f.Add("# dosn-graph undirected -1\n")
 	f.Add("# dosn-graph undirected 4294967296\n")
+	f.Add("# dosn-graph undirected 2147483647\n") // above socialgraph.MaxUsers: fails before sizing the graph
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := socialgraph.ReadEdges(strings.NewReader(in))
 		if err != nil {
