@@ -169,17 +169,25 @@ func BenchmarkFig11TwitterAoDTime(b *testing.B) {
 
 // --- X1/X2: protocol-level validation --------------------------------------
 
+// scheduleTable is the schedule table of every user of fb under the model,
+// seeded with benchSeed, which the protocol benches read.
+func scheduleTable(fb *dosn.Dataset, m dosn.OnlineModel) *dosn.ScheduleTable {
+	return dosn.BuildScheduleTable(m, fb, benchSeed, runtime.NumCPU())
+}
+
 func BenchmarkX1ProtocolValidation(b *testing.B) {
 	fb := facebook(b)
+	schedules := scheduleTable(fb, dosn.NewSporadic(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var measured, analytic float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:  fb,
-			MaxWalls: 15,
-			Days:     7,
-			Seed:     benchSeed,
+			Dataset:   fb,
+			Schedules: schedules,
+			MaxWalls:  15,
+			Days:      7,
+			Seed:      benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -193,16 +201,17 @@ func BenchmarkX1ProtocolValidation(b *testing.B) {
 
 func BenchmarkX2ObservedDelay(b *testing.B) {
 	fb := facebook(b)
+	schedules := scheduleTable(fb, dosn.NewFixedLength(8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var actual, observed float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:  fb,
-			Model:    dosn.NewFixedLength(8),
-			MaxWalls: 15,
-			Days:     7,
-			Seed:     benchSeed,
+			Dataset:   fb,
+			Schedules: schedules,
+			MaxWalls:  15,
+			Days:      7,
+			Seed:      benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -302,18 +311,19 @@ func BenchmarkA3Churn(b *testing.B) {
 
 func BenchmarkA4EagerPushAblation(b *testing.B) {
 	fb := facebook(b)
+	schedules := scheduleTable(fb, dosn.NewSporadic(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var eagerDelay, lazyDelay float64
 	for i := 0; i < b.N; i++ {
 		eager, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, MaxWalls: 10, Days: 5, Seed: benchSeed,
+			Dataset: fb, Schedules: schedules, MaxWalls: 10, Days: 5, Seed: benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		lazy, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, MaxWalls: 10, Days: 5, Seed: benchSeed,
+			Dataset: fb, Schedules: schedules, MaxWalls: 10, Days: 5, Seed: benchSeed,
 			DisableEagerPush: true,
 		})
 		if err != nil {
@@ -328,12 +338,13 @@ func BenchmarkA4EagerPushAblation(b *testing.B) {
 
 func BenchmarkX5ReadAvailability(b *testing.B) {
 	fb := facebook(b)
+	schedules := scheduleTable(fb, dosn.NewSporadic(0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var measured, analytic float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, MaxWalls: 15, Days: 7, Seed: benchSeed,
+			Dataset: fb, Schedules: schedules, MaxWalls: 15, Days: 7, Seed: benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -26,7 +26,6 @@ func runMatrix(args []string) error {
 		models     = fs.String("models", "sporadic,random,fixed2,fixed4,fixed6,fixed8", "comma-separated models (sporadic[:SECONDS]|random|fixedN)")
 		modes      = fs.String("modes", "conrep,unconrep", "comma-separated modes (conrep|unconrep)")
 		archs      = fs.String("arch", "", "comma-separated storage architectures (friend|random|social); default friend replication only")
-		ringBits   = fs.Int("ring-bits", 0, "DHT ring identifier width for random/social cells (0 = 32)")
 		policies   = fs.String("policies", "", "comma-separated policies (MaxAv|MaxAv(activity)|MostActive|Random); default the paper's three")
 		workers    = fs.Int("workers", 0, "concurrent cells (0 = NumCPU); never affects results")
 		jsonOut    = fs.String("json", "", "write the run manifest as JSON to this file ('-' = stdout)")
@@ -69,7 +68,6 @@ func runMatrix(args []string) error {
 	if *resume && *checkpoint == "" {
 		return errors.New("-resume requires -checkpoint")
 	}
-	spec.RingBits = *ringBits
 	for _, name := range splitList(*archs) {
 		arch, err := parseArchFlag(name)
 		if err != nil {

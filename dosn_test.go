@@ -126,7 +126,9 @@ func TestSuiteThroughFacade(t *testing.T) {
 
 func TestProtocolValidationThroughFacade(t *testing.T) {
 	ds := smallFacebook(t)
-	res, err := RunProtocolValidation(ProtocolConfig{Dataset: ds, MaxWalls: 5, Days: 3, Seed: 1})
+	res, err := RunProtocolValidation(ProtocolConfig{
+		Dataset: ds, Schedules: BuildScheduleTable(NewSporadic(0), ds, 1, 1), MaxWalls: 5, Days: 3, Seed: 1,
+	})
 	if err != nil {
 		t.Fatalf("RunProtocolValidation: %v", err)
 	}

@@ -148,7 +148,8 @@ func goldenEntries() []goldenEntry {
 // (MostActive draws placement randomness, FixedLength wraps midnight, loss
 // consumes the runtime RNG), so the schedule, placement, read-draw and loss
 // streams are all pinned. Unlike the door's experiment-protocol entry, whose
-// one configuration pins none of the last three, it builds its own.
+// one configuration pins none of the last three, it builds its own, each
+// over a schedule table of its model seeded with the run's seed.
 func protocolFigure(t *testing.T) dosn.Figure {
 	// goldenSpec's datasets, at the calibrations' default seeds.
 	fb, err := dosn.Facebook(goldenSpec.Datasets[0].Users, 1)
@@ -169,10 +170,13 @@ func protocolFigure(t *testing.T) dosn.Figure {
 		label string
 		cfg   dosn.ProtocolConfig
 	}{
-		{"MaxAv/ConRep/Sporadic", dosn.ProtocolConfig{Dataset: fb, MaxWalls: 12, Days: 4, Seed: 42}},
+		{"MaxAv/ConRep/Sporadic", dosn.ProtocolConfig{
+			Dataset: fb, Schedules: dosn.BuildScheduleTable(dosn.NewSporadic(0), fb, 42, 1),
+			MaxWalls: 12, Days: 4, Seed: 42,
+		}},
 		{"MostActive/UnconRep/FixedLength(8h)/loss", dosn.ProtocolConfig{
-			Dataset: tw, Model: dosn.NewFixedLength(8), Policy: dosn.MostActive, Mode: dosn.UnconRep,
-			Budget: 4, MaxWalls: 8, Days: 3, LossRate: 0.2, Seed: 42,
+			Dataset: tw, Schedules: dosn.BuildScheduleTable(dosn.NewFixedLength(8), tw, 42, 1),
+			Policy: dosn.MostActive, Mode: dosn.UnconRep, Budget: 4, MaxWalls: 8, Days: 3, LossRate: 0.2, Seed: 42,
 		}},
 	} {
 		res, err := dosn.RunProtocolValidation(c.cfg)

@@ -60,10 +60,11 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Protocol runtime on the same dataset.
 	proto, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-		Dataset:  ds,
-		MaxWalls: 5,
-		Days:     3,
-		Seed:     2,
+		Dataset:   ds,
+		Schedules: dosn.BuildScheduleTable(dosn.NewSporadic(0), ds, 2, 1),
+		MaxWalls:  5,
+		Days:      3,
+		Seed:      2,
 	})
 	if err != nil {
 		t.Fatalf("protocol: %v", err)

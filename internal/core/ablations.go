@@ -31,10 +31,11 @@ type HistorySplitResult struct {
 }
 
 // HistorySplit trains MostActive on the first `trainFraction` of the trace
-// and evaluates availability-on-demand-activity on the remainder.
-func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFraction float64, seed int64) (*HistorySplitResult, error) {
-	if ds == nil {
-		return nil, ErrNoDataset
+// and evaluates availability-on-demand-activity on the rest, over the table.
+func HistorySplit(ds *trace.Dataset, table *onlinetime.Table, budget int, trainFraction float64, seed int64) (*HistorySplitResult, error) {
+	schedules, err := tableRows(ds, table)
+	if err != nil {
+		return nil, err
 	}
 	if trainFraction <= 0 || trainFraction >= 1 {
 		return nil, fmt.Errorf("core: trainFraction %v outside (0,1)", trainFraction)
@@ -45,7 +46,6 @@ func HistorySplit(ds *trace.Dataset, model onlinetime.Model, budget int, trainFr
 	}
 	split := from.Add(time.Duration(float64(to.Sub(from)) * trainFraction))
 
-	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 21), 1).Bitmaps()
 	users, err := analysisUsers(ds.Graph, 0)
 	if err != nil {
 		return nil, err
@@ -96,14 +96,14 @@ type ChurnRow struct {
 	Availability []float64
 }
 
-// Churn places replicas with each policy at the given budget and measures
-// availability as replicas are removed uniformly at random (averaged over
-// users and `repeats` failure draws).
-func Churn(ds *trace.Dataset, model onlinetime.Model, budget, repeats int, seed int64) ([]ChurnRow, error) {
-	if ds == nil {
-		return nil, ErrNoDataset
+// Churn places replicas with each policy at the given budget over the table
+// and measures availability as replicas are removed uniformly at random
+// (averaged over users and `repeats` failure draws).
+func Churn(ds *trace.Dataset, table *onlinetime.Table, budget, repeats int, seed int64) ([]ChurnRow, error) {
+	schedules, err := tableRows(ds, table)
+	if err != nil {
+		return nil, err
 	}
-	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 31), 1).Bitmaps()
 	users, err := analysisUsers(ds.Graph, 0)
 	if err != nil {
 		return nil, err

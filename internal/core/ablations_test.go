@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestObjectiveAblation(t *testing.T) {
 
 func TestHistorySplit(t *testing.T) {
 	ds := testDataset(t)
-	res, err := HistorySplit(ds, onlinetime.Sporadic{}, 3, 0.5, 5)
+	res, err := HistorySplit(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), 3, 0.5, 5)
 	if err != nil {
 		t.Fatalf("HistorySplit: %v", err)
 	}
@@ -139,17 +140,20 @@ func TestHistorySplitValidation(t *testing.T) {
 	if _, err := HistorySplit(nil, nil, 3, 0.5, 1); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("err = %v, want ErrNoDataset", err)
 	}
-	if _, err := HistorySplit(ds, nil, 3, 0, 1); err == nil {
-		t.Error("trainFraction 0 must fail")
+	table := onlinetime.NewTable(ds.NumUsers())
+	for _, f := range []float64{0, 1} {
+		if _, err := HistorySplit(ds, table, 3, f, 1); err == nil || !strings.Contains(err.Error(), "trainFraction") {
+			t.Errorf("trainFraction %v: err = %v, want the trainFraction error", f, err)
+		}
 	}
-	if _, err := HistorySplit(ds, nil, 3, 1, 1); err == nil {
-		t.Error("trainFraction 1 must fail")
+	if _, err := HistorySplit(ds, nil, 3, 0.5, 1); err == nil {
+		t.Error("a nil schedule table must fail")
 	}
 }
 
 func TestChurnMonotoneDegradation(t *testing.T) {
 	ds := testDataset(t)
-	rows, err := Churn(ds, onlinetime.Sporadic{}, 5, 3, 2)
+	rows, err := Churn(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 2, 1), 5, 3, 2)
 	if err != nil {
 		t.Fatalf("Churn: %v", err)
 	}
@@ -178,5 +182,11 @@ func TestChurnMonotoneDegradation(t *testing.T) {
 func TestChurnValidation(t *testing.T) {
 	if _, err := Churn(nil, nil, 0, 0, 1); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("err = %v, want ErrNoDataset", err)
+	}
+	ds := testDataset(t)
+	for _, n := range []int{ds.NumUsers() - 1, ds.NumUsers() + 1} {
+		if _, err := Churn(ds, onlinetime.NewTable(n), 5, 1, 1); err == nil {
+			t.Errorf("a schedule table of %d users for %d was accepted", n, ds.NumUsers())
+		}
 	}
 }

@@ -28,8 +28,6 @@ type ArchConfig struct {
 	// Architectures names the architectures to compare ("FriendReplica",
 	// "RandomDHT", "SocialDHT"); empty means all three.
 	Architectures []string
-	// RingBits is the DHT ring identifier width (0 = dht.DefaultBits).
-	RingBits int
 	// MaxDegree, UserDegree, Repeats and Seed mirror Config.
 	MaxDegree  int
 	UserDegree int
@@ -60,9 +58,6 @@ func (c *ArchConfig) fill() error {
 		if !dht.ValidArchName(a) {
 			return fmt.Errorf("core: unknown architecture %q (FriendReplica|RandomDHT|SocialDHT)", a)
 		}
-	}
-	if c.RingBits == 0 {
-		c.RingBits = dht.DefaultBits
 	}
 	if c.MaxDegree <= 0 {
 		c.MaxDegree = 10
@@ -124,7 +119,7 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 	var lookup metrics.RoutingStats
 	for _, a := range cfg.Architectures {
 		if a != dht.ArchFriendReplica {
-			r, err := dht.BuildRing(ds.NumUsers(), dht.Config{Bits: cfg.RingBits})
+			r, err := dht.BuildRing(ds.NumUsers(), dht.Config{})
 			if err != nil {
 				return nil, err
 			}

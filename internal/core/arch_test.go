@@ -137,9 +137,6 @@ func TestRunArchComparisonValidation(t *testing.T) {
 	if _, err := RunArchComparison(ArchConfig{Dataset: ds, Architectures: []string{"Gossip"}}); err == nil {
 		t.Error("unknown architecture accepted")
 	}
-	if _, err := RunArchComparison(ArchConfig{Dataset: ds, RingBits: 2}); err == nil {
-		t.Error("bad ring bits accepted")
-	}
 }
 
 // TestDHTPoliciesThroughEngine drives the DHT placements through core.Run

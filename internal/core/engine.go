@@ -350,6 +350,18 @@ func repTable(model onlinetime.Model, ds *trace.Dataset, seed int64, rep, worker
 	return onlinetime.ComputeTable(model, ds, mix(seed, int64(rep)), workers)
 }
 
+// tableRows returns the rows of a caller's schedule table, which must be
+// built over ds: the experiments read every user's row.
+func tableRows(ds *trace.Dataset, t *onlinetime.Table) ([]interval.Bitmap, error) {
+	switch {
+	case ds == nil:
+		return nil, ErrNoDataset
+	case t == nil || t.NumUsers() != ds.NumUsers():
+		return nil, fmt.Errorf("core: an experiment needs a schedule table of the dataset's %d users", ds.NumUsers())
+	}
+	return t.Bitmaps(), nil
+}
+
 func newGrid(policies, degrees int) [][]Cell {
 	g := make([][]Cell, policies)
 	for i := range g {

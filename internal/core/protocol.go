@@ -20,10 +20,10 @@ import (
 // executed in the discrete-event OSN runtime, and measured delays are
 // compared against the analytic worst-case metric.
 type ProtocolConfig struct {
-	// Dataset supplies the graph, activities, and schedules.
+	// Dataset supplies the graph and activities.
 	Dataset *trace.Dataset
-	// Model approximates online times (default Sporadic).
-	Model onlinetime.Model
+	// Schedules is the online-time table built over Dataset (required).
+	Schedules *onlinetime.Table
 	// Policy places the replicas (default MaxAv).
 	Policy replica.Policy
 	// Mode selects ConRep/UnconRep (default ConRep).
@@ -43,17 +43,11 @@ type ProtocolConfig struct {
 	// runtime (protocol-design ablation A4); replicas then exchange only at
 	// session starts.
 	DisableEagerPush bool
-	// Seed drives schedules, placement, and loss.
+	// Seed drives placement, reads and loss.
 	Seed int64
 }
 
-func (c *ProtocolConfig) fill() error {
-	if c.Dataset == nil {
-		return ErrNoDataset
-	}
-	if c.Model == nil {
-		c.Model = onlinetime.Sporadic{}
-	}
+func (c *ProtocolConfig) fill() {
 	if c.Policy == nil {
 		c.Policy = replica.MaxAv{}
 	}
@@ -72,7 +66,6 @@ func (c *ProtocolConfig) fill() error {
 	if c.Days <= 0 {
 		c.Days = 7
 	}
-	return nil
 }
 
 // ProtocolResult compares analytic predictions with runtime measurements.
@@ -130,11 +123,12 @@ func (r *ProtocolResult) Series(label string) plot.Series {
 // RunProtocolValidation builds an OSN runtime for a sample of walls placed
 // by the configured policy and compares measured against analytic metrics.
 func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
-	if err := cfg.fill(); err != nil {
+	schedules, err := tableRows(cfg.Dataset, cfg.Schedules)
+	if err != nil {
 		return nil, err
 	}
+	cfg.fill()
 	ds := cfg.Dataset
-	schedules := onlinetime.ComputeTable(cfg.Model, ds, mix(cfg.Seed, 1), 1).Bitmaps()
 
 	owners := ds.Graph.UsersWithDegree(cfg.UserDegree)
 	if len(owners) == 0 {
@@ -266,13 +260,13 @@ type LoadBalanceRow struct {
 }
 
 // ReplicaLoadBalance places replicas for every user in the dataset with each
-// policy and reports how evenly hosting duty spreads over the nodes.
-func ReplicaLoadBalance(ds *trace.Dataset, model onlinetime.Model, mode replica.Mode, budget int, seed int64) ([]LoadBalanceRow, error) {
-	if ds == nil {
-		return nil, ErrNoDataset
+// policy over the table and reports how evenly hosting duty spreads.
+func ReplicaLoadBalance(ds *trace.Dataset, table *onlinetime.Table, mode replica.Mode, budget int, seed int64) ([]LoadBalanceRow, error) {
+	schedules, err := tableRows(ds, table)
+	if err != nil {
+		return nil, err
 	}
 	workers := runtime.NumCPU()
-	schedules := onlinetime.ComputeTable(model, ds, mix(seed, 11), workers).Bitmaps()
 	rows := make([]LoadBalanceRow, 0, 3)
 	for pi, p := range replica.DefaultPolicies() {
 		load, err := placementLoad(ds, schedules, p, mode, budget, workers,

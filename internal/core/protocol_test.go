@@ -12,7 +12,7 @@ func TestProtocolValidationBoundsHold(t *testing.T) {
 	ds := testDataset(t)
 	res, err := RunProtocolValidation(ProtocolConfig{
 		Dataset:    ds,
-		Model:      onlinetime.FixedLength{Hours: 8},
+		Schedules:  onlinetime.ComputeTable(onlinetime.FixedLength{Hours: 8}, ds, 3, 1),
 		Policy:     replica.MaxAv{},
 		Mode:       replica.ConRep,
 		Budget:     3,
@@ -49,10 +49,10 @@ func TestProtocolValidationBoundsHold(t *testing.T) {
 func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
 	ds := testDataset(t)
 	res, err := RunProtocolValidation(ProtocolConfig{
-		Dataset:  ds,
-		Model:    onlinetime.Sporadic{},
-		MaxWalls: 15,
-		Seed:     5,
+		Dataset:   ds,
+		Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1),
+		MaxWalls:  15,
+		Seed:      5,
 	})
 	if err != nil {
 		t.Fatalf("RunProtocolValidation: %v", err)
@@ -71,7 +71,8 @@ func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
 // Without it the policy covered the empty universe — no replica, no
 // exchange, a zero delay bound, and no error.
 func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
-	cfg := ProtocolConfig{Dataset: testDataset(t), MaxWalls: 15, Seed: 5}
+	ds := testDataset(t)
+	cfg := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), MaxWalls: 15, Seed: 5}
 	run := func(p replica.Policy) *ProtocolResult {
 		t.Helper()
 		cfg.Policy = p
@@ -96,7 +97,7 @@ func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
 
 func TestProtocolValidationLossReducesDelivery(t *testing.T) {
 	ds := testDataset(t)
-	base := ProtocolConfig{Dataset: ds, MaxWalls: 8, Days: 3, Seed: 9}
+	base := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 9, 1), MaxWalls: 8, Days: 3, Seed: 9}
 	clean, err := RunProtocolValidation(base)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -121,14 +122,23 @@ func TestProtocolValidationErrors(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoDataset", err)
 	}
 	ds := testDataset(t)
-	if _, err := RunProtocolValidation(ProtocolConfig{Dataset: ds, UserDegree: 499}); !errors.Is(err, ErrNoUsers) {
+	if _, err := RunProtocolValidation(ProtocolConfig{Dataset: ds}); err == nil {
+		t.Error("a config without a schedule table was accepted")
+	}
+	for _, n := range []int{ds.NumUsers() - 1, ds.NumUsers() + 1} {
+		if _, err := RunProtocolValidation(ProtocolConfig{Dataset: ds, Schedules: onlinetime.NewTable(n)}); err == nil {
+			t.Errorf("a schedule table of %d users for %d was accepted", n, ds.NumUsers())
+		}
+	}
+	full := onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 1, 1)
+	if _, err := RunProtocolValidation(ProtocolConfig{Dataset: ds, Schedules: full, UserDegree: 499}); !errors.Is(err, ErrNoUsers) {
 		t.Errorf("err = %v, want ErrNoUsers", err)
 	}
 }
 
 func TestReplicaLoadBalance(t *testing.T) {
 	ds := testDataset(t)
-	rows, err := ReplicaLoadBalance(ds, onlinetime.Sporadic{}, replica.ConRep, 3, 1)
+	rows, err := ReplicaLoadBalance(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 1, 1), replica.ConRep, 3, 1)
 	if err != nil {
 		t.Fatalf("ReplicaLoadBalance: %v", err)
 	}
@@ -161,16 +171,19 @@ func TestReplicaLoadBalanceValidation(t *testing.T) {
 	if _, err := ReplicaLoadBalance(nil, nil, 0, 0, 1); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("err = %v, want ErrNoDataset", err)
 	}
+	if _, err := ReplicaLoadBalance(testDataset(t), nil, replica.ConRep, 3, 1); err == nil {
+		t.Error("a nil schedule table was accepted")
+	}
 }
 
 func TestProtocolMeasuredAoDTimeTracksAnalytic(t *testing.T) {
 	ds := testDataset(t)
 	res, err := RunProtocolValidation(ProtocolConfig{
-		Dataset:  ds,
-		Model:    onlinetime.FixedLength{Hours: 8},
-		MaxWalls: 12,
-		Days:     5,
-		Seed:     13,
+		Dataset:   ds,
+		Schedules: onlinetime.ComputeTable(onlinetime.FixedLength{Hours: 8}, ds, 13, 1),
+		MaxWalls:  12,
+		Days:      5,
+		Seed:      13,
 	})
 	if err != nil {
 		t.Fatalf("RunProtocolValidation: %v", err)

@@ -67,13 +67,14 @@ var sessionSeconds = []float64{100, 300, 1000, 3000, 10000, 30000, 100000}
 func figures(base MatrixSpec) []figure {
 	// Fig. 2 draws, per dataset, the number of users at each user degree
 	// some user has.
-	out := []figure{computed(base, figure{
+	d, _ := base.dataset("facebook")
+	out := []figure{computed(figure{
 		id:        "fig2",
 		title:     "User degree distribution of the datasets",
 		xLabel:    "user degree",
 		yLabel:    "number of users",
 		dropZeros: true,
-	}, func(fb *trace.Dataset, shared *caches) ([]string, [][]float64, error) {
+	}, job{cell: CellSpec{Dataset: d}}, func(fb *trace.Dataset, _ []*onlinetime.Table, shared *caches) ([]string, [][]float64, error) {
 		tw, err := shared.named(base, "twitter")
 		if err != nil {
 			return nil, nil, err
@@ -202,6 +203,9 @@ func runFigures(base MatrixSpec, ids []string, workers int) (*door, []plot.Figur
 			return nil, nil, fmt.Errorf("unknown figure %q (%s)", id, strings.Join(FigureIDs(), "|"))
 		}
 		for _, j := range f.cells {
+			if _, ok := base.dataset(j.cell.Dataset.Name); !ok {
+				return nil, nil, fmt.Errorf("figure %s: harness: the spec has no %s dataset", id, j.cell.Dataset.Name)
+			}
 			if _, dup := d.index[j.key()]; !dup {
 				d.index[j.key()] = len(d.jobs)
 				j.cell.Index = len(d.jobs)
@@ -316,19 +320,15 @@ func metricID(m core.Metric) string {
 // datasetTitle capitalizes a dataset name for a title ("Facebook").
 func datasetTitle(name string) string { return strings.ToUpper(name[:1]) + name[1:] }
 
-// computed makes f a computed entry of the door: its one job reads base's
-// Facebook dataset (and, through shared, any other) from the door's caches,
-// and rows returns one row of values per series label, over the axis 0, 1,
-// …, stored under f's metric.
-func computed(base MatrixSpec, f figure, rows func(fb *trace.Dataset, shared *caches) ([]string, [][]float64, error)) figure {
-	fb, _ := base.dataset("facebook")
+// computed makes f a computed entry of the door whose one job is j: rows
+// gets j's dataset, its entry's tables when its cell names a model (nil
+// otherwise; the first fills every row) and the door's caches, and returns
+// one row of values per series label, over the axis 0, 1, …, in f's metric.
+func computed(f figure, j job, rows func(ds *trace.Dataset, schedules []*onlinetime.Table, shared *caches) ([]string, [][]float64, error)) figure {
 	key := metricID(f.metric)
-	f.cells = []job{{cell: CellSpec{Dataset: fb}, figure: f.id, compute: func(shared *caches) (CellResult, error) {
-		ds, err := shared.named(base, "facebook")
-		if err != nil {
-			return CellResult{}, err
-		}
-		labels, values, err := rows(ds, shared)
+	j.figure = f.id
+	j.compute = func(ds *trace.Dataset, schedules []*onlinetime.Table, shared *caches) (CellResult, error) {
+		labels, values, err := rows(ds, schedules, shared)
 		if err != nil {
 			return CellResult{}, err
 		}
@@ -339,15 +339,18 @@ func computed(base MatrixSpec, f figure, rows func(fb *trace.Dataset, shared *ca
 			}
 		}
 		return res, nil
-	}}}
+	}
+	f.cells = []job{j}
 	return f
 }
 
 // experiments returns the extension experiments as entries of the door, each
 // on the Facebook dataset at the fixed budget its title names, with base's
-// RootSeed as its seed and base's Repeats as its repeat count.
+// RootSeed as its seed and base's Repeats as its repeat count. A2, A3, X4
+// and X1/X2 read Fig. 3a's cell's first table; X6 builds its own.
 func experiments(base MatrixSpec) []figure {
 	var out []figure
+	sporadic := one(base, "facebook", Sporadic(), replica.ConRep, base.MaxDegree, base.UserDegree)
 	// A1 is a cell of MaxAv's two set-cover objectives, Random the floor,
 	// over degrees 0..5: the activity-targeted variant should win on
 	// AoD-activity and lose on raw availability.
@@ -362,62 +365,62 @@ func experiments(base MatrixSpec) []figure {
 		})
 	}
 	return append(out,
-		computed(base, figure{
+		computed(figure{
 			id:     "ablation-history",
 			title:  "A2: MostActive trained on history (budget 3, 50/50 split)",
 			xLabel: "ranking (0=historical, 1=oracle, 2=random)",
 			metric: core.MetricAoDActivity,
-		}, func(fb *trace.Dataset, _ *caches) ([]string, [][]float64, error) {
-			res, err := core.HistorySplit(fb, onlinetime.Sporadic{}, 3, 0.5, base.RootSeed)
+		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) ([]string, [][]float64, error) {
+			res, err := core.HistorySplit(fb, schedules[0], 3, 0.5, base.RootSeed)
 			if err != nil {
 				return nil, nil, err
 			}
 			return []string{"AoD-activity"}, [][]float64{{res.HistoricalAoDActivity, res.OracleAoDActivity, res.RandomAoDActivity}}, nil
 		}),
-		computed(base, figure{
+		computed(figure{
 			id:     "ablation-churn",
 			title:  "A3: availability under replica churn (budget 5)",
 			xLabel: "failed replicas",
 			metric: core.MetricAvailability,
-		}, func(fb *trace.Dataset, _ *caches) (labels []string, rows [][]float64, err error) {
-			churn, err := core.Churn(fb, onlinetime.Sporadic{}, 5, base.Repeats, base.RootSeed)
+		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) (labels []string, rows [][]float64, err error) {
+			churn, err := core.Churn(fb, schedules[0], 5, base.Repeats, base.RootSeed)
 			for _, r := range churn {
 				labels, rows = append(labels, r.Policy), append(rows, r.Availability)
 			}
 			return labels, rows, err
 		}),
-		computed(base, figure{
+		computed(figure{
 			id:     "experiment-loadbalance",
 			title:  "X4: replica-host load balance (ConRep, budget 3)",
 			xLabel: "statistic (0=mean, 1=max, 2=cv)",
 			yLabel: "replica-host load",
-		}, func(fb *trace.Dataset, _ *caches) (labels []string, rows [][]float64, err error) {
-			load, err := core.ReplicaLoadBalance(fb, onlinetime.Sporadic{}, replica.ConRep, 3, base.RootSeed)
+		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) (labels []string, rows [][]float64, err error) {
+			load, err := core.ReplicaLoadBalance(fb, schedules[0], replica.ConRep, 3, base.RootSeed)
 			for _, r := range load {
 				labels, rows = append(labels, r.Policy), append(rows, []float64{r.MeanLoad, r.MaxLoad, r.CV})
 			}
 			return labels, rows, err
 		}),
-		computed(base, figure{
+		computed(figure{
 			id:     "experiment-protocol",
 			title:  "X1/X2: protocol-level validation (MaxAv, ConRep, budget 3, Sporadic)",
 			xLabel: core.ProtocolFields,
 			yLabel: "value",
-		}, func(fb *trace.Dataset, _ *caches) ([]string, [][]float64, error) {
-			res, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Seed: base.RootSeed, MaxWalls: 25, Days: 7})
+		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) ([]string, [][]float64, error) {
+			res, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Schedules: schedules[0], Seed: base.RootSeed, MaxWalls: 25, Days: 7})
 			if err != nil {
 				return nil, nil, err
 			}
 			s := res.Series("MaxAv/ConRep/Sporadic")
 			return []string{s.Label}, [][]float64{s.Y}, nil
 		}),
-		computed(base, figure{
+		computed(figure{
 			id:    "experiment-arch",
 			title: "X6: storage-architecture comparison (ConRep, budget 5, Sporadic)",
 			xLabel: "statistic (0=availability, 1=availability-on-demand-time, 2=delay (in hours), " +
 				"at degree 5; 3=mean lookup hops, 4=load cv, 5=load gini)",
 			yLabel: "value",
-		}, func(fb *trace.Dataset, _ *caches) (labels []string, rows [][]float64, err error) {
+		}, job{cell: CellSpec{Dataset: sporadic.cell.Dataset}}, func(fb *trace.Dataset, _ []*onlinetime.Table, _ *caches) (labels []string, rows [][]float64, err error) {
 			arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, MaxDegree: 5, Repeats: base.Repeats, Seed: base.RootSeed})
 			for _, r := range arch {
 				for pi, policy := range r.Sweep.Policies {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,7 +10,11 @@ import (
 
 	"dosn/internal/core"
 	"dosn/internal/fault"
+	"dosn/internal/obs"
+	"dosn/internal/onlinetime"
 	"dosn/internal/plot"
+	"dosn/internal/replica"
+	"dosn/internal/trace"
 )
 
 // figureBase is the base of the figure tests: small calibrated datasets and
@@ -320,5 +325,129 @@ func TestComputedEntryPanicIsRecovered(t *testing.T) {
 	fault.Disable()
 	if figs, err := Figures(figureBase(), []string{"experiment-loadbalance"}); err != nil || len(figs[0].Series) != 3 {
 		t.Errorf("after the fault: err = %v", err)
+	}
+}
+
+// TestExperimentsShareCellTables: A2, A3, X4 and X1/X2 read Fig. 3a's
+// schedule entry, so the door over Fig. 3a and the four builds exactly the
+// tables Fig. 3a alone builds. Each result is its runner's on the first
+// repetition's cached table, whose rows equal a build of every row from the
+// entry's seed (X4 places every user), and each experiment renders alone as
+// it does among the others, building only that one table. The experiment
+// jobs fill the entry's first table in every row while Fig. 3a's cell reads
+// it, on two workers.
+func TestExperimentsShareCellTables(t *testing.T) {
+	base := figureBase()
+	base.Repeats = 2
+	tables := obs.C("onlinetime.tables_built")
+	ids := []string{"fig3a", "ablation-history", "ablation-churn", "experiment-loadbalance", "experiment-protocol"}
+
+	before := tables.Value()
+	if _, err := Figures(base, ids[:1]); err != nil {
+		t.Fatalf("Figures(fig3a): %v", err)
+	}
+	alone := tables.Value() - before
+	before = tables.Value()
+	d, figs, err := runFigures(base, ids, 2)
+	if err != nil {
+		t.Fatalf("Figures: %v", err)
+	}
+	if got := tables.Value() - before; got != alone || alone != int64(base.Repeats) {
+		t.Errorf("fig3a and the experiments built %d tables, fig3a alone %d, want %d each", got, alone, base.Repeats)
+	}
+
+	fb, err := d.shared.named(d.base, "facebook")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedules, whole := firstCachedTable(t, d, fb, figureByID(t, d.base, "fig3a").cells[0])
+	if !whole {
+		t.Error("fig3a's first table is not the build of every row from the entry's seed")
+	}
+
+	seed := base.RootSeed
+	history, err := core.HistorySplit(fb, schedules, 3, 0.5, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn, err := core.Churn(fb, schedules, 5, base.Repeats, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := core.ReplicaLoadBalance(fb, schedules, replica.ConRep, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocol, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Schedules: schedules, Seed: seed, MaxWalls: 25, Days: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][][]float64{
+		"ablation-history":    {{history.HistoricalAoDActivity, history.OracleAoDActivity, history.RandomAoDActivity}},
+		"experiment-protocol": {protocol.Series("").Y},
+	}
+	for _, r := range churn {
+		want["ablation-churn"] = append(want["ablation-churn"], r.Availability)
+	}
+	for _, r := range load {
+		want["experiment-loadbalance"] = append(want["experiment-loadbalance"], []float64{r.MeanLoad, r.MaxLoad, r.CV})
+	}
+	for i, id := range ids[1:] {
+		got := figs[i+1]
+		if len(got.Series) != len(want[id]) {
+			t.Fatalf("%s has %d series, want %d", id, len(got.Series), len(want[id]))
+		}
+		for si, s := range got.Series {
+			if !slices.Equal(s.Y, want[id][si]) {
+				t.Errorf("%s %s = %v, its runner on fig3a's table %v", id, s.Label, s.Y, want[id][si])
+			}
+		}
+		before = tables.Value()
+		_, own, err := runFigures(base, []string{id}, 2)
+		if err != nil {
+			t.Fatalf("Figures(%s): %v", id, err)
+		}
+		if !reflect.DeepEqual(own[0], got) {
+			t.Errorf("%s: rendered alone and among the others differently", id)
+		}
+		if built := tables.Value() - before; built != 1 {
+			t.Errorf("%s alone built %d tables, want the one it reads", id, built)
+		}
+	}
+}
+
+// firstCachedTable returns the first table of j's schedule entry in d's
+// caches and whether it is the build of every row from the entry's seed.
+func firstCachedTable(t *testing.T, d *door, fb *trace.Dataset, j job) (*onlinetime.Table, bool) {
+	t.Helper()
+	cached, _, err := d.shared.scheduleEntry(j.entryKey()).get(func() ([]*onlinetime.Table, error) {
+		return nil, fmt.Errorf("%s's entry is not cached", j.name())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := onlinetime.ComputeTable(onlinetime.Sporadic{}, fb, j.spec.scheduleSeed(j.cell.Dataset, j.cell.Model, 0), 1)
+	return cached[0], reflect.DeepEqual(cached[0].Bitmaps(), full.Bitmaps())
+}
+
+// TestExperimentsWidenOnlyTheirEntry: the experiments fill every row of the
+// first table of the entry they share with Fig. 3a only. Fig. 9's entries
+// at the other user degrees, over the same dataset and model, keep to their
+// analysis closure.
+func TestExperimentsWidenOnlyTheirEntry(t *testing.T) {
+	base := figureBase()
+	d, _, err := runFigures(base, []string{"fig9a", "experiment-loadbalance"}, 2)
+	if err != nil {
+		t.Fatalf("Figures: %v", err)
+	}
+	fb, err := d.shared.named(d.base, "facebook")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range figureByID(t, d.base, "fig9a").cells {
+		_, whole := firstCachedTable(t, d, fb, j)
+		if want := j.spec.UserDegree == d.base.UserDegree; whole != want {
+			t.Errorf("fig9a at user degree %d: first table fills every row = %v, want %v", j.spec.UserDegree, whole, want)
+		}
 	}
 }

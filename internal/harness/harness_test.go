@@ -533,13 +533,7 @@ func TestValidateRejectsDuplicateArchitectures(t *testing.T) {
 		t.Errorf("unknown-architecture error %q does not name the entry", err)
 	}
 	spec = testSpec()
-	spec.RingBits = 4
-	if err := spec.Validate(); err == nil {
-		t.Error("out-of-range ring bits accepted")
-	}
-	spec = testSpec()
 	spec.Architectures = []string{"FriendReplica", "RandomDHT", "SocialDHT"}
-	spec.RingBits = 16
 	if err := spec.Validate(); err != nil {
 		t.Errorf("valid multi-architecture spec rejected: %v", err)
 	}

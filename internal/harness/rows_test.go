@@ -49,11 +49,11 @@ func cachedEntry(t *testing.T, spec MatrixSpec, c *caches, cell CellSpec, datase
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, _, err := c.schedulesFor(spec, cell, ds, model, 2)
+	tables, _, err := c.schedulesFor(spec, cell, ds, model, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.scheduleRows(cell.scheduleKey(), spec.UserDegree, ds)
+	rows, _, err := c.scheduleRows(spec, cell, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSeedIndependentEntryAliasesRepetitions(t *testing.T) {
 		}
 		if fixed {
 			withHarnessFaults(t, "harness.schedule-build=error(3)")
-			_, _, _, err := newCaches(spec.jobs()).schedulesFor(spec, cell, e.ds, e.model, 1)
+			_, _, err := newCaches(spec.jobs()).schedulesFor(spec, cell, e.ds, e.model, 1, nil)
 			if inj, ok := fault.AsInjected(err); !ok || inj.Hit != 3 {
 				t.Errorf("%s: build error %v, want the schedule-build fault at hit 3 (the third, aliased repetition)", cell.Key(), err)
 			}

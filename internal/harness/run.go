@@ -147,9 +147,7 @@ type caches struct {
 	datasets  map[string]*lazy[*trace.Dataset]
 	schedules map[string]*schedEntry
 	rings     map[string]*lazy[*dht.Ring]
-	// everyRow holds the schedule keys some DHT cell of the run reads;
-	// read-only after newCaches.
-	everyRow map[string]bool
+	reads     map[string]tableReads // by entry key (job.reads); read-only after newCaches
 }
 
 // newCaches returns the empty caches of a run of the given jobs.
@@ -158,12 +156,11 @@ func newCaches(jobs []job) *caches {
 		datasets:  make(map[string]*lazy[*trace.Dataset]),
 		schedules: make(map[string]*schedEntry),
 		rings:     make(map[string]*lazy[*dht.Ring]),
-		everyRow:  make(map[string]bool),
+		reads:     make(map[string]tableReads),
 	}
 	for _, j := range jobs {
-		if !j.cell.isFriend() {
-			c.everyRow[j.cell.scheduleKey()] = true
-		}
+		r, s := j.reads(), c.reads[j.entryKey()]
+		c.reads[j.entryKey()] = tableReads{max(s.tables, r.tables), max(s.wide, r.wide)}
 	}
 	return c
 }
@@ -183,21 +180,20 @@ func (c *caches) dataset(d DatasetSpec) (ds *trace.Dataset, built bool, err erro
 }
 
 // ringFor computes (or fetches) the ring shared by every DHT cell over the
-// given dataset. The ring is a pure function of (user count, ring bits) —
-// like the dataset, it is infrastructure, independent of the root seed — so
-// two cells over the same dataset always route on the same ring. built
-// reports whether this call built it.
-func (c *caches) ringFor(d DatasetSpec, bits int, ds *trace.Dataset) (ring *dht.Ring, built bool, err error) {
-	key := fmt.Sprintf("%s|%d", d.key(), bits)
+// given dataset. The ring is a pure function of the user count — like the
+// dataset, it is infrastructure, independent of the root seed — so two cells
+// over the same dataset always route on the same ring. built reports whether
+// this call built it.
+func (c *caches) ringFor(d DatasetSpec, ds *trace.Dataset) (ring *dht.Ring, built bool, err error) {
 	c.mu.Lock()
-	e, ok := c.rings[key]
+	e, ok := c.rings[d.key()]
 	if !ok {
 		e = &lazy[*dht.Ring]{}
-		c.rings[key] = e
+		c.rings[d.key()] = e
 	}
 	c.mu.Unlock()
 	return e.get(func() (*dht.Ring, error) {
-		return dht.BuildRing(ds.NumUsers(), dht.Config{Bits: bits})
+		return dht.BuildRing(ds.NumUsers(), dht.Config{})
 	})
 }
 
@@ -221,50 +217,50 @@ func buildDataset(d DatasetSpec) (*trace.Dataset, error) {
 	return trace.SynthesizeCalibrated(n.Name, n.Users, n.Seed, n.MinActivity)
 }
 
-// scheduleRows is the row set the tables of one schedule entry fill (nil:
-// every row). A friend cell reads only the analysis closure of the spec's
-// UserDegree (core.AnalysisRows, resolved as core.Run resolves it); a DHT
-// cell may place a replica on any user, so an entry a DHT cell shares fills
-// every row.
-func (c *caches) scheduleRows(key string, userDegree int, ds *trace.Dataset) ([]socialgraph.UserID, error) {
-	if c.everyRow[key] {
-		return nil, nil
+// scheduleRows returns what the jobs read of the cell's entry and the rows
+// (nil: every row) its tables fill from the first s.wide on: the analysis
+// closure of the spec's UserDegree (core.AnalysisRows) that friend cells read.
+func (c *caches) scheduleRows(spec MatrixSpec, cell CellSpec, ds *trace.Dataset) (rows []socialgraph.UserID, s tableReads, err error) {
+	if s = c.reads[job{spec: spec, cell: cell}.entryKey()]; s.wide >= s.tables {
+		return nil, s, nil
 	}
-	return core.AnalysisRows(ds.Graph, userDegree)
+	rows, err = core.AnalysisRows(ds.Graph, spec.UserDegree)
+	return rows, s, err
 }
 
-// schedulesFor computes (or fetches) the per-repetition schedule tables
-// shared by every cell with the given (dataset, model) coordinates. Each
-// table is built exactly once per (dataset, model, rep) for the whole run,
-// filling only the rows its readers read (scheduleRows), and cells sharing
-// the coordinates reuse the arena read-only. When the build over those rows
-// is the same for every seed (onlinetime.SeedIndependent), the first
-// repetition's table serves every repetition — the same *Table, which
-// core.Run recognizes — while the harness.schedule-build failpoint still
-// fires once per repetition. buildWorkers is the filling cell's core
-// budget: the parallel phase-2 row construction may use it freely because
-// worker counts never reach the table bytes. hit reports whether a
-// different cell asked for the entry first — cell-to-cell reuse, feeding
-// execution-only telemetry — and built whether this call ran the build. The
-// two differ when a cell rebuilds an entry whose first asker's build
-// failed, or when a retry finds its own abandoned attempt's entry. The
-// manifest's ScheduleCacheHits is NOT the measured hit count but the
-// spec-derived expectedScheduleHits: under resume the measured count shifts
-// (restored cells never ask) while the manifest bytes must not.
-func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int) (tables []*onlinetime.Table, hit, built bool, err error) {
+// schedulesFor computes (or fetches) the schedule tables of the cell's
+// entry, as many as its jobs read. Each is built exactly once per (dataset,
+// model, rep) for the whole run, filling only the rows its readers read
+// (scheduleRows), and jobs sharing the entry reuse the arena read-only. When
+// the build over those rows is the same for every seed
+// (onlinetime.SeedIndependent), the first repetition's table serves every
+// repetition — the same *Table, which core.Run recognizes — while the
+// harness.schedule-build failpoint still fires once per repetition.
+// buildWorkers is the filling cell's core budget: the parallel phase-2 row
+// construction may use it freely because worker counts never reach the table
+// bytes. co's cell is marked a hit when a different cell asked for the entry
+// first — cell-to-cell reuse, execution-only telemetry — and built reports
+// whether this call ran the build. The two differ when a cell rebuilds an
+// entry whose first asker's build failed, or when a retry finds its own
+// abandoned attempt's entry. The manifest's ScheduleCacheHits is NOT the
+// measured hit count but the spec-derived expectedScheduleHits: under resume
+// the measured count shifts (restored cells never ask) while the manifest
+// bytes must not.
+func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int, co *obs.CellObs) (tables []*onlinetime.Table, built bool, err error) {
 	entry := c.scheduleEntry(job{spec: spec, cell: cell}.entryKey())
 	me := int64(cell.Index) + 1
 	if !entry.firstCell.CompareAndSwap(0, me) && entry.firstCell.Load() != me {
-		hit = true
+		co.MarkScheduleCacheHit()
 		obsSchedHits.Inc()
 	}
 	tables, built, err = entry.get(func() ([]*onlinetime.Table, error) {
-		rows, err := c.scheduleRows(cell.scheduleKey(), spec.UserDegree, ds)
+		rows, reads, err := c.scheduleRows(spec, cell, ds)
 		if err != nil {
 			return nil, err
 		}
+		// The first table fills every row a later one fills.
 		once := onlinetime.SeedIndependent(model, ds, rows, buildWorkers)
-		out := make([]*onlinetime.Table, spec.Repeats)
+		out := make([]*onlinetime.Table, reads.tables)
 		for rep := range out {
 			seed := spec.scheduleSeed(cell.Dataset, cell.Model, rep)
 			if err := faultScheduleBuild.InjectSeeded(seed); err != nil {
@@ -272,18 +268,20 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 			}
 			if once && rep > 0 {
 				out[rep] = out[0]
+			} else if rep < reads.wide {
+				out[rep] = onlinetime.ComputeRows(model, ds, seed, buildWorkers, nil)
 			} else {
 				out[rep] = onlinetime.ComputeRows(model, ds, seed, buildWorkers, rows)
 			}
 		}
 		return out, nil
 	})
-	return tables, hit, built, err
+	return tables, built, err
 }
 
 // claimOrder is the order in which workers claim jobs. Each dataset gets a
-// list: first every job that is the first to need its schedule entry, then
-// the dataset's other jobs, each group in index order. Workers take the
+// list: first every job that shares no schedule entry with an earlier one,
+// then the dataset's other jobs, each group in index order. Workers take the
 // lists round-robin, datasets in spec order: every dataset's first job,
 // then every dataset's second, and so on. Cells() enumerates dataset →
 // model → mode, so claiming by index hands two workers the two modes of one
@@ -303,7 +301,7 @@ func claimOrder(jobs []job) []int {
 			pos[j.cell.Dataset.key()] = d
 			lists, reusers = append(lists, nil), append(reusers, nil)
 		}
-		if k := j.entryKey(); seen[k] {
+		if k := j.entryKey(); seen[k] && j.reads().tables > 0 {
 			reusers[d] = append(reusers[d], i)
 		} else {
 			seen[k] = true
@@ -332,10 +330,28 @@ type job struct {
 	cell     CellSpec
 	policies []replica.Policy
 	// compute, when set, makes the job the computed entry of the figure with
-	// ID figure: it runs compute over the run's caches instead of sweeping
-	// cell, whose Dataset only places the job in claimOrder.
+	// ID figure: instead of sweeping cell, the loop hands compute the cell's
+	// dataset and, when the cell names a model, its entry's tables.
 	figure  string
-	compute func(*caches) (CellResult, error)
+	compute func(ds *trace.Dataset, schedules []*onlinetime.Table, shared *caches) (CellResult, error)
+}
+
+// tableReads is what jobs read of an entry: its first tables, whole up to wide.
+type tableReads struct{ tables, wide int }
+
+// reads is what the job reads of its entry: every table of a sweep cell,
+// whole for a DHT cell (it places replicas on any user), and the first,
+// whole, of a computed job whose cell names a model (X4 places every user).
+func (j job) reads() tableReads {
+	switch {
+	case j.compute == nil && j.cell.isFriend():
+		return tableReads{tables: j.spec.Repeats}
+	case j.compute == nil:
+		return tableReads{j.spec.Repeats, j.spec.Repeats}
+	case j.cell.Model.Kind != "":
+		return tableReads{1, 1}
+	}
+	return tableReads{}
 }
 
 // name names the job in telemetry and errors: its cell's key, or its
@@ -347,15 +363,12 @@ func (j job) name() string {
 	return j.cell.Key()
 }
 
-// entryKey names the job's schedule-cache entry. Cells over one (dataset,
-// model) share it, whatever their mode or architecture, when their specs
-// agree on what the tables hold: the rows (UserDegree), the table count
-// (Repeats) and the seeds (RootSeed). Within one spec it is scheduleKey. A
-// computed job shares no entry.
+// entryKey names the job's schedule-cache entry. Jobs over one (dataset,
+// model) share it, whatever their mode, architecture or computed entry, when
+// their specs agree on what the tables hold: the rows (UserDegree), the
+// table count (Repeats) and the seeds (RootSeed). Within one spec it is
+// scheduleKey.
 func (j job) entryKey() string {
-	if j.compute != nil {
-		return "figure|" + j.figure
-	}
 	return fmt.Sprintf("%s|%d|%d|%d", j.cell.scheduleKey(), j.spec.UserDegree, j.spec.Repeats, j.spec.RootSeed)
 }
 
@@ -567,23 +580,21 @@ func runCellRecovered(j job, opts RunOptions, shared *caches, co *obs.CellObs) (
 			err = fault.PanicError("harness: cell "+j.name(), r, debug.Stack())
 		}
 	}()
-	if j.compute != nil {
-		return j.compute(shared)
-	}
-	return runCell(j.spec, j.cell, j.policies, opts, shared, co)
+	return runCell(j, opts, shared, co)
 }
 
-// runCell executes one cell's replication-degree sweep. FriendReplica cells
-// sweep the spec's policy list; DHT cells sweep their architecture's
-// placement over the dataset's shared ring. Only the execution knob
-// CoreWorkers is read from opts; the cell result depends on (spec, cell)
-// alone. co (nil when telemetry is off) receives the per-phase
-// breakdown: synthesize → ring-build → schedule-build → sweep, with core
-// filling the finer sweep-shards/reduce split inside the sweep phase. The
-// first three fetch shared cache entries, and only the cell that computes an
-// entry books its time there; a cell that waits on, or reuses, a sibling's
-// books cache-wait instead.
-func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
+// runCell executes one cell's replication-degree sweep, or a computed job
+// over its dataset and tables. FriendReplica cells sweep the spec's policy
+// list; DHT cells sweep their architecture's placement over the dataset's
+// shared ring. Only the execution knob CoreWorkers is read from opts; the
+// cell result depends on (spec, cell) alone. co (nil when telemetry is off)
+// receives the per-phase breakdown: synthesize → ring-build →
+// schedule-build → sweep, with core filling the finer sweep-shards/reduce
+// split inside the sweep phase. The first three fetch shared cache entries,
+// and only the cell that computes an entry books its time there; a cell
+// that waits on, or reuses, a sibling's books cache-wait instead.
+func runCell(j job, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
+	spec, cell, policies := j.spec, j.cell, j.policies
 	cacheDone := co.CachePhase("synthesize")
 	ds, built, err := shared.dataset(cell.Dataset)
 	cacheDone(built)
@@ -592,7 +603,7 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 	}
 	if !cell.isFriend() {
 		cacheDone = co.CachePhase("ring-build")
-		ring, built, err := shared.ringFor(cell.Dataset, cell.RingBits, ds)
+		ring, built, err := shared.ringFor(cell.Dataset, ds)
 		cacheDone(built)
 		if err != nil {
 			return CellResult{}, err
@@ -603,18 +614,21 @@ func runCell(spec MatrixSpec, cell CellSpec, policies []replica.Policy, opts Run
 		}
 		policies = arch.Policies()
 	}
-	model, err := cell.Model.Model()
-	if err != nil {
-		return CellResult{}, err
+	var model onlinetime.Model
+	var schedules []*onlinetime.Table
+	if j.reads().tables > 0 {
+		if model, err = cell.Model.Model(); err != nil {
+			return CellResult{}, err
+		}
+		cacheDone = co.CachePhase("schedule-build")
+		schedules, built, err = shared.schedulesFor(spec, cell, ds, model, opts.CoreWorkers, co)
+		cacheDone(built)
+		if err != nil {
+			return CellResult{}, err
+		}
 	}
-	cacheDone = co.CachePhase("schedule-build")
-	schedules, hit, built, err := shared.schedulesFor(spec, cell, ds, model, opts.CoreWorkers)
-	cacheDone(built)
-	if err != nil {
-		return CellResult{}, err
-	}
-	if hit {
-		co.MarkScheduleCacheHit()
+	if j.compute != nil {
+		return j.compute(ds, schedules, shared)
 	}
 	seed := spec.CellSeed(cell)
 	co.SetSweepWorkers(opts.CoreWorkers)

@@ -13,13 +13,14 @@
 //
 // A schedule table fills only the rows its cells read. Friend-replication
 // cells read the analysis closure — the analysed users and their candidates
-// (core.AnalysisRows), about a fifth of a paper-scale dataset — and DHT cells
-// read every row, so an entry any DHT cell shares fills every row. Rows
-// outside the set stay empty, and no cell reads them. When the build over
-// the entry's rows is the same for every seed (onlinetime.SeedIndependent:
-// FixedLength when every filled row has an activity center), the entry
-// builds one table and hands it to every repetition, and core.Run sweeps
-// its RNG-free policies over it once. Neither changes a manifest byte.
+// (core.AnalysisRows), about a fifth of a paper-scale dataset. A DHT cell
+// reads every row of its entry's tables, and a door experiment every row of
+// the first (the only one an entry no cell shares holds), so those fill
+// every row. When the build over the entry's rows is the same for every
+// seed (onlinetime.SeedIndependent: FixedLength when every filled row has
+// an activity center), the entry builds one table for every repetition,
+// and core.Run sweeps its RNG-free policies over it once. Neither changes a
+// manifest byte.
 //
 // Figures renders the paper's figures as views of cells on the same loop, so
 // a figure point is the number a manifest reports for that cell.
@@ -188,9 +189,6 @@ type MatrixSpec struct {
 	// seed, key, and result bytes — exactly as it was before the axis
 	// existed.
 	Architectures []string `json:"architectures,omitempty"`
-	// RingBits is the DHT ring identifier width for DHT-architecture cells
-	// (0 = dht.DefaultBits). FriendReplica cells ignore it.
-	RingBits int `json:"ring_bits,omitempty"`
 	// Policies names the placement policies evaluated side by side in every
 	// cell; empty means the paper's MaxAv, MostActive, Random.
 	Policies []string `json:"policies,omitempty"`
@@ -282,9 +280,6 @@ func (s MatrixSpec) Validate() error {
 			return fmt.Errorf("harness: unknown architecture %q (FriendReplica|RandomDHT|SocialDHT)", a)
 		}
 	}
-	if s.RingBits != 0 && (s.RingBits < 8 || s.RingBits > 64) {
-		return fmt.Errorf("harness: ring bits %d outside [8, 64]", s.RingBits)
-	}
 	for _, p := range s.Policies {
 		if _, err := policyByName(p); err != nil {
 			return err
@@ -308,14 +303,6 @@ func (s MatrixSpec) archList() []string {
 		return []string{dht.ArchFriendReplica}
 	}
 	return s.Architectures
-}
-
-// ringBits returns the effective ring width for DHT cells.
-func (s MatrixSpec) ringBits() int {
-	if s.RingBits == 0 {
-		return dht.DefaultBits
-	}
-	return s.RingBits
 }
 
 func parseMode(s string) (replica.Mode, error) {
@@ -353,9 +340,6 @@ type CellSpec struct {
 	// Arch is the canonical architecture name (FriendReplica|RandomDHT|
 	// SocialDHT); empty means FriendReplica.
 	Arch string
-	// RingBits is the resolved ring width; zero for FriendReplica cells,
-	// which have no ring.
-	RingBits int
 }
 
 // isFriend reports whether the cell runs the classic friend-replica
@@ -390,11 +374,11 @@ func (c CellSpec) Key() string {
 // cell seed, the caches and Validate's duplicate check are built on.
 // FriendReplica cells keep the pre-architecture-axis form, so their seeds —
 // and therefore their result bytes — are identical to specs written before
-// the axis existed.
+// the axis existed. DHT cells end in the ring width, dht.DefaultBits.
 func (c CellSpec) canonicalKey() string {
 	k := c.Dataset.key() + "|" + c.Model.key() + "|" + c.Mode.String()
 	if !c.isFriend() {
-		k += "|" + c.Arch + "|" + strconv.Itoa(c.RingBits)
+		k += "|" + c.Arch + "|" + strconv.Itoa(dht.DefaultBits)
 	}
 	return k
 }
@@ -420,11 +404,7 @@ func (s MatrixSpec) Cells() []CellSpec {
 					continue // Validate reports this; enumeration skips it
 				}
 				for _, a := range s.archList() {
-					c := CellSpec{Index: len(out), Dataset: d, Model: m, Mode: mode, Arch: a}
-					if !c.isFriend() {
-						c.RingBits = s.ringBits()
-					}
-					out = append(out, c)
+					out = append(out, CellSpec{Index: len(out), Dataset: d, Model: m, Mode: mode, Arch: a})
 				}
 			}
 		}
