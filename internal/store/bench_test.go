@@ -107,22 +107,33 @@ func BenchmarkPosts(b *testing.B) {
 	}
 }
 
-// BenchmarkSave snapshots the whole store into a buffer that has grown to
-// fit, as a node writing its state file to a buffered file would see it.
+// BenchmarkSave snapshots the whole store into a buffer. In "reused" the
+// buffer has grown to fit, as a node writing its state file to a buffered
+// file would see it; in "fresh" it is new on every op, as the repository
+// benchmark's node_sync snapshots it.
 func BenchmarkSave(b *testing.B) {
 	s := benchStore(b, benchPosts())
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := s.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		reset func()
+	}{
+		{"reused", buf.Reset},
+		{"fresh", func() { buf = bytes.Buffer{} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.reset()
+				if err := s.Save(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

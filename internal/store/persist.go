@@ -38,12 +38,22 @@ const snapshotChunk = 64 << 10
 // byte what encoding/json's Encoder with a one-space indent produces for the
 // snapshot type, so equal stores save to equal bytes. The store is
 // read-locked until w has taken the last chunk.
+//
+// A w with a Grow(int) method, as *bytes.Buffer and *strings.Builder have,
+// is grown once, before anything is encoded, by the snapshot's length as the
+// structure, the digit counts and the string lengths give it: exact when
+// every string is plain text, a lower bound otherwise (escaping only
+// lengthens a string), so an in-memory snapshot is sized once instead of
+// doubling up to its size.
 func (s *Store) Save(w io.Writer) error {
 	if err := saveSite.Inject(); err != nil {
 		return fmt.Errorf("store save: %w", err)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(s.snapshotLen())
+	}
 	bw := bufio.NewWriterSize(w, snapshotChunk)
 	e := snapshotEncoder{Encoder: jsonx.Encoder{Buf: bw.AvailableBuffer()}, w: bw}
 	err := e.store(s)
@@ -54,6 +64,93 @@ func (s *Store) Save(w io.Writer) error {
 		return fmt.Errorf("store save: %w", err)
 	}
 	return nil
+}
+
+// The snapshot's fixed text: everything the encoder appends besides the
+// numbers and strings. snapshotLen counts the same pieces.
+const (
+	storeOpen   = "{\n \"node\": "
+	wallsNull   = ",\n \"walls\": null"
+	wallsOpen   = ",\n \"walls\": ["
+	wallsClose  = "\n ]"
+	storeClose  = "\n}\n"
+	wallOpen    = "\n  {\n   \"owner\": "
+	postsEmpty  = ",\n   \"posts\": []"
+	postsOpen   = ",\n   \"posts\": ["
+	postsClose  = "\n   ]"
+	fieldsEmpty = ",\n   \"fields\": {}"
+	fieldsOpen  = ",\n   \"fields\": {"
+	fieldsClose = "\n   }"
+	wallSeq     = ",\n   \"authorSeq\": "
+	wallClose   = "\n  }"
+	comma       = ","
+
+	postAuthor    = "\n    {\n     \"id\": {\n      \"author\": "
+	postSeq       = ",\n      \"seq\": "
+	postWall      = "\n     },\n     \"wall\": "
+	postBody      = ",\n     \"body\": "
+	postCreatedAt = ",\n     \"createdAt\": "
+	postClose     = "\n    }"
+	fieldName     = "\n    "
+	fieldValue    = ": {\n     \"value\": "
+	fieldAt       = ",\n     \"at\": "
+	fieldWriter   = ",\n     \"writer\": "
+	fieldClose    = "\n    }"
+
+	// postText and fieldText are one post's and one field's fixed text,
+	// the quotes around their strings included.
+	postText  = len(postAuthor+postSeq+postWall+postBody+postCreatedAt+postClose) + len(`""`)
+	fieldText = len(fieldName+fieldValue+fieldAt+fieldWriter+fieldClose) + 2*len(`""`)
+)
+
+// snapshotLen is the length of the snapshot Save writes for s, from the
+// structure, the digit counts and the string lengths alone: it reads no
+// string's bytes. It is exact when every string is plain text and a lower
+// bound otherwise. The caller holds s.mu.
+func (s *Store) snapshotLen() int {
+	n := len(storeOpen) + intLen(int64(s.node)) + len(storeClose)
+	if len(s.walls) == 0 {
+		return n + len(wallsNull)
+	}
+	n += len(wallsOpen) + len(wallsClose) + (len(s.walls)-1)*len(comma)
+	for owner, w := range s.walls {
+		n += len(wallOpen) + intLen(int64(w.Owner)) + len(wallSeq) + uintLen(s.authorSeq[owner]) + len(wallClose)
+		if len(w.timeline) == 0 {
+			n += len(postsEmpty)
+		} else {
+			n += len(postsOpen) + len(postsClose) + len(w.timeline)*(postText+len(comma)) - len(comma)
+			for i := range w.timeline {
+				p := &w.timeline[i]
+				n += intLen(int64(p.ID.Author)) + uintLen(p.ID.Seq) + intLen(int64(p.Wall)) + len(p.Body) + intLen(p.CreatedAt)
+			}
+		}
+		if len(w.fields) == 0 {
+			n += len(fieldsEmpty)
+		} else {
+			n += len(fieldsOpen) + len(fieldsClose) + len(w.fields)*(fieldText+len(comma)) - len(comma)
+			for name, f := range w.fields {
+				n += len(name) + len(f.Value) + intLen(f.At) + intLen(int64(f.Writer))
+			}
+		}
+	}
+	return n
+}
+
+// uintLen is the number of decimal digits of v.
+func uintLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// intLen is the length of v in decimal, its sign included.
+func intLen(v int64) int {
+	if v < 0 {
+		return 1 + uintLen(uint64(-v)) // -v wraps for the minimum, whose uint64 is still its magnitude
+	}
+	return uintLen(uint64(v))
 }
 
 // snapshotEncoder appends the snapshot to the free space of a bufio.Writer's
@@ -75,49 +172,49 @@ func (e *snapshotEncoder) commit() error {
 
 // store appends the whole snapshot; the caller holds s.mu.
 func (e *snapshotEncoder) store(s *Store) error {
-	e.Lit("{\n \"node\": ")
+	e.Lit(storeOpen)
 	e.Int(int64(s.node))
 	owners := s.wallsLocked()
 	if len(owners) == 0 {
-		e.Lit(",\n \"walls\": null")
+		e.Lit(wallsNull)
 	} else {
-		e.Lit(",\n \"walls\": [")
+		e.Lit(wallsOpen)
 		for i, owner := range owners {
 			if i > 0 {
-				e.Lit(",")
+				e.Lit(comma)
 			}
 			if err := e.wall(s.walls[owner], s.authorSeq[owner]); err != nil {
 				return err
 			}
 		}
-		e.Lit("\n ]")
+		e.Lit(wallsClose)
 	}
-	e.Lit("\n}\n")
+	e.Lit(storeClose)
 	return e.commit()
 }
 
 func (e *snapshotEncoder) wall(w *Wall, authorSeq uint64) error {
-	e.Lit("\n  {\n   \"owner\": ")
+	e.Lit(wallOpen)
 	e.Int(int64(w.Owner))
 	if len(w.timeline) == 0 {
-		e.Lit(",\n   \"posts\": []")
+		e.Lit(postsEmpty)
 	} else {
-		e.Lit(",\n   \"posts\": [")
+		e.Lit(postsOpen)
 		for i := range w.timeline {
 			if i > 0 {
-				e.Lit(",")
+				e.Lit(comma)
 			}
 			e.post(&w.timeline[i])
 			if err := e.commit(); err != nil {
 				return err
 			}
 		}
-		e.Lit("\n   ]")
+		e.Lit(postsClose)
 	}
 	if len(w.fields) == 0 {
-		e.Lit(",\n   \"fields\": {}")
+		e.Lit(fieldsEmpty)
 	} else {
-		e.Lit(",\n   \"fields\": {")
+		e.Lit(fieldsOpen)
 		names := make([]string, 0, len(w.fields))
 		for name := range w.fields {
 			names = append(names, name)
@@ -125,45 +222,45 @@ func (e *snapshotEncoder) wall(w *Wall, authorSeq uint64) error {
 		slices.Sort(names)
 		for i, name := range names {
 			if i > 0 {
-				e.Lit(",")
+				e.Lit(comma)
 			}
 			e.field(name, w.fields[name])
 			if err := e.commit(); err != nil {
 				return err
 			}
 		}
-		e.Lit("\n   }")
+		e.Lit(fieldsClose)
 	}
-	e.Lit(",\n   \"authorSeq\": ")
+	e.Lit(wallSeq)
 	e.Uint(authorSeq)
-	e.Lit("\n  }")
+	e.Lit(wallClose)
 	return nil
 }
 
 func (e *snapshotEncoder) post(p *Post) {
-	e.Lit("\n    {\n     \"id\": {\n      \"author\": ")
+	e.Lit(postAuthor)
 	e.Int(int64(p.ID.Author))
-	e.Lit(",\n      \"seq\": ")
+	e.Lit(postSeq)
 	e.Uint(p.ID.Seq)
-	e.Lit("\n     },\n     \"wall\": ")
+	e.Lit(postWall)
 	e.Int(int64(p.Wall))
-	e.Lit(",\n     \"body\": ")
+	e.Lit(postBody)
 	e.Str(p.Body)
-	e.Lit(",\n     \"createdAt\": ")
+	e.Lit(postCreatedAt)
 	e.Int(p.CreatedAt)
-	e.Lit("\n    }")
+	e.Lit(postClose)
 }
 
 func (e *snapshotEncoder) field(name string, f Field) {
-	e.Lit("\n    ")
+	e.Lit(fieldName)
 	e.Str(name)
-	e.Lit(": {\n     \"value\": ")
+	e.Lit(fieldValue)
 	e.Str(f.Value)
-	e.Lit(",\n     \"at\": ")
+	e.Lit(fieldAt)
 	e.Int(f.At)
-	e.Lit(",\n     \"writer\": ")
+	e.Lit(fieldWriter)
 	e.Int(int64(f.Writer))
-	e.Lit("\n    }")
+	e.Lit(fieldClose)
 }
 
 // Load restores a store from a snapshot written by Save. The snapshot is

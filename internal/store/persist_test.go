@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,11 +31,20 @@ func saveBoth(t testing.TB, s *Store) (got, want []byte) {
 }
 
 // The snapshot's bytes are the format: Save must write exactly what
-// encoding/json writes for the snapshot types, whatever the store holds.
+// encoding/json writes for the snapshot types, whatever the store holds and
+// whether or not the writer can be grown ahead of the encoding.
 func TestSaveMatchesEncodingJSON(t *testing.T) {
 	f := func(seed int64) bool {
-		got, want := saveBoth(t, randomStore(rand.New(rand.NewSource(seed)), false))
-		if !bytes.Equal(got, want) {
+		s := randomStore(rand.New(rand.NewSource(seed)), false)
+		got, want := saveBoth(t, s) // a *bytes.Buffer, which Save grows
+		var sb strings.Builder
+		var plain bytes.Buffer
+		for _, w := range []io.Writer{&sb, struct{ io.Writer }{&plain}} {
+			if err := s.Save(w); err != nil {
+				t.Fatalf("Save into %T: %v", w, err)
+			}
+		}
+		if !bytes.Equal(got, want) || sb.String() != string(want) || !bytes.Equal(plain.Bytes(), want) {
 			t.Logf("seed %d:\nSave:\n%s\nencoding/json:\n%s", seed, got, want)
 			return false
 		}
@@ -69,6 +79,87 @@ func TestSaveFixedCases(t *testing.T) {
 	got, _ := saveBoth(t, empty)
 	if string(got) != "{\n \"node\": 3,\n \"walls\": null\n}\n" {
 		t.Errorf("empty store saved as %q", got)
+	}
+}
+
+// escaped reports whether encoding/json writes s as more than its bytes in
+// quotes, as it does for every string that is not plain text.
+func escaped(s string) bool {
+	q, _ := json.Marshal(s) // a string always marshals
+	return len(q) != len(s)+2
+}
+
+// snapshotLenHolds reports whether snapshotLen keeps Save's promise for the
+// snapshot snap of s: its exact length when no string of s is escaped, less
+// than it otherwise (an escape always lengthens a string).
+func snapshotLenHolds(s *Store, snap []byte) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	esc := false
+	for _, w := range s.walls {
+		for _, p := range w.timeline {
+			esc = esc || escaped(p.Body)
+		}
+		for name, f := range w.fields {
+			esc = esc || escaped(name) || escaped(f.Value)
+		}
+	}
+	if esc {
+		return s.snapshotLen() < len(snap)
+	}
+	return s.snapshotLen() == len(snap)
+}
+
+// plainTwin is s with every string byte replaced by a lower-case letter:
+// the same walls and numbers, and strings of the same lengths (field names
+// that collide become one), all plain.
+func plainTwin(s *Store) *Store {
+	letters := func(str string) string {
+		b := []byte(str)
+		for i, c := range b {
+			b[i] = 'a' + c%26
+		}
+		return string(b)
+	}
+	twin := New(s.node)
+	for owner, w := range s.walls {
+		twin.Host(owner)
+		for _, p := range w.timeline {
+			p.Body = letters(p.Body)
+			if _, err := twin.Apply(p); err != nil {
+				panic(err)
+			}
+		}
+		for name, f := range w.fields {
+			f.Value = letters(f.Value)
+			if _, err := twin.SetField(owner, letters(name), f); err != nil {
+				panic(err)
+			}
+		}
+		twin.authorSeq[owner] = s.authorSeq[owner]
+	}
+	return twin
+}
+
+// The size Save grows a writer by, over random stores with hostile strings
+// and numbers at both ends of their ranges: a strict lower bound for a store
+// with an escaped string, and exact for its plain twin.
+func TestSnapshotLenBoundsSave(t *testing.T) {
+	f := func(seed int64) bool {
+		s := randomStore(rand.New(rand.NewSource(seed)), false)
+		for _, st := range []*Store{s, plainTwin(s)} {
+			got, _ := saveBoth(t, st)
+			if !snapshotLenHolds(st, got) {
+				st.mu.RLock()
+				t.Logf("seed %d: snapshotLen %d, snapshot %d bytes:\n%s", seed, st.snapshotLen(), len(got), got)
+				st.mu.RUnlock()
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -111,6 +202,11 @@ func FuzzSaveString(f *testing.F) {
 		got, want := saveBoth(t, s)
 		if !bytes.Equal(got, want) {
 			t.Errorf("Save:\n%s\nencoding/json:\n%s", got, want)
+		}
+		if !snapshotLenHolds(s, got) {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			t.Errorf("snapshotLen %d for a snapshot of %d bytes:\n%s", s.snapshotLen(), len(got), got)
 		}
 	})
 }

@@ -147,9 +147,11 @@ func TestServerAnswersBeforeWriterCloses(t *testing.T) {
 
 // An I/O fault anywhere in a session, on either end, fails Sync promptly
 // and leaves both stores as replication may: every post on its own wall.
-// The two-wall session decodes 9 frames and flushes 7 times; the faults
-// that Sync can observe are the ones before the client's last flush, which
-// carries its last push and its bye.
+// The two-wall session decodes 10 frames and flushes 8 times, and a fault
+// at any of them fails Sync: the session succeeds only on the server's bye
+// reply, which it sends once it has applied the last push, so a server that
+// fails reading that push (read 8) or the bye (read 9) or writing its reply
+// (write 8) leaves Sync without the reply it awaits.
 func TestSyncFailsOnInjectedIOFault(t *testing.T) {
 	pair := func() (server, client *store.Store) {
 		server, client = store.New(1), store.New(2)
@@ -172,18 +174,21 @@ func TestSyncFailsOnInjectedIOFault(t *testing.T) {
 	server, client := pair()
 	_, err := Sync(startServer(t, server), client)
 	fault.Disable()
-	if err != nil || reads.Value()-r0 != 9 || writes.Value()-w0 != 7 {
-		t.Fatalf("clean session: %v, %d frames decoded, %d flushes; want 9 and 7", err, reads.Value()-r0, writes.Value()-w0)
+	if err != nil || reads.Value()-r0 != 10 || writes.Value()-w0 != 8 {
+		t.Fatalf("clean session: %v, %d frames decoded, %d flushes; want 10 and 8", err, reads.Value()-r0, writes.Value()-w0)
 	}
 
-	for _, site := range []string{"wire.read", "wire.write"} {
-		for hit := 1; hit <= 7; hit++ {
-			t.Run(fmt.Sprintf("%s=error(%d)", site, hit), func(t *testing.T) {
+	for _, site := range []struct {
+		name string
+		hits int
+	}{{"wire.read", 10}, {"wire.write", 8}} {
+		for hit := 1; hit <= site.hits; hit++ {
+			t.Run(fmt.Sprintf("%s=error(%d)", site.name, hit), func(t *testing.T) {
 				server, client := pair()
 				addr := startServer(t, server)
-				fired := obs.C("fault.fired." + site)
+				fired := obs.C("fault.fired." + site.name)
 				before := fired.Value()
-				if err := fault.Enable(fmt.Sprintf("%s=error(%d)", site, hit)); err != nil {
+				if err := fault.Enable(fmt.Sprintf("%s=error(%d)", site.name, hit)); err != nil {
 					t.Fatal(err)
 				}
 				defer fault.Disable()
@@ -201,7 +206,7 @@ func TestSyncFailsOnInjectedIOFault(t *testing.T) {
 					t.Fatal("Sync did not return")
 				}
 				if n := fired.Value() - before; n != 1 {
-					t.Errorf("fault.fired.%s advanced by %d, want 1", site, n)
+					t.Errorf("fault.fired.%s advanced by %d, want 1", site.name, n)
 				}
 				for _, st := range []*store.Store{server, client} {
 					for _, wall := range st.Walls() {

@@ -206,3 +206,47 @@ func TestSyncDrainReportsEachFrameAlone(t *testing.T) {
 		t.Errorf("Sync = %v, want %q", err, want)
 	}
 }
+
+// Sync succeeds only on the peer's answer to its bye, which a server sends
+// once it has applied every push: a peer that takes the pushes and hangs up
+// without answering fails Sync, though each push was written in full.
+func TestSyncAwaitsByeReply(t *testing.T) {
+	st := store.New(2)
+	for _, wall := range []int32{10, 11} {
+		st.Host(wall)
+		if _, err := st.Author(wall, "pushed", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, reply := range []bool{false, true} {
+		t.Run(fmt.Sprint("reply=", reply), func(t *testing.T) {
+			addr := stubPeer(t, func(dec *json.Decoder, enc *json.Encoder) {
+				for {
+					var m Message
+					if dec.Decode(&m) != nil {
+						return
+					}
+					switch m.Type {
+					case TypeSync:
+						_ = enc.Encode(Message{Type: TypeDelta, From: 1, Wall: m.Wall})
+					case TypeBye:
+						if reply {
+							_ = enc.Encode(Message{Type: TypeBye, From: 1})
+						}
+						return
+					}
+				}
+			})
+			stats, err := Sync(addr, st)
+			if stats.Pushed != 2 {
+				t.Errorf("Pushed = %d, want 2", stats.Pushed)
+			}
+			if reply && err != nil {
+				t.Errorf("Sync = %v with the bye answered, want nil", err)
+			}
+			if !reply && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("Sync = %v with the bye unanswered, want %v", err, io.ErrUnexpectedEOF)
+			}
+		})
+	}
+}

@@ -1,12 +1,14 @@
 // Package wire implements the networked peer protocol of the F2F OSN node:
 // newline-delimited JSON over TCP (stdlib net only). A sync session pulls
 // the posts the client lacks and pushes the posts the server lacks, per
-// wall. Both ends build a delta with store.Delta and apply one with
-// store.MergeDelta, the pair store.SyncInto — and through it the simulated
-// runtime — replicates with, so the runnable node (cmd/dosn-node) exercises
-// exactly the replication logic the experiments model by construction. A
-// delta the store rejects ends the session with an error frame naming its
-// wall, on whichever end received it.
+// wall, and ends with a bye from each side: the server answers the client's
+// bye once it has applied every push, and Sync fails if the connection ends
+// before that answer. Both ends build a delta with store.Delta and apply one
+// with store.MergeDelta, the pair store.SyncInto — and through it the
+// simulated runtime — replicates with, so the runnable node (cmd/dosn-node)
+// exercises exactly the replication logic the experiments model by
+// construction. A delta the store rejects ends the session with an error
+// frame naming its wall, on whichever end received it.
 //
 // Frames are written and read by a codec built on internal/jsonx, without
 // reflection. A frame is written as encoding/json's Encoder writes a Message,
@@ -49,7 +51,8 @@ const (
 	TypeDelta MsgType = "delta"
 	// TypePush sends posts (and fields) the receiver lacks.
 	TypePush MsgType = "push"
-	// TypeBye closes the session.
+	// TypeBye closes the session; the server answers the client's once it
+	// has applied every push.
 	TypeBye MsgType = "bye"
 	// TypeError reports a protocol failure.
 	TypeError MsgType = "error"
@@ -170,7 +173,10 @@ func (s *Server) serve(conn net.Conn) {
 			return // disconnect
 		}
 		switch m.Type {
-		case TypeBye, TypeError: // an error frame is the peer giving up
+		case TypeBye: // every push before it has been applied
+			c.send(Message{Type: TypeBye, From: s.st.Node()})
+			return
+		case TypeError: // the peer giving up
 			return
 		case TypeSync:
 			s.handleSync(c, m)
@@ -235,7 +241,9 @@ func rejected(m Message) error {
 }
 
 // Sync dials addr and synchronizes every wall both sides host: it walks the
-// walls the local store hosts and the peer skips the ones it lacks.
+// walls the local store hosts and the peer skips the ones it lacks. It
+// returns nil only once the peer has answered its bye, that is, once the
+// peer has applied every push.
 func Sync(addr string, st *store.Store) (SyncStats, error) {
 	var stats SyncStats
 	conn, err := net.Dial("tcp", addr)
@@ -301,16 +309,22 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 	if err := c.flush(); err != nil {
 		return stats, fmt.Errorf("wire push: %w", err) // the last push goes out with the bye
 	}
-	// Drain until the peer closes the connection (EOF is the normal session
-	// end) so the final pushes are processed before we tear down; a rejected
-	// last push arrives here as its error frame. Each frame decodes into a
-	// fresh Message: a field a frame omits is zero, not the last frame's.
+	// The server answers the bye once it has applied every push, so the
+	// session has succeeded only when that reply arrives; a rejected last
+	// push arrives here as its error frame. Each frame decodes into a fresh
+	// Message: a field a frame omits is zero, not the last frame's.
 	for {
 		var done Message
-		if c.recv(&done) != nil || done.Type == TypeBye {
-			return stats, nil
+		if err := c.recv(&done); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return stats, fmt.Errorf("wire bye reply: %w", err)
 		}
-		if done.Type == TypeError {
+		switch done.Type {
+		case TypeBye:
+			return stats, nil
+		case TypeError:
 			return stats, rejected(done)
 		}
 	}
