@@ -183,11 +183,12 @@ func BenchmarkX1ProtocolValidation(b *testing.B) {
 	var measured, analytic float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:   fb,
-			Schedules: schedules,
-			MaxWalls:  15,
-			Days:      7,
-			Seed:      benchSeed,
+			Dataset:    fb,
+			Schedules:  schedules,
+			UserDegree: 10,
+			MaxWalls:   15,
+			Days:       7,
+			Seed:       benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -207,11 +208,12 @@ func BenchmarkX2ObservedDelay(b *testing.B) {
 	var actual, observed float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:   fb,
-			Schedules: schedules,
-			MaxWalls:  15,
-			Days:      7,
-			Seed:      benchSeed,
+			Dataset:    fb,
+			Schedules:  schedules,
+			UserDegree: 10,
+			MaxWalls:   15,
+			Days:       7,
+			Seed:       benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -317,13 +319,13 @@ func BenchmarkA4EagerPushAblation(b *testing.B) {
 	var eagerDelay, lazyDelay float64
 	for i := 0; i < b.N; i++ {
 		eager, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, Schedules: schedules, MaxWalls: 10, Days: 5, Seed: benchSeed,
+			Dataset: fb, Schedules: schedules, UserDegree: 10, MaxWalls: 10, Days: 5, Seed: benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		lazy, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, Schedules: schedules, MaxWalls: 10, Days: 5, Seed: benchSeed,
+			Dataset: fb, Schedules: schedules, UserDegree: 10, MaxWalls: 10, Days: 5, Seed: benchSeed,
 			DisableEagerPush: true,
 		})
 		if err != nil {
@@ -344,7 +346,7 @@ func BenchmarkX5ReadAvailability(b *testing.B) {
 	var measured, analytic float64
 	for i := 0; i < b.N; i++ {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset: fb, Schedules: schedules, MaxWalls: 15, Days: 7, Seed: benchSeed,
+			Dataset: fb, Schedules: schedules, UserDegree: 10, MaxWalls: 15, Days: 7, Seed: benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -85,9 +85,6 @@ func runFig(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if spec.UserDegree == 0 { // Fig. 9 sweeps the user degrees 1..-user-degree
-		return errors.New("-user-degree must be > 0 for figures, got 0")
-	}
 	if *figID == "" || *figID == "list" {
 		fmt.Fprintf(w, "reproducible figures and experiments:\n  %s\nrun with -fig <id> or -fig all\n", strings.Join(dosn.FigureIDs(), "\n  "))
 		return nil
@@ -114,7 +111,7 @@ func newSpecFlags(fs *flag.FlagSet) *specFlags {
 	f := &specFlags{
 		scale:      fs.String("scale", "small", "dataset scale: small (2000 users) | medium (5000) | paper (13884/14933) | large (100000) | huge (1000000)"),
 		maxDegree:  fs.Int("max-degree", 10, "replication degree sweep bound"),
-		userDegree: fs.Int("user-degree", 10, "user degree of the analysis population (0 = modal; -fig needs > 0)"),
+		userDegree: fs.Int("user-degree", 10, "user degree of the analysis population: the users with exactly this many friends"),
 		repeats:    fs.Int("repeats", 3, "randomized-run repetitions (paper uses 5)"),
 		seed:       fs.Int64("seed", 42, "root seed; cell seeds derive from it and the cell coordinates"),
 		debugAddr:  fs.String("debug-addr", "", "serve the debug HTTP endpoint (pprof, expvar with obs counters) on this address for the duration of the run"),

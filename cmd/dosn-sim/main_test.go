@@ -135,6 +135,7 @@ func TestBuildMatrixSpecRejectsExplicitNonsense(t *testing.T) {
 		{0, 10, 1, 1},
 		{-3, 10, 1, 1},
 		{10, -1, 1, 1},
+		{10, 0, 1, 1},
 		{10, 10, 0, 1},
 		{10, 10, -2, 1},
 		{10, 10, 1, 0},
@@ -145,10 +146,6 @@ func TestBuildMatrixSpecRejectsExplicitNonsense(t *testing.T) {
 			t.Errorf("buildMatrixSpec(maxDegree=%d userDegree=%d repeats=%d seed=%d) accepted",
 				c.maxDegree, c.userDegree, c.repeats, c.seed)
 		}
-	}
-	// user-degree 0 (modal) stays legal.
-	if _, err := buildMatrixSpec("small", "facebook", "sporadic", "conrep", "", 10, 0, 1, 1); err != nil {
-		t.Errorf("user-degree 0 rejected: %v", err)
 	}
 }
 

@@ -179,8 +179,8 @@ func buildMatrixSpec(scale, datasets, models, modes, policies string, maxDegree,
 	switch {
 	case maxDegree <= 0:
 		return harness.MatrixSpec{}, fmt.Errorf("-max-degree must be > 0, got %d", maxDegree)
-	case userDegree < 0:
-		return harness.MatrixSpec{}, fmt.Errorf("-user-degree must be >= 0 (0 = modal degree), got %d", userDegree)
+	case userDegree <= 0:
+		return harness.MatrixSpec{}, fmt.Errorf("-user-degree must be > 0, got %d", userDegree)
 	case repeats <= 0:
 		return harness.MatrixSpec{}, fmt.Errorf("-repeats must be > 0, got %d", repeats)
 	case rootSeed == 0:

@@ -234,7 +234,8 @@ func FacebookConfig(users int) SynthConfig { return trace.DefaultFacebookConfig(
 func TwitterConfig(users int) SynthConfig { return trace.DefaultTwitterConfig(users) }
 
 // RunSweep executes a replication-degree sweep (the core experiment behind
-// figures 3–7 and 10–11).
+// figures 3–7 and 10–11) over cfg.Users, or else the users with exactly
+// cfg.UserDegree friends.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) { return core.Run(cfg) }
 
 // PaperMatrix returns the paper's full evaluation matrix — {Facebook,
@@ -274,8 +275,8 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 }
 
 // RunProtocolValidation executes the discrete-event OSN runtime on a
-// policy-placed sample of walls and compares measured delivery delays with
-// the analytic update-propagation-delay metric.
+// policy-placed sample of the walls of cfg.UserDegree's users and compares
+// measured delivery delays with the analytic update-propagation-delay metric.
 func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	return core.RunProtocolValidation(cfg)
 }

@@ -127,7 +127,7 @@ func TestSuiteThroughFacade(t *testing.T) {
 func TestProtocolValidationThroughFacade(t *testing.T) {
 	ds := smallFacebook(t)
 	res, err := RunProtocolValidation(ProtocolConfig{
-		Dataset: ds, Schedules: BuildScheduleTable(NewSporadic(0), ds, 1, 1), MaxWalls: 5, Days: 3, Seed: 1,
+		Dataset: ds, Schedules: BuildScheduleTable(NewSporadic(0), ds, 1, 1), UserDegree: 10, MaxWalls: 5, Days: 3, Seed: 1,
 	})
 	if err != nil {
 		t.Fatalf("RunProtocolValidation: %v", err)
@@ -143,7 +143,7 @@ func TestMatrixThroughFacade(t *testing.T) {
 		Models:     []MatrixModel{{Kind: "sporadic"}},
 		Modes:      []string{"ConRep"},
 		MaxDegree:  3,
-		UserDegree: 0,
+		UserDegree: 8,
 		Repeats:    1,
 		RootSeed:   7,
 	}
@@ -168,6 +168,7 @@ func TestArchComparisonThroughFacade(t *testing.T) {
 		Dataset:       ds,
 		Architectures: []string{ArchFriendReplica, ArchRandomDHT, ArchSocialDHT},
 		MaxDegree:     3,
+		UserDegree:    10,
 		Repeats:       1,
 		Seed:          1,
 	})
@@ -186,6 +187,7 @@ func TestArchComparisonThroughFacade(t *testing.T) {
 		Modes:         []string{"ConRep"},
 		Architectures: []string{ArchRandomDHT},
 		MaxDegree:     3,
+		UserDegree:    8,
 		Repeats:       1,
 		RootSeed:      7,
 	}

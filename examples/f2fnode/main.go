@@ -36,14 +36,15 @@ func run() error {
 		{name: "Random / Sporadic", policy: dosn.RandomPolicy, model: dosn.NewSporadic(0)},
 	} {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:   ds,
-			Schedules: dosn.BuildScheduleTable(tc.model, ds, 17, 1),
-			Policy:    tc.policy,
-			Mode:      dosn.ConRep,
-			Budget:    3,
-			MaxWalls:  20,
-			Days:      7,
-			Seed:      17,
+			Dataset:    ds,
+			Schedules:  dosn.BuildScheduleTable(tc.model, ds, 17, 1),
+			Policy:     tc.policy,
+			Mode:       dosn.ConRep,
+			Budget:     3,
+			UserDegree: 10,
+			MaxWalls:   20,
+			Days:       7,
+			Seed:       17,
 		})
 		if err != nil {
 			return err
@@ -68,12 +69,13 @@ func run() error {
 	sporadic := dosn.BuildScheduleTable(dosn.NewSporadic(0), ds, 23, 1)
 	for _, loss := range []float64{0, 0.25, 0.5, 0.75} {
 		res, err := dosn.RunProtocolValidation(dosn.ProtocolConfig{
-			Dataset:   ds,
-			Schedules: sporadic,
-			MaxWalls:  15,
-			Days:      7,
-			LossRate:  loss,
-			Seed:      23,
+			Dataset:    ds,
+			Schedules:  sporadic,
+			UserDegree: 10,
+			MaxWalls:   15,
+			Days:       7,
+			LossRate:   loss,
+			Seed:       23,
 		})
 		if err != nil {
 			return err

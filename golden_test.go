@@ -172,11 +172,11 @@ func protocolFigure(t *testing.T) dosn.Figure {
 	}{
 		{"MaxAv/ConRep/Sporadic", dosn.ProtocolConfig{
 			Dataset: fb, Schedules: dosn.BuildScheduleTable(dosn.NewSporadic(0), fb, 42, 1),
-			MaxWalls: 12, Days: 4, Seed: 42,
+			UserDegree: 10, MaxWalls: 12, Days: 4, Seed: 42,
 		}},
 		{"MostActive/UnconRep/FixedLength(8h)/loss", dosn.ProtocolConfig{
 			Dataset: tw, Schedules: dosn.BuildScheduleTable(dosn.NewFixedLength(8), tw, 42, 1),
-			Policy: dosn.MostActive, Mode: dosn.UnconRep, Budget: 4, MaxWalls: 8, Days: 3, LossRate: 0.2, Seed: 42,
+			Policy: dosn.MostActive, Mode: dosn.UnconRep, Budget: 4, UserDegree: 10, MaxWalls: 8, Days: 3, LossRate: 0.2, Seed: 42,
 		}},
 	} {
 		res, err := dosn.RunProtocolValidation(c.cfg)
@@ -216,7 +216,7 @@ func matrixArchCellFigure(dataset, model, mode, arch, metricID string) func(t *t
 				Modes:         []string{"ConRep", "UnconRep"},
 				Architectures: []string{dosn.ArchFriendReplica, dosn.ArchRandomDHT, dosn.ArchSocialDHT},
 				MaxDegree:     4,
-				UserDegree:    0, // modal degree at this scale
+				UserDegree:    8, // Facebook's modal degree at this scale
 				Repeats:       2,
 				RootSeed:      7,
 			}

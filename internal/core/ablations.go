@@ -31,8 +31,9 @@ type HistorySplitResult struct {
 }
 
 // HistorySplit trains MostActive on the first `trainFraction` of the trace
-// and evaluates availability-on-demand-activity on the rest, over the table.
-func HistorySplit(ds *trace.Dataset, table *onlinetime.Table, budget int, trainFraction float64, seed int64) (*HistorySplitResult, error) {
+// and evaluates availability-on-demand-activity on the rest, over the table,
+// for the users with exactly userDegree friends.
+func HistorySplit(ds *trace.Dataset, table *onlinetime.Table, userDegree, budget int, trainFraction float64, seed int64) (*HistorySplitResult, error) {
 	schedules, err := tableRows(ds, table)
 	if err != nil {
 		return nil, err
@@ -46,7 +47,7 @@ func HistorySplit(ds *trace.Dataset, table *onlinetime.Table, budget int, trainF
 	}
 	split := from.Add(time.Duration(float64(to.Sub(from)) * trainFraction))
 
-	users, err := analysisUsers(ds.Graph, 0)
+	users, err := analysisUsers(ds.Graph, userDegree)
 	if err != nil {
 		return nil, err
 	}
@@ -97,14 +98,15 @@ type ChurnRow struct {
 }
 
 // Churn places replicas with each policy at the given budget over the table
-// and measures availability as replicas are removed uniformly at random
-// (averaged over users and `repeats` failure draws).
-func Churn(ds *trace.Dataset, table *onlinetime.Table, budget, repeats int, seed int64) ([]ChurnRow, error) {
+// for the users with exactly userDegree friends and measures availability as
+// replicas are removed uniformly at random (averaged over those users and
+// `repeats` failure draws).
+func Churn(ds *trace.Dataset, table *onlinetime.Table, userDegree, budget, repeats int, seed int64) ([]ChurnRow, error) {
 	schedules, err := tableRows(ds, table)
 	if err != nil {
 		return nil, err
 	}
-	users, err := analysisUsers(ds.Graph, 0)
+	users, err := analysisUsers(ds.Graph, userDegree)
 	if err != nil {
 		return nil, err
 	}

@@ -111,7 +111,7 @@ func TestObjectiveAblation(t *testing.T) {
 
 func TestHistorySplit(t *testing.T) {
 	ds := testDataset(t)
-	res, err := HistorySplit(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), 3, 0.5, 5)
+	res, err := HistorySplit(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), 10, 3, 0.5, 5)
 	if err != nil {
 		t.Fatalf("HistorySplit: %v", err)
 	}
@@ -137,23 +137,28 @@ func TestHistorySplit(t *testing.T) {
 
 func TestHistorySplitValidation(t *testing.T) {
 	ds := testDataset(t)
-	if _, err := HistorySplit(nil, nil, 3, 0.5, 1); !errors.Is(err, ErrNoDataset) {
+	if _, err := HistorySplit(nil, nil, 10, 3, 0.5, 1); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("err = %v, want ErrNoDataset", err)
 	}
 	table := onlinetime.NewTable(ds.NumUsers())
 	for _, f := range []float64{0, 1} {
-		if _, err := HistorySplit(ds, table, 3, f, 1); err == nil || !strings.Contains(err.Error(), "trainFraction") {
+		if _, err := HistorySplit(ds, table, 10, 3, f, 1); err == nil || !strings.Contains(err.Error(), "trainFraction") {
 			t.Errorf("trainFraction %v: err = %v, want the trainFraction error", f, err)
 		}
 	}
-	if _, err := HistorySplit(ds, nil, 3, 0.5, 1); err == nil {
+	if _, err := HistorySplit(ds, nil, 10, 3, 0.5, 1); err == nil {
 		t.Error("a nil schedule table must fail")
+	}
+	for _, d := range []int{0, -1, 500} {
+		if _, err := HistorySplit(ds, table, d, 3, 0.5, 1); !errors.Is(err, ErrNoUsers) {
+			t.Errorf("user degree %d: err = %v, want ErrNoUsers", d, err)
+		}
 	}
 }
 
 func TestChurnMonotoneDegradation(t *testing.T) {
 	ds := testDataset(t)
-	rows, err := Churn(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 2, 1), 5, 3, 2)
+	rows, err := Churn(ds, onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 2, 1), 10, 5, 3, 2)
 	if err != nil {
 		t.Fatalf("Churn: %v", err)
 	}
@@ -180,13 +185,18 @@ func TestChurnMonotoneDegradation(t *testing.T) {
 }
 
 func TestChurnValidation(t *testing.T) {
-	if _, err := Churn(nil, nil, 0, 0, 1); !errors.Is(err, ErrNoDataset) {
+	if _, err := Churn(nil, nil, 10, 0, 0, 1); !errors.Is(err, ErrNoDataset) {
 		t.Errorf("err = %v, want ErrNoDataset", err)
 	}
 	ds := testDataset(t)
 	for _, n := range []int{ds.NumUsers() - 1, ds.NumUsers() + 1} {
-		if _, err := Churn(ds, onlinetime.NewTable(n), 5, 1, 1); err == nil {
+		if _, err := Churn(ds, onlinetime.NewTable(n), 10, 5, 1, 1); err == nil {
 			t.Errorf("a schedule table of %d users for %d was accepted", n, ds.NumUsers())
+		}
+	}
+	for _, d := range []int{0, -1, 500} {
+		if _, err := Churn(ds, onlinetime.NewTable(ds.NumUsers()), d, 5, 1, 1); !errors.Is(err, ErrNoUsers) {
+			t.Errorf("user degree %d: err = %v, want ErrNoUsers", d, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,6 +15,10 @@ import (
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
+
+// archDegree is the modal degree of archDataset's users: its largest
+// analysis population.
+const archDegree = 8
 
 func archDataset(t *testing.T) *trace.Dataset {
 	t.Helper()
@@ -29,10 +34,11 @@ func archDataset(t *testing.T) *trace.Dataset {
 func TestRunArchComparison(t *testing.T) {
 	ds := archDataset(t)
 	rows, err := RunArchComparison(ArchConfig{
-		Dataset:   ds,
-		MaxDegree: 4,
-		Repeats:   1,
-		Seed:      42,
+		Dataset:    ds,
+		MaxDegree:  4,
+		UserDegree: archDegree,
+		Repeats:    1,
+		Seed:       42,
 	})
 	if err != nil {
 		t.Fatalf("RunArchComparison: %v", err)
@@ -92,6 +98,7 @@ func TestRunArchComparisonDeterministicAcrossWorkers(t *testing.T) {
 			Dataset:       ds,
 			Architectures: []string{dht.ArchRandomDHT, dht.ArchSocialDHT},
 			MaxDegree:     3,
+			UserDegree:    archDegree,
 			Repeats:       2,
 			Seed:          7,
 			Workers:       workers,
@@ -114,13 +121,14 @@ func TestRunArchComparisonFriendRowMatchesPlainSweep(t *testing.T) {
 		Dataset:       ds,
 		Architectures: []string{dht.ArchFriendReplica},
 		MaxDegree:     3,
+		UserDegree:    archDegree,
 		Repeats:       2,
 		Seed:          42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(Config{Dataset: ds, MaxDegree: 3, Repeats: 2, Seed: 42})
+	want, err := Run(Config{Dataset: ds, MaxDegree: 3, UserDegree: archDegree, Repeats: 2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +144,9 @@ func TestRunArchComparisonValidation(t *testing.T) {
 	ds := archDataset(t)
 	if _, err := RunArchComparison(ArchConfig{Dataset: ds, Architectures: []string{"Gossip"}}); err == nil {
 		t.Error("unknown architecture accepted")
+	}
+	if _, err := RunArchComparison(ArchConfig{Dataset: ds}); !errors.Is(err, ErrNoUsers) {
+		t.Errorf("no user degree: err = %v, want ErrNoUsers", err)
 	}
 }
 
@@ -154,9 +165,10 @@ func TestDHTPoliciesThroughEngine(t *testing.T) {
 			&dht.Placement{Ring: ring},
 			&dht.Placement{Ring: ring, Social: true, Graph: ds.Graph},
 		},
-		MaxDegree: 5,
-		Repeats:   1,
-		Seed:      42,
+		MaxDegree:  5,
+		UserDegree: archDegree,
+		Repeats:    1,
+		Seed:       42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +293,7 @@ func TestPlacerWorkAreasPerWorker(t *testing.T) {
 // behind that perturbs a clean rerun.
 func TestPlacementWorkerFaultBecomesError(t *testing.T) {
 	ds := archDataset(t)
-	cfg := ArchConfig{Dataset: ds, MaxDegree: 3, Repeats: 1, Seed: 7, Workers: 4}
+	cfg := ArchConfig{Dataset: ds, MaxDegree: 3, UserDegree: archDegree, Repeats: 1, Seed: 7, Workers: 4}
 	// The 2nd hit is claimed by whichever worker gets there — on most runs a
 	// spawned goroutine, on the rest the caller's own pass.
 	for _, spec := range []string{"core.placement-chunk=panic(2)", "core.placement-chunk=error(2)"} {

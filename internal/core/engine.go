@@ -102,9 +102,8 @@ type Config struct {
 	// 0..MaxDegree. The paper uses 10.
 	MaxDegree int
 	// UserDegree restricts the user population to users with exactly this
-	// many friends/followers (the paper uses degree 10, the modal degree of
-	// both datasets). Ignored when Users is set. Zero selects the modal
-	// degree >= 5 automatically.
+	// many friends/followers (the paper uses degree 10). Ignored when Users
+	// is set; otherwise it must name a degree some user has (ErrNoUsers).
 	UserDegree int
 	// Users explicitly lists the users to average over.
 	Users []socialgraph.UserID
@@ -180,18 +179,14 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// analysisUsers resolves the population a sweep or ablation averages over:
-// the users with exactly userDegree friends, or with the modal degree >= 5
-// when userDegree is zero or negative (the paper's degree-10 population).
+// analysisUsers resolves the population every sweep, ablation and
+// experiment scores: the users with exactly userDegree friends (the paper's
+// degree-10 population). It is ErrNoUsers when no user has that degree.
 func analysisUsers(g *socialgraph.Graph, userDegree int) ([]socialgraph.UserID, error) {
-	if userDegree <= 0 {
-		d, ok := g.ModalDegree(5)
-		if !ok {
-			return nil, ErrNoUsers
-		}
-		userDegree = d
+	var users []socialgraph.UserID
+	if userDegree > 0 {
+		users = g.UsersWithDegree(userDegree)
 	}
-	users := g.UsersWithDegree(userDegree)
 	if len(users) == 0 {
 		return nil, fmt.Errorf("%w: degree %d", ErrNoUsers, userDegree)
 	}

@@ -64,6 +64,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Dataset: ds, UserDegree: 499}); !errors.Is(err, ErrNoUsers) {
 		t.Errorf("absurd degree err = %v, want ErrNoUsers", err)
 	}
+	// Neither Users nor a user degree: there is no default population.
+	for _, d := range []int{0, -1} {
+		if _, err := Run(Config{Dataset: ds, UserDegree: d}); !errors.Is(err, ErrNoUsers) {
+			t.Errorf("user degree %d: err = %v, want ErrNoUsers", d, err)
+		}
+	}
 }
 
 func TestRunFillsDefaults(t *testing.T) {

@@ -30,8 +30,8 @@ type ProtocolConfig struct {
 	Mode replica.Mode
 	// Budget is the replication degree (default 3).
 	Budget int
-	// UserDegree picks the wall-owner population (default 10, as in the
-	// paper's analysis population).
+	// UserDegree picks the wall-owner population: the users with exactly
+	// this many friends, as a sweep's (required; the paper uses 10).
 	UserDegree int
 	// MaxWalls caps the number of walls simulated (default 25).
 	MaxWalls int
@@ -56,9 +56,6 @@ func (c *ProtocolConfig) fill() {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 3
-	}
-	if c.UserDegree <= 0 {
-		c.UserDegree = 10
 	}
 	if c.MaxWalls <= 0 {
 		c.MaxWalls = 25
@@ -130,9 +127,9 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	cfg.fill()
 	ds := cfg.Dataset
 
-	owners := ds.Graph.UsersWithDegree(cfg.UserDegree)
-	if len(owners) == 0 {
-		return nil, fmt.Errorf("protocol validation: %w: degree %d", ErrNoUsers, cfg.UserDegree)
+	owners, err := analysisUsers(ds.Graph, cfg.UserDegree)
+	if err != nil {
+		return nil, fmt.Errorf("protocol validation: %w", err)
 	}
 	if len(owners) > cfg.MaxWalls {
 		owners = owners[:cfg.MaxWalls]
@@ -260,7 +257,10 @@ type LoadBalanceRow struct {
 }
 
 // ReplicaLoadBalance places replicas for every user in the dataset with each
-// policy over the table and reports how evenly hosting duty spreads.
+// policy over the table and reports how evenly hosting duty spreads. Unlike
+// the other experiments it scores no analysis population: a host's load
+// counts the replicas of every owner whose candidate set it is in, so every
+// owner's placement is made.
 func ReplicaLoadBalance(ds *trace.Dataset, table *onlinetime.Table, mode replica.Mode, budget int, seed int64) ([]LoadBalanceRow, error) {
 	schedules, err := tableRows(ds, table)
 	if err != nil {

@@ -49,10 +49,11 @@ func TestProtocolValidationBoundsHold(t *testing.T) {
 func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
 	ds := testDataset(t)
 	res, err := RunProtocolValidation(ProtocolConfig{
-		Dataset:   ds,
-		Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1),
-		MaxWalls:  15,
-		Seed:      5,
+		Dataset:    ds,
+		Schedules:  onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1),
+		UserDegree: 10,
+		MaxWalls:   15,
+		Seed:       5,
 	})
 	if err != nil {
 		t.Fatalf("RunProtocolValidation: %v", err)
@@ -72,7 +73,7 @@ func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
 // exchange, a zero delay bound, and no error.
 func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
 	ds := testDataset(t)
-	cfg := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), MaxWalls: 15, Seed: 5}
+	cfg := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), UserDegree: 10, MaxWalls: 15, Seed: 5}
 	run := func(p replica.Policy) *ProtocolResult {
 		t.Helper()
 		cfg.Policy = p
@@ -97,7 +98,7 @@ func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
 
 func TestProtocolValidationLossReducesDelivery(t *testing.T) {
 	ds := testDataset(t)
-	base := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 9, 1), MaxWalls: 8, Days: 3, Seed: 9}
+	base := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 9, 1), UserDegree: 10, MaxWalls: 8, Days: 3, Seed: 9}
 	clean, err := RunProtocolValidation(base)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -131,8 +132,10 @@ func TestProtocolValidationErrors(t *testing.T) {
 		}
 	}
 	full := onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 1, 1)
-	if _, err := RunProtocolValidation(ProtocolConfig{Dataset: ds, Schedules: full, UserDegree: 499}); !errors.Is(err, ErrNoUsers) {
-		t.Errorf("err = %v, want ErrNoUsers", err)
+	for _, d := range []int{499, 0} {
+		if _, err := RunProtocolValidation(ProtocolConfig{Dataset: ds, Schedules: full, UserDegree: d}); !errors.Is(err, ErrNoUsers) {
+			t.Errorf("user degree %d: err = %v, want ErrNoUsers", d, err)
+		}
 	}
 }
 
@@ -179,11 +182,12 @@ func TestReplicaLoadBalanceValidation(t *testing.T) {
 func TestProtocolMeasuredAoDTimeTracksAnalytic(t *testing.T) {
 	ds := testDataset(t)
 	res, err := RunProtocolValidation(ProtocolConfig{
-		Dataset:   ds,
-		Schedules: onlinetime.ComputeTable(onlinetime.FixedLength{Hours: 8}, ds, 13, 1),
-		MaxWalls:  12,
-		Days:      5,
-		Seed:      13,
+		Dataset:    ds,
+		Schedules:  onlinetime.ComputeTable(onlinetime.FixedLength{Hours: 8}, ds, 13, 1),
+		UserDegree: 10,
+		MaxWalls:   12,
+		Days:       5,
+		Seed:       13,
 	})
 	if err != nil {
 		t.Fatalf("RunProtocolValidation: %v", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,11 +15,11 @@ import (
 )
 
 // TestAnalysisRowSetIsUsersAndCandidates: AnalysisRows is the analysed
-// users (the modal degree for UserDegree 0, as Run resolves it) and their
-// neighbours, ascending and without repeats.
+// users (as Run resolves them) and their neighbours, ascending and without
+// repeats.
 func TestAnalysisRowSetIsUsersAndCandidates(t *testing.T) {
 	ds := testDataset(t)
-	for _, degree := range []int{0, 10} {
+	for _, degree := range []int{5, 10} {
 		cfg := Config{Dataset: ds, UserDegree: degree}
 		if err := cfg.fill(); err != nil {
 			t.Fatal(err)
@@ -43,8 +44,10 @@ func TestAnalysisRowSetIsUsersAndCandidates(t *testing.T) {
 			}
 		}
 	}
-	if _, err := AnalysisRows(ds.Graph, 499); err == nil {
-		t.Error("AnalysisRows over an empty population returned no error")
+	for _, degree := range []int{499, 0, -1} {
+		if _, err := AnalysisRows(ds.Graph, degree); !errors.Is(err, ErrNoUsers) {
+			t.Errorf("AnalysisRows at degree %d: err = %v, want ErrNoUsers", degree, err)
+		}
 	}
 }
 

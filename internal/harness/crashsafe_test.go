@@ -23,7 +23,7 @@ func crashSpec() MatrixSpec {
 		Models:     []ModelSpec{Sporadic(), FixedLength(2)},
 		Modes:      []string{"ConRep", "UnconRep"},
 		MaxDegree:  3,
-		UserDegree: 0,
+		UserDegree: 8,
 		Repeats:    2,
 		RootSeed:   7,
 	}

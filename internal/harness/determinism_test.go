@@ -171,12 +171,13 @@ func TestDatasetsSynthesizeSideBySide(t *testing.T) {
 // construction drew and what it kept.
 func TestSynthesizeTimerCoversThePhase(t *testing.T) {
 	spec := MatrixSpec{
-		Datasets:  []DatasetSpec{{Name: "facebook", Users: 14000, Seed: 1}},
-		Models:    []ModelSpec{Sporadic()},
-		Modes:     []string{"ConRep"},
-		MaxDegree: 1,
-		Repeats:   1,
-		RootSeed:  7,
+		Datasets:   []DatasetSpec{{Name: "facebook", Users: 14000, Seed: 1}},
+		Models:     []ModelSpec{Sporadic()},
+		Modes:      []string{"ConRep"},
+		MaxDegree:  1,
+		UserDegree: 10,
+		Repeats:    1,
+		RootSeed:   7,
 	}
 	col := obs.NewCollector()
 	timerBefore := obs.Default.Timers()["trace.synthesize"].TotalMS
@@ -282,11 +283,12 @@ func TestCenterColumnBuiltOncePerDatasetInAMatrix(t *testing.T) {
 			{Name: "facebook", Users: 600, Seed: 1},
 			{Name: "twitter", Users: 600, Seed: 2},
 		},
-		Models:    []ModelSpec{FixedLength(2), FixedLength(8), RandomLength()},
-		Modes:     []string{"ConRep", "UnconRep"},
-		MaxDegree: 2,
-		Repeats:   2,
-		RootSeed:  7,
+		Models:     []ModelSpec{FixedLength(2), FixedLength(8), RandomLength()},
+		Modes:      []string{"ConRep", "UnconRep"},
+		MaxDegree:  2,
+		UserDegree: 10,
+		Repeats:    2,
+		RootSeed:   7,
 	}
 	built := obs.C("trace.center_columns_built")
 	before := built.Value()

@@ -136,7 +136,7 @@ func figures(base MatrixSpec) []figure {
 	// degree, the replication degree allowed to reach the user degree (all
 	// friends may host replicas).
 	var degrees []job
-	var xs []float64
+	xs := []float64{} // a point panel even with no degree to plot (ErrNoUsers)
 	for d := 1; d <= base.UserDegree; d++ {
 		degrees = append(degrees, one(base, "facebook", Sporadic(), replica.ConRep, d, d))
 		xs = append(xs, float64(d))
@@ -176,7 +176,7 @@ type door struct {
 }
 
 // Figures renders the figures with the given IDs (FigureIDs), in order,
-// from base's datasets, MaxDegree, UserDegree (> 0), Repeats and RootSeed.
+// from base's datasets, MaxDegree, UserDegree, Repeats and RootSeed.
 // A sweep figure is a view of the cells of one-cell specs of base, and Fig.
 // 2 and the computed experiments are jobs of their own; each distinct job
 // runs once on Run's cell loop, over one dataset and schedule cache.
@@ -189,9 +189,6 @@ func Figures(base MatrixSpec, ids []string) ([]plot.Figure, error) {
 // default), also returning the door the figures were read from.
 func runFigures(base MatrixSpec, ids []string, workers int) (*door, []plot.Figure, error) {
 	base = base.fill()
-	if base.UserDegree <= 0 {
-		return nil, nil, fmt.Errorf("harness: figures need a user degree > 0 (Fig. 9 sweeps 1..UserDegree), got %d", base.UserDegree)
-	}
 	byID := make(map[string]figure)
 	for _, f := range figures(base) {
 		byID[f.id] = f
@@ -347,7 +344,10 @@ func computed(f figure, j job, rows func(ds *trace.Dataset, schedules []*onlinet
 // experiments returns the extension experiments as entries of the door, each
 // on the Facebook dataset at the fixed budget its title names, with base's
 // RootSeed as its seed and base's Repeats as its repeat count. A2, A3, X4
-// and X1/X2 read Fig. 3a's cell's first table; X6 builds its own.
+// and X1/X2 read Fig. 3a's cell's first table; X6 builds its own. A2, A3,
+// X1/X2 and X6 score the sweep cells' population, the users of base's
+// UserDegree; X4 alone places every user's replicas, because a host's load
+// counts the replicas of every owner it serves.
 func experiments(base MatrixSpec) []figure {
 	var out []figure
 	sporadic := one(base, "facebook", Sporadic(), replica.ConRep, base.MaxDegree, base.UserDegree)
@@ -371,7 +371,7 @@ func experiments(base MatrixSpec) []figure {
 			xLabel: "ranking (0=historical, 1=oracle, 2=random)",
 			metric: core.MetricAoDActivity,
 		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) ([]string, [][]float64, error) {
-			res, err := core.HistorySplit(fb, schedules[0], 3, 0.5, base.RootSeed)
+			res, err := core.HistorySplit(fb, schedules[0], base.UserDegree, 3, 0.5, base.RootSeed)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -383,7 +383,7 @@ func experiments(base MatrixSpec) []figure {
 			xLabel: "failed replicas",
 			metric: core.MetricAvailability,
 		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) (labels []string, rows [][]float64, err error) {
-			churn, err := core.Churn(fb, schedules[0], 5, base.Repeats, base.RootSeed)
+			churn, err := core.Churn(fb, schedules[0], base.UserDegree, 5, base.Repeats, base.RootSeed)
 			for _, r := range churn {
 				labels, rows = append(labels, r.Policy), append(rows, r.Availability)
 			}
@@ -407,7 +407,7 @@ func experiments(base MatrixSpec) []figure {
 			xLabel: core.ProtocolFields,
 			yLabel: "value",
 		}, sporadic, func(fb *trace.Dataset, schedules []*onlinetime.Table, _ *caches) ([]string, [][]float64, error) {
-			res, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Schedules: schedules[0], Seed: base.RootSeed, MaxWalls: 25, Days: 7})
+			res, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Schedules: schedules[0], UserDegree: base.UserDegree, Seed: base.RootSeed, MaxWalls: 25, Days: 7})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -421,7 +421,7 @@ func experiments(base MatrixSpec) []figure {
 				"at degree 5; 3=mean lookup hops, 4=load cv, 5=load gini)",
 			yLabel: "value",
 		}, job{cell: CellSpec{Dataset: sporadic.cell.Dataset}}, func(fb *trace.Dataset, _ []*onlinetime.Table, _ *caches) (labels []string, rows [][]float64, err error) {
-			arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, MaxDegree: 5, Repeats: base.Repeats, Seed: base.RootSeed})
+			arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, MaxDegree: 5, UserDegree: base.UserDegree, Repeats: base.Repeats, Seed: base.RootSeed})
 			for _, r := range arch {
 				for pi, policy := range r.Sweep.Policies {
 					label := r.Architecture

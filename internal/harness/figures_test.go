@@ -366,11 +366,11 @@ func TestExperimentsShareCellTables(t *testing.T) {
 	}
 
 	seed := base.RootSeed
-	history, err := core.HistorySplit(fb, schedules, 3, 0.5, seed)
+	history, err := core.HistorySplit(fb, schedules, base.UserDegree, 3, 0.5, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn, err := core.Churn(fb, schedules, 5, base.Repeats, seed)
+	churn, err := core.Churn(fb, schedules, base.UserDegree, 5, base.Repeats, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestExperimentsShareCellTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	protocol, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Schedules: schedules, Seed: seed, MaxWalls: 25, Days: 7})
+	protocol, err := core.RunProtocolValidation(core.ProtocolConfig{Dataset: fb, Schedules: schedules, UserDegree: base.UserDegree, Seed: seed, MaxWalls: 25, Days: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,6 +448,80 @@ func TestExperimentsWidenOnlyTheirEntry(t *testing.T) {
 		_, whole := firstCachedTable(t, d, fb, j)
 		if want := j.spec.UserDegree == d.base.UserDegree; whole != want {
 			t.Errorf("fig9a at user degree %d: first table fills every row = %v, want %v", j.spec.UserDegree, whole, want)
+		}
+	}
+}
+
+// TestExperimentsHonourUserDegree: A2, A3, X1/X2 and X6 score the owners of
+// the base's user degree, the sweep cells' population, so their output moves
+// with it; X4 places every user's replicas and stays put.
+func TestExperimentsHonourUserDegree(t *testing.T) {
+	ids := []string{"ablation-history", "ablation-churn", "experiment-protocol", "experiment-arch", "experiment-loadbalance"}
+	moves := map[string]bool{"ablation-history": true, "ablation-churn": true, "experiment-protocol": true, "experiment-arch": true}
+	var runs [][]plot.Figure
+	for _, degree := range []int{8, 10} {
+		base := figureBase()
+		base.Datasets = []DatasetSpec{{Name: "facebook", Users: 2000}}
+		base.UserDegree, base.Repeats = degree, 2
+		d, figs, err := runFigures(base, ids, 2)
+		if err != nil {
+			t.Fatalf("user degree %d: %v", degree, err)
+		}
+		runs = append(runs, figs)
+		fb, err := d.shared.named(d.base, "facebook")
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners := fb.Graph.UsersWithDegree(degree)
+		schedules, _ := firstCachedTable(t, d, fb, figureByID(t, d.base, "fig3a").cells[0])
+
+		// A2 scores the owners with activity in the evaluation half.
+		history, err := core.HistorySplit(fb, schedules, degree, 3, 0.5, base.RootSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, to, _ := fb.TimeBounds()
+		split := from.Add(to.Sub(from) / 2)
+		evaluated := 0
+		for _, u := range owners {
+			if len(fb.ReceivedIdxBetween(u, split, to)) > 0 {
+				evaluated++
+			}
+		}
+		if history.Users != evaluated || evaluated == 0 {
+			t.Errorf("degree %d: A2 scored %d users, want the %d degree-%d owners with evaluation activity", degree, history.Users, evaluated, degree)
+		}
+		if got, want := figs[0].Series[0].Y, []float64{history.HistoricalAoDActivity, history.OracleAoDActivity, history.RandomAoDActivity}; !reflect.DeepEqual(got, want) {
+			t.Errorf("degree %d: A2 = %v, want %v", degree, got, want)
+		}
+
+		// X1/X2 simulates the first 25 owners' walls and their posts.
+		walls := owners[:min(25, len(owners))]
+		posts := 0
+		for _, u := range walls {
+			posts += len(fb.ReceivedIdx(u))
+		}
+		if y := figs[2].Series[0].Y; y[0] != float64(len(walls)) || y[1] != float64(posts) {
+			t.Errorf("degree %d: X1/X2 ran %v walls with %v posts, want %d with %d", degree, y[0], y[1], len(walls), posts)
+		}
+
+		// X6 routes one lookup per (owner, friend) pair.
+		arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, Architectures: []string{"RandomDHT"},
+			MaxDegree: 5, UserDegree: degree, Repeats: base.Repeats, Seed: base.RootSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := arch[0].Lookup.Lookups, len(owners)*degree; got != want {
+			t.Errorf("degree %d: X6 routed %d lookups, want %d", degree, got, want)
+		}
+		i := slices.IndexFunc(figs[3].Series, func(s plot.Series) bool { return s.Label == "RandomDHT" })
+		if i < 0 || figs[3].Series[i].Y[3] != arch[0].Lookup.MeanHops {
+			t.Errorf("degree %d: X6's RandomDHT row does not route the degree-%d owners' lookups", degree, degree)
+		}
+	}
+	for i, id := range ids {
+		if same := reflect.DeepEqual(runs[0][i].Series, runs[1][i].Series); same == moves[id] {
+			t.Errorf("%s: output equal at user degrees 8 and 10 = %v, want %v", id, same, !moves[id])
 		}
 	}
 }

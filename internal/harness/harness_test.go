@@ -24,7 +24,7 @@ func testSpec() MatrixSpec {
 		Models:     []ModelSpec{Sporadic(), FixedLength(2)},
 		Modes:      []string{"ConRep", "UnconRep"},
 		MaxDegree:  4,
-		UserDegree: 0, // modal degree: robust at small scale
+		UserDegree: 8, // Facebook's modal degree at this scale
 		Repeats:    2,
 		RootSeed:   7,
 	}
@@ -50,6 +50,15 @@ func TestSpecValidate(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
+		}
+	}
+	// The analysis population is the users of one degree; there is no
+	// degree-less default.
+	for _, d := range []int{0, -1} {
+		s := testSpec()
+		s.UserDegree = d
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "user_degree") {
+			t.Errorf("user_degree %d: Validate = %v, want a user_degree error", d, err)
 		}
 	}
 }

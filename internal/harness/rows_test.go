@@ -143,8 +143,7 @@ func TestRowSetPoisonedRowsNeverRead(t *testing.T) {
 			continue
 		}
 		sensed[cell.Dataset.key()] = true
-		degree, _ := e.ds.Graph.ModalDegree(5)
-		owner := e.ds.Graph.UsersWithDegree(degree)[0]
+		owner := e.ds.Graph.UsersWithDegree(spec.UserDegree)[0]
 		drop := e.ds.Graph.Neighbors(owner)[0]
 		var fewer []socialgraph.UserID
 		for _, u := range e.rows {

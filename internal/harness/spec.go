@@ -194,7 +194,8 @@ type MatrixSpec struct {
 	Policies []string `json:"policies,omitempty"`
 	// MaxDegree bounds the replication-degree sweep (paper: 10).
 	MaxDegree int `json:"max_degree"`
-	// UserDegree selects the analysis population (paper: 10; 0 = modal).
+	// UserDegree selects the analysis population (paper: 10): the users
+	// with exactly this many friends; it must be >= 1.
 	UserDegree int `json:"user_degree"`
 	// Repeats averages repeated randomized runs (paper: 5).
 	Repeats int `json:"repeats"`
@@ -284,6 +285,9 @@ func (s MatrixSpec) Validate() error {
 		if _, err := policyByName(p); err != nil {
 			return err
 		}
+	}
+	if s.UserDegree < 1 {
+		return fmt.Errorf("harness: spec needs user_degree >= 1, got %d", s.UserDegree)
 	}
 	seen := make(map[string]bool)
 	for _, c := range s.Cells() {

@@ -286,22 +286,19 @@ func (g *Graph) UsersWithDegree(d int) []UserID {
 	return out
 }
 
-// ModalDegree returns the degree held by the most users among degrees >=
-// minDegree, breaking ties toward the smaller degree. The paper picks
-// degree 10 because "both the datasets have the most number of users with
-// this degree". ok is false if no user has degree >= minDegree.
-func (g *Graph) ModalDegree(minDegree int) (degree int, ok bool) {
+// ModalDegree returns the degree held by the most users with a friend,
+// breaking ties toward the smaller degree, or 0 if no user has a friend. The
+// paper picks degree 10 because "both the datasets have the most number of
+// users with this degree".
+func (g *Graph) ModalDegree() int {
 	hist := g.DegreeHistogram()
 	best, bestCount := 0, 0
-	for d := minDegree; d < len(hist); d++ {
+	for d := 1; d < len(hist); d++ {
 		if hist[d] > bestCount {
 			best, bestCount = d, hist[d]
 		}
 	}
-	if bestCount == 0 {
-		return 0, false
-	}
-	return best, true
+	return best
 }
 
 // InducedSubgraph returns the subgraph on the given users, plus the mapping

@@ -97,12 +97,11 @@ func TestDegreeHistogramAndModalDegree(t *testing.T) {
 	if !reflect.DeepEqual(hist, want) {
 		t.Errorf("DegreeHistogram = %v, want %v", hist, want)
 	}
-	d, ok := g.ModalDegree(1)
-	if !ok || d != 1 {
-		t.Errorf("ModalDegree(1) = (%d,%v), want (1,true)", d, ok)
+	if d := g.ModalDegree(); d != 1 {
+		t.Errorf("ModalDegree() = %d, want 1", d)
 	}
-	if _, ok := g.ModalDegree(4); ok {
-		t.Error("ModalDegree above max degree should report !ok")
+	if d := NewBuilder(Undirected, 3).Build().ModalDegree(); d != 0 {
+		t.Errorf("ModalDegree() of a graph without edges = %d, want 0", d)
 	}
 }
 

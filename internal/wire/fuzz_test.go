@@ -56,6 +56,9 @@ func FuzzServerSession(f *testing.F) {
 		}
 		_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
 		if _, err := conn.Write([]byte(input)); err == nil {
+			// End the input: the server reads EOF after the last frame
+			// instead of waiting out the deadline for another.
+			_ = conn.(*net.TCPConn).CloseWrite()
 			// Drain whatever the server answers; it must terminate.
 			dec := json.NewDecoder(bufio.NewReader(conn))
 			for i := 0; i < 16; i++ {
