@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dosn/internal/interval"
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -179,6 +181,66 @@ func TestUnconRepAvailabilityAtLeastConRep(t *testing.T) {
 		u := unc.Value(ma, di, MetricAvailability)
 		if u+1e-9 < c {
 			t.Errorf("degree %d: UnconRep availability %.4f below ConRep %.4f", di, u, c)
+		}
+	}
+}
+
+// TestUnconRepAtUserDegreeIsForced: under UnconRep at a budget of the
+// owner's degree d, MostActive and Random place a replica on each of the d
+// friends, and MaxAv's replicas cover the same minutes (it stops once no
+// friend adds one). So at k = d the three policies' availability and
+// AoD-time are equal, and at least ConRep's: the claims table counts these
+// points as forced.
+func TestUnconRepAtUserDegreeIsForced(t *testing.T) {
+	ds := testDataset(t)
+	for _, model := range []onlinetime.Model{onlinetime.FixedLength{Hours: 2}, onlinetime.FixedLength{Hours: 8}} {
+		table := onlinetime.ComputeTable(model, ds, 3, 1)
+		bitmaps := table.Bitmaps()
+		for _, d := range []int{1, 4, 10} {
+			owners := ds.Graph.UsersWithDegree(d)
+			if len(owners) == 0 {
+				t.Fatalf("no degree-%d owner", d)
+			}
+			pl := replica.NewPlacer(ds, bitmaps, replica.UnconRep, d, replica.DefaultPolicies()...)
+			rng := rand.New(rand.NewSource(1))
+			for _, u := range owners {
+				in := pl.Input(u)
+				var all interval.Bitmap
+				all.CopyFrom(&bitmaps[u])
+				for _, f := range in.Candidates {
+					all.OrWith(&bitmaps[f])
+				}
+				for _, p := range replica.DefaultPolicies() {
+					seq := p.Select(in, rng)
+					var covered interval.Bitmap
+					covered.CopyFrom(&bitmaps[u])
+					for _, f := range seq {
+						covered.OrWith(&bitmaps[f])
+					}
+					friends := reflect.DeepEqual(slices.Sorted(slices.Values(seq)), slices.Sorted(slices.Values(in.Candidates)))
+					if !covered.Equal(&all) || p.Name() != "MaxAv" && !friends {
+						t.Errorf("%s, degree %d, owner %d: %s selects %v of friends %v", model.Name(), d, u, p.Name(), seq, in.Candidates)
+					}
+				}
+			}
+			sweep := func(mode replica.Mode) *Result {
+				res, err := Run(Config{Dataset: ds, Model: model, Mode: mode, MaxDegree: d, UserDegree: d, Seed: 7, Schedules: []*onlinetime.Table{table}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			unc, con := sweep(replica.UnconRep), sweep(replica.ConRep)
+			for pi, p := range unc.Policies {
+				for _, m := range []Metric{MetricAvailability, MetricAoDTime} {
+					if got, want := unc.Last(pi, m), unc.Last(0, m); got != want {
+						t.Errorf("%s, degree %d: UnconRep %s %s %v at k = d, %s %v", model.Name(), d, p, m, got, unc.Policies[0], want)
+					}
+				}
+				if u, c := unc.Last(pi, MetricAvailability), con.Last(pi, MetricAvailability); u < c {
+					t.Errorf("%s, degree %d: %s UnconRep availability %v below ConRep %v at k = d", model.Name(), d, p, u, c)
+				}
+			}
 		}
 	}
 }

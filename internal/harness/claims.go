@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -11,18 +14,16 @@ import (
 	"dosn/internal/trace"
 )
 
-// Claim is one row of the claims table. A ledger row (PAPER.md's E and S
-// rows) carries a verdict and the margin it was reached by, with no
-// tolerance: holds, refuted (a stated effect the run contradicts) or off (a
-// stated number the run misses). An observed shape has no ledger source and
-// no verdict; it counts the points where it holds.
+// Claim is one evaluated row of the claims table: its points scored as wins,
+// ties and losses, the forced ones counted apart, and on a ledger row
+// (PAPER.md's E and S rows) a verdict with the margin that decided it.
 type Claim struct {
-	ID        string
-	Statement string
-	Verdict   string  // holds | refuted | off; "" for an observed shape
-	Margin    float64 // E rows: > 0 holds (E5: ≥ 0); S rows: measured − stated
-	Measured  string  // what the margin is made of
-	Held, Of  int     // an observed shape's points where it holds, of all
+	ID                         string
+	Statement                  string
+	Verdict                    string  // holds | refuted | off | no points; "" for an observed shape
+	Margin                     float64 // the deciding point's left side − right side
+	Measured                   string  // what the margin is made of
+	Wins, Ties, Losses, Forced int
 }
 
 // ClaimsTable is the claims evaluated over one pass of the figure door.
@@ -32,13 +33,27 @@ type ClaimsTable struct {
 	Shapes []Claim
 }
 
-// evidence is what the evaluator reads: the rendered figures by ID, the
-// friend-replication cells the door ran (for quantities no figure plots),
-// and the datasets by name.
+// evidence is what the evaluator reads: the figures by ID and their degree
+// panels' cells, the sweep cells (for what no figure plots), the datasets.
 type evidence struct {
 	figs     map[string]plot.Figure
-	cells    []CellResult
+	panels   map[string]cell
+	cells    []cell
 	datasets map[string]*trace.Dataset
+}
+
+// cell is a sweep cell's result with its owners' user degree.
+type cell struct {
+	CellResult
+	userDegree int
+}
+
+// forced reports whether every policy's replicas must cover the same
+// minutes at replication degree k: none at 0, and under UnconRep from the
+// user degree on every friend's (MaxAv may stop short, once no friend adds
+// a minute), so availability and AoD-time are equal there.
+func (c cell) forced(k float64) bool {
+	return k == 0 || c.Mode == "UnconRep" && k >= float64(c.userDegree)
 }
 
 // Claims renders every figure of the door over base and evaluates the claims
@@ -52,8 +67,14 @@ func Claims(base MatrixSpec) (*ClaimsTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := evaluate(ev)
-	t.Base = d.base
+	t := &ClaimsTable{Base: d.base}
+	for _, r := range ev.rows() {
+		if r.quant == "count" {
+			t.Shapes = append(t.Shapes, r.eval())
+		} else {
+			t.Ledger = append(t.Ledger, r.eval())
+		}
+	}
 	return t, nil
 }
 
@@ -61,13 +82,18 @@ func Claims(base MatrixSpec) (*ClaimsTable, error) {
 // figures it rendered. Its cells are the sweep cells that ran: a computed
 // entry's values reach the evaluator only through its figure.
 func (d *door) evidence(figs []plot.Figure) (evidence, error) {
-	ev := evidence{figs: make(map[string]plot.Figure), datasets: make(map[string]*trace.Dataset)}
+	ev := evidence{figs: make(map[string]plot.Figure), panels: make(map[string]cell), datasets: make(map[string]*trace.Dataset)}
 	for _, f := range figs {
 		ev.figs[f.ID] = f
 	}
 	for i, j := range d.jobs {
 		if j.compute == nil && d.errs[i] == nil {
-			ev.cells = append(ev.cells, d.results[i])
+			ev.cells = append(ev.cells, cell{d.results[i], j.spec.UserDegree})
+		}
+	}
+	for _, f := range figures(d.base) {
+		if i, ran := d.index[f.cells[0].key()]; ran && f.xs == nil && f.cells[0].compute == nil {
+			ev.panels[f.id] = cell{d.results[i], f.cells[0].spec.UserDegree}
 		}
 	}
 	for _, name := range []string{"facebook", "twitter"} {
@@ -79,278 +105,270 @@ func (d *door) evidence(figs []plot.Figure) (evidence, error) {
 	return ev, nil
 }
 
-// evaluate computes every row of the table from the evidence.
-func evaluate(ev evidence) *ClaimsTable {
-	t := &ClaimsTable{}
-	t.Ledger = append(effectRows(ev), setupRows(ev.datasets)...)
-	t.Shapes = shapeRows(ev.figs)
-	return t
+// row is one claim as data: two sides, the relation (">", "≥" or "=") each
+// point's left side should bear to its right, and a quantifier ("all" or
+// "any" for a ledger verdict, "count" for an observed shape). note writes
+// what a ledger margin is made of, from the unforced points and the decider.
+type row struct {
+	id, statement string
+	a             side
+	rel           string
+	b             side
+	quant         string
+	note          func(ps []pair, p pair) string
 }
 
-// effect returns an E row: it holds when holds is true, and is refuted
-// otherwise.
-func effect(id, statement string, margin float64, holds bool, measured string) Claim {
-	verdict := "refuted"
-	if holds {
-		verdict = "holds"
-	}
-	return Claim{ID: id, Statement: statement, Verdict: verdict, Margin: margin, Measured: measured}
+// holds reports whether a point whose sides differ by d bears the relation.
+func holds(rel string, d float64) bool { return d > 0 && rel != "=" || d == 0 && rel != ">" }
+
+// point is one value a side reads, with where it was read.
+type point struct {
+	x, y   float64
+	src    string // the figure ID, or a cell's dataset/model
+	label  string // the series or policy
+	forced bool
 }
 
-// effectRows evaluates the ledger's expected shapes, E1–E5.
-func effectRows(ev evidence) []Claim {
-	var out []Claim
+// pair is one point of a row: its left and right sides.
+type pair struct{ a, b point }
 
-	// E1 reads the cells: no figure plots the effective replica count.
-	short, where := 0.0, "none"
-	for _, c := range ev.cells {
-		if c.Mode != "ConRep" {
-			continue
-		}
-		for pi, policy := range c.Policies {
-			for di, k := range c.Degrees {
-				if gap := float64(k) - c.Metrics["effective_replicas"][pi][di]; gap > short {
-					short = gap
-					where = fmt.Sprintf("%s places %.4g at budget %d on %s/%s/ConRep", policy, float64(k)-gap, k, c.Dataset, c.Model)
-				}
-			}
-		}
-	}
-	out = append(out, effect("E1", "Under ConRep a policy may place fewer replicas than the budget.", short, short > 0,
-		"largest shortfall: "+where))
+func (p pair) d() float64 { return p.a.y - p.b.y }
 
-	// E2: Twitter AoD-time at every point of the continuous-model panels.
-	most, where := 0.0, ""
-	for _, id := range []string{"fig11b", "fig11c", "fig11d"} {
+// side is one side of a row as series of points. A row's two sides pair up
+// series by series and point by point, each as far as the shorter goes.
+type side [][]point
+
+// series reads each figure's series with the label, or all of them for "".
+func (ev evidence) series(label string, figs ...string) (out side) {
+	for _, id := range figs {
+		c, degrees := ev.panels[id]
 		for _, s := range ev.figs[id].Series {
-			for i, y := range s.Y {
-				if where == "" || y > most {
-					most, where = y, fmt.Sprintf("%s %s at degree %g", id, s.Label, s.X[i])
+			if label == "" || s.Label == label {
+				ps := make([]point, len(s.Y))
+				for i, y := range s.Y {
+					ps[i] = point{x: s.X[i], y: y, src: id, label: s.Label, forced: degrees && c.forced(s.X[i])}
 				}
+				out = append(out, ps)
 			}
 		}
-	}
-	out = append(out, effect("E2", "On Twitter, AoD-time stays below 1.0 for the continuous models (Fig. 11b–d).", 1-most, most < 1,
-		fmt.Sprintf("1 − largest AoD-time (%.4f, %s)", most, where)))
-
-	// E3: A2's rankings are [historical, oracle, random].
-	if y := series(ev.figs["ablation-history"], "AoD-activity"); len(y) == 3 {
-		out = append(out, effect("E3", "MostActive ranked on past interactions beats a random ranking on future AoD-activity (A2).",
-			y[0]-y[2], y[0] > y[2], fmt.Sprintf("historical %.4f − random %.4f; oracle %.4f", y[0], y[2], y[1])))
-	}
-
-	// E4: A1 at its largest budget.
-	act := ev.figs["ablation-objective-aodact"]
-	avail := ev.figs["ablation-objective-avail"]
-	wins := lastOf(act, "MaxAv(activity)") - lastOf(act, "MaxAv")
-	loses := lastOf(avail, "MaxAv") - lastOf(avail, "MaxAv(activity)")
-	out = append(out, effect("E4", "MaxAv(activity) wins on AoD-activity and loses on availability against MaxAv (A1, budget 5).",
-		min(wins, loses), wins > 0 && loses > 0, fmt.Sprintf("min(AoD-activity gain %+.4f, availability loss %+.4f)", wins, loses)))
-
-	// E5: the protocol figure's field 2 is the analytic worst case, field 3
-	// the measured maximum.
-	if y := series(ev.figs["experiment-protocol"], "MaxAv/ConRep/Sporadic"); len(y) > 3 {
-		out = append(out, effect("E5", "Measured delays in the runtime are at or below the analytic worst-case delay (X1/X2).",
-			y[2]-y[3], y[3] <= y[2], fmt.Sprintf("analytic %.4f h − measured max %.4f h", y[2], y[3])))
 	}
 	return out
 }
 
-// series returns the y values of the figure's series with the given label.
-func series(f plot.Figure, label string) []float64 {
-	for _, s := range f.Series {
-		if s.Label == label {
-			return s.Y
+// shortfalls reads, for every policy of the ConRep sweep cells, the budget
+// less the replicas placed at each replication degree (the budget).
+func (ev evidence) shortfalls() (out side) {
+	for _, c := range ev.cells {
+		for pi, policy := range c.Policies {
+			ps := make([]point, len(c.Degrees))
+			for di, k := range c.Degrees {
+				ps[di] = point{x: float64(k), y: float64(k) - c.Metrics["effective_replicas"][pi][di], src: c.Dataset + "/" + c.Model, label: policy, forced: c.forced(float64(k))}
+			}
+			if c.Mode == "ConRep" {
+				out = append(out, ps)
+			}
 		}
 	}
-	return nil
+	return out
 }
 
-// lastOf returns a series' value at its largest x.
-func lastOf(f plot.Figure, label string) float64 {
-	y := series(f, label)
-	if len(y) == 0 {
-		return 0
+// each rewrites a copy of every series of s with f.
+func each(s side, f func(ps []point) []point) side {
+	out := make(side, len(s))
+	for i, ps := range s {
+		out[i] = f(slices.Clone(ps))
 	}
-	return y[len(y)-1]
+	return out
 }
 
-// setupRows holds the ledger's numeric setup rows, S5–S9, to the datasets.
-// A row holds only on the stated number exactly.
-func setupRows(datasets map[string]*trace.Dataset) []Claim {
-	fb, tw := datasets["facebook"], datasets["twitter"]
-	row := func(id, statement string, measured, stated float64) Claim {
-		c := Claim{ID: id, Statement: statement, Verdict: "holds", Margin: measured - stated,
-			Measured: fmt.Sprintf("%s (stated %s)", number(measured, false), number(stated, false))}
-		if c.Margin != 0 {
-			c.Verdict = "off"
+// from keeps each series from its point k on; at keeps its point k alone.
+func from(k int, s side) side { return span(k, math.MaxInt, s) }
+func at(k int, s side) side   { return span(k, k+1, s) }
+
+func span(i, j int, s side) side {
+	return each(s, func(ps []point) []point { return ps[min(i, len(ps)):min(j, len(ps))] })
+}
+
+// gains reads each point's rise from the one before it; a rise between two
+// forced points is forced.
+func gains(s side) side {
+	return each(s, func(ps []point) []point {
+		for i := len(ps) - 1; i > 0; i-- {
+			ps[i].y -= ps[i-1].y
+			ps[i].forced = ps[i].forced && ps[i-1].forced
 		}
+		return ps[min(1, len(ps)):]
+	})
+}
+
+// konst reads c wherever s has a point.
+func konst(c float64, s side) side {
+	return each(s, func(ps []point) []point { return slices.Repeat([]point{{y: c}}, len(ps)) })
+}
+
+// eval scores the row's points. A ledger row's verdict and margin come from
+// its deciding unforced point — under "any" the best, under "all" the worst
+// (for "=" the farthest from equal) — and without one it has "no points".
+func (r row) eval() Claim {
+	c := Claim{ID: r.id, Statement: r.statement}
+	var open []pair
+	for i := range min(len(r.a), len(r.b)) {
+		for j := range min(len(r.a[i]), len(r.b[i])) {
+			p := pair{r.a[i][j], r.b[i][j]}
+			switch {
+			case p.a.forced || p.b.forced:
+				c.Forced++
+				continue
+			case p.d() == 0:
+				c.Ties++
+			case p.d() > 0 && r.rel != "=":
+				c.Wins++
+			default:
+				c.Losses++
+			}
+			open = append(open, p)
+		}
+	}
+	if r.quant == "count" || len(open) == 0 {
+		c.Verdict = map[bool]string{true: "no points"}[r.quant != "count"]
 		return c
 	}
+	by := func(p, q pair) int {
+		if r.rel == "=" {
+			return cmp.Compare(math.Abs(q.d()), math.Abs(p.d()))
+		}
+		return cmp.Compare(p.d(), q.d())
+	}
+	p := slices.MinFunc(open, by)
+	if r.quant == "any" {
+		p = slices.MaxFunc(open, by)
+	}
+	c.Margin, c.Verdict, c.Measured = p.d(), "holds", r.note(open, p)
+	if !holds(r.rel, c.Margin) {
+		c.Verdict = map[bool]string{false: "refuted", true: "off"}[r.rel == "="]
+	}
+	return c
+}
+
+// rows is the claims table over the evidence: PAPER.md's expected shapes
+// E1–E5 and setup rows S5–S9, then the observed shapes.
+func (ev evidence) rows() []row {
+	short := ev.shortfalls()
+	fig11 := ev.series("", "fig11b", "fig11c", "fig11d")
+	history := ev.series("AoD-activity", "ablation-history")                 // the rankings [historical, oracle, random]
+	protocol := ev.series("MaxAv/ConRep/Sporadic", "experiment-protocol")    // field 2: analytic worst case, 3: measured maximum
+	aodact, avail := "ablation-objective-aodact", "ablation-objective-avail" // A1, over the budgets 0..5
+	rs := []row{
+		{id: "E1", statement: "Under ConRep a policy may place fewer replicas than the budget.",
+			a: short, rel: ">", b: konst(0, short), quant: "any",
+			note: func(_ []pair, p pair) string {
+				return fmt.Sprintf("largest shortfall: %s places %.4g at budget %.0f on %s/ConRep", p.a.label, p.a.x-p.a.y, p.a.x, p.a.src)
+			}},
+		{id: "E2", statement: "On Twitter, AoD-time stays below 1.0 for the continuous models (Fig. 11b–d).",
+			a: konst(1, fig11), rel: ">", b: fig11, quant: "all",
+			note: func(_ []pair, p pair) string {
+				return fmt.Sprintf("1 − largest AoD-time (%.4f, %s %s at degree %g)", p.b.y, p.b.src, p.b.label, p.b.x)
+			}},
+		{id: "E3", statement: "MostActive ranked on past interactions beats a random ranking on future AoD-activity (A2).",
+			a: at(0, history), rel: ">", b: at(2, history), quant: "all",
+			note: func(_ []pair, p pair) string { // a decider means history has its three rankings
+				return fmt.Sprintf("historical %.4f − random %.4f; oracle %.4f", p.a.y, p.b.y, history[0][1].y)
+			}},
+		{id: "E4", statement: "MaxAv(activity) wins on AoD-activity and loses on availability against MaxAv (A1, budget 5).",
+			a: at(5, slices.Concat(ev.series("MaxAv(activity)", aodact), ev.series("MaxAv", avail))), rel: ">",
+			b: at(5, slices.Concat(ev.series("MaxAv", aodact), ev.series("MaxAv(activity)", avail))), quant: "all",
+			note: func(ps []pair, _ pair) string {
+				ps = append(ps, pair{}, pair{}) // a missing panel reads 0
+				return fmt.Sprintf("min(AoD-activity gain %+.4f, availability loss %+.4f)", ps[0].d(), ps[1].d())
+			}},
+		{id: "E5", statement: "Measured delays in the runtime are at or below the analytic worst-case delay (X1/X2).",
+			a: at(2, protocol), rel: "≥", b: at(3, protocol), quant: "all",
+			note: func(_ []pair, p pair) string {
+				return fmt.Sprintf("analytic %.4f h − measured max %.4f h", p.a.y, p.b.y)
+			}},
+	}
+
+	// The setup rows hold only on the stated number exactly.
+	setup := func(id, statement, dataset string, f func(*trace.Dataset) float64, stated float64) {
+		var measured side
+		if ds := ev.datasets[dataset]; ds != nil {
+			measured = side{{{y: f(ds)}}}
+		}
+		rs = append(rs, row{id: id, statement: statement, a: measured, rel: "=", b: side{{{y: stated}}}, quant: "all",
+			note: func(_ []pair, p pair) string {
+				return fmt.Sprintf("%s (stated %s)", number(p.a.y, false), number(p.b.y, false))
+			}})
+	}
+	users := func(ds *trace.Dataset) float64 { return float64(ds.NumUsers()) }
+	degree := func(ds *trace.Dataset) float64 { return ds.Graph.AverageDegree() }
+	modal := func(ds *trace.Dataset) float64 { return float64(ds.Graph.ModalDegree()) }
 	perUser := func(ds *trace.Dataset) float64 { return float64(ds.NumActivities()) / float64(ds.NumUsers()) }
-	return []Claim{
-		row("S5", "Facebook users after the activity filter", float64(fb.NumUsers()), trace.PaperFacebookUsers),
-		row("S5", "Facebook mean degree", fb.Graph.AverageDegree(), 41),
-		row("S5", "Facebook wall posts per user", perUser(fb), 50),
-		row("S6", "Twitter users after the activity filter", float64(tw.NumUsers()), trace.PaperTwitterUsers),
-		row("S6", "Twitter mean follower degree", tw.Graph.AverageDegree(), 76),
-		row("S7", "Facebook modal degree", float64(fb.Graph.ModalDegree()), 10),
-		row("S7", "Twitter modal degree", float64(tw.Graph.ModalDegree()), 10),
-		row("S8", "Twitter span in days", float64(spanDays(tw)), 14),
-		row("S9", "Facebook users below 10 created activities", float64(belowActivity(fb)), 0),
-		row("S9", "Twitter users below 10 created activities", float64(belowActivity(tw)), 0),
-	}
-}
-
-// spanDays returns the number of calendar days the trace's activity touches.
-func spanDays(ds *trace.Dataset) int {
-	from, to, ok := ds.TimeBounds()
-	if !ok {
-		return 0
-	}
-	const day = 24 * time.Hour
-	last := to.Add(-time.Second) // TimeBounds' end is one second past the last activity
-	return int(last.Truncate(day).Sub(from.Truncate(day))/day) + 1
-}
-
-// belowActivity counts the users that created fewer activities than the
-// paper's filter admits.
-func belowActivity(ds *trace.Dataset) int {
-	n := 0
-	for u := range ds.NumUsers() {
-		if ds.CreatedCount(socialgraph.UserID(u)) < trace.PaperMinActivity {
-			n++
+	days := func(ds *trace.Dataset) float64 { // the calendar days the activity touches
+		from, to, ok := ds.TimeBounds()
+		if !ok {
+			return 0
 		}
+		const day = 24 * time.Hour
+		last := to.Add(-time.Second) // TimeBounds' end is one second past the last activity
+		return float64(last.Truncate(day).Sub(from.Truncate(day))/day + 1)
 	}
-	return n
-}
-
-// shape counts, over pairs of figure points, where a comparison holds.
-type shape struct {
-	held, of int
-}
-
-func (s *shape) add(ok bool) {
-	s.of++
-	if ok {
-		s.held++
-	}
-}
-
-func (s shape) claim(statement string) Claim {
-	return Claim{Statement: statement, Held: s.held, Of: s.of}
-}
-
-// shapeRows counts the observed shapes over the figures. A degree panel's
-// point at replication degree 0 (the owner alone) is the same for every
-// policy and is not counted.
-func shapeRows(figs map[string]plot.Figure) []Claim {
-	var out []Claim
-	panels := func(fig string, letters string) []plot.Figure {
-		var fs []plot.Figure
-		for _, l := range letters {
-			fs = append(fs, figs[fig+string(l)])
-		}
-		return fs
-	}
-	// pointwise counts a ≥ b over the degrees ≥ 1 of the named series of
-	// each panel.
-	pointwise := func(fs []plot.Figure, a, b string) shape {
-		var s shape
-		for _, f := range fs {
-			ya, yb := series(f, a), series(f, b)
-			for i := 1; i < min(len(ya), len(yb)); i++ {
-				s.add(ya[i] >= yb[i])
+	below := func(ds *trace.Dataset) (n float64) { // the users below the filter's activity threshold
+		for u := range ds.NumUsers() {
+			if ds.CreatedCount(socialgraph.UserID(u)) < trace.PaperMinActivity {
+				n++
 			}
 		}
-		return s
+		return n
 	}
+	setup("S5", "Facebook users after the activity filter", "facebook", users, trace.PaperFacebookUsers)
+	setup("S5", "Facebook mean degree", "facebook", degree, 41)
+	setup("S5", "Facebook wall posts per user", "facebook", perUser, 50)
+	setup("S6", "Twitter users after the activity filter", "twitter", users, trace.PaperTwitterUsers)
+	setup("S6", "Twitter mean follower degree", "twitter", degree, 76)
+	setup("S7", "Facebook modal degree", "facebook", modal, 10)
+	setup("S7", "Twitter modal degree", "twitter", modal, 10)
+	setup("S8", "Twitter span in days", "twitter", days, 14)
+	setup("S9", "Facebook users below 10 created activities", "facebook", below, 0)
+	setup("S9", "Twitter users below 10 created activities", "twitter", below, 0)
+
+	// Shapes between policies, modes or datasets compare replication degrees
+	// from 1 on; a step or a gain compares each point with the one before.
+	shape := func(statement string, a, b side) {
+		rs = append(rs, row{statement: statement, a: a, rel: "≥", b: b, quant: "count"})
+	}
+	fig3, fig10 := []string{"fig3a", "fig3b", "fig3c", "fig3d"}, []string{"fig10a", "fig10b", "fig10c", "fig10d"}
+	fig5, fig11all := []string{"fig5a", "fig5b", "fig5c", "fig5d"}, []string{"fig11a", "fig11b", "fig11c", "fig11d"}
+	fig7 := []string{"fig7a", "fig7b", "fig7c", "fig7d"}
 	for _, m := range []struct {
 		what string
-		fs   []plot.Figure
+		figs []string
 	}{
-		{"availability (ConRep, Figs. 3, 10)", append(panels("fig3", "abcd"), panels("fig10", "abcd")...)},
-		{"availability (UnconRep, Fig. 4)", panels("fig4", "ab")},
-		{"AoD-time (Figs. 5, 11)", append(panels("fig5", "abcd"), panels("fig11", "abcd")...)},
-		{"AoD-activity (Fig. 6)", panels("fig6", "abcd")},
-		{"delay (Fig. 7)", panels("fig7", "abcd")},
+		{"availability (ConRep, Figs. 3, 10)", slices.Concat(fig3, fig10)},
+		{"availability (UnconRep, Fig. 4)", []string{"fig4a", "fig4b"}},
+		{"AoD-time (Figs. 5, 11)", slices.Concat(fig5, fig11all)},
+		{"AoD-activity (Fig. 6)", []string{"fig6a", "fig6b", "fig6c", "fig6d"}},
+		{"delay (Fig. 7)", fig7},
 	} {
 		for _, o := range [][2]string{{"MaxAv", "MostActive"}, {"MostActive", "Random"}, {"MaxAv", "Random"}} {
-			out = append(out, pointwise(m.fs, o[0], o[1]).claim(fmt.Sprintf("%s ≥ %s, %s", o[0], o[1], m.what)))
+			shape(fmt.Sprintf("%s ≥ %s, %s", o[0], o[1], m.what), from(1, ev.series(o[0], m.figs...)), from(1, ev.series(o[1], m.figs...)))
 		}
 	}
-
-	// pairwise counts a ≥ b over every policy and degree ≥ 1 of two panels
-	// drawn on the same axes.
-	pairwise := func(as, bs []plot.Figure) shape {
-		var s shape
-		for i := range as {
-			for si, sa := range as[i].Series {
-				if si >= len(bs[i].Series) {
-					continue
-				}
-				for j := 1; j < min(len(sa.Y), len(bs[i].Series[si].Y)); j++ {
-					s.add(sa.Y[j] >= bs[i].Series[si].Y[j])
-				}
-			}
-		}
-		return s
-	}
-	out = append(out, pairwise(panels("fig4", "ab"), panels("fig3", "cd")).claim("UnconRep ≥ ConRep availability, FixedLength 2 h and 8 h (Fig. 4 vs Fig. 3c, d)"))
-
-	// steps counts, along each series from point from on, the consecutive
-	// pairs where the next value is ≥ the previous (rising) or ≤ it.
-	steps := func(fs []plot.Figure, from int, rising bool) shape {
-		var s shape
-		for _, f := range fs {
-			for _, sr := range f.Series {
-				for i := from + 1; i < len(sr.Y); i++ {
-					s.add(rising && sr.Y[i] >= sr.Y[i-1] || !rising && sr.Y[i] <= sr.Y[i-1])
-				}
-			}
-		}
-		return s
-	}
-	out = append(out, steps(panels("fig7", "abcd"), 1, true).claim("Delay grows with the replication degree (Fig. 7)"))
-	var saturation shape
-	for _, f := range append(panels("fig3", "abcd"), panels("fig10", "abcd")...) {
-		for _, sr := range f.Series {
-			for k := 2; k < len(sr.Y); k++ {
-				saturation.add(sr.Y[k]-sr.Y[k-1] <= sr.Y[k-1]-sr.Y[k-2])
-			}
-		}
-	}
-	out = append(out, saturation.claim("Availability gains shrink as the replication degree grows (Figs. 3, 10)"))
-	out = append(out,
-		steps(panels("fig8", "a"), 0, true).claim("Availability rises with the Sporadic session length (Fig. 8a)"),
-		steps(panels("fig8", "d"), 0, false).claim("Delay falls as the Sporadic session length grows (Fig. 8d)"),
-		steps(panels("fig9", "a"), 0, true).claim("Availability rises with the user degree (Fig. 9a)"),
-		steps(panels("fig9", "b"), 0, true).claim("Delay grows with the user degree (Fig. 9b)"),
-		pairwise(panels("fig3", "abcd"), panels("fig10", "abcd")).claim("Facebook ≥ Twitter availability (Fig. 3 vs Fig. 10)"),
-		pairwise(panels("fig5", "abcd"), panels("fig11", "abcd")).claim("Facebook ≥ Twitter AoD-time (Fig. 5 vs Fig. 11)"),
-	)
-
-	// X6 plots one statistic per x: 0 availability, 3 mean lookup hops, 5
-	// load Gini.
-	arch := figs["experiment-arch"]
-	social, random := series(arch, "SocialDHT"), series(arch, "RandomDHT")
-	for _, st := range []struct {
-		i      int
-		what   string
-		higher bool
-	}{{0, "availability", true}, {3, "mean lookup hops", false}, {5, "load Gini", false}} {
-		var s shape
-		if st.i < min(len(social), len(random)) {
-			a, b := social[st.i], random[st.i]
-			s.add(st.higher && a >= b || !st.higher && a <= b)
-		}
-		op := "≤"
-		if st.higher {
-			op = "≥"
-		}
-		out = append(out, s.claim(fmt.Sprintf("SocialDHT %s RandomDHT, %s (X6)", op, st.what)))
-	}
-	return out
+	availability, delay := gains(ev.series("", slices.Concat(fig3, fig10)...)), ev.series("", fig7...)
+	fig8a, fig8d, fig9a, fig9b := ev.series("", "fig8a"), ev.series("", "fig8d"), ev.series("", "fig9a"), ev.series("", "fig9b")
+	shape("UnconRep ≥ ConRep availability, FixedLength 2 h and 8 h (Fig. 4 vs Fig. 3c, d)", from(1, ev.series("", "fig4a", "fig4b")), from(1, ev.series("", "fig3c", "fig3d")))
+	shape("Delay grows with the replication degree (Fig. 7)", from(2, delay), from(1, delay))
+	shape("Availability gains shrink as the replication degree grows (Figs. 3, 10)", availability, from(1, availability))
+	shape("Availability rises with the Sporadic session length (Fig. 8a)", from(1, fig8a), fig8a)
+	shape("Delay falls as the Sporadic session length grows (Fig. 8d)", fig8d, from(1, fig8d))
+	shape("Availability rises with the user degree (Fig. 9a)", from(1, fig9a), fig9a)
+	shape("Delay grows with the user degree (Fig. 9b)", from(1, fig9b), fig9b)
+	shape("Facebook ≥ Twitter availability (Fig. 3 vs Fig. 10)", from(1, ev.series("", fig3...)), from(1, ev.series("", fig10...)))
+	shape("Facebook ≥ Twitter AoD-time (Fig. 5 vs Fig. 11)", from(1, ev.series("", fig5...)), from(1, ev.series("", fig11all...)))
+	// X6 plots one statistic per x: 0 availability, 5 load Gini.
+	social, random := ev.series("SocialDHT", "experiment-arch"), ev.series("RandomDHT", "experiment-arch")
+	shape("SocialDHT ≥ RandomDHT, availability (X6)", at(0, social), at(0, random))
+	shape("SocialDHT ≤ RandomDHT, load Gini (X6)", at(5, random), at(5, social))
+	return rs
 }
 
 // WriteResults writes the README's Results section body: the method, the
@@ -380,25 +398,29 @@ func (t *ClaimsTable) WriteResults(w io.Writer, command string) error {
 	p("Fig. 9 reads one cell per user degree 1..%d, its replication degree", t.Base.UserDegree)
 	p("reaching the user degree. The experiments A2, A3, X1/X2 and X6 score the")
 	p("degree-%d users too; X4 places the replicas of every user, because a host's", t.Base.UserDegree)
-	p("load counts every owner it serves. The ledger rows are PAPER.md's E and S")
-	p("rows. Each has a verdict and the margin that decided it, with no tolerance:")
-	p("`holds`, `refuted` (a stated effect the run contradicts) or `off` (a")
-	p("stated number the run misses; margin = measured − stated).")
+	p("load counts every owner it serves. Each row's points are *wins* (its")
+	p("relation holds strictly), *ties* (equal sides) or *losses*; a point where")
+	p("every policy's replicas must cover the same minutes (replication degree")
+	p("0, and UnconRep from the user degree on) is *forced*, counted apart and")
+	p("deciding nothing. The ledger rows, PAPER.md's E and S rows, have a")
+	p("verdict and the margin that decided it, with no tolerance: `holds`,")
+	p("`refuted` (a stated effect the run contradicts), `off` (a stated number")
+	p("the run misses; margin = measured − stated) or `no points`.")
 	p("")
-	p("| row | claim | verdict | margin | measured |")
-	p("| --- | --- | --- | --- | --- |")
+	p("| row | claim | verdict | margin | measured | wins | ties | losses | forced |")
+	p("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
 	for _, c := range t.Ledger {
-		p("| %s | %s | %s | %s | %s |", c.ID, c.Statement, c.Verdict, number(c.Margin, true), c.Measured)
+		p("| %s | %s | %s | %s | %s | %d | %d | %d | %d |", c.ID, c.Statement, c.Verdict, number(c.Margin, true), c.Measured, c.Wins, c.Ties, c.Losses, c.Forced)
 	}
 	p("")
 	p("**Observed shapes.** No ledger row states these. They are observations of")
-	p("this repository, counted as the figure points where each holds, and never")
-	p("get a verdict.")
+	p("this repository and get no verdict. A shape between policies, modes or")
+	p("datasets compares replication degrees from 1 on.")
 	p("")
-	p("| shape | points |")
-	p("| --- | --- |")
+	p("| shape | wins | ties | losses | forced |")
+	p("| --- | --- | --- | --- | --- |")
 	for _, c := range t.Shapes {
-		p("| %s | %d/%d |", c.Statement, c.Held, c.Of)
+		p("| %s | %d | %d | %d | %d |", c.Statement, c.Wins, c.Ties, c.Losses, c.Forced)
 	}
 	p("")
 	p("**Not measured.** The paper's own traces, which are not redistributable, and")

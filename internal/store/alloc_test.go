@@ -47,3 +47,51 @@ func TestSaveGrowsFreshBufferOnce(t *testing.T) {
 		t.Errorf("fresh buffer holds %d bytes in a capacity of %d; want %d in at most %d", buf.Len(), cap(buf.Bytes()), n, want)
 	}
 }
+
+// Save into a buffer already large enough allocates the same few times
+// whatever the snapshot's size: a wall, post or field that would cross the
+// end of the encoder's free space is encoded after a flush, never into a
+// growing copy.
+func TestSaveAllocationsIndependentOfSize(t *testing.T) {
+	allocs := func(walls, posts int, fields ...string) (float64, int) {
+		s := New(1)
+		for w := NodeID(1); w <= NodeID(walls); w++ {
+			s.Host(w)
+			for i := 0; i < posts; i++ {
+				if _, err := s.Author(w, strings.Repeat("post ", 1+i%30), int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range fields {
+				if _, err := s.SetField(w, name, Field{Value: "plain", At: 1, Writer: w}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		buf := new(bytes.Buffer)
+		save := func() {
+			buf.Reset()
+			if err := s.Save(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		save()
+		return testing.AllocsPerRun(5, save), buf.Len()
+	}
+	for _, c := range []struct {
+		walls, posts int
+		fields       []string
+	}{
+		{32, 400, []string{"bio", "name"}}, // many posts
+		{20000, 0, nil},                    // many empty walls
+	} {
+		small, _ := allocs(2, min(c.posts, 10), c.fields...)
+		large, n := allocs(c.walls, c.posts, c.fields...)
+		if n < 8*snapshotChunk {
+			t.Fatalf("%d walls of %d posts: snapshot is %d bytes, want many chunks", c.walls, c.posts, n)
+		}
+		if large != small || large > 4 {
+			t.Errorf("Save into a reused buffer allocated %v times for a %d-byte snapshot of %d walls and %v for 2 walls; want the same few", large, n, c.walls, small)
+		}
+	}
+}

@@ -118,22 +118,31 @@ func (s *Store) snapshotLen() int {
 		if len(w.timeline) == 0 {
 			n += len(postsEmpty)
 		} else {
-			n += len(postsOpen) + len(postsClose) + len(w.timeline)*(postText+len(comma)) - len(comma)
+			n += len(postsOpen) + len(postsClose) + len(w.timeline)*len(comma) - len(comma)
 			for i := range w.timeline {
-				p := &w.timeline[i]
-				n += intLen(int64(p.ID.Author)) + uintLen(p.ID.Seq) + intLen(int64(p.Wall)) + len(p.Body) + intLen(p.CreatedAt)
+				n += postLen(&w.timeline[i])
 			}
 		}
 		if len(w.fields) == 0 {
 			n += len(fieldsEmpty)
 		} else {
-			n += len(fieldsOpen) + len(fieldsClose) + len(w.fields)*(fieldText+len(comma)) - len(comma)
+			n += len(fieldsOpen) + len(fieldsClose) + len(w.fields)*len(comma) - len(comma)
 			for name, f := range w.fields {
-				n += len(name) + len(f.Value) + intLen(f.At) + intLen(int64(f.Writer))
+				n += fieldLen(name, f)
 			}
 		}
 	}
 	return n
+}
+
+// postLen and fieldLen are the lengths of one post's and one field's text,
+// exact for plain strings and a lower bound otherwise.
+func postLen(p *Post) int {
+	return postText + intLen(int64(p.ID.Author)) + uintLen(p.ID.Seq) + intLen(int64(p.Wall)) + len(p.Body) + intLen(p.CreatedAt)
+}
+
+func fieldLen(name string, f Field) int {
+	return fieldText + len(name) + len(f.Value) + intLen(f.At) + intLen(int64(f.Writer))
 }
 
 // uintLen is the number of decimal digits of v.
@@ -159,11 +168,33 @@ func intLen(v int64) int {
 type snapshotEncoder struct {
 	jsonx.Encoder // Buf is w's free space, holding what was appended since the last commit
 	w             *bufio.Writer
+	names         []string // a wall's field names, sorted
 }
 
-// commit hands what was appended to w. It is due after every post and
-// field, the pieces whose length the data decides: one that outgrew the free
-// space was appended to a copy, which w takes chunk by chunk.
+// pieceSlack bounds the fixed text appended between two reservations, which
+// come before every wall, post and field: a wall's opening or closing text
+// with its owner or author sequence, and the end of the snapshot.
+const pieceSlack = 256
+
+// reserve makes room in the free space for a piece of length n (a post or a
+// field; 0 for a wall's own text) and the fixed text after it, before it is
+// appended: it hands what was appended to w and, if the rest of w's buffer
+// is shorter, flushes the buffer. A piece longer than the buffer, or one
+// whose escaped strings outgrow n, is appended to a copy, which w takes
+// chunk by chunk.
+func (e *snapshotEncoder) reserve(n int) error {
+	if n += pieceSlack; cap(e.Buf)-len(e.Buf) >= n {
+		return nil
+	}
+	err := e.commit()
+	if err == nil && e.w.Available() < n {
+		err = e.w.Flush()
+		e.Buf = e.w.AvailableBuffer()
+	}
+	return err
+}
+
+// commit hands what was appended to w.
 func (e *snapshotEncoder) commit() error {
 	_, err := e.w.Write(e.Buf)
 	e.Buf = e.w.AvailableBuffer()
@@ -180,6 +211,9 @@ func (e *snapshotEncoder) store(s *Store) error {
 	} else {
 		e.Lit(wallsOpen)
 		for i, owner := range owners {
+			if err := e.reserve(0); err != nil {
+				return err
+			}
 			if i > 0 {
 				e.Lit(comma)
 			}
@@ -201,13 +235,13 @@ func (e *snapshotEncoder) wall(w *Wall, authorSeq uint64) error {
 	} else {
 		e.Lit(postsOpen)
 		for i := range w.timeline {
+			if err := e.reserve(len(comma) + postLen(&w.timeline[i])); err != nil {
+				return err
+			}
 			if i > 0 {
 				e.Lit(comma)
 			}
 			e.post(&w.timeline[i])
-			if err := e.commit(); err != nil {
-				return err
-			}
 		}
 		e.Lit(postsClose)
 	}
@@ -215,19 +249,19 @@ func (e *snapshotEncoder) wall(w *Wall, authorSeq uint64) error {
 		e.Lit(fieldsEmpty)
 	} else {
 		e.Lit(fieldsOpen)
-		names := make([]string, 0, len(w.fields))
+		e.names = slices.Grow(e.names[:0], len(w.fields))
 		for name := range w.fields {
-			names = append(names, name)
+			e.names = append(e.names, name)
 		}
-		slices.Sort(names)
-		for i, name := range names {
+		slices.Sort(e.names)
+		for i, name := range e.names {
+			if err := e.reserve(len(comma) + fieldLen(name, w.fields[name])); err != nil {
+				return err
+			}
 			if i > 0 {
 				e.Lit(comma)
 			}
 			e.field(name, w.fields[name])
-			if err := e.commit(); err != nil {
-				return err
-			}
 		}
 		e.Lit(fieldsClose)
 	}
