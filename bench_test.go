@@ -554,7 +554,7 @@ func BenchmarkMatrixSweepMaxAvConRep(b *testing.B) {
 // BenchmarkSweepUserKernel isolates the per-user degree loop — the fused
 // one-pass kernel inside sweepUser (OrWithOverlapCount + incremental AoD +
 // cached delay prefixes). Schedules are precomputed outside the timed loop
-// and the pool runs a single worker over an explicit user list, so ns/user
+// and the pool runs a single worker over the degree-10 users, so ns/user
 // is the kernel itself: policy selection plus MaxDegree+1 degree steps per
 // policy. Recorded into BENCH_matrix.json; benchguard holds ns_per_user to
 // within 2x of the committed baseline.
@@ -562,20 +562,16 @@ func BenchmarkSweepUserKernel(b *testing.B) {
 	ds := facebook(b)
 	model := onlinetime.Sporadic{}
 	table := onlinetime.ComputeTable(model, ds, benchSeed, 1)
-	users := ds.Graph.UsersWithDegree(10)
-	if len(users) > 64 {
-		users = users[:64]
-	}
 	cfg := core.Config{
-		Dataset:   ds,
-		Model:     model,
-		Mode:      replica.ConRep,
-		Users:     users,
-		MaxDegree: 10,
-		Repeats:   benchRepeats,
-		Seed:      benchSeed,
-		Workers:   1,
-		Schedules: []*onlinetime.Table{table},
+		Dataset:    ds,
+		Model:      model,
+		Mode:       replica.ConRep,
+		UserDegree: 10,
+		MaxDegree:  10,
+		Repeats:    benchRepeats,
+		Seed:       benchSeed,
+		Workers:    1,
+		Schedules:  []*onlinetime.Table{table},
 	}
 	var res *core.Result
 	var err error
@@ -589,7 +585,7 @@ func BenchmarkSweepUserKernel(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	nsPerUser := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(users))
+	nsPerUser := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(res.Users)
 	b.ReportMetric(nsPerUser, "ns/user")
 	recordMatrixBench(b, "SweepUserKernel", map[string]float64{
 		"ns_per_user":      nsPerUser,

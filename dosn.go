@@ -9,15 +9,15 @@
 // connected (ConRep) and unconnected (UnconRep) placements, and the four
 // efficiency metrics — availability, availability-on-demand-time,
 // availability-on-demand-activity, and update-propagation delay. Beyond the
-// paper's analytic simulator it includes an executable protocol runtime
-// (anti-entropy replication over a discrete-event simulation, plus a TCP
-// node) that measures what the analytic metrics predict.
+// paper's analytic simulator it includes a delivery model that follows
+// every post through its replica group minute by minute, and a TCP node, to
+// measure what the analytic metrics predict.
 //
 // Quick start:
 //
 //	fb, err := dosn.Facebook(2000, 1)          // synthetic New-Orleans-like trace
 //	if err != nil { ... }
-//	res, err := dosn.RunSweep(dosn.SweepConfig{Dataset: fb})
+//	res, err := dosn.RunSweep(dosn.SweepConfig{Dataset: fb, UserDegree: 10})
 //	if err != nil { ... }
 //	for _, s := range res.MetricSeries(dosn.MetricAvailability) {
 //		fmt.Println(s.Label, s.Y)               // one curve per policy, Fig. 3a
@@ -234,8 +234,7 @@ func FacebookConfig(users int) SynthConfig { return trace.DefaultFacebookConfig(
 func TwitterConfig(users int) SynthConfig { return trace.DefaultTwitterConfig(users) }
 
 // RunSweep executes a replication-degree sweep (the core experiment behind
-// figures 3–7 and 10–11) over cfg.Users, or else the users with exactly
-// cfg.UserDegree friends.
+// figures 3–7 and 10–11) over the users with exactly cfg.UserDegree friends.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) { return core.Run(cfg) }
 
 // PaperMatrix returns the paper's full evaluation matrix — {Facebook,
@@ -274,8 +273,9 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 	return core.RunArchComparison(cfg)
 }
 
-// RunProtocolValidation executes the discrete-event OSN runtime on a
-// policy-placed sample of the walls of cfg.UserDegree's users and compares
+// RunProtocolValidation follows the posts on a policy-placed sample of the
+// walls of cfg.UserDegree's users through their replica groups with the
+// delivery model (see metrics.Delivery for its contact rule) and compares
 // measured delivery delays with the analytic update-propagation-delay metric.
 func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	return core.RunProtocolValidation(cfg)

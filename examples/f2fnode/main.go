@@ -1,9 +1,9 @@
-// F2F node runtime: executes the decentralized OSN protocol (outbox
-// store-and-forward + version-vector anti-entropy between time-overlapping
-// replicas) in a discrete-event simulation and compares the *measured*
-// delivery delays against the paper's *analytic* update-propagation-delay
-// metric — including the actual vs observed distinction of §II-C3 and
-// resilience to injected contact loss.
+// F2F delivery: follows the posts a trace writes on replicated walls
+// through each wall's replica group (the creator hands a post to a member
+// online, members exchange whenever their sessions meet) and compares the
+// *measured* delivery delays against the paper's *analytic*
+// update-propagation-delay metric — including the actual vs observed
+// distinction of §II-C3 and resilience to injected contact loss.
 package main
 
 import (
@@ -58,12 +58,11 @@ func run() error {
 		fmt.Printf("  measured mean delay (observed):  %6.2f h ← what a friend perceives\n", res.ObservedPairHours)
 		fmt.Printf("  immediate landings:              %5.1f%% (analytic AoD-activity %.1f%%)\n",
 			res.ImmediateFraction*100, res.AnalyticAoDActivity*100)
-		fmt.Printf("  anti-entropy exchanges: %d, posts transferred: %d\n",
-			res.Exchanges, res.PostsTransferred)
+		fmt.Printf("  posts transferred:               %d\n", res.PostsTransferred)
 	}
 
-	// Failure injection: the anti-entropy protocol retries at every contact,
-	// so moderate loss slows propagation without breaking convergence.
+	// Failure injection: members retry at every contact, so moderate loss
+	// slows propagation without breaking convergence.
 	fmt.Println("\n=== contact-loss sensitivity (MaxAv / Sporadic, 7 days) ===")
 	fmt.Printf("%-10s%14s%14s\n", "loss", "delivered", "mean delay(h)")
 	sporadic := dosn.BuildScheduleTable(dosn.NewSporadic(0), ds, 23, 1)

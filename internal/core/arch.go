@@ -144,16 +144,16 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		}
 		policies := arch.Policies()
 		sweep, err := Run(Config{
-			Dataset:   ds,
-			Model:     cfg.Model,
-			Mode:      cfg.Mode,
-			Policies:  policies,
-			MaxDegree: cfg.MaxDegree,
-			Users:     owners,
-			Repeats:   cfg.Repeats,
-			Seed:      cfg.Seed,
-			Workers:   cfg.Workers,
-			Schedules: tables,
+			Dataset:    ds,
+			Model:      cfg.Model,
+			Mode:       cfg.Mode,
+			Policies:   policies,
+			MaxDegree:  cfg.MaxDegree,
+			UserDegree: cfg.UserDegree,
+			Repeats:    cfg.Repeats,
+			Seed:       cfg.Seed,
+			Workers:    cfg.Workers,
+			Schedules:  tables,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("architecture %s: %w", name, err)

@@ -264,16 +264,12 @@ func TestPlacerWorkAreasPerWorker(t *testing.T) {
 		replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity},
 		&dht.Placement{Ring: ring},
 		&dht.Placement{Ring: ring, Social: true, Graph: ds.Graph})
-	users := make([]socialgraph.UserID, ds.NumUsers())
-	for u := range users {
-		users[u] = socialgraph.UserID(u)
-	}
 	for _, mode := range []replica.Mode{replica.ConRep, replica.UnconRep} {
 		var ref *Result
 		for _, workers := range []int{1, 3} {
 			res, err := Run(Config{
 				Dataset: ds, Model: onlinetime.Sporadic{}, Mode: mode, Policies: policies,
-				Users: users, MaxDegree: 4, Repeats: 1, Seed: 3, Workers: workers,
+				UserDegree: archDegree, MaxDegree: 4, Repeats: 1, Seed: 3, Workers: workers,
 			})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", mode, workers, err)

@@ -67,7 +67,8 @@ const (
 	// MetricDelayHours is the worst-case update-propagation delay in hours.
 	MetricDelayHours
 	// MetricEffectiveReplicas is the number of replicas the policy actually
-	// used (ConRep may use fewer than the budget; paper §V-A1).
+	// used (ConRep may use fewer than the budget, and fewer than UnconRep
+	// places at the same budget; paper §V-A1).
 	MetricEffectiveReplicas
 )
 
@@ -101,12 +102,10 @@ type Config struct {
 	// MaxDegree is the largest replication degree; the sweep covers
 	// 0..MaxDegree. The paper uses 10.
 	MaxDegree int
-	// UserDegree restricts the user population to users with exactly this
-	// many friends/followers (the paper uses degree 10). Ignored when Users
-	// is set; otherwise it must name a degree some user has (ErrNoUsers).
+	// UserDegree names the population the sweep averages over: the users
+	// with exactly this many friends/followers (the paper uses degree 10).
+	// It must name a degree some user has (ErrNoUsers).
 	UserDegree int
-	// Users explicitly lists the users to average over.
-	Users []socialgraph.UserID
 	// Repeats re-runs the experiment with fresh randomness and averages,
 	// as the paper does (5×) for randomized configurations. Default 1.
 	Repeats int
@@ -127,13 +126,14 @@ type Config struct {
 	// callers build each (dataset, model, rep) schedule once and share it
 	// across every sweep with those coordinates — see internal/harness.
 	// Repetitions beyond len(Schedules) fall back to a table built in line.
-	// A supplied table need only fill the rows the sweep reads: every user
-	// of Users and each of their candidates (AnalysisRows, when UserDegree
-	// chooses the users). A repetition whose table is the same
-	// *Table as an earlier repetition's — a seed-independent schedule
-	// built once — reuses that repetition's results for every policy that
+	// A supplied table need only fill the rows the sweep reads: the
+	// population's users and each of their candidates (AnalysisRows). A
+	// repetition whose table is the same *Table as an earlier
+	// repetition's — a seed-independent schedule built once — reuses that repetition's results for every policy that
 	// draws no randomness (replica.Traits), instead of sweeping it again.
 	Schedules []*onlinetime.Table
+
+	users []socialgraph.UserID // the population, resolved by fill
 }
 
 // Errors returned by Run.
@@ -169,14 +169,9 @@ func (c *Config) fill() error {
 			return fmt.Errorf("core: Schedules[%d] covers %d users, dataset has %d", rep, t.NumUsers(), c.Dataset.NumUsers())
 		}
 	}
-	if len(c.Users) == 0 {
-		users, err := analysisUsers(c.Dataset.Graph, c.UserDegree)
-		if err != nil {
-			return err
-		}
-		c.Users = users
-	}
-	return nil
+	users, err := analysisUsers(c.Dataset.Graph, c.UserDegree)
+	c.users = users
+	return err
 }
 
 // analysisUsers resolves the population every sweep, ablation and
@@ -296,7 +291,7 @@ func Run(cfg Config) (*Result, error) {
 		DatasetName: cfg.Dataset.Name,
 		ModelName:   cfg.Model.Name(),
 		Mode:        cfg.Mode,
-		Users:       len(cfg.Users),
+		Users:       len(cfg.users),
 		Repeats:     cfg.Repeats,
 	}
 	for d := 0; d <= cfg.MaxDegree; d++ {
@@ -439,9 +434,9 @@ func sweepPolicies(cfg Config, table *onlinetime.Table, rep int, reused []bool, 
 	if err := faultSweepShard.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
 		return nil, err
 	}
-	chunks := make([][][]Cell, (len(cfg.Users)+sweepChunkSize-1)/sweepChunkSize)
+	chunks := make([][][]Cell, (len(cfg.users)+sweepChunkSize-1)/sweepChunkSize)
 	sw := obs.StartWatch()
-	err := fault.Chunks(len(cfg.Users), sweepChunkSize, cfg.Workers, func(next func() (lo, hi int, ok bool)) error {
+	err := fault.Chunks(len(cfg.users), sweepChunkSize, cfg.Workers, func(next func() (lo, hi int, ok bool)) error {
 		// Busy time per worker per repetition: sum against max across workers
 		// is what exposes imbalance. The reading goes only into obs.
 		busy := obs.StartWatch()
@@ -483,7 +478,7 @@ func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, reused []bool, 
 			return err
 		}
 		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
-		for _, u := range cfg.Users[lo:hi] {
+		for _, u := range cfg.users[lo:hi] {
 			sweepUser(cfg, pl, rep, reused, u, g, &scratch)
 		}
 		chunks[ci] = g

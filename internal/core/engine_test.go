@@ -11,7 +11,6 @@ import (
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
-	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
 
@@ -331,16 +330,17 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	}
 }
 
-func TestExplicitUsersOverrideDegree(t *testing.T) {
-	ds := testDataset(t)
-	users := []socialgraph.UserID{1, 2, 3}
-	res, err := Run(Config{Dataset: ds, Users: users, MaxDegree: 2, Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+// degreeWith returns the smallest user degree of ds whose population size
+// satisfies ok.
+func degreeWith(t *testing.T, ds *trace.Dataset, ok func(users int) bool) int {
+	t.Helper()
+	for k, n := range ds.Graph.DegreeHistogram() {
+		if k > 0 && ok(n) {
+			return k
+		}
 	}
-	if res.Users != 3 {
-		t.Errorf("Users = %d, want 3", res.Users)
-	}
+	t.Fatal("no user degree has a population of the wanted size")
+	return 0
 }
 
 func TestMetricStrings(t *testing.T) {
@@ -393,24 +393,24 @@ func TestRunRejectsMisshapenSchedules(t *testing.T) {
 // per chunk, so a regression that starts idle workers shows up as extra spans.
 func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 	ds := testDataset(t)
-	all := ds.Graph.UsersWithDegree(10)
 	const repeats = 2
 	for _, tc := range []struct {
-		name    string
-		users   []socialgraph.UserID
-		workers int
+		name       string
+		userDegree int
+		workers    int
 	}{
-		{"more chunks than workers", all, 2},
-		{"one chunk, eight workers", all[:3], 8},
+		{"more chunks than workers", 10, 2},
+		{"one chunk, eight workers", degreeWith(t, ds, func(n int) bool { return n > 0 && n <= sweepChunkSize }), 8},
 	} {
-		nChunks := (len(tc.users) + sweepChunkSize - 1) / sweepChunkSize
-		if len(tc.users) == len(all) && nChunks <= tc.workers {
-			t.Fatalf("%s: %d users make only %d chunks", tc.name, len(tc.users), nChunks)
+		users := len(ds.Graph.UsersWithDegree(tc.userDegree))
+		nChunks := (users + sweepChunkSize - 1) / sweepChunkSize
+		if tc.userDegree == 10 && nChunks <= tc.workers {
+			t.Fatalf("%s: %d users make only %d chunks", tc.name, users, nChunks)
 		}
 		collector := obs.NewCollector()
 		co := collector.StartCell(tc.name, 0)
 		_, err := Run(Config{
-			Dataset: ds, Users: tc.users, MaxDegree: 2, Repeats: repeats, Seed: 3,
+			Dataset: ds, UserDegree: tc.userDegree, MaxDegree: 2, Repeats: repeats, Seed: 3,
 			Workers: tc.workers, Obs: co,
 		})
 		co.Done()
@@ -433,16 +433,15 @@ func TestSweepWorkerPoolCappedByChunks(t *testing.T) {
 
 // TestSweepEqualsInOrderFold pins what the worker pool must reproduce: one
 // goroutine folding the users in list order, a fresh grid per 16-user chunk,
-// chunk grids merged in chunk order. The population is not a multiple of the
-// chunk size, so the short tail chunk is covered.
+// chunk grids merged in chunk order. The population spans more than two
+// chunks and is not a multiple of the chunk size, so the short tail chunk is
+// covered.
 func TestSweepEqualsInOrderFold(t *testing.T) {
 	ds := testDataset(t)
 	cfg := Config{
 		Dataset: ds, Model: onlinetime.RandomLength{}, Mode: replica.ConRep,
 		MaxDegree: 5, Repeats: 1, Seed: 5,
-	}
-	for u := 0; u < 37; u++ { // 2 full chunks + 5
-		cfg.Users = append(cfg.Users, socialgraph.UserID(u))
+		UserDegree: degreeWith(t, ds, func(n int) bool { return n > 2*sweepChunkSize && n%sweepChunkSize != 0 }),
 	}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
@@ -453,9 +452,9 @@ func TestSweepEqualsInOrderFold(t *testing.T) {
 	want := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
 	var scratch sweepScratch
 	pl := replica.NewPlacer(ds, table.Bitmaps(), cfg.Mode, cfg.MaxDegree, cfg.Policies...)
-	for lo := 0; lo < len(cfg.Users); lo += 16 {
+	for lo := 0; lo < len(cfg.users); lo += 16 {
 		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
-		for _, u := range cfg.Users[lo:min(lo+16, len(cfg.Users))] {
+		for _, u := range cfg.users[lo:min(lo+16, len(cfg.users))] {
 			sweepUser(cfg, pl, rep, make([]bool, len(cfg.Policies)), u, g, &scratch)
 		}
 		mergeGrids(want, g)

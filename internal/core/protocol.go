@@ -1,24 +1,27 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 
-	"dosn/internal/desim"
 	"dosn/internal/interval"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
-	"dosn/internal/osn"
 	"dosn/internal/plot"
 	"dosn/internal/replica"
+	"dosn/internal/socialgraph"
+	"dosn/internal/stats"
 	"dosn/internal/trace"
 )
 
 // ProtocolConfig parameterizes the protocol-level validation experiment
-// (X1/X2 in DESIGN.md): the same placement the analytic sweep evaluates is
-// executed in the discrete-event OSN runtime, and measured delays are
-// compared against the analytic worst-case metric.
+// (X1/X2 in DESIGN.md): the placement the analytic sweep evaluates is
+// followed post by post through its replica groups by the delivery model
+// (metrics.Delivery), and the measured delays are compared against the
+// analytic worst-case metric.
 type ProtocolConfig struct {
 	// Dataset supplies the graph and activities.
 	Dataset *trace.Dataset
@@ -37,11 +40,11 @@ type ProtocolConfig struct {
 	MaxWalls int
 	// Days is the simulation horizon (default 7).
 	Days int
-	// LossRate injects contact failures.
+	// LossRate is the share of contacts the delivery model drops.
 	LossRate float64
-	// DisableEagerPush turns off in-overlap propagation rounds in the
-	// runtime (protocol-design ablation A4); replicas then exchange only at
-	// session starts.
+	// DisableEagerPush turns off the round a member runs one minute after
+	// it receives a post (protocol-design ablation A4); members then
+	// exchange only at session starts.
 	DisableEagerPush bool
 	// Seed drives placement, reads and loss.
 	Seed int64
@@ -65,7 +68,7 @@ func (c *ProtocolConfig) fill() {
 	}
 }
 
-// ProtocolResult compares analytic predictions with runtime measurements.
+// ProtocolResult compares analytic predictions with measurements.
 type ProtocolResult struct {
 	Walls int
 	Posts int
@@ -76,11 +79,14 @@ type ProtocolResult struct {
 	// maximum delay over the replica group. Must sit at or below the bound.
 	MeasuredMaxHours float64
 	// MeasuredPairHours / ObservedPairHours are the mean per-(post,replica)
-	// actual and observed delays (§II-C3 distinguishes the two).
+	// actual and observed delays, counted from the post's first landing on
+	// the group: the observed delay is the actual delay minus the receiver's
+	// offline time (§II-C3 distinguishes the two).
 	MeasuredPairHours float64
 	ObservedPairHours float64
-	// ImmediateFraction is the measured availability-on-demand-activity
-	// analogue; AnalyticAoDActivity is the metric the sweep predicts.
+	// ImmediateFraction is the share of posts created while a group member
+	// was online, the measured availability-on-demand-activity;
+	// AnalyticAoDActivity is the metric the sweep predicts.
 	ImmediateFraction   float64
 	AnalyticAoDActivity float64
 	// MeasuredAoDTime is the fraction of scripted reads (one per friend per
@@ -91,8 +97,9 @@ type ProtocolResult struct {
 	// DeliveredFraction is the share of posts that reached the full group
 	// within the horizon.
 	DeliveredFraction float64
-	// Exchanges and PostsTransferred quantify protocol traffic.
-	Exchanges        int
+	// PostsTransferred counts the arrivals a contact carried (every
+	// arrival but a creator's own on its group); LostContacts counts the
+	// contacts loss dropped while they would have carried a post.
 	PostsTransferred int
 	LostContacts     int
 }
@@ -101,8 +108,8 @@ type ProtocolResult struct {
 // x value.
 const ProtocolFields = "field (0=walls, 1=posts, 2=analytic worst h, 3=measured max h, " +
 	"4=measured pair h, 5=observed pair h, 6=immediate, 7=analytic AoD-activity, " +
-	"8=measured AoD-time, 9=analytic AoD-time, 10=delivered, 11=exchanges, " +
-	"12=posts transferred, 13=lost contacts)"
+	"8=measured AoD-time, 9=analytic AoD-time, 10=delivered, " +
+	"11=posts transferred, 12=lost contacts)"
 
 // Series plots every field of the result against its index (see
 // ProtocolFields) as one series with the given label.
@@ -111,14 +118,22 @@ func (r *ProtocolResult) Series(label string) plot.Series {
 		float64(r.Walls), float64(r.Posts),
 		r.AnalyticWorstHours, r.MeasuredMaxHours, r.MeasuredPairHours, r.ObservedPairHours,
 		r.ImmediateFraction, r.AnalyticAoDActivity, r.MeasuredAoDTime, r.AnalyticAoDTime,
-		r.DeliveredFraction,
-		float64(r.Exchanges), float64(r.PostsTransferred), float64(r.LostContacts),
+		r.DeliveredFraction, float64(r.PostsTransferred), float64(r.LostContacts),
 	}
 	return plot.Categorical(label, ys...)
 }
 
-// RunProtocolValidation builds an OSN runtime for a sample of walls placed
-// by the configured policy and compares measured against analytic metrics.
+// protocolPost is one wall post of the protocol experiment.
+type protocolPost struct {
+	wall    int // index into the walls
+	creator socialgraph.UserID
+	at      int // absolute minute
+}
+
+// RunProtocolValidation places replicas for a sample of walls with the
+// configured policy, follows every post the trace writes on them through
+// the wall's group with the delivery model, and compares measured against
+// analytic metrics.
 func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	schedules, err := tableRows(cfg.Dataset, cfg.Schedules)
 	if err != nil {
@@ -136,9 +151,9 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	}
 
 	res := &ProtocolResult{Walls: len(owners)}
-	assignments := make(map[osn.NodeID][]osn.NodeID, len(owners))
-	var posts []osn.PostEvent
-	var reads []osn.ReadEvent
+	groups := make([][]socialgraph.UserID, len(owners))
+	var posts []protocolPost
+	reads, served := 0, 0
 	readRNG := rand.New(rand.NewSource(mix(cfg.Seed, 4)))
 	analyticDelaySum := 0.0
 	analyticAoDSum := 0.0
@@ -149,9 +164,10 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	pl := replica.NewPlacer(ds, schedules, cfg.Mode, cfg.Budget, cfg.Policy)
 	var actMinutes []int
 	var gen workerRNG
+	immediate := 0
 	for i, u := range owners {
 		replicas := cfg.Policy.Select(pl.Input(u), gen.seeded(mix(cfg.Seed, 2, int64(i))))
-		assignments[u] = replicas
+		groups[i] = slices.Compact(slices.Sorted(slices.Values(append([]socialgraph.UserID{u}, replicas...))))
 
 		analyticDelaySum += metrics.UpdatePropagationDelay(u, replicas, schedules).Hours
 		avail := metrics.AvailabilitySet(u, replicas, schedules)
@@ -171,16 +187,15 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 			if day < 0 {
 				day += cfg.Days
 			}
-			posts = append(posts, osn.PostEvent{
-				At:      desim.Time(day)*interval.DayMinutes + desim.Time(actMinutes[j]),
-				Creator: ds.CreatorAt(int(k)),
-				Wall:    u,
-				Body:    "activity",
-			})
+			posts = append(posts, protocolPost{wall: i, creator: ds.CreatorAt(int(k)), at: day*interval.DayMinutes + actMinutes[j]})
+			if avail.Contains(actMinutes[j]) {
+				immediate++
+			}
 		}
 		// Read workload: each friend accesses the profile once per day at a
 		// random minute of his own online time — by construction these
-		// reads sample the AoD-time demand set.
+		// reads sample the AoD-time demand set. A read is served when a
+		// group member is online at its minute.
 		friends := ds.Graph.Neighbors(u)
 		if v, ok := metrics.AvailabilityOnDemandTime(u, replicas, friends, schedules); ok {
 			analyticAoDTimeSum += v
@@ -197,11 +212,10 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 				if !ok {
 					continue
 				}
-				reads = append(reads, osn.ReadEvent{
-					At:     desim.Time(day)*interval.DayMinutes + desim.Time(m),
-					Reader: f,
-					Wall:   u,
-				})
+				reads++
+				if avail.Contains(m) {
+					served++
+				}
 			}
 		}
 	}
@@ -212,37 +226,71 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	if analyticAoDTimeCount > 0 {
 		res.AnalyticAoDTime = analyticAoDTimeSum / float64(analyticAoDTimeCount)
 	}
+	if reads > 0 {
+		res.MeasuredAoDTime = float64(served) / float64(reads)
+	}
+	res.Posts = len(posts)
+	if len(posts) == 0 {
+		return res, nil
+	}
+	res.ImmediateFraction = float64(immediate) / float64(len(posts))
 
-	net, err := osn.NewNetwork(osn.Config{
-		Schedules:        schedules,
-		Assignments:      assignments,
-		Days:             cfg.Days,
-		Posts:            posts,
-		Reads:            reads,
-		LossRate:         cfg.LossRate,
-		DisableEagerPush: cfg.DisableEagerPush,
-		Seed:             mix(cfg.Seed, 3),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol validation: %w", err)
+	// The posts in creation order (ties in the order above), each followed
+	// alone through its wall's group.
+	slices.SortStableFunc(posts, func(a, b protocolPost) int { return cmp.Compare(a.at, b.at) })
+	d := metrics.Delivery{
+		Bitmaps: schedules,
+		Horizon: cfg.Days * interval.DayMinutes,
+		Eager:   !cfg.DisableEagerPush,
+		Loss:    metrics.Loss{Rate: cfg.LossRate, Seed: mix(cfg.Seed, 3)},
 	}
-	run := net.Run()
-
-	res.Posts = run.Posts
-	res.MeasuredMaxHours = run.PostMaxActualHours.Mean()
-	res.MeasuredPairHours = run.PairActualHours.Mean()
-	res.ObservedPairHours = run.PairObservedHours.Mean()
-	res.ImmediateFraction = run.ImmediateFraction
-	if run.Posts > 0 {
-		res.DeliveredFraction = float64(run.DeliveredAll) / float64(run.Posts)
+	var pairActual, pairObserved, postMax stats.Welford
+	delivered := 0
+	var arr []int
+	for _, p := range posts {
+		group := groups[p.wall]
+		arr = slices.Grow(arr[:0], len(group))[:len(group)]
+		res.LostContacts += d.Arrivals(group, p.creator, p.at, arr)
+		first := -1
+		for _, a := range arr {
+			if a >= 0 && (first < 0 || a < first) {
+				first = a
+			}
+		}
+		if first < 0 {
+			continue
+		}
+		maxActual, complete := 0.0, true
+		for i, a := range arr {
+			if a < 0 {
+				complete = false
+				continue
+			}
+			if group[i] != p.creator {
+				res.PostsTransferred++
+			}
+			actual := float64(a-first) / 60
+			pairActual.Add(actual)
+			pairObserved.Add(float64(onlineMinutesBetween(&schedules[group[i]], first, a)) / 60)
+			maxActual = max(maxActual, actual)
+		}
+		if complete {
+			delivered++
+			postMax.Add(maxActual)
+		}
 	}
-	res.Exchanges = run.Exchanges
-	res.PostsTransferred = run.PostsTransferred
-	res.LostContacts = run.LostContacts
-	if run.ReadsTotal > 0 {
-		res.MeasuredAoDTime = float64(run.ReadsServed) / float64(run.ReadsTotal)
-	}
+	res.MeasuredMaxHours = postMax.Mean()
+	res.MeasuredPairHours = pairActual.Mean()
+	res.ObservedPairHours = pairObserved.Mean()
+	res.DeliveredFraction = float64(delivered) / float64(len(posts))
 	return res, nil
+}
+
+// onlineMinutesBetween counts the minutes of the absolute span [from, to)
+// a schedule is online.
+func onlineMinutesBetween(b *interval.Bitmap, from, to int) int {
+	days, rem := (to-from)/interval.DayMinutes, (to-from)%interval.DayMinutes
+	return days*b.Minutes() + b.OnesInRange(from, rem)
 }
 
 // LoadBalanceRow summarizes replica-host load for one policy (experiment

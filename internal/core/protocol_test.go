@@ -41,7 +41,7 @@ func TestProtocolValidationBoundsHold(t *testing.T) {
 	if res.DeliveredFraction <= 0 {
 		t.Error("no posts fully delivered in a week of simulated time")
 	}
-	if res.Exchanges == 0 || res.PostsTransferred == 0 {
+	if res.PostsTransferred == 0 {
 		t.Errorf("protocol did no work: %+v", res)
 	}
 }
@@ -70,7 +70,8 @@ func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
 // TestProtocolValidationMaxAvActivityPlacesReplicas pins the bugfix: protocol
 // validation hands MaxAv(activity) the demand universe its Traits declare.
 // Without it the policy covered the empty universe — no replica, no
-// exchange, a zero delay bound, and no error.
+// member-to-member transfer (each post moved at most once, creator to
+// owner), a zero delay bound, and no error.
 func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
 	ds := testDataset(t)
 	cfg := ProtocolConfig{Dataset: ds, Schedules: onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1), UserDegree: 10, MaxWalls: 15, Seed: 5}
@@ -85,9 +86,9 @@ func TestProtocolValidationMaxAvActivityPlacesReplicas(t *testing.T) {
 	}
 	plain := run(replica.MaxAv{})
 	activity := run(replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity})
-	if activity.Exchanges == 0 || activity.AnalyticWorstHours <= 0 {
-		t.Errorf("MaxAv(activity) placed no replicas: %d exchanges, analytic worst delay %.2f h",
-			activity.Exchanges, activity.AnalyticWorstHours)
+	if activity.PostsTransferred <= activity.Posts || activity.AnalyticWorstHours <= 0 {
+		t.Errorf("MaxAv(activity) placed no replicas: %d posts transferred for %d posts, analytic worst delay %.2f h",
+			activity.PostsTransferred, activity.Posts, activity.AnalyticWorstHours)
 	}
 	// Covering the activity minutes is what the activity objective is for.
 	if activity.AnalyticAoDActivity < plain.AnalyticAoDActivity {

@@ -25,7 +25,7 @@ func TestAnalysisRowSetIsUsersAndCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := map[socialgraph.UserID]bool{}
-		for _, u := range cfg.Users {
+		for _, u := range cfg.users {
 			want[u] = true
 			for _, f := range ds.Graph.Neighbors(u) {
 				want[f] = true

@@ -46,10 +46,12 @@ func TestClaimsVerdicts(t *testing.T) {
 		}
 		return figs
 	}
-	placed := func(mode string, degrees []int, effective ...float64) evidence {
-		return evidence{cells: []cell{{CellResult{Mode: mode, Policies: []string{"MaxAv"}, Degrees: degrees,
-			Metrics: map[string][][]float64{"effective_replicas": {effective}}}, 10}}}
+	placed := func(mode string, effective ...float64) cell {
+		degrees := []int{0, 1, 2}[:len(effective)]
+		return cell{CellResult{Mode: mode, Policies: []string{"MaxAv"}, Degrees: degrees,
+			Metrics: map[string][][]float64{"effective_replicas": {effective}}}, 10}
 	}
+	modes := func(cells ...cell) evidence { return evidence{cells: cells} }
 	for _, tc := range []struct {
 		name    string
 		ev      evidence
@@ -57,10 +59,10 @@ func TestClaimsVerdicts(t *testing.T) {
 		verdict string
 		margin  float64
 	}{
-		{"E1 short", placed("ConRep", []int{0, 1, 2}, 0, 1, 1.25), "E1", "holds", 0.75},
-		{"E1 full", placed("ConRep", []int{0, 1, 2}, 0, 1, 2), "E1", "refuted", 0},
-		{"E1 UnconRep only", placed("UnconRep", []int{0, 1}, 0, 0), "E1", "no points", 0},
-		{"E1 budget 0 only", placed("ConRep", []int{0}, 0), "E1", "no points", 0},
+		{"E1 short", modes(placed("ConRep", 0, 1, 1.25), placed("UnconRep", 0, 1, 2)), "E1", "holds", 0.75},
+		{"E1 equal", modes(placed("ConRep", 0, 1, 1.25), placed("UnconRep", 0, 1, 1.25)), "E1", "refuted", 0},
+		{"E1 UnconRep only", modes(placed("UnconRep", 0, 1)), "E1", "no points", 0},
+		{"E1 budget 0 only", modes(placed("ConRep", 0), placed("UnconRep", 0)), "E1", "no points", 0},
 		{"E2 below", evidence{figs: twitter(0.75)}, "E2", "holds", 0.25},
 		{"E2 reaches 1", evidence{figs: twitter(1)}, "E2", "refuted", 0},
 		{"E2 without Fig. 11b–d", evidence{figs: map[string]plot.Figure{"fig11a": twitter(0.5)["fig11b"]}}, "E2", "no points", 0},
@@ -161,9 +163,11 @@ func TestClaimsForcedPointsHold(t *testing.T) {
 			want = 6
 		case strings.Contains(r.statement, "(UnconRep, Fig. 4)"):
 			want = 2
-		case r.id == "E1": // budget 0 of every policy of every ConRep cell
+		case r.id == "E1": // budget 0 of every policy of the ConRep cells with an UnconRep twin
 			for _, c := range ev.cells {
-				if c.Mode == "ConRep" {
+				if c.Mode == "ConRep" && slices.ContainsFunc(ev.cells, func(o cell) bool {
+					return o.Mode == "UnconRep" && o.Dataset == c.Dataset && o.Model == c.Model && o.userDegree == c.userDegree
+				}) {
 					want += len(c.Policies)
 				}
 			}
@@ -240,10 +244,8 @@ func (ev evidence) clone() evidence {
 // datasets swapped — and checks that the row answers it: an E row flips its
 // verdict, a shape swaps its wins and losses (and has some to swap). A row
 // that no counterfeit can move claims nothing; a row without a counterfeit
-// here fails the test. E1 claims that some ConRep cell falls short of its
-// budget, and MaxAv falls short under UnconRep too, so no swap of the door's
-// cells removes every shortfall: its counterfeit gives every ConRep cell its
-// whole budget. An S row compares a dataset with a stated constant, so
+// here fails the test. E1's counterfeit swaps the modes of the door's
+// ConRep and UnconRep cells. An S row compares a dataset with a stated constant, so
 // swapping the datasets must move its margin to the other dataset's. The
 // door runs at 4,000 users a dataset, where every E row holds.
 func TestClaimsCounterfeits(t *testing.T) {
@@ -263,16 +265,9 @@ func TestClaimsCounterfeits(t *testing.T) {
 		return ids
 	}
 	fakes := map[string]counterfeit{
-		"E1": func(ev *evidence) { // every cell places its whole budget
+		"E1": func(ev *evidence) {
 			for i, c := range ev.cells {
-				placed := make([][]float64, len(c.Policies))
-				for pi := range placed {
-					for _, k := range c.Degrees {
-						placed[pi] = append(placed[pi], float64(k))
-					}
-				}
-				c.Metrics = maps.Clone(c.Metrics)
-				c.Metrics["effective_replicas"] = placed
+				c.Mode = map[string]string{"ConRep": "UnconRep", "UnconRep": "ConRep"}[c.Mode]
 				ev.cells[i] = c
 			}
 		},

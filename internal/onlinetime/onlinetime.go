@@ -344,13 +344,18 @@ func ComputeRows(m Model, d *trace.Dataset, seed int64, workers int, rows []soci
 // SeedIndependent reports whether m's build over the row set (nil: every
 // row) fills those rows the same for every seed — whether nothing it draws
 // reaches a filled row. A caller whose repetitions differ only by seed may
-// then build one table and share it among them. Sporadic draws every
-// session offset and RandomLength every window length, so neither ever
-// qualifies. FixedLength draws only the centers of users the dataset's
-// ActivityCenters column has none for, so it qualifies exactly when every
-// row in the set has one. Asking may build the dataset's center column
-// (over up to workers workers), which a FixedLength build needs anyway.
+// then build one table and share it among them. RandomLength draws every
+// window length, so it never qualifies. Sporadic draws every session
+// offset, which moves nothing when a session lasts the whole day: a row is
+// then the full day or empty. FixedLength draws only the centers of users
+// the dataset's ActivityCenters column has none for, so it qualifies
+// exactly when every row in the set has one. Asking may build the dataset's
+// center column (over up to workers workers), which a FixedLength build
+// needs anyway.
 func SeedIndependent(m Model, d *trace.Dataset, rows []socialgraph.UserID, workers int) bool {
+	if s, ok := m.(Sporadic); ok {
+		return s.sessionMinutes() == interval.DayMinutes
+	}
 	if _, ok := m.(FixedLength); !ok {
 		return false
 	}

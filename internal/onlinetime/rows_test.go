@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dosn/internal/interval"
 	"dosn/internal/obs"
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
@@ -131,6 +132,8 @@ func TestQuickSeedIndependentRowsEqualAcrossSeeds(t *testing.T) {
 // user 1 created nothing, so its FixedLength window is drawn. Every row set
 // that holds it is seed-dependent — and two seeds do fill it differently —
 // and so is the nil (every-row) set; a set without it is seed-independent.
+// A Sporadic session of a whole day (Fig. 8's 100,000 s) is seed-independent
+// over every set, a shorter one over none.
 func TestSeedIndependentCentrelessUser(t *testing.T) {
 	d := &trace.Dataset{Name: "centreless", Graph: socialgraph.NewBuilder(socialgraph.Undirected, 3).Build()}
 	for _, u := range []socialgraph.UserID{0, 2} {
@@ -156,10 +159,17 @@ func TestSeedIndependentCentrelessUser(t *testing.T) {
 	if a.Bitmap(1).Equal(b.Bitmap(1)) {
 		t.Error("the centreless user's window came out the same for two seeds; the case shows nothing")
 	}
-	for _, other := range []Model{Sporadic{}, RandomLength{}} {
+	for _, other := range []Model{Sporadic{}, Sporadic{SessionLength: 1439 * time.Minute}, RandomLength{}} {
 		if SeedIndependent(other, d, []socialgraph.UserID{0, 2}, 1) {
 			t.Errorf("%s reported seed-independent", other.Name())
 		}
+	}
+	day := Sporadic{SessionLength: 100000 * time.Second}
+	if !SeedIndependent(day, d, nil, 1) {
+		t.Error("a whole-day Sporadic session reported seed-dependent")
+	}
+	if a, b := ComputeTable(day, d, 1, 1), ComputeTable(day, d, 2, 1); !reflect.DeepEqual(a.Bitmaps(), b.Bitmaps()) || a.Bitmap(0).Minutes() != interval.DayMinutes {
+		t.Error("a whole-day Sporadic session filled its rows differently for two seeds, or not the whole day")
 	}
 }
 

@@ -17,9 +17,8 @@
 //   - Save streams that order through an append encoder: O(bytes written),
 //     one fixed-size buffer, no copy of the posts.
 //
-// One anti-entropy round for a wall is a pair of calls, from which SyncInto,
-// the simulated runtime (package osn) and the TCP node (package wire) all
-// replicate. Delta, the read side, returns the posts a digest lacks and the
+// One anti-entropy round for a wall is a pair of calls, from which SyncInto
+// and the TCP node (package wire) both replicate. Delta, the read side, returns the posts a digest lacks and the
 // wall's fields under one read lock. MergeDelta, the merge side, inserts
 // every post idempotently and every field by LWW under one write lock; a
 // delta holding a post of another wall is rejected whole before anything is
@@ -404,10 +403,8 @@ func (s *Store) Fields(wall NodeID) (fs map[string]Field, err error) {
 // SyncInto runs one anti-entropy round from s into dst — s's Delta for dst's
 // digest, merged by dst — for every wall both host, and returns the number
 // of posts new at dst. Fields go s into dst only; a caller that wants both
-// stores equal calls it in each direction. Each onNew is called, with no
-// lock held, once per wall that gained posts, with those posts in (Author,
-// Seq) order.
-func (s *Store) SyncInto(dst *Store, onNew ...func(wall NodeID, fresh []Post)) int {
+// stores equal calls it in each direction.
+func (s *Store) SyncInto(dst *Store) int {
 	transferred := 0
 	for _, wall := range s.Walls() {
 		if !dst.Hosts(wall) {
@@ -421,13 +418,7 @@ func (s *Store) SyncInto(dst *Store, onNew ...func(wall NodeID, fresh []Post)) i
 			continue
 		}
 		n, _ := dst.MergeDelta(wall, posts, fields)
-		if n == 0 {
-			continue
-		}
 		transferred += n
-		for _, f := range onNew {
-			f(wall, posts[:n])
-		}
 	}
 	return transferred
 }
