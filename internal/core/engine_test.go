@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -306,7 +307,7 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	pre := base
 	for rep := 0; rep < base.Repeats; rep++ {
 		pre.Schedules = append(pre.Schedules,
-			base.Model.BuildTable(ds, rand.New(rand.NewSource(mix(base.Seed, int64(rep)))), 1, nil))
+			base.Model.BuildTable(ds, mathrand.New(mix(base.Seed, int64(rep))), 1, nil))
 	}
 	cached, err := Run(pre)
 	if err != nil {
@@ -319,7 +320,7 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	alt := base
 	for rep := 0; rep < base.Repeats; rep++ {
 		alt.Schedules = append(alt.Schedules,
-			base.Model.BuildTable(ds, rand.New(rand.NewSource(mix(777, int64(rep)))), 1, nil))
+			base.Model.BuildTable(ds, mathrand.New(mix(777, int64(rep))), 1, nil))
 	}
 	shifted, err := Run(alt)
 	if err != nil {

@@ -85,8 +85,12 @@ type ProtocolResult struct {
 	MeasuredPairHours float64
 	ObservedPairHours float64
 	// ImmediateFraction is the share of posts created while a group member
-	// was online, the measured availability-on-demand-activity;
-	// AnalyticAoDActivity is the metric the sweep predicts.
+	// was online; AnalyticAoDActivity is the sweep's
+	// availability-on-demand-activity. Both are one test — is the post's
+	// minute in the wall's availability bitmap? — pooled over posts in the
+	// first and averaged over walls in the second, so they differ only by
+	// that weighting: of the result's analytic-vs-measured pairs, the two
+	// that can disagree are the delays and AoD-time.
 	ImmediateFraction   float64
 	AnalyticAoDActivity float64
 	// MeasuredAoDTime is the fraction of scripted reads (one per friend per

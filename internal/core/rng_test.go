@@ -56,13 +56,15 @@ func compareDraws(want, got *rand.Rand, calls int) error {
 	return nil
 }
 
-// cloneStreamMismatch compares calls draws of the clone seeded at seed with
-// a fresh math/rand generator at the same seed.
+// cloneStreamMismatch compares calls draws of a worker generator seeded at
+// seed with a fresh math/rand generator at the same seed.
 func cloneStreamMismatch(seed int64, calls int) error {
-	got := rand.New(&cloneSource{})
-	got.Seed(seed)
-	return compareDraws(rand.New(rand.NewSource(seed)), got, calls)
+	var gen workerRNG
+	return compareDraws(rand.New(rand.NewSource(seed)), gen.seeded(seed), calls)
 }
+
+// int32max is the modulus of math/rand's seed reduction, 2³¹−1.
+const int32max = math.MaxInt32
 
 // edgeSeeds are the seeds math/rand's reduction treats specially: zero (and
 // the seed it is mapped to), the modulus 2³¹−1 and its multiples (reduced to
@@ -75,7 +77,8 @@ var edgeSeeds = []int64{
 }
 
 // TestCloneSourceEdgeSeeds: at every edge of math/rand's seed reduction the
-// clone's stream is math/rand's for 2,500 calls.
+// worker generator's stream (a *rand.Rand over mathrand.Source) is
+// math/rand's for 2,500 calls.
 func TestCloneSourceEdgeSeeds(t *testing.T) {
 	for _, seed := range edgeSeeds {
 		if err := cloneStreamMismatch(seed, 2500); err != nil {
@@ -104,18 +107,18 @@ func TestCloneSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestCloneSourceReseedLeaksNothing: a reseed in the middle of a stream —
-// after a few draws, or after enough that every word was rewritten — must
-// start the new seed's stream from scratch. A word whose valid bit survived
-// Seed would replay the previous stream's value here.
+// TestCloneSourceReseedLeaksNothing: reseeding the worker generator in the
+// middle of a stream — after a few draws, or after enough that every word
+// was rewritten — must start the new seed's stream from scratch. A word whose
+// valid bit survived Seed would replay the previous stream's value here.
 func TestCloneSourceReseedLeaksNothing(t *testing.T) {
 	err := quick.Check(func(first, seed int64, drawn uint16) bool {
-		got := rand.New(&cloneSource{})
-		got.Seed(first)
+		var gen workerRNG
+		gen.seeded(first)
 		for range int(drawn) % 1500 {
-			got.Uint64()
+			gen.r.Uint64()
 		}
-		got.Seed(seed)
+		got := gen.seeded(seed)
 		if err := compareDraws(rand.New(rand.NewSource(seed)), got, 2000); err != nil {
 			t.Logf("seed %d after %d draws of seed %d: %v", seed, int(drawn)%1500, first, err)
 			return false
@@ -191,20 +194,22 @@ func TestWorkerRNGCountsPlacementAndSweep(t *testing.T) {
 	}
 }
 
-// FuzzCloneSource lets the mutator pick the seed and the stream length. The
-// generator first runs a prefix of another seed's stream, so every input
-// also checks that Seed leaves nothing of it behind.
+// FuzzCloneSource lets the mutator pick the seed and the stream length of
+// the worker generator as a policy sees it. The generator first runs a
+// prefix of another seed's stream, so every input also checks that a reseed
+// leaves nothing of it behind. The source's own fuzz target, over mixed call
+// sequences, is mathrand's.
 func FuzzCloneSource(f *testing.F) {
 	for _, seed := range edgeSeeds {
 		f.Add(seed, uint16(700))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
-		got := rand.New(&cloneSource{})
-		got.Seed(^seed)
+		var gen workerRNG
+		gen.seeded(^seed)
 		for range int(draws) % 700 {
-			got.Uint64()
+			gen.r.Uint64()
 		}
-		got.Seed(seed)
+		got := gen.seeded(seed)
 		if err := compareDraws(rand.New(rand.NewSource(seed)), got, int(draws)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -240,5 +245,3 @@ func BenchmarkWorkerRNG(b *testing.B) {
 		}
 	})
 }
-
-var _ rand.Source64 = (*cloneSource)(nil)

@@ -16,22 +16,23 @@ var DetRand = &Analyzer{
 
 In packages whose results must be a pure function of (config, seed) — core,
 harness, trace, onlinetime, replica, dht, interval, metrics, stats,
-socialgraph — flags:
+socialgraph, mathrand — flags:
 
   - time.Now() calls (waive execution-only instrumentation with
     //dosn:wallclock <justification>);
   - the global math/rand top-level functions (rand.Intn, rand.Float64,
     rand.Shuffle, ...), which draw from a shared process-wide source;
-  - rand.NewSource(x) and rng.Seed(x) on a *rand.Rand where x does not
-    visibly derive from a seed: some identifier in the argument must contain
-    "seed" (case-insensitive), the repository's convention for plumbed
+  - rand.NewSource(x), mathrand.New(x), and Seed(x) on a *rand.Rand, a
+    *mathrand.Rand or a *mathrand.Source, where x does not visibly derive
+    from a seed: some identifier in the argument must contain "seed"
+    (case-insensitive), the repository's convention for plumbed
     Config/seed parameters.
   - reads of internal/obs telemetry state (Value, Counters, Timers, Report,
     ReadMem, ...): obs is execution-only, and its readings are wall-clock
     derived — deterministic code may write into it (Inc, Add, AddPhaseNS)
     but must never branch on what it measured.
 
-Every other method on an explicit *rand.Rand is fine.`,
+Every other method on an explicit *rand.Rand or *mathrand.Rand is fine.`,
 	Run: runDetRand,
 }
 
@@ -40,7 +41,7 @@ Every other method on an explicit *rand.Rand is fine.`,
 var deterministicPkgs = map[string]bool{
 	"core": true, "harness": true, "trace": true, "onlinetime": true,
 	"replica": true, "dht": true, "interval": true, "metrics": true,
-	"stats": true, "socialgraph": true,
+	"stats": true, "socialgraph": true, "mathrand": true,
 }
 
 // executionOnlyPkgs names the packages (by path base) that are explicitly
@@ -116,9 +117,10 @@ func runDetRand(pass *Pass) error {
 }
 
 // seedingCall names the call when sel starts a math/rand stream from its
-// argument — rand.NewSource(x), or Seed(x) on an explicit *rand.Rand, which
-// restarts a worker's generator in place exactly as a new source would — and
-// returns "" for anything else.
+// argument — rand.NewSource(x) or mathrand.New(x), or Seed(x) on an explicit
+// *rand.Rand, *mathrand.Rand or *mathrand.Source, which restarts a
+// generator in place exactly as a new one would — and returns "" for
+// anything else.
 func seedingCall(pass *Pass, sel *ast.SelectorExpr) string {
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok {
@@ -129,6 +131,12 @@ func seedingCall(pass *Pass, sel *ast.SelectorExpr) string {
 		return "rand.NewSource"
 	case "(*math/rand.Rand).Seed":
 		return "(*rand.Rand).Seed"
+	case "dosn/internal/mathrand.New":
+		return "mathrand.New"
+	case "(*dosn/internal/mathrand.Rand).Seed":
+		return "(*mathrand.Rand).Seed"
+	case "(*dosn/internal/mathrand.Source).Seed":
+		return "(*mathrand.Source).Seed"
 	}
 	return ""
 }

@@ -6,6 +6,8 @@ package core
 import (
 	"math/rand"
 	"time"
+
+	"dosn/internal/mathrand"
 )
 
 // Config mirrors the repository convention: seeds are plumbed explicitly.
@@ -50,4 +52,15 @@ func localRand(rng *rand.Rand) int {
 func reseeded(rng *rand.Rand, cfg Config, u int, x int64) {
 	rng.Seed(cfg.Seed + int64(u))
 	rng.Seed(x) // want `\(\*rand\.Rand\)\.Seed argument does not derive from a seed`
+}
+
+// concrete: math/rand's generator as a concrete type answers to the same
+// rule, at its constructor and at either type's reseed.
+func concrete(cfg Config, u int, x int64) int {
+	r := mathrand.New(cfg.Seed)
+	r.Seed(cfg.Seed + int64(u))
+	r.Seed(x) // want `\(\*mathrand\.Rand\)\.Seed argument does not derive from a seed`
+	var src mathrand.Source
+	src.Seed(x)                     // want `\(\*mathrand\.Source\)\.Seed argument does not derive from a seed`
+	return mathrand.New(x).Intn(10) // want `mathrand\.New argument does not derive from a seed`
 }

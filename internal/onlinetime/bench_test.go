@@ -2,10 +2,10 @@ package onlinetime
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
@@ -54,7 +54,7 @@ func BenchmarkBuildTable(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ReportMetric(float64(filledRows(ds.NumUsers(), bc.rows)), "rows/op")
-				rng := rand.New(rand.NewSource(1))
+				rng := mathrand.New(1)
 				for b.Loop() {
 					if t := bc.model.BuildTable(ds, rng, workers, bc.rows); t.NumUsers() != ds.NumUsers() {
 						b.Fatalf("table covers %d users, dataset has %d", t.NumUsers(), ds.NumUsers())

@@ -21,7 +21,7 @@
 // phases:
 //
 //  1. every random value the model needs is drawn sequentially off the
-//     caller's *rand.Rand, for every user, in exactly the per-user,
+//     caller's generator, for every user, in exactly the per-user,
 //     per-activity order the historical Set-emitting build consumed it — so
 //     a seed keeps producing byte-identical schedules no matter which rows
 //     phase 2 fills or how it is scheduled;
@@ -52,11 +52,11 @@ package onlinetime
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/obs"
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
@@ -100,8 +100,11 @@ type Model interface {
 	// values are consumed from rng for every user in a fixed sequential
 	// order (phase 1), whatever the row set; workers bounds the parallel
 	// bitmap-construction pool (phase 2), which never affects the result.
-	// workers <= 1 builds inline.
-	BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table
+	// workers <= 1 builds inline. A Sporadic build whose session lasts the
+	// whole day draws nothing: every filled row is then the full day or
+	// empty, whatever the offsets. That moves no other byte, because each
+	// build draws from a generator of its own (ComputeRows).
+	BuildTable(d *trace.Dataset, rng *mathrand.Rand, workers int, rows []socialgraph.UserID) *Table
 }
 
 // Compile-time interface checks.
@@ -158,11 +161,12 @@ const buildShardUsers = 1 << 16
 //
 // Phase 1 draws one session offset per created activity — the random point
 // inside the session at which the activity happens — into a flat per-activity
-// column aligned with the dataset's created-activity CSR index. Phase 2 ORs
-// each user's session windows into his arena row. Both phases run shard by
-// shard (buildShardUsers) with the draw column reused, bounding peak memory
-// by one shard's activities.
-func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table {
+// column aligned with the dataset's created-activity CSR index. A whole-day
+// session draws none: the column stays zero, and a row is the full day
+// wherever its sessions start. Phase 2 ORs each user's session windows into
+// his arena row. Both phases run shard by shard (buildShardUsers) with the
+// draw column reused, bounding peak memory by one shard's activities.
+func (s Sporadic) BuildTable(d *trace.Dataset, rng *mathrand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
 	sess := s.sessionMinutes()
 	n := d.NumUsers()
@@ -192,9 +196,11 @@ func (s Sporadic) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows
 		} else {
 			offs = make([]int16, total)
 		}
-		for i := range offs {
-			//dosn:boundschecked sessionMinutes clamps sess to [1, DayMinutes=1440], fits int16
-			offs[i] = int16(rng.Intn(sess))
+		if sess < interval.DayMinutes {
+			for i := range offs {
+				//dosn:boundschecked sessionMinutes clamps sess to [1, DayMinutes=1440], fits int16
+				offs[i] = int16(rng.Intn(sess))
+			}
 		}
 
 		fillRows(slo, shi, rows, workers, func(u int) {
@@ -240,7 +246,7 @@ func (f FixedLength) windowMinutes() int { return min(max(f.Hours, 1), 24) * 60 
 // length, seed or repetition. Users with no activities get a window at a
 // uniformly random time of day (their behaviour is unknown): phase 1 draws
 // exactly those centers, in user order; phase 2 sets each row's one window.
-func (f FixedLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table {
+func (f FixedLength) BuildTable(d *trace.Dataset, rng *mathrand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
 	length := f.windowMinutes()
 	n := d.NumUsers()
@@ -290,7 +296,7 @@ func (r RandomLength) bounds() (lo, hi int) {
 // and — for users with no activities — the random center, in that order
 // (the historical draw order); every other center is the dataset's
 // ActivityCenters entry.
-func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, rows []socialgraph.UserID) *Table {
+func (r RandomLength) BuildTable(d *trace.Dataset, rng *mathrand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
 	lo, hi := r.bounds()
 	n := d.NumUsers()
@@ -313,7 +319,7 @@ func (r RandomLength) BuildTable(d *trace.Dataset, rng *rand.Rand, workers int, 
 // dataset's ActivityCenters column: a user with no created activities
 // (a negative entry) gets a uniformly random minute; an activity-derived
 // center draws nothing.
-func drawCenter(centers []int16, u int, rng *rand.Rand) {
+func drawCenter(centers []int16, u int, rng *mathrand.Rand) {
 	if centers[u] < 0 {
 		centers[u] = int16(rng.Intn(interval.DayMinutes))
 	}
@@ -338,7 +344,7 @@ func ComputeTable(m Model, d *trace.Dataset, seed int64, workers int) *Table {
 // Model.BuildTable; nil means every row). A filled row is byte-identical to
 // the same row of ComputeTable's table for the same seed.
 func ComputeRows(m Model, d *trace.Dataset, seed int64, workers int, rows []socialgraph.UserID) *Table {
-	return m.BuildTable(d, rand.New(rand.NewSource(seed)), workers, rows)
+	return m.BuildTable(d, mathrand.New(seed), workers, rows)
 }
 
 // SeedIndependent reports whether m's build over the row set (nil: every

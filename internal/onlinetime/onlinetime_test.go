@@ -1,11 +1,11 @@
 package onlinetime
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
@@ -197,13 +197,43 @@ func TestSporadicSessionsCapAtFullDay(t *testing.T) {
 
 func TestScheduleAllUsesSharedRNGDeterministically(t *testing.T) {
 	d := datasetWithMinutes(t, 100, 900)
-	rng1 := rand.New(rand.NewSource(5))
-	rng2 := rand.New(rand.NewSource(5))
+	rng1 := mathrand.New(5)
+	rng2 := mathrand.New(5)
 	a := Sporadic{}.BuildTable(d, rng1, 1, nil).Bitmaps()
 	b := Sporadic{}.BuildTable(d, rng2, 1, nil).Bitmaps()
 	for u := range a {
 		if !a[u].Equal(&b[u]) {
 			t.Fatalf("user %d schedules differ", u)
+		}
+	}
+}
+
+// TestWholeDaySporadicDrawsNothing: a Sporadic build whose session lasts the
+// whole day leaves its generator where it found it and fills every active
+// user's row with the full day; a shorter session draws one offset per
+// activity.
+func TestWholeDaySporadicDrawsNothing(t *testing.T) {
+	d := datasetWithMinutes(t, 100, 900, 1439)
+	for _, tc := range []struct {
+		s     Sporadic
+		draws int
+	}{
+		{Sporadic{SessionLength: 24 * time.Hour}, 0},
+		{Sporadic{SessionLength: 100000 * time.Second}, 0},
+		{Sporadic{SessionLength: 24*time.Hour - time.Minute}, 3},
+	} {
+		rng, want := mathrand.New(9), mathrand.New(9)
+		table := tc.s.BuildTable(d, rng, 1, nil)
+		for range tc.draws {
+			want.Intn(tc.s.sessionMinutes())
+		}
+		if got, next := rng.Int63(), want.Int63(); got != next {
+			t.Errorf("%v: the build left the generator elsewhere than %d draws on", tc.s.SessionLength, tc.draws)
+		}
+		if tc.draws == 0 {
+			if got := table.Bitmap(0).Minutes(); got != interval.DayMinutes {
+				t.Errorf("%v: the active user is online %d minutes, want the whole day", tc.s.SessionLength, got)
+			}
 		}
 	}
 }

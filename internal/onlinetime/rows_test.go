@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/obs"
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
@@ -32,14 +33,14 @@ func randomRows(r *rand.Rand, n int) []socialgraph.UserID {
 func TestQuickRowSetBuildFillsOnlyItsRows(t *testing.T) {
 	for _, m := range quickModels() {
 		prop := func(rt randomTrace, seed int64) bool {
-			full := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 1, nil)
+			full := m.BuildTable(rt.d, mathrand.New(seed), 1, nil)
 			for _, rows := range [][]socialgraph.UserID{randomRows(rand.New(rand.NewSource(seed)), rt.d.NumUsers()), {}} {
 				in := make(map[socialgraph.UserID]bool, len(rows))
 				for _, u := range rows {
 					in[u] = true
 				}
 				for _, workers := range []int{1, 3} {
-					got := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), workers, rows)
+					got := m.BuildTable(rt.d, mathrand.New(seed), workers, rows)
 					for u := range rt.d.NumUsers() {
 						row := got.Bitmap(socialgraph.UserID(u))
 						want := full.Bitmap(socialgraph.UserID(u))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
@@ -170,7 +171,7 @@ func TestQuickTableMatchesLegacySets(t *testing.T) {
 		m := m
 		prop := func(rt randomTrace, seed int64) bool {
 			want := legacyScheduleAll(m, rt.d, rand.New(rand.NewSource(seed)))
-			table := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 4, nil)
+			table := m.BuildTable(rt.d, mathrand.New(seed), 4, nil)
 			if table.NumUsers() != len(want) {
 				return false
 			}
@@ -200,9 +201,9 @@ func TestQuickTableBuildWorkerCountInvariant(t *testing.T) {
 	for _, m := range quickModels() {
 		m := m
 		prop := func(rt randomTrace, seed int64) bool {
-			ref := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), 1, nil)
+			ref := m.BuildTable(rt.d, mathrand.New(seed), 1, nil)
 			for _, workers := range []int{0, 2, 3, 8} {
-				got := m.BuildTable(rt.d, rand.New(rand.NewSource(seed)), workers, nil)
+				got := m.BuildTable(rt.d, mathrand.New(seed), workers, nil)
 				if !reflect.DeepEqual(ref.Bitmaps(), got.Bitmaps()) {
 					t.Logf("%s: workers=%d differs from sequential build", m.Name(), workers)
 					return false
@@ -221,9 +222,9 @@ func TestQuickTableBuildWorkerCountInvariant(t *testing.T) {
 func TestTableBuildWorkerCountInvariantLarge(t *testing.T) {
 	d := trace.MustSynthesize(trace.DefaultFacebookConfig(3 * buildChunk / 2))
 	for _, m := range DefaultModels() {
-		ref := m.BuildTable(d, rand.New(rand.NewSource(7)), 1, nil)
+		ref := m.BuildTable(d, mathrand.New(7), 1, nil)
 		for _, workers := range []int{2, 5} {
-			got := m.BuildTable(d, rand.New(rand.NewSource(7)), workers, nil)
+			got := m.BuildTable(d, mathrand.New(7), workers, nil)
 			if !reflect.DeepEqual(ref.Bitmaps(), got.Bitmaps()) {
 				t.Errorf("%s: workers=%d differs from sequential build", m.Name(), workers)
 			}

@@ -1,11 +1,15 @@
 package socialgraph
 
-import "math/rand"
+// Shuffler is the one draw GenerateConfigurationModel makes: a
+// *mathrand.Rand, or math/rand's *rand.Rand, which shuffles identically.
+type Shuffler interface {
+	Shuffle(n int, swap func(i, j int))
+}
 
 // GenerateConfigurationModel builds an undirected graph whose degree
 // sequence approximates the given one (self-loops and duplicate edges are
 // dropped, so high-degree nodes may end slightly below target).
-func GenerateConfigurationModel(degrees []int, rng *rand.Rand) *Graph {
+func GenerateConfigurationModel(degrees []int, rng Shuffler) *Graph {
 	n := len(degrees)
 	b := NewBuilder(Undirected, n)
 	total := 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 )
 
@@ -17,7 +18,7 @@ import (
 // order, so synthesize must agree with it — and, filtered, with
 // FilterMinActivity applied to it — on every byte.
 func referenceSynthesize(cfg SynthConfig) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := mathrand.New(cfg.Seed)
 	degrees := lognormalInts(rng, cfg.Users, cfg.MeanDegree, cfg.SigmaDegree, 1, cfg.Users-1)
 	var g *socialgraph.Graph
 	if cfg.Directed {
@@ -32,16 +33,16 @@ func referenceSynthesize(cfg SynthConfig) *Dataset {
 	counts := lognormalInts(rng, cfg.Users, cfg.MeanActivities, cfg.SigmaActivities, 0, 100000)
 	d := &Dataset{Name: cfg.Name, Graph: g}
 	zipf := newZipfSampler(cfg.AffinityZipfS)
-	var scratch []int
 	for u := 0; u < cfg.Users; u++ {
 		targets := activityTargets(g, socialgraph.UserID(u))
 		if len(targets) == 0 {
 			continue
 		}
-		perm := permInto(rng, len(targets), &scratch)
+		perm := make([]int32, len(targets))
+		permInto(rng, perm)
 		for i := 0; i < counts[u]; i++ {
-			recv := targets[perm[zipf.rank(rng, len(targets))]]
-			minute := sampleMinute(rng, homes[u], cfg)
+			recv := targets[perm[zipf.rank(zipfDraw(rng, cfg.AffinityZipfS, len(targets)), len(targets))]]
+			minute := sampleMinute(rng, homes[u], cfg.UniformFraction, cfg.DiurnalSigmaMinutes)
 			day := rng.Intn(cfg.Days)
 			at := Epoch.Unix() + int64(day)*daySeconds + int64(minute)*60 + int64(rng.Intn(60))
 			d.appendColumns(socialgraph.UserID(u), recv, at)
@@ -81,14 +82,20 @@ func diffDatasets(got, want *Dataset) string {
 // fusedCase is a quick.Generator over small synthesis configs of both graph
 // kinds, alternating between a dense one-day horizon, where many rows share a
 // second, and a sparse one of up to maxDays days. Low degrees leave some users
-// with nobody to address.
+// with nobody to address and some with one target. Half the cases shrink the
+// row loop's chunks to a few rows, so chunk boundaries fall inside users'
+// activities and between permutations.
 type fusedCase struct {
 	cfg   SynthConfig
 	dense bool
+	chunk int // chunkRows for the case
 }
 
 func (fusedCase) Generate(r *rand.Rand, _ int) reflect.Value {
-	c := fusedCase{dense: r.Intn(2) == 0}
+	c := fusedCase{dense: r.Intn(2) == 0, chunk: chunkRows}
+	if r.Intn(2) == 0 {
+		c.chunk = 1 + r.Intn(40)
+	}
 	c.cfg = SynthConfig{
 		Name:                "quick",
 		Directed:            r.Intn(2) == 0,
@@ -112,14 +119,23 @@ func (fusedCase) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(c)
 }
 
+// withChunkRows runs f with the row loop's chunks holding rows activities.
+func withChunkRows(rows int, f func()) {
+	defer func(was int) { chunkRows = was }(chunkRows)
+	chunkRows = rows
+	f()
+}
+
 // TestQuickFusedSynthesisMatchesFilter: filter-aware generation equals the
 // unfused reference followed by FilterMinActivity — column for column, index
 // for index, graph for graph, and in MemoryBytes, so no backing array carries
 // slack — for thresholds that keep everyone with an activity, drop a few,
 // drop many, and drop everyone; and with no threshold it equals the
-// reference itself.
+// reference itself. The cases cover users with no target, users with one
+// (no Zipf draw), and users whose activities straddle a chunk of the row
+// loop's ring: more activities than a chunk holds cannot fit in one.
 func TestQuickFusedSynthesisMatchesFilter(t *testing.T) {
-	var sawDense, sawSparse, sawNoTargets, sawDropped bool
+	var sawDense, sawSparse, sawNoTargets, sawOneTarget, sawStraddle, sawDropped bool
 	prop := func(c fusedCase) bool {
 		ref := referenceSynthesize(c.cfg)
 		if c.dense {
@@ -128,45 +144,59 @@ func TestQuickFusedSynthesisMatchesFilter(t *testing.T) {
 			sawSparse = true
 		}
 		for u := 0; u < ref.NumUsers(); u++ {
-			if len(activityTargets(ref.Graph, socialgraph.UserID(u))) == 0 {
+			created := len(ref.CreatedIdx(socialgraph.UserID(u)))
+			switch len(activityTargets(ref.Graph, socialgraph.UserID(u))) {
+			case 0:
 				sawNoTargets = true
+			case 1:
+				sawOneTarget = sawOneTarget || created > 0
 			}
+			sawStraddle = sawStraddle || created > c.chunk
 		}
-		for _, min := range []int{-1, 0} {
-			got, err := synthesize(c.cfg, min)
-			if err != nil {
-				t.Logf("synthesize(%+v, %d): %v", c.cfg, min, err)
-				return false
-			}
-			if part := diffDatasets(got, ref); part != "" {
-				t.Logf("%+v min=%d: %s differs from the unfused reference", c.cfg, min, part)
-				return false
-			}
-		}
-		for _, min := range []int{1, 2, 10, int(c.cfg.MeanActivities), 100001} {
-			got, err := synthesize(c.cfg, min)
-			if err != nil {
-				t.Logf("synthesize(%+v, %d): %v", c.cfg, min, err)
-				return false
-			}
-			want := ref.FilterMinActivity(min)
-			if want.NumUsers() < ref.NumUsers() && want.NumUsers() > 0 {
-				sawDropped = true
-			}
-			if part := diffDatasets(got, want); part != "" {
-				t.Logf("%+v min=%d: %s differs from reference + FilterMinActivity", c.cfg, min, part)
-				return false
-			}
-		}
-		return true
+		ok := true
+		withChunkRows(c.chunk, func() { ok = fusedMatches(t, c, ref, &sawDropped) })
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 16}); err != nil {
 		t.Error(err)
 	}
-	if !sawDense || !sawSparse || !sawNoTargets || !sawDropped {
-		t.Errorf("generator coverage: dense=%v sparse=%v userWithoutTargets=%v partialFilter=%v, want all true",
-			sawDense, sawSparse, sawNoTargets, sawDropped)
+	if !sawDense || !sawSparse || !sawNoTargets || !sawOneTarget || !sawStraddle || !sawDropped {
+		t.Errorf("generator coverage: dense=%v sparse=%v userWithoutTargets=%v userWithOneTarget=%v straddle=%v partialFilter=%v, want all true",
+			sawDense, sawSparse, sawNoTargets, sawOneTarget, sawStraddle, sawDropped)
 	}
+}
+
+// fusedMatches checks one case of TestQuickFusedSynthesisMatchesFilter
+// against its reference, and notes whether a threshold dropped some users
+// but not all.
+func fusedMatches(t *testing.T, c fusedCase, ref *Dataset, sawDropped *bool) bool {
+	for _, min := range []int{-1, 0} {
+		got, err := synthesize(c.cfg, min)
+		if err != nil {
+			t.Logf("synthesize(%+v, %d): %v", c.cfg, min, err)
+			return false
+		}
+		if part := diffDatasets(got, ref); part != "" {
+			t.Logf("%+v chunk=%d min=%d: %s differs from the unfused reference", c.cfg, c.chunk, min, part)
+			return false
+		}
+	}
+	for _, min := range []int{1, 2, 10, int(c.cfg.MeanActivities), 100001} {
+		got, err := synthesize(c.cfg, min)
+		if err != nil {
+			t.Logf("synthesize(%+v, %d): %v", c.cfg, min, err)
+			return false
+		}
+		want := ref.FilterMinActivity(min)
+		if want.NumUsers() < ref.NumUsers() && want.NumUsers() > 0 {
+			*sawDropped = true
+		}
+		if part := diffDatasets(got, want); part != "" {
+			t.Logf("%+v chunk=%d min=%d: %s differs from reference + FilterMinActivity", c.cfg, c.chunk, min, part)
+			return false
+		}
+	}
+	return true
 }
 
 // TestSynthesizeCalibratedMatchesTwoStep pins the public entry points against

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 )
 
@@ -182,16 +183,19 @@ func TestScatterSortDayBoundaries(t *testing.T) {
 	}
 }
 
-// TestPermIntoMatchesRandPerm pins that the scratch-buffer permutation is
-// rand.Perm bit for bit — same values, same generator consumption.
+// TestPermIntoMatchesRandPerm pins that the in-place permutation is
+// math/rand's rand.Perm bit for bit — same values, same generator
+// consumption.
 func TestPermIntoMatchesRandPerm(t *testing.T) {
-	var scratch []int
 	for n := 0; n < 40; n++ {
-		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		a, b := rand.New(rand.NewSource(int64(n))), mathrand.New(int64(n))
 		want := a.Perm(n)
-		got := permInto(b, n, &scratch)
-		if !reflect.DeepEqual(append([]int{}, got...), want) {
-			t.Fatalf("n=%d: permInto = %v, want %v", n, got, want)
+		got := make([]int32, n)
+		permInto(b, got)
+		for i := range got {
+			if int(got[i]) != want[i] {
+				t.Fatalf("n=%d: permInto = %v, want %v", n, got, want)
+			}
 		}
 		if aNext, bNext := a.Int63(), b.Int63(); aNext != bNext {
 			t.Fatalf("n=%d: generator state diverged after permutation", n)

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
 	"dosn/internal/fault"
+	"dosn/internal/mathrand"
 	"dosn/internal/obs"
 	"dosn/internal/socialgraph"
 )
@@ -181,9 +181,10 @@ func Synthesize(cfg SynthConfig) (*Dataset, error) {
 // indexing then run on survivors only; a stable sort commutes with a filter,
 // so the order is the one the two-step path reaches.
 //
-// Passes that share no output overlap through fault.Parallel: the induced
-// subgraph beside the row loop, the column scatters beside each other, the
-// index builds beside each other. No byte depends on the overlap.
+// Passes that share no output overlap through fault.Parallel: the row loop's
+// two stages (rowRing) and the induced subgraph beside each other, the
+// column scatters beside each other, the index builds beside each other. No
+// byte depends on the overlap.
 func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -193,7 +194,7 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	}
 	sp := obsSynthTimer.Begin()
 	defer sp.End()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := mathrand.New(cfg.Seed)
 
 	degrees := lognormalInts(rng, cfg.Users, cfg.MeanDegree, cfg.SigmaDegree, 1, cfg.Users-1)
 	var g *socialgraph.Graph
@@ -220,10 +221,13 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 	// permutation would silently wrap. The sum is 64-bit so that it cannot
 	// wrap first where int has 32 bits.
 	var total int64
+	maxTargets := 0
 	for u := range counts {
-		if len(activityTargets(g, socialgraph.UserID(u))) == 0 {
+		n := len(activityTargets(g, socialgraph.UserID(u)))
+		if n == 0 {
 			counts[u] = 0 // nobody to address: the user creates nothing
 		}
+		maxTargets = max(maxTargets, n)
 		total += int64(counts[u])
 	}
 	if err := checkActivityCount(cfg.Name, total); err != nil {
@@ -269,45 +273,13 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 		dayCounts: make([]int32, cfg.Days),
 	}
 	sub := g
-	pos := 0
+	ring := newRowRing(maxTargets)
+	var pos int
+	var err error
 	fault.Parallel(func() {
-		zipf := newZipfSampler(cfg.AffinityZipfS)
-		var permScratch []int
-		for u := 0; u < cfg.Users; u++ {
-			targets := activityTargets(g, socialgraph.UserID(u))
-			if len(targets) == 0 {
-				continue
-			}
-			nu := socialgraph.UserID(u)
-			if remap != nil {
-				nu = remap[u]
-			}
-			// Each user has his own stable favorite order; without the shuffle
-			// the Zipf skew would systematically favor low user IDs (friend
-			// lists are ID-sorted) and bias the MostActive policy globally.
-			perm := permInto(rng, len(targets), &permScratch)
-			first := pos
-			for i := 0; i < counts[u]; i++ {
-				recv := targets[perm[zipf.rank(rng, len(targets))]]
-				minute := sampleMinute(rng, homes[u], cfg)
-				day := rng.Intn(cfg.Days)
-				second := minute*60 + rng.Intn(60)
-				if remap != nil {
-					if recv = remap[recv]; nu < 0 || recv < 0 {
-						continue
-					}
-				}
-				gen.receiver[pos] = recv
-				//dosn:boundschecked Validate caps Days at maxDays = 256, so day < 256; second < 86400
-				gen.day[pos], gen.second[pos] = uint8(day), int32(second)
-				gen.dayCounts[day]++
-				pos++
-			}
-			if nu >= 0 {
-				//dosn:boundschecked pos <= total <= MaxActivities
-				gen.runs[nu] = int32(pos - first)
-			}
-		}
+		ring.draw(rng, g, counts, homes, remap, cfg)
+	}, func() {
+		pos, err = ring.resolve(&gen, g, remap, cfg.AffinityZipfS)
 	}, func() {
 		if err := faultSynthesizePass.InjectSeeded(cfg.Seed); err != nil {
 			panic(err) // a pass returns nothing: either fault form ends as its panic
@@ -316,6 +288,9 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 			sub, _ = g.InducedSubgraph(kept)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	gen.receiver = gen.receiver[:pos] // the other buffers are read up to this length
 
 	d := &Dataset{Name: cfg.Name, Graph: sub}
@@ -491,21 +466,17 @@ func (r *genRows) scatterSortByDay(d *Dataset, epochUnix int64) {
 	d.createdIdx, d.receivedIdx = second[:0], receiverByDay[:0]
 }
 
-// permInto is rand.Perm writing into a reusable scratch buffer: the same
-// Fisher–Yates loop as math/rand (including the i=0 iteration, which draws
-// from the rng), so it consumes the generator identically and produces the
-// identical permutation — without one slice allocation per user.
-func permInto(rng *rand.Rand, n int, scratch *[]int) []int {
-	if cap(*scratch) < n {
-		*scratch = make([]int, n)
-	}
-	m := (*scratch)[:n]
-	for i := 0; i < n; i++ {
+// permInto is rand.Perm writing a permutation of [0, len(m)) into m: the
+// same Fisher–Yates loop as math/rand (including the i=0 iteration, which
+// draws from the rng), so it consumes the generator identically and produces
+// the identical permutation — without one slice allocation per user.
+func permInto(rng *mathrand.Rand, m []int32) {
+	for i := range m {
 		j := rng.Intn(i + 1)
 		m[i] = m[j]
-		m[j] = i
+		//dosn:boundschecked i < len(m) <= the graph's user count, far under int32
+		m[j] = int32(i)
 	}
-	return m
 }
 
 // activityTargets returns the users u's activities can land on: friends in
@@ -525,7 +496,7 @@ func activityTargets(g *socialgraph.Graph, u socialgraph.UserID) []socialgraph.U
 // array instead of a per-user map — the same accept/reject decisions, so
 // identical RNG consumption and identical (sorted) follower lists, without
 // n map allocations.
-func followerGraph(followerCounts []int, rng *rand.Rand) *socialgraph.Graph {
+func followerGraph(followerCounts []int, rng *mathrand.Rand) *socialgraph.Graph {
 	n := len(followerCounts)
 	b := socialgraph.NewBuilder(socialgraph.Directed, n)
 	total := 0
@@ -563,7 +534,7 @@ func followerGraph(followerCounts []int, rng *rand.Rand) *socialgraph.Graph {
 
 // lognormalInts draws n integers from a log-normal distribution with the
 // given mean, clamped to [lo, hi].
-func lognormalInts(rng *rand.Rand, n int, mean, sigma float64, lo, hi int) []int {
+func lognormalInts(rng *mathrand.Rand, n int, mean, sigma float64, lo, hi int) []int {
 	mu := math.Log(mean) - float64(sigma*sigma/2) // rounded: no fused multiply-subtract
 	out := make([]int, n)
 	for i := range out {
@@ -582,7 +553,7 @@ func lognormalInts(rng *rand.Rand, n int, mean, sigma float64, lo, hi int) []int
 // sampleHomeMinute draws a user's home minute-of-day from a two-peak
 // mixture: midday (12:30) and evening (20:30), the diurnal shape observed
 // in OSN measurement studies the paper cites.
-func sampleHomeMinute(rng *rand.Rand) int {
+func sampleHomeMinute(rng *mathrand.Rand) int {
 	var mean, sigma float64
 	if rng.Float64() < 0.4 {
 		mean, sigma = 12.5*60, 120
@@ -593,12 +564,13 @@ func sampleHomeMinute(rng *rand.Rand) int {
 }
 
 // sampleMinute draws an activity minute-of-day around the creator's home
-// minute, with a uniform background fraction.
-func sampleMinute(rng *rand.Rand, home int, cfg SynthConfig) int {
-	if rng.Float64() < cfg.UniformFraction {
+// minute, with a uniform background fraction (cfg.UniformFraction) and
+// spread cfg.DiurnalSigmaMinutes.
+func sampleMinute(rng *mathrand.Rand, home int, uniformFraction, sigma float64) int {
+	if rng.Float64() < uniformFraction {
 		return rng.Intn(24 * 60)
 	}
-	return wrapMinute(home + int(cfg.DiurnalSigmaMinutes*rng.NormFloat64()))
+	return wrapMinute(home + int(sigma*rng.NormFloat64()))
 }
 
 func wrapMinute(m int) int {
@@ -664,23 +636,36 @@ func (z *zipfSampler) tableFor(n int) *zipfTable {
 	return t
 }
 
-// rank returns exactly the index SearchFloat64s(cum, u·total) would — the
-// grid only narrows the search range, never changes its result — so every
-// receiver choice, and with it every golden dataset, is bit-identical to
-// the ungridded search this replaces.
-func (z *zipfSampler) rank(rng *rand.Rand, n int) int {
+// zipfDraw makes a rank's draw for a list of n under skew s: none for
+// n <= 1, the rank itself (an Intn) when s <= 0, else the uniform the Zipf
+// search inverts. zipfSampler.rank turns it into the rank.
+func zipfDraw(rng *mathrand.Rand, s float64, n int) float64 {
+	switch {
+	case n <= 1:
+		return 0
+	case s <= 0:
+		return float64(rng.Intn(n))
+	}
+	return rng.Float64()
+}
+
+// rank returns the rank zipfDraw's draw u selects in a list of n. Under
+// skew it is exactly the index SearchFloat64s(cum, u·total) would return —
+// the grid only narrows the search range, never changes its result — so
+// every receiver choice, and with it every golden dataset, is bit-identical
+// to the ungridded search this replaces.
+func (z *zipfSampler) rank(u float64, n int) int {
 	if n <= 1 {
 		return 0
 	}
 	if z.s <= 0 {
-		return rng.Intn(n)
+		return int(u)
 	}
 	t := z.last
 	if n != z.lastN {
 		t = z.tableFor(n)
 		z.last, z.lastN = t, n
 	}
-	u := rng.Float64()
 	x := u * t.cum[n-1]
 	j := int(u * zipfGridBuckets)
 	lo, hi := int(t.grid[j]), int(t.grid[j+1])
