@@ -35,6 +35,16 @@ func legacyBuild(kind Kind, n int, src, dst []UserID) *Graph {
 	return g
 }
 
+// unzip splits a builder's interleaved edge list into copies of its two
+// endpoint columns.
+func unzip(pairs []UserID) (src, dst []UserID) {
+	for i := 0; i+1 < len(pairs); i += 2 {
+		src = append(src, pairs[i])
+		dst = append(dst, pairs[i+1])
+	}
+	return src, dst
+}
+
 func legacyDedup(s []UserID) []UserID {
 	if len(s) < 2 {
 		return s
@@ -84,8 +94,9 @@ func TestQuickArenaBuildMatchesLegacyBuild(t *testing.T) {
 		for i := range e.u {
 			b.AddEdge(e.u[i], e.v[i])
 		}
+		src, dst := unzip(b.pairs) // Build hands the edge list over as its arena
 		got := b.Build()
-		want := legacyBuild(e.kind, e.n, b.src, b.dst)
+		want := legacyBuild(e.kind, e.n, src, dst)
 		if got.NumUsers() != want.NumUsers() || got.NumEdges() != want.NumEdges() {
 			return false
 		}
@@ -211,4 +222,121 @@ func inducedByBuilder(g *Graph, orig, keep []UserID) *Graph {
 		}
 	}
 	return b.Build()
+}
+
+// sameRows reports whether two graphs have the same kind and, in both
+// directions, row for row the same entries, the same nil rows and the same
+// capacities.
+func sameRows(a, b *Graph) bool {
+	same := func(x, y [][]UserID) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for u := range x {
+			if !reflect.DeepEqual(x[u], y[u]) || cap(x[u]) != cap(y[u]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Kind() == b.Kind() && same(a.out, b.out) && same(a.in, b.in) && a.MemoryBytes() == b.MemoryBytes()
+}
+
+// TestQuickBuildIgnoresEdgeOrder: Build's rows are a function of the edge
+// multiset alone. Adding the edges in a shuffled order, and for an
+// undirected graph with a random subset of them reversed, gives the same
+// rows, nil rows and capacities; and a row's capacity is its entry count
+// before deduplication, which MemoryBytes reports.
+func TestQuickBuildIgnoresEdgeOrder(t *testing.T) {
+	prop := func(e edgeBatch, seed int64) bool {
+		outCap, inCap := make([]int, e.n), make([]int, e.n)
+		for i := range e.u {
+			if u, v := e.u[i], e.v[i]; u != v && u >= 0 && v >= 0 && int(u) < e.n && int(v) < e.n {
+				outCap[u]++
+				if e.kind == Undirected {
+					outCap[v]++
+				} else {
+					inCap[v]++
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		build := func(order []int, flip func() bool) *Graph {
+			b := NewBuilder(e.kind, e.n)
+			for _, i := range order {
+				if u, v := e.u[i], e.v[i]; flip() {
+					b.AddEdge(v, u)
+				} else {
+					b.AddEdge(u, v)
+				}
+			}
+			return b.Build()
+		}
+		inOrder := make([]int, len(e.u))
+		for i := range inOrder {
+			inOrder[i] = i
+		}
+		never := func() bool { return false }
+		want := build(inOrder, never)
+		for u := 0; u < e.n; u++ {
+			if cap(want.Neighbors(UserID(u))) != outCap[u] || cap(want.Followees(UserID(u))) != inCap[u] {
+				t.Logf("kind %v user %d: capacities %d, %d, want %d, %d", e.kind, u,
+					cap(want.Neighbors(UserID(u))), cap(want.Followees(UserID(u))), outCap[u], inCap[u])
+				return false
+			}
+		}
+		if got := build(rng.Perm(len(e.u)), never); !sameRows(got, want) {
+			t.Logf("kind %v, shuffled: %+v, want %+v", e.kind, got, want)
+			return false
+		}
+		if e.kind == Undirected {
+			flip := func() bool { return rng.Intn(2) == 0 }
+			if got := build(rng.Perm(len(e.u)), flip); !sameRows(got, want) {
+				t.Logf("shuffled and reversed: %+v, want %+v", got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickStubHandOverMatchesAddEdge: GenerateConfigurationModel hands its
+// shuffled stub array to the builder as the edge list. That is the graph
+// AddEdge builds from the same pairs, where AddEdge refuses the self-loops
+// and an odd count leaves the last stub unpaired.
+func TestQuickStubHandOverMatchesAddEdge(t *testing.T) {
+	sawOdd, sawSelfLoop := false, false
+	prop := func(raw []uint8, seed int64) bool {
+		degrees := make([]int, len(raw)%24)
+		var stubs []UserID
+		for u := range degrees {
+			degrees[u] = int(raw[u] % 8)
+			for i := 0; i < degrees[u]; i++ {
+				stubs = append(stubs, UserID(u))
+			}
+		}
+		got := GenerateConfigurationModel(degrees, rand.New(rand.NewSource(seed)))
+
+		rand.New(rand.NewSource(seed)).Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		b := NewBuilder(Undirected, len(degrees))
+		for i := 0; i+1 < len(stubs); i += 2 {
+			b.AddEdge(stubs[i], stubs[i+1])
+			sawSelfLoop = sawSelfLoop || stubs[i] == stubs[i+1]
+		}
+		sawOdd = sawOdd || len(stubs)%2 == 1
+		if want := b.Build(); !sameRows(got, want) {
+			t.Logf("degrees %v: hand-over %+v, AddEdge %+v", degrees, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if !sawOdd || !sawSelfLoop {
+		t.Errorf("odd stub count seen %v, self-loop seen %v: a case went unchecked", sawOdd, sawSelfLoop)
+	}
 }

@@ -10,13 +10,10 @@ type Shuffler interface {
 // sequence approximates the given one (self-loops and duplicate edges are
 // dropped, so high-degree nodes may end slightly below target).
 func GenerateConfigurationModel(degrees []int, rng Shuffler) *Graph {
-	n := len(degrees)
-	b := NewBuilder(Undirected, n)
 	total := 0
 	for _, d := range degrees {
 		total += d
 	}
-	b.Grow(total / 2)
 	stubs := make([]UserID, 0, total)
 	for u, d := range degrees {
 		for i := 0; i < d; i++ {
@@ -24,8 +21,10 @@ func GenerateConfigurationModel(degrees []int, rng Shuffler) *Graph {
 		}
 	}
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	for i := 0; i+1 < len(stubs); i += 2 {
-		b.AddEdge(stubs[i], stubs[i+1])
-	}
+	// Consecutive stubs pair off (an odd last one is dropped): the shuffled
+	// array is the builder's edge list as it stands, and Build skips the
+	// self-loops AddEdge would have refused.
+	b := NewBuilder(Undirected, len(degrees))
+	b.pairs = stubs[:len(stubs)&^1]
 	return b.Build()
 }

@@ -14,8 +14,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"dosn/internal/fault"
 )
 
 // UserID identifies a user; IDs are dense indices in [0, NumUsers).
@@ -56,8 +54,8 @@ type Graph struct {
 type Builder struct {
 	kind Kind
 	n    int
-	src  []UserID
-	dst  []UserID
+	// pairs holds the edges interleaved: edge i is (pairs[2i], pairs[2i+1]).
+	pairs []UserID
 }
 
 // NewBuilder returns a Builder for a graph of the given kind with n users.
@@ -65,12 +63,11 @@ func NewBuilder(kind Kind, n int) *Builder {
 	return &Builder{kind: kind, n: n}
 }
 
-// Grow reserves capacity for n additional edges, so bulk constructions
-// (generators, subgraph induction) that know their edge count up front pay
-// two exact allocations instead of append doubling.
+// Grow reserves capacity for n additional edges, so a generator that knows
+// its edge count up front pays one exact allocation, which Build then reuses
+// as the rows' arena, instead of append doubling.
 func (b *Builder) Grow(n int) {
-	b.src = slices.Grow(b.src, n)
-	b.dst = slices.Grow(b.dst, n)
+	b.pairs = slices.Grow(b.pairs, 2*n)
 }
 
 // AddEdge records an edge. For Undirected graphs the edge is symmetric; for
@@ -80,102 +77,106 @@ func (b *Builder) AddEdge(u, v UserID) {
 	if u == v || u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		return
 	}
-	b.src = append(b.src, u)
-	b.dst = append(b.dst, v)
+	b.pairs = append(b.pairs, u, v)
 }
 
-// Build normalizes (sorts, deduplicates) and returns the graph. The
-// adjacency lists are views into one flat arena per direction (a counting
-// pass sizes every node's range exactly), so building a graph costs two
-// large allocations per direction instead of one growing slice per node.
-// List contents are identical to the per-node-append construction this
-// replaced: dedupSorted canonicalizes each range in place.
+// Build returns the graph, every adjacency row sorted and deduplicated, and
+// leaves the builder empty. It sorts nothing: a counting pass sizes every
+// row, one scatter buckets each edge under its row, and a second walks those
+// buckets in ascending row order, appending the bucket's row to the rows its
+// entries name, which therefore fill in order; a linear pass then drops the
+// adjacent duplicates. A directed graph's second scatter makes the followee
+// rows, and a third makes the follower rows out of them. The rows are a
+// function of the edge multiset alone: a row's capacity is its entry count
+// before deduplication, an empty row is nil, and the edge list itself
+// becomes the rows' arena. Self-loops are skipped, so a pair list handed
+// over whole (the configuration model's stubs) builds as AddEdge would.
 func (b *Builder) Build() *Graph {
-	g := &Graph{kind: b.kind}
-	g.out = adjacencyViews(b.n, b.src, b.dst, b.kind == Undirected, false)
-	canonicalize(g.out)
-	if b.kind == Directed {
-		g.in = adjacencyViews(b.n, b.src, b.dst, false, true)
-		canonicalize(g.in)
+	n, pairs, directed := b.n, b.pairs, b.kind == Directed
+	b.pairs = nil
+	// Row u of out spans outAt[u]..outAt[u+1] before deduplication; for an
+	// undirected graph, whose rows hold both endpoints, in is the same table.
+	outAt := make([]int32, n+1)
+	inAt := outAt
+	if directed {
+		inAt = make([]int32, n+1)
 	}
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u != v {
+			outAt[u+1]++
+			inAt[v+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		outAt[u+1] += outAt[u]
+		if directed {
+			inAt[u+1] += inAt[u]
+		}
+	}
+	// Bucket u holds row u's entries in edge order. Buckets fill from their
+	// ends, so cur finishes at every row's start, where the last scatter
+	// writes from.
+	bucket := make([]UserID, outAt[n])
+	cur := slices.Clone(outAt[1:])
+	for i := 0; i+1 < len(pairs); i += 2 {
+		u, v := pairs[i], pairs[i+1]
+		if u == v {
+			continue
+		}
+		cur[u]--
+		bucket[cur[u]] = v
+		if !directed {
+			cur[v]--
+			bucket[cur[v]] = u
+		}
+	}
+	g := &Graph{kind: b.kind}
+	if !directed {
+		scatter(pairs, cur, bucket, outAt[:n], outAt[1:])
+		g.out = dedupRows(pairs, outAt, cur)
+		return g
+	}
+	out, in := pairs[:outAt[n]], pairs[outAt[n]:]
+	inEnd := slices.Clone(inAt[:n])
+	scatter(in, inEnd, bucket, outAt[:n], outAt[1:])
+	g.in = dedupRows(in, inAt, inEnd)
+	scatter(out, cur, in, inAt[:n], inEnd)
+	g.out = dedupRows(out, outAt, cur)
 	return g
 }
 
-// canonicalize sorts and deduplicates every row in place, the two halves of
-// the row range concurrently: a row is touched by exactly one half, so the
-// result cannot depend on the overlap.
-func canonicalize(rows [][]UserID) {
-	half := func(rows [][]UserID) func() {
-		return func() {
-			for u := range rows {
-				rows[u] = dedupSorted(rows[u])
-			}
+// scatter walks the buckets src[from[x]:to[x]] in ascending x and appends x
+// to every row r a bucket lists, at arena[end[r]].
+func scatter(arena []UserID, end []int32, src []UserID, from, to []int32) {
+	for x := range from {
+		for _, r := range src[from[x]:to[x]] {
+			arena[end[r]] = UserID(x)
+			end[r]++
 		}
 	}
-	mid := len(rows) / 2
-	fault.Parallel(half(rows[:mid]), half(rows[mid:]))
 }
 
-// adjacencyViews bins the edge list into per-node slices backed by a single
-// arena. Forward mode appends dst to src's row (and, for undirected graphs,
-// src to dst's row); reversed mode appends src to dst's row (the followee
-// lists of a directed graph). Nodes with no entries keep a nil row, exactly
-// as the append-based construction left them.
-func adjacencyViews(n int, src, dst []UserID, undirected, reversed bool) [][]UserID {
-	deg := make([]int32, n+1)
-	for i := range src {
-		if reversed {
-			deg[dst[i]+1]++
-		} else {
-			deg[src[i]+1]++
-			if undirected {
-				deg[dst[i]+1]++
+// dedupRows drops the adjacent duplicates of every sorted row at[u]..end[u]
+// in place, moves end[u] to the last kept entry, and returns the rows as
+// views of the arena with capacity up to at[u+1], nil where empty.
+func dedupRows(arena []UserID, at, end []int32) [][]UserID {
+	rows := make([][]UserID, len(end))
+	for u := range end {
+		lo, hi := at[u], at[u+1]
+		if lo == hi {
+			continue
+		}
+		w := lo + 1
+		for _, x := range arena[lo+1 : end[u]] {
+			if x != arena[w-1] {
+				arena[w] = x
+				w++
 			}
 		}
-	}
-	for u := 0; u < n; u++ {
-		deg[u+1] += deg[u]
-	}
-	arena := make([]UserID, deg[n])
-	cur := make([]int32, n)
-	for u := 0; u < n; u++ {
-		cur[u] = deg[u]
-	}
-	for i := range src {
-		if reversed {
-			arena[cur[dst[i]]] = src[i]
-			cur[dst[i]]++
-		} else {
-			arena[cur[src[i]]] = dst[i]
-			cur[src[i]]++
-			if undirected {
-				arena[cur[dst[i]]] = src[i]
-				cur[dst[i]]++
-			}
-		}
-	}
-	rows := make([][]UserID, n)
-	for u := 0; u < n; u++ {
-		if lo, hi := deg[u], deg[u+1]; lo < hi {
-			rows[u] = arena[lo:hi:hi]
-		}
+		end[u] = w
+		rows[u] = arena[lo:w:hi]
 	}
 	return rows
-}
-
-func dedupSorted(s []UserID) []UserID {
-	if len(s) < 2 {
-		return s
-	}
-	slices.Sort(s)
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[w-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
 }
 
 // Kind returns whether the graph is directed or undirected.

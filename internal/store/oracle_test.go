@@ -15,12 +15,11 @@ import (
 // walked and sorted on every read. The ordered log must agree with it
 // exactly.
 type mapWall struct {
-	posts  map[PostID]Post
-	digest vclock.Clock
+	posts map[PostID]Post
 }
 
 func newMapWall() *mapWall {
-	return &mapWall{posts: make(map[PostID]Post), digest: vclock.New()}
+	return &mapWall{posts: make(map[PostID]Post)}
 }
 
 func (w *mapWall) Add(p Post) bool {
@@ -28,13 +27,29 @@ func (w *mapWall) Add(p Post) bool {
 		return false
 	}
 	w.posts[p.ID] = p
-	w.digest.Observe(p.ID.Author, p.ID.Seq)
 	return true
 }
 
 func (w *mapWall) Len() int { return len(w.posts) }
 
-func (w *mapWall) Digest() vclock.Clock { return w.digest.Copy() }
+// Digest counts each author's run of sequence numbers up from 1 by lookup.
+func (w *mapWall) Digest() vclock.Clock {
+	d := vclock.New()
+	for id := range w.posts {
+		if id.Seq != 1 {
+			continue
+		}
+		s := id.Seq
+		for {
+			if _, ok := w.posts[PostID{Author: id.Author, Seq: s + 1}]; !ok {
+				break
+			}
+			s++
+		}
+		d.Observe(id.Author, s)
+	}
+	return d
+}
 
 func (w *mapWall) MissingFrom(d vclock.Clock) []Post {
 	var out []Post

@@ -10,7 +10,9 @@
 //
 //   - Add is a binary search in the author's log (the idempotence check) and
 //     two appends when posts arrive in order — O(log n), amortized; a post
-//     that arrives out of order is inserted in place, O(n) moves.
+//     that arrives out of order is inserted in place, O(n) moves. It also
+//     keeps the author's digest entry, the count of sequence numbers held
+//     from 1 without a gap; each post moves that count past itself once.
 //   - MissingFrom is one binary search per author plus a copy of the k
 //     posts it returns: O(a·log n + k) for a authors.
 //   - Posts is a copy of the rendering order: O(n).
@@ -80,11 +82,15 @@ func (f Field) newer(o Field) bool {
 }
 
 // authorLog is one author's posts on a wall in sequence order, the order
-// anti-entropy reads: the holder of digest entry (author, seq) lacks exactly
-// the suffix after seq. It is never empty.
+// anti-entropy reads: the holder of digest entry (author, seq) holds every
+// post up to seq, so it can lack only posts in the suffix after seq. It is
+// never empty.
 type authorLog struct {
 	author NodeID
 	posts  []Post
+	// held is the largest s such that sequence numbers 1..s are all here:
+	// the author's digest entry.
+	held uint64
 }
 
 // after returns the posts with a sequence number above seq.
@@ -142,6 +148,17 @@ func (w *Wall) Add(p Post) bool {
 		}
 		l.posts = slices.Insert(l.posts, i, p)
 	}
+	if p.ID.Seq == l.held+1 {
+		// The posts after 1..held run from index held (one further when a
+		// sequence-0 post leads); p may close a gap below a run of them.
+		i := l.held
+		if l.posts[0].ID.Seq == 0 {
+			i++
+		}
+		for ; i < uint64(len(l.posts)) && l.posts[i].ID.Seq == l.held+1; i++ {
+			l.held++
+		}
+	}
 	if n := len(w.timeline); n == 0 || rendersBefore(&w.timeline[n-1], &p) {
 		w.timeline = append(w.timeline, p)
 	} else {
@@ -154,21 +171,24 @@ func (w *Wall) Add(p Post) bool {
 // Len returns the number of posts on the wall.
 func (w *Wall) Len() int { return len(w.timeline) }
 
-// Digest returns the wall's version vector: for each author the highest
-// sequence number stored. The caller owns the result.
+// Digest returns the wall's version vector: for each author the largest s
+// such that the author's sequence numbers 1..s are all stored. A post held
+// above a gap does not count, so a peer's MissingFrom resends it with the
+// gap's posts, and Add drops it again. The caller owns the result.
 func (w *Wall) Digest() vclock.Clock {
 	d := make(vclock.Clock, len(w.authors))
 	for i := range w.authors {
 		l := &w.authors[i]
 		// Observe, not assignment: sequence 0 is a clock's "nothing seen" and
 		// gets no entry.
-		d.Observe(l.author, l.posts[len(l.posts)-1].ID.Seq)
+		d.Observe(l.author, l.held)
 	}
 	return d
 }
 
-// MissingFrom returns the posts the holder of the given digest lacks, in
-// (Author, Seq) order. This is the anti-entropy delta.
+// MissingFrom returns the posts above the given digest's entry for each
+// author, in (Author, Seq) order: every post its holder may lack. This is
+// the anti-entropy delta.
 func (w *Wall) MissingFrom(d vclock.Clock) []Post {
 	// Counted first: the delta is then one exact allocation however many
 	// authors contribute to it.

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -250,6 +251,78 @@ func TestQuickSyncConvergence(t *testing.T) {
 	}
 }
 
+// Property: posts handed over one at a time in any order, between
+// authoring and partial syncs among 2–5 stores, still converge: after one
+// round of syncs over every ordered pair, every store hosting the wall holds
+// every post, the same fields and the same digest. A store that took an
+// author's later post first holds it above a gap, and the digest must not
+// hide the gap from its peers.
+func TestQuickOutOfOrderApplyConverges(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const wall = NodeID(100)
+		stores := make([]*Store, 2+rng.Intn(4))
+		var hosts []*Store
+		for i := range stores {
+			stores[i] = New(NodeID(i))
+			if i == 0 || rng.Intn(4) > 0 {
+				stores[i].Host(wall)
+				hosts = append(hosts, stores[i])
+			}
+		}
+		var authored []Post
+		for step, steps := 0, rng.Intn(40); step < steps; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				p, err := hosts[rng.Intn(len(hosts))].Author(wall, fmt.Sprint("post ", step), int64(rng.Intn(20)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				authored = append(authored, p)
+			case op < 7 && len(authored) > 0:
+				if _, err := hosts[rng.Intn(len(hosts))].Apply(authored[rng.Intn(len(authored))]); err != nil {
+					t.Fatal(err)
+				}
+			case op < 8:
+				fld := Field{Value: fmt.Sprint("v", step), At: int64(rng.Intn(5)), Writer: NodeID(rng.Intn(len(stores)))}
+				if _, err := hosts[rng.Intn(len(hosts))].SetField(wall, fmt.Sprint("f", rng.Intn(3)), fld); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				stores[rng.Intn(len(stores))].SyncInto(stores[rng.Intn(len(stores))])
+			}
+		}
+		for _, a := range stores {
+			for _, b := range stores {
+				if a != b {
+					a.SyncInto(b)
+				}
+			}
+		}
+		refPosts, _ := hosts[0].Posts(wall)
+		refFields, _ := hosts[0].Fields(wall)
+		refDigest, _ := hosts[0].Digest(wall)
+		if len(refPosts) != len(authored) {
+			t.Logf("seed %d: store 0 holds %d posts of %d authored", seed, len(refPosts), len(authored))
+			return false
+		}
+		for _, s := range hosts[1:] {
+			ps, _ := s.Posts(wall)
+			fs, _ := s.Fields(wall)
+			d, _ := s.Digest(wall)
+			if !reflect.DeepEqual(ps, refPosts) || !reflect.DeepEqual(fs, refFields) || !reflect.DeepEqual(d, refDigest) {
+				t.Logf("seed %d: store %d holds %v, %v, digest %v; store 0 %v, %v, digest %v",
+					seed, s.Node(), ps, fs, d, refPosts, refFields, refDigest)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: LWW field writes converge regardless of apply order.
 func TestQuickLWWConvergence(t *testing.T) {
 	f := func(seed int64) bool {
@@ -395,11 +468,11 @@ func TestSaveLoadRoundTripDHTHost(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("wall %d posts differ:\n%v\n%v", wall, got, want)
 		}
-		// The restored replica owes a fresh digest nothing: anti-entropy
-		// from the original must transfer zero posts.
+		// The restored replica lacks nothing: anti-entropy from the
+		// original resends only posts above a gap, all of them duplicates.
 		missing, _ := host.MissingFrom(wall, gotDigest)
-		if len(missing) != 0 {
-			t.Errorf("wall %d: restored replica still missing %v", wall, missing)
+		if n, err := back.MergeDelta(wall, missing, nil); n != 0 || err != nil {
+			t.Errorf("wall %d: restored replica took %d new posts of %v (%v)", wall, n, missing, err)
 		}
 	}
 	fs, _ := back.Fields(900)
@@ -415,10 +488,10 @@ func TestSaveLoadRoundTripDHTHost(t *testing.T) {
 	if p.ID != (PostID{Author: 42, Seq: 2}) {
 		t.Errorf("post-restart ID = %+v, want {42 2}", p.ID)
 	}
-	// A foreign author's gappy history must keep its digest semantics: seq 7
-	// with no 1..6 still reports 7 as observed.
+	// A foreign author's gappy history keeps its digest semantics: seq 7
+	// with no 1..6 reports nothing held, and 1..2 held reports 2.
 	d, _ := back.Digest(3)
-	if d.Get(11) != 7 {
-		t.Errorf("digest for author 11 = %d, want 7", d.Get(11))
+	if d.Get(11) != 0 || d.Get(5) != 2 {
+		t.Errorf("digest for authors 11, 5 = %d, %d, want 0, 2", d.Get(11), d.Get(5))
 	}
 }

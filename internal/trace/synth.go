@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"dosn/internal/fault"
@@ -494,8 +493,8 @@ func activityTargets(g *socialgraph.Graph, u socialgraph.UserID) []socialgraph.U
 // uniformly from the other users. The heavy tail comes from the follower-
 // count sequence itself. Rejection sampling runs against one reusable stamp
 // array instead of a per-user map — the same accept/reject decisions, so
-// identical RNG consumption and identical (sorted) follower lists, without
-// n map allocations.
+// identical RNG consumption, without n map allocations. Edges go to the
+// builder in draw order: Build's rows depend on the edge set alone.
 func followerGraph(followerCounts []int, rng *mathrand.Rand) *socialgraph.Graph {
 	n := len(followerCounts)
 	b := socialgraph.NewBuilder(socialgraph.Directed, n)
@@ -508,25 +507,20 @@ func followerGraph(followerCounts []int, rng *mathrand.Rand) *socialgraph.Graph 
 	}
 	b.Grow(total)
 	seen := make([]int32, n) // seen[f] == u+1 ⟺ f already drawn for user u
-	var fs []socialgraph.UserID
 	for u := 0; u < n; u++ {
 		want := followerCounts[u]
 		if want > n-1 {
 			want = n - 1
 		}
 		stamp := int32(u) + 1
-		fs = fs[:0]
-		for len(fs) < want {
+		for i := 0; i < want; {
 			f := rng.Intn(n)
 			if f == u || seen[f] == stamp {
 				continue
 			}
 			seen[f] = stamp
-			fs = append(fs, socialgraph.UserID(f))
-		}
-		slices.Sort(fs) // determinism: draw order must not leak into the graph
-		for _, f := range fs {
-			b.AddEdge(socialgraph.UserID(u), f) // f follows u
+			b.AddEdge(socialgraph.UserID(u), socialgraph.UserID(f)) // f follows u
+			i++
 		}
 	}
 	return b.Build()
