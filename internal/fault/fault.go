@@ -4,8 +4,9 @@
 // seeded, reproducible faults — panics, errors, or delays — when armed.
 //
 // Disabled is the default and costs one atomic bool load per site hit, so
-// sites may sit on hot paths (the benchguard MatrixSmall gate pins the
-// compiled-in-but-disabled overhead). Arming happens programmatically
+// sites may sit on hot paths (TestDisabledSiteAllocatesNothing pins that a
+// disabled hit allocates nothing; the repository benchmark times the paths
+// they sit on). Arming happens programmatically
 // (Enable) or from the DOSN_FAILPOINTS environment variable (EnableFromEnv),
 // with the grammar
 //

@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"dosn/internal/interval"
 	"dosn/internal/socialgraph"
@@ -163,5 +165,78 @@ func TestDeliveryWithinAnalyticWorstCase(t *testing.T) {
 	}
 	if checked < 500 {
 		t.Errorf("only %d posts fully delivered", checked)
+	}
+}
+
+// eagerCase is a quick.Generator over walls of up to 6 nodes with random
+// schedules: a group that is a sorted subset of the nodes, a creator inside
+// or outside it, and loss 0 or 0.3.
+type eagerCase struct {
+	bitmaps []interval.Bitmap
+	group   []uid
+	creator uid
+	created int
+	loss    Loss
+}
+
+func (eagerCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	n := 2 + r.Intn(5)
+	sets := make([]interval.Set, n)
+	for u := range sets {
+		for range 1 + r.Intn(3) {
+			sets[u] = sets[u].Union(interval.Window(r.Intn(interval.DayMinutes), 10+r.Intn(400)))
+		}
+	}
+	c := eagerCase{bitmaps: interval.BitmapsFromSets(sets), created: r.Intn(2 * interval.DayMinutes)}
+	var outside []uid
+	for u := range n {
+		if len(c.group) == 0 || r.Intn(2) == 0 {
+			c.group = append(c.group, uid(u))
+		} else {
+			outside = append(outside, uid(u))
+		}
+	}
+	c.creator = c.group[r.Intn(len(c.group))]
+	if len(outside) > 0 && r.Intn(2) == 0 {
+		c.creator = outside[r.Intn(len(outside))]
+	}
+	if r.Intn(2) == 0 {
+		c.loss = Loss{Rate: 0.3, Seed: r.Int63()}
+	}
+	return reflect.ValueOf(c)
+}
+
+// TestQuickEagerPushNeverDelays: a member that receives a post without
+// eager push receives it with eager push too, and no later. Eager rounds
+// only add exchanges: session starts and hand-overs happen at the same
+// minutes either way, and a loss drop is a function of the pair and the
+// minute, so at every step the eager holders include the others.
+func TestQuickEagerPushNeverDelays(t *testing.T) {
+	earlier := 0
+	prop := func(c eagerCase) bool {
+		lazy := Delivery{Bitmaps: c.bitmaps, Horizon: 4 * interval.DayMinutes, Loss: c.loss}
+		eager := lazy
+		eager.Eager = true
+		without, _ := arrivals(t, lazy, c.group, c.creator, c.created)
+		with, _ := arrivals(t, eager, c.group, c.creator, c.created)
+		for i := range c.group {
+			if without[i] < 0 {
+				continue
+			}
+			if with[i] < 0 || with[i] > without[i] {
+				t.Logf("group %v, creator %d at %d, loss %v: arrivals %v with eager push, %v without", c.group, c.creator, c.created, c.loss, with, without)
+				return false
+			}
+			if with[i] < without[i] {
+				earlier++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	if earlier == 0 {
+		t.Error("no member arrived earlier with eager push; the property was not exercised")
 	}
 }

@@ -44,3 +44,21 @@ func TestMemoryBytesTracksMeasuredHeap(t *testing.T) {
 			est, ratio, measured)
 	}
 }
+
+// TestDatasetBytesPerUserBound holds the columnar footprint per kept user of
+// a 20,000-user facebook dataset (18,696 kept) to 1,759 bytes: 1.1× the
+// 1,599.6 of the 100,000-user dataset when the bound was set, so the
+// million-user tier (1,602 then) stays inside the README's ≈1.6 KB per user.
+// The figure is a pure function of the synthesis: capacities, not heap.
+func TestDatasetBytesPerUserBound(t *testing.T) {
+	const bound = 1759
+	d, err := SynthesizeCalibrated("facebook", 20_000, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perUser := float64(d.MemoryBytes()) / float64(d.NumUsers())
+	t.Logf("%d kept users: %.1f B per user", d.NumUsers(), perUser)
+	if perUser > bound {
+		t.Errorf("MemoryBytes is %.1f B per kept user, bound %d", perUser, bound)
+	}
+}
