@@ -100,17 +100,21 @@ func randomWalls(rng *rand.Rand) [][]Item {
 	return decodeWalls(data)
 }
 
-// sortedUnion is Merge's oracle: every item, sorted newest first.
+// sortedUnion is Merge's oracle: every item, sorted newest first, and items
+// of equal keys (a wall passed twice) in the order of their walls.
 func sortedUnion(walls [][]Item) []Item {
 	var all []Item
 	for _, w := range walls {
 		all = append(all, w...)
 	}
-	slices.SortFunc(all, func(a, b Item) int {
-		if older(&b, &a) {
+	slices.SortStableFunc(all, func(a, b Item) int {
+		switch {
+		case older(&b, &a):
 			return -1
+		case older(&a, &b):
+			return 1
 		}
-		return 1
+		return 0
 	})
 	return all
 }
@@ -210,11 +214,13 @@ func TestPageZeroLimit(t *testing.T) {
 
 // Sequence numbers count per (author, wall): one author's first post on each
 // of two walls, written in the same minute, differ only in the wall. Merge
-// keeps both, newer wall first.
+// keeps both, newer wall first, on one tree and on two.
 func TestMergeSameAuthorTiesAcrossWalls(t *testing.T) {
-	timeline := Merge([]Item{postOn(10, 1, 1, 5)}, []Item{postOn(11, 1, 1, 5)})
-	if len(timeline) != 2 || timeline[0].Wall != 11 || timeline[1].Wall != 10 {
-		t.Fatalf("timeline = %v, want wall 11 then wall 10", timeline)
+	walls := [][]Item{{postOn(10, 1, 1, 5)}, {postOn(11, 1, 1, 5)}}
+	for _, timeline := range [][]Item{Merge(walls...), twoEndedMerge(walls)} {
+		if len(timeline) != 2 || timeline[0].Wall != 11 || timeline[1].Wall != 10 {
+			t.Fatalf("timeline = %v, want wall 11 then wall 10", timeline)
+		}
 	}
 }
 
@@ -248,7 +254,8 @@ func TestQuickTimelineIsMergePrefix(t *testing.T) {
 	}
 }
 
-// FuzzMerge: walls decoded from any bytes merge to their sorted union.
+// FuzzMerge: walls decoded from any bytes merge to their sorted union, on
+// one tree and on two.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 0, 0, 7, 15})
@@ -256,8 +263,12 @@ func FuzzMerge(f *testing.F) {
 	f.Add([]byte{70, 69, 4, 5, 0, 4, 5, 35, 1, 1, 64, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		walls := decodeWalls(data)
-		if got, want := Merge(walls...), sortedUnion(walls); !slices.Equal(got, want) {
+		want := sortedUnion(walls)
+		if got := Merge(walls...); !slices.Equal(got, want) {
 			t.Fatalf("Merge = %v, want %v", got, want)
+		}
+		if got := twoEndedMerge(walls); !slices.Equal(got, want) {
+			t.Fatalf("two-ended merge = %v, want %v", got, want)
 		}
 	})
 }
@@ -273,5 +284,93 @@ func TestMergeAllocatesAnswerAndScratch(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { mergeSink = Merge(walls...) }); allocs > 2 {
 		t.Errorf("Merge allocates %v times, want at most 2", allocs)
+	}
+}
+
+// straddlingWalls draws 1–70 walls holding, in all, a total within 40 items
+// of parallelItems on either side, odd or even: some walls empty, one wall
+// sometimes holding everything, and now and then one wall passed twice, the
+// second time with other bodies, so which copy lands where shows. Keys tie
+// often: a few authors, a few dozen minutes.
+func straddlingWalls(rng *rand.Rand) [][]Item {
+	walls := make([][]Item, 1+rng.Intn(70))
+	total := parallelItems - 40 + rng.Intn(81)
+	one := rng.Intn(4) == 0 // every item on one wall
+	seq := make(map[[2]int32]uint64)
+	for range total {
+		w := rng.Intn(len(walls))
+		if one || w%5 == 1 {
+			w = 0 // walls 1, 6, 11, ... stay empty
+		}
+		id := wallID(w, len(walls))
+		author := int32(rng.Intn(3))
+		seq[[2]int32{id, author}]++
+		walls[w] = append(walls[w], postOn(id, author, seq[[2]int32{id, author}], int64(rng.Intn(40))))
+	}
+	for _, w := range walls {
+		slices.SortFunc(w, func(a, b Item) int {
+			if older(&a, &b) {
+				return -1
+			}
+			return 1
+		})
+	}
+	if rng.Intn(4) == 0 {
+		walls = append(walls, twin(walls[rng.Intn(len(walls))]))
+	}
+	return walls
+}
+
+// twin is wall w passed again under the same keys, every body changed.
+func twin(w []Item) []Item {
+	w = slices.Clone(w)
+	for i := range w {
+		w[i].Body += " again"
+	}
+	return w
+}
+
+// TestQuickTwoEndedMergeMatchesSerial: on totals that straddle
+// parallelItems, Merge — two trees at once from the threshold up — equals
+// the one serial tree and the sorted union, a wall passed twice included.
+func TestQuickTwoEndedMergeMatchesSerial(t *testing.T) {
+	f := func(seed int64) bool {
+		walls := straddlingWalls(rand.New(rand.NewSource(seed)))
+		total := 0
+		for _, w := range walls {
+			total += len(w)
+		}
+		got := Merge(walls...)
+		return slices.Equal(got, merge(walls, total)) && slices.Equal(got, sortedUnion(walls))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// twoEndedMerge is Merge forced onto two trees whatever the size.
+func twoEndedMerge(walls [][]Item) []Item {
+	total := 0
+	for _, w := range walls {
+		total += len(w)
+	}
+	out := make([]Item, total)
+	twoEnded(walls, out)
+	return out
+}
+
+// TestQuickTwoEndedMergeSmallSplits: two trees over small inputs
+// (randomWalls: 0–70 walls, empty ones among them, keys at their extremes),
+// a wall passed twice among them, still meet exactly.
+func TestQuickTwoEndedMergeSmallSplits(t *testing.T) {
+	f := func(seed int64, twice bool) bool {
+		walls := randomWalls(rand.New(rand.NewSource(seed)))
+		if twice && len(walls) > 0 {
+			walls = append(walls, twin(walls[len(walls)/2]))
+		}
+		return slices.Equal(twoEndedMerge(walls), sortedUnion(walls))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -62,6 +62,19 @@ func (p *Parser) Start() error {
 	return nil
 }
 
+// Buffered reports whether the buffer holds the start of a further value: a
+// byte other than whitespace past the last one consumed. When it does not,
+// the next Start reads, and may wait on the stream; the newline after a
+// frame is whitespace and counts as nothing.
+func (p *Parser) Buffered() bool {
+	for _, c := range p.buf[p.pos:] {
+		if !isSpace(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // Declined reports whether the walk since Start met input outside the
 // parser's subset.
 func (p *Parser) Declined() bool { return p.declined }

@@ -128,3 +128,33 @@ func TestParserStreamEnd(t *testing.T) {
 		t.Errorf("Rest = %q, %v; want the bytes read and then the reader's error", rest, err)
 	}
 }
+
+// Buffered reports the start of a further value in the buffer and nothing
+// else: the newline and spaces after a value count as nothing, so a reader
+// that waits on the stream only when Buffered is false never waits with a
+// whole value in hand, nor skips a wait when only whitespace is left.
+func TestParserBuffered(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want bool
+	}{
+		{`{"a":1}`, false},
+		{`{"a":1}` + "\n", false},
+		{`{"a":1}` + " \r\n\t ", false},
+		{`{"a":1}` + "\n" + `{"a":2}`, true},
+		{`{"a":1}` + "\n" + `{"a`, true},
+		{`{"a":1}` + "\n x", true},
+	} {
+		p := NewParser(strings.NewReader(tc.in), 64)
+		var v pair
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if parsePair(p, &v); p.Declined() {
+			t.Fatalf("%q declined", tc.in)
+		}
+		if got := p.Buffered(); got != tc.want {
+			t.Errorf("%q: Buffered = %v after the first value, want %v", tc.in, got, tc.want)
+		}
+	}
+}

@@ -58,15 +58,16 @@ type rowRing struct {
 	rows int // activities a chunk holds
 }
 
-// newRowRing preallocates the ring's chunks. A chunk's permutation buffer
-// holds the longest target list, so any creator's permutation fits in an
-// empty chunk.
-func newRowRing(maxTargets int) *rowRing {
+// newRowRing preallocates the ring's chunks for a synthesis of total
+// activities: a chunk holds chunkRows of them, or all of them if fewer. A
+// chunk's permutation buffer holds the longest target list, so any
+// creator's permutation fits in an empty chunk.
+func newRowRing(maxTargets int, total int64) *rowRing {
 	r := &rowRing{
 		full: make(chan *drawChunk, ringChunks),
 		free: make(chan *drawChunk, ringChunks),
 		done: make(chan struct{}),
-		rows: chunkRows,
+		rows: int(max(1, min(int64(chunkRows), total))),
 	}
 	for range ringChunks {
 		r.free <- &drawChunk{

@@ -272,7 +272,7 @@ func synthesize(cfg SynthConfig, minActivity int) (*Dataset, error) {
 		dayCounts: make([]int32, cfg.Days),
 	}
 	sub := g
-	ring := newRowRing(maxTargets)
+	ring := newRowRing(maxTargets, total)
 	var pos int
 	var err error
 	fault.Parallel(func() {

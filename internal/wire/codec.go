@@ -18,15 +18,19 @@ var (
 	writeSite = fault.NewSite("wire.write")
 )
 
-// sessionBuf is the starting size of a session's read and write buffers.
+// sessionBuf is the starting size of a session's read and write buffers,
+// and the most its write buffer holds before a flush.
 const sessionBuf = 4 << 10
 
 // codec is one session's frame codec. send appends a frame to the session
-// buffer and flush writes the buffer with one Write; recv flushes before it
-// reads, so a peer never waits on a frame still buffered here. Frames come
-// in through a jsonx.Parser. The first frame it declines is replayed,
-// together with the rest of the session, through an encoding/json Decoder
-// that decodes every frame after it.
+// buffer and flush writes the buffer with one Write. recv flushes before a
+// read that could wait on the peer — the parser holds no byte of a further
+// frame, or the session is on the encoding/json path — and whenever the
+// buffer holds sessionBuf bytes, so a peer never waits on a frame still
+// buffered here, and answers to frames that arrived together leave
+// together. Frames come in through a jsonx.Parser. The first frame it
+// declines is replayed, together with the rest of the session, through an
+// encoding/json Decoder that decodes every frame after it.
 type codec struct {
 	w   io.Writer
 	out []byte
@@ -71,13 +75,25 @@ func (c *codec) flush() error {
 	return err
 }
 
-// recv flushes, then decodes the next frame into m, which must be zero, and
-// counts it by type. A frame of a type outside the protocol (untrusted
-// input) counts under wire.recv.other so metric names stay bounded. EOF is
-// the normal session end and is not an error.
+// queue sends m and flushes once the buffer holds sessionBuf bytes: a run of
+// frames with no read between them leaves in Writes of about that size.
+func (c *codec) queue(m Message) error {
+	if c.send(m); len(c.out) < sessionBuf {
+		return nil
+	}
+	return c.flush()
+}
+
+// recv flushes if the read could wait on the peer or the buffer is full (see
+// codec), then decodes the next frame into m, which must be zero, and counts
+// it by type. A frame of a type outside the protocol (untrusted input)
+// counts under wire.recv.other so metric names stay bounded. EOF is the
+// normal session end and is not an error.
 func (c *codec) recv(m *Message) error {
-	if err := c.flush(); err != nil {
-		return err
+	if c.dec != nil || !c.p.Buffered() || len(c.out) >= sessionBuf {
+		if err := c.flush(); err != nil {
+			return err
+		}
 	}
 	err := c.decode(m)
 	if err == nil {

@@ -123,8 +123,12 @@ func TestSyncRejectsForeignWallDelta(t *testing.T) {
 			{ID: store.PostID{Author: 1, Seq: 1}, Wall: m.Wall, Body: "valid"},
 			{ID: store.PostID{Author: 1, Seq: 2}, Wall: 11, Body: "foreign"},
 		}})
+		// The client has sent its sync for wall 11 before reading this
+		// delta: the error frame comes after it.
 		var reply Message
-		_ = dec.Decode(&reply)
+		for dec.Decode(&reply) == nil && reply.Type == TypeSync {
+			reply = Message{}
+		}
 		told <- reply
 	})
 	if _, err := Sync(addr, st); !errors.Is(err, ErrRejected) {
@@ -138,9 +142,9 @@ func TestSyncRejectsForeignWallDelta(t *testing.T) {
 	}
 }
 
-// A push the peer rejects fails Sync whichever wall it was on: on a middle
-// wall the error frame arrives in place of the next wall's delta, on the
-// last wall it arrives while the session drains.
+// A push the peer rejects fails Sync whichever wall it was on: every push
+// goes out after the last delta has arrived, so the error frame arrives
+// while the session awaits the bye reply.
 func TestSyncSurfacesRejectedPush(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

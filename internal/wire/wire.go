@@ -10,6 +10,16 @@
 // construction. A delta the store rejects ends the session with an error
 // frame naming its wall, on whichever end received it.
 //
+// The client pipelines a session in three phases, so it waits on the server
+// twice whatever the number of walls: (1) its hello and a sync frame per
+// wall, then the answers, each delta merged as it arrives (past 64 KB of
+// syncs it reads the answers so far before asking for more); (2) a push
+// frame per wall the server hosts, then its bye; (3) the server's bye. No
+// push is written while the server may still be writing deltas, so neither
+// end ever waits to write on one that waits to write too. The frames, and
+// what each holds, are those of a session that asked for one wall at a
+// time; only their grouping into Writes differs.
+//
 // Frames are written and read by a codec built on internal/jsonx, without
 // reflection. A frame is written as encoding/json's Encoder writes a Message,
 // byte for byte. It is read by a pull parser that returns as soon as the
@@ -18,10 +28,12 @@
 // belongs, a fraction, a syntax error, ...) is replayed, with the rest of the
 // session, through an encoding/json Decoder that then reads every later
 // frame, so a session decodes what encoding/json decodes, errors included.
-// Frames a session sends are buffered and written with one Write before each
-// blocking read, before the sending half closes, and at session end: the
-// bytes on the wire are those of one Write per frame, grouped into fewer
-// segments.
+// Frames a session sends are buffered and written with one Write before a
+// read that could wait on the peer (the parser holds no byte of a further
+// frame, or the session is on the encoding/json path), once the buffer holds
+// 4 KB, before the sending half closes, and at session end: the bytes on
+// the wire are those of one Write per frame, grouped into fewer segments,
+// and a server answers frames that arrived together in one Write.
 package wire
 
 import (
@@ -240,21 +252,55 @@ func rejected(m Message) error {
 	return fmt.Errorf("%w: unexpected %q", ErrRejected, m.Type)
 }
 
+// syncWindow bounds the sync frames a session sends before it reads their
+// answers. A window, at most this plus one frame, is well under what a
+// connection's send and receive buffers hold by default, so writing it never
+// waits on a server that is itself waiting to write deltas the client has
+// not read yet.
+const syncWindow = 16 * sessionBuf
+
 // Sync dials addr and synchronizes every wall both sides host: it walks the
 // walls the local store hosts and the peer skips the ones it lacks. It
 // returns nil only once the peer has answered its bye, that is, once the
 // peer has applied every push.
 func Sync(addr string, st *store.Store) (SyncStats, error) {
-	var stats SyncStats
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return stats, fmt.Errorf("wire dial %s: %w", addr, err)
+		return SyncStats{}, fmt.Errorf("wire dial %s: %w", addr, err)
 	}
 	defer conn.Close()
+	return syncOver(conn, st)
+}
+
+// peerWall is a wall the peer hosts, with the digest its delta carried.
+type peerWall struct {
+	wall   int32
+	digest []DigestEntry
+}
+
+// syncOver runs Sync's session over conn, in three phases, so that it waits
+// on the peer twice whatever the number of walls:
+//
+//  1. the hello and a sync per wall go out, then their answers come back,
+//     each delta merged as it arrives; past syncWindow bytes of syncs the
+//     session reads the answers so far before it asks for more;
+//  2. once every delta is merged, a push per wall the peer hosts and the
+//     bye go out, in Writes of about sessionBuf bytes;
+//  3. the session awaits the peer's answer to its bye.
+//
+// No push is written while the peer may still be writing deltas, so neither
+// end ever waits to write on one that waits to write too.
+func syncOver(conn net.Conn, st *store.Store) (SyncStats, error) {
+	var stats SyncStats
 	c := newCodec(conn)
 	defer c.flush() // a frame sent on the way out, an error frame say, leaves before the close
 
 	c.send(Message{Type: TypeHello, From: st.Node()})
+	walls := st.Walls()
+	asked, err := c.sendSyncs(st, walls, 0)
+	if err != nil {
+		return stats, err
+	}
 	var hello Message
 	if err := c.recv(&hello); err != nil {
 		return stats, fmt.Errorf("wire hello reply: %w", err)
@@ -263,17 +309,13 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 		return stats, fmt.Errorf("%w: %s", ErrRejected, hello.Msg)
 	}
 
-	for _, wall := range st.Walls() {
-		digest, err := st.Digest(wall)
-		if err != nil {
-			return stats, err
+	peer := make([]peerWall, 0, len(walls))
+	for i, wall := range walls {
+		if i == asked { // every answer so far is read: ask for the next window
+			if asked, err = c.sendSyncs(st, walls, asked); err != nil {
+				return stats, err
+			}
 		}
-		c.send(Message{
-			Type:   TypeSync,
-			From:   st.Node(),
-			Wall:   wall,
-			Digest: EncodeDigest(digest),
-		})
 		var delta Message
 		if err := c.recv(&delta); err != nil {
 			return stats, fmt.Errorf("wire delta %d: %w", wall, err)
@@ -282,36 +324,45 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 			continue // peer does not host this wall
 		}
 		if delta.Type != TypeDelta {
-			return stats, rejected(delta) // an error frame may name the wall pushed last
+			return stats, rejected(delta)
 		}
 		pulled, err := st.MergeDelta(wall, delta.Posts, delta.Fields)
 		if err != nil {
-			c.send(Message{Type: TypeError, From: st.Node(), Wall: wall, Msg: err.Error()})
+			// The peer may still be answering later syncs: the error frame
+			// goes out through end, which reads until the peer hangs up, so
+			// unread answers cannot reset the connection under it.
+			c.end(conn, Message{Type: TypeError, From: st.Node(), Wall: wall, Msg: err.Error()})
 			return stats, fmt.Errorf("%w: %v", ErrRejected, err)
 		}
 		stats.Pulled += pulled
-		// Push back what the peer lacks, with the fields as merged here.
-		toPush, fields, err := st.Delta(wall, DecodeDigest(delta.Digest))
+		peer = append(peer, peerWall{wall: wall, digest: delta.Digest})
+	}
+
+	// Push back what the peer lacks, with the fields as merged here.
+	for _, pw := range peer {
+		toPush, fields, err := st.Delta(pw.wall, DecodeDigest(pw.digest))
 		if err != nil {
 			return stats, err
 		}
-		c.send(Message{
+		if err := c.queue(Message{
 			Type:   TypePush,
 			From:   st.Node(),
-			Wall:   wall,
+			Wall:   pw.wall,
 			Posts:  toPush,
 			Fields: fields,
-		})
+		}); err != nil {
+			return stats, fmt.Errorf("wire push: %w", err)
+		}
 		stats.Pushed += len(toPush)
 		stats.Walls++
 	}
 	c.send(Message{Type: TypeBye, From: st.Node()})
 	if err := c.flush(); err != nil {
-		return stats, fmt.Errorf("wire push: %w", err) // the last push goes out with the bye
+		return stats, fmt.Errorf("wire push: %w", err) // the last pushes go out with the bye
 	}
 	// The server answers the bye once it has applied every push, so the
-	// session has succeeded only when that reply arrives; a rejected last
-	// push arrives here as its error frame. Each frame decodes into a fresh
+	// session has succeeded only when that reply arrives; a rejected push
+	// arrives here as its error frame. Each frame decodes into a fresh
 	// Message: a field a frame omits is zero, not the last frame's.
 	for {
 		var done Message
@@ -328,4 +379,26 @@ func Sync(addr string, st *store.Store) (SyncStats, error) {
 			return stats, rejected(done)
 		}
 	}
+}
+
+// sendSyncs sends the sync frames of walls[from:] until the buffer holds
+// syncWindow bytes, one frame at least, and returns the index of the first
+// wall not asked for. The frames leave with the next recv's flush.
+func (c *codec) sendSyncs(st *store.Store, walls []int32, from int) (int, error) {
+	for from < len(walls) {
+		digest, err := st.Digest(walls[from])
+		if err != nil {
+			return from, err
+		}
+		c.send(Message{
+			Type:   TypeSync,
+			From:   st.Node(),
+			Wall:   walls[from],
+			Digest: EncodeDigest(digest),
+		})
+		if from++; len(c.out) >= syncWindow {
+			break
+		}
+	}
+	return from, nil
 }
