@@ -147,20 +147,29 @@ func TestServerAnswersBeforeWriterCloses(t *testing.T) {
 
 // An I/O fault anywhere in a session, on either end, fails Sync promptly
 // and leaves both stores as replication may: every post on its own wall.
-// The two-wall session decodes 10 frames and flushes 4 times — the client
-// its hello and syncs, the server its hello and deltas, the client its
-// pushes and bye, the server its bye reply — and a fault at any of them
-// fails Sync: the session succeeds only on the server's bye reply, which it
-// sends once it has applied the last push, so a server that fails reading
-// that push (read 8) or the bye (read 9) or writing its reply (write 4)
-// leaves Sync without the reply it awaits.
+// Each node holds a post on each of walls 10 to 12, of 5 KB but for the
+// client's on wall 12, so every delta and the client's first two pushes
+// fill a write buffer on their own. The session decodes 13 frames and
+// flushes 8 times — the client its hello and syncs, the server its hello
+// with the first delta and then each further delta, the client each of its
+// first two pushes and then the last push with the bye, the server its bye
+// reply — and a fault at any of them fails Sync: the session succeeds only
+// on the server's bye reply, which it sends once it has applied the last
+// push, so a server that fails reading that push (read 11) or the bye
+// (read 12) or writing its reply (write 8) leaves Sync without the reply
+// it awaits.
 func TestSyncFailsOnInjectedIOFault(t *testing.T) {
+	big := strings.Repeat("x", 5<<10)
 	pair := func() (server, client *store.Store) {
 		server, client = store.New(1), store.New(2)
 		for _, st := range []*store.Store{server, client} {
-			for _, wall := range []int32{10, 11} {
+			for _, wall := range []int32{10, 11, 12} {
 				st.Host(wall)
-				if _, err := st.Author(wall, fmt.Sprint("by ", st.Node()), 1); err != nil {
+				body := big
+				if st == client && wall == 12 {
+					body = "by 2"
+				}
+				if _, err := st.Author(wall, body, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -176,14 +185,14 @@ func TestSyncFailsOnInjectedIOFault(t *testing.T) {
 	server, client := pair()
 	_, err := Sync(startServer(t, server), client)
 	fault.Disable()
-	if err != nil || reads.Value()-r0 != 10 || writes.Value()-w0 != 4 {
-		t.Fatalf("clean session: %v, %d frames decoded, %d flushes; want 10 and 4", err, reads.Value()-r0, writes.Value()-w0)
+	if err != nil || reads.Value()-r0 != 13 || writes.Value()-w0 != 8 {
+		t.Fatalf("clean session: %v, %d frames decoded, %d flushes; want 13 and 8", err, reads.Value()-r0, writes.Value()-w0)
 	}
 
 	for _, site := range []struct {
 		name string
 		hits int
-	}{{"wire.read", 10}, {"wire.write", 4}} {
+	}{{"wire.read", 13}, {"wire.write", 8}} {
 		for hit := 1; hit <= site.hits; hit++ {
 			t.Run(fmt.Sprintf("%s=error(%d)", site.name, hit), func(t *testing.T) {
 				server, client := pair()
