@@ -36,9 +36,6 @@ func runMatrix(args []string) error {
 		progress   = fs.Bool("progress", false, "live single-line progress on stderr (cells done, current phase, ETA, heap); replaces per-cell lines")
 		checkpoint = fs.String("checkpoint", "", "append each completed cell to a crash-safe JSONL journal at this path (fsync per cell)")
 		resume     = fs.Bool("resume", false, "restore completed cells from the -checkpoint journal; the resumed manifest is byte-identical to an uninterrupted run")
-		maxRetries = fs.Int("max-retries", 0, "rerun a failed cell (error, panic, or timeout) up to this many times; never affects results")
-		retryWait  = fs.Duration("retry-backoff", 0, "delay before the first cell retry, doubling per attempt, capped at 5s (0 = 50ms)")
-		cellLimit  = fs.Duration("cell-timeout", 0, "per-attempt cell watchdog; a cell exceeding it counts as failed (0 = off)")
 	)
 	sf := newSpecFlags(fs)
 	fs.Usage = func() {
@@ -120,7 +117,6 @@ func runMatrix(args []string) error {
 	start := time.Now()
 	opts := harness.RunOptions{
 		Workers: *workers, Telemetry: collector,
-		MaxRetries: *maxRetries, RetryBackoff: *retryWait, CellTimeout: *cellLimit,
 		CheckpointPath: *checkpoint, Resume: *resume,
 	}
 	switch {

@@ -24,9 +24,9 @@
 // Probability triggers hash (arm seed, site name, key) where key is the
 // caller-provided deterministic seed of the work item (the cell seed, a
 // schedule seed, a chunk coordinate) — Site.InjectSeeded — so WHICH work
-// items fail is a pure function of the seeds, independent of scheduling,
-// worker count, and retry order. Sites hit through Inject (no key) fall back
-// to hashing the hit index.
+// items fail is a pure function of the seeds, independent of scheduling
+// and worker count. Sites hit through Inject (no key) fall back to hashing
+// the hit index.
 //
 // Injected faults carry *Injected as both the error and the panic value, so
 // recovery boundaries and tests can tell a chaos fault from a genuine bug.
@@ -152,7 +152,7 @@ func (s *Site) Inject() error {
 // InjectSeeded fires like Inject, but probability triggers hash the given
 // key — a deterministic seed of the work item at the call site (cell seed,
 // schedule seed, chunk coordinate) — so which items fail is a pure function
-// of the seeds, invariant under worker count, scheduling, and retries.
+// of the seeds, invariant under worker count and scheduling.
 func (s *Site) InjectSeeded(key int64) error {
 	if !enabled.Load() {
 		return nil
@@ -206,13 +206,20 @@ func (e *Injected) Error() string {
 }
 
 // AsInjected unwraps v — an error or a recovered panic value — to the
-// *Injected fault it carries, if any.
+// *Injected fault it carries, if any. A joined error (errors.Join) is
+// searched depth-first, its errors in order.
 func AsInjected(v any) (*Injected, bool) {
 	switch x := v.(type) {
 	case *Injected:
 		return x, true
 	case interface{ Unwrap() error }:
 		return AsInjected(x.Unwrap())
+	case interface{ Unwrap() []error }:
+		for _, e := range x.Unwrap() {
+			if inj, ok := AsInjected(e); ok {
+				return inj, true
+			}
+		}
 	}
 	return nil, false
 }

@@ -92,7 +92,7 @@ func TestDelayActionSleepsAndReturnsNil(t *testing.T) {
 
 // TestSeededProbabilityIsDeterministic pins the core reproducibility claim:
 // for a fixed (arm seed, site, key), firing is a pure function — the same
-// keys fail on every run, retry, and worker schedule — and the empirical
+// keys fail on every run and worker schedule — and the empirical
 // rate tracks p.
 func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	s := NewSite("test.prob")
@@ -225,6 +225,10 @@ func TestPanicErrorPreservesInjected(t *testing.T) {
 	wrapped := fmt.Errorf("cell x: %w", err)
 	if _, ok := AsInjected(wrapped); !ok {
 		t.Fatal("AsInjected does not follow error wrapping")
+	}
+	joined := errors.Join(fmt.Errorf("cell w: %w", plain), wrapped)
+	if got, ok := AsInjected(joined); !ok || got != inj {
+		t.Fatalf("AsInjected does not search a joined error: %v", joined)
 	}
 }
 

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,13 +48,35 @@ func manifestBytes(t *testing.T, m *RunManifest) []byte {
 	return b
 }
 
+// journaledCells returns the keys of the cells the journal at path holds.
+func journaledCells(t *testing.T, path string, cells []CellSpec) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, _ := journalLines(data)
+	keys := make(map[string]bool)
+	for _, line := range lines[1:] {
+		var e checkpointEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("journal entry %q: %v", line, err)
+		}
+		keys[cells[e.Index].Key()] = true
+	}
+	return keys
+}
+
 // TestResumeByteIdenticalManifest is the kill-at-every-failpoint proof: for
 // each injection seam, in both panic and error form, a checkpointed run is
 // killed mid-matrix, then resumed with faults off — under a different worker
 // count — and the resumed manifest must match an uninterrupted run byte for
-// byte.
+// byte. Before the resume, every sibling of the killed cell must have
+// finished into the journal — a failed build is not cached, so a sibling
+// that needs it rebuilds it — and no goroutine of the armed run may be left.
 func TestResumeByteIdenticalManifest(t *testing.T) {
 	spec := crashSpec()
+	cells := spec.fill().Cells()
 	cleanRun, err := Run(spec, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
@@ -107,7 +131,12 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			withHarnessFaults(t, sc.fault)
 			before := fired.Value()
-			m, err := Run(spec, RunOptions{Workers: 1, CheckpointPath: path})
+			goroutines := runtime.NumGoroutine()
+			finished := 0
+			m, err := Run(spec, RunOptions{
+				Workers: 1, CheckpointPath: path,
+				Progress: func(done, _ int, _ CellSpec, _ time.Duration) { finished = done },
+			})
 			if sc.kills == "" {
 				// The run itself completes; the fault fires on the encode.
 				if err != nil {
@@ -125,6 +154,22 @@ func TestResumeByteIdenticalManifest(t *testing.T) {
 				t.Fatalf("fault.injections_fired advanced by %d, want 1", n)
 			}
 			fault.Disable()
+			if finished != len(cells) {
+				t.Errorf("%d of %d cells finished; a failed cell must not stop its siblings", finished, len(cells))
+			}
+			journaled := journaledCells(t, path, cells)
+			for _, c := range cells {
+				if want := c.Key() != sc.kills; journaled[c.Key()] != want {
+					t.Errorf("journal holds %s: %v, want %v", c.Key(), !want, want)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("%d goroutines after the armed run, %d before", n, goroutines)
+			}
 
 			resumed, err := Run(spec, RunOptions{
 				Workers: 2, CheckpointPath: path, Resume: true,
@@ -160,42 +205,21 @@ func TestResumeRecomputesNothingWhenJournalComplete(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientFault pins the per-cell retry: a one-shot
-// injected failure costs one attempt, and the retried run's manifest is
-// byte-identical to a fault-free run.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	spec := crashSpec()
-	cleanRun, err := Run(spec, RunOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	for _, scenario := range []string{"core.sweep-chunk=error(1)", "core.sweep-chunk=panic(1)"} {
-		withHarnessFaults(t, scenario)
-		m, err := Run(spec, RunOptions{Workers: 2, MaxRetries: 1, RetryBackoff: time.Millisecond})
-		if err != nil {
-			t.Fatalf("%s: retry did not absorb a one-shot fault: %v", scenario, err)
-		}
-		fault.Disable()
-		if !bytes.Equal(manifestBytes(t, m), manifestBytes(t, cleanRun)) {
-			t.Errorf("%s: retried manifest differs from clean run", scenario)
-		}
-	}
-}
-
 // TestHelperGoroutinePanicBecomesCellError: synthesis fans passes out to
 // goroutines of its own, where no recovery boundary stands between a panic
 // and the end of the process. A panic injected into such a pass must be
 // carried back to the cell's goroutine and end as that cell's error, with the
-// injected site attached — and a retry, the fault spent, must complete with
-// clean-run bytes.
+// injected site attached — and a resume from the run's journal, the fault
+// spent, must complete with clean-run bytes.
 func TestHelperGoroutinePanicBecomesCellError(t *testing.T) {
 	spec := crashSpec()
 	cleanRun, err := Run(spec, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
 	withHarnessFaults(t, "trace.synthesize-pass=panic(1)")
-	_, err = Run(spec, RunOptions{Workers: 1})
+	_, err = Run(spec, RunOptions{Workers: 1, CheckpointPath: path})
 	if err == nil {
 		t.Fatal("armed run completed; the helper-pass failpoint did not fire")
 	}
@@ -203,13 +227,12 @@ func TestHelperGoroutinePanicBecomesCellError(t *testing.T) {
 		t.Fatalf("cell error lost the injected site: %v", err)
 	}
 
-	withHarnessFaults(t, "trace.synthesize-pass=panic(1)")
-	m, err := Run(spec, RunOptions{Workers: 2, MaxRetries: 1, RetryBackoff: time.Millisecond})
+	m, err := Run(spec, RunOptions{Workers: 2, CheckpointPath: path, Resume: true})
 	if err != nil {
-		t.Fatalf("retry did not absorb a one-shot helper-pass panic: %v", err)
+		t.Fatalf("resume after a one-shot helper-pass panic: %v", err)
 	}
 	if !bytes.Equal(manifestBytes(t, m), manifestBytes(t, cleanRun)) {
-		t.Error("retried manifest differs from clean run")
+		t.Error("resumed manifest differs from clean run")
 	}
 }
 
@@ -260,67 +283,52 @@ func TestTableBuildWorkerPanicBecomesCellError(t *testing.T) {
 	}
 }
 
-// TestRetriesExhaustedSurfaceError: a fault that outlives the retry budget
-// still fails the run, with the injected site attached.
-func TestRetriesExhaustedSurfaceError(t *testing.T) {
+// TestRunNamesEveryFailedCell: a fault that fails every cell fails the run
+// with every cell's error, in index order — what a resume will recompute —
+// and the injected site attached.
+func TestRunNamesEveryFailedCell(t *testing.T) {
 	spec := crashSpec()
 	withHarnessFaults(t, "core.sweep-chunk=error(p=1)")
-	_, err := Run(spec, RunOptions{Workers: 2, MaxRetries: 2, RetryBackoff: time.Millisecond})
+	_, err := Run(spec, RunOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("permanently-armed fault did not fail the run")
 	}
 	if inj, ok := fault.AsInjected(err); !ok || inj.Site != "core.sweep-chunk" {
 		t.Fatalf("error lost the injected site: %v", err)
 	}
+	at := -1
+	for _, c := range spec.fill().Cells() {
+		i := strings.Index(err.Error(), "cell "+c.Key()+":")
+		if i <= at {
+			t.Fatalf("error does not name %s after the cells before it: %v", c.Key(), err)
+		}
+		at = i
+	}
 }
 
-// TestRetryIsNotAScheduleCacheHit: a cell that asks for its schedule entry
-// again — the retry of a failed attempt, or of one its watchdog abandoned —
-// reuses nothing another cell built, so neither the schedule_cache_hits
-// counter nor the cell's telemetry may count it as a hit. Across distinct
-// cells the counter still reads cells minus distinct entries.
-func TestRetryIsNotAScheduleCacheHit(t *testing.T) {
-	oneCell := crashSpec()
-	oneCell.Models = oneCell.Models[:1]
-	oneCell.Modes = oneCell.Modes[:1]
-	oneCell.Repeats = 1
-	scenarios := []struct {
-		name, fault string
-		opts        RunOptions
-	}{
-		{"failed attempt", "harness.schedule-build=error(1)", RunOptions{MaxRetries: 1, RetryBackoff: time.Millisecond}},
-		// The stall outlives the watchdog after the entry is built. The one
-		// repetition's reduce is the attempt's last failpoint site, so the
-		// abandoned attempt has none left to hit once it wakes.
-		{"abandoned attempt", "core.reduce=delay(1500ms,1)", RunOptions{MaxRetries: 1, RetryBackoff: time.Millisecond, CellTimeout: time.Second}},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			withHarnessFaults(t, sc.fault)
-			col := obs.NewCollector()
-			opts := sc.opts
-			opts.Workers, opts.Telemetry = 1, col
-			before := obsSchedHits.Value()
-			if _, err := Run(oneCell, opts); err != nil {
-				t.Fatalf("retry did not absorb the one-shot fault: %v", err)
-			}
-			if n := obsSchedHits.Value() - before; n != 0 {
-				t.Errorf("schedule_cache_hits advanced by %d over one cell, want 0", n)
-			}
-			if rep := col.Report("test"); rep.Cells[0].ScheduleCacheHit {
-				t.Error("the cell's report marks a schedule-cache hit on its own entry")
-			}
-		})
-	}
-
+// TestScheduleCacheHitsCountOtherCells: each cell asks for its schedule
+// entry once, and every asker after the entry's first is a hit, in the
+// schedule_cache_hits counter and in that cell's telemetry. The counter
+// reads cells minus distinct entries, as the manifest does.
+func TestScheduleCacheHitsCountOtherCells(t *testing.T) {
 	spec := crashSpec() // 4 cells over 2 (dataset, model) entries
+	col := obs.NewCollector()
 	before := obsSchedHits.Value()
-	m, err := Run(spec, RunOptions{Workers: 2})
+	m, err := Run(spec, RunOptions{Workers: 2, Telemetry: col})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := obsSchedHits.Value() - before; n != 2 || m.ScheduleCacheHits != 2 {
 		t.Errorf("schedule_cache_hits advanced by %d, manifest reads %d; want 2 = 4 cells - 2 entries", n, m.ScheduleCacheHits)
+	}
+	marked := 0
+	for _, c := range col.Report("test").Cells {
+		if c.ScheduleCacheHit {
+			marked++
+		}
+	}
+	if marked != 2 {
+		t.Errorf("%d cell reports mark a schedule-cache hit, want 2", marked)
 	}
 }
 
@@ -335,23 +343,6 @@ func TestProgressPanicFailsTheRun(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "progress sink broke") {
 		t.Fatalf("Run = %v, want the callback's panic as the run's error", err)
-	}
-}
-
-// TestCellTimeoutWatchdog pins the per-attempt watchdog: a one-shot injected
-// stall times the attempt out (TestRetryIsNotAScheduleCacheHit retries one
-// to completion). The stall outlives the test binary: the abandoned attempts
-// — the stalled cell's and its siblings', blocked behind its dataset build —
-// must never wake to hit a failpoint a later test (or a later -count
-// iteration) has armed.
-func TestCellTimeoutWatchdog(t *testing.T) {
-	spec := crashSpec()
-	withHarnessFaults(t, "trace.synthesize=delay(1h,1)")
-	_, err := Run(spec, RunOptions{
-		Workers: 1, CellTimeout: 100 * time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("stalled cell did not time out: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -25,7 +26,6 @@ var (
 	obsCellsDone      = obs.C("harness.cells_done")
 	obsSchedHits      = obs.C("harness.schedule_cache_hits")
 	obsCellsRecovered = obs.C("harness.cells_recovered")
-	obsCellsRetried   = obs.C("harness.cells_retried")
 	obsCellsResumed   = obs.C("harness.cells_resumed")
 )
 
@@ -57,22 +57,11 @@ type RunOptions struct {
 	// like Workers: manifests are byte-identical with or without it
 	// (pinned by TestTelemetryDoesNotPerturbManifest).
 	Telemetry *obs.Collector
-	// MaxRetries is how many times a failed cell attempt (error, panic, or
-	// timeout) is rerun before the failure is reported. Cell results are pure
-	// functions of (spec, seed), so retries cannot change manifest bytes —
-	// they only matter under transient faults (injected or environmental).
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt and is capped at 5s. Zero means 50ms.
-	RetryBackoff time.Duration
-	// CellTimeout bounds one cell attempt; on expiry the attempt counts as
-	// failed (and is retried under MaxRetries). The timed-out attempt's
-	// goroutine is abandoned — core has no cancellation plumbing — and its
-	// eventual result is discarded. Zero disables the watchdog.
-	CellTimeout time.Duration
 	// CheckpointPath, when set, appends every completed cell result to a
 	// crash-safe JSONL journal at this path (fsync per cell). A later run
-	// over the same spec with Resume set skips the journaled cells.
+	// over the same spec with Resume set skips the journaled cells: it is
+	// the one way to recover a failed or killed run, since a failed cell is
+	// not rerun in process.
 	CheckpointPath string
 	// Resume restores completed cells from the CheckpointPath journal
 	// instead of recomputing them. The journal's spec hash must match; the
@@ -102,10 +91,10 @@ func (o RunOptions) fill(cells int) RunOptions {
 
 // lazy computes a value at most once; concurrent callers share the result.
 // Failures are NOT memoized: a compute that errors (an injected fault, say)
-// leaves the slot empty, so a retried cell reruns the pure computation
-// instead of replaying a stale error. The deferred unlock keeps the slot
-// usable when compute panics — the panic unwinds to the cell isolation
-// boundary, and the next caller recomputes.
+// leaves the slot empty, so a sibling cell that needs the same value reruns
+// the pure computation instead of failing on a stale error. The deferred
+// unlock keeps the slot usable when compute panics — the panic unwinds to the
+// cell isolation boundary, and the next caller recomputes.
 type lazy[T any] struct {
 	mu   sync.Mutex
 	done bool
@@ -130,13 +119,11 @@ func (l *lazy[T]) get(compute func() (T, error)) (v T, ran bool, err error) {
 }
 
 // schedEntry is one (dataset, model) schedule-cache slot. Beyond the lazy
-// computation it records which cell asked for it first, so the
-// schedule_cache_hits counter counts reuse by a *different* cell: a cell
-// that asks again — a retry, or the retry of an abandoned timed-out
-// attempt — is not a hit.
+// computation it records whether a cell has asked for it: each cell asks
+// once, so every asker after the first is a schedule_cache_hits hit.
 type schedEntry struct {
 	lazy[[]*onlinetime.Table]
-	firstCell atomic.Int64 // 1 + index of the first cell to ask; 0 until one does
+	asked atomic.Bool
 }
 
 // caches shares datasets and schedule computations across the cells of one
@@ -238,18 +225,16 @@ func (c *caches) scheduleRows(spec MatrixSpec, cell CellSpec, ds *trace.Dataset)
 // harness.schedule-build failpoint still fires once per repetition.
 // buildWorkers is the filling cell's core budget: the parallel phase-2 row
 // construction may use it freely because worker counts never reach the table
-// bytes. co's cell is marked a hit when a different cell asked for the entry
+// bytes. co's cell is marked a hit when another cell asked for the entry
 // first — cell-to-cell reuse, execution-only telemetry — and built reports
 // whether this call ran the build. The two differ when a cell rebuilds an
-// entry whose first asker's build failed, or when a retry finds its own
-// abandoned attempt's entry. The manifest's ScheduleCacheHits is NOT the
-// measured hit count but the spec-derived expectedScheduleHits: under resume
-// the measured count shifts (restored cells never ask) while the manifest
-// bytes must not.
+// entry whose first asker's build failed. The manifest's ScheduleCacheHits
+// is NOT the measured hit count but the spec-derived expectedScheduleHits:
+// under resume the measured count shifts (restored cells never ask) while
+// the manifest bytes must not.
 func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int, co *obs.CellObs) (tables []*onlinetime.Table, built bool, err error) {
 	entry := c.scheduleEntry(job{spec: spec, cell: cell}.entryKey())
-	me := int64(cell.Index) + 1
-	if !entry.firstCell.CompareAndSwap(0, me) && entry.firstCell.Load() != me {
+	if entry.asked.Swap(true) {
 		co.MarkScheduleCacheHit()
 		obsSchedHits.Inc()
 	}
@@ -391,7 +376,10 @@ func (s MatrixSpec) jobs() []job {
 
 // Run executes every cell of the matrix and returns the assembled manifest.
 // The manifest depends only on (spec, root seed): worker counts, scheduling
-// and cache state never leak into the output bytes.
+// and cache state never leak into the output bytes. A failed cell is not
+// rerun: once its siblings have finished, the run fails with every failed
+// cell's error, in index order, and a Resume over the CheckpointPath journal
+// computes only those cells.
 func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 	spec = spec.fill()
 	if err := spec.Validate(); err != nil {
@@ -417,10 +405,14 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	var failed []error
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cell %s: %w", cells[i].Key(), err)
+			failed = append(failed, fmt.Errorf("cell %s: %w", cells[i].Key(), err))
 		}
+	}
+	if err := errors.Join(failed...); err != nil {
+		return nil, err
 	}
 	return &RunManifest{
 		Version:           ManifestVersion,
@@ -469,7 +461,7 @@ func runJobs(jobs []job, opts RunOptions, shared *caches, restored map[int]CellR
 			} else {
 				obsCellsStarted.Inc()
 				co := opts.Telemetry.StartCell(j.name(), w)
-				results[i], errs[i] = runCellGuarded(j, opts, shared, co)
+				results[i], errs[i] = runCellRecovered(j, opts, shared, co)
 				co.Done()
 				obsCellsDone.Inc()
 				if errs[i] == nil && cp != nil {
@@ -501,68 +493,6 @@ func expectedScheduleHits(cells []CellSpec) int {
 		distinct[c.scheduleKey()] = struct{}{}
 	}
 	return len(cells) - len(distinct)
-}
-
-// runCellGuarded is the crash-safety wrapper around one job: panic
-// isolation (runCellRecovered), an optional per-attempt watchdog
-// (runCellAttempt), and bounded retries with capped exponential backoff.
-// Retrying is sound because cell results are pure functions of (spec, seed)
-// and the shared caches never memoize failures.
-func runCellGuarded(j job, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
-	for attempt := 0; ; attempt++ {
-		res, err := runCellAttempt(j, opts, shared, co)
-		if err == nil || attempt >= opts.MaxRetries {
-			return res, err
-		}
-		obsCellsRetried.Inc()
-		time.Sleep(retryBackoff(opts.RetryBackoff, attempt))
-	}
-}
-
-// retryBackoff returns the delay before the retry following failed attempt
-// `attempt` (0-based): base<<attempt, capped at 5s.
-func retryBackoff(base time.Duration, attempt int) time.Duration {
-	const ceiling = 5 * time.Second
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if attempt > 20 { // base is at least 50ms; 50ms<<20 already overshoots the cap
-		return ceiling
-	}
-	if d := base << uint(attempt); d > 0 && d < ceiling {
-		return d
-	}
-	return ceiling
-}
-
-// runCellAttempt runs one isolated attempt, racing it against the watchdog
-// when CellTimeout is set. A timed-out attempt's goroutine is abandoned (core
-// has no cancellation plumbing); it eventually finishes into the buffered
-// channel and its result is discarded. The shared caches stay coherent under
-// abandonment — lazy computes are pure and complete under their entry lock —
-// so a retry or a sibling cell reusing an entry is safe.
-func runCellAttempt(j job, opts RunOptions, shared *caches, co *obs.CellObs) (CellResult, error) {
-	if opts.CellTimeout <= 0 {
-		return runCellRecovered(j, opts, shared, co)
-	}
-	type outcome struct {
-		res CellResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	//dosn:go per-attempt watchdog: joined through ch unless the timer wins, and then abandoned to finish into the buffered ch
-	go func() {
-		r, e := runCellRecovered(j, opts, shared, co)
-		ch <- outcome{r, e}
-	}()
-	watchdog := time.NewTimer(opts.CellTimeout)
-	defer watchdog.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-watchdog.C:
-		return CellResult{}, fmt.Errorf("harness: cell attempt exceeded %v timeout", opts.CellTimeout)
-	}
 }
 
 // runCellRecovered is the cell isolation boundary: a panic anywhere in the

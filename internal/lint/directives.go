@@ -28,9 +28,6 @@ const (
 	// DirectiveRecover sanctions one recover() call: the boundary converts
 	// the panic to an error (fault.PanicError) instead of swallowing it.
 	DirectiveRecover = "recover"
-	// DirectiveGo waives one rawgo finding: a goroutine (or WaitGroup) in a
-	// compute package that is not a fan-out, with what joins it.
-	DirectiveGo = "go"
 )
 
 const directivePrefix = "//dosn:"

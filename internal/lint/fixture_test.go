@@ -178,8 +178,8 @@ func TestInputLitFixtures(t *testing.T) {
 }
 
 func TestRawGoFixtures(t *testing.T) {
-	// Package "core" is a compute package; package "harness" is covered too,
-	// with its watchdog waived. That rawgo leaves other packages alone is
+	// Package "core" is a compute package; package "harness" is covered too.
+	// Neither has a waiver. That rawgo leaves other packages alone is
 	// TestRepoIsClean's to show: internal/fault joins its fan-outs with a
 	// WaitGroup and no waiver.
 	runFixture(t, RawGo, filepath.Join("testdata", "rawgo", "core"))

@@ -12,8 +12,7 @@ var RawGo = &Analyzer{
 In core, onlinetime, replica, metrics, dht, trace, socialgraph and harness,
 a go statement or a mention of sync.WaitGroup is a finding: fan out with
 fault.Parallel or fault.Chunks, which join every goroutine they start and
-carry a panic back to the caller. A goroutine that is not a fan-out is waived
-with //dosn:go <justification> on the same line or the line above.`,
+carry a panic back to the caller. There is no waiver.`,
 	Run: runRawGo,
 }
 
@@ -27,7 +26,6 @@ func runRawGo(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		dirs := parseDirectives(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			what := ""
 			switch e := n.(type) {
@@ -38,11 +36,8 @@ func runRawGo(pass *Pass) error {
 					what = "sync.WaitGroup"
 				}
 			}
-			if what == "" {
-				return true
-			}
-			if d, ok := dirs.covering(pass.Fset, n.Pos(), DirectiveGo); !ok || d.arg == "" {
-				pass.Reportf(n.Pos(), "%s in a compute package: fan out with fault.Parallel or fault.Chunks, or waive the line with //dosn:go <why>", what)
+			if what != "" {
+				pass.Reportf(n.Pos(), "%s in a compute package: fan out with fault.Parallel or fault.Chunks", what)
 			}
 			return true
 		})

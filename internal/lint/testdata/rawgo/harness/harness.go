@@ -1,6 +1,7 @@
 // Package harness (fixture) carries the name of the matrix harness, which
 // rawgo covers beside the compute packages: its cells are claimed through
-// fault.Chunks, and its one goroutine is the waived per-attempt watchdog.
+// fault.Chunks, and it starts no goroutine of its own — not even one that a
+// //dosn:go comment claims to justify.
 package harness
 
 import (
@@ -23,7 +24,7 @@ func cellPool(cells []func()) {
 func watchdog(attempt func() error, timeout time.Duration) error {
 	ch := make(chan error, 1)
 	//dosn:go per-attempt watchdog: joined through ch unless the timer wins, and then abandoned to finish into the buffered ch
-	go func() { ch <- attempt() }()
+	go func() { ch <- attempt() }() // want `go statement in a compute package`
 	select {
 	case err := <-ch:
 		return err

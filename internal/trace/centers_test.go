@@ -113,7 +113,7 @@ func TestActivityCentersBuiltOnceUnderContention(t *testing.T) {
 // TestActivityCentersFailedFillIsNotMemoized: a fault in the fill — returned
 // or panicked, on the caller's goroutine or a helper's — reaches the caller
 // as a panic carrying the injected site and leaves no column behind, so the
-// next request (a retried cell) builds the right one.
+// next request (a sibling cell, or a resumed run) builds the right one.
 func TestActivityCentersFailedFillIsNotMemoized(t *testing.T) {
 	d := MustSynthesize(DefaultFacebookConfig(4 * centerChunk))
 	want := slices.Clone(d.ActivityCenters(1))
