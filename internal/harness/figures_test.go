@@ -14,6 +14,7 @@ import (
 	"dosn/internal/onlinetime"
 	"dosn/internal/plot"
 	"dosn/internal/replica"
+	"dosn/internal/socialgraph"
 	"dosn/internal/trace"
 )
 
@@ -416,38 +417,89 @@ func TestExperimentsShareCellTables(t *testing.T) {
 	}
 }
 
-// firstCachedTable returns the first table of j's schedule entry in d's
-// caches and whether it is the build of every row from the entry's seed.
-func firstCachedTable(t *testing.T, d *door, fb *trace.Dataset, j job) (*onlinetime.Table, bool) {
+// cachedTables returns the tables of j's schedule entry in d's caches.
+func cachedTables(t *testing.T, d *door, j job) []*onlinetime.Table {
 	t.Helper()
-	cached, _, err := d.shared.scheduleEntry(j.entryKey()).get(func() ([]*onlinetime.Table, error) {
+	cached, _, err := d.shared.schedules[j.table()].get(func() ([]*onlinetime.Table, error) {
 		return nil, fmt.Errorf("%s's entry is not cached", j.name())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := onlinetime.ComputeTable(onlinetime.Sporadic{}, fb, j.spec.scheduleSeed(j.cell.Dataset, j.cell.Model, 0), 1)
-	return cached[0], reflect.DeepEqual(cached[0].Bitmaps(), full.Bitmaps())
+	return cached
 }
 
-// TestExperimentsWidenOnlyTheirEntry: the experiments fill every row of the
-// first table of the entry they share with Fig. 3a only. Fig. 9's entries
-// at the other user degrees, over the same dataset and model, keep to their
-// analysis closure.
-func TestExperimentsWidenOnlyTheirEntry(t *testing.T) {
+// firstCachedTable returns the first table of j's schedule entry in d's
+// caches and whether it is the build of every row from the entry's seed.
+func firstCachedTable(t *testing.T, d *door, fb *trace.Dataset, j job) (*onlinetime.Table, bool) {
+	t.Helper()
+	first := cachedTables(t, d, j)[0]
+	full := onlinetime.ComputeTable(onlinetime.Sporadic{}, fb, j.table().seed(0), 1)
+	return first, reflect.DeepEqual(first.Bitmaps(), full.Bitmaps())
+}
+
+// TestExperimentsShareFig9Entry: Fig. 9's cells at user degrees
+// 1..UserDegree, Fig. 3a's cell and the experiments read one schedule entry,
+// because a table's seed reads none of their user degrees: fig9a alone
+// builds Repeats tables, not Repeats per degree. With X4 among the readers,
+// the entry's first table fills every row and each other table exactly the
+// union of the degrees' analysis closures, each filled row the full build's.
+// Not parallel: it reads a process-wide counter.
+func TestExperimentsShareFig9Entry(t *testing.T) {
 	base := figureBase()
-	d, _, err := runFigures(base, []string{"fig9a", "experiment-loadbalance"}, 2)
+	base.Repeats = 3
+	tables := obs.C("onlinetime.tables_built")
+	before := tables.Value()
+	if _, err := Figures(base, []string{"fig9a"}); err != nil {
+		t.Fatalf("Figures(fig9a): %v", err)
+	}
+	if got := tables.Value() - before; got != int64(base.Repeats) {
+		t.Errorf("fig9a alone built %d tables, want %d: one entry across its user degrees", got, base.Repeats)
+	}
+
+	d, _, err := runFigures(base, []string{"fig9a", "fig3a", "experiment-loadbalance"}, 2)
 	if err != nil {
 		t.Fatalf("Figures: %v", err)
+	}
+	if n := len(d.shared.schedules); n != 1 {
+		t.Fatalf("%d schedule entries, want the one Fig. 9, Fig. 3a and X4 share", n)
 	}
 	fb, err := d.shared.named(d.base, "facebook")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range figureByID(t, d.base, "fig9a").cells {
-		_, whole := firstCachedTable(t, d, fb, j)
-		if want := j.spec.UserDegree == d.base.UserDegree; whole != want {
-			t.Errorf("fig9a at user degree %d: first table fills every row = %v, want %v", j.spec.UserDegree, whole, want)
+	j := figureByID(t, d.base, "fig3a").cells[0]
+	if _, whole := firstCachedTable(t, d, fb, j); !whole {
+		t.Error("the shared entry's first table is not the build of every row from its seed")
+	}
+	union := map[socialgraph.UserID]bool{}
+	for degree := 1; degree <= base.UserDegree; degree++ {
+		rows, err := core.AnalysisRows(fb.Graph, degree)
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err) // figureBase has users at every degree up to 10
+		}
+		for _, u := range rows {
+			union[u] = true
+		}
+	}
+	own, err := core.AnalysisRows(fb.Graph, base.UserDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(union) <= len(own) || len(union) >= fb.NumUsers() {
+		t.Fatalf("the closures' union has %d of %d rows, degree %d's closure %d: the check cannot tell the row sets apart",
+			len(union), fb.NumUsers(), base.UserDegree, len(own))
+	}
+	cached := cachedTables(t, d, j)
+	for rep := 1; rep < len(cached); rep++ {
+		full := onlinetime.ComputeTable(onlinetime.Sporadic{}, fb, j.table().seed(rep), 1)
+		for u := range full.Bitmaps() {
+			got, want := &cached[rep].Bitmaps()[u], &full.Bitmaps()[u]
+			if union[socialgraph.UserID(u)] && !got.Equal(want) {
+				t.Errorf("rep %d: row %d of the closures' union differs from the full build", rep, u)
+			} else if !union[socialgraph.UserID(u)] && !got.IsEmpty() {
+				t.Errorf("rep %d: row %d outside the closures' union is filled", rep, u)
+			}
 		}
 	}
 }

@@ -172,13 +172,14 @@ func TestClaimOrderSpreadsFirstBuilds(t *testing.T) {
 		for p, d := range tc.spec.Datasets {
 			datasetPos[d.key()] = p
 		}
-		firstOf := make(map[string]int)
+		firstOf := make(map[tableID]int)
+		table := func(c CellSpec) tableID { return job{spec: tc.spec, cell: c}.table() }
 		for _, c := range cells {
-			if _, ok := firstOf[c.scheduleKey()]; !ok {
-				firstOf[c.scheduleKey()] = c.Index
+			if _, ok := firstOf[table(c)]; !ok {
+				firstOf[table(c)] = c.Index
 			}
 		}
-		first := func(i int) bool { return firstOf[cells[i].scheduleKey()] == i }
+		first := func(i int) bool { return firstOf[table(cells[i])] == i }
 		seen := make([]bool, len(cells))
 		claimed := make([]int, len(tc.spec.Datasets)) // claims so far, per dataset
 		last := make(map[int]int)                     // dataset -> its latest claim

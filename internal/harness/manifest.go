@@ -125,7 +125,10 @@ type RunManifest struct {
 	Version int        `json:"version"`
 	Spec    MatrixSpec `json:"spec"`
 	// ScheduleCacheHits counts cells that reused another cell's schedule
-	// computation (cells minus distinct (dataset, model) pairs).
+	// computation: cells minus distinct tableIDs. It is derived from the
+	// spec, not measured, because a resumed run asks for fewer entries and a
+	// rebuild after a failed build still counts as a reuse, while manifest
+	// bytes depend on (spec, seed) alone; a clean run measures the same.
 	ScheduleCacheHits int          `json:"schedule_cache_hits"`
 	Cells             []CellResult `json:"cells"`
 }

@@ -3,12 +3,14 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
 	"dosn/internal/core"
 	"dosn/internal/fault"
 	"dosn/internal/interval"
+	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
 	"dosn/internal/socialgraph"
@@ -45,15 +47,16 @@ func cachedEntry(t *testing.T, spec MatrixSpec, c *caches, cell CellSpec, datase
 		}
 		datasets[cell.Dataset.key()] = ds
 	}
+	id := job{spec: spec, cell: cell}.table()
 	model, err := cell.Model.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, err := c.schedulesFor(spec, cell, ds, model, 2, nil)
+	tables, _, err := c.schedulesFor(id, ds, model, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := c.scheduleRows(spec, cell, ds)
+	rows, err := c.schedules[id].rows(ds.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestRowSetPoisonedRowsNeverRead(t *testing.T) {
 		}
 		full := make([]*onlinetime.Table, spec.Repeats)
 		for rep := range full {
-			full[rep] = onlinetime.ComputeTable(e.model, e.ds, spec.scheduleSeed(cell.Dataset, cell.Model, rep), 2)
+			full[rep] = onlinetime.ComputeTable(e.model, e.ds, job{spec: spec, cell: cell}.table().seed(rep), 2)
 		}
 		want := sweepCell(t, spec, cell, e, full)
 		if got := sweepCell(t, spec, cell, e, poisoned(e.tables, e.rows)); !bytes.Equal(got, want) {
@@ -181,7 +184,7 @@ func TestRowSetEveryRowWhenDHTSharesEntry(t *testing.T) {
 			t.Fatalf("%s: entry shared with a DHT cell fills %d rows, want every row", cell.Key(), len(e.rows))
 		}
 		for rep, tb := range e.tables {
-			want := onlinetime.ComputeTable(e.model, e.ds, spec.scheduleSeed(cell.Dataset, cell.Model, rep), 1)
+			want := onlinetime.ComputeTable(e.model, e.ds, job{spec: spec, cell: cell}.table().seed(rep), 1)
 			if !reflect.DeepEqual(tb.Bitmaps(), want.Bitmaps()) {
 				t.Errorf("%s rep %d: table differs from the full build", cell.Key(), rep)
 			}
@@ -215,11 +218,69 @@ func TestSeedIndependentEntryAliasesRepetitions(t *testing.T) {
 		}
 		if fixed {
 			withHarnessFaults(t, "harness.schedule-build=error(3)")
-			_, _, err := newCaches(spec.jobs()).schedulesFor(spec, cell, e.ds, e.model, 1, nil)
+			_, _, err := newCaches(spec.jobs()).schedulesFor(job{spec: spec, cell: cell}.table(), e.ds, e.model, 1, nil)
 			if inj, ok := fault.AsInjected(err); !ok || inj.Hit != 3 {
 				t.Errorf("%s: build error %v, want the schedule-build fault at hit 3 (the third, aliased repetition)", cell.Key(), err)
 			}
 			fault.Disable()
+		}
+	}
+}
+
+// TestRowSetDegreesWithoutUsers: a user degree no user has adds no rows to
+// its entry. An entry whose only reader analyses such a degree fails with
+// core.ErrNoUsers and builds no table, since an empty row set must not turn
+// into nil, every row; an entry it shares with a reader of a degree users
+// have fills exactly that degree's closure. Not parallel: it reads a
+// process-wide counter.
+func TestRowSetDegreesWithoutUsers(t *testing.T) {
+	spec := crashSpec()
+	spec.Models = spec.Models[:1]
+	spec = spec.fill()
+	ds, err := buildDataset(spec.Datasets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone := spec
+	lone.UserDegree = spec.UserDegree + 1
+	for len(ds.Graph.UsersWithDegree(lone.UserDegree)) > 0 {
+		lone.UserDegree++
+	}
+	id := lone.jobs()[0].table()
+	model, err := spec.Models[0].Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := obs.C("onlinetime.tables_built")
+	before := tables.Value()
+	if _, _, err := newCaches(lone.jobs()).schedulesFor(id, ds, model, 1, nil); !errors.Is(err, core.ErrNoUsers) {
+		t.Errorf("entry of user degree %d alone: err = %v, want core.ErrNoUsers", lone.UserDegree, err)
+	}
+	if built := tables.Value() - before; built != 0 {
+		t.Errorf("entry of user degree %d alone built %d tables, want none", lone.UserDegree, built)
+	}
+
+	mixed, _, err := newCaches(append(lone.jobs(), spec.jobs()...)).schedulesFor(id, ds, model, 1, nil)
+	if err != nil {
+		t.Fatalf("entry of user degrees %d and %d: %v", lone.UserDegree, spec.UserDegree, err)
+	}
+	closure, err := core.AnalysisRows(ds.Graph, spec.UserDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[socialgraph.UserID]bool{}
+	for _, u := range closure {
+		in[u] = true
+	}
+	for rep, tb := range mixed {
+		full := onlinetime.ComputeTable(model, ds, id.seed(rep), 1)
+		for u := range full.Bitmaps() {
+			got, want := &tb.Bitmaps()[u], &full.Bitmaps()[u]
+			if in[socialgraph.UserID(u)] && !got.Equal(want) {
+				t.Errorf("rep %d: row %d of degree %d's closure differs from the full build", rep, u, spec.UserDegree)
+			} else if !in[socialgraph.UserID(u)] && !got.IsEmpty() {
+				t.Errorf("rep %d: row %d outside degree %d's closure is filled", rep, u, spec.UserDegree)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,52 +119,70 @@ func (l *lazy[T]) get(compute func() (T, error)) (v T, ran bool, err error) {
 	return v, true, nil
 }
 
-// schedEntry is one (dataset, model) schedule-cache slot. Beyond the lazy
-// computation it records whether a cell has asked for it: each cell asks
-// once, so every asker after the first is a schedule_cache_hits hit.
+// schedEntry is one schedule-cache slot and what its jobs read of it, fixed
+// by newCaches: its first tables tables, whole up to wide, the rest over the
+// closures of degrees. asked records that a job has asked for it: each job
+// asks once, so every later asker is a schedule_cache_hits hit.
 type schedEntry struct {
 	lazy[[]*onlinetime.Table]
 	asked atomic.Bool
+	tableReads
+	degrees []int
 }
 
-// caches shares datasets and schedule computations across the cells of one
-// run. Keys are value types of the spec, so two cells hit the same entry
-// exactly when their results are defined to coincide.
+// caches shares datasets, rings and schedule tables across the jobs of one
+// run, each keyed by its product's identity (normalized DatasetSpec,
+// tableID), so two jobs share an entry exactly when their products coincide.
 type caches struct {
-	mu        sync.Mutex
-	datasets  map[string]*lazy[*trace.Dataset]
-	schedules map[string]*schedEntry
-	rings     map[string]*lazy[*dht.Ring]
-	reads     map[string]tableReads // by entry key (job.reads); read-only after newCaches
+	mu        sync.Mutex // guards datasets and rings
+	datasets  map[DatasetSpec]*lazy[*trace.Dataset]
+	rings     map[DatasetSpec]*lazy[*dht.Ring]
+	schedules map[tableID]*schedEntry // read-only after newCaches
 }
 
-// newCaches returns the empty caches of a run of the given jobs.
+// newCaches returns the empty caches of a run of the given jobs, with one
+// schedule entry, and what they read of it, per table identity they read.
 func newCaches(jobs []job) *caches {
 	c := &caches{
-		datasets:  make(map[string]*lazy[*trace.Dataset]),
-		schedules: make(map[string]*schedEntry),
-		rings:     make(map[string]*lazy[*dht.Ring]),
-		reads:     make(map[string]tableReads),
+		datasets:  make(map[DatasetSpec]*lazy[*trace.Dataset]),
+		rings:     make(map[DatasetSpec]*lazy[*dht.Ring]),
+		schedules: make(map[tableID]*schedEntry),
 	}
 	for _, j := range jobs {
-		r, s := j.reads(), c.reads[j.entryKey()]
-		c.reads[j.entryKey()] = tableReads{max(s.tables, r.tables), max(s.wide, r.wide)}
+		r := j.reads()
+		if r.tables == 0 {
+			continue
+		}
+		e := c.schedules[j.table()]
+		if e == nil {
+			e = &schedEntry{}
+			c.schedules[j.table()] = e
+		}
+		e.tables, e.wide = max(e.tables, r.tables), max(e.wide, r.wide)
+		if r.wide < r.tables && !slices.Contains(e.degrees, j.spec.UserDegree) {
+			e.degrees = append(e.degrees, j.spec.UserDegree)
+		}
 	}
 	return c
+}
+
+// slot returns m's lazy slot for key k, adding an empty one under mu.
+func slot[T any](mu *sync.Mutex, m map[DatasetSpec]*lazy[T], k DatasetSpec) *lazy[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	e, ok := m[k]
+	if !ok {
+		e = &lazy[T]{}
+		m[k] = e
+	}
+	return e
 }
 
 // dataset synthesizes (or fetches) the dataset d describes, once per run
 // however many cells and figures read it. built reports whether this call
 // synthesized it.
 func (c *caches) dataset(d DatasetSpec) (ds *trace.Dataset, built bool, err error) {
-	c.mu.Lock()
-	e, ok := c.datasets[d.key()]
-	if !ok {
-		e = &lazy[*trace.Dataset]{}
-		c.datasets[d.key()] = e
-	}
-	c.mu.Unlock()
-	return e.get(func() (*trace.Dataset, error) { return buildDataset(d) })
+	return slot(&c.mu, c.datasets, d.normalized()).get(func() (*trace.Dataset, error) { return buildDataset(d) })
 }
 
 // ringFor computes (or fetches) the ring shared by every DHT cell over the
@@ -172,27 +191,9 @@ func (c *caches) dataset(d DatasetSpec) (ds *trace.Dataset, built bool, err erro
 // over the same dataset always route on the same ring. built reports whether
 // this call built it.
 func (c *caches) ringFor(d DatasetSpec, ds *trace.Dataset) (ring *dht.Ring, built bool, err error) {
-	c.mu.Lock()
-	e, ok := c.rings[d.key()]
-	if !ok {
-		e = &lazy[*dht.Ring]{}
-		c.rings[d.key()] = e
-	}
-	c.mu.Unlock()
-	return e.get(func() (*dht.Ring, error) {
+	return slot(&c.mu, c.rings, d.normalized()).get(func() (*dht.Ring, error) {
 		return dht.BuildRing(ds.NumUsers(), dht.Config{})
 	})
-}
-
-func (c *caches) scheduleEntry(key string) *schedEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.schedules[key]
-	if !ok {
-		e = &schedEntry{}
-		c.schedules[key] = e
-	}
-	return e
 }
 
 // buildDataset synthesizes the dataset a DatasetSpec describes through the
@@ -204,56 +205,64 @@ func buildDataset(d DatasetSpec) (*trace.Dataset, error) {
 	return trace.SynthesizeCalibrated(n.Name, n.Users, n.Seed, n.MinActivity)
 }
 
-// scheduleRows returns what the jobs read of the cell's entry and the rows
-// (nil: every row) its tables fill from the first s.wide on: the analysis
-// closure of the spec's UserDegree (core.AnalysisRows) that friend cells read.
-func (c *caches) scheduleRows(spec MatrixSpec, cell CellSpec, ds *trace.Dataset) (rows []socialgraph.UserID, s tableReads, err error) {
-	if s = c.reads[job{spec: spec, cell: cell}.entryKey()]; s.wide >= s.tables {
-		return nil, s, nil
+// rows returns the rows (nil: every row) the entry's tables fill from the
+// wide-th on: the sorted union of its degrees' core.AnalysisRows. A degree
+// without users adds none and fails its cells in core.Run; with none at any
+// degree, rows fails (core.ErrNoUsers) rather than return nil, every row.
+func (e *schedEntry) rows(g *socialgraph.Graph) ([]socialgraph.UserID, error) {
+	if e.wide >= e.tables {
+		return nil, nil
 	}
-	rows, err = core.AnalysisRows(ds.Graph, spec.UserDegree)
-	return rows, s, err
+	var rows []socialgraph.UserID
+	err := core.ErrNoUsers
+	for _, d := range e.degrees {
+		closure, derr := core.AnalysisRows(g, d)
+		if derr != nil {
+			err = derr
+		}
+		rows = append(closure, rows...) // a lone degree's closure, uncopied
+	}
+	if len(rows) == 0 {
+		return nil, err
+	}
+	slices.Sort(rows)
+	return slices.Compact(rows), nil
 }
 
-// schedulesFor computes (or fetches) the schedule tables of the cell's
-// entry, as many as its jobs read. Each is built exactly once per (dataset,
-// model, rep) for the whole run, filling only the rows its readers read
-// (scheduleRows), and jobs sharing the entry reuse the arena read-only. When
-// the build over those rows is the same for every seed
-// (onlinetime.SeedIndependent), the first repetition's table serves every
-// repetition — the same *Table, which core.Run recognizes — while the
-// harness.schedule-build failpoint still fires once per repetition.
-// buildWorkers is the filling cell's core budget: the parallel phase-2 row
-// construction may use it freely because worker counts never reach the table
-// bytes. co's cell is marked a hit when another cell asked for the entry
-// first — cell-to-cell reuse, execution-only telemetry — and built reports
-// whether this call ran the build. The two differ when a cell rebuilds an
-// entry whose first asker's build failed. The manifest's ScheduleCacheHits
-// is NOT the measured hit count but the spec-derived expectedScheduleHits:
-// under resume the measured count shifts (restored cells never ask) while
-// the manifest bytes must not.
-func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset, model onlinetime.Model, buildWorkers int, co *obs.CellObs) (tables []*onlinetime.Table, built bool, err error) {
-	entry := c.scheduleEntry(job{spec: spec, cell: cell}.entryKey())
+// schedulesFor computes (or fetches) the tables of entry id, as many as its
+// jobs read: each built once per (entry, rep) for the whole run over the
+// rows its readers read (schedEntry.rows), then read-only. When that build
+// is the same for every seed (onlinetime.SeedIndependent), the first
+// repetition's table — the same *Table, which core.Run recognizes — serves
+// every repetition, while the harness.schedule-build failpoint still fires
+// once per repetition. buildWorkers is the filling cell's core budget;
+// worker counts never reach the table bytes. co's cell is marked a hit when
+// another cell asked first (execution-only telemetry), and built reports
+// whether this call ran the build; the two differ when a cell rebuilds after
+// its first asker's build failed. RunManifest.ScheduleCacheHits is derived
+// from the spec instead.
+func (c *caches) schedulesFor(id tableID, ds *trace.Dataset, model onlinetime.Model, buildWorkers int, co *obs.CellObs) (tables []*onlinetime.Table, built bool, err error) {
+	entry := c.schedules[id]
 	if entry.asked.Swap(true) {
 		co.MarkScheduleCacheHit()
 		obsSchedHits.Inc()
 	}
-	tables, built, err = entry.get(func() ([]*onlinetime.Table, error) {
-		rows, reads, err := c.scheduleRows(spec, cell, ds)
+	return entry.get(func() ([]*onlinetime.Table, error) {
+		rows, err := entry.rows(ds.Graph)
 		if err != nil {
 			return nil, err
 		}
 		// The first table fills every row a later one fills.
 		once := onlinetime.SeedIndependent(model, ds, rows, buildWorkers)
-		out := make([]*onlinetime.Table, reads.tables)
+		out := make([]*onlinetime.Table, entry.tables)
 		for rep := range out {
-			seed := spec.scheduleSeed(cell.Dataset, cell.Model, rep)
+			seed := id.seed(rep)
 			if err := faultScheduleBuild.InjectSeeded(seed); err != nil {
 				return nil, err
 			}
 			if once && rep > 0 {
 				out[rep] = out[0]
-			} else if rep < reads.wide {
+			} else if rep < entry.wide {
 				out[rep] = onlinetime.ComputeRows(model, ds, seed, buildWorkers, nil)
 			} else {
 				out[rep] = onlinetime.ComputeRows(model, ds, seed, buildWorkers, rows)
@@ -261,7 +270,6 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 		}
 		return out, nil
 	})
-	return tables, built, err
 }
 
 // claimOrder is the order in which workers claim jobs. Each dataset gets a
@@ -277,16 +285,16 @@ func (c *caches) schedulesFor(spec MatrixSpec, cell CellSpec, ds *trace.Dataset,
 // reusers to find their entries built.
 func claimOrder(jobs []job) []int {
 	var lists, reusers [][]int
-	pos := make(map[string]int)
-	seen := make(map[string]bool)
+	pos := make(map[DatasetSpec]int)
+	seen := make(map[tableID]bool)
 	for i, j := range jobs {
-		d, ok := pos[j.cell.Dataset.key()]
+		d, ok := pos[j.cell.Dataset.normalized()]
 		if !ok {
 			d = len(lists)
-			pos[j.cell.Dataset.key()] = d
+			pos[j.cell.Dataset.normalized()] = d
 			lists, reusers = append(lists, nil), append(reusers, nil)
 		}
-		if k := j.entryKey(); seen[k] && j.reads().tables > 0 {
+		if k := j.table(); seen[k] && j.reads().tables > 0 {
 			reusers[d] = append(reusers[d], i)
 		} else {
 			seen[k] = true
@@ -348,13 +356,10 @@ func (j job) name() string {
 	return j.cell.Key()
 }
 
-// entryKey names the job's schedule-cache entry. Jobs over one (dataset,
-// model) share it, whatever their mode, architecture or computed entry, when
-// their specs agree on what the tables hold: the rows (UserDegree), the
-// table count (Repeats) and the seeds (RootSeed). Within one spec it is
-// scheduleKey.
-func (j job) entryKey() string {
-	return fmt.Sprintf("%s|%d|%d|%d", j.cell.scheduleKey(), j.spec.UserDegree, j.spec.Repeats, j.spec.RootSeed)
+// table is the identity of the job's schedule entry: its cell's dataset and
+// model and its spec's RootSeed, the values its tables' seeds read.
+func (j job) table() tableID {
+	return tableID{j.cell.Dataset.normalized(), j.cell.Model.normalized(), j.spec.RootSeed}
 }
 
 // jobs returns the jobs of a filled, validated spec: its cells, each with
@@ -401,7 +406,8 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 		}
 		defer cp.Close()
 	}
-	results, errs, err := runJobs(jobs, opts, newCaches(jobs), restored, cp)
+	shared := newCaches(jobs)
+	results, errs, err := runJobs(jobs, opts, shared, restored, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -417,7 +423,7 @@ func Run(spec MatrixSpec, opts RunOptions) (*RunManifest, error) {
 	return &RunManifest{
 		Version:           ManifestVersion,
 		Spec:              spec,
-		ScheduleCacheHits: expectedScheduleHits(cells),
+		ScheduleCacheHits: len(jobs) - len(shared.schedules),
 		Cells:             results,
 	}, nil
 }
@@ -479,22 +485,6 @@ func runJobs(jobs []job, opts RunOptions, shared *caches, restored map[int]CellR
 	return results, errs, nil
 }
 
-// expectedScheduleHits is the manifest's ScheduleCacheHits: cells minus
-// distinct (dataset, model) pairs. It is derived from the spec rather than
-// measured because the measured count is an execution artifact — a resumed
-// run requests fewer entries (restored cells never ask), and a sibling that
-// rebuilds an entry after the first asker's build failed still counts as a
-// reuse — while manifest bytes must depend on (spec, seed) alone. For every
-// uninterrupted, fault-free run the two are equal: each distinct pair misses
-// exactly once and every other request hits.
-func expectedScheduleHits(cells []CellSpec) int {
-	distinct := make(map[string]struct{}, len(cells))
-	for _, c := range cells {
-		distinct[c.scheduleKey()] = struct{}{}
-	}
-	return len(cells) - len(distinct)
-}
-
 // runCellRecovered is the cell isolation boundary: a panic anywhere in the
 // job's synchronous call tree (the fan-outs below it bring their
 // goroutines' panics back into it, and a failed table build re-raises on
@@ -551,7 +541,7 @@ func runCell(j job, opts RunOptions, shared *caches, co *obs.CellObs) (CellResul
 			return CellResult{}, err
 		}
 		cacheDone = co.CachePhase("schedule-build")
-		schedules, built, err = shared.schedulesFor(spec, cell, ds, model, opts.CoreWorkers, co)
+		schedules, built, err = shared.schedulesFor(j.table(), ds, model, opts.CoreWorkers, co)
 		cacheDone(built)
 		if err != nil {
 			return CellResult{}, err

@@ -6,21 +6,23 @@
 // Everything is deterministic: each cell's RNG seed is derived by hashing the
 // root seed with the cell's coordinates (dataset name, model name, mode), so
 // results are byte-identical for the same spec and root seed regardless of
-// worker count, execution order, or which other cells share the run. Online
-// schedules are cached across cells that share a (dataset, model, repetition)
-// key, so a full {2 datasets} × {6 models} × {2 modes} matrix computes each
-// schedule set once instead of twice.
+// worker count, execution order, or which other cells share the run.
 //
-// A schedule table fills only the rows its cells read. Friend-replication
-// cells read the analysis closure — the analysed users and their candidates
-// (core.AnalysisRows), about a fifth of a paper-scale dataset. A DHT cell
-// reads every row of its entry's tables, and a door experiment every row of
-// the first (the only one an entry no cell shares holds), so those fill
-// every row. When the build over the entry's rows is the same for every
-// seed (onlinetime.SeedIndependent: FixedLength when every filled row has
-// an activity center), the entry builds one table for every repetition,
-// and core.Run sweeps its RNG-free policies over it once. Neither changes a
-// manifest byte.
+// A cached product's identity is one comparable struct, its cache key and
+// its seed's only input: a dataset's is its normalized DatasetSpec, a
+// schedule entry's its tableID (dataset, model, root seed). Every cell over
+// one (dataset, model) shares an entry whatever its mode, architecture,
+// user degree or repeat count: the paper matrix computes each schedule set
+// once for its two modes, and Fig. 9's cells read Fig. 3a's tables.
+//
+// A schedule table fills only the rows its readers read: the union of its
+// friend cells' analysis closures (core.AnalysisRows, the analysed users
+// and their candidates, about a fifth of a paper-scale dataset); every row
+// for a DHT cell; every row of the first table for a door experiment. When
+// that build is the same for every seed (onlinetime.SeedIndependent:
+// FixedLength when every filled row has an activity center), the entry
+// builds one table for every repetition, and core.Run sweeps its RNG-free
+// policies over it once. None of this changes a manifest byte.
 //
 // Figures renders the paper's figures as views of cells on the same loop, so
 // a figure point is the number a manifest reports for that cell.
@@ -159,9 +161,9 @@ func (m ModelSpec) normalized() ModelSpec {
 	return m
 }
 
-// key is the model's canonical identity: every effective parameter is
-// encoded, so two variants of the same kind ("sporadic" vs "sporadic:3600")
-// never collide in seed derivation or the schedule cache.
+// key encodes the model's identity into the cell and table seeds: every
+// effective parameter is encoded, so two variants of the same kind
+// ("sporadic" vs "sporadic:3600") never collide in seed derivation.
 func (m ModelSpec) key() string {
 	n := m.normalized()
 	return fmt.Sprintf("%s/%d/%d/%d/%d", n.Kind, n.Hours, n.SessionSeconds, n.MinHours, n.MaxHours)
@@ -375,7 +377,8 @@ func (c CellSpec) Key() string {
 }
 
 // canonicalKey encodes every coordinate parameter; it is the identity the
-// cell seed, the caches and Validate's duplicate check are built on.
+// cell seed, the checkpoint journal, the door's job key (job.key) and
+// Validate's duplicate check are built on.
 // FriendReplica cells keep the pre-architecture-axis form, so their seeds —
 // and therefore their result bytes — are identical to specs written before
 // the axis existed. DHT cells end in the ring width, dht.DefaultBits.
@@ -385,12 +388,6 @@ func (c CellSpec) canonicalKey() string {
 		k += "|" + c.Arch + "|" + strconv.Itoa(dht.DefaultBits)
 	}
 	return k
-}
-
-// scheduleKey names the cell's schedule-cache entry: every cell over the
-// same (dataset, model) shares one, whatever its mode or architecture.
-func (c CellSpec) scheduleKey() string {
-	return c.Dataset.key() + "|" + c.Model.key()
 }
 
 // Cells enumerates the matrix in canonical (dataset, model, mode,
@@ -424,11 +421,20 @@ func (s MatrixSpec) CellSeed(c CellSpec) int64 {
 	return hash64(fmt.Sprintf("cell|%d|%s", s.RootSeed, c.canonicalKey()))
 }
 
-// scheduleSeed seeds one (dataset, model, rep) schedule computation. It is
-// shared by every cell with those coordinates regardless of mode, which is
-// what makes the schedule cache sound.
-func (s MatrixSpec) scheduleSeed(d DatasetSpec, m ModelSpec, rep int) int64 {
-	return hash64(fmt.Sprintf("sched|%d|%s|%s|%d", s.RootSeed, d.key(), m.key(), rep))
+// tableID is a schedule entry's identity: exactly the normalized spec values
+// its tables' seeds read. It keys the schedule cache and, with the
+// repetition, is a table's seed's only input, so two cells share a table
+// exactly when its bits coincide; the other spec fields decide only which
+// rows and how many tables are filled.
+type tableID struct {
+	Dataset  DatasetSpec
+	Model    ModelSpec
+	RootSeed int64
+}
+
+// seed seeds the entry's table of repetition rep.
+func (t tableID) seed(rep int) int64 {
+	return hash64(fmt.Sprintf("sched|%d|%s|%s|%d", t.RootSeed, t.Dataset.key(), t.Model.key(), rep))
 }
 
 // hash64 maps a canonical coordinate string to a seed (FNV-1a).

@@ -160,7 +160,7 @@ func obsReadback(pass *Pass, sel *ast.SelectorExpr) string {
 
 // mentionsSeed reports whether any identifier in expr contains "seed",
 // case-insensitive — the naming convention for deterministic seed plumbing
-// (cfg.Seed, seed, spec.scheduleSeed(...), mix(cfg.Seed, ...)).
+// (cfg.Seed, seed, id.seed(rep), mix(cfg.Seed, ...)).
 func mentionsSeed(expr ast.Expr) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
