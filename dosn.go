@@ -118,8 +118,9 @@ type (
 	RoutingStats = metrics.RoutingStats
 )
 
-// Storage-architecture names: the values of MatrixSpec.Architectures, the
-// `dosn-sim matrix -arch` flag and ArchConfig.Architectures.
+// Storage-architecture names: the values of MatrixSpec.Architectures and the
+// `dosn-sim matrix -arch` flag, and the ArchRow.Architecture of
+// RunArchComparison's three rows.
 const (
 	// ArchFriendReplica replicates profiles on friends (the paper's
 	// architecture, driven by the classic policies).
@@ -263,9 +264,10 @@ func Figures(spec MatrixSpec, ids []string) ([]Figure, error) {
 // ("ablation-objective-avail", … "experiment-arch").
 func FigureIDs() []string { return harness.FigureIDs() }
 
-// RunArchComparison evaluates DOSN storage architectures head to head over
-// one dataset: friend replication (the paper's design) against RandomDHT and
-// SocialDHT placement on a deterministic Chord-style key ring. Every row
+// RunArchComparison evaluates the three DOSN storage architectures head to
+// head over one dataset, one row each: friend replication (the paper's
+// design) against RandomDHT and SocialDHT placement on a deterministic
+// Chord-style key ring. Every row
 // shares the same schedules and analysis population; beyond the paper's four
 // sweep metrics it reports lookup hop cost and per-node storage-load
 // imbalance — the two axes on which the architecture families differ.

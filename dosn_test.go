@@ -165,12 +165,11 @@ func TestMatrixThroughFacade(t *testing.T) {
 func TestArchComparisonThroughFacade(t *testing.T) {
 	ds := smallFacebook(t)
 	rows, err := RunArchComparison(ArchConfig{
-		Dataset:       ds,
-		Architectures: []string{ArchFriendReplica, ArchRandomDHT, ArchSocialDHT},
-		MaxDegree:     3,
-		UserDegree:    10,
-		Repeats:       1,
-		Seed:          1,
+		Dataset:    ds,
+		MaxDegree:  3,
+		UserDegree: 10,
+		Repeats:    1,
+		Seed:       1,
 	})
 	if err != nil {
 		t.Fatalf("RunArchComparison: %v", err)

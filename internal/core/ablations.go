@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -69,7 +70,7 @@ func HistorySplit(ds *trace.Dataset, table *onlinetime.Table, userDegree, budget
 		evaluate := func(counts []int, p replica.Policy, w *stats.Welford, salt int64) {
 			in := pl.Input(u)
 			in.CandidateCounts = counts // the window's interactions, not the whole trace's
-			replicas := p.Select(in, gen.seeded(mix(seed, salt, int64(i))))
+			replicas := p.Select(in, gen.seeded(int64(mathrand.Mix(uint64(seed), uint64(salt), uint64(i)))))
 			avail := metrics.AvailabilitySet(u, replicas, schedules)
 			if v, ok := metrics.AvailabilityOnDemandMinutes(&avail, evalMinutes); ok {
 				w.Add(v)
@@ -120,7 +121,7 @@ func Churn(ds *trace.Dataset, table *onlinetime.Table, userDegree, budget, repea
 		for ui, u := range users {
 			// One stream per (policy, user): the selection draws from it
 			// first, the failure draws continue it.
-			rng := gen.seeded(mix(seed, int64(pi), int64(ui)))
+			rng := gen.seeded(int64(mathrand.Mix(uint64(seed), uint64(pi), uint64(ui))))
 			replicas := p.Select(pl.Input(u), rng)
 			for j := 0; j <= budget; j++ {
 				if j > len(replicas) {

@@ -9,6 +9,7 @@ import (
 	"dosn/internal/dht"
 	"dosn/internal/fault"
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
@@ -17,7 +18,7 @@ import (
 )
 
 // ArchConfig parameterizes RunArchComparison: one dataset, model and mode,
-// swept under several storage architectures over identical schedules.
+// swept under the three storage architectures over identical schedules.
 type ArchConfig struct {
 	// Dataset is the trace to replay.
 	Dataset *trace.Dataset
@@ -25,9 +26,6 @@ type ArchConfig struct {
 	Model onlinetime.Model
 	// Mode selects ConRep or UnconRep placement (default ConRep).
 	Mode replica.Mode
-	// Architectures names the architectures to compare ("FriendReplica",
-	// "RandomDHT", "SocialDHT"); empty means all three.
-	Architectures []string
 	// MaxDegree, UserDegree, Repeats and Seed mirror Config.
 	MaxDegree  int
 	UserDegree int
@@ -50,14 +48,6 @@ func (c *ArchConfig) fill() error {
 	}
 	if c.Mode == 0 {
 		c.Mode = replica.ConRep
-	}
-	if len(c.Architectures) == 0 {
-		c.Architectures = dht.ArchNames()
-	}
-	for _, a := range c.Architectures {
-		if !dht.ValidArchName(a) {
-			return fmt.Errorf("core: unknown architecture %q (FriendReplica|RandomDHT|SocialDHT)", a)
-		}
 	}
 	if c.MaxDegree <= 0 {
 		c.MaxDegree = 10
@@ -95,12 +85,14 @@ type ArchRow struct {
 	LoadGini float64
 }
 
-// RunArchComparison evaluates the configured storage architectures head to
-// head: the same dataset, the same online-time schedules (computed once per
-// repetition and shared), the same analysis population — only the placement
-// architecture changes. Beyond the paper's four sweep metrics it reports the
-// two quantities that separate the architecture families: lookup hop cost
-// and per-node storage-load imbalance.
+// RunArchComparison evaluates the three storage architectures of
+// dht.ArchNames head to head, one row each in that order: friend replication
+// (the paper's), DECENT-style RandomDHT and Nasir-style SocialDHT. Every row
+// sees the same dataset, the same online-time schedules (computed once per
+// repetition and shared) and the same analysis population — only the
+// placement architecture changes. Beyond the paper's four sweep metrics it
+// reports the two quantities that separate the architecture families: lookup
+// hop cost and per-node storage-load imbalance.
 func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -113,20 +105,13 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		return nil, err
 	}
 
-	// One ring, and so one lookup summary, shared by every DHT row: ring and
+	// One ring, and so one lookup summary, shared by both DHT rows: ring and
 	// readers are the same whichever way the successors are ranked.
-	var ring *dht.Ring
-	var lookup metrics.RoutingStats
-	for _, a := range cfg.Architectures {
-		if a != dht.ArchFriendReplica {
-			r, err := dht.BuildRing(ds.NumUsers(), dht.Config{})
-			if err != nil {
-				return nil, err
-			}
-			ring, lookup = r, archLookupStats(r, ds, owners)
-			break
-		}
+	ring, err := dht.BuildRing(ds.NumUsers(), dht.Config{})
+	if err != nil {
+		return nil, err
 	}
+	lookup := archLookupStats(ring, ds, owners)
 
 	// One schedule table per repetition (repTable, as Run builds its own),
 	// shared by every architecture: the comparison varies placement and
@@ -136,8 +121,9 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		tables[rep] = repTable(cfg.Model, ds, cfg.Seed, rep, cfg.Workers)
 	}
 
-	rows := make([]ArchRow, 0, len(cfg.Architectures))
-	for _, name := range cfg.Architectures {
+	names := dht.ArchNames()
+	rows := make([]ArchRow, 0, len(names))
+	for _, name := range names {
 		arch, err := dht.NewArchitecture(name, ring, ds.Graph, nil)
 		if err != nil {
 			return nil, err
@@ -162,7 +148,7 @@ func RunArchComparison(cfg ArchConfig) ([]ArchRow, error) {
 		// Storage load: the architecture's primary policy over the first
 		// repetition's schedule table.
 		load, err := placementLoad(ds, tables[0].Bitmaps(), policies[0], cfg.Mode, cfg.MaxDegree, cfg.Workers,
-			func(u int) int64 { return mix(cfg.Seed, 41, int64(u)) })
+			func(u int) int64 { return int64(mathrand.Mix(uint64(cfg.Seed), 41, uint64(u))) })
 		if err != nil {
 			return nil, fmt.Errorf("architecture %s: %w", name, err)
 		}

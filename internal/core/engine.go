@@ -23,6 +23,7 @@ import (
 
 	"dosn/internal/fault"
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/metrics"
 	"dosn/internal/obs"
 	"dosn/internal/onlinetime"
@@ -334,10 +335,10 @@ func (c *Config) table(rep int) *onlinetime.Table {
 }
 
 // repTable builds the schedule table of repetition rep from its own seed,
-// mix(seed, rep), so no repetition's randomness depends on another's. Run's
+// Mix(seed, rep), so no repetition's randomness depends on another's. Run's
 // own tables and RunArchComparison's shared ones both come from here.
 func repTable(model onlinetime.Model, ds *trace.Dataset, seed int64, rep, workers int) *onlinetime.Table {
-	return onlinetime.ComputeTable(model, ds, mix(seed, int64(rep)), workers)
+	return onlinetime.ComputeTable(model, ds, int64(mathrand.Mix(uint64(seed), uint64(rep))), workers)
 }
 
 // tableRows returns the rows of a caller's schedule table, which must be
@@ -431,7 +432,7 @@ func sweepPolicies(cfg Config, table *onlinetime.Table, rep int, reused []bool, 
 	if len(swept) == 0 {
 		return grid, nil
 	}
-	if err := faultSweepShard.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
+	if err := faultSweepShard.InjectSeeded(int64(mathrand.Mix(uint64(cfg.Seed), uint64(rep), 0))); err != nil {
 		return nil, err
 	}
 	chunks := make([][][]Cell, (len(cfg.users)+sweepChunkSize-1)/sweepChunkSize)
@@ -448,7 +449,7 @@ func sweepPolicies(cfg Config, table *onlinetime.Table, rep int, reused []bool, 
 	if err != nil {
 		return nil, err
 	}
-	if err := faultReduce.InjectSeeded(mix(cfg.Seed, int64(rep), 0)); err != nil {
+	if err := faultReduce.InjectSeeded(int64(mathrand.Mix(uint64(cfg.Seed), uint64(rep), 0))); err != nil {
 		return nil, err
 	}
 
@@ -474,7 +475,7 @@ func sweepChunks(cfg Config, bitmaps []interval.Bitmap, rep int, reused []bool, 
 	pl := replica.NewPlacer(cfg.Dataset, bitmaps, cfg.Mode, cfg.MaxDegree, swept...)
 	for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 		ci := lo / sweepChunkSize
-		if err := faultSweepChunk.InjectSeeded(mix(cfg.Seed, int64(rep), int64(ci))); err != nil {
+		if err := faultSweepChunk.InjectSeeded(int64(mathrand.Mix(uint64(cfg.Seed), uint64(rep), uint64(ci)))); err != nil {
 			return err
 		}
 		g := newGrid(len(cfg.Policies), cfg.MaxDegree+1)
@@ -556,7 +557,7 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, reused []bool, u socialg
 		}
 		var rng *rand.Rand
 		if replica.TraitsOf(p).UsesRNG {
-			rng = scratch.rng.seeded(mix(cfg.Seed, int64(rep), int64(pi), int64(u)))
+			rng = scratch.rng.seeded(int64(mathrand.Mix(uint64(cfg.Seed), uint64(rep), uint64(pi), uint64(u))))
 		}
 		seq := p.Select(in, rng)
 		scratch.delay.Reselect(seq)
@@ -601,20 +602,4 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, reused []bool, u socialg
 			cell.Effective.Add(float64(k))
 		}
 	}
-}
-
-// mix hashes the parts into a deterministic RNG seed (splitmix64-style), so
-// per-user randomness is independent of worker scheduling.
-func mix(parts ...int64) int64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, p := range parts {
-		x := uint64(p) + 0x9E3779B97F4A7C15 + h
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		h = x
-	}
-	return int64(h)
 }

@@ -307,7 +307,7 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	pre := base
 	for rep := 0; rep < base.Repeats; rep++ {
 		pre.Schedules = append(pre.Schedules,
-			base.Model.BuildTable(ds, mathrand.New(mix(base.Seed, int64(rep))), 1, nil))
+			base.Model.BuildTable(ds, mathrand.New(int64(mathrand.Mix(uint64(base.Seed), uint64(rep)))), 1, nil))
 	}
 	cached, err := Run(pre)
 	if err != nil {
@@ -320,7 +320,7 @@ func TestRunUsesPrecomputedSchedules(t *testing.T) {
 	alt := base
 	for rep := 0; rep < base.Repeats; rep++ {
 		alt.Schedules = append(alt.Schedules,
-			base.Model.BuildTable(ds, mathrand.New(mix(777, int64(rep))), 1, nil))
+			base.Model.BuildTable(ds, mathrand.New(int64(mathrand.Mix(777, uint64(rep)))), 1, nil))
 	}
 	shifted, err := Run(alt)
 	if err != nil {
@@ -363,9 +363,9 @@ func TestMetricStrings(t *testing.T) {
 }
 
 func TestMixIsStable(t *testing.T) {
-	a := mix(1, 2, 3)
-	b := mix(1, 2, 3)
-	c := mix(3, 2, 1)
+	a := int64(mathrand.Mix(1, 2, 3))
+	b := int64(mathrand.Mix(1, 2, 3))
+	c := int64(mathrand.Mix(3, 2, 1))
 	if a != b {
 		t.Error("mix must be deterministic")
 	}

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/metrics"
 	"dosn/internal/onlinetime"
 	"dosn/internal/plot"
@@ -158,7 +159,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	groups := make([][]socialgraph.UserID, len(owners))
 	var posts []protocolPost
 	reads, served := 0, 0
-	readRNG := rand.New(rand.NewSource(mix(cfg.Seed, 4)))
+	readRNG := rand.New(rand.NewSource(int64(mathrand.Mix(uint64(cfg.Seed), 4))))
 	analyticDelaySum := 0.0
 	analyticAoDSum := 0.0
 	analyticAoDCount := 0
@@ -170,7 +171,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	var gen workerRNG
 	immediate := 0
 	for i, u := range owners {
-		replicas := cfg.Policy.Select(pl.Input(u), gen.seeded(mix(cfg.Seed, 2, int64(i))))
+		replicas := cfg.Policy.Select(pl.Input(u), gen.seeded(int64(mathrand.Mix(uint64(cfg.Seed), 2, uint64(i)))))
 		groups[i] = slices.Compact(slices.Sorted(slices.Values(append([]socialgraph.UserID{u}, replicas...))))
 
 		analyticDelaySum += metrics.UpdatePropagationDelay(u, replicas, schedules).Hours
@@ -246,7 +247,7 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 		Bitmaps: schedules,
 		Horizon: cfg.Days * interval.DayMinutes,
 		Eager:   !cfg.DisableEagerPush,
-		Loss:    metrics.Loss{Rate: cfg.LossRate, Seed: mix(cfg.Seed, 3)},
+		Loss:    metrics.Loss{Rate: cfg.LossRate, Seed: int64(mathrand.Mix(uint64(cfg.Seed), 3))},
 	}
 	var pairActual, pairObserved, postMax stats.Welford
 	delivered := 0
@@ -322,7 +323,7 @@ func ReplicaLoadBalance(ds *trace.Dataset, table *onlinetime.Table, mode replica
 	rows := make([]LoadBalanceRow, 0, 3)
 	for pi, p := range replica.DefaultPolicies() {
 		load, err := placementLoad(ds, schedules, p, mode, budget, workers,
-			func(u int) int64 { return mix(seed, int64(pi), int64(u)) })
+			func(u int) int64 { return int64(mathrand.Mix(uint64(seed), uint64(pi), uint64(u))) })
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: %w", p.Name(), err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
 )
@@ -158,7 +159,7 @@ func TestWorkerRNGCountsEveryReseed(t *testing.T) {
 func TestWorkerRNGCountsPlacementAndSweep(t *testing.T) {
 	ds := archDataset(t)
 	bitmaps := onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 9, 1).Bitmaps()
-	seedOf := func(u int) int64 { return mix(5, int64(u)) }
+	seedOf := func(u int) int64 { return int64(mathrand.Mix(5, uint64(u))) }
 	for _, tc := range []struct {
 		p    replica.Policy
 		want int64

@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 )
 
@@ -93,7 +94,7 @@ func BuildRing(n int, cfg Config) (*Ring, error) {
 	}
 	order := make([]int32, n)
 	for u := 0; u < n; u++ {
-		r.ids[u] = splitmix(0, nodeDomain, uint64(u)) & r.mask
+		r.ids[u] = mathrand.Mix(0, nodeDomain, uint64(u)) & r.mask
 		order[u] = int32(u)
 	}
 	// Total order by (id, user): hash collisions (possible at small Bits)
@@ -124,22 +125,6 @@ const (
 	keyDomain  = 0x6b6579   // "key"
 )
 
-// splitmix hashes the parts splitmix64-style (the same finalizer core.mix
-// uses), giving well-spread 64-bit ring coordinates.
-func splitmix(parts ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, p := range parts {
-		x := p + 0x9E3779B97F4A7C15 + h
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		h = x
-	}
-	return h
-}
-
 func (r *Ring) buildFingers() {
 	n := len(r.ids)
 	r.fingers = make([][]int32, n)
@@ -160,7 +145,7 @@ func (r *Ring) NumNodes() int { return len(r.users) }
 // Key returns the ring point of u's profile key (a different hash domain
 // than node placement, as in a real DHT where keys hash content, not hosts).
 func (r *Ring) Key(u socialgraph.UserID) uint64 {
-	return splitmix(0, keyDomain, uint64(u)) & r.mask
+	return mathrand.Mix(0, keyDomain, uint64(u)) & r.mask
 }
 
 // successorPos returns the position of the first node whose id is >= key in

@@ -42,7 +42,6 @@ package fault
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dosn/internal/mathrand"
 	"dosn/internal/obs"
 )
 
@@ -174,7 +174,7 @@ func (s *Site) fire(key int64, seeded bool) error {
 		if !seeded {
 			key = hit
 		}
-		if unit(a.seed, int64(hashName(s.name)), key) >= a.prob {
+		if mathrand.Unit(mathrand.Mix(uint64(a.seed), mathrand.HashString(s.name), uint64(key))) >= a.prob {
 			return nil
 		}
 	}
@@ -390,27 +390,4 @@ func parseTrigger(a *arming, s string) error {
 		return fmt.Errorf("probability trigger needs p=FLOAT in (0, 1]")
 	}
 	return nil
-}
-
-// hashName maps a site name to a stable 64-bit value (FNV-1a).
-func hashName(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
-}
-
-// unit hashes the parts into a float64 in [0, 1) (splitmix64-style), the
-// deterministic coin probability triggers flip.
-func unit(parts ...int64) float64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, p := range parts {
-		x := uint64(p) + 0x9E3779B97F4A7C15 + h
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		h = x
-	}
-	return float64(h>>11) / (1 << 53)
 }

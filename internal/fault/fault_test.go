@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -108,6 +109,14 @@ func TestSeededProbabilityIsDeterministic(t *testing.T) {
 	}
 	if fired < 180 || fired > 320 {
 		t.Fatalf("p=0.25 fired %d/1000 times", fired)
+	}
+	// Which keys fire is pinned: the coin is mathrand's keyed mixer over
+	// (seed, site name hash, key), shared with every other derived value.
+	for key := int64(0); key < 32; key++ {
+		want := slices.Contains([]int64{0, 3, 9, 11, 15, 18, 19, 29}, key)
+		if first[key] != want {
+			t.Errorf("key %d fired=%v, want %v", key, first[key], want)
+		}
 	}
 	// Re-arm (fresh hit counters) and replay in reverse order: the same
 	// keys must fire.

@@ -558,16 +558,20 @@ func TestExperimentsHonourUserDegree(t *testing.T) {
 		}
 
 		// X6 routes one lookup per (owner, friend) pair.
-		arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb, Architectures: []string{"RandomDHT"},
+		arch, err := core.RunArchComparison(core.ArchConfig{Dataset: fb,
 			MaxDegree: 5, UserDegree: degree, Repeats: base.Repeats, Seed: base.RootSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := arch[0].Lookup.Lookups, len(owners)*degree; got != want {
+		r := slices.IndexFunc(arch, func(r core.ArchRow) bool { return r.Architecture == "RandomDHT" })
+		if r < 0 {
+			t.Fatal("X6 has no RandomDHT row")
+		}
+		if got, want := arch[r].Lookup.Lookups, len(owners)*degree; got != want {
 			t.Errorf("degree %d: X6 routed %d lookups, want %d", degree, got, want)
 		}
 		i := slices.IndexFunc(figs[3].Series, func(s plot.Series) bool { return s.Label == "RandomDHT" })
-		if i < 0 || figs[3].Series[i].Y[3] != arch[0].Lookup.MeanHops {
+		if i < 0 || figs[3].Series[i].Y[3] != arch[r].Lookup.MeanHops {
 			t.Errorf("degree %d: X6's RandomDHT row does not route the degree-%d owners' lookups", degree, degree)
 		}
 	}

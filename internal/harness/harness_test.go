@@ -615,10 +615,9 @@ func TestArchitectureAxisPreservesFriendCells(t *testing.T) {
 // whether defaults are spelled out or left zero.
 func TestKeyNormalizesZeroValueDefaults(t *testing.T) {
 	equal := []struct{ a, b ModelSpec }{
-		{Sporadic(), ModelSpec{Kind: "sporadic", SessionSeconds: 1200}}, // 20 min default
-		{RandomLength(), ModelSpec{Kind: "random", MinHours: 2, MaxHours: 8}},
-		{ModelSpec{Kind: "random", MinHours: 5, MaxHours: 3}, ModelSpec{Kind: "random", MinHours: 5, MaxHours: 5}}, // hi<lo clamps
-		{FixedLength(4), ModelSpec{Kind: "fixed", Hours: 4, SessionSeconds: 999}},                                  // fixed ignores session
+		{Sporadic(), ModelSpec{Kind: "sporadic", SessionSeconds: 1200}},            // 20 min default
+		{RandomLength(), ModelSpec{Kind: "random", Hours: 3, SessionSeconds: 999}}, // random ignores both
+		{FixedLength(4), ModelSpec{Kind: "fixed", Hours: 4, SessionSeconds: 999}},  // fixed ignores session
 	}
 	for _, tt := range equal {
 		if tt.a.key() != tt.b.key() {
@@ -687,23 +686,5 @@ func TestRunOptionsFillRebalancesCores(t *testing.T) {
 	explicit := RunOptions{Workers: 3, CoreWorkers: 5}.fill(100)
 	if explicit.Workers != 3 || explicit.CoreWorkers != 5 {
 		t.Errorf("explicit options rewritten: %+v", explicit)
-	}
-}
-
-// TestRandomModelSpecIdentityClampsLikeBounds pins that ModelSpec
-// normalization mirrors RandomLength.bounds() including the [1,24] clamp:
-// two degenerate specs that instantiate behaviorally identical models share
-// one identity (key, schedule cache, seed), and Validate rejects listing
-// both as duplicates.
-func TestRandomModelSpecIdentityClampsLikeBounds(t *testing.T) {
-	a := ModelSpec{Kind: "random", MinHours: 25, MaxHours: 30}
-	b := ModelSpec{Kind: "random", MinHours: 24, MaxHours: 24}
-	if a.key() != b.key() {
-		t.Errorf("clamp-equivalent specs have distinct keys: %q vs %q", a.key(), b.key())
-	}
-	spec := testSpec()
-	spec.Models = []ModelSpec{a, b}
-	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("Validate = %v, want duplicate-cell rejection", err)
 	}
 }

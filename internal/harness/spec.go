@@ -30,11 +30,11 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"time"
 
 	"dosn/internal/dht"
+	"dosn/internal/mathrand"
 	"dosn/internal/onlinetime"
 	"dosn/internal/replica"
 	"dosn/internal/trace"
@@ -86,7 +86,8 @@ func (d DatasetSpec) key() string {
 	return fmt.Sprintf("%s/%d/%d/%d", n.Name, n.Users, n.Seed, n.MinActivity)
 }
 
-// ModelSpec names one online-time model declaratively.
+// ModelSpec names one online-time model declaratively. RandomLength takes no
+// parameter: its window range is the paper's [2, 8] hours.
 type ModelSpec struct {
 	// Kind is "sporadic", "fixed" or "random".
 	Kind string `json:"kind"`
@@ -94,9 +95,6 @@ type ModelSpec struct {
 	Hours int `json:"hours,omitempty"`
 	// SessionSeconds overrides Sporadic's 20-minute default session.
 	SessionSeconds int `json:"session_seconds,omitempty"`
-	// MinHours/MaxHours bound RandomLength's per-user window ([2,8] default).
-	MinHours int `json:"min_hours,omitempty"`
-	MaxHours int `json:"max_hours,omitempty"`
 }
 
 // Model instantiates the described online-time model.
@@ -110,7 +108,7 @@ func (m ModelSpec) Model() (onlinetime.Model, error) {
 		}
 		return onlinetime.FixedLength{Hours: m.Hours}, nil
 	case "random":
-		return onlinetime.RandomLength{MinHours: m.MinHours, MaxHours: m.MaxHours}, nil
+		return onlinetime.RandomLength{}, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown model kind %q (sporadic|fixed|random)", m.Kind)
 	}
@@ -137,25 +135,10 @@ func (m ModelSpec) normalized() ModelSpec {
 		if m.SessionSeconds <= 0 { // the runtime treats any non-positive length as the default
 			m.SessionSeconds = int(onlinetime.DefaultSessionLength / time.Second)
 		}
-		m.Hours, m.MinHours, m.MaxHours = 0, 0, 0
+		m.Hours = 0
 	case "fixed":
-		m.SessionSeconds, m.MinHours, m.MaxHours = 0, 0, 0
+		m.SessionSeconds = 0
 	case "random":
-		// Mirrors RandomLength.bounds(): defaults, [1, 24] clamp, then
-		// inversion collapse — so two specs that instantiate behaviorally
-		// identical models always share one identity (cache key, seed,
-		// duplicate detection).
-		if m.MinHours <= 0 {
-			m.MinHours = 2
-		}
-		if m.MaxHours <= 0 {
-			m.MaxHours = 8
-		}
-		m.MinHours = min(max(m.MinHours, 1), 24)
-		m.MaxHours = min(max(m.MaxHours, 1), 24)
-		if m.MaxHours < m.MinHours {
-			m.MaxHours = m.MinHours
-		}
 		m.Hours, m.SessionSeconds = 0, 0
 	}
 	return m
@@ -163,10 +146,17 @@ func (m ModelSpec) normalized() ModelSpec {
 
 // key encodes the model's identity into the cell and table seeds: every
 // effective parameter is encoded, so two variants of the same kind
-// ("sporadic" vs "sporadic:3600") never collide in seed derivation.
+// ("sporadic" vs "sporadic:3600") never collide in seed derivation. Its last
+// two fields are RandomLength's window range in hours, 0/0 for the other
+// kinds: the range is fixed, but every RandomLength table and cell seed
+// hashes these bytes.
 func (m ModelSpec) key() string {
 	n := m.normalized()
-	return fmt.Sprintf("%s/%d/%d/%d/%d", n.Kind, n.Hours, n.SessionSeconds, n.MinHours, n.MaxHours)
+	lo, hi := 0, 0
+	if n.Kind == "random" {
+		lo, hi = onlinetime.RandomMinHours, onlinetime.RandomMaxHours
+	}
+	return fmt.Sprintf("%s/%d/%d/%d/%d", n.Kind, n.Hours, n.SessionSeconds, lo, hi)
 }
 
 // Sporadic, FixedLength and RandomLength build the common model specs.
@@ -418,7 +408,7 @@ func (s MatrixSpec) Cells() []CellSpec {
 // the seed — and therefore the cell's result — invariant under reordering or
 // subsetting of the spec's dataset/model/mode lists.
 func (s MatrixSpec) CellSeed(c CellSpec) int64 {
-	return hash64(fmt.Sprintf("cell|%d|%s", s.RootSeed, c.canonicalKey()))
+	return int64(mathrand.HashString(fmt.Sprintf("cell|%d|%s", s.RootSeed, c.canonicalKey())))
 }
 
 // tableID is a schedule entry's identity: exactly the normalized spec values
@@ -434,12 +424,5 @@ type tableID struct {
 
 // seed seeds the entry's table of repetition rep.
 func (t tableID) seed(rep int) int64 {
-	return hash64(fmt.Sprintf("sched|%d|%s|%s|%d", t.RootSeed, t.Dataset.key(), t.Model.key(), rep))
-}
-
-// hash64 maps a canonical coordinate string to a seed (FNV-1a).
-func hash64(key string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int64(h.Sum64())
+	return int64(mathrand.HashString(fmt.Sprintf("sched|%d|%s|%s|%d", t.RootSeed, t.Dataset.key(), t.Model.key(), rep)))
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"dosn/internal/interval"
+	"dosn/internal/mathrand"
 	"dosn/internal/socialgraph"
 )
 
@@ -64,17 +65,7 @@ func (l Loss) Drops(a, b socialgraph.UserID, t int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, p := range [...]uint64{uint64(l.Seed), uint64(a), uint64(b), uint64(t)} {
-		x := p + 0x9E3779B97F4A7C15 + h
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		h = x
-	}
-	return float64(h>>11)/(1<<53) < l.Rate
+	return mathrand.Unit(mathrand.Mix(uint64(l.Seed), uint64(a), uint64(b), uint64(t))) < l.Rate
 }
 
 // online reports whether u is online at the absolute minute t.

@@ -8,8 +8,8 @@
 //   - FixedLength: one continuous daily window of fixed length (the paper
 //     uses 2, 4, 6 and 8 hours), centered on the majority of the user's
 //     activity times.
-//   - RandomLength: like FixedLength, but each user draws his own window
-//     length uniformly from [2, 8] hours.
+//   - RandomLength: like FixedLength, but each user draws their own window
+//     length uniformly from the paper's [2, 8] hours.
 //
 // Schedules are day-cyclic; a user's schedule repeats every day, matching
 // the paper's 24-hour availability accounting.
@@ -262,35 +262,19 @@ func (f FixedLength) BuildTable(d *trace.Dataset, rng *mathrand.Rand, workers in
 	return t
 }
 
+// RandomMinHours and RandomMaxHours are the range RandomLength draws each
+// user's window length from, the paper's [2, 8] hours (§IV-C).
+const (
+	RandomMinHours = 2
+	RandomMaxHours = 8
+)
+
 // RandomLength is FixedLength with a per-user window length drawn uniformly
-// from [MinHours, MaxHours] (the paper uses [2, 8]).
-type RandomLength struct {
-	// MinHours and MaxHours bound the per-user window length. Zero values
-	// mean the paper's defaults of 2 and 8; the resolved bounds are clamped
-	// into [1, 24] with MaxHours raised to MinHours when inverted (pinned
-	// by TestDegenerateHourKnobs).
-	MinHours int
-	MaxHours int
-}
+// from [RandomMinHours, RandomMaxHours], in whole minutes.
+type RandomLength struct{}
 
 // Name implements Model.
 func (r RandomLength) Name() string { return "RandomLength" }
-
-func (r RandomLength) bounds() (lo, hi int) {
-	lo, hi = r.MinHours, r.MaxHours
-	if lo <= 0 {
-		lo = 2
-	}
-	if hi <= 0 {
-		hi = 8
-	}
-	lo = min(max(lo, 1), 24)
-	hi = min(max(hi, 1), 24)
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
 
 // BuildTable implements Model. Phase 1 draws, per user, the window length
 // and — for users with no activities — the random center, in that order
@@ -298,14 +282,13 @@ func (r RandomLength) bounds() (lo, hi int) {
 // ActivityCenters entry.
 func (r RandomLength) BuildTable(d *trace.Dataset, rng *mathrand.Rand, workers int, rows []socialgraph.UserID) *Table {
 	sp := obsBuildTimer.Begin()
-	lo, hi := r.bounds()
 	n := d.NumUsers()
 	t := NewTable(n)
 	lengths := make([]int32, n)
 	centers := slices.Clone(d.ActivityCenters(workers))
 	for u := range centers {
-		//dosn:boundschecked bounds() clamps lo,hi to [1,24], so the draw is < 25*60
-		lengths[u] = int32(lo*60 + rng.Intn((hi-lo)*60+1))
+		//dosn:boundschecked the draw is at most RandomMaxHours*60 = 480 minutes
+		lengths[u] = int32(RandomMinHours*60 + rng.Intn((RandomMaxHours-RandomMinHours)*60+1))
 		drawCenter(centers, u, rng)
 	}
 	fillRows(0, n, rows, workers, func(u int) {

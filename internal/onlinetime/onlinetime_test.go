@@ -126,20 +126,6 @@ func TestRandomLengthBounds(t *testing.T) {
 	}
 }
 
-func TestRandomLengthCustomBounds(t *testing.T) {
-	d := datasetWithMinutes(t, 700)
-	m := RandomLength{MinHours: 3, MaxHours: 3}
-	scheds := ComputeTable(m, d, 9, 1).Bitmaps()
-	if got := scheds[0].Minutes(); got != 180 {
-		t.Errorf("degenerate bounds should force 3h, got %d", got)
-	}
-	inverted := RandomLength{MinHours: 5, MaxHours: 1}
-	lo, hi := inverted.bounds()
-	if lo != 5 || hi != 5 {
-		t.Errorf("inverted bounds = [%d,%d], want [5,5]", lo, hi)
-	}
-}
-
 func TestNoActivityUsersGetRandomWindow(t *testing.T) {
 	d := datasetWithMinutes(t, 100) // user 1 has no created activity
 	scheds := ComputeTable(FixedLength{Hours: 4}, d, 3, 1).Bitmaps()

@@ -83,11 +83,10 @@ func legacyFixedLength(f FixedLength, d *trace.Dataset, rng *rand.Rand) []interv
 	return out
 }
 
-func legacyRandomLength(r RandomLength, d *trace.Dataset, rng *rand.Rand) []interval.Set {
-	lo, hi := r.bounds()
+func legacyRandomLength(d *trace.Dataset, rng *rand.Rand) []interval.Set {
 	out := make([]interval.Set, d.NumUsers())
 	for u := 0; u < d.NumUsers(); u++ {
-		length := lo*60 + rng.Intn((hi-lo)*60+1)
+		length := RandomMinHours*60 + rng.Intn((RandomMaxHours-RandomMinHours)*60+1)
 		center, ok := activityCenter(d, socialgraph.UserID(u))
 		if !ok {
 			center = rng.Intn(interval.DayMinutes)
@@ -104,7 +103,7 @@ func legacyScheduleAll(m Model, d *trace.Dataset, rng *rand.Rand) []interval.Set
 	case FixedLength:
 		return legacyFixedLength(m, d, rng)
 	case RandomLength:
-		return legacyRandomLength(m, d, rng)
+		return legacyRandomLength(d, rng)
 	default:
 		panic("unknown model")
 	}
@@ -159,7 +158,6 @@ func quickModels() []Model {
 		FixedLength{Hours: 2},
 		FixedLength{Hours: 23},
 		RandomLength{},
-		RandomLength{MinHours: 1, MaxHours: 3},
 	}
 }
 
@@ -235,9 +233,8 @@ func TestTableBuildWorkerCountInvariantLarge(t *testing.T) {
 // --- degenerate hour knobs ----------------------------------------------------
 
 // TestDegenerateHourKnobs pins the explicit clamping of the window-length
-// knobs: FixedLength.Hours and RandomLength.{Min,Max}Hours resolve into
-// [1, 24] (inverted random bounds collapse to the lower bound), so no knob
-// silently produces an empty or nonsense window.
+// knob: FixedLength.Hours resolves into [1, 24], so no value silently
+// produces an empty or nonsense window.
 func TestDegenerateHourKnobs(t *testing.T) {
 	fixedCases := []struct {
 		hours, wantMinutes int
@@ -261,26 +258,6 @@ func TestDegenerateHourKnobs(t *testing.T) {
 	}
 	if got := ComputeTable(FixedLength{Hours: 48}, d, 3, 1).Bitmap(0).Minutes(); got != interval.DayMinutes {
 		t.Errorf("FixedLength{48} schedule length = %d, want full day", got)
-	}
-
-	randomCases := []struct {
-		min, max, wantLo, wantHi int
-	}{
-		{min: 0, max: 0, wantLo: 2, wantHi: 8},    // paper defaults
-		{min: -2, max: -1, wantLo: 2, wantHi: 8},  // negatives mean defaults
-		{min: 30, max: 2, wantLo: 24, wantHi: 24}, // clamp, then collapse inversion
-		{min: 2, max: 40, wantLo: 2, wantHi: 24},  // upper clamp
-		{min: 5, max: 1, wantLo: 5, wantHi: 5},    // inversion collapses upward
-	}
-	for _, tt := range randomCases {
-		lo, hi := (RandomLength{MinHours: tt.min, MaxHours: tt.max}).bounds()
-		if lo != tt.wantLo || hi != tt.wantHi {
-			t.Errorf("RandomLength{%d,%d}.bounds = [%d,%d], want [%d,%d]",
-				tt.min, tt.max, lo, hi, tt.wantLo, tt.wantHi)
-		}
-	}
-	if got := ComputeTable(RandomLength{MinHours: 30}, d, 5, 1).Bitmap(0).Minutes(); got != interval.DayMinutes {
-		t.Errorf("RandomLength{MinHours:30} schedule length = %d, want full day", got)
 	}
 }
 

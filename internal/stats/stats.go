@@ -1,53 +1,6 @@
-// Package stats provides the small numerical toolkit the experiment harness
-// needs: a batch percentile, and the mergeable Welford accumulator every
-// sweep cell is made of.
+// Package stats provides the mergeable Welford accumulator every sweep cell
+// is made of.
 package stats
-
-import (
-	"math"
-	"sort"
-)
-
-// Percentile returns the p-th percentile of xs using linear interpolation
-// between closest ranks. Its edge behavior is defined, not accidental:
-//
-//   - p is clamped to [0,100]; p < 0 yields the minimum and p > 100 the
-//     maximum. A NaN p has no defensible clamp and returns NaN.
-//   - NaN samples carry no rank information and are dropped before ranking
-//     (a NaN would otherwise poison sort.Float64s's ordering and return an
-//     arbitrary neighbor's value).
-//   - An empty slice — or one left empty after dropping NaNs — has no
-//     percentile; the result is NaN, which no real rank can produce, rather
-//     than a fabricated 0.
-func Percentile(xs []float64, p float64) float64 {
-	if math.IsNaN(p) {
-		return math.NaN()
-	}
-	sorted := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			sorted = append(sorted, x)
-		}
-	}
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // Welford accumulates a running mean and variance without storing samples.
 // The zero value is ready to use.

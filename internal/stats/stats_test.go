@@ -50,55 +50,6 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {-5, 1}, {150, 5}, {12.5, 1.5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); !almost(got, tt.want) {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-}
-
-// TestPercentileEdgeGuards pins the defined edge behavior: clamped p, NaN p
-// rejected, NaN samples dropped, and empty/all-NaN inputs yielding NaN
-// instead of silent garbage.
-func TestPercentileEdgeGuards(t *testing.T) {
-	if !math.IsNaN(Percentile([]float64{1, 2, 3}, math.NaN())) {
-		t.Error("NaN p should yield NaN")
-	}
-	if !math.IsNaN(Percentile([]float64{math.NaN(), math.NaN()}, 50)) {
-		t.Error("all-NaN input should yield NaN")
-	}
-	// NaN samples are dropped: the percentile of {1, NaN, 3} is that of {1, 3}.
-	withNaN := []float64{1, math.NaN(), 3}
-	if got := Percentile(withNaN, 50); !almost(got, 2) {
-		t.Errorf("Percentile({1,NaN,3}, 50) = %v, want 2", got)
-	}
-	if got := Percentile(withNaN, 100); !almost(got, 3) {
-		t.Errorf("Percentile({1,NaN,3}, 100) = %v, want 3", got)
-	}
-	// The input slice must not be reordered or modified.
-	if !math.IsNaN(withNaN[1]) || withNaN[0] != 1 || withNaN[2] != 3 {
-		t.Errorf("input mutated: %v", withNaN)
-	}
-	// Out-of-range p clamps even with a single sample.
-	if got := Percentile([]float64{7}, -1e9); got != 7 {
-		t.Errorf("Percentile({7}, -1e9) = %v, want 7", got)
-	}
-	if got := Percentile([]float64{7}, 1e9); got != 7 {
-		t.Errorf("Percentile({7}, 1e9) = %v, want 7", got)
-	}
-}
-
 func TestWelford(t *testing.T) {
 	var w Welford
 	xs := []float64{1, 2, 3, 4, 5, 6}
@@ -153,28 +104,6 @@ func TestQuickWelfordMatchesBatch(t *testing.T) {
 			w.Add(xs[i])
 		}
 		return almost(w.Mean(), mean(xs)) && math.Abs(w.Variance()-batchVariance(xs)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, 20)
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 10 {
-			v := Percentile(xs, p)
-			if v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
