@@ -78,8 +78,13 @@ type (
 	// Policy places profile replicas on friends. Its input is dense-only:
 	// schedules arrive as ScheduleTable rows (Input.Bitmaps), interaction
 	// counts positionally (Input.CandidateCounts), and the activity-demand
-	// universe as a bitmap (Input.Demand).
+	// universe as a bitmap (Input.Demand). An implementation declares its
+	// Traits: the optional ingredients Select reads (the rest are left
+	// unprepared) and whether it draws from its generator (if not, it may
+	// be handed a nil one).
 	Policy = replica.Policy
+	// Traits is what a Policy declares that it reads.
+	Traits = replica.Traits
 	// Mode selects connected (ConRep) or unconnected (UnconRep) placement.
 	Mode = replica.Mode
 	// SweepConfig parameterizes a replication-degree sweep.

@@ -56,8 +56,7 @@ func run() error {
 		fmt.Printf("  measured max delay (per post):   %6.2f h\n", res.MeasuredMaxHours)
 		fmt.Printf("  measured mean delay (actual):    %6.2f h\n", res.MeasuredPairHours)
 		fmt.Printf("  measured mean delay (observed):  %6.2f h ← what a friend perceives\n", res.ObservedPairHours)
-		fmt.Printf("  immediate landings:              %5.1f%% (analytic AoD-activity %.1f%%)\n",
-			res.ImmediateFraction*100, res.AnalyticAoDActivity*100)
+		fmt.Printf("  analytic AoD-activity:           %5.1f%%\n", res.AnalyticAoDActivity*100)
 		fmt.Printf("  posts transferred:               %d\n", res.PostsTransferred)
 	}
 

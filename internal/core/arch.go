@@ -183,7 +183,7 @@ const placementChunkSize = 128
 // panicking policy — comes back from fault.Chunks as the pass's error.
 func placementLoad(ds *trace.Dataset, bitmaps []interval.Bitmap, p replica.Policy, mode replica.Mode, budget, workers int, seedOf func(u int) int64) ([]int, error) {
 	n := ds.NumUsers()
-	usesRNG := replica.TraitsOf(p).UsesRNG
+	usesRNG := p.Traits().UsesRNG
 	var mu sync.Mutex
 	var total []int
 	err := fault.Chunks(n, placementChunkSize, workers, func(next func() (lo, hi int, ok bool)) error {

@@ -73,21 +73,42 @@ const (
 	MetricEffectiveReplicas
 )
 
+// metricTable declares every metric once, in Metric order (row i is
+// Metric(i+1)): its manifest identifier (the JSON metric key and CSV column)
+// and its label.
+var metricTable = [...]struct{ id, label string }{
+	{"availability", "availability"},
+	{"aod_time", "availability-on-demand-time"},
+	{"aod_activity", "availability-on-demand-activity"},
+	{"delay_hours", "delay (in hours)"},
+	{"effective_replicas", "effective replicas"},
+}
+
+// Metrics lists every metric in Metric order, the order of the manifest's
+// CSV columns.
+func Metrics() []Metric {
+	out := make([]Metric, len(metricTable))
+	for i := range out {
+		out[i] = Metric(i + 1)
+	}
+	return out
+}
+
+func (m Metric) valid() bool { return m >= 1 && int(m) <= len(metricTable) }
+
+// ID returns the metric's manifest identifier, or "" for an unknown metric.
+func (m Metric) ID() string {
+	if !m.valid() {
+		return ""
+	}
+	return metricTable[m-1].id
+}
+
 func (m Metric) String() string {
-	switch m {
-	case MetricAvailability:
-		return "availability"
-	case MetricAoDTime:
-		return "availability-on-demand-time"
-	case MetricAoDActivity:
-		return "availability-on-demand-activity"
-	case MetricDelayHours:
-		return "delay (in hours)"
-	case MetricEffectiveReplicas:
-		return "effective replicas"
-	default:
+	if !m.valid() {
 		return fmt.Sprintf("Metric(%d)", int(m))
 	}
+	return metricTable[m-1].label
 }
 
 // Config parameterizes one replication-degree sweep.
@@ -211,39 +232,24 @@ func AnalysisRows(g *socialgraph.Graph, userDegree int) ([]socialgraph.UserID, e
 	return slices.Compact(rows), nil
 }
 
-// Cell is one aggregated data point of a sweep: a (policy, degree) pair.
-type Cell struct {
-	Availability stats.Welford
-	AoDTime      stats.Welford
-	AoDActivity  stats.Welford
-	DelayHours   stats.Welford
-	Effective    stats.Welford
-}
+// Cell is one aggregated data point of a sweep: a (policy, degree) pair,
+// one accumulator per metric, at index Metric-1.
+type Cell [len(metricTable)]stats.Welford
+
+func (c *Cell) add(m Metric, v float64) { c[m-1].Add(v) }
 
 func (c *Cell) merge(o *Cell) {
-	c.Availability.Merge(o.Availability)
-	c.AoDTime.Merge(o.AoDTime)
-	c.AoDActivity.Merge(o.AoDActivity)
-	c.DelayHours.Merge(o.DelayHours)
-	c.Effective.Merge(o.Effective)
+	for i := range c {
+		c[i].Merge(o[i])
+	}
 }
 
 // value returns the mean of the requested metric.
 func (c *Cell) value(m Metric) float64 {
-	switch m {
-	case MetricAvailability:
-		return c.Availability.Mean()
-	case MetricAoDTime:
-		return c.AoDTime.Mean()
-	case MetricAoDActivity:
-		return c.AoDActivity.Mean()
-	case MetricDelayHours:
-		return c.DelayHours.Mean()
-	case MetricEffectiveReplicas:
-		return c.Effective.Mean()
-	default:
+	if !m.valid() {
 		return 0
 	}
+	return c[m-1].Mean()
 }
 
 // Result is the outcome of a sweep: one Cell per (policy, degree).
@@ -407,7 +413,7 @@ func sweepOnce(cfg Config, table *onlinetime.Table, rep int, prior [][]Cell) ([]
 	reused := make([]bool, len(cfg.Policies))
 	swept := make([]replica.Policy, 0, len(cfg.Policies))
 	for pi, p := range cfg.Policies {
-		reused[pi] = prior != nil && !replica.TraitsOf(p).UsesRNG
+		reused[pi] = prior != nil && !p.Traits().UsesRNG
 		if !reused[pi] {
 			swept = append(swept, p)
 		}
@@ -556,7 +562,7 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, reused []bool, u socialg
 			continue
 		}
 		var rng *rand.Rand
-		if replica.TraitsOf(p).UsesRNG {
+		if p.Traits().UsesRNG {
 			rng = scratch.rng.seeded(int64(mathrand.Mix(uint64(cfg.Seed), uint64(rep), uint64(pi), uint64(u))))
 		}
 		seq := p.Select(in, rng)
@@ -591,15 +597,15 @@ func sweepUser(cfg Config, pl *replica.Placer, rep int, reused []bool, u socialg
 				prevK = k
 			}
 			cell := &grid[pi][r]
-			cell.Availability.Add(float64(availLen) / interval.DayMinutes)
+			cell.add(MetricAvailability, float64(availLen)/interval.DayMinutes)
 			if friendsOnlineLen > 0 {
-				cell.AoDTime.Add(float64(overlap) / float64(friendsOnlineLen))
+				cell.add(MetricAoDTime, float64(overlap)/float64(friendsOnlineLen))
 			}
 			if aodOK {
-				cell.AoDActivity.Add(aodVal)
+				cell.add(MetricAoDActivity, aodVal)
 			}
-			cell.DelayHours.Add(delayHours)
-			cell.Effective.Add(float64(k))
+			cell.add(MetricDelayHours, delayHours)
+			cell.add(MetricEffectiveReplicas, float64(k))
 		}
 	}
 }

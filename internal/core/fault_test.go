@@ -25,7 +25,8 @@ func withFaults(t *testing.T, spec string) {
 // failpoint): Select panics mid-sweep, inside a sweep worker goroutine.
 type panickingPolicy struct{}
 
-func (panickingPolicy) Name() string { return "panickingPolicy" }
+func (panickingPolicy) Name() string           { return "panickingPolicy" }
+func (panickingPolicy) Traits() replica.Traits { return replica.Traits{UsesRNG: true} }
 func (panickingPolicy) Select(replica.Input, *rand.Rand) []socialgraph.UserID {
 	panic("policy bug: out-of-range candidate")
 }

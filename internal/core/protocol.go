@@ -85,14 +85,11 @@ type ProtocolResult struct {
 	// offline time (§II-C3 distinguishes the two).
 	MeasuredPairHours float64
 	ObservedPairHours float64
-	// ImmediateFraction is the share of posts created while a group member
-	// was online; AnalyticAoDActivity is the sweep's
-	// availability-on-demand-activity. Both are one test — is the post's
-	// minute in the wall's availability bitmap? — pooled over posts in the
-	// first and averaged over walls in the second, so they differ only by
-	// that weighting: of the result's analytic-vs-measured pairs, the two
-	// that can disagree are the delays and AoD-time.
-	ImmediateFraction   float64
+	// AnalyticAoDActivity is the sweep's availability-on-demand-activity,
+	// averaged over walls: the share of a wall's activity minutes that fall
+	// in its availability bitmap. A share of posts that landed while a group
+	// member was online would be the same test pooled over posts, so the
+	// result's analytic-vs-measured pairs are the delays and AoD-time.
 	AnalyticAoDActivity float64
 	// MeasuredAoDTime is the fraction of scripted reads (one per friend per
 	// day, at a random minute of the friend's online time) that found a
@@ -112,9 +109,9 @@ type ProtocolResult struct {
 // ProtocolFields names the ProtocolResult fields that Series plots, by their
 // x value.
 const ProtocolFields = "field (0=walls, 1=posts, 2=analytic worst h, 3=measured max h, " +
-	"4=measured pair h, 5=observed pair h, 6=immediate, 7=analytic AoD-activity, " +
-	"8=measured AoD-time, 9=analytic AoD-time, 10=delivered, " +
-	"11=posts transferred, 12=lost contacts)"
+	"4=measured pair h, 5=observed pair h, 6=analytic AoD-activity, " +
+	"7=measured AoD-time, 8=analytic AoD-time, 9=delivered, " +
+	"10=posts transferred, 11=lost contacts)"
 
 // Series plots every field of the result against its index (see
 // ProtocolFields) as one series with the given label.
@@ -122,7 +119,7 @@ func (r *ProtocolResult) Series(label string) plot.Series {
 	ys := []float64{
 		float64(r.Walls), float64(r.Posts),
 		r.AnalyticWorstHours, r.MeasuredMaxHours, r.MeasuredPairHours, r.ObservedPairHours,
-		r.ImmediateFraction, r.AnalyticAoDActivity, r.MeasuredAoDTime, r.AnalyticAoDTime,
+		r.AnalyticAoDActivity, r.MeasuredAoDTime, r.AnalyticAoDTime,
 		r.DeliveredFraction, float64(r.PostsTransferred), float64(r.LostContacts),
 	}
 	return plot.Categorical(label, ys...)
@@ -169,7 +166,6 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	pl := replica.NewPlacer(ds, schedules, cfg.Mode, cfg.Budget, cfg.Policy)
 	var actMinutes []int
 	var gen workerRNG
-	immediate := 0
 	for i, u := range owners {
 		replicas := cfg.Policy.Select(pl.Input(u), gen.seeded(int64(mathrand.Mix(uint64(cfg.Seed), 2, uint64(i)))))
 		groups[i] = slices.Compact(slices.Sorted(slices.Values(append([]socialgraph.UserID{u}, replicas...))))
@@ -193,9 +189,6 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 				day += cfg.Days
 			}
 			posts = append(posts, protocolPost{wall: i, creator: ds.CreatorAt(int(k)), at: day*interval.DayMinutes + actMinutes[j]})
-			if avail.Contains(actMinutes[j]) {
-				immediate++
-			}
 		}
 		// Read workload: each friend accesses the profile once per day at a
 		// random minute of his own online time — by construction these
@@ -238,7 +231,6 @@ func RunProtocolValidation(cfg ProtocolConfig) (*ProtocolResult, error) {
 	if len(posts) == 0 {
 		return res, nil
 	}
-	res.ImmediateFraction = float64(immediate) / float64(len(posts))
 
 	// The posts in creation order (ties in the order above), each followed
 	// alone through its wall's group.

@@ -46,27 +46,6 @@ func TestProtocolValidationBoundsHold(t *testing.T) {
 	}
 }
 
-func TestProtocolValidationImmediateTracksAnalyticAoD(t *testing.T) {
-	ds := testDataset(t)
-	res, err := RunProtocolValidation(ProtocolConfig{
-		Dataset:    ds,
-		Schedules:  onlinetime.ComputeTable(onlinetime.Sporadic{}, ds, 5, 1),
-		UserDegree: 10,
-		MaxWalls:   15,
-		Seed:       5,
-	})
-	if err != nil {
-		t.Fatalf("RunProtocolValidation: %v", err)
-	}
-	// The measured immediate-landing fraction and the analytic
-	// AoD-activity measure the same phenomenon; they should agree loosely.
-	diff := res.ImmediateFraction - res.AnalyticAoDActivity
-	if diff < -0.25 || diff > 0.25 {
-		t.Errorf("immediate fraction %.3f far from analytic AoD-activity %.3f",
-			res.ImmediateFraction, res.AnalyticAoDActivity)
-	}
-}
-
 // TestProtocolValidationMaxAvActivityPlacesReplicas pins the bugfix: protocol
 // validation hands MaxAv(activity) the demand universe its Traits declare.
 // Without it the policy covered the empty universe — no replica, no

@@ -58,8 +58,6 @@ type countingPolicy struct {
 	calls *atomic.Int64
 }
 
-func (c countingPolicy) Traits() replica.Traits { return replica.TraitsOf(c.Policy) }
-
 func (c countingPolicy) Select(in replica.Input, rng *rand.Rand) []socialgraph.UserID {
 	c.calls.Add(1)
 	return c.Policy.Select(in, rng)

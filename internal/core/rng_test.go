@@ -186,7 +186,7 @@ func TestWorkerRNGCountsPlacementAndSweep(t *testing.T) {
 	}
 	randomized := 0
 	for _, p := range replica.DefaultPolicies() {
-		if replica.TraitsOf(p).UsesRNG {
+		if p.Traits().UsesRNG {
 			randomized++
 		}
 	}

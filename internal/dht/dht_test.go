@@ -341,18 +341,24 @@ func TestNewArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewArchitecture(%q): %v", name, err)
 		}
-		if a.Name() != name {
-			t.Errorf("architecture %q reports name %q", name, a.Name())
-		}
 		if len(a.Policies()) == 0 {
 			t.Errorf("architecture %q has no policies", name)
+		}
+		// A DHT architecture is its one placement, named by the
+		// architecture's constant.
+		if name != ArchFriendReplica {
+			if ps := a.Policies(); len(ps) != 1 {
+				t.Errorf("architecture %q evaluates %d policies, want 1", name, len(ps))
+			} else if ps[0].Name() != name {
+				t.Errorf("architecture %q evaluates policy %q", name, ps[0].Name())
+			}
 		}
 		if !ValidArchName(name) {
 			t.Errorf("ValidArchName(%q) = false", name)
 		}
 	}
-	if a, err := NewArchitecture("", nil, nil, nil); err != nil || a.Name() != ArchFriendReplica {
-		t.Errorf("empty name did not default to FriendReplica: %v %v", a, err)
+	if _, err := NewArchitecture("", r, g, nil); err == nil {
+		t.Error("empty architecture name accepted")
 	}
 	if fr, _ := NewArchitecture(ArchFriendReplica, nil, nil, nil); len(fr.Policies()) != 3 {
 		t.Errorf("FriendReplica default policies = %d, want 3", len(fr.Policies()))

@@ -49,21 +49,18 @@ type Placement struct {
 	scratch sync.Pool
 }
 
-// Compile-time interface checks.
-var (
-	_ replica.Policy        = &Placement{}
-	_ replica.TraitedPolicy = &Placement{}
-)
+// Compile-time interface check.
+var _ replica.Policy = &Placement{}
 
 // Name implements replica.Policy.
 func (p *Placement) Name() string {
 	if p.Social {
-		return "SocialDHT"
+		return ArchSocialDHT
 	}
-	return "RandomDHT"
+	return ArchRandomDHT
 }
 
-// Traits implements replica.TraitedPolicy: DHT placements are deterministic
+// Traits implements replica.Policy: DHT placements are deterministic
 // and read neither interaction counts nor the demand set.
 func (p *Placement) Traits() replica.Traits { return replica.Traits{} }
 

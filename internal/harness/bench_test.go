@@ -31,9 +31,9 @@ func paperManifest() *RunManifest {
 			Repeats:     spec.Repeats,
 			Degrees:     degrees,
 			Policies:    spec.Policies,
-			Metrics:     make(map[string][][]float64, len(metricColumns)),
+			Metrics:     make(map[string][][]float64),
 		}
-		for _, mc := range metricColumns {
+		for _, id := range MetricIDs() {
 			grid := make([][]float64, len(spec.Policies))
 			for p := range grid {
 				grid[p] = make([]float64, len(degrees))
@@ -41,7 +41,7 @@ func paperManifest() *RunManifest {
 					grid[p][d] = rng.Float64()
 				}
 			}
-			res.Metrics[mc.ID] = grid
+			res.Metrics[id] = grid
 		}
 		m.Cells = append(m.Cells, res)
 	}

@@ -306,10 +306,8 @@ func (f figure) render(d *door) (plot.Figure, error) {
 // metricID returns the manifest identifier of a metric, or "value", the
 // key of a computed entry's values, when the figure names none.
 func metricID(m core.Metric) string {
-	for _, mc := range metricColumns {
-		if mc.Metric == m {
-			return mc.ID
-		}
+	if id := m.ID(); id != "" {
+		return id
 	}
 	return "value"
 }

@@ -3,12 +3,14 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"dosn/internal/core"
 	"dosn/internal/replica"
 	"dosn/internal/trace"
 )
@@ -419,6 +421,53 @@ func TestManifestJSONRoundTripAndCSV(t *testing.T) {
 	for _, line := range lines[1:] {
 		if got := strings.Count(line, ","); got != strings.Count(wantHeader, ",") {
 			t.Fatalf("ragged CSV row: %q", line)
+		}
+	}
+}
+
+// TestMetricTable pins, against literals, what core's metric table owns:
+// the metrics' order, each one's manifest ID and label, the IDs the manifest
+// lists, the CSV header built from them, and the fallbacks of metrics
+// outside the table.
+func TestMetricTable(t *testing.T) {
+	want := []struct {
+		m         core.Metric
+		id, label string
+	}{
+		{core.MetricAvailability, "availability", "availability"},
+		{core.MetricAoDTime, "aod_time", "availability-on-demand-time"},
+		{core.MetricAoDActivity, "aod_activity", "availability-on-demand-activity"},
+		{core.MetricDelayHours, "delay_hours", "delay (in hours)"},
+		{core.MetricEffectiveReplicas, "effective_replicas", "effective replicas"},
+	}
+	got := core.Metrics()
+	if len(got) != len(want) {
+		t.Fatalf("core.Metrics() = %v, want %d metrics", got, len(want))
+	}
+	for i, w := range want {
+		if got[i] != w.m || got[i].ID() != w.id || got[i].String() != w.label {
+			t.Errorf("metric %d = %d %q %q, want %d %q %q", i, got[i], got[i].ID(), got[i], w.m, w.id, w.label)
+		}
+	}
+	ids := []string{"availability", "aod_time", "aod_activity", "delay_hours", "effective_replicas"}
+	if got := MetricIDs(); !slices.Equal(got, ids) {
+		t.Errorf("MetricIDs() = %q, want %q", got, ids)
+	}
+	var csv bytes.Buffer
+	if err := (&RunManifest{}).WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	header := "dataset,model,model_key,mode,policy,degree,seed,users,repeats," +
+		"availability,aod_time,aod_activity,delay_hours,effective_replicas,arch\n"
+	if csv.String() != header {
+		t.Errorf("CSV header = %q, want %q", csv.String(), header)
+	}
+	for _, m := range []core.Metric{0, 6} {
+		if want := fmt.Sprintf("Metric(%d)", int(m)); m.String() != want || m.ID() != "" {
+			t.Errorf("metric %d: String %q, ID %q; want %q and no ID", int(m), m, m.ID(), want)
+		}
+		if metricID(m) != "value" {
+			t.Errorf("metricID(%d) = %q, want \"value\"", int(m), metricID(m))
 		}
 	}
 }

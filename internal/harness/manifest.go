@@ -15,25 +15,13 @@ import (
 // ManifestVersion is the schema version stamped into emitted manifests.
 const ManifestVersion = 1
 
-// metricColumns fixes the metric identifiers and their order in both the
-// JSON metric map (keys) and the CSV columns.
-var metricColumns = []struct {
-	ID     string
-	Metric core.Metric
-}{
-	{"availability", core.MetricAvailability},
-	{"aod_time", core.MetricAoDTime},
-	{"aod_activity", core.MetricAoDActivity},
-	{"delay_hours", core.MetricDelayHours},
-	{"effective_replicas", core.MetricEffectiveReplicas},
-}
-
 // MetricIDs lists the metric identifiers a CellResult records, in CSV column
 // order.
 func MetricIDs() []string {
-	out := make([]string, len(metricColumns))
-	for i, m := range metricColumns {
-		out[i] = m.ID
+	ms := core.Metrics()
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.ID()
 	}
 	return out
 }
@@ -84,18 +72,19 @@ func newCellResult(cell CellSpec, seed int64, res *core.Result) CellResult {
 		Repeats:      res.Repeats,
 		Degrees:      res.Degrees,
 		Policies:     res.Policies,
-		Metrics:      make(map[string][][]float64, len(metricColumns)),
 	}
-	for _, mc := range metricColumns {
+	ms := core.Metrics()
+	out.Metrics = make(map[string][][]float64, len(ms))
+	for _, m := range ms {
 		grid := make([][]float64, len(res.Policies))
 		for pi := range res.Policies {
 			row := make([]float64, len(res.Degrees))
 			for di := range res.Degrees {
-				row[di] = res.Value(pi, di, mc.Metric)
+				row[di] = res.Value(pi, di, m)
 			}
 			grid[pi] = row
 		}
-		out.Metrics[mc.ID] = grid
+		out.Metrics[m.ID()] = grid
 	}
 	return out
 }
@@ -206,8 +195,9 @@ func (m *RunManifest) WriteCSV(w io.Writer) error {
 	// arch coordinate sits in the final column so every pre-existing column
 	// keeps its position for consumers that index positionally.
 	fmt.Fprint(bw, "dataset,model,model_key,mode,policy,degree,seed,users,repeats")
-	for _, mc := range metricColumns {
-		fmt.Fprint(bw, ","+mc.ID)
+	metrics := core.Metrics()
+	for _, m := range metrics {
+		fmt.Fprint(bw, ","+m.ID())
 	}
 	fmt.Fprintln(bw, ",arch")
 	for _, c := range m.Cells {
@@ -215,8 +205,8 @@ func (m *RunManifest) WriteCSV(w io.Writer) error {
 			for di, degree := range c.Degrees {
 				fmt.Fprintf(bw, "%s,%s,%s,%s,%s,%d,%d,%d,%d",
 					c.Dataset, c.Model, c.ModelSpec.key(), c.Mode, policy, degree, c.Seed, c.Users, c.Repeats)
-				for _, mc := range metricColumns {
-					v, _ := c.Value(mc.ID, pi, di)
+				for _, m := range metrics {
+					v, _ := c.Value(m.ID(), pi, di)
 					fmt.Fprint(bw, ","+strconv.FormatFloat(v, 'g', -1, 64))
 				}
 				fmt.Fprintln(bw, ","+c.ArchName())

@@ -344,15 +344,6 @@ func (c CellSpec) isFriend() bool {
 	return c.Arch == "" || c.Arch == dht.ArchFriendReplica
 }
 
-// ArchName returns the cell's canonical architecture name, resolving the
-// empty default to FriendReplica.
-func (c CellSpec) ArchName() string {
-	if c.isFriend() {
-		return dht.ArchFriendReplica
-	}
-	return c.Arch
-}
-
 // Key is the cell's human-readable coordinate string for progress output.
 // It uses display names and may coincide for parameterized model variants;
 // seed derivation uses canonicalKey. FriendReplica cells keep the original

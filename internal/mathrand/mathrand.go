@@ -4,8 +4,8 @@
 //
 // Rand is a concrete generator, seeded eagerly, for the loops that draw
 // millions of values off one seed (dataset synthesis, schedule tables):
-// Uint64, Int63, Int31 and Float64 inline, and Intn, Int31n, Perm and Shuffle
-// are math/rand's own algorithms without the interface call per draw.
+// Uint64, Int63, Int31 and Float64 inline, and Intn, Int31n and Shuffle are
+// math/rand's own algorithms without the interface call per draw.
 // Source is a rand.Source64 whose Seed is O(1), for the loops that reseed
 // thousands of times and draw a handful of values a seed (the sweep and
 // placement workers hand it to their policies as a *rand.Rand).
@@ -232,18 +232,6 @@ func (r *Rand) int31n(n int32) int32 {
 func (r *Rand) uint32() uint32 {
 	//dosn:boundschecked a 63-bit value shifted right by 31 has 32 bits
 	return uint32(r.Int63() >> 31)
-}
-
-// Perm returns a pseudo-random permutation of [0, n), drawn as math/rand's
-// Perm draws it.
-func (r *Rand) Perm(n int) []int {
-	m := make([]int, n)
-	for i := 0; i < n; i++ {
-		j := r.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
-	}
-	return m
 }
 
 // Shuffle pseudo-randomizes the order of n elements through swap, drawing as

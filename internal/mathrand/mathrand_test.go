@@ -19,7 +19,6 @@ type generator interface {
 	Uint64() uint64
 	Float64() float64
 	NormFloat64() float64
-	Perm(n int) []int
 	Shuffle(n int, swap func(i, j int))
 }
 
@@ -39,12 +38,12 @@ var bigN = func() int {
 }()
 
 // numOps is the number of distinct calls draw makes.
-const numOps = 15
+const numOps = 14
 
 // draw makes call op of the mixed sequence on g; i varies the arguments of
 // the calls that take a length. The calls cover every method of generator:
 // Intn on its power-of-two path, on its rejection path (2³⁰+1 rejects almost
-// half of its draws) and past 31 bits, Int31n, Int63n, Perm and Shuffle
+// half of its draws) and past 31 bits, Int31n, Int63n and Shuffle
 // (math/rand's other reduction), so a sequence of them reads the stream well
 // past the 273-word lag and the 607-word wrap.
 func draw(g generator, op byte, i int) any {
@@ -75,8 +74,6 @@ func draw(g generator, op byte, i int) any {
 		return g.Float64()
 	case 12:
 		return g.NormFloat64()
-	case 13:
-		return g.Perm(1 + i%23)
 	default:
 		s := make([]int, 1+i%17)
 		for j := range s {

@@ -39,7 +39,7 @@ type Placer struct {
 func NewPlacer(ds *trace.Dataset, bitmaps []interval.Bitmap, mode Mode, budget int, policies ...Policy) *Placer {
 	pl := &Placer{ds: ds, bitmaps: bitmaps, mode: mode, budget: budget}
 	for _, p := range policies {
-		t := TraitsOf(p)
+		t := p.Traits()
 		pl.traits.UsesInteractions = pl.traits.UsesInteractions || t.UsesInteractions
 		pl.traits.UsesDemand = pl.traits.UsesDemand || t.UsesDemand
 	}

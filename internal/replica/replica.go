@@ -233,6 +233,8 @@ type Policy interface {
 	// The result may be shorter than the budget when the policy runs out of
 	// eligible or useful candidates (the paper notes this for ConRep).
 	Select(in Input, rng *rand.Rand) []socialgraph.UserID
+	// Traits declares the Input ingredients Select reads.
+	Traits() Traits
 }
 
 // Traits declares which Input ingredients a policy actually consumes, so a
@@ -248,22 +250,6 @@ type Traits struct {
 	UsesInteractions bool
 	// UsesDemand reports whether Input.Demand is read.
 	UsesDemand bool
-}
-
-// TraitedPolicy is optionally implemented by policies that can declare their
-// traits. Policies that do not implement it are assumed to consume
-// everything.
-type TraitedPolicy interface {
-	Traits() Traits
-}
-
-// TraitsOf returns the declared traits of p, or the conservative
-// everything-consumed default for policies that do not declare any.
-func TraitsOf(p Policy) Traits {
-	if tp, ok := p.(TraitedPolicy); ok {
-		return tp.Traits()
-	}
-	return Traits{UsesRNG: true, UsesInteractions: true, UsesDemand: true}
 }
 
 // Compile-time interface checks.
@@ -313,7 +299,7 @@ func (m MaxAv) Name() string {
 	return "MaxAv"
 }
 
-// Traits implements TraitedPolicy: MaxAv is deterministic and ignores the
+// Traits implements Policy: MaxAv is deterministic and ignores the
 // interaction counts; only the activity objective reads Demand.
 func (m MaxAv) Traits() Traits {
 	return Traits{UsesDemand: m.Objective == ObjectiveOnDemandActivity}
@@ -404,7 +390,7 @@ type MostActive struct{}
 // Name implements Policy.
 func (MostActive) Name() string { return "MostActive" }
 
-// Traits implements TraitedPolicy.
+// Traits implements Policy.
 func (MostActive) Traits() Traits { return Traits{UsesRNG: true, UsesInteractions: true} }
 
 // Select implements Policy. Ranking runs over candidate positions, so the
@@ -457,7 +443,7 @@ type Random struct{}
 // Name implements Policy.
 func (Random) Name() string { return "Random" }
 
-// Traits implements TraitedPolicy.
+// Traits implements Policy.
 func (Random) Traits() Traits { return Traits{UsesRNG: true} }
 
 // Select implements Policy.

@@ -400,30 +400,17 @@ func TestMaxAvIgnoresNilRNG(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("MaxAv selected nothing")
 	}
-	if tr := TraitsOf(MaxAv{}); tr.UsesRNG || tr.UsesInteractions || tr.UsesDemand {
+	if tr := (MaxAv{}).Traits(); tr.UsesRNG || tr.UsesInteractions || tr.UsesDemand {
 		t.Errorf("MaxAv traits = %+v", tr)
 	}
-	if tr := TraitsOf(MaxAv{Objective: ObjectiveOnDemandActivity}); !tr.UsesDemand {
+	if tr := (MaxAv{Objective: ObjectiveOnDemandActivity}).Traits(); !tr.UsesDemand {
 		t.Errorf("MaxAv(activity) traits = %+v", tr)
 	}
-	if tr := TraitsOf(MostActive{}); !tr.UsesRNG || !tr.UsesInteractions {
+	if tr := (MostActive{}).Traits(); !tr.UsesRNG || !tr.UsesInteractions {
 		t.Errorf("MostActive traits = %+v", tr)
 	}
-	if tr := TraitsOf(Random{}); !tr.UsesRNG {
+	if tr := (Random{}).Traits(); !tr.UsesRNG {
 		t.Errorf("Random traits = %+v", tr)
-	}
-}
-
-// anonPolicy implements Policy without declaring traits.
-type anonPolicy struct{}
-
-func (anonPolicy) Name() string                                  { return "anon" }
-func (anonPolicy) Select(Input, *rand.Rand) []socialgraph.UserID { return nil }
-
-func TestTraitsOfDefaultsConservative(t *testing.T) {
-	tr := TraitsOf(anonPolicy{})
-	if !tr.UsesRNG || !tr.UsesInteractions || !tr.UsesDemand {
-		t.Errorf("undeclared policy traits = %+v, want all true", tr)
 	}
 }
 
