@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -25,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"dosn/internal/atomicfile"
 	"dosn/internal/fault"
 	"dosn/internal/feed"
 	"dosn/internal/obs"
@@ -128,7 +130,10 @@ func run() error {
 	}
 	if *statePath != "" {
 		defer func() {
-			if err := saveState(*statePath, st); err != nil {
+			// The state file is the old snapshot or the new one, never a
+			// truncated mix.
+			err := atomicfile.Replace([]string{*statePath}, func(ws []io.Writer) error { return st.Save(ws[0]) })
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "save state:", err)
 			}
 		}()
@@ -240,33 +245,6 @@ func openState(path string, id int32) (*store.Store, error) {
 	}
 	fmt.Printf("restored state from %s (%d walls)\n", path, len(st.Walls()))
 	return st, nil
-}
-
-// saveState writes the snapshot atomically and durably (temp file + fsync +
-// rename): after a crash the state file is the old snapshot or the new one,
-// never a truncated mix, and a failed save leaves no temp file behind.
-func saveState(path string, st *store.Store) (err error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close() // no-op after a successful Close
-			os.Remove(tmp)
-		}
-	}()
-	if err = st.Save(f); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // authorPosts parses "wall:text;wall:text" and writes the posts locally.

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"dosn/internal/atomicfile"
 	"dosn/internal/fault"
 	"dosn/internal/obs"
 	"dosn/internal/store"
@@ -52,9 +54,14 @@ func TestSetFieldsParsing(t *testing.T) {
 	}
 }
 
+// saveState is the node's exit save of its -state snapshot, as run makes it.
+func saveState(path string, st *store.Store) error {
+	return atomicfile.Replace([]string{path}, func(ws []io.Writer) error { return st.Save(ws[0]) })
+}
+
 // TestSaveStateLeavesNoTempFileOnFailure: -state naming an existing
-// directory makes the final rename fail. The error must surface, and the
-// temp file must not outlive it; a save to a plain path still round-trips.
+// directory is refused. The error must surface, and no temp file may
+// outlive it; a save to a plain path still round-trips.
 func TestSaveStateLeavesNoTempFileOnFailure(t *testing.T) {
 	st := store.New(1)
 	if err := authorPosts(st, "1:hello", 5); err != nil {

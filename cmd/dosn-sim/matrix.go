@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dosn"
+	"dosn/internal/atomicfile"
 	"dosn/internal/fault"
 	"dosn/internal/harness"
 	"dosn/internal/obs"
@@ -274,9 +275,9 @@ func splitList(s string) []string {
 }
 
 // writeSink writes via fn to path, with "-" meaning stdout. A regular file is
-// replaced atomically — path.tmp beside it, fsync, rename — so a failed or
-// interrupted write leaves the previous file intact and no temp file behind.
-func writeSink(path string, fn func(io.Writer) error) (err error) {
+// replaced whole by atomicfile.Replace, so a failed or interrupted write
+// leaves the previous file intact and no temp file behind.
+func writeSink(path string, fn func(io.Writer) error) error {
 	if path == "-" {
 		return fn(os.Stdout)
 	}
@@ -290,28 +291,8 @@ func writeSink(path string, fn func(io.Writer) error) (err error) {
 		defer f.Close()
 		return fn(f)
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", tmp, err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close() // no-op after a successful Close
-			os.Remove(tmp)
-		}
-	}()
-	if err = fn(f); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("sync %s: %w", tmp, err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", tmp, err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("rename %s: %w", path, err)
+	if err := atomicfile.Replace([]string{path}, func(ws []io.Writer) error { return fn(ws[0]) }); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil

@@ -65,13 +65,3 @@ func NewArchitecture(name string, ring *Ring, graph *socialgraph.Graph, base []r
 		return nil, fmt.Errorf("dht: unknown architecture %q (FriendReplica|RandomDHT|SocialDHT)", name)
 	}
 }
-
-// ValidArchName reports whether name is a canonical architecture name.
-func ValidArchName(name string) bool {
-	for _, n := range ArchNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}

@@ -353,9 +353,6 @@ func TestNewArchitecture(t *testing.T) {
 				t.Errorf("architecture %q evaluates policy %q", name, ps[0].Name())
 			}
 		}
-		if !ValidArchName(name) {
-			t.Errorf("ValidArchName(%q) = false", name)
-		}
 	}
 	if _, err := NewArchitecture("", r, g, nil); err == nil {
 		t.Error("empty architecture name accepted")
@@ -375,8 +372,5 @@ func TestNewArchitecture(t *testing.T) {
 	}
 	if _, err := NewArchitecture("Gossip", r, g, nil); err == nil {
 		t.Error("unknown architecture accepted")
-	}
-	if ValidArchName("Gossip") {
-		t.Error("ValidArchName accepted an unknown name")
 	}
 }

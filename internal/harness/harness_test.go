@@ -482,8 +482,9 @@ func TestPolicyByName(t *testing.T) {
 			t.Errorf("policyByName(%q).Name() = %q", name, p.Name())
 		}
 	}
-	if _, err := policyByName("Clairvoyant"); err == nil {
-		t.Error("unknown policy accepted")
+	const wantErr = `harness: unknown policy "Clairvoyant" (MaxAv|MaxAv(activity)|MostActive|Random)`
+	if _, err := policyByName("Clairvoyant"); err == nil || err.Error() != wantErr {
+		t.Errorf("unknown policy: error %v, want %q", err, wantErr)
 	}
 	if _, err := parseMode("ConRep"); err != nil {
 		t.Error("ConRep rejected")

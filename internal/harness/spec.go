@@ -30,7 +30,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"dosn/internal/dht"
@@ -269,8 +271,8 @@ func (s MatrixSpec) Validate() error {
 		}
 	}
 	for _, a := range s.Architectures {
-		if !dht.ValidArchName(a) {
-			return fmt.Errorf("harness: unknown architecture %q (FriendReplica|RandomDHT|SocialDHT)", a)
+		if !slices.Contains(dht.ArchNames(), a) {
+			return fmt.Errorf("harness: unknown architecture %q (%s)", a, strings.Join(dht.ArchNames(), "|"))
 		}
 	}
 	for _, p := range s.Policies {
@@ -313,18 +315,14 @@ func parseMode(s string) (replica.Mode, error) {
 }
 
 func policyByName(name string) (replica.Policy, error) {
-	switch name {
-	case "MaxAv":
-		return replica.MaxAv{}, nil
-	case "MaxAv(activity)":
-		return replica.MaxAv{Objective: replica.ObjectiveOnDemandActivity}, nil
-	case "MostActive":
-		return replica.MostActive{}, nil
-	case "Random":
-		return replica.Random{}, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown policy %q (MaxAv|MaxAv(activity)|MostActive|Random)", name)
+	var names []string
+	for _, p := range replica.SelectablePolicies() {
+		if p.Name() == name {
+			return p, nil
+		}
+		names = append(names, p.Name())
 	}
+	return nil, fmt.Errorf("harness: unknown policy %q (%s)", name, strings.Join(names, "|"))
 }
 
 // CellSpec is one enumerated cell of the matrix with its coordinates.

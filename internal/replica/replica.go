@@ -467,3 +467,9 @@ func (Random) Select(in Input, rng *rand.Rand) []socialgraph.UserID {
 func DefaultPolicies() []Policy {
 	return []Policy{MaxAv{}, MostActive{}, Random{}}
 }
+
+// SelectablePolicies returns every policy a sweep can select by name: the
+// paper's three and MaxAv with the on-demand-activity objective.
+func SelectablePolicies() []Policy {
+	return []Policy{MaxAv{}, MaxAv{Objective: ObjectiveOnDemandActivity}, MostActive{}, Random{}}
+}
